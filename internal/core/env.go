@@ -40,7 +40,8 @@ type Env interface {
 	// user. Must be positive and stable across calls.
 	Cost(user, arm int) float64
 	// BestQuality returns µ*_i, the best achievable quality of user i
-	// (used only for regret/loss metrics).
+	// (used only for regret/loss metrics). Must be stable across calls: a
+	// Simulation reads it once per user.
 	BestQuality(user int) float64
 }
 

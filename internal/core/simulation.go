@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bandit"
 	"repro/internal/gp"
+	"repro/internal/linalg"
 )
 
 // TracePoint records the simulation state after one scheduling round.
@@ -30,6 +31,10 @@ type Simulation struct {
 	env         Env
 	userPicker  UserPicker
 	modelPicker ModelPicker
+
+	// best[i] is env.BestQuality(i), read once: the ground truth is fixed
+	// for a run, and every round consults it for every tenant.
+	best []float64
 
 	steps   int
 	cumCost float64
@@ -97,6 +102,9 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 		}
 	}
 	s := &Simulation{env: cfg.Env, userPicker: cfg.UserPicker, modelPicker: cfg.ModelPicker}
+	// Tenants with the same arm count share the same features, hence the
+	// same prior: evaluate the K² kernel entries once per distinct K.
+	priors := make(map[int]*linalg.Matrix)
 	for i := 0; i < n; i++ {
 		k := cfg.Env.NumModels(i)
 		if k == 0 {
@@ -109,7 +117,12 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 		for arm := 0; arm < k; arm++ {
 			costs[arm] = cfg.Env.Cost(i, arm)
 		}
-		process := gp.NewFromFeatures(cfg.Kernel, cfg.Features[:k], noise)
+		prior := priors[k]
+		if prior == nil {
+			prior = gp.CovarianceMatrix(cfg.Kernel, cfg.Features[:k])
+			priors[k] = prior
+		}
+		process := gp.New(prior, noise)
 		var armMeans []float64
 		if len(cfg.ArmPriorMeans) > 0 {
 			if len(cfg.ArmPriorMeans) < k {
@@ -126,6 +139,7 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 			ArmMeans:  armMeans,
 		})
 		s.Tenants = append(s.Tenants, NewTenant(i, fmt.Sprintf("user-%d", i), b))
+		s.best = append(s.best, cfg.Env.BestQuality(i))
 	}
 	return s, nil
 }
@@ -154,7 +168,7 @@ func (s *Simulation) Trace() []TracePoint { return s.trace }
 func (s *Simulation) AvgLoss() float64 {
 	var sum float64
 	for i, t := range s.Tenants {
-		sum += s.env.BestQuality(i) - t.BestObserved()
+		sum += s.best[i] - t.BestObserved()
 	}
 	return sum / float64(len(s.Tenants))
 }
@@ -163,7 +177,7 @@ func (s *Simulation) AvgLoss() float64 {
 func (s *Simulation) MaxLoss() float64 {
 	worst := math.Inf(-1)
 	for i, t := range s.Tenants {
-		if l := s.env.BestQuality(i) - t.BestObserved(); l > worst {
+		if l := s.best[i] - t.BestObserved(); l > worst {
 			worst = l
 		}
 	}
@@ -208,7 +222,7 @@ func (s *Simulation) Step() (bool, error) {
 	// model from its last served round.
 	var regretSum float64
 	for i, t := range s.Tenants {
-		regretSum += s.env.BestQuality(i) - t.LastReward()
+		regretSum += s.best[i] - t.LastReward()
 	}
 	s.cumRegret += cost * regretSum
 

@@ -24,17 +24,25 @@ type GP struct {
 	alpha  []float64        // (Σt+σ²I)⁻¹ y; nil when t == 0
 	jitter float64          // diagonal jitter added to keep (Σt+σ²I) PD
 
-	// Posterior cache: the full (µ, σ) surface is a pure function of the
-	// observation history, so between observations repeated Posterior calls
-	// can be served from the last computed surface in O(K) instead of
-	// re-running the O(K·t²) solve. postZ is the t×K forward-solved block
-	// L⁻¹·B behind the cached surface — the state that lets
-	// ObserveHallucinated downdate the variances in O(K·t). The cached
-	// slices are never mutated in place (updates allocate fresh ones),
-	// which is what lets Shadow share them with the base by pointer. The
-	// dirty flag is cleared by Posterior and set by Observe/Reset.
+	// Posterior state. postZ holds the leading rows of the solved block
+	// L⁻¹·B (B is the t×K cross-covariance block, row i = Σ(a_i, ·)) and
+	// postRaw the running raw variance Σ(j,j) − Σᵢ zᵢ(j)² over exactly those
+	// rows, unclamped. Row i of the block depends only on factor rows 0..i,
+	// which Cholesky.Extend never changes, so both stay valid across every
+	// observation that extended the factor: the next read appends the rows
+	// observed since, O(K·t) each (refreshPosterior). Only a refactor
+	// (jitter escalation) or Reset replaces the factor and drops them, and
+	// the next read is then the from-row-0 case of the same loop.
+	//
+	// postMu/postSigma cache the surface read off that state: between
+	// observations repeated Posterior calls are O(K) copies. postValid is
+	// set by a read and cleared by Observe/Reset. postMu, postSigma and
+	// postRaw are never mutated in place (updates allocate fresh ones) and
+	// postZ only grows by appending, which is what lets Shadow share all
+	// four with the base.
 	postMu    []float64
 	postSigma []float64
+	postRaw   []float64
 	postZ     []float64
 	postValid bool
 	postStats CacheStats
@@ -96,41 +104,62 @@ func (g *GP) Observations() (arms []int, ys []float64) {
 // programming error) but returns an error when the observation covariance
 // is not positive semi-definite even after jitter escalation — an
 // ill-conditioned prior must surface as a failure of this process, not kill
-// the caller. On error the observation is rolled back and the posterior is
-// left exactly as before the call.
+// the caller. On error the observation is rolled back and the posterior —
+// surface, solved block and factor — is left exactly as before the call.
 //
 // The factorization of (Σt + σ²I) is extended incrementally in O(t²); a full
 // refactorization with escalating jitter is the fallback when the extended
-// matrix is numerically semi-definite.
+// matrix is numerically semi-definite. The (µ, σ) surface is brought up to
+// date by the next read, in O(K·t) after an extension and O(K·t²) after a
+// refactorization.
 func (g *GP) Observe(k int, y float64) error {
-	if k < 0 || k >= g.NumArms() {
-		panic(fmt.Sprintf("gp: arm %d out of range [0,%d)", k, g.NumArms()))
-	}
-	g.arms = append(g.arms, k)
-	g.ys = append(g.ys, y)
-	t := len(g.arms)
-	if g.chol != nil && t > 1 {
-		row := make([]float64, t)
-		for i, a := range g.arms[:t-1] {
-			row[i] = g.prior.At(a, k)
-		}
-		row[t-1] = g.prior.At(k, k) + g.noiseVar + g.jitter
-		if err := g.chol.Extend(row); err == nil {
-			g.alpha = g.chol.SolveVec(g.ys)
-			g.invalidatePosterior()
-			return nil
-		}
-	}
-	if err := g.refactor(); err != nil {
-		// Roll back: the failed observation must not poison later calls.
-		// The previous factorization (if any) is still valid for t-1
-		// observations, so the posterior is untouched.
-		g.arms = g.arms[:t-1]
-		g.ys = g.ys[:t-1]
-		return fmt.Errorf("gp: observing arm %d: %w", k, err)
+	g.checkArm(k)
+	if _, err := g.observe(k, y); err != nil {
+		return err
 	}
 	g.invalidatePosterior()
 	return nil
+}
+
+// checkArm panics when k is not an arm index.
+func (g *GP) checkArm(k int) {
+	if k < 0 || k >= g.NumArms() {
+		panic(fmt.Sprintf("gp: arm %d out of range [0,%d)", k, g.NumArms()))
+	}
+}
+
+// observe appends (k, y) to the history and brings the factor and the solve
+// vector up to date. extended reports that the factor grew by one row, so
+// the solved block is still a prefix of the new one; otherwise the factor
+// was rebuilt (first observation, or jitter escalation after the extension
+// hit a non-positive pivot) and the block is dropped. On error nothing has
+// changed.
+func (g *GP) observe(k int, y float64) (extended bool, err error) {
+	t := len(g.arms)
+	if g.chol != nil {
+		row := make([]float64, t+1)
+		for i, a := range g.arms {
+			row[i] = g.prior.At(a, k)
+		}
+		row[t] = g.prior.At(k, k) + g.noiseVar + g.jitter
+		extended = g.chol.Extend(row) == nil
+	}
+	g.arms = append(g.arms, k)
+	g.ys = append(g.ys, y)
+	if extended {
+		g.alpha = g.chol.SolveVec(g.ys)
+		return true, nil
+	}
+	if err := g.refactor(); err != nil {
+		// Roll back: the failed observation must not poison later calls.
+		// The previous factorization (if any) is still valid for t
+		// observations, so the posterior is untouched.
+		g.arms = g.arms[:t]
+		g.ys = g.ys[:t]
+		return false, fmt.Errorf("gp: observing arm %d: %w", k, err)
+	}
+	g.postZ, g.postRaw = nil, nil
+	return false, nil
 }
 
 // ObserveHallucinated conditions the process on a fake observation of arm
@@ -142,70 +171,29 @@ func (g *GP) Observe(k int, y float64) error {
 //
 //	σ′²(j) = σ²(j) − z(j)²,   z(j) = (Σ(k,j) − L[t,:t]·Z[:,j]) / L[t,t],
 //
-// so the cached posterior is updated in O(K·t) instead of recomputed in
-// O(K·t²). This is the hot operation behind every hallucinated batch
-// pick; the z row is produced with exactly ForwardSolveBatch's operation
-// order, so it extends the cached block as if the full batched solve had
-// run. On a numerically semi-definite extension it falls back to the full
-// Observe path (jitter escalation, cache invalidated) — correctness never
-// depends on the fast path.
+// which is the row every read after an observation appends to the solved
+// block anyway. So this is Observe followed by a read that keeps µ: O(K·t),
+// and σ′ is bit for bit what a from-scratch posterior pass would produce.
+// This is the hot operation behind every hallucinated batch pick. On a
+// numerically semi-definite extension the factor is rebuilt with escalated
+// jitter and the cached surface invalidated, exactly as in Observe —
+// correctness never depends on the fast path.
 func (g *GP) ObserveHallucinated(k int) error {
-	if k < 0 || k >= g.NumArms() {
-		panic(fmt.Sprintf("gp: arm %d out of range [0,%d)", k, g.NumArms()))
-	}
-	t := len(g.arms)
-	if t == 0 || g.chol == nil {
+	g.checkArm(k)
+	if len(g.arms) == 0 {
 		return g.Observe(k, 0) // zero-mean prior: the hallucinated value is 0
 	}
 	g.freshenPosterior()
-	row := make([]float64, t+1)
-	for i, a := range g.arms {
-		row[i] = g.prior.At(a, k)
+	mu := g.postMu
+	extended, err := g.observe(k, mu[k])
+	if err != nil {
+		return err
 	}
-	row[t] = g.prior.At(k, k) + g.noiseVar + g.jitter
-	if err := g.chol.Extend(row); err != nil {
-		return g.Observe(k, g.postMu[k])
+	if !extended {
+		g.invalidatePosterior()
+		return nil
 	}
-	g.arms = append(g.arms, k)
-	g.ys = append(g.ys, g.postMu[k])
-	g.alpha = g.chol.SolveVec(g.ys)
-
-	// The new factor row is L⁻¹·kvec(k) with the pivot appended — exactly
-	// the forward-solve column the downdate needs. Mirror
-	// ForwardSolveBatch's operation order so the extended block is
-	// bit-identical to a full batched solve.
-	kk := g.NumArms()
-	lrow := g.chol.Row(t)
-	zrow := make([]float64, kk)
-	for j := 0; j < kk; j++ {
-		zrow[j] = g.prior.At(k, j)
-	}
-	for i := 0; i < t; i++ {
-		coef := lrow[i]
-		if coef == 0 {
-			continue
-		}
-		zi := g.postZ[i*kk : (i+1)*kk]
-		for j, v := range zi {
-			zrow[j] -= coef * v
-		}
-	}
-	piv := lrow[t]
-	for j := range zrow {
-		zrow[j] /= piv
-	}
-	// Fresh σ slice (the old one may be shared with a base or shadow);
-	// µ and the stats are untouched by construction.
-	sigma := make([]float64, kk)
-	for j := range sigma {
-		v := g.postSigma[j]*g.postSigma[j] - zrow[j]*zrow[j]
-		if v < 0 {
-			v = 0
-		}
-		sigma[j] = math.Sqrt(v)
-	}
-	g.postSigma = sigma
-	g.postZ = append(g.postZ, zrow...)
+	g.refreshPosterior(mu)
 	return nil
 }
 
@@ -224,6 +212,7 @@ type Checkpoint struct {
 	alpha    []float64
 	postMu   []float64
 	postSig  []float64
+	postRaw  []float64
 	postZ    []float64
 	postOK   bool
 	jitter   float64
@@ -245,6 +234,7 @@ func (g *GP) Checkpoint() Checkpoint {
 		alpha:    g.alpha,
 		postMu:   g.postMu,
 		postSig:  g.postSigma,
+		postRaw:  g.postRaw,
 		postZ:    g.postZ,
 		postOK:   g.postValid,
 		jitter:   g.jitter,
@@ -270,6 +260,7 @@ func (g *GP) Rollback(cp Checkpoint) {
 	g.alpha = cp.alpha
 	g.postMu = cp.postMu
 	g.postSigma = cp.postSig
+	g.postRaw = cp.postRaw
 	g.postZ = cp.postZ
 	g.postValid = cp.postOK
 	g.jitter = cp.jitter
@@ -353,16 +344,18 @@ func (g *GP) Std(k int) float64 { return math.Sqrt(g.Var(k)) }
 
 // Posterior returns the posterior mean and standard deviation for every arm
 // in one pass. It is equivalent to calling Mean and Std per arm but batches
-// the work: the t×K cross-covariance block is materialized once, the means
-// fall out of one alpha sweep, and all K forward solves for the variances
-// go through a single pass over the Cholesky factor
-// (linalg.ForwardSolveBatch) instead of K separate O(t²) solves with their
-// K temporary vectors. Same O(K·t²) flops, but one factor traversal — this
-// is the hot path of every UCB selection.
+// the work across arms: the means fall out of one alpha sweep over the
+// observed arms' prior rows, and the K forward solves behind the variances
+// are rows of one solved block (linalg.AppendSolvedRow) instead of K
+// separate O(t²) solves with their K temporary vectors — this is the hot
+// path of every UCB selection.
 //
-// The surface is cached between observations: only the first call after an
-// Observe pays the O(K·t²) solve, every later call is an O(K) copy of the
-// cached surface (the returned slices are the caller's to mutate).
+// The surface is cached between observations: every call but the first
+// after an Observe is an O(K) copy (the returned slices are the caller's to
+// mutate). That first call appends one row to the solved block per
+// observation since the last read and re-sweeps µ — O(K·t) — because the
+// block survives factor extensions; only after a jitter refactorization
+// replaced the factor does it re-solve all t rows, O(K·t²).
 func (g *GP) Posterior() (mu, sigma []float64) {
 	k := g.NumArms()
 	g.freshenPosterior()
@@ -381,59 +374,53 @@ func (g *GP) freshenPosterior() {
 		return
 	}
 	g.postStats.Misses++
-	g.postMu, g.postSigma, g.postZ = g.computePosterior()
-	g.postValid = true
+	g.refreshPosterior(nil)
 }
 
-// computePosterior runs the batched posterior pass into fresh slices
-// (fresh, never recycled: cached surfaces may still be shared with
-// shadows), returning the forward-solved block alongside the surface.
-func (g *GP) computePosterior() (mu, sigma, z []float64) {
+// refreshPosterior brings the solved block, the raw variances and the
+// cached surface up to date with the factor. It appends the block rows the
+// factor has and the block lacks — all t after a refactorization, one per
+// observation since the last read otherwise — subtracting each row's
+// squares from the raw variances as it lands, which is the order a single
+// pass from row 0 subtracts them in: the surface does not depend on how the
+// rows were batched into reads. µ is re-swept from alpha unless the caller
+// knows it (a hallucination leaves it unchanged by construction). Every
+// slice it stores is fresh or append-extended, never written in place:
+// the old ones may be shared with a base, a shadow or a checkpoint.
+func (g *GP) refreshPosterior(mu []float64) {
 	k := g.NumArms()
-	mu = make([]float64, k)
-	sigma = make([]float64, k)
-	t := len(g.arms)
-	if t == 0 {
-		for i := 0; i < k; i++ {
-			sigma[i] = math.Sqrt(g.prior.At(i, i))
-		}
-		return mu, sigma, nil
-	}
-	// B is the t×K cross-covariance block, row-major: row i is
-	// [Σ(a_i, 0), …, Σ(a_i, K−1)] — column j is kvec(j).
-	b := make([]float64, t*k)
-	for i, a := range g.arms {
-		row := b[i*k : (i+1)*k]
-		for j := 0; j < k; j++ {
-			row[j] = g.prior.At(a, j)
+	if mu == nil {
+		// µ(j) = kvec(j)·alpha, accumulated row-wise over B.
+		mu = make([]float64, k)
+		for i, a := range g.arms {
+			ai := g.alpha[i]
+			for j, v := range g.prior.RowView(a) {
+				mu[j] += ai * v
+			}
 		}
 	}
-	// µ(j) = kvec(j)·alpha, accumulated row-wise over B.
-	for i := 0; i < t; i++ {
-		ai := g.alpha[i]
-		row := b[i*k : (i+1)*k]
-		for j, v := range row {
-			mu[j] += ai * v
+	// σ²(j) = Σ(j,j) − ‖L⁻¹·kvec(j)‖², all K solves one block row at a time.
+	var raw []float64
+	if len(g.postZ) == 0 {
+		raw = g.prior.Diag()
+	} else {
+		raw = append(raw, g.postRaw...)
+	}
+	for have := len(g.postZ); have < len(g.arms)*k; have += k {
+		g.postZ = g.chol.AppendSolvedRow(g.postZ, g.prior.RowView(g.arms[have/k]))
+		for j, v := range g.postZ[have:] {
+			raw[j] -= v * v
 		}
 	}
-	// σ²(j) = Σ(j,j) − ‖L⁻¹·kvec(j)‖², all K solves in one factor pass.
-	z = g.chol.ForwardSolveBatch(b, k)
-	for j := 0; j < k; j++ {
-		sigma[j] = g.prior.At(j, j)
-	}
-	for i := 0; i < t; i++ {
-		row := z[i*k : (i+1)*k]
-		for j, v := range row {
-			sigma[j] -= v * v
+	sigma := make([]float64, k)
+	for j, v := range raw {
+		if v < 0 {
+			v = 0 // floating-point round-off, same clamp as Var
 		}
+		sigma[j] = math.Sqrt(v)
 	}
-	for j := 0; j < k; j++ {
-		if sigma[j] < 0 {
-			sigma[j] = 0 // floating-point round-off, same clamp as Var
-		}
-		sigma[j] = math.Sqrt(sigma[j])
-	}
-	return mu, sigma, z
+	g.postMu, g.postSigma, g.postRaw = mu, sigma, raw
+	g.postValid = true
 }
 
 // LogMarginalLikelihood returns the log marginal likelihood of the
@@ -464,6 +451,7 @@ func (g *GP) Reset() {
 	g.invalidatePosterior()
 	g.postMu = nil
 	g.postSigma = nil
+	g.postRaw = nil
 	g.postZ = nil
 }
 
@@ -492,10 +480,12 @@ func (g *GP) Shadow() *GP {
 		jitter:    g.jitter,
 		postMu:    g.postMu, // cached surfaces are immutable once built
 		postSigma: g.postSigma,
+		postRaw:   g.postRaw,
 		postValid: g.postValid,
-		// The solved block is append-extended by ObserveHallucinated;
-		// clamping the capacity keeps either side's appends out of storage
-		// the other can see (same copy-on-write discipline as the factor).
+		// The solved block is append-extended by every read that follows an
+		// observation; clamping the capacity keeps either side's appends out
+		// of storage the other can see (same copy-on-write discipline as
+		// the factor).
 		postZ: g.postZ[:len(g.postZ):len(g.postZ)],
 	}
 	if g.chol != nil {

@@ -446,3 +446,31 @@ func BenchmarkPosterior(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkObservePosterior measures the steady state of Algorithm 1 on a
+// 179CLASSIFIER-sized tenant: one observation followed by one full-surface
+// read, from t = 1 to t = 90. One iteration is the whole 90-step run.
+func BenchmarkObservePosterior(b *testing.B) {
+	const k, obs = 179, 90
+	rng := rand.New(rand.NewSource(3))
+	prior := CovarianceMatrix(RBF{Variance: 0.05, LengthScale: 0.5}, randomFeatures(rng, k))
+	order := rng.Perm(k)[:obs]
+	ys := make([]float64, obs)
+	for i := range ys {
+		ys[i] = rng.Float64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := New(prior, 1e-4)
+		for step, arm := range order {
+			if err := g.Observe(arm, ys[step]); err != nil {
+				b.Fatal(err)
+			}
+			mu, sigma := g.Posterior()
+			if len(mu) != k || len(sigma) != k {
+				b.Fatal("bad shape")
+			}
+		}
+	}
+}

@@ -9,11 +9,7 @@ import (
 // random observations.
 func randomProcess(t *testing.T, rng *rand.Rand, k, obs int) *GP {
 	t.Helper()
-	features := make([][]float64, k)
-	for j := range features {
-		features[j] = []float64{rng.Float64(), rng.Float64()}
-	}
-	g := NewFromFeatures(RBF{Variance: 0.05, LengthScale: 0.5}, features, 1e-4)
+	g := NewFromFeatures(RBF{Variance: 0.05, LengthScale: 0.5}, randomFeatures(rng, k), 1e-4)
 	for _, arm := range rng.Perm(k)[:obs] {
 		if err := g.Observe(arm, rng.Float64()); err != nil {
 			t.Fatal(err)

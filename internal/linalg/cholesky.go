@@ -102,12 +102,6 @@ func (c *Cholesky) Extend(row []float64) error {
 // Size returns the dimension n of the factorized matrix.
 func (c *Cholesky) Size() int { return len(c.rows) }
 
-// Row returns factor row i (length i+1) without copying. The returned
-// slice is the factor's backing storage — callers must treat it as
-// read-only. Rank-1 posterior downdates read the newest row this way
-// instead of materializing the whole factor with L().
-func (c *Cholesky) Row(i int) []float64 { return c.rows[i] }
-
 // Snapshot returns a prefix-sharing shadow of the factorization in O(1):
 // the shadow aliases the base's rows instead of deep-copying the O(n²)
 // triangle. Both the base and the shadow may keep calling Extend
@@ -210,7 +204,8 @@ func (c *Cholesky) QuadForm(b []float64) float64 {
 // Walking L's rows once with the columns adjacent in the inner loop is
 // what makes batched GP posteriors cheap: per-column ForwardSolve calls
 // would traverse the factor (and allocate) once per column, while here the
-// inner loop is a contiguous AXPY across all columns.
+// inner loop is a contiguous AXPY across all columns. It is
+// AppendSolvedRow from row 0 to Size().
 func (c *Cholesky) ForwardSolveBatch(b []float64, cols int) []float64 {
 	n := c.Size()
 	if cols <= 0 {
@@ -219,28 +214,46 @@ func (c *Cholesky) ForwardSolveBatch(b []float64, cols int) []float64 {
 	if len(b) != n*cols {
 		panic(fmt.Sprintf("linalg: ForwardSolveBatch length %d does not match %d×%d", len(b), n, cols))
 	}
-	z := make([]float64, len(b))
-	copy(z, b)
+	z := make([]float64, 0, len(b))
 	for i := 0; i < n; i++ {
-		row := c.rows[i]
-		zi := z[i*cols : (i+1)*cols]
-		for k := 0; k < i; k++ {
-			coef := row[k]
-			if coef == 0 {
-				continue
-			}
-			zk := z[k*cols : (k+1)*cols]
-			for j, v := range zk {
-				zi[j] -= coef * v
-			}
+		z = c.AppendSolvedRow(z, b[i*cols:(i+1)*cols])
+	}
+	return z
+}
+
+// AppendSolvedRow extends a solved block by one row. z holds the first
+// i = len(z)/len(b) rows of Z = L⁻¹·B (row-major, len(b) columns) and b is
+// row i of B; the result is z with row i of Z appended (in place when z has
+// the capacity, like append). Row i of Z depends only on factor rows 0..i,
+// which Extend never changes, so a block solved against a shorter factor
+// stays valid as the factor grows and each new factor row costs one
+// O(i·cols) call here instead of a full ForwardSolveBatch — the step that
+// keeps per-observation GP posterior updates linear in the history.
+func (c *Cholesky) AppendSolvedRow(z, b []float64) []float64 {
+	cols := len(b)
+	if cols == 0 || len(z)%cols != 0 || len(z)/cols >= c.Size() {
+		panic(fmt.Sprintf("linalg: AppendSolvedRow of %d columns onto %d solved values of a size-%d factor", cols, len(z), c.Size()))
+	}
+	i := len(z) / cols
+	z = append(z, b...)
+	row := c.rows[i]
+	zi := z[i*cols:]
+	for k := 0; k < i; k++ {
+		coef := row[k]
+		if coef == 0 {
+			continue
 		}
-		// Divide (not multiply by a reciprocal): bit-identical to the
-		// per-column ForwardSolve, so batched and scalar posteriors agree
-		// exactly.
-		piv := row[i]
-		for j := range zi {
-			zi[j] /= piv
+		zk := z[k*cols : (k+1)*cols]
+		for j, v := range zk {
+			zi[j] -= coef * v
 		}
+	}
+	// Divide (not multiply by a reciprocal): bit-identical to the
+	// per-column ForwardSolve, so batched and scalar posteriors agree
+	// exactly.
+	piv := row[i]
+	for j := range zi {
+		zi[j] /= piv
 	}
 	return z
 }

@@ -91,12 +91,18 @@ func (m *Matrix) check(i, j int) {
 
 // Row returns a copy of row i.
 func (m *Matrix) Row(i int) []float64 {
+	out := make([]float64, m.cols)
+	copy(out, m.RowView(i))
+	return out
+}
+
+// RowView returns row i without copying. The returned slice is the
+// matrix's backing storage — callers must treat it as read-only.
+func (m *Matrix) RowView(i int) []float64 {
 	if i < 0 || i >= m.rows {
 		panic(fmt.Sprintf("linalg: row %d out of range for %d×%d matrix", i, m.rows, m.cols))
 	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
+	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
 }
 
 // Col returns a copy of column j.

@@ -412,6 +412,16 @@ func BenchmarkSolveVec50(b *testing.B) {
 	}
 }
 
+func mustPanic(t *testing.T, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic")
+		}
+	}()
+	f()
+}
+
 // ForwardSolveBatch must agree with per-column ForwardSolve exactly.
 func TestForwardSolveBatchMatchesPerColumn(t *testing.T) {
 	// A symmetric positive definite matrix with non-trivial off-diagonals.
@@ -447,15 +457,50 @@ func TestForwardSolveBatchMatchesPerColumn(t *testing.T) {
 		}
 	}
 	// Shape violations are programming errors.
-	mustPanic := func(f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic")
-			}
-		}()
-		f()
+	mustPanic(t, func() { ch.ForwardSolveBatch(b, 0) })
+	mustPanic(t, func() { ch.ForwardSolveBatch(b[:5], cols) })
+}
+
+// A block solved one row at a time while the factor grows under it must be
+// the block ForwardSolveBatch solves against the finished factor, bit for
+// bit: rows already solved never depend on factor rows appended later.
+func TestAppendSolvedRowTracksExtend(t *testing.T) {
+	const n, cols = 13, 5
+	rng := rand.New(rand.NewSource(9))
+	g := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			g.Set(i, j, rng.NormFloat64())
+		}
 	}
-	mustPanic(func() { ch.ForwardSolveBatch(b, 0) })
-	mustPanic(func() { ch.ForwardSolveBatch(b[:5], cols) })
+	a := g.Mul(g.Transpose()).AddDiag(0.5) // G·Gᵀ + ½I is positive definite
+	b := make([]float64, n*cols)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	ch := &Cholesky{}
+	var z []float64
+	for i := 0; i < n; i++ {
+		if err := ch.Extend(a.RowView(i)[:i+1]); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 2 {
+			continue // let the block fall several rows behind the factor
+		}
+		for have := len(z) / cols; have <= i; have++ {
+			z = ch.AppendSolvedRow(z, b[have*cols:(have+1)*cols])
+		}
+	}
+	want := ch.ForwardSolveBatch(b, cols)
+	if len(z) != len(want) {
+		t.Fatalf("incremental block has %d values, want %d", len(z), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(z[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("element %d: incremental %g vs batch %g", i, z[i], want[i])
+		}
+	}
+	mustPanic(t, func() { ch.AppendSolvedRow(z, b[:cols]) })     // block already has Size() rows
+	mustPanic(t, func() { ch.AppendSolvedRow(z[:7], b[:cols]) }) // ragged block
+	mustPanic(t, func() { ch.AppendSolvedRow(nil, nil) })        // no columns
 }

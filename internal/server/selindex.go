@@ -173,7 +173,7 @@ func (ix *selectionIndex) markDirty(jobID string) {
 // tenants is the job-parallel tenant slice of the current pick; callers
 // hold coordMu and every job lock. Re-scoring reads tenant.Gap(), which is
 // O(1) when the bandit's own UCB cache is warm (lease-only bumps) and one
-// O(K·t²) posterior pass when an observation landed.
+// O(K·t) posterior update when an observation landed.
 func (ix *selectionIndex) repair(tenants []*core.Tenant) {
 	if len(ix.dirty) == 0 {
 		return
