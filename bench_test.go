@@ -160,19 +160,22 @@ type pickPathBench struct {
 	Speedup            float64 `json:"speedup"`
 }
 
-// ingestBench is the ingest section of one trajectory entry: acked Feed
-// throughput under concurrent clients against a durable service, where
-// every Feed is fsynced to the WAL before it returns. The baseline
-// serializes one write+fsync per append — the pre-segmentation
-// single-file WAL discipline — while group commit lets concurrent
-// appends share one fsync.
+// ingestBench is the ingest section of one trajectory entry: acked
+// example throughput under concurrent clients against a durable service,
+// where every example is fsynced to the WAL before its call returns.
+// GroupCommitEventsSec feeds one example per call (concurrent calls share
+// fsyncs); FeedBatchEventsSec feeds FeedBatchSize examples per call (one
+// commit per call). Entries recorded before the inline fsync-per-append
+// mode was deleted also carry that baseline and its ratio.
 type ingestBench struct {
 	Benchmark               string  `json:"benchmark"`
 	Feeders                 int     `json:"feeders"`
 	FsyncBeforeAck          bool    `json:"fsync_before_ack"`
-	FsyncPerAppendEventsSec float64 `json:"fsync_per_append_events_per_sec"`
+	FsyncPerAppendEventsSec float64 `json:"fsync_per_append_events_per_sec,omitempty"`
 	GroupCommitEventsSec    float64 `json:"group_commit_events_per_sec"`
-	Speedup                 float64 `json:"speedup"`
+	FeedBatchSize           int     `json:"feed_batch_size,omitempty"`
+	FeedBatchEventsSec      float64 `json:"feed_batch_events_per_sec,omitempty"`
+	Speedup                 float64 `json:"speedup,omitempty"`
 }
 
 // servingBench is the serving section of one trajectory entry: the online
@@ -369,29 +372,27 @@ var (
 )
 
 // BenchmarkFeedSaturation measures acked ingest throughput: 8 concurrent
-// Feed clients split b.N appends against a durable service, and every
-// Feed is fsynced to the WAL before it returns. fsync-per-append
-// serializes one write+fsync per Feed under the log mutex — the
-// pre-segmentation single-file WAL discipline — while group-commit runs
-// the committer pipeline, so appends arriving during one fsync batch
-// into the next. acked-events/s is the headline metric; both modes and
-// their ratio land in BENCH_scheduler.json's ingest section.
+// feeders split b.N examples against a durable service, and every example
+// is fsynced to the WAL before the call carrying it returns. group-commit
+// feeds one example per call, so the appends arriving during one fsync
+// batch into the next; feed-batch feeds 16 examples per FeedBatch call,
+// one commit each. acked-events/s is the headline metric; both land in
+// BENCH_scheduler.json's ingest section.
 func BenchmarkFeedSaturation(b *testing.B) {
 	const (
 		feeders = 8
+		batch   = 16
 		program = "{input: {[Tensor[4]], [next]}, output: {[Tensor[2]], []}}"
 	)
 	for _, mode := range []struct {
-		name     string
-		interval time.Duration
+		name string
+		per  int // examples per call
 	}{
-		{"fsync-per-append", -1}, // serialized: one fsync per Feed, no committer
-		{"group-commit", 0},      // committer pipeline: one fsync per batch
+		{"group-commit", 1},
+		{"feed-batch", batch},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			svc, err := easeml.OpenService(easeml.ServiceConfig{
-				GPUs: 4, Seed: 7, DataDir: b.TempDir(), WALSyncInterval: mode.interval,
-			})
+			svc, err := easeml.OpenService(easeml.ServiceConfig{GPUs: 4, Seed: 7, DataDir: b.TempDir()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -407,12 +408,19 @@ func BenchmarkFeedSaturation(b *testing.B) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					inputs, outputs := make([][]float64, 0, mode.per), make([][]float64, 0, mode.per)
 					for {
-						i := next.Add(1)
-						if i > int64(b.N) {
+						end := next.Add(int64(mode.per))
+						start := end - int64(mode.per)
+						if start >= int64(b.N) {
 							return
 						}
-						if _, err := svc.Feed(job.Name, []float64{float64(i), 1, 2, 3}, []float64{0, 1}); err != nil {
+						inputs, outputs = inputs[:0], outputs[:0]
+						for i := start; i < min(end, int64(b.N)); i++ {
+							inputs = append(inputs, []float64{float64(i), 1, 2, 3})
+							outputs = append(outputs, []float64{0, 1})
+						}
+						if _, err := svc.FeedBatch(job.Name, inputs, outputs); err != nil {
 							b.Error(err)
 							return
 						}
@@ -429,18 +437,17 @@ func BenchmarkFeedSaturation(b *testing.B) {
 		})
 	}
 	feedSatMu.Lock()
-	base, group := feedSatPerSec["fsync-per-append"], feedSatPerSec["group-commit"]
+	group, batched := feedSatPerSec["group-commit"], feedSatPerSec["feed-batch"]
 	feedSatMu.Unlock()
-	if base > 0 && group > 0 {
-		b.ReportMetric(group/base, "speedup")
+	if group > 0 && batched > 0 {
 		updateBenchTrajectory(b, func(run *benchRun) {
 			run.Ingest = &ingestBench{
-				Benchmark:               "BenchmarkFeedSaturation",
-				Feeders:                 feeders,
-				FsyncBeforeAck:          true,
-				FsyncPerAppendEventsSec: base,
-				GroupCommitEventsSec:    group,
-				Speedup:                 group / base,
+				Benchmark:            "BenchmarkFeedSaturation",
+				Feeders:              feeders,
+				FsyncBeforeAck:       true,
+				GroupCommitEventsSec: group,
+				FeedBatchSize:        batch,
+				FeedBatchEventsSec:   batched,
 			}
 		})
 	}

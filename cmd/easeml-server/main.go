@@ -7,7 +7,7 @@
 //
 //	easeml-server [-addr :9000] [-gpus 24] [-seed 1] [-alpha 0.9]
 //	              [-workers 0] [-batch 0] [-data-dir DIR]
-//	              [-wal-segment-bytes 4194304] [-wal-sync-interval 2ms]
+//	              [-wal-segment-bytes 4194304]
 //	              [-fleet-addr ADDR] [-lease-ttl 10s] [-speculative]
 //	              [-quota-config FILE] [-max-inflight 0] [-pprof]
 //	              [-mutex-profile-fraction 0] [-block-profile-rate 0]
@@ -35,9 +35,12 @@
 // recovers all jobs, examples and trained models from the directory's
 // snapshot + WAL segments, then resumes training — work that was in
 // flight at the crash is re-queued. Concurrent mutations are group
-// committed: appends arriving within -wal-sync-interval share one fsync
-// (0 syncs every append immediately; negative serializes one fsync per
-// append). Segments roll at -wal-segment-bytes. POST /admin/snapshot
+// committed with no timer involved: the log fsyncs as soon as it has work,
+// and the appends that arrive during one fsync share the next; a feed
+// request is one commit however many examples it carries.
+// (-wal-sync-interval, which used to size a commit linger, is deprecated:
+// accepted, ignored, and warned about once.) Segments roll at
+// -wal-segment-bytes. POST /admin/snapshot
 // compacts the whole log into the snapshot at runtime;
 // POST /admin/snapshot?mode=incremental folds just the oldest sealed
 // segment, an O(segment) pause.
@@ -106,7 +109,7 @@ func main() {
 	batch := flag.Int("batch", 0, "max in-flight leases for the engine (default 2*workers)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshots; empty = in-memory)")
 	walSegmentBytes := flag.Int64("wal-segment-bytes", 4<<20, "WAL segment roll threshold in bytes (with -data-dir)")
-	walSyncInterval := flag.Duration("wal-sync-interval", 2*time.Millisecond, "WAL group-commit window: concurrent appends within it share one fsync (0 = fsync every append immediately; negative = serialized fsync per append, no group commit; with -data-dir)")
+	flag.Duration("wal-sync-interval", 0, "deprecated and ignored: the WAL commits as soon as it has work, there is no commit window to size")
 	fleetAddr := flag.String("fleet-addr", "", "dedicated listen address for the fleet worker protocol (empty = no fleet)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "fleet lease TTL before silent workers' leases are re-queued (default 10s)")
 	quotaConfig := flag.String("quota-config", "", "JSON tenant quota file enabling admission control (classes, caps, rate limits, budgets)")
@@ -134,6 +137,11 @@ func main() {
 	}
 	slog.SetDefault(logger) // slow-op and library warnings inherit the process logger
 	telemetry.SetSlowOpThreshold(*slowOp)
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "wal-sync-interval" {
+			logger.Warn("-wal-sync-interval is deprecated and ignored: the WAL commits as soon as it has work", "value", f.Value)
+		}
+	})
 
 	if *alpha <= 0 || *alpha > 1 {
 		logger.Error("invalid flag", "flag", "-alpha", "value", *alpha, "want", "(0, 1]")
@@ -149,7 +157,6 @@ func main() {
 		Batch:                    *batch,
 		DataDir:                  *dataDir,
 		WALSegmentBytes:          *walSegmentBytes,
-		WALSyncInterval:          *walSyncInterval,
 		FleetAddr:                *fleetAddr,
 		LeaseTTL:                 *leaseTTL,
 		FleetMaxInFlight:         *maxInFlight,

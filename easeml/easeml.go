@@ -162,14 +162,14 @@ type ServiceConfig struct {
 	// (CompactStep) its granularity. Zero means the storage default
 	// (4 MiB); ignored without DataDir.
 	WALSegmentBytes int64
-	// WALSyncInterval shapes the WAL's group commit. Zero (the default)
-	// fsyncs every append immediately — batching still arises naturally
-	// from appends that arrive during the previous batch's fsync. A
-	// positive interval makes the committer linger that long so concurrent
-	// writers share one fsync (appends are acked within ~interval; the
-	// server flag default is 2ms). Negative disables group commit: each
-	// append pays its own serialized write+fsync. Every mode fsyncs before
-	// acknowledging. Ignored without DataDir.
+	// WALSyncInterval is accepted and ignored.
+	//
+	// Deprecated: the WAL has one commit discipline — every batch is
+	// fsynced as soon as the committer has work, a batch being whatever
+	// arrived during the previous fsync, and every append is acknowledged
+	// only after its fsync. There is no linger to size and no
+	// fsync-per-append mode to select; the field remains so existing
+	// callers keep compiling.
 	WALSyncInterval time.Duration
 	// Fleet enables the distributed-worker coordinator (internal/fleet):
 	// remote easeml-worker agents register, lease candidates, heartbeat
@@ -354,7 +354,6 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 	if cfg.DataDir != "" {
 		log, rec, err := storage.OpenDirOptions(cfg.DataDir, storage.LogOptions{
 			SegmentBytes: cfg.WALSegmentBytes,
-			SyncInterval: cfg.WALSyncInterval,
 		})
 		if err != nil {
 			return nil, err
@@ -490,6 +489,14 @@ func (s *Service) Submit(name, program string) (*Job, error) {
 // Feed registers a supervision example and returns its id.
 func (s *Service) Feed(jobID string, input, output []float64) (int, error) {
 	return s.sched.Feed(jobID, input, output)
+}
+
+// FeedBatch registers supervision examples (inputs[i] pairs with
+// outputs[i]) as one durable commit and returns their ids. Examples are
+// taken in order; on an error the returned ids are the examples before the
+// refused one, which are committed.
+func (s *Service) FeedBatch(jobID string, inputs, outputs [][]float64) ([]int, error) {
+	return s.sched.FeedBatch(jobID, inputs, outputs)
 }
 
 // Refine toggles a supervision example.

@@ -395,7 +395,7 @@ func TestServiceRecoversFromDataDir(t *testing.T) {
 func TestServiceWALSegmentsAndCompactStep(t *testing.T) {
 	const prog = "{input: {[Tensor[4]], [next]}, output: {[Tensor[2]], []}}"
 	dir := t.TempDir()
-	cfg := ServiceConfig{GPUs: 4, Seed: 5, DataDir: dir, WALSegmentBytes: 512, WALSyncInterval: time.Millisecond}
+	cfg := ServiceConfig{GPUs: 4, Seed: 5, DataDir: dir, WALSegmentBytes: 512}
 
 	svc1, err := OpenService(cfg)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/core"
+	"repro/internal/storage"
 )
 
 // Tenant admission control: the wiring between the scheduler and
@@ -76,10 +77,11 @@ func (sc *Scheduler) BudgetExhausted(jobID string) bool {
 // budget and, once exceeded, drains every unfinished job of the tenant:
 // all remaining untried arms (leased or not) are retired, so the jobs read
 // as exhausted to every picker and late lease settlements bounce off
-// ErrLeaseConflict exactly like an expired lease. Each drained job appends
-// one budget_exhausted WAL event, so a recovered process agrees the job is
-// done training instead of resuming it. Returns the first WAL append
-// failure; the in-memory drain always completes.
+// ErrLeaseConflict exactly like an expired lease. Each drained job logs
+// one budget_exhausted WAL event (the drain's events commit as one batch),
+// so a recovered process agrees the job is done training instead of
+// resuming it. Returns the WAL append failure; the in-memory drain always
+// completes.
 func (sc *Scheduler) enforceBudget(tenant string) error {
 	if sc.adm == nil {
 		return nil
@@ -103,7 +105,7 @@ func (sc *Scheduler) enforceBudget(tenant string) error {
 	if cost < budget {
 		return nil
 	}
-	var appendErr error
+	var events []storage.Event
 	for _, job := range own {
 		job.mu.Lock()
 		if job.budgetExhausted || job.failed != "" {
@@ -130,13 +132,14 @@ func (sc *Scheduler) enforceBudget(tenant string) error {
 		sc.coordMu.Lock()
 		sc.selIdx.markDirty(job.ID)
 		sc.coordMu.Unlock()
-		if sc.log != nil {
-			if err := sc.log.AppendBudgetExhausted(job.ID, tenant, cost); err != nil && appendErr == nil {
-				appendErr = fmt.Errorf("server: logging budget exhaustion of %s: %w", job.ID, err)
-			}
+		events = append(events, storage.Event{Type: storage.EventBudgetExhausted, Job: job.ID, Tenant: tenant, Cost: cost})
+	}
+	if sc.log != nil {
+		if _, err := sc.log.AppendBatch(events); err != nil {
+			return fmt.Errorf("server: logging budget exhaustion of tenant %q: %w", tenant, err)
 		}
 	}
-	return appendErr
+	return nil
 }
 
 // PreemptForPriority implements priority preemption over the lease table:

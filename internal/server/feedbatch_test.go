@@ -1,0 +1,208 @@
+package server_test
+
+import (
+	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/admission"
+	"repro/internal/server"
+	"repro/internal/storage"
+)
+
+// feedFixture is a durable scheduler behind the HTTP API with one submitted
+// job; reopen simulates a crash (no Close, no Compact) and recovers the
+// directory into a fresh scheduler.
+type feedFixture struct {
+	sc    *server.Scheduler
+	log   *storage.Log
+	srv   *httptest.Server
+	jobID string
+}
+
+func newFeedFixture(t *testing.T, quota *admission.Quota) (*feedFixture, func() *server.Scheduler) {
+	t.Helper()
+	dir := t.TempDir()
+	now := time.Unix(5000, 0)
+	open := func() (*server.Scheduler, *storage.Log) {
+		sc := newScheduler(t)
+		if quota != nil {
+			ctrl, err := admission.NewController(admission.Config{Tenants: map[string]admission.Quota{"alice": *quota}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctrl.SetClock(func() time.Time { return now })
+			sc.SetAdmission(ctrl)
+		}
+		log, rec, err := storage.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Recover(rec, log); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { log.Close() })
+		return sc, log
+	}
+	sc, log := open()
+	job, err := sc.Submit("alice", tsProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(server.NewAPI(sc).Handler())
+	t.Cleanup(srv.Close)
+	return &feedFixture{sc: sc, log: log, srv: srv, jobID: job.ID},
+		func() *server.Scheduler { sc, _ := open(); return sc }
+}
+
+// feed posts n well-formed examples, the one at position bad (if in range)
+// two elements wide instead of four, and decodes either envelope.
+func (f *feedFixture) feed(t *testing.T, n, bad int) (status int, ids []int, code string) {
+	t.Helper()
+	req := server.FeedRequest{}
+	for i := 0; i < n; i++ {
+		in := []float64{float64(i), 2, 3, 4}
+		if i == bad {
+			in = in[:2]
+		}
+		req.Inputs = append(req.Inputs, in)
+		req.Outputs = append(req.Outputs, []float64{1, 0})
+	}
+	resp := postJSON(t, f.srv.URL+"/jobs/"+f.jobID+"/feed", req)
+	defer resp.Body.Close()
+	var body struct {
+		IDs  []int  `json:"ids"`
+		Code string `json:"code"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body.IDs, body.Code
+}
+
+func (f *feedFixture) examples(t *testing.T, sc *server.Scheduler) int {
+	t.Helper()
+	st, err := sc.Status(f.jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Examples
+}
+
+// A feed request is one WAL commit however many examples it carries.
+func TestFeedRequestIsOneGroupCommit(t *testing.T) {
+	f, _ := newFeedFixture(t, nil)
+	before := f.log.Stats()
+	const n = 16
+	status, ids, _ := f.feed(t, n, -1)
+	if status != http.StatusOK || len(ids) != n {
+		t.Fatalf("HTTP %d with %d ids, want 200 with %d", status, len(ids), n)
+	}
+	after := f.log.Stats()
+	if got := after.GroupCommits - before.GroupCommits; got != 1 {
+		t.Errorf("a lone %d-example feed cost %d group commits, want 1", n, got)
+	}
+	if got := after.Appends - before.Appends; got != n {
+		t.Errorf("%d WAL events appended, want %d", got, n)
+	}
+}
+
+// A wrong-width example at position k ends the request with 400 and the
+// ids of the k examples before it — and exactly those k are stored,
+// committed and recovered.
+func TestFeedWrongWidthCommitsExactlyThePrefix(t *testing.T) {
+	f, reopen := newFeedFixture(t, nil)
+	const n, k = 6, 3
+	status, ids, _ := f.feed(t, n, k)
+	if status != http.StatusBadRequest {
+		t.Fatalf("HTTP %d, want 400", status)
+	}
+	if len(ids) != k || ids[0] != 1 || ids[k-1] != k {
+		t.Fatalf("error envelope ids %v, want 1..%d", ids, k)
+	}
+	if got := f.examples(t, f.sc); got != k {
+		t.Errorf("store holds %d examples, want %d", got, k)
+	}
+	if got := f.examples(t, reopen()); got != k {
+		t.Errorf("recovered %d examples, want %d", got, k)
+	}
+}
+
+// A rate-limit refusal mid-request answers 429 with the committed prefix.
+func TestFeedRateLimitMidRequestCommitsThePrefix(t *testing.T) {
+	// Burst 4: the submit spends one token, leaving three for examples.
+	f, reopen := newFeedFixture(t, &admission.Quota{RatePerSec: 1, Burst: 4})
+	before := f.log.Stats().GroupCommits
+	status, ids, code := f.feed(t, 5, -1)
+	if status != http.StatusTooManyRequests || code != server.CodeQuotaExceeded {
+		t.Fatalf("HTTP %d code %q, want 429 %s", status, code, server.CodeQuotaExceeded)
+	}
+	if len(ids) != 3 {
+		t.Fatalf("envelope carries ids %v, want the 3 admitted examples", ids)
+	}
+	if got := f.log.Stats().GroupCommits - before; got != 1 {
+		t.Errorf("the admitted prefix cost %d group commits, want 1", got)
+	}
+	if got := f.examples(t, reopen()); got != 3 {
+		t.Errorf("recovered %d examples, want 3", got)
+	}
+}
+
+// A request whose commit fails acknowledges nothing.
+func TestFeedFailedAppendAcksNoIDs(t *testing.T) {
+	f, _ := newFeedFixture(t, nil)
+	if err := f.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := f.sc.FeedBatch(f.jobID, [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}}, [][]float64{{1, 0}, {0, 1}})
+	if err == nil || ids != nil {
+		t.Fatalf("FeedBatch on a closed WAL returned ids %v, err %v; want no ids and an error", ids, err)
+	}
+	if _, err := f.sc.Feed(f.jobID, []float64{1, 2, 3, 4}, []float64{1, 0}); err == nil {
+		t.Error("Feed on a closed WAL succeeded")
+	}
+	status, ids, _ := f.feed(t, 3, -1)
+	if status == http.StatusOK || len(ids) != 0 {
+		t.Errorf("HTTP %d with ids %v, want an error envelope without ids", status, ids)
+	}
+}
+
+func TestFeedBatchArityMismatch(t *testing.T) {
+	f, _ := newFeedFixture(t, nil)
+	if ids, err := f.sc.FeedBatch(f.jobID, [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}}, [][]float64{{1, 0}}); err == nil || ids != nil {
+		t.Fatalf("2 inputs vs 1 output: ids %v, err %v", ids, err)
+	}
+	if _, err := f.sc.FeedBatch("job-9999", nil, nil); !errors.Is(err, server.ErrNoJob) {
+		t.Errorf("unknown job: %v, want ErrNoJob", err)
+	}
+}
+
+// A body over MaxRequestBytes answers 413 with a typed code, on every
+// surface that decodes through ReadJSON.
+func TestRequestBodyTooLarge(t *testing.T) {
+	f, _ := newFeedFixture(t, nil)
+	body := strings.Repeat(" ", server.MaxRequestBytes) + `{"inputs":[[1,2,3,4]],"outputs":[[1,0]]}`
+	resp, err := http.Post(f.srv.URL+"/jobs/"+f.jobID+"/feed", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env server.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Code != server.CodeRequestTooLarge {
+		t.Fatalf("HTTP %d code %q (%s), want 413 %s", resp.StatusCode, env.Code, env.Error, server.CodeRequestTooLarge)
+	}
+	if got := f.examples(t, f.sc); got != 0 {
+		t.Errorf("an oversized request stored %d examples", got)
+	}
+	// The bound is per request: the next, small one reaches the schema check.
+	if status, _, code := f.feed(t, 1, 0); status != http.StatusBadRequest || code != "" {
+		t.Errorf("small bad request: HTTP %d code %q, want a plain 400", status, code)
+	}
+}

@@ -52,7 +52,8 @@ import (
 // double-reporting a result, or reporting after its lease expired — which
 // retrying workers should drop, not escalate. Code "quota_exceeded"
 // (HTTP 429) marks admission rejections — a tenant over its rate limit or
-// concurrent-job cap — which clients should back off from.
+// concurrent-job cap — which clients should back off from. Code
+// "request_too_large" (HTTP 413) marks a body over MaxRequestBytes.
 type API struct {
 	sched  *Scheduler
 	engine EngineControl
@@ -211,7 +212,12 @@ type SubmitResponse struct {
 	Python     string   `json:"python"`
 }
 
-// FeedRequest is the POST /jobs/{id}/feed payload.
+// FeedRequest is the POST /jobs/{id}/feed payload: Inputs[i] pairs with
+// Outputs[i]. The whole request is one WAL commit, acknowledged once every
+// example in it is fsynced. Examples are taken in order and the first one
+// refused (wrong width: 400; tenant over its rate limit: 429) ends the
+// request: the error envelope's "ids" are the examples before it, which
+// are committed — resume from input len(ids).
 type FeedRequest struct {
 	Inputs  [][]float64 `json:"inputs"`
 	Outputs [][]float64 `json:"outputs"`
@@ -308,21 +314,17 @@ func (a *API) handleJobOp(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("%d inputs vs %d outputs", len(req.Inputs), len(req.Outputs)))
 			return
 		}
-		var resp FeedResponse
-		for i := range req.Inputs {
-			exID, err := a.sched.Feed(id, req.Inputs[i], req.Outputs[i])
-			if err != nil {
-				// Examples before i are already durably appended; the error
-				// envelope carries their IDs so the client knows what
-				// committed and can resume from input i.
-				body := errorBody(err)
-				body.IDs = resp.IDs
-				WriteJSON(w, userErrStatus(err), body)
-				return
-			}
-			resp.IDs = append(resp.IDs, exID)
+		ids, err := a.sched.FeedBatch(id, req.Inputs, req.Outputs)
+		if err != nil {
+			// The examples before the refused one are already durably
+			// committed; the error envelope carries their IDs so the client
+			// knows what committed and can resume from input len(ids).
+			body := errorBody(err)
+			body.IDs = ids
+			WriteJSON(w, userErrStatus(err), body)
+			return
 		}
-		WriteJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, FeedResponse{IDs: ids})
 	case "refine":
 		var req RefineRequest
 		if !requirePost(w, r) || !ReadJSON(w, r, &req) {
@@ -623,14 +625,29 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
+// MaxRequestBytes bounds every JSON request body: a feed's decoded events
+// stay pinned in the WAL commit queue until their fsync, so an unbounded
+// body is unbounded memory. A bulk feed of 512 768-float examples is
+// ≈ 1.6 MB.
+const MaxRequestBytes = 32 << 20
+
 // ReadJSON decodes a request body strictly (unknown fields rejected),
-// answering 400 with the standard error envelope on failure. It is shared
-// with the fleet coordinator's handlers so every HTTP surface speaks one
+// answering 400 with the standard error envelope on failure — 413 with
+// CodeRequestTooLarge for a body over MaxRequestBytes. It is shared with
+// the fleet coordinator's handlers so every HTTP surface speaks one
 // envelope.
 func ReadJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorBody{
+				Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
+				Code:  CodeRequestTooLarge,
+			})
+			return false
+		}
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
 		return false
 	}
@@ -646,7 +663,8 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 
 // ErrorBody is the JSON error envelope of every non-2xx reply. Code
 // machine-tags the error class so clients can branch without parsing the
-// message; CodeLeaseConflict and CodeQuotaExceeded are the codes so far.
+// message; CodeLeaseConflict, CodeQuotaExceeded and CodeRequestTooLarge are
+// the codes so far.
 type ErrorBody struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
@@ -662,6 +680,10 @@ const CodeLeaseConflict = "lease_conflict"
 // CodeQuotaExceeded tags HTTP 429 replies caused by
 // admission.ErrQuotaExceeded (rate limit, concurrent-job cap, budget).
 const CodeQuotaExceeded = "quota_exceeded"
+
+// CodeRequestTooLarge tags HTTP 413 replies: the request body exceeded
+// MaxRequestBytes.
+const CodeRequestTooLarge = "request_too_large"
 
 // userErrStatus maps a user-facing mutation error onto its HTTP status:
 // admission rejections are 429 Too Many Requests, unknown job IDs are 404

@@ -443,9 +443,9 @@ func (sc *Scheduler) HeartbeatLease(id int) error {
 // result is landing), as are unassigned leases — the in-process engine
 // settles its leases synchronously and has no heartbeat to keep them
 // alive, so expiry must never reclaim under a local worker mid-training.
-// With a WAL attached each expiry is logged, so the operational history
-// survives a crash. It returns the expired leases for registry
-// bookkeeping.
+// With a WAL attached the sweep's expiries are logged as one batch (one
+// commit however many leases lapsed), so the operational history survives
+// a crash. It returns the expired leases for registry bookkeeping.
 func (sc *Scheduler) ExpireLeases() ([]*Lease, error) {
 	sc.coordMu.Lock()
 	var expired []*Lease
@@ -463,10 +463,12 @@ func (sc *Scheduler) ExpireLeases() ([]*Lease, error) {
 		finishLeaseSpan(l, "expired", nil)
 	}
 	if sc.log != nil {
-		for _, l := range expired {
-			if err := sc.log.AppendLeaseExpired(l.JobID, l.Candidate.Name(), l.Worker); err != nil {
-				return expired, fmt.Errorf("server: logging expiry of %s/%s: %w", l.JobID, l.Candidate.Name(), err)
-			}
+		events := make([]storage.Event, len(expired))
+		for i, l := range expired {
+			events[i] = storage.Event{Type: storage.EventLeaseExpired, Job: l.JobID, Candidate: l.Candidate.Name(), Worker: l.Worker}
+		}
+		if _, err := sc.log.AppendBatch(events); err != nil {
+			return expired, fmt.Errorf("server: logging %d lease expiries: %w", len(expired), err)
 		}
 	}
 	return expired, nil
@@ -1118,14 +1120,13 @@ func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 	if sc.log != nil {
 		walT0 := time.Now()
 		wspan := telemetry.NewSpanAt(l.Trace, settle.ID(), opWALAppend, walT0)
-		if err := sc.log.AppendModelRecorded(l.JobID, rec); err != nil {
+		seq, err := sc.log.AppendModelRecorded(l.JobID, rec)
+		if err != nil {
 			wspan.Fail(err)
 			wspan.End()
 			return fail("error", fmt.Errorf("server: logging result for %s/%s: %w", l.JobID, rec.Name, err))
 		}
-		if st := sc.log.Stats(); st.Seq > 0 {
-			wspan.SetAttr("wal_seq", strconv.FormatUint(st.Seq, 10))
-		}
+		wspan.SetAttr("wal_seq", strconv.FormatUint(seq, 10))
 		wspan.End()
 		pickStageWALAppend.ObserveSince(walT0)
 	}
@@ -1275,35 +1276,68 @@ func (sc *Scheduler) RunRounds(n int) (int, error) {
 	return ran, nil
 }
 
-// Feed stores a supervision example for a job (durably, when a WAL is
-// attached). It takes no scheduler-wide lock: schema validation reads
-// immutable job fields and the example lands in the per-task store. With
-// an admission controller configured, the tenant's rate limit applies;
-// over-quota feeds fail with an error wrapping admission.ErrQuotaExceeded
-// (HTTP 429).
+// Feed stores one supervision example for a job: FeedBatch for n = 1.
 func (sc *Scheduler) Feed(jobID string, input, output []float64) (int, error) {
+	ids, err := sc.FeedBatch(jobID, [][]float64{input}, [][]float64{output})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
+}
+
+// FeedBatch stores a request's supervision examples for a job (durably,
+// when a WAL is attached: the whole request is one AppendBatch, so it pays
+// one commit, not one per example). Examples are admitted and validated in
+// order — with an admission controller configured each spends one token of
+// the tenant's rate limit — and the first refusal ends the request: the
+// examples before it are stored and committed, and their ids are returned
+// together with the refusal (an error wrapping admission.ErrQuotaExceeded
+// is HTTP 429). A failed commit acknowledges no ids. FeedBatch takes no
+// scheduler-wide lock: schema validation reads immutable job fields and
+// the examples land in the per-task store.
+func (sc *Scheduler) FeedBatch(jobID string, inputs, outputs [][]float64) ([]int, error) {
 	job, ok := sc.Job(jobID)
 	if !ok {
-		return 0, errNoJob(jobID)
+		return nil, errNoJob(jobID)
 	}
+	if len(inputs) != len(outputs) {
+		return nil, fmt.Errorf("server: %d inputs vs %d outputs", len(inputs), len(outputs))
+	}
+	ids := make([]int, 0, len(inputs))
+	var refused error
+	for i, input := range inputs {
+		if refused = sc.admitExample(job, input, outputs[i]); refused != nil {
+			break
+		}
+		ids = append(ids, job.store.Feed(input, outputs[i]))
+	}
+	if sc.log != nil {
+		events := make([]storage.Event, len(ids))
+		for i, id := range ids {
+			events[i] = storage.Event{Type: storage.EventExampleFed, Job: jobID, Example: id, Input: inputs[i], Output: outputs[i]}
+		}
+		if _, err := sc.log.AppendBatch(events); err != nil {
+			return nil, fmt.Errorf("server: logging %d examples for %q: %w", len(ids), jobID, err)
+		}
+	}
+	return ids, refused
+}
+
+// admitExample passes one fed example through the tenant's rate limit and
+// the job's schema.
+func (sc *Scheduler) admitExample(job *Job, input, output []float64) error {
 	if sc.adm != nil {
 		if err := sc.adm.AdmitOp(job.Name); err != nil {
-			return 0, fmt.Errorf("server: feeding %q: %w", jobID, err)
+			return fmt.Errorf("server: feeding %q: %w", job.ID, err)
 		}
 	}
 	if want := job.Program.Input.TotalElements(); len(input) != want {
-		return 0, fmt.Errorf("server: input has %d elements, schema wants %d", len(input), want)
+		return fmt.Errorf("server: input has %d elements, schema wants %d", len(input), want)
 	}
 	if want := job.Program.Output.TotalElements(); len(output) != want {
-		return 0, fmt.Errorf("server: output has %d elements, schema wants %d", len(output), want)
+		return fmt.Errorf("server: output has %d elements, schema wants %d", len(output), want)
 	}
-	id := job.store.Feed(input, output)
-	if sc.log != nil {
-		if err := sc.log.AppendExampleFed(jobID, id, input, output); err != nil {
-			return 0, fmt.Errorf("server: logging example for %q: %w", jobID, err)
-		}
-	}
-	return id, nil
+	return nil
 }
 
 // Refine toggles a supervision example for a job (durably, when a WAL is

@@ -283,94 +283,147 @@ func TestDuplicateEventAcrossSegments(t *testing.T) {
 	}
 }
 
-// Concurrent appends through the group-commit pipeline: every append is
-// acked, the on-disk order matches seq order, and recovery sees them all.
-// Runs across the three SyncInterval regimes.
+// diskEvents reads every record of a closed log back in file order,
+// failing unless the on-disk order is exactly seq order 1, 2, 3, …:
+// replay's monotonic filter would silently drop reordered events.
+func diskEvents(t *testing.T, dir string) []Event {
+	t.Helper()
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []Event
+	for _, s := range segs {
+		data, err := os.ReadFile(s.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			if line == "" {
+				continue
+			}
+			var ev Event
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Seq != uint64(len(events))+1 {
+				t.Fatalf("segment %s: seq %d follows %d", filepath.Base(s.path), ev.Seq, len(events))
+			}
+			events = append(events, ev)
+		}
+	}
+	return events
+}
+
+// Concurrent appends through the group-commit pipeline — single appends
+// interleaved with AppendBatch calls: every append is acked, a batch takes
+// consecutive seqs from the one AppendBatch returned, the on-disk order
+// matches seq order, and recovery sees them all.
 func TestGroupCommitConcurrentAppends(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		iv   time.Duration
-	}{
-		{"sync-immediate", 0},
-		{"windowed", 500 * time.Microsecond},
-		{"serialized", -1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			l, _, err := OpenDirOptions(dir, LogOptions{SegmentBytes: 4096, SyncInterval: tc.iv})
+	dir := t.TempDir()
+	l, _, err := OpenDirOptions(dir, LogOptions{SegmentBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter, batchLen = 8, 25, 5
+	expiry := func(w, i int) Event {
+		return Event{Type: EventLeaseExpired, Job: "job-0001", Candidate: fmt.Sprintf("cand-%d-%d", w, i), Worker: "w"}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	firsts := make([][]uint64, writers) // batch writers: the seq each batch started at
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if w%2 == 0 { // single appends
+				for i := 0; i < perWriter; i++ {
+					if err := l.Append(expiry(w, i)); err != nil {
+						errs <- err
+						return
+					}
+				}
+				return
+			}
+			for i := 0; i < perWriter; i += batchLen {
+				batch := make([]Event, batchLen)
+				for k := range batch {
+					batch[k] = expiry(w, i+k)
+				}
+				first, err := l.AppendBatch(batch)
+				if err != nil {
+					errs <- err
+					return
+				}
+				firsts[w] = append(firsts[w], first)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := l.Stats()
+	if st.Appends != writers*perWriter {
+		t.Errorf("stats report %d appends, want %d", st.Appends, writers*perWriter)
+	}
+	if st.GroupCommits == 0 || st.GroupCommits > st.Appends {
+		t.Errorf("group commits %d outside (0, %d]", st.GroupCommits, st.Appends)
+	}
+	if st.BytesWritten == 0 {
+		t.Error("no bytes written recorded")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	events := diskEvents(t, dir)
+	if len(events) != writers*perWriter {
+		t.Fatalf("found %d events on disk, want %d", len(events), writers*perWriter)
+	}
+	for w, starts := range firsts {
+		for b, first := range starts {
+			for k := 0; k < batchLen; k++ {
+				if got, want := events[first-1+uint64(k)].Candidate, expiry(w, b*batchLen+k).Candidate; got != want {
+					t.Fatalf("writer %d batch %d: seq %d holds %q, want %q", w, b, first+uint64(k), got, want)
+				}
+			}
+		}
+	}
+
+	_, rec, err := OpenDirOptions(dir, LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Expired) != writers*perWriter {
+		t.Errorf("recovered %d events, want %d", len(rec.Expired), writers*perWriter)
+	}
+}
+
+// LogOptions.SyncInterval is an inert shim: whatever it says, no append
+// waits on a timer, and every ack still follows its own batch's fsync.
+func TestSyncIntervalIgnored(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	for _, iv := range []time.Duration{interval, -1} {
+		t.Run(iv.String(), func(t *testing.T) {
+			l, _, err := OpenDirOptions(t.TempDir(), LogOptions{SyncInterval: iv})
 			if err != nil {
 				t.Fatal(err)
 			}
-			const writers, perWriter = 8, 25
-			var wg sync.WaitGroup
-			errs := make(chan error, writers)
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < perWriter; i++ {
-						if err := l.AppendLeaseExpired("job-0001", fmt.Sprintf("cand-%d-%d", w, i), "w"); err != nil {
-							errs <- err
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
+			defer l.Close()
+			const appends = 20
+			t0 := time.Now()
+			feedN(t, l, appends-1) // + the job_submitted feedN starts with
+			if elapsed := time.Since(t0); elapsed >= interval {
+				t.Errorf("%d sequential appends took %v: a commit waited on a %v timer", appends, elapsed, interval)
 			}
 			st := l.Stats()
-			if st.Appends != writers*perWriter {
-				t.Errorf("stats report %d appends, want %d", st.Appends, writers*perWriter)
+			if st.GroupCommits != appends {
+				t.Errorf("%d sequential appends made %d group commits, want one each", appends, st.GroupCommits)
 			}
-			if st.GroupCommits == 0 || st.GroupCommits > st.Appends {
-				t.Errorf("group commits %d outside (0, %d]", st.GroupCommits, st.Appends)
-			}
-			if st.BytesWritten == 0 {
-				t.Error("no bytes written recorded")
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// On-disk order must match seq order across the whole chain:
-			// replay's monotonic filter would silently drop reordered events.
-			segs, err := listSegments(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var prev uint64
-			for _, s := range segs {
-				data, err := os.ReadFile(s.path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-					if line == "" {
-						continue
-					}
-					var ev Event
-					if err := json.Unmarshal([]byte(line), &ev); err != nil {
-						t.Fatal(err)
-					}
-					if ev.Seq != prev+1 {
-						t.Fatalf("segment %s: seq %d follows %d", filepath.Base(s.path), ev.Seq, prev)
-					}
-					prev = ev.Seq
-				}
-			}
-			if prev != writers*perWriter {
-				t.Fatalf("found %d events on disk, want %d", prev, writers*perWriter)
-			}
-
-			_, rec, err := OpenDirOptions(dir, LogOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rec.Expired) != writers*perWriter {
-				t.Errorf("recovered %d events, want %d", len(rec.Expired), writers*perWriter)
+			if st.Fsyncs < st.GroupCommits {
+				t.Errorf("%d fsyncs for %d acked batches: an ack did not follow an fsync", st.Fsyncs, st.GroupCommits)
 			}
 		})
 	}

@@ -22,19 +22,23 @@ import (
 // JSONL event before the mutation is acknowledged, and boot-time recovery
 // replays the surviving events on top of the last snapshot.
 //
-// The log is segmented and group-committed. Appends do not write: they
-// assign a seq, encode the event, enqueue it into the commit window and
-// block. A single committer goroutine drains the window and pays one
-// write + one fsync for the whole batch, then releases every waiter at
-// once — so an acknowledged mutation is on disk (fsynced, not merely
-// flushed to the OS), and the per-event durability cost shrinks as
-// concurrency grows. Records land in fixed-size segment files named by
-// seq; compaction folds sealed segments into the snapshot and recycles
-// their files instead of rewriting a single world-file.
+// The log is segmented and group-committed, and the commit is
+// self-clocked: no durable write waits on a timer. Appends do not write:
+// AppendBatch encodes its events, takes consecutive seqs, enqueues them as
+// one request and blocks. A single committer goroutine commits as soon as
+// it has work and the device is free — a batch is whatever arrived during
+// the previous fsync — paying one write + one fsync for the whole batch,
+// then releases every waiter at once. So an acknowledged mutation is on
+// disk (fsynced, not merely flushed to the OS), a lone writer pays one
+// fsync and nothing else, and the per-event durability cost shrinks as
+// concurrency (or the caller's batch) grows. Records land in fixed-size
+// segment files named by seq; compaction folds sealed segments into the
+// snapshot and recycles their files instead of rewriting a single
+// world-file.
 //
 // Durability lifecycle:
 //
-//	Append ──▶ commit window ──▶ committer: 1 write + 1 fsync per batch
+//	AppendBatch ──▶ commit queue ──▶ committer: 1 write + 1 fsync per batch
 //	  (blocks)                      │ ack all waiters after the fsync
 //	                                ▼
 //	                   wal-<firstseq>.jsonl (active)
@@ -87,7 +91,7 @@ const (
 	EventBudgetExhausted EventType = "budget_exhausted"
 )
 
-// Event is one WAL record. Seq is assigned by Append and is strictly
+// Event is one WAL record. Seq is assigned by AppendBatch and is strictly
 // increasing across the life of a log directory (compaction records the
 // high-water mark in the snapshot, so replay can skip events the snapshot
 // already covers).
@@ -179,16 +183,15 @@ const snapshotFile = "snapshot.json"
 // sustained ingest.
 const DefaultSegmentBytes = 4 << 20
 
-// batchGatherWindow bounds the committer's cohort-gather yield loop in
-// sync-immediate mode (SyncInterval 0): how long a fresh batch waits for
-// the waiters woken by the previous fsync to re-enqueue and join it.
+// batchGatherWindow bounds the committer's cohort-gather yield loop: how
+// long a fresh batch waits for the waiters woken by the previous fsync to
+// re-enqueue and join it.
 // Kept well under a device fsync (~hundreds of µs) so the worst-case
 // added ack latency is a rounding error.
 const batchGatherWindow = 25 * time.Microsecond
 
-// LogOptions tunes the WAL's write pipeline. The zero value is the
-// library default: 4 MiB segments, group commit with an immediate sync
-// per batch.
+// LogOptions tunes the WAL's segmenting. The zero value is the library
+// default: 4 MiB segments.
 type LogOptions struct {
 	// SegmentBytes is the roll threshold: a batch record that would push
 	// the active segment past it seals the segment (flush+fsync+close) and
@@ -196,21 +199,13 @@ type LogOptions struct {
 	// larger than the threshold still lands in one segment.
 	SegmentBytes int64
 
-	// SyncInterval shapes group commit:
+	// SyncInterval is accepted and ignored.
 	//
-	//	== 0  the committer fsyncs each batch as soon as it drains the
-	//	      window — every append is synced immediately, batching arises
-	//	      naturally from appends that arrive during the previous
-	//	      batch's fsync;
-	//	 > 0  the committer lingers this long before committing, so
-	//	      concurrent writers share one fsync (appends are acked within
-	//	      ~interval; the server default is a few ms);
-	//	 < 0  no committer at all: each append pays its own serialized
-	//	      write+fsync inline — the pre-segmentation discipline, kept as
-	//	      the benchmark baseline.
-	//
-	// Every mode fsyncs before acknowledging; the modes trade latency
-	// against how many appends share each fsync.
+	// Deprecated: the log has one commit discipline — the committer fsyncs
+	// each batch as soon as it has work, and a batch is whatever arrived
+	// during the previous fsync. The linger (> 0) and the inline
+	// fsync-per-append mode (< 0) this field used to select are gone; it
+	// remains only so existing callers keep compiling.
 	SyncInterval time.Duration
 }
 
@@ -240,24 +235,38 @@ var (
 // its own trace — one fsync serves many request traces).
 var opWALGroupCommit = telemetry.SpanOp("wal_group_commit")
 
-// commitReq is one encoded append waiting in the commit window.
+// commitReq is one AppendBatch call waiting in the commit queue: its
+// records take consecutive seqs from first.
 type commitReq struct {
-	seq  uint64
-	typ  EventType
-	data []byte // JSONL record, newline included
-	done chan error
+	first  uint64
+	bodies [][]byte // one per event: the JSONL record after its `{"seq":N` head
+	done   chan error
+}
+
+// recHead opens every record. Seq is Event's first field, so a record is
+// recHead + seq + the body encodeBody produced — which lets events be
+// encoded before their seq is known, outside the log mutex.
+const recHead = `{"seq":`
+
+// encodeBody marshals ev minus its `{"seq":N` head, newline included.
+func encodeBody(ev Event) ([]byte, error) {
+	ev.Seq = 0
+	data, err := json.Marshal(ev)
+	if err != nil {
+		return nil, fmt.Errorf("storage: encoding WAL event: %w", err)
+	}
+	return append(data[len(recHead+"0"):], '\n'), nil
 }
 
 // Log is a segmented, group-committed JSONL write-ahead log over a data
-// directory. Append blocks until its event is fsynced (batched with its
-// neighbours), so an acknowledged mutation survives power failure, not
-// just process crash.
+// directory. AppendBatch blocks until its events are fsynced (batched with
+// their neighbours), so an acknowledged mutation survives power failure,
+// not just process crash.
 //
-// Locking: mu guards sequencing and the commit window (Append holds it
-// only to assign a seq and enqueue — never during I/O); ioMu guards the
-// segment files and is held for writes, fsyncs, rolls and compaction.
-// mu may be taken before ioMu (the serialized SyncInterval<0 path does);
-// nothing takes mu while holding ioMu.
+// Locking: mu guards sequencing and the commit queue (AppendBatch holds it
+// only to take seqs and enqueue — never while encoding or during I/O);
+// ioMu guards the segment files and is held for writes, fsyncs, rolls and
+// compaction. Neither is taken while holding the other.
 type Log struct {
 	dir  string
 	opts LogOptions
@@ -267,11 +276,12 @@ type Log struct {
 	queue  []*commitReq
 	seq    uint64
 	closed bool
-	done   chan struct{} // committer exited; nil in serialized mode
+	done   chan struct{} // committer exited
 
 	ioMu        sync.Mutex
 	f           *os.File // active segment
 	w           *bufio.Writer
+	head        []byte // scratch for a record's `{"seq":N` head
 	size        int64  // bytes in the active segment
 	first       uint64 // active segment's name seq (lower bound)
 	lastWritten uint64 // highest seq written to any segment
@@ -424,10 +434,8 @@ func OpenDirOptions(dir string, opts LogOptions) (*Log, *RecoveredState, error) 
 		l.sealed = segs[:len(segs)-1]
 	}
 	walSegments.Set(float64(len(l.sealed) + 1))
-	if opts.SyncInterval >= 0 {
-		l.done = make(chan struct{})
-		go l.committer()
-	}
+	l.done = make(chan struct{})
+	go l.committer()
 	return l, rec, nil
 }
 
@@ -578,47 +586,58 @@ func taskFor(s *Store, id string) (*TaskStore, error) {
 	return s.CreateTask(id)
 }
 
-// Append assigns the next sequence number to ev, submits it to the commit
-// pipeline and blocks until the event is fsynced (or the commit fails).
-// It is safe — and profitable — for concurrent use: appends that overlap
-// in time share one fsync.
-func (l *Log) Append(ev Event) error {
+// AppendBatch appends events as one request: it encodes them, assigns them
+// consecutive sequence numbers (returning the first), and blocks until all
+// of them are fsynced or the commit fails. It is safe — and profitable —
+// for concurrent use: requests that overlap in time share one fsync. An
+// empty batch is a no-op.
+func (l *Log) AppendBatch(events []Event) (uint64, error) {
+	if len(events) == 0 {
+		return 0, nil
+	}
 	t0 := time.Now()
+	req := &commitReq{bodies: make([][]byte, len(events)), done: make(chan error, 1)}
+	for i, ev := range events {
+		var err error
+		if req.bodies[i], err = encodeBody(ev); err != nil {
+			return 0, err
+		}
+	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return fmt.Errorf("storage: append to closed WAL")
+		return 0, fmt.Errorf("storage: append to closed WAL")
 	}
-	l.seq++
-	ev.Seq = l.seq
-	data, err := json.Marshal(ev)
-	if err != nil {
-		l.mu.Unlock()
-		return fmt.Errorf("storage: encoding WAL event: %w", err)
-	}
-	data = append(data, '\n')
-	req := &commitReq{seq: ev.Seq, typ: ev.Type, data: data, done: make(chan error, 1)}
-	if l.opts.SyncInterval < 0 {
-		// Serialized mode: write+fsync inline under mu so file order keeps
-		// matching seq order without a committer.
-		err = l.commitBatch([]*commitReq{req})
-		l.mu.Unlock()
-	} else {
-		l.queue = append(l.queue, req)
-		l.qcond.Signal()
-		l.mu.Unlock()
-		err = <-req.done
+	req.first = l.seq + 1
+	l.seq += uint64(len(events))
+	l.queue = append(l.queue, req)
+	l.qcond.Signal()
+	l.mu.Unlock()
+	err := <-req.done
+	if err == nil {
+		for _, ev := range events {
+			walAppends.With(string(ev.Type)).Inc()
+		}
+		l.appends.Add(uint64(len(events)))
 	}
 	elapsed := time.Since(t0)
 	walAppendLatency.Observe(elapsed)
-	telemetry.SlowOp("wal_append", elapsed, "type", string(ev.Type), "seq", ev.Seq)
+	telemetry.SlowOp("wal_append", elapsed, "type", string(events[0].Type), "seq", req.first, "events", len(events))
+	return req.first, err
+}
+
+// Append is AppendBatch for one event.
+func (l *Log) Append(ev Event) error {
+	_, err := l.AppendBatch([]Event{ev})
 	return err
 }
 
-// committer is the single goroutine that drains the commit window. Each
-// drain becomes one batch: one buffered write per record, one flush, one
-// fsync, then every waiter in the batch is released with the same result.
-// Batching is what converts N concurrent appends into ~1 fsync.
+// committer is the single goroutine that drains the commit queue, as soon
+// as it has work and the device is free. Each drain becomes one batch: one
+// buffered write per record, one flush, one fsync, then every waiter in
+// the batch is released with the same result. A batch is whatever arrived
+// during the previous fsync, which is what converts N concurrent appends
+// into ~1 fsync without making a lone append wait for company.
 func (l *Log) committer() {
 	defer close(l.done)
 	for {
@@ -633,33 +652,22 @@ func (l *Log) committer() {
 		batch := l.queue
 		l.queue = nil
 		l.mu.Unlock()
-		if iv := l.opts.SyncInterval; iv > 0 {
-			// The commit window: linger so concurrent writers join this
-			// batch and share its fsync. Worst-case added ack latency is
-			// ~iv; under load the batch grows instead.
-			time.Sleep(iv)
+		// Cohort gather: waiters released by the previous batch re-enqueue
+		// within microseconds of waking, but a plain drain runs before they
+		// get there, splitting a concurrent cohort into a 1-then-rest
+		// alternation that pays two fsyncs where one would do. A bounded
+		// yield loop (not a timer: time.Sleep can't do microseconds) lets
+		// the cohort assemble; the window is noise next to the fsync this
+		// batch is about to pay.
+		deadline := time.Now().Add(batchGatherWindow)
+		for {
+			runtime.Gosched()
 			l.mu.Lock()
 			batch = append(batch, l.queue...)
 			l.queue = nil
 			l.mu.Unlock()
-		} else {
-			// Cohort gather: waiters released by the previous batch
-			// re-enqueue within microseconds of waking, but a plain drain
-			// runs before they get there, splitting a concurrent cohort
-			// into a 1-then-rest alternation that pays two fsyncs where
-			// one would do. A bounded yield loop (time.Sleep can't do
-			// microseconds) lets the cohort assemble; the window is noise
-			// next to the fsync this batch is about to pay.
-			deadline := time.Now().Add(batchGatherWindow)
-			for {
-				runtime.Gosched()
-				l.mu.Lock()
-				batch = append(batch, l.queue...)
-				l.queue = nil
-				l.mu.Unlock()
-				if time.Now().After(deadline) {
-					break
-				}
+			if time.Now().After(deadline) {
+				break
 			}
 		}
 		err := l.commitBatch(batch)
@@ -671,8 +679,7 @@ func (l *Log) committer() {
 
 // commitBatch writes a batch of encoded records to the active segment
 // (rolling at the size threshold) and fsyncs once. Callers must not hold
-// ioMu; the serialized-append path holds mu, which is the one permitted
-// mu→ioMu nesting.
+// ioMu.
 func (l *Log) commitBatch(batch []*commitReq) error {
 	// Group commits belong to no single request trace (one fsync serves
 	// many), so each batch records a root span under its own trace: the
@@ -686,51 +693,57 @@ func (l *Log) commitBatch(batch []*commitReq) error {
 		span.End()
 		return err
 	}
-	var n int
-	err := l.commitBatchLocked(batch, &n)
+	records, n, err := l.commitBatchLocked(batch)
 	if err != nil {
 		span.Fail(err)
-	} else if len(batch) > 0 {
-		span.SetAttr("records", strconv.Itoa(len(batch)))
+	} else {
+		span.SetAttr("records", strconv.Itoa(records))
 		span.SetAttr("bytes", strconv.Itoa(n))
-		span.SetAttr("first_seq", strconv.FormatUint(batch[0].seq, 10))
-		span.SetAttr("last_seq", strconv.FormatUint(batch[len(batch)-1].seq, 10))
+		span.SetAttr("first_seq", strconv.FormatUint(batch[0].first, 10))
+		span.SetAttr("last_seq", strconv.FormatUint(l.lastWritten, 10))
 	}
 	span.End()
 	return err
 }
 
 // commitBatchLocked is commitBatch's write+flush+fsync body; callers hold
-// ioMu. n reports the encoded bytes written.
-func (l *Log) commitBatchLocked(batch []*commitReq, n *int) error {
+// ioMu. It reports the records and encoded bytes written.
+func (l *Log) commitBatchLocked(batch []*commitReq) (records, n int, err error) {
 	for _, r := range batch {
-		if l.size > 0 && l.size+int64(len(r.data)) > l.opts.SegmentBytes {
-			if err := l.rollLocked(r.seq); err != nil {
-				return err
+		for i, body := range r.bodies {
+			seq := r.first + uint64(i)
+			l.head = strconv.AppendUint(append(l.head[:0], recHead...), seq, 10)
+			size := int64(len(l.head) + len(body))
+			if l.size > 0 && l.size+size > l.opts.SegmentBytes {
+				if err := l.rollLocked(seq); err != nil {
+					return 0, 0, err
+				}
 			}
+			if _, err := l.w.Write(l.head); err != nil {
+				return 0, 0, fmt.Errorf("storage: appending WAL event: %w", err)
+			}
+			if _, err := l.w.Write(body); err != nil {
+				return 0, 0, fmt.Errorf("storage: appending WAL event: %w", err)
+			}
+			l.size += size
+			n += int(size)
+			l.lastWritten = seq
 		}
-		if _, err := l.w.Write(r.data); err != nil {
-			return fmt.Errorf("storage: appending WAL event: %w", err)
-		}
-		l.size += int64(len(r.data))
-		*n += len(r.data)
-		l.lastWritten = r.seq
-		walAppends.With(string(r.typ)).Inc()
-		l.appends.Add(1)
+		records += len(r.bodies)
 	}
 	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("storage: flushing WAL: %w", err)
+		return 0, 0, fmt.Errorf("storage: flushing WAL: %w", err)
 	}
 	// The fsync precedes every waiter's release: acknowledgement means
 	// "on disk", not "handed to the OS".
 	if err := l.timedSync(l.f); err != nil {
-		return fmt.Errorf("storage: syncing WAL: %w", err)
+		return 0, 0, fmt.Errorf("storage: syncing WAL: %w", err)
 	}
 	l.groupCommits.Add(1)
-	l.bytesWritten.Add(uint64(*n))
-	walBatchSize.Observe(uint64(len(batch)))
-	walBytesWritten.Add(uint64(*n))
-	return nil
+	l.bytesWritten.Add(uint64(n))
+	walBatchSize.Observe(uint64(records))
+	walBytesWritten.Add(uint64(n))
+	return records, n, nil
 }
 
 // rollLocked seals the active segment (flush, fsync, close, record its
@@ -936,7 +949,7 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Close drains the commit window, then flushes and fsyncs the active
+// Close drains the commit queue, then flushes and fsyncs the active
 // segment. Further appends fail.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -947,9 +960,7 @@ func (l *Log) Close() error {
 	l.closed = true
 	l.qcond.Broadcast()
 	l.mu.Unlock()
-	if l.done != nil {
-		<-l.done // committer commits every queued append before exiting
-	}
+	<-l.done // committer commits every queued append before exiting
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
 	if l.f == nil {
@@ -987,10 +998,10 @@ func (l *Log) AppendExampleRefined(jobID string, exampleID int, enabled bool) er
 	return l.Append(Event{Type: EventExampleRefined, Job: jobID, Example: exampleID, Enabled: enabled})
 }
 
-// AppendModelRecorded logs a completed training run (a settled lease).
-func (l *Log) AppendModelRecorded(jobID string, rec ModelRecord) error {
-	m := rec
-	return l.Append(Event{Type: EventModelRecorded, Job: jobID, Model: &m})
+// AppendModelRecorded logs a completed training run (a settled lease) and
+// returns the seq the record took.
+func (l *Log) AppendModelRecorded(jobID string, rec ModelRecord) (uint64, error) {
+	return l.AppendBatch([]Event{{Type: EventModelRecorded, Job: jobID, Model: &rec}})
 }
 
 // AppendCandidateAbandoned logs a candidate retired after repeated failures.
@@ -998,23 +1009,9 @@ func (l *Log) AppendCandidateAbandoned(jobID, candidate string) error {
 	return l.Append(Event{Type: EventCandidateAbandoned, Job: jobID, Candidate: candidate})
 }
 
-// AppendLeaseExpired logs a lease reclaimed from a silent worker; the arm
-// re-enters selection in memory, so only the history needs the log.
-func (l *Log) AppendLeaseExpired(jobID, candidate, worker string) error {
-	return l.Append(Event{Type: EventLeaseExpired, Job: jobID, Candidate: candidate, Worker: worker})
-}
-
 // AppendLeasePreempted logs a lease reclaimed to make room for
 // higher-priority work (by names the demanding job); like expiry, the arm
 // re-enters selection in memory and only the history needs the log.
 func (l *Log) AppendLeasePreempted(jobID, candidate, worker, by string) error {
 	return l.Append(Event{Type: EventLeasePreempted, Job: jobID, Candidate: candidate, Worker: worker, By: by})
-}
-
-// AppendBudgetExhausted logs a job drained because its tenant's GPU cost
-// budget ran out (cost is the tenant's cumulative spend at that moment).
-// Recovery re-retires the job's remaining candidates, so a restarted
-// process agrees the job is done training.
-func (l *Log) AppendBudgetExhausted(jobID, tenant string, cost float64) error {
-	return l.Append(Event{Type: EventBudgetExhausted, Job: jobID, Tenant: tenant, Cost: cost})
 }

@@ -27,7 +27,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := l.AppendExampleRefined("job-0001", 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendModelRecorded("job-0001", ModelRecord{Name: "m1", Accuracy: 0.8, Cost: 2, Round: 1}); err != nil {
+	if _, err := l.AppendModelRecorded("job-0001", ModelRecord{Name: "m1", Accuracy: 0.8, Cost: 2, Round: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendCandidateAbandoned("job-0001", "m9"); err != nil {
@@ -183,7 +183,7 @@ func TestCompactionTruncatesAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts.RecordModel(ModelRecord{Name: "m1", Accuracy: 0.7, Round: 1})
-	if err := l.AppendModelRecorded("job-0001", ModelRecord{Name: "m1", Accuracy: 0.7, Round: 1}); err != nil {
+	if _, err := l.AppendModelRecorded("job-0001", ModelRecord{Name: "m1", Accuracy: 0.7, Round: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -205,7 +205,7 @@ func TestCompactionTruncatesAndRecovers(t *testing.T) {
 
 	// Post-compaction appends land in the (empty) log with continuing seq.
 	ts.RecordModel(ModelRecord{Name: "m2", Accuracy: 0.9, Round: 2})
-	if err := l.AppendModelRecorded("job-0001", ModelRecord{Name: "m2", Accuracy: 0.9, Round: 2}); err != nil {
+	if _, err := l.AppendModelRecorded("job-0001", ModelRecord{Name: "m2", Accuracy: 0.9, Round: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -262,7 +262,7 @@ func TestWALReplayIdempotent(t *testing.T) {
 	if err := l.AppendExampleFed("job-0001", 1, []float64{1}, []float64{2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendModelRecorded("job-0001", ModelRecord{Name: "m1", Accuracy: 0.7, Round: 1}); err != nil {
+	if _, err := l.AppendModelRecorded("job-0001", ModelRecord{Name: "m1", Accuracy: 0.7, Round: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendJobSubmitted("job-0001", "demo", "{prog}"); err != nil {
@@ -346,10 +346,11 @@ func TestLeaseExpiredEventsRecoverAndCompact(t *testing.T) {
 	if err := l.AppendJobSubmitted("job-0001", "demo", "{prog}"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendLeaseExpired("job-0001", "GRU", "worker-0002"); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendLeaseExpired("job-0001", "LSTM", "worker-0002"); err != nil {
+	// One sweep's expiries, logged as the scheduler logs them: one batch.
+	if _, err := l.AppendBatch([]Event{
+		{Type: EventLeaseExpired, Job: "job-0001", Candidate: "GRU", Worker: "worker-0002"},
+		{Type: EventLeaseExpired, Job: "job-0001", Candidate: "LSTM", Worker: "worker-0002"},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil { // crash boundary
@@ -402,11 +403,12 @@ func TestPreemptionAndBudgetEventsRecoverAndCompact(t *testing.T) {
 	if err := l.AppendLeasePreempted("job-0001", "GRU", "worker-0002", "job-0002"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBudgetExhausted("job-0001", "carol", 41.5); err != nil {
+	budgetEv := Event{Type: EventBudgetExhausted, Job: "job-0001", Tenant: "carol", Cost: 41.5}
+	if err := l.Append(budgetEv); err != nil {
 		t.Fatal(err)
 	}
 	// Idempotency: a duplicate budget event (straggler window) is harmless.
-	if err := l.AppendBudgetExhausted("job-0001", "carol", 41.5); err != nil {
+	if err := l.Append(budgetEv); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil { // crash boundary
