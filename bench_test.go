@@ -582,18 +582,16 @@ func BenchmarkPickWorkManyJobs(b *testing.B) {
 
 // benchFleetProposals ranks the open (untried, unleased) arms of a bench
 // worker's cached posterior surfaces by UCB and returns the full ranking
-// as speculative proposals, plus the known-epoch map — the agent's scoring
-// loop, hand-rolled because the bench drives the coordinator in-process.
-// Callers cache the result until a fresh posterior delta invalidates it.
-func benchFleetProposals(post map[string]fleet.JobPosterior) ([]fleet.LeaseProposal, map[string]uint64) {
-	epochs := make(map[string]uint64, len(post))
+// as speculative proposals — the agent's scoring loop, hand-rolled because
+// the bench drives the coordinator in-process. Callers cache the result
+// until a fresh posterior delta invalidates it.
+func benchFleetProposals(post map[string]fleet.JobPosterior) []fleet.LeaseProposal {
 	type scored struct {
 		p   fleet.LeaseProposal
 		ucb float64
 	}
 	var cands []scored
 	for id, s := range post {
-		epochs[id] = s.Epoch
 		if s.Done {
 			continue
 		}
@@ -623,7 +621,7 @@ func benchFleetProposals(post map[string]fleet.JobPosterior) ([]fleet.LeasePropo
 	for i, c := range cands {
 		props[i] = c.p
 	}
-	return props, epochs
+	return props
 }
 
 // BenchmarkFleetLeaseThroughput measures coordinator lease-grant
@@ -678,7 +676,19 @@ func BenchmarkFleetLeaseThroughput(b *testing.B) {
 				version uint64
 				dirty   bool
 				ranked  []fleet.LeaseProposal
-				epochs  map[string]uint64
+			}
+			// adopt installs a change feed the way fleet.Agent does: a
+			// surface only moves to a newer epoch, the cursor only forward.
+			adopt := func(w *wstate, ps []fleet.JobPosterior, version uint64) {
+				for _, p := range ps {
+					if old, ok := w.post[p.JobID]; !ok || p.Epoch > old.Epoch {
+						w.post[p.JobID] = p
+						w.dirty = true
+					}
+				}
+				if version > w.version {
+					w.version = version
+				}
 			}
 			ws := make([]*wstate, workers)
 			for i := range ws {
@@ -690,14 +700,13 @@ func BenchmarkFleetLeaseThroughput(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w := ws[i%workers]
-				req := fleet.LeaseRequest{WorkerID: w.id, Max: devices}
+				req := fleet.LeaseRequest{WorkerID: w.id, Max: devices, PosteriorVersion: w.version}
 				if speculative {
 					if w.dirty {
-						w.ranked, w.epochs = benchFleetProposals(w.post)
+						w.ranked = benchFleetProposals(w.post)
 						w.dirty = false
 					}
-					req.Proposals, req.PosteriorEpochs = w.ranked, w.epochs
-					req.PosteriorVersion = w.version
+					req.Proposals = w.ranked
 					if len(req.Proposals) > devices {
 						req.Proposals = req.Proposals[:devices]
 					}
@@ -709,25 +718,17 @@ func BenchmarkFleetLeaseThroughput(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, p := range resp.Posteriors {
-					w.post[p.JobID] = p
-					w.dirty = true
-				}
-				if resp.PosteriorVersion != 0 {
-					w.version = resp.PosteriorVersion
-				}
+				adopt(w, resp.Posteriors, resp.PosteriorVersion)
 				granted += len(resp.Leases)
 				for _, wl := range resp.Leases {
 					cr, err := coord.Complete(fleet.CompleteRequest{
 						WorkerID: w.id, LeaseID: wl.LeaseID, Error: "bench: steady-state release",
+						PosteriorVersion: w.version,
 					})
 					if err != nil {
 						b.Fatal(err)
 					}
-					if cr.Posterior != nil {
-						w.post[cr.Posterior.JobID] = *cr.Posterior
-						w.dirty = true
-					}
+					adopt(w, cr.Posteriors, cr.PosteriorVersion)
 				}
 			}
 			b.StopTimer()

@@ -8,7 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -52,8 +52,9 @@ type AgentConfig struct {
 	SkipLeaveOnExit bool
 	// DisableSpeculative turns off worker-side posterior caching and
 	// speculative lease proposals (the default — zero value — is
-	// speculation ON): the agent falls back to plain polling. Wired to
-	// easeml-worker's -speculative=false.
+	// speculation ON): the agent makes the same lease and settle-and-lease
+	// calls with no proposals in them, so every grant takes the
+	// coordinator's pick path. Wired to easeml-worker's -speculative=false.
 	DisableSpeculative bool
 	// Logger, when set, receives structured agent diagnostics; run
 	// lifecycle events carry the lease's trace ID. Nil keeps the agent
@@ -63,7 +64,8 @@ type AgentConfig struct {
 
 // Agent is one fleet worker: it registers with the coordinator, polls for
 // leases, executes them through the configured Executor with Devices-way
-// concurrency, streams heartbeats, and reports results. Run drives the
+// concurrency, streams heartbeats, and reports results — each report asking
+// for the slot's next lease in the same round trip. Run drives the
 // whole lifecycle; an agent whose context is cancelled leaves gracefully
 // (unless SkipLeaveOnExit), releasing its leases for immediate re-queueing.
 type Agent struct {
@@ -90,18 +92,20 @@ type Agent struct {
 	// jobs caches each job's candidate surface. It is dropped on
 	// re-registration: after a coordinator restart a recycled job id may
 	// name a different program, and stale candidates would corrupt results.
-	jobs    map[string]map[string]templates.Candidate // job → candidate name → candidate
-	running map[int]context.CancelFunc                // lease id → abort
+	jobs map[string]map[string]templates.Candidate // job → candidate name → candidate
+	// running holds every lease the agent owns, from the moment its grant is
+	// adopted until its report settles: the heartbeat's lease ids, the
+	// free-slot count and the set of jobs proposals skip.
+	running map[int]runningLease
 	// posteriors caches the coordinator-shipped posterior surface per job —
 	// the state speculative proposals are scored against. Updated from
-	// every LeaseResponse and CompleteResponse, dropped on re-registration
-	// (a restarted coordinator may recycle job ids with different
-	// programs). Empty when DisableSpeculative.
+	// every change feed (lease and complete responses alike), dropped on
+	// re-registration (a restarted coordinator may recycle job ids with
+	// different programs). Empty when DisableSpeculative.
 	posteriors map[string]*postSurface
-	// postVersion is the coordinator's global surface version from the
-	// last full posterior sync (LeaseResponse.PosteriorVersion); echoed in
-	// lease requests so an unchanged coordinator answers the resync check
-	// with one integer comparison. Zero until the first sync and after
+	// postVersion is the change-feed cursor: the largest PosteriorVersion
+	// adopted so far, echoed in every request so the coordinator ships only
+	// what moved since. Zero until the first answer and after
 	// re-registration.
 	postVersion uint64
 
@@ -136,17 +140,32 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		exec:       cfg.Executor,
 		ownExec:    cfg.Executor == nil,
 		jobs:       make(map[string]map[string]templates.Candidate),
-		running:    make(map[int]context.CancelFunc),
+		running:    make(map[int]runningLease),
 		posteriors: make(map[string]*postSurface),
 		slotFree:   make(chan struct{}, 1),
 	}, nil
 }
 
+// runningLease is one owned lease: the job it trains and the abort of its
+// run context.
+type runningLease struct {
+	job    string
+	cancel context.CancelFunc
+}
+
+// slot is one device slot's current run: a granted lease with the
+// registration it was granted under and its run context.
+type slot struct {
+	workerID string
+	epoch    int
+	exec     Executor
+	lease    WireLease
+	runCtx   context.Context
+}
+
 // postSurface is the agent's view of one job's posterior: the UCB per arm
-// at a given epoch, with open marking the proposable (untried, unleased)
-// arms. done jobs stay in the map so their epoch keeps riding
-// PosteriorEpochs — dropping them would make the coordinator re-send the
-// delta on every poll.
+// at a given epoch, with open marking the proposable arms — untried,
+// unleased, and not already asked for or granted by this agent.
 type postSurface struct {
 	epoch uint64
 	ucb   []float64
@@ -211,8 +230,8 @@ func (a *Agent) Run(ctx context.Context) error {
 	// configured to die hard) hand the leases back so they re-queue now
 	// rather than at TTL expiry.
 	a.mu.Lock()
-	for _, cancel := range a.running {
-		cancel()
+	for _, r := range a.running {
+		r.cancel()
 	}
 	a.mu.Unlock()
 	execWG.Wait()
@@ -289,8 +308,8 @@ func (a *Agent) adoptRegistration(resp RegisterResponse) {
 	defer a.mu.Unlock()
 	a.workerID = resp.WorkerID
 	a.epoch++
-	for _, cancel := range a.running {
-		cancel()
+	for _, r := range a.running {
+		r.cancel()
 	}
 	if a.ownExec {
 		a.exec = NewSimExecutor(resp.Seed)
@@ -317,8 +336,10 @@ func (a *Agent) adoptRegistration(resp RegisterResponse) {
 	}
 }
 
-// pollOnce asks for leases up to the free device count and launches an
-// execution per grant; it reports whether any lease was granted.
+// pollOnce asks for leases up to the free device count and starts a slot
+// per grant; it reports whether any lease was granted. It serves the slots
+// with nothing to report — cold start, idle, a failed resolve; a slot that
+// just finished a run asks for its next one inside its report instead.
 func (a *Agent) pollOnce(ctx context.Context, execWG *sync.WaitGroup) bool {
 	a.mu.Lock()
 	free := a.cfg.Devices - len(a.running)
@@ -327,11 +348,7 @@ func (a *Agent) pollOnce(ctx context.Context, execWG *sync.WaitGroup) bool {
 	if free <= 0 {
 		return false
 	}
-	proposals, epochs, version := a.buildProposals(free)
-	resp, err := a.client.lease(ctx, LeaseRequest{
-		WorkerID: workerID, Max: free, Proposals: proposals,
-		PosteriorEpochs: epochs, PosteriorVersion: version,
-	})
+	resp, err := a.client.lease(ctx, a.leaseRequest(workerID, free))
 	if err != nil {
 		if IsCode(err, CodeUnknownWorker) {
 			a.logInfo("coordinator does not know us; re-registering", "name", a.cfg.Name)
@@ -341,140 +358,178 @@ func (a *Agent) pollOnce(ctx context.Context, execWG *sync.WaitGroup) bool {
 		}
 		return false
 	}
-	a.adoptPosteriors(workerID, resp.Posteriors, resp.PosteriorVersion)
-	leases := resp.Leases
-	for _, wl := range leases {
-		cand, err := a.resolveCandidate(ctx, exec, epoch, wl.JobID, wl.Candidate)
-		if err != nil {
-			// Unresolvable work: report the failure so the coordinator can
-			// retry it elsewhere (or abandon it).
-			run := telemetry.NewSpanAt(wl.Trace, wl.Span, opWorkerRun, time.Now())
-			run.SetAttr("job", wl.JobID)
-			run.SetAttr("worker", a.cfg.Name)
-			run.Fail(err)
-			run.End()
-			a.report(CompleteRequest{WorkerID: workerID, LeaseID: wl.LeaseID, Error: err.Error(),
-				Spans: []telemetry.SpanData{run.Data()}}, wl.Trace)
-			continue
-		}
-		runCtx, cancel := context.WithCancel(ctx)
-		a.mu.Lock()
-		if a.epoch != epoch { // re-registered mid-poll; these grants are stale
-			a.mu.Unlock()
-			cancel()
-			return false
-		}
-		a.running[wl.LeaseID] = cancel
-		a.mu.Unlock()
+	started := a.adopt(ctx, slot{workerID: workerID, epoch: epoch, exec: exec}, 0, resp)
+	for _, s := range started {
 		execWG.Add(1)
-		go func(wl WireLease, cand templates.Candidate, runCtx context.Context, cancel context.CancelFunc) {
+		go func(s slot) {
 			defer execWG.Done()
-			defer cancel()
-			a.execute(runCtx, exec, workerID, wl, cand)
-		}(wl, cand, runCtx, cancel)
+			a.runSlot(ctx, s)
+		}(s)
 	}
-	return len(leases) > 0
+	return len(started) > 0
 }
 
-// buildProposals ranks the cached posteriors' open arms and returns up to
-// free speculative proposals, plus the known-epoch map the coordinator
-// diffs for resync and the global surface version of the last full sync.
-// Ordering: affinity first (jobs whose candidate surface this agent already
-// resolved — re-leasing those skips the plan fetch and reuses the
-// executor's registration), then UCB descending, then (job, arm) as a
-// deterministic tie-break. Nil when speculation is off or nothing is cached
-// yet — the poll is then exactly the legacy protocol.
-func (a *Agent) buildProposals(free int) ([]LeaseProposal, map[string]uint64, uint64) {
-	if a.cfg.DisableSpeculative || free <= 0 {
-		return nil, nil, 0
-	}
+// leaseRequest builds the ask for up to n leases: speculative proposals
+// ranked on the cached surfaces plus the change-feed cursor.
+func (a *Agent) leaseRequest(workerID string, n int) LeaseRequest {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.posteriors) == 0 {
-		return nil, nil, a.postVersion
+	return LeaseRequest{WorkerID: workerID, Max: n, Proposals: a.proposalsLocked(n), PosteriorVersion: a.postVersion}
+}
+
+// proposalsLocked ranks the cached posteriors' open arms and returns the
+// best n as speculative proposals, in one pass that keeps the running top n
+// in order — no sort, nothing allocated per arm. Ordering: affinity first
+// (jobs whose candidate surface this agent already resolved — re-leasing
+// those skips the plan fetch and reuses the executor's registration), then
+// UCB descending, then (job, arm) as a deterministic tie-break. Two things
+// are kept out because their answer is already known to be "stale": jobs
+// this agent is executing (their epoch moves the moment that run settles),
+// and arms it has already asked for — a proposed arm is closed in the cached
+// surface on the spot, so the next slot ranking the same cache asks for a
+// different one. Nil when speculation is off or nothing is cached yet — the
+// request is then exactly the plain protocol. Callers hold a.mu.
+func (a *Agent) proposalsLocked(n int) []LeaseProposal {
+	if a.cfg.DisableSpeculative || n <= 0 || len(a.posteriors) == 0 {
+		return nil
 	}
-	epochs := make(map[string]uint64, len(a.posteriors))
 	type scored struct {
-		LeaseProposal
+		job      string
+		s        *postSurface
+		arm      int
 		ucb      float64
 		affinity bool
 	}
-	var cands []scored
+	before := func(x, y *scored) bool {
+		if x.affinity != y.affinity {
+			return x.affinity
+		}
+		if x.ucb != y.ucb {
+			return x.ucb > y.ucb
+		}
+		if x.job != y.job {
+			return x.job < y.job
+		}
+		return x.arm < y.arm
+	}
+	var heldBuf [8]string // one entry per busy slot; more than 8 spill to the heap
+	held := heldBuf[:0]
+	for _, r := range a.running {
+		held = append(held, r.job)
+	}
+	best := make([]scored, 0, n)
 	for id, s := range a.posteriors {
-		epochs[id] = s.epoch
-		if s.done {
+		if s.done || slices.Contains(held, id) {
 			continue
 		}
 		_, affinity := a.jobs[id]
 		for arm, open := range s.open {
-			if open {
-				cands = append(cands, scored{LeaseProposal{JobID: id, Arm: arm, Epoch: s.epoch}, s.ucb[arm], affinity})
+			if !open {
+				continue
 			}
+			u := s.ucb[arm]
+			full := len(best) == n
+			// Nearly every arm loses to the worst one kept on UCB alone.
+			if full && affinity == best[n-1].affinity && u < best[n-1].ucb {
+				continue
+			}
+			c := scored{job: id, s: s, arm: arm, ucb: u, affinity: affinity}
+			if full {
+				if !before(&c, &best[n-1]) {
+					continue
+				}
+				best = best[:n-1]
+			}
+			i := len(best)
+			best = append(best, c)
+			for ; i > 0 && before(&c, &best[i-1]); i-- {
+				best[i] = best[i-1]
+			}
+			best[i] = c
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].affinity != cands[j].affinity {
-			return cands[i].affinity
-		}
-		if cands[i].ucb != cands[j].ucb {
-			return cands[i].ucb > cands[j].ucb
-		}
-		if cands[i].JobID != cands[j].JobID {
-			return cands[i].JobID < cands[j].JobID
-		}
-		return cands[i].Arm < cands[j].Arm
-	})
-	if len(cands) > free {
-		cands = cands[:free]
+	if len(best) == 0 {
+		return nil
 	}
-	props := make([]LeaseProposal, len(cands))
-	for i, c := range cands {
-		props[i] = c.LeaseProposal
+	props := make([]LeaseProposal, len(best))
+	for i, c := range best {
+		props[i] = LeaseProposal{JobID: c.job, Arm: c.arm, Epoch: c.s.epoch}
+		c.s.open[c.arm] = false
 	}
-	return props, epochs, a.postVersion
+	return props
 }
 
-// adoptPosteriors installs coordinator-shipped posterior deltas into the
-// cache, plus the global surface version the diff was answered at (zero
-// leaves the stored version alone — the Complete piggyback carries one
-// job's delta, not a full sync point). workerID is the id the reply was
-// requested under: if the agent re-registered in the meantime the deltas
-// describe a coordinator state the new registration already resynced from
-// scratch, so they are dropped.
-func (a *Agent) adoptPosteriors(workerID string, ps []JobPosterior, version uint64) {
-	if a.cfg.DisableSpeculative {
-		return
-	}
+// adopt installs one coordinator answer — the change feed and the granted
+// leases of a lease response — and retires the lease whose report carried
+// the request (done; 0 for a poll), all in one critical section: the new
+// lease enters running as the old one leaves, so heartbeats and the
+// free-slot count never see a gap. It returns a slot per adopted lease,
+// each with its own run context. from names the registration the request
+// was sent under: if the agent re-registered in the meantime the answer
+// describes state the new registration already resynced from scratch and
+// leases the old worker id holds, so all of it is dropped (the leases come
+// back through expiry). Leases arriving after shutdown began are dropped
+// too — the graceful leave (or the TTL) hands them back.
+//
+// The feed is adopted idempotently, because concurrent slots receive
+// answers in any order: a job's surface is replaced only by a newer epoch,
+// and the cursor only moves forward.
+func (a *Agent) adopt(ctx context.Context, from slot, done int, resp LeaseResponse) []slot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.workerID != workerID {
+	if r, ok := a.running[done]; ok {
+		r.cancel() // the run is over; this only frees its context
+		delete(a.running, done)
+	}
+	if a.epoch != from.epoch {
+		return nil
+	}
+	if resp.PosteriorVersion > a.postVersion {
+		a.postVersion = resp.PosteriorVersion
+	}
+	if !a.cfg.DisableSpeculative {
+		for i := range resp.Posteriors {
+			a.adoptSurfaceLocked(&resp.Posteriors[i])
+		}
+	}
+	if ctx.Err() != nil {
+		return nil
+	}
+	started := make([]slot, len(resp.Leases))
+	for i, wl := range resp.Leases {
+		if s := a.posteriors[wl.JobID]; s != nil && wl.Arm >= 0 && wl.Arm < len(s.open) {
+			s.open[wl.Arm] = false
+		}
+		runCtx, cancel := context.WithCancel(ctx)
+		a.running[wl.LeaseID] = runningLease{job: wl.JobID, cancel: cancel}
+		started[i] = from
+		started[i].lease, started[i].runCtx = wl, runCtx
+	}
+	return started
+}
+
+// adoptSurfaceLocked installs one shipped surface unless the cache already
+// holds the job at that epoch or a newer one. Callers hold a.mu.
+func (a *Agent) adoptSurfaceLocked(p *JobPosterior) {
+	if old, ok := a.posteriors[p.JobID]; ok && old.epoch >= p.Epoch {
 		return
 	}
-	if version != 0 {
-		a.postVersion = version
+	if p.Done {
+		a.posteriors[p.JobID] = &postSurface{epoch: p.Epoch, done: true}
+		return
 	}
-	for i := range ps {
-		p := &ps[i]
-		if p.Done {
-			a.posteriors[p.JobID] = &postSurface{epoch: p.Epoch, done: true}
-			continue
-		}
-		s := &postSurface{epoch: p.Epoch, ucb: p.UCB, open: make([]bool, len(p.UCB))}
-		for k := range s.open {
-			s.open[k] = true
-		}
-		for _, k := range p.Tried {
+	s := &postSurface{epoch: p.Epoch, ucb: p.UCB, open: make([]bool, len(p.UCB))}
+	for k := range s.open {
+		s.open[k] = true
+	}
+	for _, closed := range [2][]int{p.Tried, p.Leased} {
+		for _, k := range closed {
 			if k >= 0 && k < len(s.open) {
 				s.open[k] = false
 			}
 		}
-		for _, k := range p.Leased {
-			if k >= 0 && k < len(s.open) {
-				s.open[k] = false
-			}
-		}
-		a.posteriors[p.JobID] = s
 	}
+	a.posteriors[p.JobID] = s
 }
 
 // idleBackoff is the delay before the next poll after the streak-th
@@ -496,14 +551,35 @@ func idleBackoff(base time.Duration, streak int) time.Duration {
 	return time.Duration(float64(d) * (0.75 + 0.5*rand.Float64()))
 }
 
-// execute runs one lease and reports the outcome. The lease stays in the
+// runSlot drives one device slot: run the lease, report it with the ask for
+// the next one embedded, and chain straight into the lease the answer
+// carries — one round trip per cycle. The slot ends (and the poll loop is
+// kicked) when there is nothing to chain into: no grant, a lost lease, a
+// failed report, shutdown.
+func (a *Agent) runSlot(ctx context.Context, s slot) {
+	for {
+		next, ok := a.runLease(ctx, s)
+		if !ok {
+			select {
+			case a.slotFree <- struct{}{}:
+			default:
+			}
+			return
+		}
+		s = next
+	}
+}
+
+// runLease resolves, executes and reports one lease, and returns the slot's
+// next run when the report's answer granted one. The lease stays in the
 // running set — and therefore in the heartbeat's LeaseIDs, keeping its TTL
 // refreshed — until the report settles, so a transient coordinator outage
 // during report retries cannot expire a lease whose work is already done.
-// A run whose context was cancelled (lease lost, shutdown) is not
-// reported: its lease is either already reclaimed or about to be released
-// by the graceful leave.
-func (a *Agent) execute(ctx context.Context, exec Executor, workerID string, wl WireLease, cand templates.Candidate) {
+// A run whose context was cancelled (lease lost, shutdown) is not reported:
+// its lease is either already reclaimed or about to be released by the
+// graceful leave.
+func (a *Agent) runLease(ctx context.Context, s slot) (slot, bool) {
+	wl := s.lease
 	// The run span parents to the lease's root span on the coordinator
 	// (wl.Span) and ships back inside the completion report, so the
 	// coordinator's flight recorder holds the whole cross-process tree.
@@ -511,62 +587,78 @@ func (a *Agent) execute(ctx context.Context, exec Executor, workerID string, wl 
 	run.SetAttr("job", wl.JobID)
 	run.SetAttr("candidate", wl.Candidate)
 	run.SetAttr("worker", a.cfg.Name)
-	acc, cost, err := exec.Execute(ctx, wl.JobID, cand)
-	defer func() {
-		a.mu.Lock()
-		delete(a.running, wl.LeaseID)
-		a.mu.Unlock()
-		select {
-		case a.slotFree <- struct{}{}:
-		default:
-		}
-	}()
-	if ctx.Err() != nil {
+	req := CompleteRequest{WorkerID: s.workerID, LeaseID: wl.LeaseID}
+
+	cand, err := a.resolveCandidate(s.runCtx, s.exec, s.epoch, wl.JobID, wl.Candidate)
+	resolved := err == nil
+	if resolved {
+		req.Accuracy, req.Cost, err = s.exec.Execute(s.runCtx, wl.JobID, cand)
+	}
+	if s.runCtx.Err() != nil {
 		run.SetAttr("outcome", "aborted")
 		run.End()
-		return
+		a.adopt(ctx, s, wl.LeaseID, LeaseResponse{})
+		return slot{}, false
 	}
-	req := CompleteRequest{WorkerID: workerID, LeaseID: wl.LeaseID, Accuracy: acc, Cost: cost}
 	if err != nil {
 		req.Error = err.Error()
 		run.Fail(err)
-		a.failed.Add(1)
-		a.logWarn("run failed",
-			"job", wl.JobID, "candidate", wl.Candidate, "lease", wl.LeaseID, "trace", wl.Trace, "err", err)
+		if resolved {
+			a.failed.Add(1)
+			a.logWarn("run failed",
+				"job", wl.JobID, "candidate", wl.Candidate, "lease", wl.LeaseID, "trace", wl.Trace, "err", err)
+		}
 	} else {
-		run.SetAttr("accuracy", strconv.FormatFloat(acc, 'g', -1, 64))
-		run.SetAttr("cost", strconv.FormatFloat(cost, 'g', -1, 64))
+		run.SetAttr("accuracy", strconv.FormatFloat(req.Accuracy, 'g', -1, 64))
+		run.SetAttr("cost", strconv.FormatFloat(req.Cost, 'g', -1, 64))
 	}
 	run.End()
 	req.Spans = []telemetry.SpanData{run.Data()}
-	if a.report(req, wl.Trace) && err == nil {
+	if resolved {
+		lr := a.leaseRequest(s.workerID, 1)
+		req.Lease = &lr
+	} else {
+		// Unresolvable work is reported so the coordinator can retry it
+		// elsewhere (or abandon it), but asks for nothing: whatever broke the
+		// resolve would likely break the next one, so the slot goes back to
+		// the poll loop and its backoff.
+		a.mu.Lock()
+		req.PosteriorVersion = a.postVersion
+		a.mu.Unlock()
+	}
+
+	resp, ok := a.report(req, wl.Trace)
+	if ok && err == nil {
 		// Counted only once the coordinator accepted the result, so
 		// Completed agrees with the registry's per-worker tally (a report
 		// that lost a settle race settled nothing).
 		a.completed.Add(1)
 		a.logInfo("run completed",
 			"job", wl.JobID, "candidate", wl.Candidate, "lease", wl.LeaseID,
-			"accuracy", acc, "cost", cost, "trace", wl.Trace)
+			"accuracy", req.Accuracy, "cost", req.Cost, "trace", wl.Trace)
 	}
+	answer := LeaseResponse{Posteriors: resp.Posteriors, PosteriorVersion: resp.PosteriorVersion}
+	if resp.Lease != nil {
+		answer = *resp.Lease
+	}
+	if started := a.adopt(ctx, s, wl.LeaseID, answer); len(started) > 0 {
+		return started[0], true
+	}
+	return slot{}, false
 }
 
 // report delivers a completion, retrying transient transport failures; a
 // 409 (the report lost a settle race) is dropped silently — by protocol
 // the result belongs to whoever settled first. The lease's trace ID rides
 // the X-Easeml-Trace header so the coordinator sees the same trace. It
-// reports whether the coordinator accepted the result.
-func (a *Agent) report(req CompleteRequest, trace string) bool {
+// returns the coordinator's answer and whether the result was accepted.
+func (a *Agent) report(req CompleteRequest, trace string) (CompleteResponse, bool) {
 	for attempt := 0; attempt < 3; attempt++ {
 		ctx, cancel := context.WithTimeout(telemetry.WithTraceID(context.Background(), trace), 5*time.Second)
 		resp, err := a.client.complete(ctx, req)
 		cancel()
 		if err == nil {
-			if resp.Posterior != nil {
-				// The settle bumped the job's epoch; adopting the piggybacked
-				// surface keeps our very next proposal for it fresh.
-				a.adoptPosteriors(req.WorkerID, []JobPosterior{*resp.Posterior}, 0)
-			}
-			return true
+			return resp, true
 		}
 		var pe *ProtocolError
 		if errors.As(err, &pe) {
@@ -576,12 +668,12 @@ func (a *Agent) report(req CompleteRequest, trace string) bool {
 			} else {
 				a.logWarn("report rejected", "lease", req.LeaseID, "trace", trace, "err", err)
 			}
-			return false // a definitive server answer: retrying cannot change it
+			return CompleteResponse{}, false // a definitive server answer: retrying cannot change it
 		}
 		a.logWarn("report attempt failed", "lease", req.LeaseID, "attempt", attempt+1, "trace", trace, "err", err)
 		time.Sleep(time.Duration(attempt+1) * 50 * time.Millisecond)
 	}
-	return false
+	return CompleteResponse{}, false
 }
 
 // resolveCandidate maps a wire candidate name to the full candidate,
@@ -676,13 +768,13 @@ func (a *Agent) heartbeatLoop(ctx context.Context) {
 		a.mu.Lock()
 		for _, id := range ids {
 			if !known[id] {
-				if cancel, ok := a.running[id]; ok {
+				if r, ok := a.running[id]; ok {
 					if preempted[id] {
 						a.logInfo("lease preempted for higher-priority work; aborting run", "lease", id)
 					} else {
 						a.logInfo("lease reclaimed; aborting run", "lease", id)
 					}
-					cancel()
+					r.cancel()
 				}
 			}
 		}

@@ -297,12 +297,13 @@ func (c *Coordinator) Register(req RegisterRequest) RegisterResponse {
 	}
 }
 
-// Lease grants up to req.Max new leases to a worker (a poll also counts as
-// a heartbeat). Speculative proposals are validated first — each either
-// grants on the scheduler's epoch-checked fast path or is skipped as stale
-// — and remaining capacity falls back to the normal pick path; the
-// response carries posterior deltas for every job whose epoch moved past
-// req.PosteriorEpochs, which is how workers resync after a miss. It
+// Lease grants up to req.Max new leases to a worker (a request also counts
+// as a heartbeat). It is the one grant path: /fleet/lease calls it, and so
+// does Complete for a report that embeds a lease request. Speculative
+// proposals are validated first — each either grants on the scheduler's
+// epoch-checked fast path or is skipped as stale — and remaining capacity
+// falls back to the normal pick path; the response carries the change feed
+// since req.PosteriorVersion, which is how workers resync after a miss. It
 // returns ErrUnknownWorker for ids the registry does not know and
 // ErrBadRequest for a non-positive Max.
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
@@ -375,24 +376,24 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 			}
 		}
 	}
+	// After the grants, so the deltas' Leased sets already cover them — the
+	// worker's next proposals never re-ask for work it just got.
 	resp := LeaseResponse{Leases: wire}
-	if speculative {
-		// The version is read before the diff: a bandit mutation landing in
-		// between makes the diff fresher than the version we echo, so the
-		// worker re-diffs next poll — never the reverse. When the worker's
-		// last sync version still matches, nothing has moved anywhere and
-		// the whole per-job scan is skipped (grants don't bump it — lease
-		// churn is already covered by the deltas' Leased sets).
-		cur := c.sched.PosteriorVersion()
-		if req.PosteriorVersion != cur {
-			// After the grants, so the deltas' Leased sets already cover
-			// them — the worker's next proposals never re-ask for work it
-			// just got.
-			resp.Posteriors = c.wirePosteriors(req.PosteriorEpochs)
-		}
-		resp.PosteriorVersion = cur
-	}
+	resp.Posteriors, resp.PosteriorVersion = c.changeFeed(req.PosteriorVersion)
 	return resp, nil
+}
+
+// changeFeed answers a worker's cursor: the surface of every job that
+// changed after since, and the version to send next time. Empty with
+// speculation disabled here or in legacy-selection mode, so those workers
+// cache nothing and propose nothing.
+func (c *Coordinator) changeFeed(since uint64) ([]JobPosterior, uint64) {
+	if c.cfg.DisableSpeculative {
+		return nil, 0
+	}
+	deltas, version := c.sched.PosteriorsSince(since)
+	specPosteriors.Add(uint64(len(deltas)))
+	return deltas, version
 }
 
 // grantLocked assigns a freshly picked lease to a worker and builds its
@@ -423,29 +424,8 @@ func (c *Coordinator) grantLocked(l *server.Lease, workerID, path string) (WireL
 			"lease", l.ID, "job", l.JobID, "candidate", name, "worker", workerID,
 			"path", path, "trace", l.Trace)
 	}
-	return WireLease{LeaseID: l.ID, JobID: l.JobID, Candidate: name,
+	return WireLease{LeaseID: l.ID, JobID: l.JobID, Candidate: name, Arm: l.Arm,
 		Trace: l.Trace, Span: l.RootSpanID()}, true
-}
-
-// wirePosteriors converts the scheduler's changed-epoch deltas to wire
-// form. The scheduler returns nil in legacy-selection mode, which disables
-// speculation end to end there.
-func (c *Coordinator) wirePosteriors(known map[string]uint64) []JobPosterior {
-	deltas := c.sched.PosteriorDeltas(known)
-	if len(deltas) == 0 {
-		return nil
-	}
-	out := make([]JobPosterior, len(deltas))
-	for i, d := range deltas {
-		out[i] = wirePosterior(d)
-	}
-	specPosteriors.Add(uint64(len(out)))
-	return out
-}
-
-func wirePosterior(d server.PosteriorDelta) JobPosterior {
-	return JobPosterior{JobID: d.JobID, Epoch: d.Epoch, Mu: d.Mu, Sigma: d.Sigma,
-		UCB: d.UCB, Tried: d.Tried, Leased: d.Leased, Done: d.Done}
 }
 
 // preemptLocked runs one priority-preemption pass against the scheduler:
@@ -519,11 +499,12 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 // Complete settles a leased run with the worker's reported outcome:
 // success feeds the observation into the scheduler; failure releases the
 // lease for retry, or abandons the candidate after MaxRetries failures. It
-// returns how the lease settled — plus, for speculative fleets, the
-// settled job's refreshed posterior, so the reporting worker's next
-// proposal for the job is not automatically stale — or an error wrapping
+// returns how the lease settled, or an error wrapping
 // server.ErrLeaseConflict when the report lost a race (double complete,
-// lease expired) — the worker drops those.
+// lease expired) — the worker drops those, and nothing is granted. A report
+// that embeds a lease request is then served by Lease, after the settle:
+// the pick sees the observation that just landed. A plain report gets the
+// change feed alone.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	rl, ok := c.remote[req.LeaseID]
@@ -599,18 +580,18 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 			"lease", req.LeaseID, "outcome", settled, "job", l.JobID, "worker", req.WorkerID, "trace", l.Trace)
 	}
 	resp := CompleteResponse{Settled: settled}
-	if !c.cfg.DisableSpeculative && settled != "released" {
-		// Completion and abandonment bump the job's epoch; piggyback the
-		// fresh surface so the reporting worker resyncs without an extra
-		// round trip. A release leaves the posterior (and epoch) untouched,
-		// so the worker's cached surface is still current — shipping one
-		// would be pure overhead and would invalidate its ranking for
-		// nothing.
-		if d, ok := c.sched.PosteriorDeltaFor(l.JobID); ok {
-			p := wirePosterior(d)
-			resp.Posterior = &p
-			specPosteriors.Inc()
-		}
+	if req.Lease == nil {
+		resp.Posteriors, resp.PosteriorVersion = c.changeFeed(req.PosteriorVersion)
+		return resp, nil
+	}
+	next := *req.Lease
+	next.WorkerID = req.WorkerID
+	if granted, err := c.Lease(next); err != nil {
+		// The settle is durable and must be acknowledged; the worker sees no
+		// lease answer and falls back to polling.
+		c.logWarn("lease step of a settle-and-lease failed", "worker", req.WorkerID, "err", err)
+	} else {
+		resp.Lease = &granted
 	}
 	return resp, nil
 }

@@ -8,10 +8,18 @@
 // exactly once — so the fleet survives worker churn without losing or
 // double-counting work.
 //
+// What one lease costs does not depend on how many jobs exist. A busy slot
+// spends one round trip per cycle: its report embeds the request for its
+// next lease and the answer carries it (settle-and-lease). The worker ranks
+// its cached surfaces in one pass and the coordinator validates the
+// proposal instead of picking. And the cache is kept current by a change
+// feed — "everything that moved since version v" — not by either side
+// diffing its whole state per request.
+//
 //	            register/heartbeat          ┌──────────┐
 //	  ┌──────────────────────────────────── │ agent 0  │──Execute──▶ Executor
 //	  ▼                                     └──────────┘             (trainsim,
-//	coordinator ──lease──▶ agents … ──complete──▶ coordinator          or yours)
+//	coordinator ──lease──▶ agents … ──complete(+lease)──▶ coordinator  or yours)
 //	  │
 //	  ├── registry: join/leave/dead, per-worker in-flight + failures
 //	  └── sweeper: lease TTL expiry ──▶ re-queue + WAL lease_expired
@@ -21,14 +29,17 @@
 // fleet member with zero network in between.
 package fleet
 
-import "repro/internal/telemetry"
+import (
+	"repro/internal/server"
+	"repro/internal/telemetry"
+)
 
 // The coordinator's HTTP protocol. All endpoints speak JSON:
 //
 //	POST /fleet/register    RegisterRequest  → RegisterResponse
 //	POST /fleet/lease       LeaseRequest     → LeaseResponse
 //	POST /fleet/heartbeat   HeartbeatRequest → HeartbeatResponse
-//	POST /fleet/complete    CompleteRequest  → CompleteResponse
+//	POST /fleet/complete    CompleteRequest  → CompleteResponse   (may embed a lease exchange)
 //	POST /fleet/leave       LeaveRequest     → LeaveResponse
 //	GET  /fleet/job?id=ID                    → JobInfo
 //
@@ -75,15 +86,17 @@ type RegisterResponse struct {
 	Seed int64 `json:"seed"`
 }
 
-// LeaseRequest polls for up to Max new leases. Max must be positive — a
+// LeaseRequest asks for up to Max new leases. Max must be positive — a
 // non-positive value is a protocol error (400, code "bad_request"); the Go
-// client defaults it to 1.
+// client defaults it to 1. It travels alone on /fleet/lease (a slot with
+// nothing to report: cold start, idle) or inside a CompleteRequest
+// (settle-and-lease: the slot that just finished asks for its next run in
+// the same round trip).
 //
-// A speculative poll additionally carries Proposals — (job, arm, epoch)
-// triples the worker pre-scored against its cached posterior surface — and
-// PosteriorEpochs, the worker's last-seen epoch per job, which the
-// coordinator diffs to decide which posterior deltas to attach to the
-// response. A plain poll (both fields empty) is exactly the old protocol.
+// A speculative request additionally carries Proposals — (job, arm, epoch)
+// triples the worker pre-scored against its cached posterior surface. With
+// no proposals it is exactly the plain protocol: every grant takes the
+// coordinator's pick path.
 type LeaseRequest struct {
 	WorkerID string `json:"worker_id"`
 	Max      int    `json:"max"`
@@ -92,16 +105,10 @@ type LeaseRequest struct {
 	// (stale). Remaining capacity falls back to the coordinator's normal
 	// pick path.
 	Proposals []LeaseProposal `json:"proposals,omitempty"`
-	// PosteriorEpochs maps job id → the epoch of the worker's cached
-	// surface; the response carries deltas only for jobs whose epoch moved
-	// (or that the worker has never seen).
-	PosteriorEpochs map[string]uint64 `json:"posterior_epochs,omitempty"`
-	// PosteriorVersion echoes the coordinator's global surface version
-	// from the worker's last full posterior sync (LeaseResponse's field of
-	// the same name). When it still matches, nothing anywhere has moved
-	// and the coordinator skips the per-job epoch diff — the steady-state
-	// fast path. Zero (a worker that never synced, or speculation off)
-	// always triggers the full diff.
+	// PosteriorVersion is the change-feed cursor: the PosteriorVersion of
+	// the newest response the worker has adopted. The response carries the
+	// surface of every job that changed after it — nothing when it is
+	// current, everything at zero (a worker that never synced).
 	PosteriorVersion uint64 `json:"posterior_version,omitempty"`
 }
 
@@ -115,23 +122,13 @@ type LeaseProposal struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// JobPosterior is one job's posterior surface on the wire: per-arm mean,
-// std and (unhallucinated) UCB, stamped with the job's selection-index
-// dirty epoch. Tried lists observed/retired arms (their UCB entries are
-// zeroed — JSON cannot carry the NaN markers the in-process surface uses);
-// Leased lists arms currently held by outstanding leases. Workers propose
-// only arms in neither list. Done marks a job that will never train another
-// candidate; its slices are omitted.
-type JobPosterior struct {
-	JobID  string    `json:"job_id"`
-	Epoch  uint64    `json:"epoch"`
-	Mu     []float64 `json:"mu,omitempty"`
-	Sigma  []float64 `json:"sigma,omitempty"`
-	UCB    []float64 `json:"ucb,omitempty"`
-	Tried  []int     `json:"tried,omitempty"`
-	Leased []int     `json:"leased,omitempty"`
-	Done   bool      `json:"done,omitempty"`
-}
+// JobPosterior is one job's posterior surface on the wire — only what a
+// worker ranks on: the (unhallucinated) UCB per arm, stamped with the job's
+// selection-index dirty epoch, plus the Tried (observed/retired, UCB entry
+// zeroed) and Leased arm lists; workers propose only arms in neither. Done
+// marks a job that will never train another candidate; its slices are
+// omitted. JSON keys: job_id, epoch, ucb, tried, leased, done.
+type JobPosterior = server.PosteriorDelta
 
 // WireLease is one leased work item on the wire. The candidate is named,
 // not embedded: workers rebuild the full candidate surface from the job's
@@ -140,6 +137,10 @@ type WireLease struct {
 	LeaseID   int    `json:"lease_id"`
 	JobID     string `json:"job_id"`
 	Candidate string `json:"candidate"`
+	// Arm is the candidate's index in the job's candidate list — the same
+	// index proposals and posterior surfaces use, so a worker can close the
+	// granted arm in its cached surface without a name lookup.
+	Arm int `json:"arm"`
 	// Trace is the lease's trace ID, minted by the scheduler at pick time.
 	// Workers carry it into their structured logs and onto the
 	// X-Easeml-Trace header of the completion report, so one lease is
@@ -150,19 +151,18 @@ type WireLease struct {
 	Span string `json:"span,omitempty"`
 }
 
-// LeaseResponse returns the granted leases (possibly none) plus, for
-// speculative polls, the posterior deltas for every job whose epoch moved
-// past the worker's PosteriorEpochs — the resync half of the speculative
-// protocol. A delta's Leased set already includes the leases granted by
-// this very response, so the worker's next proposals never re-ask for them.
+// LeaseResponse returns the granted leases (possibly none) plus the change
+// feed: the surface of every job that changed after the request's
+// PosteriorVersion, and the version the answer is current at. The feed is
+// read after the grants, so a delta's Leased set already covers the leases
+// of this very response. Answers may be adopted in any order: a worker keeps
+// a job's surface only if its epoch is newer than the cached one, and the
+// largest version seen — so concurrent slots cannot regress the cache. The
+// feed is empty with speculation disabled on the coordinator.
 type LeaseResponse struct {
-	Leases     []WireLease    `json:"leases"`
-	Posteriors []JobPosterior `json:"posteriors,omitempty"`
-	// PosteriorVersion is the coordinator's global surface version as of
-	// this response's posterior diff; the worker echoes it in its next
-	// LeaseRequest so an unchanged fleet costs one integer comparison
-	// instead of a per-job epoch scan.
-	PosteriorVersion uint64 `json:"posterior_version,omitempty"`
+	Leases           []WireLease    `json:"leases"`
+	Posteriors       []JobPosterior `json:"posteriors,omitempty"`
+	PosteriorVersion uint64         `json:"posterior_version,omitempty"`
 }
 
 // HeartbeatRequest refreshes the worker's liveness and the TTL of the
@@ -198,20 +198,31 @@ type CompleteRequest struct {
 	// its flight recorder so GET /admin/traces/{id} serves the whole
 	// cross-process tree from one place.
 	Spans []telemetry.SpanData `json:"spans,omitempty"`
+	// Lease, when set, makes this a settle-and-lease: once the report has
+	// settled, the coordinator serves the embedded request (under this
+	// request's WorkerID) exactly as /fleet/lease would, so the pick sees
+	// the observation that just landed. A report that does not settle (409)
+	// grants nothing.
+	Lease *LeaseRequest `json:"lease,omitempty"`
+	// PosteriorVersion is the change-feed cursor of a report without an
+	// embedded Lease (which carries its own).
+	PosteriorVersion uint64 `json:"posterior_version,omitempty"`
 }
 
-// CompleteResponse reports how the lease settled. For speculative fleets
-// it also carries the settled job's refreshed posterior: the settle itself
-// bumped the job's epoch, so without this the reporting worker's very next
-// proposal for the job would always be stale — one piggybacked delta saves
-// a resync round trip.
+// CompleteResponse reports how the lease settled, plus either the embedded
+// lease answer or — for a plain report — the same change feed a lease
+// response carries: the settle itself moved the job's epoch, and the worker
+// that caused it should not find out a round trip later.
 type CompleteResponse struct {
 	// Settled is "completed", "released" (failed, will retry) or
 	// "abandoned" (failed MaxRetries times, candidate retired).
 	Settled string `json:"settled"`
-	// Posterior is the settled job's fresh surface (nil with speculation
-	// disabled, in legacy-selection mode, or when the job is unknown).
-	Posterior *JobPosterior `json:"posterior,omitempty"`
+	// Lease answers the request's embedded Lease. Nil when none was sent,
+	// or when the lease step failed after the settle went through — the
+	// worker then polls /fleet/lease like any idle slot.
+	Lease            *LeaseResponse `json:"lease,omitempty"`
+	Posteriors       []JobPosterior `json:"posteriors,omitempty"`
+	PosteriorVersion uint64         `json:"posterior_version,omitempty"`
 }
 
 // LeaveRequest deregisters a worker gracefully: its outstanding leases are

@@ -102,9 +102,9 @@ func bestOpenArm(t *testing.T, p JobPosterior) int {
 }
 
 // The speculative protocol over the wire: a plain poll ships the posterior
-// surface, a settle piggybacks the refreshed one, a fresh-epoch proposal
-// grants on the fast path, and a stale replay falls back to the pick path
-// without double-leasing the arm.
+// surface, a settle's answer carries the change it caused, a fresh-epoch
+// proposal grants on the fast path, and a stale replay falls back to the
+// pick path without double-leasing the arm.
 func TestSpeculativeFastPathOverWire(t *testing.T) {
 	sc := newTestScheduler(t)
 	if _, err := sc.Submit("a", tsProgram); err != nil {
@@ -120,33 +120,45 @@ func TestSpeculativeFastPathOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Plain poll: a pick-path grant, plus the job's posterior delta whose
-	// Leased set already covers the lease granted by this very response.
+	// Plain poll at cursor 0: a pick-path grant, plus the job's posterior
+	// delta whose Leased set already covers the lease granted by this very
+	// response — named by the same arm index the wire lease carries.
 	lr, err := pc.lease(ctx, LeaseRequest{WorkerID: reg.WorkerID, Max: 1})
 	if err != nil || len(lr.Leases) != 1 {
 		t.Fatalf("plain poll: %+v %v", lr, err)
 	}
-	if len(lr.Posteriors) != 1 {
-		t.Fatalf("plain poll shipped %d posteriors, want 1", len(lr.Posteriors))
+	if len(lr.Posteriors) != 1 || lr.PosteriorVersion == 0 {
+		t.Fatalf("plain poll shipped %d posteriors at version %d, want 1 at a non-zero version",
+			len(lr.Posteriors), lr.PosteriorVersion)
 	}
 	p := lr.Posteriors[0]
-	if p.Done || len(p.UCB) != 4 || len(p.Mu) != 4 || len(p.Sigma) != 4 {
+	if p.Done || len(p.UCB) != 4 {
 		t.Fatalf("posterior %+v, want 4-arm live surface", p)
 	}
-	if len(p.Leased) != 1 {
-		t.Fatalf("posterior Leased %v does not cover the just-granted lease", p.Leased)
+	if len(p.Leased) != 1 || p.Leased[0] != lr.Leases[0].Arm {
+		t.Fatalf("posterior Leased %v does not cover the just-granted arm %d", p.Leased, lr.Leases[0].Arm)
 	}
-
-	// Settling bumps the job's epoch; the response piggybacks the fresh
-	// surface so the next proposal is not automatically stale.
-	cr, err := pc.complete(ctx, CompleteRequest{WorkerID: reg.WorkerID, LeaseID: lr.Leases[0].LeaseID, Accuracy: 0.6, Cost: 1})
+	info, err := coord.JobInfo(p.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.Posterior == nil {
-		t.Fatal("complete shipped no posterior")
+	if lr.Leases[0].Candidate != info.Candidates[lr.Leases[0].Arm] {
+		t.Errorf("wire lease arm %d is %q, the lease names %q",
+			lr.Leases[0].Arm, info.Candidates[lr.Leases[0].Arm], lr.Leases[0].Candidate)
 	}
-	p2 := *cr.Posterior
+
+	// Settling bumps the job's epoch; a plain report's answer carries the
+	// change feed since its cursor, so the next proposal is not
+	// automatically stale.
+	cr, err := pc.complete(ctx, CompleteRequest{WorkerID: reg.WorkerID, LeaseID: lr.Leases[0].LeaseID,
+		Accuracy: 0.6, Cost: 1, PosteriorVersion: lr.PosteriorVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cr.Posteriors) != 1 || cr.PosteriorVersion <= lr.PosteriorVersion || cr.Lease != nil {
+		t.Fatalf("plain report answered %+v, want the settled job's surface at a newer version and no lease", cr)
+	}
+	p2 := cr.Posteriors[0]
 	if p2.Epoch == p.Epoch {
 		t.Errorf("settle did not move the epoch (still %d)", p.Epoch)
 	}
@@ -157,42 +169,34 @@ func TestSpeculativeFastPathOverWire(t *testing.T) {
 	// A fresh-epoch proposal grants on the fast path: the granted candidate
 	// is exactly the proposed arm, and the selection stats record it.
 	arm := bestOpenArm(t, p2)
-	lr2, err := pc.lease(ctx, LeaseRequest{
-		WorkerID: reg.WorkerID, Max: 1,
-		Proposals:       []LeaseProposal{{JobID: p2.JobID, Arm: arm, Epoch: p2.Epoch}},
-		PosteriorEpochs: map[string]uint64{p2.JobID: p2.Epoch},
-	})
+	propose := LeaseRequest{
+		WorkerID: reg.WorkerID, Max: 1, PosteriorVersion: cr.PosteriorVersion,
+		Proposals: []LeaseProposal{{JobID: p2.JobID, Arm: arm, Epoch: p2.Epoch}},
+	}
+	lr2, err := pc.lease(ctx, propose)
 	if err != nil || len(lr2.Leases) != 1 {
 		t.Fatalf("speculative poll: %+v %v", lr2, err)
 	}
-	info, err := coord.JobInfo(p2.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lr2.Leases[0].Candidate != info.Candidates[arm] {
-		t.Errorf("speculative grant gave %q, proposed arm %d is %q",
-			lr2.Leases[0].Candidate, arm, info.Candidates[arm])
+	if lr2.Leases[0].Arm != arm || lr2.Leases[0].Candidate != info.Candidates[arm] {
+		t.Errorf("speculative grant gave arm %d (%q), proposed arm %d is %q",
+			lr2.Leases[0].Arm, lr2.Leases[0].Candidate, arm, info.Candidates[arm])
 	}
 	if got := sc.SelectionStats().SpeculativeGrants; got != 1 {
 		t.Errorf("SpeculativeGrants %d, want 1", got)
 	}
-	// Lease churn is not a bandit mutation: the epoch is unchanged, so no
+	// Lease churn is not a bandit mutation: the version is unchanged, so no
 	// delta rides the response.
-	if len(lr2.Posteriors) != 0 {
-		t.Errorf("unchanged epoch shipped deltas %+v", lr2.Posteriors)
+	if len(lr2.Posteriors) != 0 || lr2.PosteriorVersion != cr.PosteriorVersion {
+		t.Errorf("unchanged version %d shipped deltas %+v at %d", cr.PosteriorVersion, lr2.Posteriors, lr2.PosteriorVersion)
 	}
 
 	// Replaying the proposal is stale (the arm is leased now): the poll
 	// falls back to the pick path and must not re-grant the same arm.
-	lr3, err := pc.lease(ctx, LeaseRequest{
-		WorkerID: reg.WorkerID, Max: 1,
-		Proposals:       []LeaseProposal{{JobID: p2.JobID, Arm: arm, Epoch: p2.Epoch}},
-		PosteriorEpochs: map[string]uint64{p2.JobID: p2.Epoch},
-	})
+	lr3, err := pc.lease(ctx, propose)
 	if err != nil || len(lr3.Leases) != 1 {
 		t.Fatalf("stale poll: %+v %v", lr3, err)
 	}
-	if lr3.Leases[0].Candidate == info.Candidates[arm] {
+	if lr3.Leases[0].Arm == arm {
 		t.Errorf("stale proposal re-granted the leased arm %d", arm)
 	}
 	if got := sc.SelectionStats().SpeculativeGrants; got != 1 {
@@ -207,6 +211,81 @@ func TestSpeculativeFastPathOverWire(t *testing.T) {
 	})
 	if err != nil || len(lr4.Leases) != 1 {
 		t.Fatalf("malformed-proposal poll: %+v %v", lr4, err)
+	}
+}
+
+// Settle-and-lease over the wire: a report that embeds a lease request is
+// settled first and then served by the same Lease call a poll reaches — the
+// grant and the change feed ride the embedded answer, and the feed already
+// shows the observation that just landed. A report that does not settle
+// grants nothing.
+func TestSettleAndLeaseOverWire(t *testing.T) {
+	sc := newTestScheduler(t)
+	if _, err := sc.Submit("a", tsProgram); err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(sc, CoordinatorConfig{Seed: fleetSeed})
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	pc := newProtoClient(srv.URL, nil)
+	ctx := context.Background()
+	reg, err := pc.register(ctx, RegisterRequest{Name: "w", Devices: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr, err := pc.lease(ctx, LeaseRequest{WorkerID: reg.WorkerID, Max: 1})
+	if err != nil || len(lr.Leases) != 1 {
+		t.Fatalf("cold-start poll: %+v %v", lr, err)
+	}
+	first := lr.Leases[0]
+
+	// The embedded request's worker id is ignored: a report can only lease
+	// for the worker that sent it.
+	chained := CompleteRequest{WorkerID: reg.WorkerID, LeaseID: first.LeaseID, Accuracy: 0.6, Cost: 1,
+		Lease: &LeaseRequest{WorkerID: "someone-else", Max: 1, PosteriorVersion: lr.PosteriorVersion}}
+	cr, err := pc.complete(ctx, chained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.Settled != "completed" || cr.Lease == nil || len(cr.Lease.Leases) != 1 {
+		t.Fatalf("settle-and-lease answered %+v, want a settle and one chained lease", cr)
+	}
+	if len(cr.Posteriors) != 0 || cr.PosteriorVersion != 0 {
+		t.Errorf("settle-and-lease duplicated the feed outside the lease answer: %+v", cr)
+	}
+	next := cr.Lease.Leases[0]
+	if next.LeaseID == first.LeaseID || next.Arm == first.Arm {
+		t.Errorf("chained lease %+v repeats the settled one %+v", next, first)
+	}
+	if len(cr.Lease.Posteriors) != 1 || cr.Lease.PosteriorVersion <= lr.PosteriorVersion {
+		t.Fatalf("chained answer's feed %+v at version %d, want the settled job at a newer version",
+			cr.Lease.Posteriors, cr.Lease.PosteriorVersion)
+	}
+	p := cr.Lease.Posteriors[0]
+	if len(p.Tried) != 1 || p.Tried[0] != first.Arm || len(p.Leased) != 1 || p.Leased[0] != next.Arm {
+		t.Errorf("chained feed %+v: want arm %d tried (the pick saw the settle) and arm %d leased", p, first.Arm, next.Arm)
+	}
+	if st := coord.FleetStatus(); st.RemoteLeases != 1 || st.Workers[0].InFlight != 1 {
+		t.Errorf("after the chain: %d remote leases, worker in-flight %d; want 1 and 1", st.RemoteLeases, st.Workers[0].InFlight)
+	}
+
+	// Replaying the report loses the settle race: 409, and the embedded
+	// lease request grants nothing.
+	if _, err := pc.complete(ctx, chained); err == nil {
+		t.Fatal("replayed settle-and-lease accepted")
+	} else if pe, ok := err.(*ProtocolError); !ok || pe.Status != http.StatusConflict {
+		t.Fatalf("replayed settle-and-lease: %v, want 409", err)
+	}
+	if got := sc.InFlight(); got != 1 {
+		t.Errorf("a 409 settle-and-lease left %d leases in flight, want the 1 chained before", got)
+	}
+
+	// A malformed embedded request cannot un-settle the report: the settle
+	// is acknowledged without a lease answer.
+	cr, err = pc.complete(ctx, CompleteRequest{WorkerID: reg.WorkerID, LeaseID: next.LeaseID, Accuracy: 0.5, Cost: 1,
+		Lease: &LeaseRequest{Max: 0}})
+	if err != nil || cr.Settled != "completed" || cr.Lease != nil {
+		t.Fatalf("settle with a malformed lease ask: %+v %v, want an acknowledged settle and no lease", cr, err)
 	}
 }
 
@@ -229,14 +308,13 @@ func TestSpeculativeDisabledFallsBackToPick(t *testing.T) {
 	}
 	lr, err := pc.lease(ctx, LeaseRequest{
 		WorkerID: reg.WorkerID, Max: 1,
-		Proposals:       []LeaseProposal{{JobID: job.ID, Arm: 0, Epoch: 0}},
-		PosteriorEpochs: map[string]uint64{job.ID: 0},
+		Proposals: []LeaseProposal{{JobID: job.ID, Arm: 0, Epoch: 0}},
 	})
 	if err != nil || len(lr.Leases) != 1 {
 		t.Fatalf("disabled poll: %+v %v", lr, err)
 	}
-	if len(lr.Posteriors) != 0 {
-		t.Errorf("disabled coordinator shipped posteriors %+v", lr.Posteriors)
+	if len(lr.Posteriors) != 0 || lr.PosteriorVersion != 0 {
+		t.Errorf("disabled coordinator shipped posteriors %+v at version %d", lr.Posteriors, lr.PosteriorVersion)
 	}
 	if got := sc.SelectionStats().SpeculativeGrants; got != 0 {
 		t.Errorf("disabled coordinator made %d speculative grants", got)
@@ -264,6 +342,29 @@ type jobOutcome struct {
 	Best    string
 	BestAcc float64
 	Cost    float64
+}
+
+// jobOutcomes collects every job's schedule-independent result.
+func jobOutcomes(t *testing.T, sc *server.Scheduler, ids []string) map[string]jobOutcome {
+	t.Helper()
+	out := make(map[string]jobOutcome, len(ids))
+	for _, id := range ids {
+		st, err := sc.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := jobOutcome{Trained: st.Trained, Cost: st.CostUsed}
+		for _, m := range st.Models {
+			m.Round = 0 // scheduling order is the one thing allowed to differ
+			o.Models = append(o.Models, m)
+		}
+		sort.Slice(o.Models, func(i, j int) bool { return o.Models[i].Name < o.Models[j].Name })
+		if st.Best != nil {
+			o.Best, o.BestAcc = st.Best.Name, st.Best.Accuracy
+		}
+		out[id] = o
+	}
+	return out
 }
 
 func runSpeculativeChaos(t *testing.T, plan chaosPlan, disable bool) (map[string]jobOutcome, int, uint64) {
@@ -375,24 +476,7 @@ func runSpeculativeChaos(t *testing.T, plan chaosPlan, disable bool) (map[string
 	stopHealthy()
 	wg.Wait()
 
-	out := make(map[string]jobOutcome, len(ids))
-	for _, id := range ids {
-		st, err := sc.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := jobOutcome{Trained: st.Trained, Cost: st.CostUsed}
-		for _, m := range st.Models {
-			m.Round = 0 // scheduling order is the one thing allowed to differ
-			o.Models = append(o.Models, m)
-		}
-		sort.Slice(o.Models, func(i, j int) bool { return o.Models[i].Name < o.Models[j].Name })
-		if st.Best != nil {
-			o.Best, o.BestAcc = st.Best.Name, st.Best.Accuracy
-		}
-		out[id] = o
-	}
-	return out, sc.Rounds(), sc.SelectionStats().SpeculativeGrants
+	return jobOutcomes(t, sc, ids), sc.Rounds(), sc.SelectionStats().SpeculativeGrants
 }
 
 // The speculative protocol must be invisible in the results: across

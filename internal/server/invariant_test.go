@@ -19,8 +19,9 @@ import (
 
 // The randomized invariant suite: N seeds of adversarial interleavings over
 // the full lease lifecycle — picks, completions, double-completion races,
-// releases, heartbeats, worker kills (lease expiry), priority preemption
-// and budget exhaustion — each followed by a crash and WAL recovery. Three
+// releases, heartbeats, worker kills (lease expiry), priority preemption,
+// budget exhaustion and bursts of concurrent settles of one job — each
+// followed by a crash and WAL recovery. Three
 // invariants must hold on every seed:
 //
 //  1. no candidate is ever trained (observed) twice;
@@ -141,8 +142,8 @@ func runInvariantSeed(t *testing.T, seed int64) {
 
 	key := func(l *server.Lease) string { return l.JobID + "/" + l.Candidate.Name() }
 
-	complete := func(l *server.Lease) {
-		err := h.sc.Complete(l, 0.2+0.6*h.rng.Float64(), 1+10*h.rng.Float64())
+	// settled books the result of one Complete call against the invariants.
+	settled := func(l *server.Lease, err error) {
 		h.dropOutstanding(l.ID)
 		if err == nil {
 			if h.settled[l.ID] {
@@ -162,10 +163,13 @@ func runInvariantSeed(t *testing.T, seed int64) {
 			t.Fatalf("complete of %s failed outside the conflict protocol: %v", key(l), err)
 		}
 	}
+	complete := func(l *server.Lease) {
+		settled(l, h.sc.Complete(l, 0.2+0.6*h.rng.Float64(), 1+10*h.rng.Float64()))
+	}
 
 	const ops = 160
 	for op := 0; op < ops; op++ {
-		switch h.rng.Intn(10) {
+		switch h.rng.Intn(11) {
 		case 0, 1, 2: // lease new work, mostly onto named workers
 			batch, err := h.sc.PickWork(1 + h.rng.Intn(4))
 			if err != nil {
@@ -244,6 +248,31 @@ func runInvariantSeed(t *testing.T, seed int64) {
 				if err := h.sc.Complete(victim, 0.5, 1); !errors.Is(err, server.ErrLeaseConflict) {
 					t.Fatalf("completion after preemption did not conflict: %v", err)
 				}
+			}
+		case 10: // settle burst: every outstanding lease of one job at once
+			if len(h.outstanding) == 0 {
+				continue
+			}
+			jobID := h.outstanding[h.rng.Intn(len(h.outstanding))].JobID
+			var burst []*server.Lease
+			for _, l := range h.outstanding {
+				if l.JobID == jobID {
+					burst = append(burst, l)
+				}
+			}
+			errs := make([]error, len(burst))
+			var wg sync.WaitGroup
+			for i, l := range burst {
+				acc, cost := 0.2+0.6*h.rng.Float64(), 1+10*h.rng.Float64()
+				wg.Add(1)
+				go func(i int, l *server.Lease) {
+					defer wg.Done()
+					errs[i] = h.sc.Complete(l, acc, cost)
+				}(i, l)
+			}
+			wg.Wait()
+			for i, l := range burst {
+				settled(l, errs[i])
 			}
 		}
 		// Sprinkle user-path traffic through the same WAL.

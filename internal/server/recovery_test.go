@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -531,4 +532,61 @@ func BenchmarkPickWorkContention(b *testing.B) {
 		sc, ids := setup(b)
 		run(b, sc, ids)
 	})
+}
+
+// Settles of one job racing each other must reach the WAL in the order the
+// live state absorbed them: recovery replays WAL order, so any inversion
+// shows up as a different model list, observation sequence or cost sum. Every
+// arm of one job is leased, all are settled at once against a real WAL, and
+// the crash image must recover to the identical Status.
+func TestConcurrentSettlesOfOneJobRecoverInOrder(t *testing.T) {
+	trials := 8
+	if testing.Short() {
+		trials = 3
+	}
+	for trial := 0; trial < trials; trial++ {
+		dir := t.TempDir()
+		sc, _ := newDurableScheduler(t, dir)
+		job, err := sc.Submit("a", recoveryImgProgram)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leases, err := sc.PickWork(len(job.Candidates))
+		if err != nil || len(leases) != len(job.Candidates) {
+			t.Fatalf("leased %d of %d arms: %v", len(leases), len(job.Candidates), err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, l := range leases {
+			wg.Add(1)
+			go func(i int, l *Lease) {
+				defer wg.Done()
+				<-start
+				if err := sc.Complete(l, 0.3+0.02*float64(i), 1+float64(i)); err != nil {
+					t.Errorf("complete %s: %v", l.Candidate.Name(), err)
+				}
+			}(i, l)
+		}
+		close(start)
+		wg.Wait()
+		live, err := sc.Status(job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range live.Models {
+			if m.Round != i+1 {
+				t.Fatalf("trial %d: live model %d has round %d; the store is out of round order", trial, i, m.Round)
+			}
+		}
+
+		// Crash: no Close, no Compact.
+		sc2, _ := newDurableScheduler(t, dir)
+		rec, err := sc2.Status(job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rec, live) {
+			t.Fatalf("trial %d: recovered status diverged:\nlive: %+v\nrec:  %+v", trial, live, rec)
+		}
+	}
 }

@@ -28,6 +28,11 @@
 //     O(t²) posterior update runs under the job lock only, so completions
 //     for different jobs proceed in parallel.
 //
+// A fourth lock, Job.settleMu, serializes the settles of one job across
+// their store write and WAL commit, so the live model list, the observation
+// order and the WAL order recovery replays never disagree. It is acquired
+// first, with no other lock held, and by settles only.
+//
 // Lock order: jobsMu before coordMu before job locks; job locks are always
 // acquired in sc.jobs slice order (the cross-job picker holds all of them
 // for the duration of one decision). Feed/Refine/Infer/Status take none of
@@ -256,6 +261,12 @@ type Job struct {
 	// (standard when no admission controller is configured). It drives
 	// weighted fair sharing and the preemption rules.
 	Class admission.Class
+
+	// settleMu orders the job's settles end to end — observation, round
+	// claim, model store, WAL ack — so the order recovery replays is the
+	// order the live state was built in. Taken before every other scheduler
+	// lock and held across the commit; nothing on the pick path takes it.
+	settleMu sync.Mutex
 
 	// mu is the per-job lock: it guards the tenant (bandit posterior and
 	// σ̃ recurrence), the failure flag, the abandoned list and the budget /
@@ -1067,11 +1078,38 @@ func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 		return fail("error", fmt.Errorf("server: lease %d refers to unknown job %s", l.ID, l.JobID))
 	}
 
+	rec := storage.ModelRecord{Name: l.Candidate.Name(), Accuracy: accuracy, Cost: cost}
+	if outcome, err := sc.observeAndRecord(l, job, &rec, settle.ID()); err != nil {
+		return fail(outcome, err)
+	}
+	settle.SetAttr("outcome", "completed")
+	settle.End()
+	finishLeaseSpan(l, "completed", nil)
+	// The observation paid its arm's cost into the bandit; check the
+	// tenant's budget after the result is durable, so a budget-drained job
+	// never loses an acknowledged model record.
+	if err := sc.enforceBudget(job.Name); err != nil {
+		return fmt.Errorf("server: completing %s/%s: %w", l.JobID, rec.Name, err)
+	}
+	return nil
+}
+
+// observeAndRecord is the ordered core of Complete: bandit observation →
+// round claim → model store → WAL ack, all under the job's settle lock, so
+// two settles of one job land in the same order in the live model list, in
+// the observation sequence and in the WAL recovery replays. It fills in
+// rec.Round and returns the span outcome tag with any error. The lock is
+// distinct from job.mu, which is released before the store write and the
+// fsync: picks (which sweep every job.mu) never wait on a commit.
+func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelRecord, settleSpan string) (string, error) {
+	job.settleMu.Lock()
+	defer job.settleMu.Unlock()
+
 	job.mu.Lock()
 	if job.failed != "" {
 		job.mu.Unlock()
 		sc.endSettle(l)
-		return fail("failed", fmt.Errorf("server: job %s is failed (%s); dropping result for %s", l.JobID, job.failed, l.Candidate.Name()))
+		return "failed", fmt.Errorf("server: job %s is failed (%s); dropping result for %s", l.JobID, job.failed, rec.Name)
 	}
 	if job.budgetExhausted {
 		// Graceful drain: the tenant's budget ran out while this run was in
@@ -1079,21 +1117,21 @@ func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 		// the same conflict surface as an expired lease, so workers drop it.
 		job.mu.Unlock()
 		sc.endSettle(l)
-		return fail("conflict", fmt.Errorf("server: job %s drained on budget exhaustion; dropping result for %s: %w",
-			l.JobID, l.Candidate.Name(), ErrLeaseConflict))
+		return "conflict", fmt.Errorf("server: job %s drained on budget exhaustion; dropping result for %s: %w",
+			l.JobID, rec.Name, ErrLeaseConflict)
 	}
 	if job.tenant.Bandit.Tried(l.Arm) {
 		job.mu.Unlock()
 		sc.endSettle(l)
-		return fail("conflict", fmt.Errorf("server: lease %d arm %d of %s already observed: %w", l.ID, l.Arm, l.JobID, ErrLeaseConflict))
+		return "conflict", fmt.Errorf("server: lease %d arm %d of %s already observed: %w", l.ID, l.Arm, l.JobID, ErrLeaseConflict)
 	}
-	if err := job.tenant.Bandit.Observe(l.Arm, accuracy); err != nil {
+	if err := job.tenant.Bandit.Observe(l.Arm, rec.Accuracy); err != nil {
 		sc.failJobLocked(job, err)
 		job.mu.Unlock()
 		sc.endSettle(l)
-		return fail("failed", fmt.Errorf("server: job %s failed: %w", l.JobID, err))
+		return "failed", fmt.Errorf("server: job %s failed: %w", l.JobID, err)
 	}
-	job.tenant.RecordObservation(l.UCB, accuracy)
+	job.tenant.RecordObservation(l.UCB, rec.Accuracy)
 	if job.tenant.Bandit.Exhausted() {
 		sc.markJobDoneLocked(job) // every candidate tried: the job drained
 	}
@@ -1106,40 +1144,25 @@ func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 	sc.coordMu.Lock()
 	delete(sc.leases, l.ID)
 	sc.rounds++
-	round := sc.rounds
+	rec.Round = sc.rounds
 	sc.selIdx.markDirty(l.JobID)
 	sc.coordMu.Unlock()
 
-	rec := storage.ModelRecord{
-		Name:     l.Candidate.Name(),
-		Accuracy: accuracy,
-		Cost:     cost,
-		Round:    round,
-	}
-	job.store.RecordModel(rec)
+	job.store.RecordModel(*rec)
 	if sc.log != nil {
 		walT0 := time.Now()
-		wspan := telemetry.NewSpanAt(l.Trace, settle.ID(), opWALAppend, walT0)
-		seq, err := sc.log.AppendModelRecorded(l.JobID, rec)
+		wspan := telemetry.NewSpanAt(l.Trace, settleSpan, opWALAppend, walT0)
+		seq, err := sc.log.AppendModelRecorded(l.JobID, *rec)
 		if err != nil {
 			wspan.Fail(err)
 			wspan.End()
-			return fail("error", fmt.Errorf("server: logging result for %s/%s: %w", l.JobID, rec.Name, err))
+			return "error", fmt.Errorf("server: logging result for %s/%s: %w", l.JobID, rec.Name, err)
 		}
 		wspan.SetAttr("wal_seq", strconv.FormatUint(seq, 10))
 		wspan.End()
 		pickStageWALAppend.ObserveSince(walT0)
 	}
-	settle.SetAttr("outcome", "completed")
-	settle.End()
-	finishLeaseSpan(l, "completed", nil)
-	// The observation paid its arm's cost into the bandit; check the
-	// tenant's budget after the result is durable, so a budget-drained job
-	// never loses an acknowledged model record.
-	if err := sc.enforceBudget(job.Name); err != nil {
-		return fmt.Errorf("server: completing %s/%s: %w", l.JobID, rec.Name, err)
-	}
-	return nil
+	return "completed", nil
 }
 
 // failJobLocked marks a job as failed and retires all its untried arms, so
@@ -1182,6 +1205,8 @@ func (sc *Scheduler) Abandon(l *Lease) error {
 		sc.endSettle(l)
 		return fmt.Errorf("server: lease %d refers to unknown job %s", l.ID, l.JobID)
 	}
+	job.settleMu.Lock() // abandoned-list order = WAL order, like Complete
+	defer job.settleMu.Unlock()
 	job.mu.Lock()
 	fresh := !job.tenant.Bandit.Tried(l.Arm)
 	if fresh {

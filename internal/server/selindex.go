@@ -45,12 +45,12 @@ type selectionIndex struct {
 	stats   SelectionStats
 
 	// version counts selection-surface changes globally: every per-job
-	// epoch bump and every job arrival advances it. It is the fleet
-	// protocol's "did anything move at all?" check — a worker whose last
-	// full posterior sync happened at this version needs no per-job epoch
-	// diff, which keeps the steady-state lease path O(1) in J. Never
-	// reset (a mode-switch reset re-bumps it through ensure), so a stale
-	// worker can never collide with a fresh count.
+	// epoch bump and every job arrival advances it, and stamps the entry
+	// it moved (selEntry.changed). It is the fleet protocol's change feed
+	// cursor — a worker that synced at version v needs exactly the entries
+	// with changed > v, and nothing at all when v is current. Never reset
+	// (a mode-switch reset re-bumps it through ensure), so a stale worker
+	// can never collide with a fresh count.
 	version uint64
 
 	// lastRepair accumulates repair time since the last takeLastRepair —
@@ -73,6 +73,10 @@ type selEntry struct {
 	queued bool
 	gap    float64
 	pos    int // position in heap
+
+	// changed is the index version at which epoch last moved (or the entry
+	// arrived): the change feed ships the entry to workers synced before it.
+	changed uint64
 
 	// shadow is the persistent GP-BUCB hallucination shadow for the job's
 	// in-flight arms, valid while shadowEpoch == epoch (an observation
@@ -142,13 +146,13 @@ func (ix *selectionIndex) ensure(jobs []*Job) {
 	if ix.byID == nil {
 		ix.byID = make(map[string]int, len(jobs))
 	}
+	ix.version++ // arrivals are changes: every synced worker hears of them
 	for i := len(ix.entries); i < len(jobs); i++ {
-		ix.entries = append(ix.entries, selEntry{queued: true, pos: -1})
+		ix.entries = append(ix.entries, selEntry{queued: true, pos: -1, changed: ix.version})
 		ix.byID[jobs[i].ID] = i
 		ix.dirty = append(ix.dirty, i)
 		ix.heapPush(i)
 	}
-	ix.version++ // new jobs invalidate every worker's full-sync point
 }
 
 // markDirty bumps a job's epoch and queues it for re-scoring. Callers hold
@@ -162,6 +166,7 @@ func (ix *selectionIndex) markDirty(jobID string) {
 	e := &ix.entries[i]
 	e.epoch++
 	ix.version++
+	e.changed = ix.version
 	ix.stats.EpochBumps++
 	if !e.queued {
 		e.queued = true

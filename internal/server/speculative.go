@@ -9,10 +9,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Fleet-side posterior scoring: the scheduler exports each job's cached
-// posterior surface (µ, σ, UCB) tagged with its selection-index dirty epoch,
-// and accepts speculative lease grants for (job, arm, epoch) proposals that
-// workers pre-scored locally against that surface. Validation is one epoch
+// Fleet-side posterior scoring: the scheduler exports each job's cached UCB
+// surface tagged with its selection-index dirty epoch, and accepts
+// speculative lease grants for (job, arm, epoch) proposals that workers
+// pre-scored locally against that surface. Validation is one epoch
 // comparison plus a lease-table scan — no picker sweep over all J jobs, no
 // per-pick σ̃ fold, no heap traffic — so the steady-state pick cost moves
 // from the coordinator to the fleet's edges (ROADMAP direction 3).
@@ -29,19 +29,18 @@ import (
 // the grant path explicit.
 var opPickSpeculative = telemetry.SpanOp("pick_speculative")
 
-// PosteriorDelta is one job's selection surface as shipped to fleet
-// workers: the posterior mean/std and real (unhallucinated) UCB per arm,
-// stamped with the job's selection-index dirty epoch. Tried lists arms that
-// are observed or retired (their UCB entries are zeroed — the wire format
-// is JSON, which cannot carry the NaN markers UCBSurface uses); Leased
-// lists arms currently held by outstanding leases. Workers propose only
-// arms in neither list. Done marks a job that will never train another
-// candidate (drained, failed or budget-exhausted) — its slices are omitted.
+// PosteriorDelta is one job's selection surface as shipped to fleet workers
+// (it is the wire type: fleet.JobPosterior aliases it): the real
+// (unhallucinated) UCB per arm — all a worker ranks on — stamped with the
+// job's selection-index dirty epoch. Tried lists arms that are observed or
+// retired (their UCB entries are zeroed — the wire format is JSON, which
+// cannot carry the NaN markers UCBSurface uses); Leased lists arms currently
+// held by outstanding leases. Workers propose only arms in neither list.
+// Done marks a job that will never train another candidate (drained, failed
+// or budget-exhausted) — its slices are omitted.
 type PosteriorDelta struct {
-	JobID  string    `json:"job"`
+	JobID  string    `json:"job_id"`
 	Epoch  uint64    `json:"epoch"`
-	Mu     []float64 `json:"mu,omitempty"`
-	Sigma  []float64 `json:"sigma,omitempty"`
 	UCB    []float64 `json:"ucb,omitempty"`
 	Tried  []int     `json:"tried,omitempty"`
 	Leased []int     `json:"leased,omitempty"`
@@ -51,26 +50,42 @@ type PosteriorDelta struct {
 // PosteriorDeltas exports the posterior surface of every job whose dirty
 // epoch differs from the caller's known map (job id → last seen epoch; jobs
 // absent from the map are always sent). It returns nil in legacy-selection
-// mode, which is what disables speculation end to end there. The epoch and
-// the surface are read under one critical section, so a delta is always
-// internally consistent; a worker holding epoch E can propose any untried,
-// unleased arm and the grant validates iff the job's bandit has not moved
-// since E.
+// mode, which is what disables speculation end to end there.
 func (sc *Scheduler) PosteriorDeltas(known map[string]uint64) []PosteriorDelta {
+	out, _ := sc.posteriorDeltas(func(id string, e *selEntry) bool {
+		v, ok := known[id]
+		return !ok || v != e.epoch
+	})
+	return out
+}
+
+// PosteriorsSince is the fleet's change feed: the surface of every job whose
+// epoch moved (or that arrived) after index version since, plus the version
+// the answer is current at — the cursor for the caller's next call. Nothing
+// is returned at the current version, everything at 0. Both are read in one
+// critical section, so a caller that applies the deltas holds exactly the
+// state of the returned version. (nil, 0) in legacy-selection mode.
+func (sc *Scheduler) PosteriorsSince(since uint64) ([]PosteriorDelta, uint64) {
+	return sc.posteriorDeltas(func(_ string, e *selEntry) bool { return e.changed > since })
+}
+
+// posteriorDeltas builds the delta of every job want selects, and returns
+// the index version alongside. Each delta's epoch and surface are read under
+// coordMu and the job lock together, so it is internally consistent: a worker
+// holding epoch E can propose any untried, unleased arm and the grant
+// validates iff the job's bandit has not moved since E.
+func (sc *Scheduler) posteriorDeltas(want func(id string, e *selEntry) bool) ([]PosteriorDelta, uint64) {
 	jobs := sc.jobsSnapshot()
-	if len(jobs) == 0 {
-		return nil
-	}
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
 	if sc.legacySelection {
-		return nil
+		return nil, 0
 	}
 	sc.selIdx.ensure(jobs)
 	var leasedByJob map[string][]int
 	var out []PosteriorDelta
 	for i, job := range jobs {
-		if v, ok := known[job.ID]; ok && v == sc.selIdx.entries[i].epoch {
+		if !want(job.ID, &sc.selIdx.entries[i]) {
 			continue
 		}
 		if leasedByJob == nil {
@@ -78,47 +93,7 @@ func (sc *Scheduler) PosteriorDeltas(known map[string]uint64) []PosteriorDelta {
 		}
 		out = append(out, sc.posteriorDeltaLocked(i, job, leasedByJob[job.ID]))
 	}
-	return out
-}
-
-// PosteriorVersion returns the global selection-surface version: it
-// advances whenever any job's dirty epoch bumps or a new job arrives, so a
-// caller whose last full PosteriorDeltas sync happened at this exact
-// version holds a current surface for every job and can skip the per-job
-// epoch diff entirely. Returns 0 in legacy-selection mode (speculation is
-// disabled end to end there).
-func (sc *Scheduler) PosteriorVersion() uint64 {
-	jobs := sc.jobsSnapshot()
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	if sc.legacySelection {
-		return 0
-	}
-	sc.selIdx.ensure(jobs)
-	return sc.selIdx.version
-}
-
-// PosteriorDeltaFor exports one job's current surface (the settle path uses
-// it to hand the refreshed posterior back with a completion, so the worker
-// that just moved the epoch can keep proposing without a resync round
-// trip). ok is false for unknown jobs and in legacy-selection mode.
-func (sc *Scheduler) PosteriorDeltaFor(jobID string) (PosteriorDelta, bool) {
-	job, ok := sc.Job(jobID)
-	if !ok {
-		return PosteriorDelta{}, false
-	}
-	jobs := sc.jobsSnapshot()
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	if sc.legacySelection {
-		return PosteriorDelta{}, false
-	}
-	sc.selIdx.ensure(jobs)
-	i, ok := sc.selIdx.byID[jobID]
-	if !ok {
-		return PosteriorDelta{}, false
-	}
-	return sc.posteriorDeltaLocked(i, job, sc.leasedArmsLocked()[jobID]), true
+	return out, sc.selIdx.version
 }
 
 // leasedArmsLocked groups the outstanding leases' arms by job, sorted
@@ -150,15 +125,12 @@ func (sc *Scheduler) posteriorDeltaLocked(i int, job *Job, leased []int) Posteri
 		d.Leased = nil
 		return d
 	}
-	d.Mu, d.Sigma = b.Posterior() // fresh copies: safe to hand to the encoder
-	surface := b.UCBSurface()
-	d.UCB = make([]float64, len(surface))
-	for k, v := range surface {
+	d.UCB = b.UCBSurface() // a fresh copy: safe to edit and hand to the encoder
+	for k, v := range d.UCB {
 		if math.IsNaN(v) { // tried or retired
 			d.Tried = append(d.Tried, k)
-			continue
+			d.UCB[k] = 0
 		}
-		d.UCB[k] = v
 	}
 	return d
 }
