@@ -18,13 +18,9 @@ package repro
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"os"
-	"os/exec"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,195 +126,12 @@ func BenchmarkEngine(b *testing.B) {
 	}
 }
 
-// schedBenchResult is one row of the multi-tenant throughput section of
-// BENCH_scheduler.json.
-type schedBenchResult struct {
-	Tenants      int     `json:"tenants"`
-	Rounds       int     `json:"rounds"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-	NsPerRound   float64 `json:"ns_per_round"`
-}
-
-// schedBenchDoc is the multi-tenant scheduler section of one trajectory
-// entry.
-type schedBenchDoc struct {
-	Benchmark string             `json:"benchmark"`
-	Picker    string             `json:"picker"`
-	Results   []schedBenchResult `json:"results"`
-}
-
-// pickPathBench is the pick-path section of one trajectory entry: the
-// selection-index implementation versus the deep-clone baseline on the
-// same many-jobs scheduler state.
-type pickPathBench struct {
-	Benchmark          string  `json:"benchmark"`
-	Jobs               int     `json:"jobs"`
-	Arms               int     `json:"arms"`
-	ObservedPerJob     int     `json:"observed_per_job"`
-	DeepCloneNsPerIter float64 `json:"deep_clone_ns_per_iter"`
-	IndexedNsPerIter   float64 `json:"indexed_ns_per_iter"`
-	Speedup            float64 `json:"speedup"`
-}
-
-// ingestBench is the ingest section of one trajectory entry: acked
-// example throughput under concurrent clients against a durable service,
-// where every example is fsynced to the WAL before its call returns.
-// GroupCommitEventsSec feeds one example per call (concurrent calls share
-// fsyncs); FeedBatchEventsSec feeds FeedBatchSize examples per call (one
-// commit per call). Entries recorded before the inline fsync-per-append
-// mode was deleted also carry that baseline and its ratio.
-type ingestBench struct {
-	Benchmark               string  `json:"benchmark"`
-	Feeders                 int     `json:"feeders"`
-	FsyncBeforeAck          bool    `json:"fsync_before_ack"`
-	FsyncPerAppendEventsSec float64 `json:"fsync_per_append_events_per_sec,omitempty"`
-	GroupCommitEventsSec    float64 `json:"group_commit_events_per_sec"`
-	FeedBatchSize           int     `json:"feed_batch_size,omitempty"`
-	FeedBatchEventsSec      float64 `json:"feed_batch_events_per_sec,omitempty"`
-	Speedup                 float64 `json:"speedup,omitempty"`
-}
-
-// servingBench is the serving section of one trajectory entry: the online
-// inference path over real HTTP. PerRequestQPS pays one round trip per
-// prediction; BatchQPS and StreamQPS amortize the round trip, the job
-// lookup and the best-model resolution over BatchSize inputs.
-// PlanCacheHitRate is measured on the repeated-program submit workload
-// that precedes the QPS runs.
-type servingBench struct {
-	Benchmark        string  `json:"benchmark"`
-	BatchSize        int     `json:"batch_size"`
-	PerRequestQPS    float64 `json:"per_request_qps"`
-	BatchQPS         float64 `json:"batch_qps"`
-	StreamQPS        float64 `json:"stream_qps"`
-	BatchSpeedup     float64 `json:"batch_speedup"`
-	PlanCacheHitRate float64 `json:"plan_cache_hit_rate"`
-}
-
-// fleetBench is the fleet section of one trajectory entry: coordinator
-// lease-grant throughput under the plain poll protocol (every grant pays
-// the full PickWork sweep) versus the speculative protocol (workers
-// pre-score against cached posteriors and most grants take the
-// epoch-validated fast path).
-type fleetBench struct {
-	Benchmark          string  `json:"benchmark"`
-	Jobs               int     `json:"jobs"`
-	Workers            int     `json:"workers"`
-	Devices            int     `json:"devices"`
-	PollGrantsPerSec   float64 `json:"poll_grants_per_sec"`
-	SpecGrantsPerSec   float64 `json:"speculative_grants_per_sec"`
-	PollNsPerGrant     float64 `json:"poll_ns_per_grant"`
-	SpecNsPerGrant     float64 `json:"speculative_ns_per_grant"`
-	SpeculativeHitRate float64 `json:"speculative_hit_rate"`
-	Speedup            float64 `json:"speedup"`
-}
-
-// benchRun is one commit's entry in the benchmark trajectory.
-type benchRun struct {
-	Commit    string         `json:"commit"`
-	Scheduler *schedBenchDoc `json:"scheduler,omitempty"`
-	PickPath  *pickPathBench `json:"pick_path,omitempty"`
-	Ingest    *ingestBench   `json:"ingest,omitempty"`
-	Serving   *servingBench  `json:"serving,omitempty"`
-	Fleet     *fleetBench    `json:"fleet,omitempty"`
-}
-
-// benchTrajectory is the BENCH_scheduler.json schema: one entry per
-// commit, appended across runs (re-running on the same commit replaces
-// that commit's sections in place), so the committed file accumulates the
-// performance history instead of being overwritten per run. CI uploads
-// the accumulated file as an artifact.
-type benchTrajectory struct {
-	Runs []benchRun `json:"runs"`
-}
-
-var (
-	schedBenchMu      sync.Mutex
-	schedBenchResults = map[int]schedBenchResult{}
-)
-
-// benchCommit identifies the commit a benchmark run belongs to:
-// BENCH_COMMIT and GITHUB_SHA override, then the local git HEAD, then
-// "uncommitted".
-func benchCommit() string {
-	if c := os.Getenv("BENCH_COMMIT"); c != "" {
-		return c
-	}
-	if c := os.Getenv("GITHUB_SHA"); c != "" {
-		if len(c) > 12 {
-			c = c[:12]
-		}
-		return c
-	}
-	if out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output(); err == nil {
-		if c := strings.TrimSpace(string(out)); c != "" {
-			return c
-		}
-	}
-	return "uncommitted"
-}
-
-// updateBenchTrajectory merges one section into the current commit's
-// trajectory entry in BENCH_scheduler.json, preserving every other run.
-// Called after each sub-benchmark, so a filtered -bench run still leaves a
-// valid, fully-merged file.
-func updateBenchTrajectory(b *testing.B, mutate func(*benchRun)) {
-	b.Helper()
-	schedBenchMu.Lock()
-	defer schedBenchMu.Unlock()
-	var doc benchTrajectory
-	if data, err := os.ReadFile("BENCH_scheduler.json"); err == nil {
-		// A parse failure (e.g. the pre-trajectory schema) starts a fresh
-		// history rather than failing the benchmark.
-		_ = json.Unmarshal(data, &doc)
-	}
-	commit := benchCommit()
-	var run *benchRun
-	for i := range doc.Runs {
-		if doc.Runs[i].Commit == commit {
-			run = &doc.Runs[i]
-			break
-		}
-	}
-	if run == nil {
-		doc.Runs = append(doc.Runs, benchRun{Commit: commit})
-		run = &doc.Runs[len(doc.Runs)-1]
-	}
-	mutate(run)
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_scheduler.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// writeSchedBench folds the accumulated multi-tenant throughput rows into
-// the current commit's trajectory entry.
-func writeSchedBench(b *testing.B) {
-	schedBenchMu.Lock()
-	rows := make([]schedBenchResult, 0, len(schedBenchResults))
-	for _, r := range schedBenchResults {
-		rows = append(rows, r)
-	}
-	schedBenchMu.Unlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Tenants < rows[j].Tenants })
-	updateBenchTrajectory(b, func(run *benchRun) {
-		run.Scheduler = &schedBenchDoc{
-			Benchmark: "BenchmarkSchedulerMultiTenant",
-			Picker:    "class-weighted(hybrid)",
-			Results:   rows,
-		}
-	})
-}
-
 // BenchmarkSchedulerMultiTenant measures end-to-end scheduling throughput
 // — pick, train (instant simulated run), observe, record — as the tenant
 // count scales from 1 to 64 under the default HYBRID picker wrapped in
 // class-weighted fair sharing (tenants cycle through guaranteed /
 // standard / best-effort). Every tenant submits one job; the serialized
-// loop drains the whole job set. rounds/s is the headline metric; the
-// results land in BENCH_scheduler.json to seed the perf trajectory.
+// loop drains the whole job set. rounds/s is the headline metric.
 func BenchmarkSchedulerMultiTenant(b *testing.B) {
 	const program = "{input: {[Tensor[6]], [next]}, output: {[Tensor[2]], []}}"
 	classes := []string{"guaranteed", "standard", "best-effort"}
@@ -350,34 +163,18 @@ func BenchmarkSchedulerMultiTenant(b *testing.B) {
 			if totalRounds == 0 || busy <= 0 {
 				b.Fatal("benchmark ran no rounds")
 			}
-			perSec := float64(totalRounds) / busy.Seconds()
-			b.ReportMetric(perSec, "rounds/s")
+			b.ReportMetric(float64(totalRounds)/busy.Seconds(), "rounds/s")
 			b.ReportMetric(float64(busy.Nanoseconds())/float64(totalRounds), "ns/round")
-			schedBenchMu.Lock()
-			schedBenchResults[tenants] = schedBenchResult{
-				Tenants:      tenants,
-				Rounds:       totalRounds,
-				RoundsPerSec: perSec,
-				NsPerRound:   float64(busy.Nanoseconds()) / float64(totalRounds),
-			}
-			schedBenchMu.Unlock()
-			writeSchedBench(b)
 		})
 	}
 }
-
-var (
-	feedSatMu     sync.Mutex
-	feedSatPerSec = map[string]float64{}
-)
 
 // BenchmarkFeedSaturation measures acked ingest throughput: 8 concurrent
 // feeders split b.N examples against a durable service, and every example
 // is fsynced to the WAL before the call carrying it returns. group-commit
 // feeds one example per call, so the appends arriving during one fsync
 // batch into the next; feed-batch feeds 16 examples per FeedBatch call,
-// one commit each. acked-events/s is the headline metric; both land in
-// BENCH_scheduler.json's ingest section.
+// one commit each. acked-events/s is the headline metric.
 func BenchmarkFeedSaturation(b *testing.B) {
 	const (
 		feeders = 8
@@ -429,41 +226,19 @@ func BenchmarkFeedSaturation(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			perSec := float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(perSec, "acked-events/s")
-			feedSatMu.Lock()
-			feedSatPerSec[mode.name] = perSec
-			feedSatMu.Unlock()
-		})
-	}
-	feedSatMu.Lock()
-	group, batched := feedSatPerSec["group-commit"], feedSatPerSec["feed-batch"]
-	feedSatMu.Unlock()
-	if group > 0 && batched > 0 {
-		updateBenchTrajectory(b, func(run *benchRun) {
-			run.Ingest = &ingestBench{
-				Benchmark:            "BenchmarkFeedSaturation",
-				Feeders:              feeders,
-				FsyncBeforeAck:       true,
-				GroupCommitEventsSec: group,
-				FeedBatchSize:        batch,
-				FeedBatchEventsSec:   batched,
-			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "acked-events/s")
 		})
 	}
 }
 
 // BenchmarkPickWorkManyJobs measures the scheduler's selection hot path at
-// scale — 256 jobs × 35 candidate arms, ~60% observed — comparing the
+// scale — 256 jobs × 35 candidate arms, ~60% observed — through the
 // cross-job selection index (dirty-epoch score heap + O(1) prefix-sharing
-// hallucination shadows + rank-1 hallucination downdates) against the
-// deep-clone baseline (full posterior clone per shadow batch + linear
-// picker scan). One benchmark iteration is one steady-state engine
-// exchange: lease a batch on top of a standing in-flight set, then hand it
-// back. Before timing, both modes run the same iteration sequence and
-// every lease must match arm for arm (and UCB bit for bit) — the index is
-// a pure optimization, never a behavior change. The measured speedup lands
-// in BENCH_scheduler.json's pick_path section.
+// hallucination shadows + rank-1 hallucination downdates). One benchmark
+// iteration is one steady-state engine exchange: lease a batch on top of a
+// standing in-flight set, then hand it back. (Its agreement with the
+// deep-clone reference picker is internal/server's
+// TestIndexedSelectionMatchesDeepCloneBaseline.)
 func BenchmarkPickWorkManyJobs(b *testing.B) {
 	const (
 		jobs    = 256
@@ -471,112 +246,42 @@ func BenchmarkPickWorkManyJobs(b *testing.B) {
 		hold    = 8                                                               // standing in-flight leases
 		batch   = 2                                                               // leases exchanged per iteration
 	)
-	var arms, observedPerJob int
-	setup := func() *server.Scheduler {
-		// The pure greedy policy (§4.3) keeps concentrating picks on the
-		// max-gap job, so a standing in-flight set puts every measured pick
-		// on the hallucination-shadow path — the regime the index exists
-		// for. (HYBRID degrades to round-robin once frozen, which spreads
-		// picks across no-in-flight jobs and measures only the common
-		// O(J) sweep both modes share.)
-		sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 21), &core.GreedyPicker{}, "http://bench:9000")
-		for i := 0; i < jobs; i++ {
-			job, err := sc.Submit(fmt.Sprintf("bench-%03d", i), program)
-			if err != nil {
-				b.Fatal(err)
-			}
-			arms = len(job.Candidates)
-		}
-		// Observe ~60% of every job's arms so the posteriors carry a
-		// realistic history (t ≈ 21): this is what makes the baseline's
-		// O(t³) clone and O(K·t²) recomputes expensive.
-		observedPerJob = arms * 6 / 10
-		if _, err := sc.RunRounds(jobs * observedPerJob); err != nil {
-			b.Fatal(err)
-		}
-		return sc
-	}
-	exchange := func(sc *server.Scheduler) []*server.Lease {
-		leases, err := sc.PickWork(hold + batch)
+	// The pure greedy policy (§4.3) keeps concentrating picks on the
+	// max-gap job, so a standing in-flight set puts every measured pick on
+	// the hallucination-shadow path — the regime the index exists for.
+	// (HYBRID degrades to round-robin once frozen, which spreads picks
+	// across no-in-flight jobs and measures only the O(J) sweep.)
+	sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 21), &core.GreedyPicker{}, "http://bench:9000")
+	arms := 0
+	for i := 0; i < jobs; i++ {
+		job, err := sc.Submit(fmt.Sprintf("bench-%03d", i), program)
 		if err != nil {
 			b.Fatal(err)
+		}
+		arms = len(job.Candidates)
+	}
+	// Observe ~60% of every job's arms so the posteriors carry a realistic
+	// history (t ≈ 21).
+	if _, err := sc.RunRounds(jobs * arms * 6 / 10); err != nil {
+		b.Fatal(err)
+	}
+	// Standing in-flight set (never released): the picks under measurement
+	// land on jobs that already have arms in flight.
+	if held, err := sc.Grant(hold, 0); err != nil || len(held) != hold {
+		b.Fatalf("standing set: %d leases, want %d (%v)", len(held), hold, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		leases, err := sc.Grant(batch, 0)
+		if err != nil || len(leases) == 0 {
+			b.Fatalf("exchange leased %d (%v)", len(leases), err)
 		}
 		for _, l := range leases {
 			if err := sc.Release(l); err != nil {
 				b.Fatal(err)
 			}
 		}
-		return leases
-	}
-
-	indexed := setup()
-	deep := setup()
-	deep.SetLegacySelection(true)
-
-	// Standing in-flight set (never released): the picks under measurement
-	// land on jobs that already have arms in flight, so every pick pays
-	// the hallucination-shadow path.
-	heldA, err := indexed.PickWork(hold)
-	if err != nil {
-		b.Fatal(err)
-	}
-	heldB, err := deep.PickWork(hold)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(heldA) != hold || len(heldB) != hold {
-		b.Fatalf("standing set: %d vs %d leases, want %d", len(heldA), len(heldB), hold)
-	}
-
-	// Bit-identity gate: the two modes must produce identical lease
-	// sequences before either is timed.
-	for i := 0; i < hold; i++ {
-		if heldA[i].JobID != heldB[i].JobID || heldA[i].Arm != heldB[i].Arm || heldA[i].UCB != heldB[i].UCB {
-			b.Fatalf("standing pick %d diverged: %s/%d@%v vs %s/%d@%v",
-				i, heldA[i].JobID, heldA[i].Arm, heldA[i].UCB, heldB[i].JobID, heldB[i].Arm, heldB[i].UCB)
-		}
-	}
-	for iter := 0; iter < 16; iter++ {
-		la, lb := exchange(indexed), exchange(deep)
-		if len(la) != len(lb) {
-			b.Fatalf("iteration %d: %d vs %d leases", iter, len(la), len(lb))
-		}
-		for i := range la {
-			if la[i].JobID != lb[i].JobID || la[i].Arm != lb[i].Arm || la[i].UCB != lb[i].UCB {
-				b.Fatalf("iteration %d pick %d diverged: %s/%d@%v vs %s/%d@%v",
-					iter, i, la[i].JobID, la[i].Arm, la[i].UCB, lb[i].JobID, lb[i].Arm, lb[i].UCB)
-			}
-		}
-	}
-
-	var deepNs, indexedNs float64
-	run := func(sc *server.Scheduler, ns *float64) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if got := exchange(sc); len(got) == 0 {
-					b.Fatal("exchange leased nothing")
-				}
-			}
-			*ns = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		}
-	}
-	b.Run("deep-clone", run(deep, &deepNs))
-	b.Run("indexed", run(indexed, &indexedNs))
-	if deepNs > 0 && indexedNs > 0 {
-		speedup := deepNs / indexedNs
-		b.ReportMetric(speedup, "speedup")
-		updateBenchTrajectory(b, func(run *benchRun) {
-			run.PickPath = &pickPathBench{
-				Benchmark:          "BenchmarkPickWorkManyJobs",
-				Jobs:               jobs,
-				Arms:               arms,
-				ObservedPerJob:     observedPerJob,
-				DeepCloneNsPerIter: deepNs,
-				IndexedNsPerIter:   indexedNs,
-				Speedup:            speedup,
-			}
-		})
 	}
 }
 
@@ -629,13 +334,12 @@ func benchFleetProposals(post map[string]fleet.JobPosterior) []fleet.LeasePropos
 // serially in-process in a steady-state grant/release cycle (completions
 // report a retryable failure, so candidates re-enter selection and the
 // posterior never drains — the same exchange trick as
-// BenchmarkPickWorkManyJobs). The poll mode takes the full PickWork path
+// BenchmarkPickWorkManyJobs). The poll mode takes the full Grant path
 // for every batch; the speculative mode proposes pre-scored (job, arm,
 // epoch) triples and grants on the epoch-validated fast path. Only the
 // coordinator's Lease call is on the clock — worker-side scoring runs
-// between the timed sections, as it does in a real fleet. granted-leases/s
-// per mode, their ratio and the speculative hit rate land in
-// BENCH_scheduler.json's fleet section; the acceptance gate is ≥2×.
+// between the timed sections, as it does in a real fleet. It reports
+// granted-leases/s per mode, their ratio and the speculative hit rate.
 func BenchmarkFleetLeaseThroughput(b *testing.B) {
 	const (
 		jobs    = 256
@@ -643,12 +347,7 @@ func BenchmarkFleetLeaseThroughput(b *testing.B) {
 		workers = 8
 		devices = 4
 	)
-	type modeResult struct {
-		grantsPerSec float64
-		nsPerGrant   float64
-		hitRate      float64
-	}
-	results := map[string]*modeResult{}
+	grantsPerSec := map[string]float64{}
 	run := func(name string, speculative bool) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -662,9 +361,8 @@ func BenchmarkFleetLeaseThroughput(b *testing.B) {
 			if _, err := sc.RunRounds(jobs * 4); err != nil {
 				b.Fatal(err)
 			}
-			coord := fleet.NewCoordinator(sc, fleet.CoordinatorConfig{
-				Seed: 33, MaxRetries: 1 << 30, DisableSpeculative: !speculative,
-			})
+			sc.SetRetryBudget(1 << 30) // the steady-state releases below never abandon
+			coord := fleet.NewCoordinator(sc, fleet.CoordinatorConfig{Seed: 33, DisableSpeculative: !speculative})
 			// Each bench worker keeps a cached UCB ranking of its posterior
 			// surfaces and re-scores only when a posterior delta arrives —
 			// the same cache discipline as fleet.Agent, hand-rolled so the
@@ -735,43 +433,18 @@ func BenchmarkFleetLeaseThroughput(b *testing.B) {
 			if granted == 0 || leaseDur <= 0 {
 				b.Fatal("benchmark granted no leases")
 			}
-			r := &modeResult{
-				grantsPerSec: float64(granted) / leaseDur.Seconds(),
-				nsPerGrant:   float64(leaseDur.Nanoseconds()) / float64(granted),
-			}
 			if speculative && proposed > 0 {
-				r.hitRate = float64(sc.SelectionStats().SpeculativeGrants) / float64(proposed)
-				b.ReportMetric(r.hitRate, "hit-rate")
+				b.ReportMetric(float64(sc.SelectionStats().SpeculativeGrants)/float64(proposed), "hit-rate")
 			}
-			b.ReportMetric(r.grantsPerSec, "granted-leases/s")
-			b.ReportMetric(r.nsPerGrant, "ns/grant")
-			schedBenchMu.Lock()
-			results[name] = r
-			schedBenchMu.Unlock()
+			grantsPerSec[name] = float64(granted) / leaseDur.Seconds()
+			b.ReportMetric(grantsPerSec[name], "granted-leases/s")
+			b.ReportMetric(float64(leaseDur.Nanoseconds())/float64(granted), "ns/grant")
 		})
 	}
 	run("poll", false)
 	run("speculative", true)
-	schedBenchMu.Lock()
-	poll, spec := results["poll"], results["speculative"]
-	schedBenchMu.Unlock()
-	if poll != nil && spec != nil {
-		speedup := spec.grantsPerSec / poll.grantsPerSec
-		b.ReportMetric(speedup, "speedup")
-		updateBenchTrajectory(b, func(run *benchRun) {
-			run.Fleet = &fleetBench{
-				Benchmark:          "BenchmarkFleetLeaseThroughput",
-				Jobs:               jobs,
-				Workers:            workers,
-				Devices:            devices,
-				PollGrantsPerSec:   poll.grantsPerSec,
-				SpecGrantsPerSec:   spec.grantsPerSec,
-				PollNsPerGrant:     poll.nsPerGrant,
-				SpecNsPerGrant:     spec.nsPerGrant,
-				SpeculativeHitRate: spec.hitRate,
-				Speedup:            speedup,
-			}
-		})
+	if poll, spec := grantsPerSec["poll"], grantsPerSec["speculative"]; poll > 0 && spec > 0 {
+		b.ReportMetric(spec/poll, "speedup")
 	}
 }
 
@@ -942,8 +615,7 @@ func BenchmarkFigure15Hybrid(b *testing.B) {
 // stream answer the same inputs through POST /jobs/{id}/infer/batch and
 // the NDJSON streaming endpoint. The setup also replays a repeated-program
 // submit workload against a cold plan cache and records its hit rate; the
-// acceptance gate is batch ≥ 3× per-request QPS and hit rate > 0.9, both
-// persisted in the serving section of BENCH_scheduler.json.
+// acceptance gate is batch ≥ 3× per-request QPS and hit rate > 0.9.
 func BenchmarkInferQPS(b *testing.B) {
 	const (
 		batchSize = 64
@@ -977,7 +649,7 @@ func BenchmarkInferQPS(b *testing.B) {
 		inputs[i] = []float64{float64(i), 1, 2, 3}
 	}
 
-	var perRequestQPS, batchQPS, streamQPS float64
+	var perRequestQPS, batchQPS float64
 	b.Run("per-request", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := cl.Infer(ctx, jobID, inputs[i%batchSize]); err != nil {
@@ -1013,24 +685,11 @@ func BenchmarkInferQPS(b *testing.B) {
 				b.Fatalf("%d stream lines", n)
 			}
 		}
-		streamQPS = float64(b.N*batchSize) / b.Elapsed().Seconds()
-		b.ReportMetric(streamQPS, "qps")
+		b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "qps")
 	})
 
 	if perRequestQPS > 0 && batchQPS > 0 {
-		speedup := batchQPS / perRequestQPS
-		b.ReportMetric(speedup, "batch-speedup")
+		b.ReportMetric(batchQPS/perRequestQPS, "batch-speedup")
 		b.ReportMetric(hitRate, "plan-cache-hit-rate")
-		updateBenchTrajectory(b, func(run *benchRun) {
-			run.Serving = &servingBench{
-				Benchmark:        "BenchmarkInferQPS",
-				BatchSize:        batchSize,
-				PerRequestQPS:    perRequestQPS,
-				BatchQPS:         batchQPS,
-				StreamQPS:        streamQPS,
-				BatchSpeedup:     speedup,
-				PlanCacheHitRate: hitRate,
-			}
-		})
 	}
 }

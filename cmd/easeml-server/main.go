@@ -6,7 +6,7 @@
 // Usage:
 //
 //	easeml-server [-addr :9000] [-gpus 24] [-seed 1] [-alpha 0.9]
-//	              [-workers 0] [-batch 0] [-data-dir DIR]
+//	              [-workers 0] [-data-dir DIR]
 //	              [-wal-segment-bytes 4194304]
 //	              [-fleet-addr ADDR] [-lease-ttl 10s] [-speculative]
 //	              [-quota-config FILE] [-max-inflight 0] [-pprof]
@@ -15,8 +15,8 @@
 //	              [-trace-buffer 4096] [-version]
 //
 // With -workers N > 0 the async execution engine starts at boot: N
-// concurrent trainers lease work through the scheduler's two-phase API and
-// keep the pool busy, with at most -batch leases in flight (default 2×N).
+// concurrent trainers lease work through the scheduler's Grant/Settle cycle
+// and keep the pool busy, with at most 2×N leases in flight.
 // The engine is controlled at runtime via POST /admin/start|stop and
 // observed via GET /admin/metrics. Without workers, rounds are driven
 // explicitly via POST /admin/rounds, serialized across the whole pool.
@@ -106,7 +106,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "training-surface seed")
 	alpha := flag.Float64("alpha", 0.9, "pool scaling exponent: g GPUs give one job g^alpha speedup")
 	workers := flag.Int("workers", 0, "async engine worker count (0 = serialized rounds via /admin/rounds)")
-	batch := flag.Int("batch", 0, "max in-flight leases for the engine (default 2*workers)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshots; empty = in-memory)")
 	walSegmentBytes := flag.Int64("wal-segment-bytes", 4<<20, "WAL segment roll threshold in bytes (with -data-dir)")
 	flag.Duration("wal-sync-interval", 0, "deprecated and ignored: the WAL commits as soon as it has work, there is no commit window to size")
@@ -154,7 +153,6 @@ func main() {
 		Addr:                     "http://localhost" + *addr,
 		Alpha:                    *alpha,
 		Workers:                  *workers,
-		Batch:                    *batch,
 		DataDir:                  *dataDir,
 		WALSegmentBytes:          *walSegmentBytes,
 		FleetAddr:                *fleetAddr,

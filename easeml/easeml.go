@@ -143,8 +143,6 @@ type ServiceConfig struct {
 	// the pool (§5.3.2's multi-device strategy). Zero keeps the serialized
 	// single-device strategy driven by RunRounds.
 	Workers int
-	// Batch caps in-flight leases for the engine (default 2×Workers).
-	Batch int
 	// TrainDelay makes each simulated training take real wall time, so
 	// engine concurrency is observable in benchmarks (default instant).
 	TrainDelay time.Duration
@@ -383,10 +381,7 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 			devices = cfg.GPUs
 		}
 		trainer.Devices = devices
-		s.engine = engine.New(sched, trainer, engine.Config{
-			Workers:     cfg.Workers,
-			MaxInFlight: cfg.Batch,
-		})
+		s.engine = engine.New(sched, trainer, engine.Config{Workers: cfg.Workers})
 	}
 	if cfg.Pprof {
 		// -pprof arms the contention profilers too: without these the mutex
@@ -622,15 +617,6 @@ func (s *Service) EngineMetrics() (engine.Metrics, bool) {
 		return engine.Metrics{}, false
 	}
 	return s.engine.Metrics(), true
-}
-
-// EngineEvents exposes the engine's observability stream (nil without an
-// engine).
-func (s *Service) EngineEvents() <-chan engine.Event {
-	if s.engine == nil {
-		return nil
-	}
-	return s.engine.Events()
 }
 
 // VirtualTimes reports the pool's virtual-time accounting: the makespan of

@@ -59,9 +59,6 @@ func NewPool(numGPUs int, alpha float64) *Pool {
 	return &Pool{numGPUs: numGPUs, alpha: alpha, gpuFree: make([]float64, numGPUs), nextJobID: 1}
 }
 
-// NumGPUs returns the pool size.
-func (p *Pool) NumGPUs() int { return p.numGPUs }
-
 // Speedup returns the simulated speedup of running one job on g GPUs:
 // g^alpha.
 func (p *Pool) Speedup(g int) float64 {

@@ -53,9 +53,6 @@ func NewTenant(id int, name string, b *bandit.GPUCB) *Tenant {
 	return &Tenant{ID: id, Name: name, Bandit: b, empBound: math.Inf(1)}
 }
 
-// Served reports whether the tenant has been scheduled at least once.
-func (t *Tenant) Served() bool { return t.served }
-
 // SetLeased records how many of the tenant's untried arms are currently
 // leased out to in-flight work.
 func (t *Tenant) SetLeased(n int) { t.leased = n }

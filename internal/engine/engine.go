@@ -2,19 +2,25 @@
 // that closes the §6 future-work gap: instead of training one candidate at a
 // time across the whole GPU pool (the deployed single-device strategy of
 // §4.5), a worker pool keeps several devices busy at once, with the
-// candidate stream chosen by the multi-tenant scheduler's two-phase API
-// (server.Scheduler.PickWork / Complete) under GP-BUCB hallucination so
+// candidate stream chosen by the multi-tenant scheduler's lease lifecycle
+// (server.Scheduler.Grant / Settle) under GP-BUCB hallucination so
 // concurrent picks diversify.
 //
 // The engine is a dispatcher plus N workers around a bounded work queue:
 //
-//	dispatcher ──PickWork──▶ [bounded queue] ──▶ worker 0 ──Train──▶ Complete
-//	     ▲                                  └──▶ worker 1 ──Train──▶ Complete
-//	     └──────────── kick on completion ◀──────────┘
+//	dispatcher ──Grant──▶ [bounded queue] ──▶ worker 0 ──Train──▶ Settle
+//	     ▲                               └──▶ worker 1 ──Train──▶ Settle
+//	     └──────────── kick on settle ◀───────────┘
 //
-// Leases flow exactly once: every lease the dispatcher obtains is either
-// completed (result observed by the scheduler) or released (drain, worker
-// failure), never both, never twice. Stopping is graceful: workers finish
+// The dispatcher stays because batching pays: one Grant amortizes the O(J)
+// job-lock sweep and the cross-job pick over a batch, where workers leasing
+// for themselves paid both per lease (drain_engine ops_per_s 0.82×, p95
+// 1.27× when that was tried). What a failed run costs — retry or abandon —
+// is the scheduler's decision (Settle), shared with every other executor.
+//
+// Leases flow exactly once: every lease the dispatcher obtains is settled
+// (result observed, or the failed run released/abandoned) or released
+// (drain), never both, never twice. Stopping is graceful: workers finish
 // the run they are on, queued-but-unstarted leases are released back to the
 // scheduler, and Run returns only when every lease is settled.
 package engine
@@ -27,111 +33,26 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/server"
 )
 
-// Source is the scheduling surface the engine drains: the two-phase lease
-// API of server.Scheduler (the only production implementation; tests
-// substitute fakes).
-type Source interface {
-	PickWork(maxInFlight int) ([]*server.Lease, error)
-	// InFlight reports the source-wide outstanding lease count. PickWork's
-	// cap is absolute over that shared table, so the engine adds InFlight
-	// to its own headroom when polling — otherwise leases held by remote
-	// fleet workers would count against the local cap and starve the
-	// engine.
-	InFlight() int
-	// NoteTrainingFailure tallies one failed run for (job, arm) and
-	// returns the running count. The tally lives in the source so local
-	// and fleet executions of the same candidate share one retry budget.
-	NoteTrainingFailure(jobID string, arm int) int
-	Complete(l *server.Lease, accuracy, cost float64) error
-	Release(l *server.Lease) error
-	// Abandon retires a lease's candidate from selection without an
-	// observation — the terminal state for runs that keep failing.
-	Abandon(l *server.Lease) error
-}
-
-// Config parameterizes an Engine. Zero values select the defaults noted per
-// field.
+// Config parameterizes an Engine. The queue between dispatcher and workers
+// is Workers deep — enough to hide pick latency, small enough that stale
+// leases don't pile up — and at most 2×Workers leases (queued plus
+// training) are outstanding.
 type Config struct {
 	// Workers is the worker-pool size (default 4). Each worker trains one
 	// candidate at a time, so Workers bounds wall-clock concurrency.
 	Workers int
-	// Queue is the bounded work-queue depth between the dispatcher and the
-	// workers (default Workers): enough to hide pick latency, small enough
-	// that stale leases don't pile up.
-	Queue int
-	// MaxInFlight caps outstanding leases — queued plus training (default
-	// Workers + Queue). It is the batch size handed to PickWork.
-	MaxInFlight int
 	// ExitOnIdle makes Run return once no work is available and nothing is
 	// in flight (batch mode: examples, benchmarks). The default keeps the
 	// engine alive waiting for new jobs (server mode).
 	ExitOnIdle bool
-	// PollInterval is the idle re-poll period in server mode (default
-	// 50ms); Kick wakes the dispatcher sooner.
-	PollInterval time.Duration
-	// MaxRetries bounds how often a failing (job, candidate) run is
-	// retried (default 3). After that many failures the candidate is
-	// abandoned — retired from selection with no observation recorded —
-	// because without the bound a persistently failing candidate would be
-	// released, immediately re-leased (it keeps its top UCB) and retried
-	// forever, livelocking the engine.
-	MaxRetries int
-	// EventBuffer is the capacity of the event stream (default 128).
-	// Events are dropped, never blocked on, when no one drains them.
-	EventBuffer int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.Queue <= 0 {
-		c.Queue = c.Workers
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = c.Workers + c.Queue
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 50 * time.Millisecond
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 128
-	}
-	return c
-}
-
-// EventType labels an engine event.
-type EventType string
-
-// The engine event stream.
-const (
-	EventLease    EventType = "lease"    // a work item was leased and enqueued
-	EventComplete EventType = "complete" // a worker finished a run and reported it
-	EventRelease  EventType = "release"  // a lease was handed back untrained
-	EventAbandon  EventType = "abandon"  // a candidate was retired after MaxRetries failures
-	EventError    EventType = "error"    // a training run or report failed
-	EventDrained  EventType = "drained"  // batch mode: no work left, engine exiting
-	EventStopped  EventType = "stopped"  // the engine run ended
-)
-
-// Event is one entry of the engine's event stream.
-type Event struct {
-	Type      EventType
-	JobID     string
-	Candidate string
-	Worker    int // -1 for dispatcher events
-	Accuracy  float64
-	Cost      float64
-	Err       string
-	Rounds    int64 // completed runs at emit time
-}
+// idlePoll is the idle re-poll period in server mode; Kick wakes the
+// dispatcher sooner.
+const idlePoll = 50 * time.Millisecond
 
 // WorkerStats is the per-worker slice of Metrics.
 type WorkerStats struct {
@@ -145,7 +66,7 @@ type Metrics struct {
 	Workers     int
 	Completed   int64 // scheduling rounds completed through this engine
 	Released    int64 // leases handed back untrained
-	Abandoned   int64 // candidates retired after MaxRetries failures
+	Abandoned   int64 // candidates retired at the scheduler's retry budget
 	Errors      int64 // failed training runs or reports
 	InFlight    int   // leases currently queued or training
 	QueueDepth  int   // leases sitting in the bounded queue
@@ -165,12 +86,11 @@ var ErrInterrupted = errors.New("engine: drain interrupted before the work sourc
 // New, then either Run (blocking, batch) or Start/Stop (server mode).
 // Counters are cumulative across runs.
 type Engine struct {
-	src  Source
-	exec fleet.Executor
-	cfg  Config
+	sched   *server.Scheduler
+	trainer server.Trainer
+	cfg     Config
 
-	kick   chan struct{}
-	events chan Event
+	kick chan struct{}
 
 	completed atomic.Int64
 	released  atomic.Int64
@@ -189,31 +109,20 @@ type Engine struct {
 	workers      []WorkerStats
 }
 
-// New creates an engine over a work source and a trainer. The trainer is
-// wrapped in a fleet.TrainerExecutor: the engine's local workers run
-// through the same Executor interface remote fleet agents use, so "local"
-// is just the fleet member with zero network in between.
-func New(src Source, trainer server.Trainer, cfg Config) *Engine {
-	return NewWithExecutor(src, fleet.TrainerExecutor{Trainer: trainer}, cfg)
-}
-
-// NewWithExecutor creates an engine whose workers execute leases through
-// an arbitrary fleet.Executor.
-func NewWithExecutor(src Source, exec fleet.Executor, cfg Config) *Engine {
-	cfg = cfg.withDefaults()
+// New creates an engine that drains sched, training every lease on trainer
+// (usually sched.Trainer(); tests substitute failing ones).
+func New(sched *server.Scheduler, trainer server.Trainer, cfg Config) *Engine {
+	if cfg.Workers <= 0 {
+		cfg.Workers = 4
+	}
 	return &Engine{
-		src:     src,
-		exec:    exec,
+		sched:   sched,
+		trainer: trainer,
 		cfg:     cfg,
 		kick:    make(chan struct{}, 1),
-		events:  make(chan Event, cfg.EventBuffer),
 		workers: make([]WorkerStats, cfg.Workers),
 	}
 }
-
-// Events returns the engine's event stream. Events are dropped when the
-// buffer is full, so the stream is for observability, not control flow.
-func (e *Engine) Events() <-chan Event { return e.events }
 
 // Kick wakes an idle dispatcher immediately (e.g. after a job submission)
 // instead of waiting for the next poll tick. Safe to call at any time.
@@ -361,7 +270,7 @@ func (e *Engine) begin(cancel context.CancelFunc, exitOnIdle bool) error {
 	e.running = true
 	e.exitOnIdle = exitOnIdle
 	e.started = time.Now()
-	e.queue = make(chan *server.Lease, e.cfg.Queue)
+	e.queue = make(chan *server.Lease, e.cfg.Workers)
 	e.done = make(chan struct{})
 	e.cancel = cancel
 	return nil
@@ -374,13 +283,12 @@ func (e *Engine) finish() {
 	e.elapsedTotal += time.Since(e.started)
 	done := e.done
 	e.mu.Unlock()
-	e.emit(Event{Type: EventStopped, Worker: -1, Rounds: e.completed.Load()})
 	close(done)
 }
 
-// dispatch leases work from the source and feeds the bounded queue until the
-// context is cancelled or (exit-on-idle) the source runs dry; drained
-// reports which of the two ended the run.
+// dispatch leases work from the scheduler and feeds the bounded queue until
+// the context is cancelled or (exit-on-idle) the scheduler runs dry;
+// drained reports which of the two ended the run.
 func (e *Engine) dispatch(ctx context.Context, queue chan<- *server.Lease) (drained bool, err error) {
 	for {
 		if ctx.Err() != nil {
@@ -388,50 +296,30 @@ func (e *Engine) dispatch(ctx context.Context, queue chan<- *server.Lease) (drai
 		}
 		// Sample idleness BEFORE polling: a worker settles its lease in the
 		// scheduler before decrementing inFlight, so "nothing was in flight
-		// and the poll still found nothing" proves the source is dry. The
-		// source-wide count folds in leases held by remote fleet workers —
-		// their untried arms are invisible to PickWork, so a drain must not
-		// declare the source dry while they are outstanding. The reverse
+		// and the poll still found nothing" proves the scheduler is dry. The
+		// scheduler-wide count folds in leases held by remote fleet workers
+		// — their untried arms are invisible to Grant, so a drain must not
+		// declare the scheduler dry while they are outstanding. The reverse
 		// order would race with a release landing between the poll and the
 		// in-flight check, ending a drain with work left behind.
 		local := int(e.inFlight.Load())
-		srcInFlight := e.src.InFlight() // whole table: local + fleet-held
-		idleBefore := local == 0 && srcInFlight == 0
+		idleBefore := local == 0 && e.sched.InFlight() == 0
 		var work []*server.Lease
-		var err error
-		want := e.cfg.MaxInFlight - local
-		if want > 0 {
-			// MaxInFlight caps this engine's leases, but PickWork's cap is
-			// absolute over the shared table — offset by the source-wide
-			// count so concurrently held fleet leases don't eat the budget.
-			work, err = e.src.PickWork(srcInFlight + want)
-		}
-		if err != nil {
-			e.errs.Add(1)
-			e.emit(Event{Type: EventError, Worker: -1, Err: err.Error(), Rounds: e.completed.Load()})
-			return false, fmt.Errorf("engine: picking work: %w", err)
-		}
-		if len(work) > want {
-			// A settle that landed between the InFlight sample and the pick
-			// inflated the target; hand the excess straight back so the
-			// local cap holds.
-			for _, l := range work[want:] {
-				_ = e.src.Release(l)
+		if want := 2*e.cfg.Workers - local; want > 0 {
+			if work, err = e.sched.Grant(want, 0); err != nil {
+				e.errs.Add(1)
+				return false, fmt.Errorf("engine: picking work: %w", err)
 			}
-			work = work[:want]
 		}
+		e.inFlight.Add(int64(len(work)))
 		for i, l := range work {
-			e.inFlight.Add(1)
-			e.emit(Event{Type: EventLease, JobID: l.JobID, Candidate: l.Candidate.Name(), Worker: -1, Rounds: e.completed.Load()})
 			select {
 			case queue <- l:
 			case <-ctx.Done():
 				// Graceful stop while enqueueing: hand this lease and the
 				// rest of the batch straight back.
-				e.releaseLease(l, -1)
-				for _, rest := range work[i+1:] {
-					e.inFlight.Add(1)
-					e.releaseLease(rest, -1)
+				for _, rest := range work[i:] {
+					e.release(rest)
 				}
 				return false, nil
 			}
@@ -440,12 +328,11 @@ func (e *Engine) dispatch(ctx context.Context, queue chan<- *server.Lease) (drai
 			continue
 		}
 		if idleBefore && e.exitOnIdle {
-			e.emit(Event{Type: EventDrained, Worker: -1, Rounds: e.completed.Load()})
 			return true, nil
 		}
-		// Nothing to lease right now: wait for a completion (kick), a new
-		// job (kick via Kick), a poll tick, or cancellation.
-		timer := time.NewTimer(e.cfg.PollInterval)
+		// Nothing to lease right now: wait for a settle or a new job (kick),
+		// a poll tick, or cancellation.
+		timer := time.NewTimer(idlePoll)
 		select {
 		case <-ctx.Done():
 			timer.Stop()
@@ -462,76 +349,47 @@ func (e *Engine) dispatch(ctx context.Context, queue chan<- *server.Lease) (drai
 func (e *Engine) worker(ctx context.Context, id int, queue <-chan *server.Lease) {
 	for l := range queue {
 		if ctx.Err() != nil {
-			e.releaseLease(l, id)
+			e.release(l)
 			continue
 		}
 		start := time.Now()
-		acc, cost, err := e.exec.Execute(ctx, l.JobID, l.Candidate)
+		acc, cost, runErr := e.trainer.Train(l.JobID, l.Candidate)
 		busy := time.Since(start)
 
 		e.mu.Lock()
 		e.workers[id].Busy += busy
-		if err == nil {
+		if runErr == nil {
 			e.workers[id].Items++
 		}
 		e.mu.Unlock()
 
-		if err != nil {
+		if runErr != nil {
 			e.errs.Add(1)
-			e.emit(Event{Type: EventError, JobID: l.JobID, Candidate: l.Candidate.Name(), Worker: id, Err: err.Error(), Rounds: e.completed.Load()})
-			if e.src.NoteTrainingFailure(l.JobID, l.Arm) >= e.cfg.MaxRetries {
-				// Give up: retire the candidate so it stops being re-leased
-				// (livelock guard) — no observation is fabricated, the GP
-				// posterior and model history stay clean.
-				if aerr := e.src.Abandon(l); aerr != nil {
-					e.errs.Add(1)
-					e.emit(Event{Type: EventError, JobID: l.JobID, Candidate: l.Candidate.Name(), Worker: id, Err: aerr.Error(), Rounds: e.completed.Load()})
-				} else {
-					e.abandoned.Add(1)
-					e.emit(Event{
-						Type: EventAbandon, JobID: l.JobID, Candidate: l.Candidate.Name(), Worker: id,
-						Err:    fmt.Sprintf("retired after %d failed runs", e.cfg.MaxRetries),
-						Rounds: e.completed.Load(),
-					})
-				}
-				e.inFlight.Add(-1)
-				e.Kick()
-				continue
-			}
-			e.releaseLease(l, id)
-			continue
 		}
-		if cerr := e.src.Complete(l, acc, cost); cerr != nil {
-			e.errs.Add(1)
-			e.inFlight.Add(-1)
-			e.emit(Event{Type: EventError, JobID: l.JobID, Candidate: l.Candidate.Name(), Worker: id, Err: cerr.Error(), Rounds: e.completed.Load()})
-			e.Kick()
-			continue
-		}
-		rounds := e.completed.Add(1)
-		e.inFlight.Add(-1)
-		e.emit(Event{Type: EventComplete, JobID: l.JobID, Candidate: l.Candidate.Name(), Worker: id, Accuracy: acc, Cost: cost, Rounds: rounds})
-		e.Kick()
+		outcome, err := e.sched.Settle(l, acc, cost, runErr)
+		e.settled(outcome, err)
 	}
 }
 
-// releaseLease settles a lease without a result and wakes the dispatcher.
-func (e *Engine) releaseLease(l *server.Lease, worker int) {
-	if err := e.src.Release(l); err != nil {
+// release hands a lease back untrained (graceful stop).
+func (e *Engine) release(l *server.Lease) {
+	e.settled(server.SettledReleased, e.sched.Release(l))
+}
+
+// settled books one lease's terminal outcome and wakes the dispatcher. The
+// lease is settled in the scheduler before inFlight drops — dispatch's
+// idleness sample depends on that order.
+func (e *Engine) settled(outcome string, err error) {
+	switch {
+	case err != nil:
 		e.errs.Add(1)
-		e.emit(Event{Type: EventError, JobID: l.JobID, Candidate: l.Candidate.Name(), Worker: worker, Err: err.Error(), Rounds: e.completed.Load()})
-	} else {
+	case outcome == server.SettledCompleted:
+		e.completed.Add(1)
+	case outcome == server.SettledReleased:
 		e.released.Add(1)
-		e.emit(Event{Type: EventRelease, JobID: l.JobID, Candidate: l.Candidate.Name(), Worker: worker, Rounds: e.completed.Load()})
+	case outcome == server.SettledAbandoned:
+		e.abandoned.Add(1)
 	}
 	e.inFlight.Add(-1)
 	e.Kick()
-}
-
-// emit pushes an event, dropping it when the stream is full.
-func (e *Engine) emit(ev Event) {
-	select {
-	case e.events <- ev:
-	default:
-	}
 }

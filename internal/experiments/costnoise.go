@@ -10,7 +10,7 @@ import (
 )
 
 // Cost-estimate sensitivity: the deployed system selects models with
-// *profiled* cost estimates (Figure 1 step 2, internal/profile) but pays
+// *profiled* cost estimates (Figure 1 step 2) but pays
 // *true* costs. This ablation injects multiplicative log-normal noise into
 // the costs the bandit sees and measures how fast the cost-aware advantage
 // degrades — an engineering question the paper leaves implicit.

@@ -89,10 +89,6 @@ type CoordinatorConfig struct {
 	// SimExecutor workers reproduce the coordinator's surfaces (default 1;
 	// must match the service's ServiceConfig.Seed).
 	Seed int64
-	// MaxRetries bounds how often a failing (job, candidate) run is
-	// released for retry before the candidate is abandoned (default 3) —
-	// the same livelock guard the in-process engine applies.
-	MaxRetries int
 	// MaxInFlight caps total outstanding leases across the fleet and the
 	// in-process engine (default 0: no cap beyond available work).
 	MaxInFlight int
@@ -131,9 +127,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
@@ -150,10 +143,8 @@ type Coordinator struct {
 	cfg   CoordinatorConfig
 	reg   *registry
 
-	// mu guards the remote-lease table; it also serializes lease grants so
-	// the "current in-flight + wanted" target handed to PickWork is
-	// race-free. (Failure tallies live in the scheduler, shared with the
-	// in-process engine.)
+	// mu guards the remote-lease table and the preemption queues, and
+	// serializes lease grants against each other.
 	mu     sync.Mutex
 	remote map[int]*remoteLease
 	// preempted queues lease ids reclaimed by priority preemption per
@@ -346,29 +337,15 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		}
 	}
 	if remaining := req.Max - len(wire); remaining > 0 {
-		target := c.sched.InFlight() + remaining
-		if c.cfg.MaxInFlight > 0 && target > c.cfg.MaxInFlight {
-			target = c.cfg.MaxInFlight
-			// The in-flight cap binds: before picking, let priority preemption
-			// reclaim a best-effort slot if a guaranteed tenant is starved, so
-			// saturation cannot lock high-priority work out of the pool.
-			if c.sched.InFlight() >= target {
-				c.preemptLocked()
-			}
+		// The in-flight cap binds: before picking, let priority preemption
+		// reclaim a best-effort slot if a guaranteed tenant is starved, so
+		// saturation cannot lock high-priority work out of the pool.
+		if c.cfg.MaxInFlight > 0 && c.sched.InFlight() >= c.cfg.MaxInFlight {
+			c.preemptLocked()
 		}
-		batch, err := c.sched.PickWork(target)
+		batch, err := c.sched.Grant(remaining, c.cfg.MaxInFlight)
 		if err != nil {
 			return LeaseResponse{}, err
-		}
-		if len(batch) > remaining {
-			// In-process engine settles land without c.mu, so the table can
-			// shrink between the InFlight read and the pick, inflating the
-			// target; hand the excess back rather than exceed what the worker
-			// asked to run.
-			for _, l := range batch[remaining:] {
-				_ = c.sched.Release(l)
-			}
-			batch = batch[:remaining]
 		}
 		for _, l := range batch {
 			if wl, ok := c.grantLocked(l, req.WorkerID, "pick"); ok {
@@ -385,8 +362,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 
 // changeFeed answers a worker's cursor: the surface of every job that
 // changed after since, and the version to send next time. Empty with
-// speculation disabled here or in legacy-selection mode, so those workers
-// cache nothing and propose nothing.
+// speculation disabled, so those workers cache nothing and propose nothing.
 func (c *Coordinator) changeFeed(since uint64) ([]JobPosterior, uint64) {
 	if c.cfg.DisableSpeculative {
 		return nil, 0
@@ -496,12 +472,13 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 	return resp, nil
 }
 
-// Complete settles a leased run with the worker's reported outcome:
-// success feeds the observation into the scheduler; failure releases the
-// lease for retry, or abandons the candidate after MaxRetries failures. It
-// returns how the lease settled, or an error wrapping
-// server.ErrLeaseConflict when the report lost a race (double complete,
-// lease expired) — the worker drops those, and nothing is granted. A report
+// Complete settles a leased run with the worker's reported outcome through
+// server.Scheduler.Settle: success feeds the observation into the
+// scheduler; failure releases the lease for retry, or abandons the
+// candidate at the scheduler's retry budget. It returns how the lease
+// settled, or an error wrapping server.ErrLeaseConflict when the report
+// lost a race (double complete, lease expired) — the worker drops those,
+// and nothing is granted. A report
 // that embeds a lease request is then served by Lease, after the settle:
 // the pick sees the observation that just landed. A plain report gets the
 // change feed alone.
@@ -534,31 +511,15 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		imported++
 	}
 
-	// The failure tally is peeked to decide release-vs-abandon and only
-	// recorded once the settle succeeds — a report that loses the race
-	// against lease expiry must not burn retry budget for a run the
-	// scheduler never accounted. The tally lives in the scheduler, shared
-	// with the in-process engine, so a candidate alternating between local
-	// and remote workers still gets exactly MaxRetries attempts.
-	var failures int
+	// One settle rule for every executor: the scheduler decides release
+	// versus abandon on its shared per-candidate failure tally, and counts a
+	// failure only when the settle succeeds — a report that loses the race
+	// against lease expiry burns no retry budget.
+	var runErr error
 	if req.Error != "" {
-		failures = c.sched.TrainingFailures(l.JobID, l.Arm) + 1
+		runErr = errors.New(req.Error)
 	}
-	settled := "completed"
-	var err error
-	switch {
-	case req.Error == "":
-		err = c.sched.Complete(l, req.Accuracy, req.Cost)
-	case failures >= c.cfg.MaxRetries:
-		settled = "abandoned"
-		err = c.sched.Abandon(l)
-		c.logInfo("candidate abandoned after repeated failures",
-			"job", l.JobID, "candidate", l.Candidate.Name(), "failures", failures,
-			"last_error", req.Error, "trace", l.Trace)
-	default:
-		settled = "released"
-		err = c.sched.Release(l)
-	}
+	settled, err := c.sched.Settle(l, req.Accuracy, req.Cost, runErr)
 	if err != nil {
 		if errors.Is(err, server.ErrLeaseConflict) {
 			fleetCompletes.With("conflict").Inc()
@@ -570,8 +531,9 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		}
 		return CompleteResponse{}, err
 	}
-	if req.Error != "" {
-		c.sched.NoteTrainingFailure(l.JobID, l.Arm)
+	if settled == server.SettledAbandoned {
+		c.logInfo("candidate abandoned after repeated failures",
+			"job", l.JobID, "candidate", l.Candidate.Name(), "last_error", req.Error, "trace", l.Trace)
 	}
 	fleetCompletes.With(settled).Inc()
 	c.reg.leaseSettled(req.WorkerID, req.LeaseID, settled)

@@ -9,14 +9,13 @@ import (
 	"repro/internal/templates"
 )
 
-// Executor trains one leased candidate. It is the execution substrate both
-// halves of the system plug into: the in-process engine's workers run
-// through a TrainerExecutor, remote worker agents default to a SimExecutor
-// (the trainsim substrate) and can substitute anything that can measure an
-// accuracy and a cost — a real training harness, a container launcher, an
-// RPC to an accelerator box. Implementations must be safe for concurrent
-// use and must return errors, never panic: a panicking executor would take
-// its whole worker down.
+// Executor trains one leased candidate on a remote worker agent — the
+// worker-side counterpart of the server.Trainer the in-process engine
+// calls. Agents default to a SimExecutor (the trainsim substrate) and can
+// substitute anything that can measure an accuracy and a cost — a real
+// training harness, a container launcher, an RPC to an accelerator box.
+// Implementations must be safe for concurrent use and must return errors,
+// never panic: a panicking executor would take its whole worker down.
 type Executor interface {
 	// Execute trains cand for jobID and reports measured accuracy and
 	// execution cost. ctx is cancelled when the lease is lost (expired,
@@ -31,19 +30,6 @@ type Executor interface {
 // interface entirely.
 type JobAware interface {
 	RegisterJob(jobID string, cands []templates.Candidate) error
-}
-
-// TrainerExecutor adapts a server.Trainer to the Executor interface — the
-// in-process engine's workers execute through it, making them fleet
-// members in all but transport.
-type TrainerExecutor struct {
-	Trainer server.Trainer
-}
-
-// Execute implements Executor by delegating to the wrapped trainer (which
-// has no context plumbing; in-process runs settle synchronously anyway).
-func (x TrainerExecutor) Execute(_ context.Context, jobID string, cand templates.Candidate) (float64, float64, error) {
-	return x.Trainer.Train(jobID, cand)
 }
 
 // SimExecutor is the default worker-side executor: the trainsim substrate

@@ -186,7 +186,7 @@ type HeartbeatResponse struct {
 
 // CompleteRequest reports the outcome of one leased run. A non-empty Error
 // means the run failed: the coordinator releases the lease for retry, or
-// abandons the candidate once it has failed MaxRetries times.
+// abandons the candidate at the scheduler's retry budget.
 type CompleteRequest struct {
 	WorkerID string  `json:"worker_id"`
 	LeaseID  int     `json:"lease_id"`
@@ -215,7 +215,7 @@ type CompleteRequest struct {
 // that caused it should not find out a round trip later.
 type CompleteResponse struct {
 	// Settled is "completed", "released" (failed, will retry) or
-	// "abandoned" (failed MaxRetries times, candidate retired).
+	// "abandoned" (failed at the retry budget, candidate retired).
 	Settled string `json:"settled"`
 	// Lease answers the request's embedded Lease. Nil when none was sent,
 	// or when the lease step failed after the settle went through — the

@@ -13,7 +13,7 @@ import (
 )
 
 // Pick-path stage histograms: the per-stage breakdown of where a pick
-// spends its time. lock_wait is PickWork's coordinator-lock acquisition
+// spends its time. lock_wait is Grant's coordinator-lock acquisition
 // plus the O(J) job-lock sweep (once per batch); index_repair is the
 // selection index catching up on dirty jobs before the oracle argmax
 // (once per oracle pick); select is one full pickNextLocked decision;

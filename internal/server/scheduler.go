@@ -4,11 +4,14 @@
 // scheduler (internal/core's HYBRID policy) decides which job's next
 // candidate model to train on the shared (simulated) GPU pool.
 //
-// Scheduling is a two-phase API: PickWork leases (job, candidate) pairs —
-// chosen by the user picker with in-flight arms hallucinated GP-BUCB style —
-// and Complete feeds results back. RunRound drives it serialized (the
-// deployed single-device strategy); internal/engine drives it with a
-// concurrent worker pool. The HTTP surface (see API in http.go) adds
+// Scheduling is one lease lifecycle in two calls: Grant leases (job,
+// candidate) pairs — chosen by the user picker with in-flight arms
+// hallucinated GP-BUCB style — and Settle takes a run's outcome back:
+// success is observed and recorded, a failure is released for retry or,
+// at the retry budget, abandoned. Three executors are loops over that
+// pair: RunRound (serialized, the deployed single-device strategy),
+// internal/engine (a concurrent worker pool) and internal/fleet's
+// coordinator (remote workers). The HTTP surface (see API in http.go) adds
 // /admin/metrics and /admin/start|stop for engine control.
 //
 // # Locking discipline
@@ -41,7 +44,7 @@
 //
 // # Durability
 //
-// With a write-ahead log attached (SetLog / Recover), every state mutation
+// With a write-ahead log attached (Recover), every state mutation
 // appends a WAL event before the operation acknowledges: job submissions,
 // fed and refined examples, recorded models and abandoned candidates all
 // survive a crash. A failed append surfaces as an error from the mutating
@@ -311,11 +314,8 @@ type Scheduler struct {
 
 	// selIdx is the cross-job selection index (see selindex.go): per-job
 	// dirty epochs, the lazily-repaired gap heap and the persistent
-	// hallucination shadows. Guarded by coordMu. legacySelection switches
-	// PickWork back to the deep-clone-per-batch baseline — kept for the
-	// pick-path benchmarks and equivalence tests.
-	selIdx          selectionIndex
-	legacySelection bool
+	// hallucination shadows. Guarded by coordMu.
+	selIdx selectionIndex
 
 	// leaseTTL makes leases expire when their holder goes silent (0 = never,
 	// the in-process engine's mode); now is the injectable clock expiry runs
@@ -323,13 +323,14 @@ type Scheduler struct {
 	leaseTTL time.Duration
 	now      func() time.Time
 
-	// failCounts tallies failed training runs per (job, arm). It lives here
-	// — not in the engine or the fleet coordinator — because both execute
-	// against the same scheduler: the abandon-after-MaxRetries livelock
-	// guard must count a candidate's failures across every execution path,
-	// or a candidate alternating between local and remote workers would get
-	// double the retry budget. Guarded by coordMu.
-	failCounts map[string]int
+	// failCounts tallies failed training runs per (job, arm) and retryBudget
+	// is how many of them Settle tolerates before it abandons the candidate.
+	// Both live here — not in an executor — so a candidate alternating
+	// between RunRound, the engine and remote workers still gets one budget.
+	// An entry is dropped when its arm is observed or retired. Guarded by
+	// coordMu.
+	failCounts  map[failKey]int
+	retryBudget int
 
 	// adm is the optional admission controller (SetAdmission): quota,
 	// rate-limit and budget decisions for every tenant. Set before serving
@@ -353,39 +354,33 @@ func NewScheduler(trainer Trainer, picker core.UserPicker, serverAddr string) *S
 		serverAddr = "http://localhost:9000"
 	}
 	return &Scheduler{
-		store:      storage.NewStore(),
-		trainer:    trainer,
-		picker:     picker,
-		byID:       make(map[string]*Job),
-		server:     serverAddr,
-		leases:     make(map[int]*Lease),
-		failCounts: make(map[string]int),
-		now:        time.Now,
+		store:       storage.NewStore(),
+		trainer:     trainer,
+		picker:      picker,
+		byID:        make(map[string]*Job),
+		server:      serverAddr,
+		leases:      make(map[int]*Lease),
+		failCounts:  make(map[failKey]int),
+		retryBudget: 3,
+		now:         time.Now,
 	}
 }
 
-// NoteTrainingFailure records one failed training run for a (job, arm)
-// pair and returns the running count. The engine and the fleet coordinator
-// both feed it, so the abandon-after-N-failures decision sees every
-// execution path's failures.
-func (sc *Scheduler) NoteTrainingFailure(jobID string, arm int) int {
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	key := failKey(jobID, arm)
-	sc.failCounts[key]++
-	return sc.failCounts[key]
+// failKey names one candidate of one job in the failure tally.
+type failKey struct {
+	job string
+	arm int
 }
 
-// TrainingFailures returns the recorded failed-run count for a (job, arm)
-// pair — a peek for callers that must decide release-vs-abandon before
-// settling (and only count the failure once the settle succeeds).
-func (sc *Scheduler) TrainingFailures(jobID string, arm int) int {
+// SetRetryBudget sets at which failed run of one candidate Settle abandons
+// it (default 3). Its one caller is the fleet lease benchmark, whose steady
+// state hands every lease back as a failure; the other hand-back it could
+// use, expiry, snapshots the flight recorder per lease.
+func (sc *Scheduler) SetRetryBudget(n int) {
 	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	return sc.failCounts[failKey(jobID, arm)]
+	sc.retryBudget = n
+	sc.coordMu.Unlock()
 }
-
-func failKey(jobID string, arm int) string { return fmt.Sprintf("%s#%d", jobID, arm) }
 
 // SetLeaseTTL makes every subsequently picked lease expire unless its
 // holder heartbeats within d (0 restores never-expiring leases). Set it
@@ -395,13 +390,6 @@ func (sc *Scheduler) SetLeaseTTL(d time.Duration) {
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
 	sc.leaseTTL = d
-}
-
-// LeaseTTL returns the configured lease TTL (0 = leases never expire).
-func (sc *Scheduler) LeaseTTL() time.Duration {
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	return sc.leaseTTL
 }
 
 // SetClock replaces the clock lease expiry runs on — tests drive expiry
@@ -488,11 +476,6 @@ func (sc *Scheduler) ExpireLeases() ([]*Lease, error) {
 // Trainer returns the trainer the scheduler was built with, so an execution
 // engine can run the work it leases.
 func (sc *Scheduler) Trainer() Trainer { return sc.trainer }
-
-// SetLog attaches a write-ahead log: every subsequent state mutation
-// appends an event before acknowledging. Attach before serving traffic
-// (there is no synchronization with in-flight operations).
-func (sc *Scheduler) SetLog(l *storage.Log) { sc.log = l }
 
 // Persistent reports whether a write-ahead log is attached.
 func (sc *Scheduler) Persistent() bool { return sc.log != nil }
@@ -761,20 +744,20 @@ func (sc *Scheduler) InFlight() int {
 	return len(sc.leases)
 }
 
-// PickWork is the first phase of the scheduler's two-phase API: it leases
-// new (job, candidate) work items until maxInFlight leases are outstanding
-// or no more work is available, and returns the newly created leases. Jobs
-// are chosen by the configured core.UserPicker over the tenants that still
-// have unleased untried candidates; within a job the candidate is chosen by
-// GP-BUCB with the job's in-flight arms hallucinated (bandit.SelectBatch's
-// scheme, applied incrementally), so parallel picks diversify.
+// Grant is the first half of the lease lifecycle: it leases up to n more
+// (job, candidate) work items, stopping early once limit leases are
+// outstanding in total (limit <= 0: no ceiling) or no more work is
+// available, and returns the newly created leases. Count and ceiling are
+// applied inside the pick's own critical section, so concurrent callers
+// never overshoot either. Jobs are chosen by the configured core.UserPicker
+// over the tenants that still have unleased untried candidates; within a
+// job the candidate is chosen by GP-BUCB with the job's in-flight arms
+// hallucinated (bandit.SelectBatch's scheme, applied incrementally), so
+// parallel picks diversify.
 //
-// Every returned lease must eventually be handed back via Complete (with
-// the training result) or Release (on failure or drain).
-func (sc *Scheduler) PickWork(maxInFlight int) ([]*Lease, error) {
-	if maxInFlight <= 0 {
-		return nil, fmt.Errorf("server: maxInFlight %d must be positive", maxInFlight)
-	}
+// Every returned lease must eventually be handed back via Settle (or its
+// parts: Complete with the training result, Release, Abandon).
+func (sc *Scheduler) Grant(n, limit int) ([]*Lease, error) {
 	jobs := sc.jobsSnapshot()
 	t0 := time.Now()
 	sc.coordMu.Lock()
@@ -782,10 +765,6 @@ func (sc *Scheduler) PickWork(maxInFlight int) ([]*Lease, error) {
 	coordAcquired := time.Now()
 
 	inFlight := sc.inFlightArmsLocked()
-	var shadows map[string]*bandit.GPUCB
-	if sc.legacySelection {
-		shadows = make(map[string]*bandit.GPUCB)
-	}
 	sweepT0 := time.Now()
 	tenants, unlock := sc.lockForPicking(jobs, inFlight)
 	defer unlock()
@@ -794,8 +773,8 @@ func (sc *Scheduler) PickWork(maxInFlight int) ([]*Lease, error) {
 	lockWait := coordAcquired.Sub(t0) + time.Since(sweepT0)
 	pickStageLockWait.Observe(lockWait)
 	var picked []*Lease
-	for len(sc.leases) < maxInFlight {
-		l, err := sc.pickNextLocked(jobs, tenants, inFlight, shadows)
+	for len(picked) < n && (limit <= 0 || len(sc.leases) < limit) {
+		l, err := sc.pickNextLocked(jobs, tenants, inFlight)
 		if err != nil {
 			return picked, err
 		}
@@ -814,9 +793,18 @@ func (sc *Scheduler) PickWork(maxInFlight int) ([]*Lease, error) {
 	return picked, nil
 }
 
+// PickWork leases until maxInFlight leases are outstanding: Grant with the
+// count and the ceiling equal. Kept for the benchmark harness.
+func (sc *Scheduler) PickWork(maxInFlight int) ([]*Lease, error) {
+	if maxInFlight <= 0 {
+		return nil, fmt.Errorf("server: maxInFlight %d must be positive", maxInFlight)
+	}
+	return sc.Grant(maxInFlight, maxInFlight)
+}
+
 // lockForPicking acquires every job lock (in slice order, per the lock
 // discipline) and builds the tenant slice with current leased counts —
-// once per PickWork batch, not once per pick, so the O(J) lock sweep
+// once per Grant batch, not once per pick, so the O(J) lock sweep
 // amortizes over the whole batch. Callers hold coordMu and must call
 // unlock when the batch is done.
 func (sc *Scheduler) lockForPicking(jobs []*Job, inFlight map[string][]int) ([]*core.Tenant, func()) {
@@ -833,20 +821,6 @@ func (sc *Scheduler) lockForPicking(jobs []*Job, inFlight map[string][]int) ([]*
 			j.mu.Unlock()
 		}
 	}
-}
-
-// SetLegacySelection toggles the deep-clone selection baseline: every
-// PickWork batch rebuilds its hallucination shadows with full posterior
-// clones (bandit.CloneShadow) and every pick runs the linear picker scan,
-// exactly like the pre-index implementation. The selection index is
-// dropped on every call, so the two modes can be compared on one scheduler
-// (the benchmarks and equivalence tests do). Selection is bit-identical
-// between the modes; only the cost differs.
-func (sc *Scheduler) SetLegacySelection(legacy bool) {
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	sc.legacySelection = legacy
-	sc.selIdx.reset()
 }
 
 // SelectionStats snapshots the pick-path counters: the selection index's
@@ -875,8 +849,9 @@ func (sc *Scheduler) SelectionStats() SelectionStats {
 // ids are monotone). Grant order — not map iteration order — makes the
 // hallucination sequence deterministic, and it is exactly the order in
 // which a persistent index shadow applied its hallucinations, so a shadow
-// rebuilt from this list reproduces a revived shadow bit for bit (the two
-// selection modes, and reruns of the same seed, stay bit-identical).
+// rebuilt from this list reproduces a revived shadow bit for bit (reruns
+// of the same seed, and the reference picker in the tests, stay
+// bit-identical).
 // Callers must hold coordMu.
 func (sc *Scheduler) inFlightArmsLocked() map[string][]int {
 	byJob := make(map[string][]*Lease)
@@ -903,37 +878,27 @@ func (sc *Scheduler) inFlightArmsLocked() map[string][]int {
 // reads scheduling state (σ̃, UCB gaps) across all tenants, while
 // user-facing operations take none of these locks and stay responsive.
 //
-// With shadows == nil (the default, index mode) the pick runs through the
-// cross-job selection index: oracle-capable pickers answer the greedy
-// argmax from the lazily-repaired gap heap, re-scoring only jobs whose
-// dirty epoch moved, and hallucination shadows persist on the index across
-// calls — revived, checkpoint-rolled-back or extended to match the lease
-// set, rebuilt only after an observation (an O(1) prefix-sharing snapshot,
-// never a deep clone). A non-nil shadows map selects the legacy baseline:
-// a per-batch map of deep posterior clones (bandit.CloneShadow) and the
-// linear picker scan, exactly the pre-index behaviour. Both modes pick
-// bit-identical arms.
-func (sc *Scheduler) pickNextLocked(jobs []*Job, tenants []*core.Tenant, inFlight map[string][]int, shadows map[string]*bandit.GPUCB) (*Lease, error) {
+// The pick runs through the cross-job selection index: oracle-capable
+// pickers answer the greedy argmax from the lazily-repaired gap heap,
+// re-scoring only jobs whose dirty epoch moved, and hallucination shadows
+// persist on the index across calls — revived, checkpoint-rolled-back or
+// extended to match the lease set, rebuilt only after an observation (an
+// O(1) prefix-sharing snapshot, never a deep clone). The linear-scan,
+// clone-per-batch picker it must agree with bit for bit is referenceGrant
+// in reference_test.go.
+func (sc *Scheduler) pickNextLocked(jobs []*Job, tenants []*core.Tenant, inFlight map[string][]int) (*Lease, error) {
 	// The picker always sees the full tenant slice — stateful pickers
 	// (HYBRID's freeze signature, round-robin's rotation) depend on stable
 	// indices. Jobs whose untried arms are all leased out are excluded via
 	// the tenants' leased counts, which Tenant.Active folds in. Failed
 	// jobs had all their arms retired, so they read as exhausted.
-	anyActive := false
-	for _, t := range tenants {
-		if t.Active() {
-			anyActive = true
-			break
-		}
-	}
-	if !anyActive {
+	if !anyActive(tenants) {
 		return nil, nil
 	}
 	selectT0 := time.Now()
 	defer pickStageSelect.ObserveSince(selectT0)
-	indexed := shadows == nil
 	var idx int
-	if op, ok := sc.picker.(core.OraclePicker); indexed && ok {
+	if op, ok := sc.picker.(core.OraclePicker); ok {
 		sc.selIdx.ensure(jobs)
 		sc.selIdx.stats.OraclePicks++
 		idx = op.PickWithOracle(tenants, sc.selIdx.oracle())
@@ -959,28 +924,9 @@ func (sc *Scheduler) pickNextLocked(jobs []*Job, tenants []*core.Tenant, inFligh
 	var ucb float64
 	var hallStart time.Time
 	var hallDur time.Duration
-	switch {
-	case !indexed:
-		if shadow, ok := shadows[job.ID]; ok {
-			hallStart = time.Now()
-			arm, ucb = shadow.SelectArm()
-			shadow.Hallucinate(arm)
-			hallDur = time.Since(hallStart)
-			pickStageHallucinate.Observe(hallDur)
-		} else if len(inFlight[job.ID]) == 0 {
-			arm, ucb = job.tenant.Bandit.SelectArm()
-		} else {
-			hallStart = time.Now()
-			shadow = job.tenant.Bandit.CloneShadow(inFlight[job.ID])
-			shadows[job.ID] = shadow
-			arm, ucb = shadow.SelectArm()
-			shadow.Hallucinate(arm)
-			hallDur = time.Since(hallStart)
-			pickStageHallucinate.Observe(hallDur)
-		}
-	case len(inFlight[job.ID]) == 0:
+	if len(inFlight[job.ID]) == 0 {
 		arm, ucb = job.tenant.Bandit.SelectArm()
-	default:
+	} else {
 		sc.selIdx.ensure(jobs)
 		entry := &sc.selIdx.entries[idx]
 		hallStart = time.Now()
@@ -997,6 +943,26 @@ func (sc *Scheduler) pickNextLocked(jobs []*Job, tenants []*core.Tenant, inFligh
 	leasedBefore := len(inFlight[job.ID])
 	inFlight[job.ID] = append(inFlight[job.ID], arm)
 	job.tenant.SetLeased(len(inFlight[job.ID]))
+	l := sc.newLeaseLocked(job, arm, ucb)
+	sc.emitPickProvenance(l, job, job.tenant.Bandit.UCBSurface(), leasedBefore, len(jobs), selectT0, hallStart, hallDur, repairDur)
+	sc.leases[l.ID] = l
+	sc.selIdx.stats.Picks++
+	return l, nil
+}
+
+func anyActive(tenants []*core.Tenant) bool {
+	for _, t := range tenants {
+		if t.Active() {
+			return true
+		}
+	}
+	return false
+}
+
+// newLeaseLocked mints the lease for (job, arm) priced at ucb, stamped with
+// its expiry when a TTL is configured. The caller attaches the root span
+// and publishes it in the lease table. Callers hold coordMu.
+func (sc *Scheduler) newLeaseLocked(job *Job, arm int, ucb float64) *Lease {
 	sc.nextLease++
 	l := &Lease{ID: sc.nextLease, JobID: job.ID, Arm: arm, Candidate: job.Candidates[arm], UCB: ucb,
 		Trace: telemetry.NewTraceID()}
@@ -1006,16 +972,13 @@ func (sc *Scheduler) pickNextLocked(jobs []*Job, tenants []*core.Tenant, inFligh
 		l.LastHeartbeat = now
 		l.Expires = now.Add(sc.leaseTTL)
 	}
-	sc.emitPickProvenance(l, job, job.tenant.Bandit.UCBSurface(), leasedBefore, len(jobs), selectT0, hallStart, hallDur, repairDur)
-	sc.leases[l.ID] = l
-	sc.selIdx.stats.Picks++
-	return l, nil
+	return l
 }
 
 // beginSettle marks an outstanding lease as settling, erroring on a lease
 // that is not outstanding (double completion, or completion after Release)
 // or already settling. The lease stays in the table so its arm remains
-// excluded from PickWork until endSettle.
+// excluded from Grant until endSettle.
 func (sc *Scheduler) beginSettle(l *Lease) error {
 	if l == nil {
 		return fmt.Errorf("server: nil lease")
@@ -1035,10 +998,12 @@ func (sc *Scheduler) beginSettle(l *Lease) error {
 
 // endSettle drops a settling lease from the table and dirties the job's
 // selection-index entry (the lease set — and possibly the bandit, on the
-// abandon/failure paths that call this — changed).
+// abandon/failure paths that call this — changed). Every caller leaves the
+// arm tried or retired, so its failure tally goes too.
 func (sc *Scheduler) endSettle(l *Lease) {
 	sc.coordMu.Lock()
 	delete(sc.leases, l.ID)
+	delete(sc.failCounts, failKey{l.JobID, l.Arm})
 	sc.selIdx.markDirty(l.JobID)
 	sc.coordMu.Unlock()
 }
@@ -1143,6 +1108,7 @@ func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelReco
 	// so its selection-index entry is dirtied here too.
 	sc.coordMu.Lock()
 	delete(sc.leases, l.ID)
+	delete(sc.failCounts, failKey{l.JobID, l.Arm})
 	sc.rounds++
 	rec.Round = sc.rounds
 	sc.selIdx.markDirty(l.JobID)
@@ -1236,6 +1202,11 @@ func (sc *Scheduler) Release(l *Lease) error {
 	}
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
+	return sc.releaseLocked(l)
+}
+
+// releaseLocked is Release under coordMu.
+func (sc *Scheduler) releaseLocked(l *Lease) error {
 	stored, ok := sc.leases[l.ID]
 	if !ok || stored != l {
 		return fmt.Errorf("server: lease %d (%s/%s) is not outstanding: %w", l.ID, l.JobID, l.Candidate.Name(), ErrLeaseConflict)
@@ -1252,36 +1223,64 @@ func (sc *Scheduler) Release(l *Lease) error {
 	return nil
 }
 
-// RunRound executes one multi-tenant scheduling round: pick a job, pick its
-// next candidate, train it, and record the result — the serialized
-// single-device path, built on the same two-phase API the engine drives
-// concurrently. It returns false when no job has untried candidates.
-func (sc *Scheduler) RunRound() (bool, error) {
-	jobs := sc.jobsSnapshot()
-	sc.coordMu.Lock()
-	var shadows map[string]*bandit.GPUCB
-	if sc.legacySelection {
-		shadows = make(map[string]*bandit.GPUCB)
+// How Settle disposed of a lease.
+const (
+	SettledCompleted = "completed" // result observed and recorded
+	SettledReleased  = "released"  // failed run, candidate selectable again
+	SettledAbandoned = "abandoned" // failed run at the retry budget, candidate retired
+)
+
+// Settle is the second half of the lease lifecycle, and the one place that
+// decides what a failed run costs: a nil runErr completes the lease with
+// (accuracy, cost); a failure releases it for retry, or — once the
+// candidate has failed retryBudget times across every executor — abandons
+// it, because a persistently failing candidate keeps its top UCB and would
+// otherwise be re-leased forever, stalling every tenant. The failure is
+// tallied only when the settle itself succeeds, in the release's own
+// critical section: a report that loses to lease expiry (ErrLeaseConflict)
+// burns no budget. It returns how the lease settled (with an error: the
+// path that failed).
+func (sc *Scheduler) Settle(l *Lease, accuracy, cost float64, runErr error) (string, error) {
+	if l == nil {
+		return "", fmt.Errorf("server: nil lease")
 	}
-	inFlight := sc.inFlightArmsLocked()
-	tenants, unlock := sc.lockForPicking(jobs, inFlight)
-	l, err := sc.pickNextLocked(jobs, tenants, inFlight, shadows)
-	unlock()
+	if runErr == nil {
+		return SettledCompleted, sc.Complete(l, accuracy, cost)
+	}
+	key := failKey{l.JobID, l.Arm}
+	sc.coordMu.Lock()
+	failures := sc.failCounts[key] + 1
+	if failures < sc.retryBudget {
+		err := sc.releaseLocked(l)
+		if err == nil {
+			sc.failCounts[key] = failures
+		}
+		sc.coordMu.Unlock()
+		return SettledReleased, err
+	}
 	sc.coordMu.Unlock()
-	if err != nil {
+	return SettledAbandoned, sc.Abandon(l)
+}
+
+// RunRound executes one multi-tenant scheduling round: pick a job, pick its
+// next candidate, train it, and settle the result — the serialized
+// single-device path, the one-lease case of the cycle the engine and the
+// fleet drive concurrently. It returns false when no job has untried
+// candidates, and the training error of a failed run (whose candidate was
+// released for retry or, at the retry budget, abandoned).
+func (sc *Scheduler) RunRound() (bool, error) {
+	leases, err := sc.Grant(1, 0)
+	if err != nil || len(leases) == 0 {
 		return false, err
 	}
-	if l == nil {
-		return false, nil
-	}
-
+	l := leases[0]
 	// Train outside all locks: this is the long-running part.
-	acc, cost, err := sc.trainer.Train(l.JobID, l.Candidate)
-	if err != nil {
-		_ = sc.Release(l)
-		return false, fmt.Errorf("server: training %s/%s: %w", l.JobID, l.Candidate.Name(), err)
+	acc, cost, runErr := sc.trainer.Train(l.JobID, l.Candidate)
+	_, err = sc.Settle(l, acc, cost, runErr)
+	if runErr != nil {
+		return false, errors.Join(fmt.Errorf("server: training %s/%s: %w", l.JobID, l.Candidate.Name(), runErr), err)
 	}
-	return true, sc.Complete(l, acc, cost)
+	return true, err
 }
 
 // RunRounds executes up to n rounds, stopping early when all jobs are

@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 )
 
-// Cross-job selection index: the PickWork-side cache that makes the pick
+// Cross-job selection index: the Grant-side cache that makes the pick
 // path incremental. Two ideas, both keyed by a per-job dirty epoch:
 //
 //   - Score cache + heap. Every job carries a cached greedy gap score
@@ -24,7 +24,7 @@ import (
 //
 //   - Persistent hallucination shadows. The GP-BUCB shadow a job's picks
 //     are diversified through is kept on the job's index entry and revived
-//     across PickWork calls while the job's epoch is unchanged, so a batch
+//     across Grant calls while the job's epoch is unchanged, so a batch
 //     of picks pays one O(1) shadow (bandit.NewShadow's prefix-sharing
 //     snapshot) instead of a deep posterior clone per call.
 //
@@ -49,7 +49,7 @@ type selectionIndex struct {
 	// it moved (selEntry.changed). It is the fleet protocol's change feed
 	// cursor — a worker that synced at version v needs exactly the entries
 	// with changed > v, and nothing at all when v is current. Never reset
-	// (a mode-switch reset re-bumps it through ensure), so a stale worker
+	// (a restore's reset re-bumps it through ensure), so a stale worker
 	// can never collide with a fresh count.
 	version uint64
 
@@ -104,8 +104,8 @@ type SelectionStats struct {
 	// worker proposal, no picker sweep.
 	SpeculativeGrants uint64 `json:"speculative_grants"`
 	// OraclePicks counts picks answered through the selection index
-	// (heap-backed greedy); LegacyPicks counts deep-clone-mode picks and
-	// picks by pickers without an oracle path.
+	// (heap-backed greedy); LegacyPicks counts picks by pickers without an
+	// oracle path (a linear scan over the tenants).
 	OraclePicks uint64 `json:"oracle_picks"`
 	LegacyPicks uint64 `json:"legacy_picks"`
 	// JobsRescored counts per-job gap re-scores — the work the dirty
@@ -129,7 +129,7 @@ type SelectionStats struct {
 	BanditCache bandit.Stats `json:"bandit_cache"`
 }
 
-// reset drops every cached score and shadow (mode switches, restores).
+// reset drops every cached score and shadow (Restore rewrites every bandit).
 func (ix *selectionIndex) reset() {
 	ix.entries = nil
 	ix.byID = nil

@@ -38,23 +38,23 @@ func equivScheduler(t *testing.T, n int, withQuotas bool) *Scheduler {
 }
 
 // driveEquivalence runs an identical randomized lease-lifecycle interleaving
-// (picks, completions, releases, abandons) against the indexed scheduler A
-// and the legacy deep-clone scheduler B, asserting every decision matches.
+// (picks, completions, releases, abandons) against scheduler A, picked by
+// Grant, and scheduler B, picked by referenceGrant (the linear-scan,
+// deep-clone picker of reference_test.go), asserting every decision matches.
 func driveEquivalence(t *testing.T, seed int64, withQuotas bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 4 + rng.Intn(5)
 	a := equivScheduler(t, n, withQuotas)
 	b := equivScheduler(t, n, withQuotas)
-	b.SetLegacySelection(true)
 
 	var outA, outB []*Lease
 	for step := 0; step < 400; step++ {
 		switch op := rng.Intn(10); {
 		case op < 4: // lease a batch
 			n := len(a.InFlightLeases()) + 1 + rng.Intn(3)
-			la, errA := a.PickWork(n)
-			lb, errB := b.PickWork(n)
+			la, errA := a.Grant(n, n)
+			lb, errB := referenceGrant(b, n, n)
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("seed %d step %d: pick errors diverged: %v vs %v", seed, step, errA, errB)
 			}
@@ -108,8 +108,8 @@ func driveEquivalence(t *testing.T, seed int64, withQuotas bool) {
 		_ = b.Release(outB[i])
 	}
 	for {
-		la, errA := a.PickWork(1)
-		lb, errB := b.PickWork(1)
+		la, errA := a.Grant(1, 0)
+		lb, errB := referenceGrant(b, 1, 0)
 		if (errA == nil) != (errB == nil) || len(la) != len(lb) {
 			t.Fatalf("seed %d drain: diverged (%v/%d vs %v/%d)", seed, errA, len(la), errB, len(lb))
 		}
@@ -148,9 +148,9 @@ func driveEquivalence(t *testing.T, seed int64, withQuotas bool) {
 }
 
 // TestIndexedSelectionMatchesDeepCloneBaseline is the end-to-end
-// bit-identity guarantee of the selection-index refactor: the heap-backed,
+// bit-identity guarantee of the selection index: the heap-backed,
 // epoch-cached, shadow-reusing pick path must make exactly the decisions
-// of the legacy deep-clone implementation under randomized lease
+// of the reference deep-clone picker under randomized lease
 // lifecycles — with the default hybrid picker and with the class-weighted
 // wrapper (masked tenants) in front of it.
 func TestIndexedSelectionMatchesDeepCloneBaseline(t *testing.T) {
@@ -228,16 +228,9 @@ func TestSelectionStatsCounters(t *testing.T) {
 	if st.ShadowsBuilt == 0 || st.ShadowsReused == 0 {
 		t.Fatalf("shadow cache idle after deep batch: %+v", st)
 	}
-
-	// Legacy mode must not touch the index.
-	sc.SetLegacySelection(true)
-	legacyBefore := sc.SelectionStats()
-	if _, err := sc.PickWork(8); err != nil {
-		t.Fatal(err)
-	}
-	legacyAfter := sc.SelectionStats()
-	if legacyAfter.OraclePicks != legacyBefore.OraclePicks {
-		t.Fatal("legacy mode still used the oracle")
+	// The stock pickers all answer through the index.
+	if st.LegacyPicks != 0 {
+		t.Fatalf("%d picks bypassed the index: %+v", st.LegacyPicks, st)
 	}
 }
 
@@ -323,10 +316,5 @@ func TestPosteriorsSinceIsAChangeFeed(t *testing.T) {
 	delete(known, leases[0].JobID)
 	if ds := sc.PosteriorDeltas(known); len(ds) != 2 {
 		t.Errorf("PosteriorDeltas with one stale and one missing epoch returned %v", ids(ds))
-	}
-
-	sc.SetLegacySelection(true)
-	if ds, v := sc.PosteriorsSince(0); ds != nil || v != 0 {
-		t.Errorf("legacy selection answered the feed: %v at %d", ids(ds), v)
 	}
 }

@@ -49,8 +49,7 @@ type PosteriorDelta struct {
 
 // PosteriorDeltas exports the posterior surface of every job whose dirty
 // epoch differs from the caller's known map (job id → last seen epoch; jobs
-// absent from the map are always sent). It returns nil in legacy-selection
-// mode, which is what disables speculation end to end there.
+// absent from the map are always sent).
 func (sc *Scheduler) PosteriorDeltas(known map[string]uint64) []PosteriorDelta {
 	out, _ := sc.posteriorDeltas(func(id string, e *selEntry) bool {
 		v, ok := known[id]
@@ -64,7 +63,7 @@ func (sc *Scheduler) PosteriorDeltas(known map[string]uint64) []PosteriorDelta {
 // the answer is current at — the cursor for the caller's next call. Nothing
 // is returned at the current version, everything at 0. Both are read in one
 // critical section, so a caller that applies the deltas holds exactly the
-// state of the returned version. (nil, 0) in legacy-selection mode.
+// state of the returned version.
 func (sc *Scheduler) PosteriorsSince(since uint64) ([]PosteriorDelta, uint64) {
 	return sc.posteriorDeltas(func(_ string, e *selEntry) bool { return e.changed > since })
 }
@@ -78,9 +77,6 @@ func (sc *Scheduler) posteriorDeltas(want func(id string, e *selEntry) bool) ([]
 	jobs := sc.jobsSnapshot()
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
-	if sc.legacySelection {
-		return nil, 0
-	}
 	sc.selIdx.ensure(jobs)
 	var leasedByJob map[string][]int
 	var out []PosteriorDelta
@@ -161,9 +157,6 @@ func (sc *Scheduler) SpeculativeGrant(jobID string, arm int, epoch uint64) (*Lea
 	t0 := time.Now()
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
-	if sc.legacySelection {
-		return nil, nil
-	}
 	sc.selIdx.ensure(jobs)
 	i, ok := sc.selIdx.byID[jobID]
 	if !ok {
@@ -175,7 +168,7 @@ func (sc *Scheduler) SpeculativeGrant(jobID string, arm int, epoch uint64) (*Lea
 	}
 	// The job's in-flight arms in lease-grant order (ids are monotone) —
 	// the same sequence inFlightArmsLocked feeds the pick path, so the
-	// shadow extended here is bit-identical to the one the next PickWork
+	// shadow extended here is bit-identical to the one the next Grant
 	// would have built.
 	var held []*Lease
 	for _, l := range sc.leases {
@@ -215,15 +208,7 @@ func (sc *Scheduler) SpeculativeGrant(jobID string, arm int, epoch uint64) (*Lea
 		hallDur = time.Since(hallStart)
 		pickStageHallucinate.Observe(hallDur)
 	}
-	sc.nextLease++
-	l := &Lease{ID: sc.nextLease, JobID: jobID, Arm: arm, Candidate: job.Candidates[arm], UCB: ucb,
-		Trace: telemetry.NewTraceID()}
-	leaseTraces.Inc()
-	if sc.leaseTTL > 0 {
-		now := sc.now()
-		l.LastHeartbeat = now
-		l.Expires = now.Add(sc.leaseTTL)
-	}
+	l := sc.newLeaseLocked(job, arm, ucb)
 	sc.emitSpeculativeProvenance(l, job, len(jobs), t0, hallStart, hallDur)
 	sc.leases[l.ID] = l
 	sc.selIdx.stats.Picks++

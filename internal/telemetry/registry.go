@@ -22,7 +22,6 @@ import (
 	"io"
 	"net/http"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -330,14 +329,4 @@ func WriteMetricHeader(w io.Writer, name, help, kind string) {
 // block, e.g. `{state="alive"}`) for dynamically-computed exposition.
 func WriteGauge(w io.Writer, name, labels string, v float64) {
 	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(v))
-}
-
-// Sorted returns the registry's family names in registration order —
-// used by tests and debugging, not by the exposition path.
-func (r *Registry) Sorted() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := append([]string(nil), r.order...)
-	sort.Strings(names)
-	return names
 }
