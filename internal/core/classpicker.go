@@ -2,15 +2,20 @@ package core
 
 import "fmt"
 
-// ClassWeightedPicker wraps any UserPicker with weighted fair sharing
-// across tenant *classes* — the priority layer the server's admission
-// subsystem puts on top of the paper's user-picking policies. Tenants carry
-// a Class label and a Weight (see Tenant); the wrapper decides which class
-// is served next by smooth weighted round-robin over the classes that
-// currently have active tenants, then delegates the within-class choice to
-// the inner policy (HYBRID by default), masking every other class for the
-// duration of that one inner pick so stateful pickers keep stable tenant
-// indices.
+// ClassWeightedPicker puts weighted fair sharing across tenant *classes* on
+// top of any UserPicker — the priority layer the server's admission
+// subsystem adds to the paper's user-picking policies. Tenants carry a
+// Class label and a Weight (see Tenant); the wrapper decides which class is
+// served next by smooth weighted round-robin over the classes that
+// currently have active tenants, then lets that class's own inner picker
+// (HYBRID by default) choose among the class's tenants.
+//
+// Every class has its own inner picker, run over the class's own tenant
+// sub-slice, so a stateful picker's indices, round-robin cursor,
+// observation count and best-quality total are class-local: HYBRID's freeze
+// detection (§4.4) watches one class's candidate set, and a class that
+// freezes does not freeze its neighbours. Tenants never change class and
+// only ever join a class at its end, so class-local indices are stable.
 //
 // Smooth weighted round-robin is starvation-free by construction: every
 // class with active tenants accumulates credit every round, so a class of
@@ -18,27 +23,65 @@ import "fmt"
 // weight) no matter how large the other classes' weights are — best-effort
 // tenants are throttled, never starved.
 type ClassWeightedPicker struct {
-	// Inner picks within the chosen class; required.
-	Inner UserPicker
+	newInner func() UserPicker
+	name     string
 
+	// inner holds each class's picker, built on the class's first pick.
+	inner map[string]UserPicker
 	// credit is the smooth-WRR accumulator per class. Classes keep their
 	// credit while inactive (it is bounded by one round's worth), so a
 	// briefly-exhausted class rejoins where it left off.
 	credit map[string]float64
+
+	shares []ClassShare // scratch: the active classes of one pick
+	scan   classScan    // scratch: the linear partition of one pick
 }
 
-// NewClassWeightedPicker wraps an inner picker (nil defaults to HYBRID).
-func NewClassWeightedPicker(inner UserPicker) *ClassWeightedPicker {
-	if inner == nil {
-		inner = NewHybridPicker()
+// ClassShare is a class with active tenants and the weight it shares the
+// pool by.
+type ClassShare struct {
+	Class  string
+	Weight float64
+}
+
+// ClassOracle serves ClassWeightedPicker from a tenant set that is kept
+// partitioned by class, so a pick costs O(classes) plus the inner pick over
+// one class instead of passes over every tenant. An implementation must
+// answer exactly what a scan of the tenant slice in index order finds;
+// classScan is that scan.
+type ClassOracle interface {
+	// ActiveClasses appends to dst the classes that have an active tenant,
+	// in order of their lowest-indexed active member, each with the largest
+	// weight among its active members (a class's weight is the maximum of
+	// its members', so one mis-tagged tenant cannot zero a class).
+	ActiveClasses(dst []ClassShare) []ClassShare
+	// ClassMembers returns a class's tenants in index order, their
+	// positions in the full tenant slice, and the oracle that answers
+	// greedy queries over exactly that sub-slice (nil: none, the inner
+	// picker scans it).
+	ClassMembers(class string) (members []*Tenant, index []int, o SelectionOracle)
+}
+
+// NewClassWeightedPicker builds a class-weighted picker whose classes each
+// pick with their own newInner() (nil defaults to HYBRID).
+func NewClassWeightedPicker(newInner func() UserPicker) *ClassWeightedPicker {
+	if newInner == nil {
+		newInner = func() UserPicker { return NewHybridPicker() }
 	}
-	return &ClassWeightedPicker{Inner: inner, credit: make(map[string]float64)}
+	return &ClassWeightedPicker{
+		newInner: newInner,
+		name:     fmt.Sprintf("class-weighted(%s)", newInner().Name()),
+		inner:    make(map[string]UserPicker),
+		credit:   make(map[string]float64),
+	}
 }
 
 // Name implements UserPicker.
-func (p *ClassWeightedPicker) Name() string {
-	return fmt.Sprintf("class-weighted(%s)", p.Inner.Name())
-}
+func (p *ClassWeightedPicker) Name() string { return p.name }
+
+// Inner returns the picker of one class (nil before the class's first
+// pick), so callers can inspect per-class state such as HYBRID's freeze.
+func (p *ClassWeightedPicker) Inner(class string) UserPicker { return p.inner[class] }
 
 // classKey normalizes a tenant's class label ("" reads as "standard").
 func classKey(t *Tenant) string {
@@ -57,90 +100,131 @@ func classWeight(t *Tenant) float64 {
 }
 
 // Pick implements UserPicker: choose a class by smooth weighted
-// round-robin over classes with active tenants, then let the inner picker
-// choose among that class's tenants.
+// round-robin over classes with active tenants, then let that class's
+// picker choose among the class's tenants.
 func (p *ClassWeightedPicker) Pick(tenants []*Tenant) int {
-	return p.pick(tenants, p.Inner.Pick)
+	p.scan.partition(tenants)
+	return p.pick(&p.scan)
 }
 
-// PickWithOracle implements OraclePicker: identical to Pick, delegating
-// the within-class choice to the inner picker's oracle path when the
-// inner picker supports one. Masking composes naturally — the oracle
-// reads Active live, so the class restriction applies to its candidate
-// sets too.
+// PickWithOracle implements OraclePicker: identical to Pick. A ClassOracle
+// supplies the partition and each class's greedy oracle; any other oracle
+// is bound to the full tenant slice and cannot answer for a class's
+// sub-slice, so the classes are found by the linear scan and their inner
+// pickers scan too.
 func (p *ClassWeightedPicker) PickWithOracle(tenants []*Tenant, o SelectionOracle) int {
-	inner := p.Inner.Pick
-	if op, ok := p.Inner.(OraclePicker); ok {
-		inner = func(ts []*Tenant) int { return op.PickWithOracle(ts, o) }
+	if co, ok := o.(ClassOracle); ok {
+		return p.pick(co)
 	}
-	return p.pick(tenants, inner)
+	return p.Pick(tenants)
 }
 
-// pick is the shared smooth-WRR body; innerPick chooses within the class.
-func (p *ClassWeightedPicker) pick(tenants []*Tenant, innerPick func([]*Tenant) int) int {
-	if p.credit == nil {
-		p.credit = make(map[string]float64)
+// pick is the smooth-WRR body over a partition of the tenants.
+func (p *ClassWeightedPicker) pick(classes ClassOracle) int {
+	p.shares = classes.ActiveClasses(p.shares[:0])
+	if len(p.shares) == 0 {
+		return -1
 	}
-	// Collect the active classes and their weights (a class's weight is the
-	// maximum of its members', so one mis-tagged tenant cannot zero a
-	// class).
-	weights := make(map[string]float64)
-	var order []string // first-seen order, for deterministic tie-breaks
-	for _, t := range tenants {
+	// With a single active class (always, in the no-admission deployment)
+	// the wrapper is transparent: no credit bookkeeping.
+	chosen := p.shares[0].Class
+	if len(p.shares) > 1 {
+		var total, best float64
+		for i, s := range p.shares {
+			total += s.Weight
+			p.credit[s.Class] += s.Weight
+			if c := p.credit[s.Class]; i == 0 || c > best {
+				chosen, best = s.Class, c
+			}
+		}
+		p.credit[chosen] -= total
+	}
+
+	members, index, o := classes.ClassMembers(chosen)
+	inner := p.inner[chosen]
+	if inner == nil {
+		inner = p.newInner()
+		p.inner[chosen] = inner
+	}
+	local := -1
+	if op, ok := inner.(OraclePicker); ok && o != nil {
+		local = op.PickWithOracle(members, o)
+	} else {
+		local = inner.Pick(members)
+	}
+	if local < 0 {
+		// Defensive: the chosen class had an active tenant, but a faulty
+		// inner picker may still decline; fall back to the class's first
+		// active tenant rather than stall scheduling.
+		for i, t := range members {
+			if t.Active() {
+				return index[i]
+			}
+		}
+		return -1
+	}
+	return index[local]
+}
+
+// classScan is the linear ClassOracle: one pass over the tenant slice in
+// index order. It is what Pick runs on, and the reference every faster
+// ClassOracle must agree with.
+type classScan struct {
+	classes []scannedClass // first-seen order over all tenants
+	byKey   map[string]int
+	active  []int // classes with an active member, in order of discovery
+}
+
+type scannedClass struct {
+	key     string
+	members []*Tenant
+	index   []int
+	weight  float64 // largest weight among the active members; 0: none active
+}
+
+// partition rescans tenants, reusing the previous pick's buffers.
+func (s *classScan) partition(tenants []*Tenant) {
+	if s.byKey == nil {
+		s.byKey = make(map[string]int)
+	}
+	for i := range s.classes {
+		c := &s.classes[i]
+		c.members, c.index, c.weight = c.members[:0], c.index[:0], 0
+	}
+	s.active = s.active[:0]
+	for i, t := range tenants {
+		key := classKey(t)
+		ci, ok := s.byKey[key]
+		if !ok {
+			ci = len(s.classes)
+			s.byKey[key] = ci
+			s.classes = append(s.classes, scannedClass{key: key})
+		}
+		c := &s.classes[ci]
+		c.members = append(c.members, t)
+		c.index = append(c.index, i)
 		if !t.Active() {
 			continue
 		}
-		key := classKey(t)
-		if _, seen := weights[key]; !seen {
-			order = append(order, key)
+		if c.weight == 0 {
+			s.active = append(s.active, ci)
 		}
-		if w := classWeight(t); w > weights[key] {
-			weights[key] = w
-		}
-	}
-	if len(order) == 0 {
-		return -1
-	}
-	if len(order) == 1 {
-		// Single class (the no-admission deployment): the wrapper is
-		// transparent — no credit bookkeeping, identical inner behaviour.
-		return innerPick(tenants)
-	}
-	var total float64
-	for _, key := range order {
-		total += weights[key]
-	}
-	chosen := ""
-	best := 0.0
-	for _, key := range order {
-		p.credit[key] += weights[key]
-		if chosen == "" || p.credit[key] > best {
-			chosen = key
-			best = p.credit[key]
+		if w := classWeight(t); w > c.weight {
+			c.weight = w
 		}
 	}
-	p.credit[chosen] -= total
+}
 
-	// Restrict the inner picker to the chosen class by masking the rest;
-	// the slice (and every index) stays stable for stateful inner pickers.
-	for _, t := range tenants {
-		if classKey(t) != chosen {
-			t.SetMasked(true)
-		}
+// ActiveClasses implements ClassOracle.
+func (s *classScan) ActiveClasses(dst []ClassShare) []ClassShare {
+	for _, ci := range s.active {
+		dst = append(dst, ClassShare{Class: s.classes[ci].key, Weight: s.classes[ci].weight})
 	}
-	idx := innerPick(tenants)
-	for _, t := range tenants {
-		t.SetMasked(false)
-	}
-	if idx < 0 {
-		// Defensive: the chosen class had an active tenant, but a faulty
-		// inner picker may still decline; fall back to any active tenant
-		// rather than stall scheduling.
-		for i, t := range tenants {
-			if t.Active() {
-				return i
-			}
-		}
-	}
-	return idx
+	return dst
+}
+
+// ClassMembers implements ClassOracle; the scan has no greedy oracle.
+func (s *classScan) ClassMembers(class string) ([]*Tenant, []int, SelectionOracle) {
+	c := &s.classes[s.byKey[class]]
+	return c.members, c.index, nil
 }

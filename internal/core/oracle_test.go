@@ -26,6 +26,20 @@ func (referenceOracle) GreedyCandidates(tenants []*Tenant) []int {
 	return out
 }
 
+// scanOracle is the linear class partition with referenceOracle behind every
+// class: it drives ClassWeightedPicker's ClassOracle path — per-class inner
+// PickWithOracle over class-local sub-slices — from the canonical linear
+// implementations.
+type scanOracle struct {
+	referenceOracle
+	classScan
+}
+
+func (s *scanOracle) ClassMembers(class string) ([]*Tenant, []int, SelectionOracle) {
+	members, index, _ := s.classScan.ClassMembers(class)
+	return members, index, referenceOracle{}
+}
+
 func oracleTenants(t *testing.T, rng *rand.Rand, n int) []*Tenant {
 	t.Helper()
 	tenants := make([]*Tenant, n)
@@ -49,13 +63,13 @@ func oracleTenants(t *testing.T, rng *rand.Rand, n int) []*Tenant {
 
 // Oracle-backed picking must be step-for-step identical to the linear
 // pickers across full randomized runs, for greedy, hybrid and the
-// class-weighted wrapper (freeze detection and masking included).
+// class-weighted wrapper (freeze detection and the class partition included).
 func TestPickWithOracleMatchesPick(t *testing.T) {
 	builders := map[string]func() (UserPicker, OraclePicker){
 		"greedy": func() (UserPicker, OraclePicker) { return &GreedyPicker{}, &GreedyPicker{} },
 		"hybrid": func() (UserPicker, OraclePicker) { return NewHybridPicker(), NewHybridPicker() },
 		"class-weighted(hybrid)": func() (UserPicker, OraclePicker) {
-			return NewClassWeightedPicker(NewHybridPicker()), NewClassWeightedPicker(NewHybridPicker())
+			return NewClassWeightedPicker(nil), NewClassWeightedPicker(nil)
 		},
 	}
 	for name, build := range builders {
@@ -67,7 +81,13 @@ func TestPickWithOracleMatchesPick(t *testing.T) {
 			linear, oracle := build()
 			for step := 0; ; step++ {
 				a := linear.Pick(tenantsA)
-				b := oracle.PickWithOracle(tenantsB, referenceOracle{})
+				var o SelectionOracle = referenceOracle{}
+				if name == "class-weighted(hybrid)" {
+					scan := &scanOracle{}
+					scan.partition(tenantsB)
+					o = scan
+				}
+				b := oracle.PickWithOracle(tenantsB, o)
 				if a != b {
 					t.Fatalf("%s seed %d step %d: linear picked %d, oracle picked %d", name, seed, step, a, b)
 				}

@@ -40,12 +40,6 @@ type Tenant struct {
 	// server scheduler's two-phase API); those arms are untried but not
 	// selectable, so Active subtracts them. Always 0 in replay simulations.
 	leased int
-
-	// masked temporarily hides the tenant from Active so a wrapping picker
-	// (ClassWeightedPicker) can restrict an inner picker to one class while
-	// keeping the tenant slice — and therefore every stateful picker's
-	// indices — stable. Only ever set around an inner Pick call.
-	masked bool
 }
 
 // NewTenant wraps a bandit as a tenant.
@@ -57,17 +51,11 @@ func NewTenant(id int, name string, b *bandit.GPUCB) *Tenant {
 // leased out to in-flight work.
 func (t *Tenant) SetLeased(n int) { t.leased = n }
 
-// SetMasked hides (or reveals) the tenant from Active. Pickers that
-// partition the tenant set — ClassWeightedPicker restricting its inner
-// picker to one class — mask the others for the duration of one inner Pick.
-func (t *Tenant) SetMasked(m bool) { t.masked = m }
-
 // Active reports whether the tenant has at least one untried arm that is
 // not leased out — i.e. whether a user picker may select it. With no
-// leases this is exactly !Bandit.Exhausted(). A masked tenant is never
-// active.
+// leases this is exactly !Bandit.Exhausted().
 func (t *Tenant) Active() bool {
-	return !t.masked && t.Bandit.NumArms()-t.Bandit.NumTried()-t.leased > 0
+	return t.Bandit.NumArms()-t.Bandit.NumTried()-t.leased > 0
 }
 
 // SigmaTilde returns the empirical variance σ̃ of Algorithm 2 line 6.

@@ -16,18 +16,21 @@ import (
 // cumulative cost, and lets guaranteed-class work preempt outstanding
 // best-effort leases when the pool is saturated.
 
-// SetAdmission installs the admission controller and wraps the configured
-// user picker in core.ClassWeightedPicker, so tenants of different service
+// SetAdmission installs the admission controller and replaces the user
+// picker with core.ClassWeightedPicker, so tenants of different service
 // classes share the pool by weight (guaranteed > standard > best-effort)
-// without starving anyone. Call before serving traffic and before Recover
-// (recovered jobs re-register with the controller and pick up their
-// tenant's class).
+// without starving anyone. Within a class the paper's HYBRID picks, one
+// instance per class — the freeze window of §4.4 is a property of one
+// class's tenants, and a picker passed to NewScheduler is a single instance
+// that cannot be shared across classes. Call before serving traffic and
+// before Recover (recovered jobs re-register with the controller and pick
+// up their tenant's class).
 func (sc *Scheduler) SetAdmission(ctrl *admission.Controller) {
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
 	sc.adm = ctrl
 	if ctrl != nil {
-		sc.picker = core.NewClassWeightedPicker(sc.picker)
+		sc.picker = core.NewClassWeightedPicker(func() core.UserPicker { return core.NewHybridPicker() })
 	}
 }
 
