@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/easeml"
+	"repro/internal/admission"
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -282,6 +283,85 @@ func BenchmarkPickWorkManyJobs(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkGrantScaling measures what the number of tenants costs one lease:
+// J jobs in three service classes by quota (35 candidates each, six observed
+// rounds per job, four leases standing), and one op is the steady state of
+// every executor — settle the oldest lease, lease one more. The two halves
+// are timed apart: grant-ns/lease is Grant(1, 0), the coordinator's critical
+// section; settle-ns/lease is Complete, which carries the job's posterior
+// refresh. Training (simulated) is outside both. A scheduler that runs out
+// of candidates is rebuilt with the timer stopped.
+func BenchmarkGrantScaling(b *testing.B) {
+	const (
+		program  = "{input: {[Tensor[16, 16, 3]], []}, output: {[Tensor[2]], []}}" // 35 candidates
+		warmup   = 6
+		standing = 4
+	)
+	classes := []admission.Class{admission.ClassGuaranteed, admission.ClassStandard, admission.ClassBestEffort}
+	for _, jobs := range []int{64, 256, 1024, 4096} {
+		b.Run(fmt.Sprintf("J=%d", jobs), func(b *testing.B) {
+			quotas := make(map[string]admission.Quota, jobs)
+			for i := 0; i < jobs; i++ {
+				quotas[fmt.Sprintf("scale-%04d", i)] = admission.Quota{Class: classes[i%len(classes)]}
+			}
+			build := func() (*server.Scheduler, []*server.Lease) {
+				ctrl, err := admission.NewController(admission.Config{Tenants: quotas})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 47), nil, "http://bench:9000")
+				sc.SetAdmission(ctrl)
+				for i := 0; i < jobs; i++ {
+					if _, err := sc.Submit(fmt.Sprintf("scale-%04d", i), program); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := sc.RunRounds(jobs * warmup); err != nil {
+					b.Fatal(err)
+				}
+				held, err := sc.Grant(standing, 0)
+				if err != nil || len(held) != standing {
+					b.Fatalf("standing set: %d leases, want %d (%v)", len(held), standing, err)
+				}
+				return sc, held
+			}
+			sc, held := build()
+			var grant, settle time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l := held[0]
+				held = held[1:]
+				acc, cost, err := sc.Trainer().Train(l.JobID, l.Candidate)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t0 := time.Now()
+				if err := sc.Complete(l, acc, cost); err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				next, err := sc.Grant(1, 0)
+				grant += time.Since(t1)
+				settle += t1.Sub(t0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(next) == 0 {
+					b.StopTimer()
+					sc, held = build()
+					b.StartTimer()
+					continue
+				}
+				held = append(held, next...)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(grant.Nanoseconds())/float64(b.N), "grant-ns/lease")
+			b.ReportMetric(float64(settle.Nanoseconds())/float64(b.N), "settle-ns/lease")
+		})
 	}
 }
 

@@ -35,6 +35,11 @@ type ClassWeightedPicker struct {
 
 	shares []ClassShare // scratch: the active classes of one pick
 	scan   classScan    // scratch: the linear partition of one pick
+
+	// What the most recent pick changed, for UndoPick: the credits it
+	// moved (Weight holds the credit before) and the inner picker it ran.
+	undoCredit []ClassShare
+	undoInner  UserPicker
 }
 
 // ClassShare is a class with active tenants and the weight it shares the
@@ -121,6 +126,7 @@ func (p *ClassWeightedPicker) PickWithOracle(tenants []*Tenant, o SelectionOracl
 
 // pick is the smooth-WRR body over a partition of the tenants.
 func (p *ClassWeightedPicker) pick(classes ClassOracle) int {
+	p.undoCredit, p.undoInner = p.undoCredit[:0], nil
 	p.shares = classes.ActiveClasses(p.shares[:0])
 	if len(p.shares) == 0 {
 		return -1
@@ -131,6 +137,7 @@ func (p *ClassWeightedPicker) pick(classes ClassOracle) int {
 	if len(p.shares) > 1 {
 		var total, best float64
 		for i, s := range p.shares {
+			p.undoCredit = append(p.undoCredit, ClassShare{Class: s.Class, Weight: p.credit[s.Class]})
 			total += s.Weight
 			p.credit[s.Class] += s.Weight
 			if c := p.credit[s.Class]; i == 0 || c > best {
@@ -146,6 +153,7 @@ func (p *ClassWeightedPicker) pick(classes ClassOracle) int {
 		inner = p.newInner()
 		p.inner[chosen] = inner
 	}
+	p.undoInner = inner
 	local := -1
 	if op, ok := inner.(OraclePicker); ok && o != nil {
 		local = op.PickWithOracle(members, o)
@@ -164,6 +172,19 @@ func (p *ClassWeightedPicker) pick(classes ClassOracle) int {
 		return -1
 	}
 	return index[local]
+}
+
+// UndoPick implements PickUndoer: the credits the last pick moved go back,
+// and so does the inner picker it ran.
+func (p *ClassWeightedPicker) UndoPick() {
+	for _, c := range p.undoCredit {
+		p.credit[c.Class] = c.Weight
+	}
+	p.undoCredit = p.undoCredit[:0]
+	if u, ok := p.undoInner.(PickUndoer); ok {
+		u.UndoPick()
+	}
+	p.undoInner = nil
 }
 
 // classScan is the linear ClassOracle: one pass over the tenant slice in

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -47,6 +47,16 @@ type SelectionOracle interface {
 type OraclePicker interface {
 	UserPicker
 	PickWithOracle(tenants []*Tenant, o SelectionOracle) int
+}
+
+// PickUndoer is implemented by user pickers whose picks advance state of
+// their own — a round-robin cursor, weighted-round-robin credit, HYBRID's
+// freeze window. UndoPick takes back what the most recent Pick or
+// PickWithOracle changed (one level), for a caller that has to discard the
+// pick: the server does when it finds the chosen tenant's bandit ahead of
+// the copy the pick was made on.
+type PickUndoer interface {
+	UndoPick()
 }
 
 // Active returns the indices of tenants that still have untried, unleased
@@ -163,6 +173,7 @@ func (FCFSPicker) Pick(tenants []*Tenant) int {
 // the Theorem 2 regret bound.
 type RoundRobinPicker struct {
 	next int
+	undo int // next before the most recent pick
 }
 
 // Name implements UserPicker.
@@ -170,6 +181,7 @@ func (*RoundRobinPicker) Name() string { return "round-robin" }
 
 // Pick implements UserPicker.
 func (p *RoundRobinPicker) Pick(tenants []*Tenant) int {
+	p.undo = p.next
 	n := len(tenants)
 	for off := 0; off < n; off++ {
 		i := (p.next + off) % n
@@ -180,6 +192,9 @@ func (p *RoundRobinPicker) Pick(tenants []*Tenant) int {
 	}
 	return -1
 }
+
+// UndoPick implements PickUndoer.
+func (p *RoundRobinPicker) UndoPick() { p.next = p.undo }
 
 // RandomPicker serves a uniformly random active tenant — the §5.3 RANDOM
 // baseline ("uniform sampling with replacement" versus round-robin's
@@ -296,11 +311,22 @@ type HybridPicker struct {
 	S int
 
 	greedy GreedyPicker
-	rr     RoundRobinPicker
 
+	hybridState
+	undo hybridState // the state before the most recent pick (UndoPick)
+	// cands double-buffers the previous round's candidate set: a round
+	// writes the buffer prev does not name and then flips prev, so undoing
+	// the flip finds the older set untouched.
+	cands [2][]int
+}
+
+// hybridState is what one pick can change: the round-robin cursor and the
+// freeze-detection window.
+type hybridState struct {
+	rr          RoundRobinPicker
 	frozen      bool
 	stableCount int
-	prevSig     string
+	prev        int // which of cands holds the previous round's candidate set
 	prevTotal   float64
 	prevObs     int
 	havePrev    bool
@@ -315,30 +341,36 @@ func (*HybridPicker) Name() string { return "hybrid" }
 // Frozen reports whether the picker has switched to round-robin.
 func (p *HybridPicker) Frozen() bool { return p.frozen }
 
+// UndoPick implements PickUndoer.
+func (p *HybridPicker) UndoPick() { p.hybridState = p.undo }
+
 // Pick implements UserPicker.
 func (p *HybridPicker) Pick(tenants []*Tenant) int {
+	p.undo = p.hybridState
 	if p.frozen {
 		return p.rr.Pick(tenants)
 	}
 	choice := p.greedy.Pick(tenants)
-	return p.finishPick(tenants, choice, func() []int { return p.greedy.lastCandidates })
+	return p.finishPick(tenants, choice, nil)
 }
 
 // PickWithOracle implements OraclePicker: identical to Pick, with the
 // greedy phase (choice and candidate-set signature) served by the oracle.
 func (p *HybridPicker) PickWithOracle(tenants []*Tenant, o SelectionOracle) int {
+	p.undo = p.hybridState
 	if p.frozen {
 		return p.rr.Pick(tenants)
 	}
 	choice := o.GreedyChoice(tenants)
-	return p.finishPick(tenants, choice, func() []int { return o.GreedyCandidates(tenants) })
+	return p.finishPick(tenants, choice, o)
 }
 
-// finishPick runs the freeze-detection bookkeeping on a greedy choice.
-// candidates is consulted lazily — only when a new observation has landed
-// since the previous pick — so oracle-backed picks between observations
-// never pay for the candidate-set signature.
-func (p *HybridPicker) finishPick(tenants []*Tenant, choice int, candidates func() []int) int {
+// finishPick runs the freeze-detection bookkeeping on a greedy choice made
+// by the oracle (nil: by p.greedy). The candidate set is consulted lazily —
+// only when a new observation has landed since the previous pick — so
+// oracle-backed picks between observations never pay for it, and it is
+// copied, so the oracle may answer from scratch space.
+func (p *HybridPicker) finishPick(tenants []*Tenant, choice int, o SelectionOracle) int {
 	if choice < 0 {
 		return choice
 	}
@@ -349,22 +381,27 @@ func (p *HybridPicker) finishPick(tenants []*Tenant, choice int, candidates func
 	// would latch GREEDY into round-robin before training even starts.
 	totalObs := 0
 	for _, t := range tenants {
-		totalObs += t.Bandit.NumTried()
+		totalObs += t.NumTried()
 	}
 	if p.havePrev && totalObs == p.prevObs {
 		return choice
 	}
-	sig := fmt.Sprint(candidates())
+	candidates := p.greedy.lastCandidates
+	if o != nil {
+		candidates = o.GreedyCandidates(tenants)
+	}
+	cur := 1 - p.prev
+	p.cands[cur] = append(p.cands[cur][:0], candidates...)
 	total := 0.0
 	for _, t := range tenants {
 		total += t.BestObserved()
 	}
-	if p.havePrev && sig == p.prevSig && total <= p.prevTotal+1e-12 {
+	if p.havePrev && slices.Equal(p.cands[cur], p.cands[p.prev]) && total <= p.prevTotal+1e-12 {
 		p.stableCount++
 	} else {
 		p.stableCount = 0
 	}
-	p.prevSig = sig
+	p.prev = cur
 	p.prevTotal = total
 	p.prevObs = totalObs
 	p.havePrev = true

@@ -9,10 +9,15 @@ import (
 // Tenant is the per-user scheduling state: the user's GP-UCB bandit plus the
 // empirical-confidence-bound recurrence that drives GREEDY's user-picking
 // phase (Algorithm 2 line 6).
+//
+// A tenant built by NewTenantView has no bandit: it is a read-only copy of
+// the six scalars a user picker reads (Scalars plus the leased count), kept
+// current by whoever owns the real tenant. Every method a UserPicker calls
+// answers from the copy, so the same pickers run over either kind.
 type Tenant struct {
 	ID     int
 	Name   string
-	Bandit *bandit.GPUCB
+	Bandit *bandit.GPUCB // nil for a view
 
 	// Class is the tenant's admission service class (e.g. "guaranteed",
 	// "standard", "best-effort"); empty means standard. It groups tenants
@@ -40,7 +45,46 @@ type Tenant struct {
 	// server scheduler's two-phase API); those arms are untried but not
 	// selectable, so Active subtracts them. Always 0 in replay simulations.
 	leased int
+
+	// view holds a view tenant's published scalars (Bandit == nil).
+	view Scalars
 }
+
+// Scalars is everything a user picker reads of a tenant's bandit and σ̃
+// recurrence. Tried only ever grows — every observation and every
+// retirement advances it — so it orders two Scalars of one tenant in time.
+type Scalars struct {
+	Arms         int     // arms in total
+	Tried        int     // arms observed or retired
+	SigmaTilde   float64 // +Inf until the tenant is first served
+	Gap          float64
+	BestObserved float64
+}
+
+// Scalars reads the tenant's current scalars. On a bandit-backed tenant
+// this refreshes the posterior behind Gap, so the caller — not a later
+// reader of the copy — pays for it.
+func (t *Tenant) Scalars() Scalars {
+	if t.Bandit == nil {
+		return t.view
+	}
+	return Scalars{
+		Arms:         t.Bandit.NumArms(),
+		Tried:        t.Bandit.NumTried(),
+		SigmaTilde:   t.SigmaTilde(),
+		Gap:          t.Gap(),
+		BestObserved: t.BestObserved(),
+	}
+}
+
+// NewTenantView returns a bandit-less tenant that answers from s until the
+// next Publish.
+func NewTenantView(id int, name string, s Scalars) *Tenant {
+	return &Tenant{ID: id, Name: name, view: s}
+}
+
+// Publish replaces a view tenant's scalars.
+func (t *Tenant) Publish(s Scalars) { t.view = s }
 
 // NewTenant wraps a bandit as a tenant.
 func NewTenant(id int, name string, b *bandit.GPUCB) *Tenant {
@@ -51,11 +95,29 @@ func NewTenant(id int, name string, b *bandit.GPUCB) *Tenant {
 // leased out to in-flight work.
 func (t *Tenant) SetLeased(n int) { t.leased = n }
 
+// Leased returns the count SetLeased recorded.
+func (t *Tenant) Leased() int { return t.leased }
+
+// NumTried returns how many arms are observed or retired.
+func (t *Tenant) NumTried() int {
+	if t.Bandit == nil {
+		return t.view.Tried
+	}
+	return t.Bandit.NumTried()
+}
+
 // Active reports whether the tenant has at least one untried arm that is
 // not leased out — i.e. whether a user picker may select it. With no
 // leases this is exactly !Bandit.Exhausted().
-func (t *Tenant) Active() bool {
-	return t.Bandit.NumArms()-t.Bandit.NumTried()-t.leased > 0
+func (t *Tenant) Active() bool { return t.Open()-t.leased > 0 }
+
+// Open returns how many arms are neither observed nor retired, leased or
+// not. It only ever falls, so a tenant that reaches 0 is drained for good.
+func (t *Tenant) Open() int {
+	if t.Bandit == nil {
+		return t.view.Arms - t.view.Tried
+	}
+	return t.Bandit.NumArms() - t.Bandit.NumTried()
 }
 
 // SigmaTilde returns the empirical variance σ̃ of Algorithm 2 line 6.
@@ -63,6 +125,9 @@ func (t *Tenant) Active() bool {
 // candidate set (they are exactly the users Algorithm 2's initialization
 // loop serves first).
 func (t *Tenant) SigmaTilde() float64 {
+	if t.Bandit == nil {
+		return t.view.SigmaTilde
+	}
 	if !t.served {
 		return math.Inf(1)
 	}
@@ -72,6 +137,9 @@ func (t *Tenant) SigmaTilde() float64 {
 // BestObserved returns the best accuracy found so far (0 before any
 // observation, matching the "no model yet" user experience).
 func (t *Tenant) BestObserved() float64 {
+	if t.Bandit == nil {
+		return t.view.BestObserved
+	}
 	_, y, ok := t.Bandit.Best()
 	if !ok {
 		return 0
@@ -88,6 +156,9 @@ func (t *Tenant) LastReward() float64 { return t.lastReward }
 // "picks the user with the maximum gap between the largest upper confidence
 // bound and the best accuracy so far"). Exhausted tenants return −Inf.
 func (t *Tenant) Gap() float64 {
+	if t.Bandit == nil {
+		return t.view.Gap
+	}
 	if t.Bandit.Exhausted() {
 		return math.Inf(-1)
 	}

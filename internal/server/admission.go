@@ -120,6 +120,7 @@ func (sc *Scheduler) enforceBudget(tenant string) error {
 			job.tenant.Bandit.Retire(arm) // no-op for tried arms
 		}
 		sc.markJobDoneLocked(job)
+		score := sc.scoreLocked(job)
 		job.mu.Unlock()
 		sc.decisions.add(&DecisionRecord{
 			Kind:        DecisionBudgetExhausted,
@@ -130,10 +131,10 @@ func (sc *Scheduler) enforceBudget(tenant string) error {
 			BudgetUsed:  cost,
 			Outcome:     "drained",
 		})
-		// The drain retired arms: the job's cached selection score (and any
-		// hallucination shadow) is stale.
+		// The drain retired arms: publish the job as inactive (which also
+		// invalidates its hallucination shadow).
 		sc.coordMu.Lock()
-		sc.selIdx.markDirty(job.ID)
+		sc.selIdx.publish(job.tenant.ID, score)
 		sc.coordMu.Unlock()
 		events = append(events, storage.Event{Type: storage.EventBudgetExhausted, Job: job.ID, Tenant: tenant, Cost: cost})
 	}
@@ -162,29 +163,19 @@ func (sc *Scheduler) enforceBudget(tenant string) error {
 // allow it. With a WAL attached the preemption is logged as operational
 // history. Returns nil when no preemption is warranted.
 func (sc *Scheduler) PreemptForPriority() (*Lease, error) {
-	jobs := sc.jobsSnapshot()
-	classByJob := make(map[string]admission.Class, len(jobs))
-	for _, job := range jobs {
-		classByJob[job.ID] = job.Class
-	}
-
 	sc.coordMu.Lock()
-	inFlight := sc.inFlightArmsLocked()
+	ix := &sc.selIdx
 	// A guaranteed job is starved when it still has an untried, unleased
-	// arm. The job locks are taken in slice order, like every cross-job
-	// scheduling decision.
+	// arm — its view is active (a failed or drained job has every arm
+	// retired). The first such job in submission order demands.
 	demanding := ""
-	for _, job := range jobs {
-		if !job.Class.MayPreempt() {
+	first := len(ix.entries)
+	for _, c := range ix.classes {
+		if !admission.Class(c.key).MayPreempt() || c.active == 0 {
 			continue
 		}
-		job.mu.Lock()
-		job.tenant.SetLeased(len(inFlight[job.ID]))
-		starved := job.failed == "" && !job.budgetExhausted && job.tenant.Active()
-		job.mu.Unlock()
-		if starved {
-			demanding = job.ID
-			break
+		if i := c.members[c.firstActive()]; i < first {
+			first, demanding = i, ix.entries[i].job.ID
 		}
 	}
 	if demanding == "" {
@@ -193,7 +184,7 @@ func (sc *Scheduler) PreemptForPriority() (*Lease, error) {
 	}
 	var victim *Lease
 	for _, l := range sc.leases {
-		if l.settling || l.Worker == "" || !classByJob[l.JobID].Preemptible() {
+		if l.settling || l.Worker == "" || !ix.entries[l.entry].job.Class.Preemptible() {
 			continue
 		}
 		if victim == nil || l.ID > victim.ID {
@@ -204,22 +195,19 @@ func (sc *Scheduler) PreemptForPriority() (*Lease, error) {
 		sc.coordMu.Unlock()
 		return nil, nil
 	}
-	delete(sc.leases, victim.ID)
+	sc.dropLeaseLocked(victim)
+	victimJob := ix.entries[victim.entry].job
 	sc.coordMu.Unlock()
 
 	finishLeaseSpan(victim, "preempted", nil)
-	victimTenant := ""
-	if job, ok := sc.Job(victim.JobID); ok {
-		victimTenant = job.Name
-	}
 	sc.decisions.add(&DecisionRecord{
 		Kind:         DecisionPreemption,
 		Trace:        victim.Trace,
-		Tenant:       victimTenant,
+		Tenant:       victimJob.Name,
 		Job:          victim.JobID,
 		Candidate:    victim.Candidate.Name(),
 		Arm:          victim.Arm,
-		Class:        string(classByJob[victim.JobID]),
+		Class:        string(victimJob.Class),
 		ClassWeights: classWeights,
 		Outcome:      "preempted",
 		Detail:       "demanding job " + demanding,

@@ -275,6 +275,11 @@ func runInvariantSeed(t *testing.T, seed int64) {
 				settled(l, errs[i])
 			}
 		}
+		// The selection index is maintained incrementally by every op above;
+		// between ops it must equal the state it is a copy of.
+		if err := h.sc.CheckIndexConsistent(); err != nil {
+			t.Fatalf("op %d: selection index drifted: %v", op, err)
+		}
 		// Sprinkle user-path traffic through the same WAL.
 		if h.rng.Intn(5) == 0 {
 			id := jobs[[]string{"alice", "bob", "carol"}[h.rng.Intn(3)]]
@@ -321,6 +326,9 @@ func runInvariantSeed(t *testing.T, seed int64) {
 	// Drain the recovered scheduler to exhaustion: every remaining
 	// candidate trains at most once, and nothing already recorded trains
 	// again.
+	if err := sc2.CheckIndexConsistent(); err != nil {
+		t.Fatalf("recovered selection index: %v", err)
+	}
 	if _, err := sc2.RunRounds(1 << 20); err != nil {
 		t.Fatalf("post-recovery drain: %v", err)
 	}

@@ -13,19 +13,20 @@ import (
 )
 
 // Pick-path stage histograms: the per-stage breakdown of where a pick
-// spends its time. lock_wait is Grant's coordinator-lock acquisition
-// plus the O(J) job-lock sweep (once per batch); index_repair is the
-// selection index catching up on dirty jobs before the oracle argmax
-// (once per oracle pick); select is one full pickNextLocked decision;
-// hallucinate is the GP-BUCB shadow work inside it (only picks with
-// in-flight arms pay it). The WAL half of the settle path is
-// pick_stage_wal_append (the model-record append in Complete) plus the
+// spends its time. lock_wait is Grant's coordinator-lock acquisition plus
+// its waits for the lock of each job it chose (once per Grant; no other
+// job's lock is taken); index_repair is one re-scoring of a job whose
+// bandit moved — its published scalars, gap included, read under that
+// job's lock by whoever moved it, off the pick path; select is one full
+// pickNextLocked decision; hallucinate is the GP-BUCB shadow work inside it
+// (only picks with in-flight arms pay it). The WAL half of the settle path
+// is pick_stage_wal_append (the model-record append in Complete) plus the
 // storage-level wal_append/wal_fsync families.
 var (
 	pickStageLockWait = telemetry.Default().Histogram("easeml_pick_stage_lock_wait_seconds",
-		"Pick-path lock wait: coordMu acquisition plus the per-job lock sweep, once per PickWork batch.")
+		"Pick-path lock wait: coordMu acquisition plus the wait for each chosen job's lock, once per Grant.")
 	pickStageIndexRepair = telemetry.Default().Histogram("easeml_pick_stage_index_repair_seconds",
-		"Selection-index repair: re-scoring jobs whose dirty epoch moved, before an oracle argmax answers. Only repairs with dirty work observe.")
+		"Selection-index re-scoring: reading a job's scalars (posterior refresh included) under its own lock for publication, once per bandit move.")
 	pickStageSelect = telemetry.Default().Histogram("easeml_pick_stage_select_seconds",
 		"One pickNextLocked decision end to end: picker argmax, candidate selection, lease creation.")
 	pickStageHallucinate = telemetry.Default().Histogram("easeml_pick_stage_hallucinate_seconds",
@@ -119,7 +120,8 @@ func (a *API) writeDynamicMetrics(w io.Writer) {
 	}{
 		{"picks", sel.Picks}, {"speculative_grants", sel.SpeculativeGrants},
 		{"oracle_picks", sel.OraclePicks}, {"legacy_picks", sel.LegacyPicks},
-		{"jobs_rescored", sel.JobsRescored}, {"heap_pops", sel.HeapPops}, {"epoch_bumps", sel.EpochBumps},
+		{"jobs_rescored", sel.JobsRescored}, {"stale_picks", sel.StalePicks},
+		{"heap_pops", sel.HeapPops}, {"epoch_bumps", sel.EpochBumps},
 		{"shadows_built", sel.ShadowsBuilt}, {"shadows_reused", sel.ShadowsReused}, {"shadow_rollbacks", sel.ShadowRollbacks},
 	} {
 		telemetry.WriteGauge(w, "easeml_selection_events_total", `{event="`+row.event+`"}`, float64(row.v))

@@ -184,7 +184,6 @@ var (
 	opPickSelect      = telemetry.SpanOp("pick_select")
 	opPickLockWait    = telemetry.SpanOp("pick_lock_wait")
 	opPickHallucinate = telemetry.SpanOp("pick_hallucinate")
-	opPickIndexRepair = telemetry.SpanOp("pick_index_repair")
 	opSettle          = telemetry.SpanOp("settle")
 	opWALAppend       = telemetry.SpanOp("wal_append")
 )
@@ -203,14 +202,14 @@ func finishLeaseSpan(l *Lease, outcome string, err error) {
 }
 
 // emitPickProvenance records one pick's spans and DecisionRecord. Called
-// from pickNextLocked with every scheduler lock held: it only reads the
-// already-extracted decision state and touches leaf mutexes (the decision
-// ring, the flight recorder).
+// from leaseArmLocked with coordMu and the job's lock held: it only reads
+// the already-extracted decision state and touches leaf mutexes (the
+// decision ring, the flight recorder).
 //
 // topUCB extracts the top-K entries of the job's real-posterior UCB
 // surface by partial selection — no sort, no extra allocation beyond the
 // K-row table — so the record stays cheap at bench arm counts.
-func (sc *Scheduler) emitPickProvenance(l *Lease, job *Job, surface []float64, leasedBefore, jobsInSnapshot int, selectT0, hallStart time.Time, hallDur, repairDur time.Duration) {
+func (sc *Scheduler) emitPickProvenance(l *Lease, job *Job, surface []float64, leasedBefore, jobsInSnapshot int, selectT0, hallStart time.Time, hallDur time.Duration) {
 	root := telemetry.NewSpanAt(l.Trace, "", opLease, selectT0)
 	root.SetAttr("job", l.JobID)
 	root.SetAttr("tenant", job.Name)
@@ -223,10 +222,6 @@ func (sc *Scheduler) emitPickProvenance(l *Lease, job *Job, surface []float64, l
 	if hallDur > 0 {
 		h := telemetry.NewSpanAt(l.Trace, root.ID(), opPickHallucinate, hallStart)
 		h.EndAt(hallStart.Add(hallDur))
-	}
-	if repairDur > 0 {
-		rep := telemetry.NewSpanAt(l.Trace, root.ID(), opPickIndexRepair, now.Add(-repairDur))
-		rep.EndAt(now)
 	}
 
 	const topK = 3

@@ -84,10 +84,12 @@ func (sc *Scheduler) Recover(rec *storage.RecoveredState, log *storage.Log) erro
 					sc.adm.NoteJob(job.Name)
 				}
 			}
+			score := sc.scoreLocked(job)
 			job.mu.Unlock()
 			if err != nil {
 				return err
 			}
+			sc.selIdx.add(job, score) // in sc.jobs order: entry i is job i
 		}
 	}
 	sc.log = log

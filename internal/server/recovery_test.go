@@ -569,6 +569,7 @@ func TestConcurrentSettlesOfOneJobRecoverInOrder(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
+		checkIndexConsistent(t, sc)
 		live, err := sc.Status(job.ID)
 		if err != nil {
 			t.Fatal(err)

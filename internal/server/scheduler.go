@@ -75,7 +75,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -312,9 +312,10 @@ type Scheduler struct {
 	nextLease int
 	rounds    int
 
-	// selIdx is the cross-job selection index (see selindex.go): per-job
-	// dirty epochs, the lazily-repaired gap heap and the persistent
-	// hallucination shadows. Guarded by coordMu.
+	// selIdx is the cross-job selection index (see selindex.go): the
+	// published view of every job that picks read instead of locking it,
+	// the per-job lease lists and epochs, the per-class gap heaps and the
+	// persistent hallucination shadows. Guarded by coordMu.
 	selIdx selectionIndex
 
 	// leaseTTL makes leases expire when their holder goes silent (0 = never,
@@ -450,9 +451,9 @@ func (sc *Scheduler) ExpireLeases() ([]*Lease, error) {
 	var expired []*Lease
 	if sc.leaseTTL > 0 {
 		now := sc.now()
-		for id, l := range sc.leases {
+		for _, l := range sc.leases {
 			if !l.settling && l.Worker != "" && !l.Expires.IsZero() && l.Expires.Before(now) {
-				delete(sc.leases, id)
+				sc.dropLeaseLocked(l)
 				expired = append(expired, l)
 			}
 		}
@@ -541,6 +542,7 @@ func (sc *Scheduler) submitAdmitted(name, programSrc string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	score := sc.scoreLocked(job) // not yet published: nobody else can hold it
 
 	sc.jobsMu.Lock()
 	defer sc.jobsMu.Unlock()
@@ -557,6 +559,9 @@ func (sc *Scheduler) submitAdmitted(name, programSrc string) (*Job, error) {
 	}
 	sc.jobs = append(sc.jobs, job)
 	sc.byID[id] = job
+	sc.coordMu.Lock()
+	sc.selIdx.add(job, score)
+	sc.coordMu.Unlock()
 	return job, nil
 }
 
@@ -719,6 +724,9 @@ type Lease struct {
 	// concurrency-safe.
 	span *telemetry.Span
 
+	// entry is the job's position in the selection index (and in sc.jobs).
+	entry int
+
 	// settling marks a lease whose Complete/Abandon is in progress: the
 	// lease stays in the table — keeping its arm excluded from selection —
 	// until the bandit update lands, closing the window in which the arm
@@ -758,39 +766,30 @@ func (sc *Scheduler) InFlight() int {
 // Every returned lease must eventually be handed back via Settle (or its
 // parts: Complete with the training result, Release, Abandon).
 func (sc *Scheduler) Grant(n, limit int) ([]*Lease, error) {
-	jobs := sc.jobsSnapshot()
 	t0 := time.Now()
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
-	coordAcquired := time.Now()
-
-	inFlight := sc.inFlightArmsLocked()
-	sweepT0 := time.Now()
-	tenants, unlock := sc.lockForPicking(jobs, inFlight)
-	defer unlock()
-	// Lock wait is coordMu acquisition plus the per-job lock sweep —
-	// the two places a pick batch can stall behind other work.
-	lockWait := coordAcquired.Sub(t0) + time.Since(sweepT0)
-	pickStageLockWait.Observe(lockWait)
+	// Lock wait is coordMu acquisition plus the wait for each chosen job's
+	// lock — the two places a Grant can stall behind other work.
+	lockWait := time.Since(t0)
 	var picked []*Lease
-	for len(picked) < n && (limit <= 0 || len(sc.leases) < limit) {
-		l, err := sc.pickNextLocked(jobs, tenants, inFlight)
-		if err != nil {
-			return picked, err
-		}
-		if l == nil {
+	var err error
+	for err == nil && len(picked) < n && (limit <= 0 || len(sc.leases) < limit) {
+		var l *Lease
+		if l, err = sc.pickNextLocked(&lockWait); l == nil {
 			break
 		}
 		picked = append(picked, l)
 	}
+	pickStageLockWait.Observe(lockWait)
 	if len(picked) > 0 {
-		// The batch's lock wait precedes every pick; attribute it to the
-		// first lease's tree (once per batch, like the histogram).
+		// Attribute the Grant's lock wait to the first lease's tree (once
+		// per Grant, like the histogram).
 		lw := telemetry.NewSpanAt(picked[0].Trace, picked[0].RootSpanID(), opPickLockWait, t0)
 		lw.EndAt(t0.Add(lockWait))
 	}
-	telemetry.SlowOp("pick_work", time.Since(t0), "leases", len(picked), "jobs", len(jobs))
-	return picked, nil
+	telemetry.SlowOp("pick_work", time.Since(t0), "leases", len(picked))
+	return picked, err
 }
 
 // PickWork leases until maxInFlight leases are outstanding: Grant with the
@@ -800,27 +799,6 @@ func (sc *Scheduler) PickWork(maxInFlight int) ([]*Lease, error) {
 		return nil, fmt.Errorf("server: maxInFlight %d must be positive", maxInFlight)
 	}
 	return sc.Grant(maxInFlight, maxInFlight)
-}
-
-// lockForPicking acquires every job lock (in slice order, per the lock
-// discipline) and builds the tenant slice with current leased counts —
-// once per Grant batch, not once per pick, so the O(J) lock sweep
-// amortizes over the whole batch. Callers hold coordMu and must call
-// unlock when the batch is done.
-func (sc *Scheduler) lockForPicking(jobs []*Job, inFlight map[string][]int) ([]*core.Tenant, func()) {
-	for _, j := range jobs {
-		j.mu.Lock()
-	}
-	tenants := make([]*core.Tenant, len(jobs))
-	for i, j := range jobs {
-		j.tenant.SetLeased(len(inFlight[j.ID]))
-		tenants[i] = j.tenant
-	}
-	return tenants, func() {
-		for _, j := range jobs {
-			j.mu.Unlock()
-		}
-	}
 }
 
 // SelectionStats snapshots the pick-path counters: the selection index's
@@ -844,78 +822,103 @@ func (sc *Scheduler) SelectionStats() SelectionStats {
 	return stats
 }
 
-// inFlightArmsLocked collects the in-flight arms per job from the
-// outstanding leases, each job's list ordered by lease grant time (lease
-// ids are monotone). Grant order — not map iteration order — makes the
-// hallucination sequence deterministic, and it is exactly the order in
-// which a persistent index shadow applied its hallucinations, so a shadow
-// rebuilt from this list reproduces a revived shadow bit for bit (reruns
-// of the same seed, and the reference picker in the tests, stay
-// bit-identical).
-// Callers must hold coordMu.
-func (sc *Scheduler) inFlightArmsLocked() map[string][]int {
-	byJob := make(map[string][]*Lease)
-	for _, l := range sc.leases {
-		byJob[l.JobID] = append(byJob[l.JobID], l)
-	}
-	inFlight := make(map[string][]int, len(byJob))
-	for id, leases := range byJob {
-		sort.Slice(leases, func(i, j int) bool { return leases[i].ID < leases[j].ID })
-		arms := make([]int, len(leases))
-		for i, l := range leases {
-			arms[i] = l.Arm
-		}
-		inFlight[id] = arms
-	}
-	return inFlight
-}
-
-// pickNextLocked leases the next single work item, updating inFlight (and
-// the picked tenant's leased count) in place. It returns (nil, nil) when
-// no job has an untried, unleased arm, and an error when the picker
+// pickNextLocked leases the next single work item. It returns (nil, nil)
+// when no job has an untried, unleased arm, and an error when the picker
 // violates its contract by choosing a blocked tenant. Callers hold coordMu
-// and every job lock, with tenants built by lockForPicking — the picker
-// reads scheduling state (σ̃, UCB gaps) across all tenants, while
-// user-facing operations take none of these locks and stay responsive.
+// and no job lock: the user picker reads the selection index's views —
+// scalars the settle paths publish — so the only job lock a pick takes is
+// the chosen job's, for the arm pick on its bandit. jobWait accumulates the
+// time spent waiting for it.
 //
-// The pick runs through the cross-job selection index: oracle-capable
-// pickers answer the greedy argmax from the lazily-repaired gap heap,
-// re-scoring only jobs whose dirty epoch moved, and hallucination shadows
-// persist on the index across calls — revived, checkpoint-rolled-back or
-// extended to match the lease set, rebuilt only after an observation (an
-// O(1) prefix-sharing snapshot, never a deep clone). The linear-scan,
-// clone-per-batch picker it must agree with bit for bit is referenceGrant
-// in reference_test.go.
-func (sc *Scheduler) pickNextLocked(jobs []*Job, tenants []*core.Tenant, inFlight map[string][]int) (*Lease, error) {
-	// The picker always sees the full tenant slice — stateful pickers
-	// (HYBRID's freeze signature, round-robin's rotation) depend on stable
-	// indices. Jobs whose untried arms are all leased out are excluded via
-	// the tenants' leased counts, which Tenant.Active folds in. Failed
-	// jobs had all their arms retired, so they read as exhausted.
-	if !anyActive(tenants) {
+// Oracle-capable pickers answer the greedy argmax from the chosen class's
+// gap heap, and hallucination shadows persist on the index across calls —
+// revived, checkpoint-rolled-back or extended to match the lease list,
+// rebuilt only after an observation (an O(1) prefix-sharing snapshot, never
+// a deep clone). The lock-everything, linear-scan, clone-per-batch picker
+// it must agree with bit for bit is referenceGrant in reference_test.go.
+func (sc *Scheduler) pickNextLocked(jobWait *time.Duration) (*Lease, error) {
+	ix := &sc.selIdx
+	if !ix.anyActive() {
 		return nil, nil
 	}
 	selectT0 := time.Now()
 	defer pickStageSelect.ObserveSince(selectT0)
-	var idx int
-	if op, ok := sc.picker.(core.OraclePicker); ok {
-		sc.selIdx.ensure(jobs)
-		sc.selIdx.stats.OraclePicks++
-		idx = op.PickWithOracle(tenants, sc.selIdx.oracle())
-	} else {
-		sc.selIdx.stats.LegacyPicks++
-		idx = sc.picker.Pick(tenants)
+	op, oracle := sc.picker.(core.OraclePicker)
+	for ix.anyActive() {
+		// The picker always sees every view — stateful pickers (HYBRID's
+		// freeze signature, round-robin's rotation) depend on stable
+		// indices. Jobs whose untried arms are all leased out, and failed or
+		// drained jobs (all arms retired), read as inactive.
+		var idx int
+		if oracle {
+			idx = op.PickWithOracle(ix.views, ix)
+		} else {
+			idx = sc.picker.Pick(ix.views)
+		}
+		if idx < 0 || idx >= len(ix.views) {
+			return nil, fmt.Errorf("server: picker %s returned index %d with active tenants remaining", sc.picker.Name(), idx)
+		}
+		e := &ix.entries[idx]
+		job := e.job
+		if !ix.views[idx].Active() {
+			// A silent nil here would let a faulty picker end scheduling with
+			// untried candidates looking like a clean drain.
+			return nil, fmt.Errorf("server: picker %s chose job %s, which has no selectable candidate", sc.picker.Name(), job.ID)
+		}
+		lockT0 := time.Now()
+		job.mu.Lock()
+		*jobWait += time.Since(lockT0)
+		if sc.refreshLocked(idx) {
+			// The pick was made on a view the job's bandit had already left
+			// behind (possibly retired wholesale). Take back what it moved in
+			// the picker — WRR credit, the freeze window — and pick again on
+			// the scalars just published.
+			job.mu.Unlock()
+			ix.stats.StalePicks++
+			if u, ok := sc.picker.(core.PickUndoer); ok {
+				u.UndoPick()
+			}
+			continue
+		}
+		l, err := sc.leaseArmLocked(idx, selectT0)
+		job.mu.Unlock()
+		if err == nil {
+			if oracle {
+				ix.stats.OraclePicks++
+			} else {
+				ix.stats.LegacyPicks++
+			}
+		}
+		return l, err
 	}
-	repairDur := sc.selIdx.takeLastRepair()
-	if idx < 0 || idx >= len(jobs) {
-		return nil, fmt.Errorf("server: picker %s returned index %d with active tenants remaining", sc.picker.Name(), idx)
+	return nil, nil
+}
+
+// refreshLocked republishes job i's scalars when its bandit has moved past
+// its view, and reports whether it had. Callers hold coordMu and the job's
+// lock, so after it the view, the epoch (and with it the shadow's validity)
+// and the bandit agree until one of the locks is released.
+func (sc *Scheduler) refreshLocked(i int) bool {
+	job := sc.selIdx.entries[i].job
+	if job.tenant.Bandit.NumTried() == sc.selIdx.views[i].NumTried() {
+		return false
 	}
-	job := jobs[idx]
-	if !job.tenant.Active() {
-		// A silent nil here would let a faulty picker end scheduling with
-		// untried candidates looking like a clean drain.
-		return nil, fmt.Errorf("server: picker %s chose job %s, which has no selectable candidate", sc.picker.Name(), job.ID)
-	}
+	return sc.selIdx.publish(i, sc.scoreLocked(job))
+}
+
+// scoreLocked reads a job's scalars for publication. It is where the
+// posterior refresh behind the gap is paid — under the job's lock only, in
+// whichever goroutine moved the bandit. Callers hold job.mu.
+func (sc *Scheduler) scoreLocked(job *Job) core.Scalars {
+	defer pickStageIndexRepair.ObserveSince(time.Now())
+	return job.tenant.Scalars()
+}
+
+// leaseArmLocked picks job i's next arm by GP-BUCB and leases it. Callers
+// hold coordMu and the job's lock, with the job's view current and active.
+func (sc *Scheduler) leaseArmLocked(i int, selectT0 time.Time) (*Lease, error) {
+	e := &sc.selIdx.entries[i]
+	job := e.job
 	// With nothing in flight for the job, the hallucinated pick equals the
 	// real bandit's (cached) SelectArm — the serialized hot path builds no
 	// shadow at all. Otherwise the pick goes through a GP-BUCB shadow with
@@ -924,48 +927,35 @@ func (sc *Scheduler) pickNextLocked(jobs []*Job, tenants []*core.Tenant, inFligh
 	var ucb float64
 	var hallStart time.Time
 	var hallDur time.Duration
-	if len(inFlight[job.ID]) == 0 {
+	if len(e.leased) == 0 {
 		arm, ucb = job.tenant.Bandit.SelectArm()
 	} else {
-		sc.selIdx.ensure(jobs)
-		entry := &sc.selIdx.entries[idx]
 		hallStart = time.Now()
-		shadow := sc.selIdx.shadowFor(entry, job.tenant.Bandit, inFlight[job.ID])
+		shadow := sc.selIdx.shadowFor(e, job.tenant.Bandit, e.leased)
 		arm, ucb = shadow.SelectArm()
-		sc.selIdx.hallucinate(entry, []int{arm})
+		sc.selIdx.hallucinate(e, []int{arm})
 		hallDur = time.Since(hallStart)
 		pickStageHallucinate.Observe(hallDur)
 	}
 	if arm < 0 {
-		// Cannot happen for an Active tenant; surface it rather than loop.
+		// Cannot happen for an active view that agrees with its bandit;
+		// surface it rather than loop.
 		return nil, fmt.Errorf("server: job %s reported active but selected no arm", job.ID)
 	}
-	leasedBefore := len(inFlight[job.ID])
-	inFlight[job.ID] = append(inFlight[job.ID], arm)
-	job.tenant.SetLeased(len(inFlight[job.ID]))
 	l := sc.newLeaseLocked(job, arm, ucb)
-	sc.emitPickProvenance(l, job, job.tenant.Bandit.UCBSurface(), leasedBefore, len(jobs), selectT0, hallStart, hallDur, repairDur)
-	sc.leases[l.ID] = l
+	sc.emitPickProvenance(l, job, job.tenant.Bandit.UCBSurface(), len(e.leased), len(sc.selIdx.entries), selectT0, hallStart, hallDur)
+	sc.addLeaseLocked(l)
 	sc.selIdx.stats.Picks++
 	return l, nil
 }
 
-func anyActive(tenants []*core.Tenant) bool {
-	for _, t := range tenants {
-		if t.Active() {
-			return true
-		}
-	}
-	return false
-}
-
 // newLeaseLocked mints the lease for (job, arm) priced at ucb, stamped with
 // its expiry when a TTL is configured. The caller attaches the root span
-// and publishes it in the lease table. Callers hold coordMu.
+// and publishes it with addLeaseLocked. Callers hold coordMu.
 func (sc *Scheduler) newLeaseLocked(job *Job, arm int, ucb float64) *Lease {
 	sc.nextLease++
 	l := &Lease{ID: sc.nextLease, JobID: job.ID, Arm: arm, Candidate: job.Candidates[arm], UCB: ucb,
-		Trace: telemetry.NewTraceID()}
+		Trace: telemetry.NewTraceID(), entry: job.tenant.ID}
 	leaseTraces.Inc()
 	if sc.leaseTTL > 0 {
 		now := sc.now()
@@ -973,6 +963,24 @@ func (sc *Scheduler) newLeaseLocked(job *Job, arm int, ucb float64) *Lease {
 		l.Expires = now.Add(sc.leaseTTL)
 	}
 	return l
+}
+
+// addLeaseLocked and dropLeaseLocked are the only writers of the lease
+// table, and they keep the job's in-flight arm list in the selection index
+// (grant order — the order its shadow hallucinated them in, so a shadow
+// rebuilt from the list reproduces a revived one bit for bit) and the
+// leased count of its view in step with it. Callers hold coordMu.
+func (sc *Scheduler) addLeaseLocked(l *Lease) {
+	sc.leases[l.ID] = l
+	sc.selIdx.setLeased(l.entry, append(sc.selIdx.entries[l.entry].leased, l.Arm))
+}
+
+func (sc *Scheduler) dropLeaseLocked(l *Lease) {
+	delete(sc.leases, l.ID)
+	arms := sc.selIdx.entries[l.entry].leased
+	if k := slices.Index(arms, l.Arm); k >= 0 {
+		sc.selIdx.setLeased(l.entry, slices.Delete(arms, k, k+1))
+	}
 }
 
 // beginSettle marks an outstanding lease as settling, erroring on a lease
@@ -996,15 +1004,17 @@ func (sc *Scheduler) beginSettle(l *Lease) error {
 	return nil
 }
 
-// endSettle drops a settling lease from the table and dirties the job's
-// selection-index entry (the lease set — and possibly the bandit, on the
-// abandon/failure paths that call this — changed). Every caller leaves the
-// arm tried or retired, so its failure tally goes too.
-func (sc *Scheduler) endSettle(l *Lease) {
+// endSettle drops a settling lease from the table and publishes the job's
+// scalars s, read under its lock after whatever the settle did to the
+// bandit (job nil: the lease named no known job, nothing to publish). Every
+// caller leaves the arm tried or retired, so its failure tally goes too.
+func (sc *Scheduler) endSettle(l *Lease, job *Job, s core.Scalars) {
 	sc.coordMu.Lock()
-	delete(sc.leases, l.ID)
+	sc.dropLeaseLocked(l)
 	delete(sc.failCounts, failKey{l.JobID, l.Arm})
-	sc.selIdx.markDirty(l.JobID)
+	if job != nil {
+		sc.selIdx.publish(job.tenant.ID, s)
+	}
 	sc.coordMu.Unlock()
 }
 
@@ -1039,7 +1049,7 @@ func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 	}
 	job, ok := sc.Job(l.JobID)
 	if !ok {
-		sc.endSettle(l)
+		sc.endSettle(l, nil, core.Scalars{})
 		return fail("error", fmt.Errorf("server: lease %d refers to unknown job %s", l.ID, l.JobID))
 	}
 
@@ -1065,53 +1075,57 @@ func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 // the observation sequence and in the WAL recovery replays. It fills in
 // rec.Round and returns the span outcome tag with any error. The lock is
 // distinct from job.mu, which is released before the store write and the
-// fsync: picks (which sweep every job.mu) never wait on a commit.
+// fsync: a pick of this job (which takes job.mu) never waits on a commit.
 func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelRecord, settleSpan string) (string, error) {
 	job.settleMu.Lock()
 	defer job.settleMu.Unlock()
 
+	// A settle that bounces leaves the bandit where it was; publishing its
+	// scalars is then a no-op the index drops.
+	bounce := func() {
+		s := sc.scoreLocked(job)
+		job.mu.Unlock()
+		sc.endSettle(l, job, s)
+	}
 	job.mu.Lock()
 	if job.failed != "" {
-		job.mu.Unlock()
-		sc.endSettle(l)
+		bounce()
 		return "failed", fmt.Errorf("server: job %s is failed (%s); dropping result for %s", l.JobID, job.failed, rec.Name)
 	}
 	if job.budgetExhausted {
 		// Graceful drain: the tenant's budget ran out while this run was in
 		// flight. The arm is already retired; the late result bounces off
 		// the same conflict surface as an expired lease, so workers drop it.
-		job.mu.Unlock()
-		sc.endSettle(l)
+		bounce()
 		return "conflict", fmt.Errorf("server: job %s drained on budget exhaustion; dropping result for %s: %w",
 			l.JobID, rec.Name, ErrLeaseConflict)
 	}
 	if job.tenant.Bandit.Tried(l.Arm) {
-		job.mu.Unlock()
-		sc.endSettle(l)
+		bounce()
 		return "conflict", fmt.Errorf("server: lease %d arm %d of %s already observed: %w", l.ID, l.Arm, l.JobID, ErrLeaseConflict)
 	}
 	if err := job.tenant.Bandit.Observe(l.Arm, rec.Accuracy); err != nil {
 		sc.failJobLocked(job, err)
-		job.mu.Unlock()
-		sc.endSettle(l)
+		bounce()
 		return "failed", fmt.Errorf("server: job %s failed: %w", l.JobID, err)
 	}
 	job.tenant.RecordObservation(l.UCB, rec.Accuracy)
 	if job.tenant.Bandit.Exhausted() {
 		sc.markJobDoneLocked(job) // every candidate tried: the job drained
 	}
+	s := sc.scoreLocked(job)
 	job.mu.Unlock()
 
 	// The arm is Tried now, so the lease can be dropped without the arm
 	// ever being selectable in between; claim the round in the same
 	// critical section. The observation moved the job's posterior and σ̃,
-	// so its selection-index entry is dirtied here too.
+	// so its new scalars are published here too.
 	sc.coordMu.Lock()
-	delete(sc.leases, l.ID)
+	sc.dropLeaseLocked(l)
 	delete(sc.failCounts, failKey{l.JobID, l.Arm})
 	sc.rounds++
 	rec.Round = sc.rounds
-	sc.selIdx.markDirty(l.JobID)
+	sc.selIdx.publish(job.tenant.ID, s)
 	sc.coordMu.Unlock()
 
 	job.store.RecordModel(*rec)
@@ -1168,7 +1182,7 @@ func (sc *Scheduler) Abandon(l *Lease) error {
 	}
 	job, ok := sc.Job(l.JobID)
 	if !ok {
-		sc.endSettle(l)
+		sc.endSettle(l, nil, core.Scalars{})
 		return fmt.Errorf("server: lease %d refers to unknown job %s", l.ID, l.JobID)
 	}
 	job.settleMu.Lock() // abandoned-list order = WAL order, like Complete
@@ -1182,8 +1196,9 @@ func (sc *Scheduler) Abandon(l *Lease) error {
 			sc.markJobDoneLocked(job)
 		}
 	}
+	s := sc.scoreLocked(job)
 	job.mu.Unlock()
-	sc.endSettle(l) // the arm is retired (Tried) now, never re-selectable
+	sc.endSettle(l, job, s) // the arm is retired (Tried) now, never re-selectable
 	finishLeaseSpan(l, "abandoned", nil)
 	if fresh && sc.log != nil {
 		if err := sc.log.AppendCandidateAbandoned(l.JobID, l.Candidate.Name()); err != nil {
@@ -1214,11 +1229,10 @@ func (sc *Scheduler) releaseLocked(l *Lease) error {
 	if stored.settling {
 		return fmt.Errorf("server: lease %d (%s/%s) is being settled: %w", l.ID, l.JobID, l.Candidate.Name(), ErrLeaseConflict)
 	}
-	// No selection-index invalidation: a release changes only the lease
-	// set, which the next pick absorbs by rolling the job's shadow back to
-	// the matching checkpoint — the bandit (and so the cached gap score)
-	// is untouched.
-	delete(sc.leases, l.ID)
+	// No epoch bump: a release changes only the lease list, which the next
+	// pick absorbs by rolling the job's shadow back to the matching
+	// checkpoint — the bandit (and so the published gap) is untouched.
+	sc.dropLeaseLocked(l)
 	finishLeaseSpan(l, "released", nil)
 	return nil
 }
@@ -1463,18 +1477,17 @@ func (sc *Scheduler) Restore(r io.Reader) error {
 	if len(sc.leases) != 0 {
 		return fmt.Errorf("server: Restore with %d leases outstanding; drain the engine first", len(sc.leases))
 	}
-	// The replay rewrites every bandit; any selection-index state built by
-	// earlier (empty) picks is stale wholesale.
-	sc.selIdx.reset()
 	for _, id := range snap.TaskIDs() {
 		job := jobsByID[id]
 		ts, _ := snap.Task(id)
 		job.mu.Lock()
 		err := sc.replayTaskLocked(job, ts)
+		score := sc.scoreLocked(job)
 		job.mu.Unlock()
 		if err != nil {
 			return err
 		}
+		sc.selIdx.publish(job.tenant.ID, score) // the replay moved the bandit
 	}
 	return nil
 }

@@ -2,81 +2,94 @@ package server
 
 import (
 	"math"
-	"sort"
-	"time"
+	"slices"
 
 	"repro/internal/bandit"
 	"repro/internal/core"
 )
 
-// Cross-job selection index: the Grant-side cache that makes the pick
-// path incremental. Two ideas, both keyed by a per-job dirty epoch:
+// Cross-job selection index: the copy of the tenants' scheduling state that
+// Grant picks on, laid out for the reader. A pick takes coordMu and the
+// chosen job's lock — never the other jobs' — because everything a user
+// picker reads is here, kept current by the writers.
 //
-//   - Score cache + heap. Every job carries a cached greedy gap score
-//     (MaxUCB − best observed) and a monotonically increasing epoch,
-//     bumped by every selection-relevant mutation — an observation landing
-//     (Complete), a candidate retirement (Abandon, job failure, budget
-//     drain) or any lease-set change. A max-heap over the cached gaps is
-//     repaired lazily: a pick first re-scores only the jobs whose epoch
-//     moved since they were last scored (O(dirty), and O(1) per job when
-//     the bandit-level UCB cache is still warm), then answers the greedy
-//     argmax by popping the heap instead of scanning all J jobs' posteriors.
+//   - Views. Everything a picker reads of a tenant is six scalars (open and
+//     tried arms, σ̃, gap, best observed, leased count). Whoever moves a
+//     job's bandit computes them under that job's lock — so the posterior
+//     refresh behind the gap runs in the settling worker, not in the
+//     picker's critical section — and publishes them here inside the coordMu
+//     section the move already takes. Pickers are handed views: bandit-less
+//     core.Tenants that answer from the published scalars.
+//
+//   - Lease lists. Each entry holds its job's in-flight arms in grant
+//     order — the order the job's shadow hallucinated them in — maintained
+//     by Scheduler.addLeaseLocked / dropLeaseLocked, the only two places
+//     that touch the lease table. Nothing on the pick path scans that table.
+//
+//   - Class partition. A job's class is fixed at submission, so the index
+//     keeps per class the member views in index order, a max-heap over
+//     their gaps and a count of active members. The class-weighted picker
+//     gets its opening scan and its restriction in O(classes)
+//     (core.ClassOracle), and the greedy argmax folds σ̃ over, and pops the
+//     heap of, the chosen class only.
 //
 //   - Persistent hallucination shadows. The GP-BUCB shadow a job's picks
-//     are diversified through is kept on the job's index entry and revived
-//     across Grant calls while the job's epoch is unchanged, so a batch
-//     of picks pays one O(1) shadow (bandit.NewShadow's prefix-sharing
-//     snapshot) instead of a deep posterior clone per call.
+//     are diversified through is kept on the job's entry and revived across
+//     Grant calls while the job's epoch is unchanged, so a batch of picks
+//     pays one O(1) shadow (bandit.NewShadow's prefix-sharing snapshot)
+//     instead of a deep posterior clone per call.
 //
-// The index serves the stock pickers through core.SelectionOracle; the
-// exact greedy semantics (candidate set Vt, tie-breaks, the σ̃ mean) are
-// replicated bit-for-bit — σ̃ aggregation deliberately re-folds the active
-// tenants in index order rather than keeping an incremental float sum,
+// What stays linear in one class's size, and why: the σ̃ mean is re-folded
+// over the class's views in index order rather than kept as a running sum,
 // because float addition order changes low bits and the selection must
-// stay bit-identical to core.GreedyDecision. Everything here is guarded by
-// the scheduler's coordMu.
+// stay bit-identical to core.GreedyDecision; and HYBRID's candidate set is
+// recomputed once per observed round. Both are scalar reads — no lock, no
+// hash, no allocation.
+//
+// Two rules keep a view honest without locking its job. A publish whose
+// Tried count is not ahead of the view's is dropped: Tried only grows, and a
+// budget drain and a settle of one job can reach coordMu out of bandit
+// order. And a pick that locks its chosen job and finds the bandit ahead of
+// the view (a settle has observed but not yet reached coordMu) publishes
+// the live scalars itself and picks again (refreshLocked). Everything here
+// is guarded by the scheduler's coordMu.
 type selectionIndex struct {
-	entries []selEntry
+	entries []selEntry     // index order: entries[i] is sc.jobs[i]
+	views   []*core.Tenant // views[i] is entries[i]'s view: the slice pickers see
 	byID    map[string]int // job id → entry index (== tenant.ID)
-	heap    []int          // entry indices, max-heap by (gap desc, index asc)
-	dirty   []int          // entry indices queued for re-scoring
-	stash   []int          // scratch for heap pop-and-restore
-	scratch []int          // scratch for the unserved-tenant fold
+	classes []*selClass    // arrival order
+	byClass map[string]*selClass
+	shares  []int // scratch for ActiveClasses: first active member per share
 	stats   SelectionStats
 
 	// version counts selection-surface changes globally: every per-job
 	// epoch bump and every job arrival advances it, and stamps the entry
 	// it moved (selEntry.changed). It is the fleet protocol's change feed
 	// cursor — a worker that synced at version v needs exactly the entries
-	// with changed > v, and nothing at all when v is current. Never reset
-	// (a restore's reset re-bumps it through ensure), so a stale worker
-	// can never collide with a fresh count.
+	// with changed > v, and nothing at all when v is current. Never reset,
+	// so a stale worker can never collide with a fresh count.
 	version uint64
-
-	// lastRepair accumulates repair time since the last takeLastRepair —
-	// how pickNextLocked learns (under coordMu) whether the pick it just
-	// made paid for an index repair, to mint the pick_index_repair child
-	// span at the same boundary the histogram observes.
-	lastRepair time.Duration
 }
 
 // selEntry is one job's slice of the index.
 type selEntry struct {
-	// epoch counts the job's bandit mutations (observations, retirements,
-	// failures, budget drains — the events that move gap scores and
-	// posterior state); scored is the epoch the cached gap reflects.
-	// Lease-set changes deliberately do not bump it: the greedy gap reads
-	// the real bandit, which leases never touch, and the shadow tracks
-	// lease churn through its arm list below.
-	epoch  uint64
-	scored uint64
-	queued bool
-	gap    float64
-	pos    int // position in heap
+	job   *Job
+	class *selClass
+	local int // position among the class's members
 
+	// epoch counts the job's published bandit moves (observations,
+	// retirements, failures, budget drains — the events that move gap
+	// scores and posterior state). Lease-set changes deliberately do not
+	// bump it: the gap reads the real bandit, which leases never touch, and
+	// the shadow tracks lease churn through its arm list below.
+	epoch uint64
 	// changed is the index version at which epoch last moved (or the entry
 	// arrived): the change feed ships the entry to workers synced before it.
 	changed uint64
+
+	// leased lists the job's in-flight arms in grant order (settling leases
+	// included: their arms stay excluded until the observation lands).
+	leased []int
 
 	// shadow is the persistent GP-BUCB hallucination shadow for the job's
 	// in-flight arms, valid while shadowEpoch == epoch (an observation
@@ -91,6 +104,25 @@ type selEntry struct {
 	shadowEpoch uint64
 	shadowArms  []int
 	shadowCPs   []bandit.Checkpoint
+}
+
+// selClass is one class's partition of the index, and the
+// core.SelectionOracle over exactly its members: every index it takes or
+// returns is a position in views.
+type selClass struct {
+	key     string
+	weight  float64        // the members' fair-share weight (one per class, see add)
+	members []int          // entry indices, ascending
+	views   []*core.Tenant // the members' views, same order
+	heap    []int          // member positions, max-heap by (gap desc, position asc)
+	pos     []int          // pos[k] is member k's position in heap
+	active  int            // members whose view is Active
+	drained int            // members before this position have no open arm, for good
+	stats   *SelectionStats
+
+	stash    []int // scratch for heap pop-and-restore
+	unserved []int // scratch for the unserved-tenant fold
+	cands    []int // scratch for GreedyCandidates
 }
 
 // SelectionStats are the pick-path counters exposed through
@@ -108,15 +140,17 @@ type SelectionStats struct {
 	// oracle path (a linear scan over the tenants).
 	OraclePicks uint64 `json:"oracle_picks"`
 	LegacyPicks uint64 `json:"legacy_picks"`
-	// JobsRescored counts per-job gap re-scores — the work the dirty
-	// epochs bound: only jobs whose epoch moved since their last scoring
-	// are re-scored, not all J per pick.
+	// JobsRescored counts per-job score publications — one when a job
+	// arrives and one per bandit move, never one per job per pick.
 	JobsRescored uint64 `json:"jobs_rescored"`
+	// StalePicks counts user picks redone because the chosen job's bandit
+	// was ahead of its view (a settle had observed but not yet published).
+	StalePicks uint64 `json:"stale_picks"`
 	// HeapPops counts entries popped (and restored) while answering
 	// greedy argmax queries; ~1 per pick when the top of the heap is an
 	// eligible candidate.
 	HeapPops uint64 `json:"heap_pops"`
-	// EpochBumps counts dirty-epoch advances across all jobs.
+	// EpochBumps counts epoch advances across all jobs.
 	EpochBumps uint64 `json:"epoch_bumps"`
 	// ShadowsBuilt / ShadowsReused count hallucination shadows created
 	// versus revived across picks; ShadowRollbacks counts reuses that
@@ -129,192 +163,259 @@ type SelectionStats struct {
 	BanditCache bandit.Stats `json:"bandit_cache"`
 }
 
-// reset drops every cached score and shadow (Restore rewrites every bandit).
-func (ix *selectionIndex) reset() {
-	ix.entries = nil
-	ix.byID = nil
-	ix.heap = ix.heap[:0]
-	ix.dirty = ix.dirty[:0]
-}
-
-// ensure grows the index to cover the current job set. New entries enter
-// the dirty queue so their first score is computed on demand.
-func (ix *selectionIndex) ensure(jobs []*Job) {
-	if len(ix.entries) >= len(jobs) {
-		return
-	}
+// add appends the entry of a newly published job, scored s. Callers hold
+// jobsMu (write) and coordMu, so entries stay parallel to sc.jobs.
+func (ix *selectionIndex) add(job *Job, s core.Scalars) {
 	if ix.byID == nil {
-		ix.byID = make(map[string]int, len(jobs))
+		ix.byID = make(map[string]int)
+		ix.byClass = make(map[string]*selClass)
 	}
+	key := string(job.Class)
+	c := ix.byClass[key]
+	if c == nil {
+		c = &selClass{key: key, stats: &ix.stats}
+		ix.byClass[key] = c
+		ix.classes = append(ix.classes, c)
+	}
+	// buildJob gives every tenant its class's weight, so the largest weight
+	// among a class's *active* members — what core.ClassOracle asks for —
+	// is this one number.
+	c.weight = max(c.weight, job.Class.Weight())
+	i := len(ix.entries)
+	view := core.NewTenantView(i, job.ID, s)
 	ix.version++ // arrivals are changes: every synced worker hears of them
-	for i := len(ix.entries); i < len(jobs); i++ {
-		ix.entries = append(ix.entries, selEntry{queued: true, pos: -1, changed: ix.version})
-		ix.byID[jobs[i].ID] = i
-		ix.dirty = append(ix.dirty, i)
-		ix.heapPush(i)
+	ix.entries = append(ix.entries, selEntry{job: job, class: c, local: len(c.views), changed: ix.version})
+	ix.views = append(ix.views, view)
+	ix.byID[job.ID] = i
+	ix.stats.JobsRescored++
+	c.members = append(c.members, i)
+	c.views = append(c.views, view)
+	c.pos = append(c.pos, 0)
+	c.heapPush(len(c.views) - 1)
+	if view.Active() {
+		c.active++
 	}
 }
 
-// markDirty bumps a job's epoch and queues it for re-scoring. Callers hold
-// coordMu. Unknown ids (job never picked through the index yet) are
-// ignored — the entry will be created dirty by ensure.
-func (ix *selectionIndex) markDirty(jobID string) {
-	i, ok := ix.byID[jobID]
-	if !ok {
-		return
+// publish stores job i's scalars as read under its lock, bumps its epoch
+// and fixes its class heap — unless the view already holds them or newer
+// ones (Tried only grows), which it reports as false.
+func (ix *selectionIndex) publish(i int, s core.Scalars) bool {
+	if s.Tried <= ix.views[i].NumTried() {
+		return false
 	}
 	e := &ix.entries[i]
+	was := ix.views[i].Active()
+	ix.views[i].Publish(s)
+	ix.recount(i, was)
+	e.class.fix(e.local)
 	e.epoch++
 	ix.version++
 	e.changed = ix.version
 	ix.stats.EpochBumps++
-	if !e.queued {
-		e.queued = true
-		ix.dirty = append(ix.dirty, i)
+	ix.stats.JobsRescored++
+	return true
+}
+
+// recount keeps the active count of view i's class after the view's open
+// or leased count moved; was is the view's Active before the move.
+func (ix *selectionIndex) recount(i int, was bool) {
+	if now := ix.views[i].Active(); now && !was {
+		ix.entries[i].class.active++
+	} else if was && !now {
+		ix.entries[i].class.active--
 	}
 }
 
-// repair re-scores every queued entry and restores the heap invariant.
-// tenants is the job-parallel tenant slice of the current pick; callers
-// hold coordMu and every job lock. Re-scoring reads tenant.Gap(), which is
-// O(1) when the bandit's own UCB cache is warm (lease-only bumps) and one
-// O(K·t) posterior update when an observation landed.
-func (ix *selectionIndex) repair(tenants []*core.Tenant) {
-	if len(ix.dirty) == 0 {
-		return
+// setLeased replaces entry i's in-flight arm list (grant order) and the
+// leased count its view reports; see Scheduler.addLeaseLocked.
+func (ix *selectionIndex) setLeased(i int, arms []int) {
+	was := ix.views[i].Active()
+	ix.entries[i].leased = arms
+	ix.views[i].SetLeased(len(arms))
+	ix.recount(i, was)
+}
+
+// anyActive reports whether any job has an untried, unleased arm.
+func (ix *selectionIndex) anyActive() bool {
+	for _, c := range ix.classes {
+		if c.active > 0 {
+			return true
+		}
 	}
-	t0 := time.Now()
-	defer func() {
-		d := time.Since(t0)
-		pickStageIndexRepair.Observe(d)
-		ix.lastRepair += d
-	}()
-	keep := ix.dirty[:0]
-	for _, i := range ix.dirty {
-		if i >= len(tenants) {
-			// Job published after this pick's snapshot: stay queued for a
-			// pick that sees it.
-			keep = append(keep, i)
+	return false
+}
+
+// ActiveClasses implements core.ClassOracle in O(classes): the classes with
+// an active member, ordered by their lowest-indexed one.
+func (ix *selectionIndex) ActiveClasses(dst []core.ClassShare) []core.ClassShare {
+	firsts := ix.shares[:0]
+	for _, c := range ix.classes {
+		if c.active == 0 {
 			continue
 		}
-		e := &ix.entries[i]
-		e.queued = false
-		e.scored = e.epoch
-		ix.stats.JobsRescored++
-		if gap := tenants[i].Gap(); gap != e.gap {
-			e.gap = gap
-			ix.heapFix(i)
+		first := c.members[c.firstActive()]
+		at := len(dst)
+		for at > 0 && firsts[at-1] > first {
+			at--
 		}
+		dst = slices.Insert(dst, at, core.ClassShare{Class: c.key, Weight: c.weight})
+		firsts = slices.Insert(firsts, at, first)
 	}
-	ix.dirty = keep
+	ix.shares = firsts
+	return dst
 }
 
-// takeLastRepair returns and clears the repair time accumulated since the
-// last call. Callers hold coordMu.
-func (ix *selectionIndex) takeLastRepair() time.Duration {
-	d := ix.lastRepair
-	ix.lastRepair = 0
-	return d
+// ClassMembers implements core.ClassOracle.
+func (ix *selectionIndex) ClassMembers(class string) ([]*core.Tenant, []int, core.SelectionOracle) {
+	c := ix.byClass[class]
+	return c.views, c.members, c
 }
 
-// GreedyChoice implements core.SelectionOracle for the tenants slice bound
-// by oracle(): the greedy argmax served from the repaired heap.
-func (ix *selectionIndex) greedyChoice(tenants []*core.Tenant) int {
-	ix.repair(tenants)
+// GreedyChoice implements core.SelectionOracle over all views, for an
+// oracle picker that is not class-aware. Without admission every job is
+// standard and the one class is the whole index; several classes only ever
+// meet the class-weighted picker, so that case is the plain linear rule.
+func (ix *selectionIndex) GreedyChoice(tenants []*core.Tenant) int {
+	if len(ix.classes) == 1 {
+		return ix.classes[0].GreedyChoice(tenants)
+	}
+	choice, _ := core.GreedyDecision(tenants, func(i int) float64 { return tenants[i].Gap() })
+	return choice
+}
 
-	// One pass of cheap scalar reads replicating core.GreedyDecision's
-	// fold exactly (same iteration order, same float accumulation order):
-	// the active count, the σ̃ sum and the unserved-active set.
-	nActive := 0
-	var sum float64
-	unserved := ix.scratch[:0]
-	for i, t := range tenants {
+// GreedyCandidates implements core.SelectionOracle over all views.
+func (ix *selectionIndex) GreedyCandidates(tenants []*core.Tenant) []int {
+	if len(ix.classes) == 1 {
+		return ix.classes[0].GreedyCandidates(tenants)
+	}
+	_, candidates := core.GreedyDecision(tenants, func(i int) float64 { return tenants[i].Gap() })
+	return candidates
+}
+
+// firstActive returns the position of the class's lowest-indexed active
+// member; callers checked active > 0. Open only falls, so members found
+// drained stay skipped and the scan is amortised O(1) — it walks further
+// only past members whose open arms are all leased out.
+func (c *selClass) firstActive() int {
+	for c.views[c.drained].Open() == 0 {
+		c.drained++
+	}
+	k := c.drained
+	for !c.views[k].Active() {
+		k++
+	}
+	return k
+}
+
+// fold is core.GreedyDecision's pass over the class's tenants, replicated
+// exactly (same iteration order, same float accumulation order): the active
+// count, the σ̃ sum of the served and the unserved-active set.
+func (c *selClass) fold() (nActive int, sum float64, unserved []int) {
+	unserved = c.unserved[:0]
+	for k, t := range c.views {
 		if !t.Active() {
 			continue
 		}
 		nActive++
 		st := t.SigmaTilde()
-		if math.IsInf(st, 1) { // unserved tenant
-			unserved = append(unserved, i)
+		if math.IsInf(st, 1) {
+			unserved = append(unserved, k)
 			continue
 		}
 		sum += st
 	}
-	ix.scratch = unserved[:0]
-	if nActive == 0 {
-		return -1
-	}
-	if len(unserved) > 0 {
-		// Initialization sweep: candidates are exactly the unserved-active
-		// tenants; argmax over the gaps, lowest index wins ties.
-		best, bestGap := -1, math.Inf(-1)
-		for _, i := range unserved {
-			if g := ix.gapOf(tenants, i); g > bestGap {
-				best, bestGap = i, g
-			}
-		}
-		return best
-	}
-	avg := sum / float64(nActive)
+	c.unserved = unserved
+	return nActive, sum, unserved
+}
 
-	// Heap argmax with the candidate filter (σ̃ ≥ avg): pop until the top
-	// is an eligible candidate, then restore. The heap orders by
-	// (gap desc, index asc), matching the linear scan's strict-> tie-break
-	// of "lowest index among the max-gap candidates".
-	stash := ix.stash[:0]
-	choice := -1
-	for len(ix.heap) > 0 {
-		top := ix.heapPop()
-		stash = append(stash, top)
-		ix.stats.HeapPops++
-		if top >= len(tenants) {
-			continue
-		}
-		t := tenants[top]
-		if t.Active() && t.SigmaTilde() >= avg {
-			choice = top
-			break
-		}
-	}
-	for _, i := range stash {
-		ix.heapPush(i)
-	}
-	ix.stash = stash[:0]
-	if choice >= 0 {
-		return choice
-	}
-	// Numerical corner (no σ̃ reaches the mean): candidates fall back to
-	// the whole active set, exactly like core.GreedyDecision.
+// argmax returns the member of ks with the largest gap, lowest position
+// winning ties.
+func (c *selClass) argmax(ks []int) int {
 	best, bestGap := -1, math.Inf(-1)
-	for i, t := range tenants {
-		if !t.Active() {
-			continue
-		}
-		if g := ix.gapOf(tenants, i); g > bestGap {
-			best, bestGap = i, g
+	for _, k := range ks {
+		if g := c.views[k].Gap(); g > bestGap {
+			best, bestGap = k, g
 		}
 	}
 	return best
 }
 
-// gapOf returns the cached gap when the entry is clean, else the live
-// tenant gap (bandit-cached).
-func (ix *selectionIndex) gapOf(tenants []*core.Tenant, i int) float64 {
-	if i < len(ix.entries) && ix.entries[i].scored == ix.entries[i].epoch && !ix.entries[i].queued {
-		return ix.entries[i].gap
+// allActive lists the active members into the cands scratch.
+func (c *selClass) allActive() []int {
+	c.cands = c.cands[:0]
+	for k, t := range c.views {
+		if t.Active() {
+			c.cands = append(c.cands, k)
+		}
 	}
-	return tenants[i].Gap()
+	return c.cands
 }
 
-// greedyCandidates implements the oracle's candidate-set query (the hybrid
-// freeze signature — once per observed round, not per pick) by delegating
-// to the canonical linear implementation over cached gaps.
-func (ix *selectionIndex) greedyCandidates(tenants []*core.Tenant) []int {
-	ix.repair(tenants)
-	_, candidates := core.GreedyDecision(tenants, func(i int) float64 { return ix.gapOf(tenants, i) })
-	out := append([]int(nil), candidates...)
-	sort.Ints(out)
-	return out
+// GreedyChoice implements core.SelectionOracle for the class's views: the
+// greedy argmax served from the heap.
+func (c *selClass) GreedyChoice([]*core.Tenant) int {
+	nActive, sum, unserved := c.fold()
+	if nActive == 0 {
+		return -1
+	}
+	if len(unserved) > 0 {
+		// Initialization sweep: candidates are exactly the unserved-active
+		// tenants.
+		return c.argmax(unserved)
+	}
+	avg := sum / float64(nActive)
+
+	// Heap argmax with the candidate filter (σ̃ ≥ avg): pop until the top
+	// is an eligible candidate, then restore. The heap orders by
+	// (gap desc, position asc), matching the linear scan's strict-> tie-break
+	// of "lowest index among the max-gap candidates".
+	stash := c.stash[:0]
+	choice := -1
+	for len(c.heap) > 0 {
+		top := c.heapPop()
+		stash = append(stash, top)
+		c.stats.HeapPops++
+		if t := c.views[top]; t.Active() && t.SigmaTilde() >= avg {
+			choice = top
+			break
+		}
+	}
+	for _, k := range stash {
+		c.heapPush(k)
+	}
+	c.stash = stash[:0]
+	if choice >= 0 {
+		return choice
+	}
+	// Numerical corner (no σ̃ reaches the mean): candidates fall back to
+	// the whole active set, exactly like core.GreedyDecision.
+	return c.argmax(c.allActive())
+}
+
+// GreedyCandidates implements core.SelectionOracle: the candidate set Vt of
+// the class as ascending positions, in scratch space (valid until the next
+// call). It is the hybrid freeze signature — asked once per observed round,
+// not per pick.
+func (c *selClass) GreedyCandidates([]*core.Tenant) []int {
+	nActive, sum, unserved := c.fold()
+	if nActive == 0 {
+		return nil
+	}
+	if len(unserved) > 0 {
+		return unserved
+	}
+	avg := sum / float64(nActive)
+	c.cands = c.cands[:0]
+	for k, t := range c.views {
+		if t.Active() && t.SigmaTilde() >= avg {
+			c.cands = append(c.cands, k)
+		}
+	}
+	if len(c.cands) == 0 {
+		return c.allActive()
+	}
+	return c.cands
 }
 
 // shadowFor returns the job's hallucination shadow conditioned on exactly
@@ -386,91 +487,75 @@ func intPrefix(p, s []int) bool {
 	return true
 }
 
-// oracle binds the index to one pick's tenant slice as a
-// core.SelectionOracle.
-func (ix *selectionIndex) oracle() core.SelectionOracle { return indexOracle{ix} }
-
-type indexOracle struct{ ix *selectionIndex }
-
-func (o indexOracle) GreedyChoice(tenants []*core.Tenant) int { return o.ix.greedyChoice(tenants) }
-func (o indexOracle) GreedyCandidates(tenants []*core.Tenant) []int {
-	return o.ix.greedyCandidates(tenants)
-}
-
 // ---------------------------------------------------------------------------
-// Max-heap over entry indices, ordered by (gap desc, index asc), with
-// positions tracked in the entries for O(log J) repairs.
+// Per-class max-heap over member positions, ordered by (gap desc, position
+// asc), with heap positions tracked in pos for O(log n) fixes.
 
-// heapLess reports whether entry a ranks above entry b.
-func (ix *selectionIndex) heapLess(a, b int) bool {
-	ga, gb := ix.entries[a].gap, ix.entries[b].gap
+// less reports whether member a ranks above member b.
+func (c *selClass) less(a, b int) bool {
+	ga, gb := c.views[a].Gap(), c.views[b].Gap()
 	if ga != gb {
 		return ga > gb
 	}
 	return a < b
 }
 
-func (ix *selectionIndex) heapPush(i int) {
-	ix.entries[i].pos = len(ix.heap)
-	ix.heap = append(ix.heap, i)
-	ix.siftUp(len(ix.heap) - 1)
+func (c *selClass) heapPush(k int) {
+	c.pos[k] = len(c.heap)
+	c.heap = append(c.heap, k)
+	c.siftUp(len(c.heap) - 1)
 }
 
-func (ix *selectionIndex) heapPop() int {
-	top := ix.heap[0]
-	last := len(ix.heap) - 1
-	ix.heap[0] = ix.heap[last]
-	ix.entries[ix.heap[0]].pos = 0
-	ix.heap = ix.heap[:last]
-	ix.entries[top].pos = -1
+func (c *selClass) heapPop() int {
+	top := c.heap[0]
+	last := len(c.heap) - 1
+	c.heap[0] = c.heap[last]
+	c.pos[c.heap[0]] = 0
+	c.heap = c.heap[:last]
 	if last > 0 {
-		ix.siftDown(0)
+		c.siftDown(0)
 	}
 	return top
 }
 
-// heapFix restores the invariant after entry i's gap changed.
-func (ix *selectionIndex) heapFix(i int) {
-	p := ix.entries[i].pos
-	if p < 0 {
-		return
-	}
-	ix.siftUp(p)
-	ix.siftDown(ix.entries[i].pos)
+// fix restores the invariant after member k's gap changed.
+func (c *selClass) fix(k int) {
+	c.siftUp(c.pos[k])
+	c.siftDown(c.pos[k])
 }
 
-func (ix *selectionIndex) siftUp(p int) {
+func (c *selClass) siftUp(p int) {
 	for p > 0 {
 		parent := (p - 1) / 2
-		if !ix.heapLess(ix.heap[p], ix.heap[parent]) {
+		if !c.less(c.heap[p], c.heap[parent]) {
 			return
 		}
-		ix.swap(p, parent)
+		c.swap(p, parent)
 		p = parent
 	}
 }
 
-func (ix *selectionIndex) siftDown(p int) {
-	n := len(ix.heap)
+func (c *selClass) siftDown(p int) {
+	n := len(c.heap)
 	for {
 		l, r := 2*p+1, 2*p+2
 		best := p
-		if l < n && ix.heapLess(ix.heap[l], ix.heap[best]) {
+		if l < n && c.less(c.heap[l], c.heap[best]) {
 			best = l
 		}
-		if r < n && ix.heapLess(ix.heap[r], ix.heap[best]) {
+		if r < n && c.less(c.heap[r], c.heap[best]) {
 			best = r
 		}
 		if best == p {
 			return
 		}
-		ix.swap(p, best)
+		c.swap(p, best)
 		p = best
 	}
 }
 
-func (ix *selectionIndex) swap(a, b int) {
-	ix.heap[a], ix.heap[b] = ix.heap[b], ix.heap[a]
-	ix.entries[ix.heap[a]].pos = a
-	ix.entries[ix.heap[b]].pos = b
+func (c *selClass) swap(a, b int) {
+	c.heap[a], c.heap[b] = c.heap[b], c.heap[a]
+	c.pos[c.heap[a]] = a
+	c.pos[c.heap[b]] = b
 }

@@ -359,4 +359,5 @@ func TestGrantConcurrentRespectsCountAndCeiling(t *testing.T) {
 	if sc.InFlight() != 0 {
 		t.Errorf("%d leases left outstanding", sc.InFlight())
 	}
+	checkIndexConsistent(t, sc)
 }

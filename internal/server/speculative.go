@@ -3,7 +3,7 @@ package server
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/telemetry"
@@ -13,9 +13,10 @@ import (
 // surface tagged with its selection-index dirty epoch, and accepts
 // speculative lease grants for (job, arm, epoch) proposals that workers
 // pre-scored locally against that surface. Validation is one epoch
-// comparison plus a lease-table scan — no picker sweep over all J jobs, no
-// per-pick σ̃ fold, no heap traffic — so the steady-state pick cost moves
-// from the coordinator to the fleet's edges (ROADMAP direction 3).
+// comparison, a look at the job's own in-flight arm list (kept on its index
+// entry — the lease table is never scanned) and the job's own flags — no
+// user pick, no σ̃ fold, no heap traffic — so the steady-state pick cost
+// moves from the coordinator to the fleet's edges (ROADMAP direction 3).
 //
 // Correctness note: a speculative grant changes which arm runs next, never
 // what its result is. Training results are pure functions of (job,
@@ -74,52 +75,36 @@ func (sc *Scheduler) PosteriorsSince(since uint64) ([]PosteriorDelta, uint64) {
 // holding epoch E can propose any untried, unleased arm and the grant
 // validates iff the job's bandit has not moved since E.
 func (sc *Scheduler) posteriorDeltas(want func(id string, e *selEntry) bool) ([]PosteriorDelta, uint64) {
-	jobs := sc.jobsSnapshot()
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
-	sc.selIdx.ensure(jobs)
-	var leasedByJob map[string][]int
 	var out []PosteriorDelta
-	for i, job := range jobs {
-		if !want(job.ID, &sc.selIdx.entries[i]) {
-			continue
+	for i := range sc.selIdx.entries {
+		if e := &sc.selIdx.entries[i]; want(e.job.ID, e) {
+			out = append(out, sc.posteriorDeltaLocked(i))
 		}
-		if leasedByJob == nil {
-			leasedByJob = sc.leasedArmsLocked()
-		}
-		out = append(out, sc.posteriorDeltaLocked(i, job, leasedByJob[job.ID]))
 	}
 	return out, sc.selIdx.version
 }
 
-// leasedArmsLocked groups the outstanding leases' arms by job, sorted
-// ascending (settling leases included — their arms are still excluded from
-// selection). Callers hold coordMu.
-func (sc *Scheduler) leasedArmsLocked() map[string][]int {
-	byJob := make(map[string][]int)
-	for _, l := range sc.leases {
-		byJob[l.JobID] = append(byJob[l.JobID], l.Arm)
-	}
-	for _, arms := range byJob {
-		sort.Ints(arms)
-	}
-	return byJob
-}
-
-// posteriorDeltaLocked builds one job's wire delta. Callers hold coordMu
-// (epoch, lease set) and i indexes both jobs and the selection index; the
-// job lock is taken here so the surface is consistent with the epoch — an
-// observation cannot land in between, because Complete's bandit update
-// holds the job lock and its markDirty needs coordMu.
-func (sc *Scheduler) posteriorDeltaLocked(i int, job *Job, leased []int) PosteriorDelta {
-	d := PosteriorDelta{JobID: job.ID, Epoch: sc.selIdx.entries[i].epoch, Leased: leased}
+// posteriorDeltaLocked builds job i's wire delta. Callers hold coordMu
+// (epoch, lease list); the job lock is taken here so the surface is
+// consistent with the epoch — a bandit that has moved past its view (a
+// settle between its observation and its publish) is published first, so
+// the delta never pairs a new surface with an old epoch.
+func (sc *Scheduler) posteriorDeltaLocked(i int) PosteriorDelta {
+	e := &sc.selIdx.entries[i]
+	job := e.job
 	job.mu.Lock()
 	defer job.mu.Unlock()
+	sc.refreshLocked(i)
+	d := PosteriorDelta{JobID: job.ID, Epoch: e.epoch}
 	b := job.tenant.Bandit
 	if job.failed != "" || job.budgetExhausted || b.Exhausted() {
 		d.Done = true
-		d.Leased = nil
 		return d
+	}
+	if len(e.leased) > 0 {
+		d.Leased = slices.Sorted(slices.Values(e.leased))
 	}
 	d.UCB = b.UCBSurface() // a fresh copy: safe to edit and hand to the encoder
 	for k, v := range d.UCB {
@@ -132,11 +117,12 @@ func (sc *Scheduler) posteriorDeltaLocked(i int, job *Job, leased []int) Posteri
 }
 
 // SpeculativeGrant validates one worker proposal and, when it holds, leases
-// (jobID, arm) without running the pick path: the only checks are the dirty-
-// epoch comparison, a lease-table scan (an epoch match says nothing about
-// the lease set — lease churn deliberately does not bump epochs) and the
-// job's own terminal flags, and the only bandit work is the hallucination
-// update on the job's persistent shadow. It returns (nil, nil) when the
+// (jobID, arm) without running the pick path: the only checks are the epoch
+// comparison, the job's in-flight arm list (an epoch match says nothing
+// about the lease set — lease churn deliberately does not bump epochs), the
+// job's own terminal flags and that its bandit has not moved past the
+// published epoch, and the only bandit work is the hallucination update on
+// the job's persistent shadow. It returns (nil, nil) when the
 // proposal is stale — wrong epoch, arm already leased/tried, job done —
 // which callers treat as "fall back to the normal pick path and resync the
 // worker". Malformed proposals (unknown arm index) are an error.
@@ -153,46 +139,28 @@ func (sc *Scheduler) SpeculativeGrant(jobID string, arm int, epoch uint64) (*Lea
 	if arm < 0 || arm >= len(job.Candidates) {
 		return nil, fmt.Errorf("server: speculative proposal for %s: arm %d out of range [0,%d)", jobID, arm, len(job.Candidates))
 	}
-	jobs := sc.jobsSnapshot()
 	t0 := time.Now()
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
-	sc.selIdx.ensure(jobs)
 	i, ok := sc.selIdx.byID[jobID]
 	if !ok {
 		return nil, nil
 	}
 	entry := &sc.selIdx.entries[i]
-	if entry.epoch != epoch {
+	if entry.epoch != epoch || slices.Contains(entry.leased, arm) {
 		return nil, nil
 	}
-	// The job's in-flight arms in lease-grant order (ids are monotone) —
-	// the same sequence inFlightArmsLocked feeds the pick path, so the
-	// shadow extended here is bit-identical to the one the next Grant
-	// would have built.
-	var held []*Lease
-	for _, l := range sc.leases {
-		if l.JobID == jobID {
-			if l.Arm == arm {
-				return nil, nil
-			}
-			held = append(held, l)
-		}
-	}
-	var cur []int
-	if len(held) > 0 {
-		sort.Slice(held, func(a, b int) bool { return held[a].ID < held[b].ID })
-		cur = make([]int, len(held))
-		for k, l := range held {
-			cur[k] = l.Arm
-		}
-	}
-
 	job.mu.Lock()
 	defer job.mu.Unlock()
-	if job.failed != "" || job.budgetExhausted || job.tenant.Bandit.Tried(arm) {
+	// A bandit ahead of its view was scored by the worker on a surface that
+	// no longer exists; publishing it moves the epoch, so the worker resyncs.
+	if sc.refreshLocked(i) || job.failed != "" || job.budgetExhausted || job.tenant.Bandit.Tried(arm) {
 		return nil, nil
 	}
+	// The job's in-flight arms in lease-grant order — the same list the pick
+	// path hallucinates, so the shadow extended here is bit-identical to the
+	// one the next Grant would have built.
+	cur := entry.leased
 	// The lease's UCB (fed into the σ̃ recurrence at settle) prices the arm
 	// on the same hallucinated posterior the pick path would have used.
 	var ucb float64
@@ -209,8 +177,8 @@ func (sc *Scheduler) SpeculativeGrant(jobID string, arm int, epoch uint64) (*Lea
 		pickStageHallucinate.Observe(hallDur)
 	}
 	l := sc.newLeaseLocked(job, arm, ucb)
-	sc.emitSpeculativeProvenance(l, job, len(jobs), t0, hallStart, hallDur)
-	sc.leases[l.ID] = l
+	sc.emitSpeculativeProvenance(l, job, len(sc.selIdx.entries), t0, hallStart, hallDur)
+	sc.addLeaseLocked(l)
 	sc.selIdx.stats.Picks++
 	sc.selIdx.stats.SpeculativeGrants++
 	return l, nil

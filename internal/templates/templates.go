@@ -163,11 +163,18 @@ func Catalog() []*Template {
 type Candidate struct {
 	Model      string
 	Normalizer *normalize.Normalizer // nil for the identity input pipeline
+
+	// name is Name() rendered once by Generate: the scheduler asks for it
+	// several times per lease. Empty on a hand-built literal.
+	name string
 }
 
 // Name renders the candidate for display and storage keys.
 func (c Candidate) Name() string {
-	if c.Normalizer == nil {
+	switch {
+	case c.name != "":
+		return c.name
+	case c.Normalizer == nil:
 		return c.Model
 	}
 	return fmt.Sprintf("%s+%s", c.Model, c.Normalizer.Name())
@@ -205,6 +212,9 @@ func Generate(prog dsl.Program, ks []float64) ([]Candidate, *Template, error) {
 				out = append(out, Candidate{Model: m, Normalizer: &n})
 			}
 		}
+	}
+	for i := range out {
+		out[i].name = out[i].Name()
 	}
 	return out, t, nil
 }
