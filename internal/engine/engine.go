@@ -12,11 +12,18 @@
 //	     ▲                               └──▶ worker 1 ──Train──▶ Settle
 //	     └──────────── kick on settle ◀───────────┘
 //
-// The dispatcher stays because batching pays: one Grant amortizes the O(J)
-// job-lock sweep and the cross-job pick over a batch, where workers leasing
-// for themselves paid both per lease (drain_engine ops_per_s 0.82×, p95
-// 1.27× when that was tried). What a failed run costs — retry or abandon —
-// is the scheduler's decision (Settle), shared with every other executor.
+// Whether the dispatcher still earns its place is open. It was kept because
+// one Grant amortized an O(J) sweep of every job's lock over a batch, where
+// workers leasing for themselves paid it per lease (drain_engine ops_per_s
+// 0.82×, p95 1.27× when that was tried). That sweep is gone — a Grant now
+// takes coordMu and the chosen job's lock, whatever J is — and in steady
+// state the dispatcher grants about one lease per call anyway. What remains
+// in its favour is unmeasured: it keeps picks off the workers' critical
+// path (a worker finds its next lease already queued) and keeps at most one
+// goroutine contending for coordMu on the grant side. Deleting it needs its
+// own measured PR (ROADMAP item 2). What a failed run costs — retry or
+// abandon — is the scheduler's decision (Settle), shared with every other
+// executor.
 //
 // Leases flow exactly once: every lease the dispatcher obtains is settled
 // (result observed, or the failed run released/abandoned) or released

@@ -124,7 +124,7 @@ type LeaseProposal struct {
 
 // JobPosterior is one job's posterior surface on the wire — only what a
 // worker ranks on: the (unhallucinated) UCB per arm, stamped with the job's
-// selection-index dirty epoch, plus the Tried (observed/retired, UCB entry
+// selection-index epoch, plus the Tried (observed/retired, UCB entry
 // zeroed) and Leased arm lists; workers propose only arms in neither. Done
 // marks a job that will never train another candidate; its slices are
 // omitted. JSON keys: job_id, epoch, ucb, tried, leased, done.

@@ -33,7 +33,7 @@ func (sc *Scheduler) CheckIndexConsistent() error {
 	inFlight := sc.inFlightArmsLocked()
 	for i, job := range jobs {
 		e := &ix.entries[i]
-		if e.job != job || ix.byID[job.ID] != i || job.tenant.ID != i {
+		if e.job != job || job.tenant.ID != i {
 			return fmt.Errorf("entry %d is not job %s", i, job.ID)
 		}
 		job.mu.Lock()
@@ -205,7 +205,7 @@ func TestPickRepublishesWhenBanditIsAheadOfView(t *testing.T) {
 	job.mu.Lock()
 	score := job.tenant.Scalars()
 	job.mu.Unlock()
-	sc.endSettle(observed, job, score)
+	sc.endSettle(observed, score)
 	if bumps := sc.SelectionStats().EpochBumps; bumps != after.EpochBumps {
 		t.Errorf("a publish the view already held bumped the epoch (%d → %d)", after.EpochBumps, bumps)
 	}
@@ -273,7 +273,7 @@ func TestLatePublishDoesNotReviveADrainedView(t *testing.T) {
 		t.Fatal("the job was not drained")
 	}
 	// Now the slow settle's publish lands.
-	sc.endSettle(slow, carol, stale)
+	sc.endSettle(slow, stale)
 	checkIndexConsistent(t, sc)
 	for {
 		ls, err := sc.Grant(1, 0)

@@ -24,23 +24,35 @@
 //     only during Submit and recovery; every other path takes the read side
 //     for a map lookup.
 //   - coordMu is the cross-job coordinator: picker decisions, the lease
-//     table and the round counter. It is never held across training, store
-//     writes or WAL appends.
+//     table, the round counter and the selection index (selindex.go) — the
+//     published copy of every job's scheduling scalars, its in-flight arm
+//     list and the per-class gap heaps. It is never held across training,
+//     store writes or WAL appends.
 //   - each Job has its own mu guarding the tenant (bandit posterior, σ̃
 //     recurrence), its failure flag and its abandoned list. Complete's
-//     O(t²) posterior update runs under the job lock only, so completions
-//     for different jobs proceed in parallel.
+//     posterior update — and the refresh behind the gap it then publishes —
+//     runs under the job lock only, so completions for different jobs
+//     proceed in parallel.
 //
 // A fourth lock, Job.settleMu, serializes the settles of one job across
 // their store write and WAL commit, so the live model list, the observation
 // order and the WAL order recovery replays never disagree. It is acquired
 // first, with no other lock held, and by settles only.
 //
-// Lock order: jobsMu before coordMu before job locks; job locks are always
-// acquired in sc.jobs slice order (the cross-job picker holds all of them
-// for the duration of one decision). Feed/Refine/Infer/Status take none of
-// coordMu or the job locks — they touch only the per-task storage, which
-// does its own locking.
+// Lock order: jobsMu before coordMu before a job lock. Nothing holds two
+// job locks. A pick holds coordMu and the lock of the one job it chose; the
+// user picker never touches a bandit, because whoever moves one — a settle,
+// an abandon, a job failure, a budget drain, a replay — reads the job's
+// scalars under its lock and publishes them to the index in the coordMu
+// section that follows. Between those two sections the view is one move
+// behind, and two rules cover it: a publish that is not ahead of the view
+// (the tried count only grows) is dropped, since two movers of one job can
+// reach coordMu out of bandit order; and a pick that locks its chosen job
+// and finds the bandit ahead of the view publishes the live scalars itself,
+// takes the discarded pick back out of the picker and picks again (counted
+// as stale_picks). Feed/Refine/Infer/Status take none of coordMu or the
+// job locks — they touch only the per-task storage, which does its own
+// locking.
 //
 // # Durability
 //
@@ -773,8 +785,8 @@ func (sc *Scheduler) Grant(n, limit int) ([]*Lease, error) {
 	// lock — the two places a Grant can stall behind other work.
 	lockWait := time.Since(t0)
 	var picked []*Lease
-	var err error
-	for err == nil && len(picked) < n && (limit <= 0 || len(sc.leases) < limit) {
+	var err error // a picker-contract violation ends the Grant; leases already made are returned with it
+	for len(picked) < n && (limit <= 0 || len(sc.leases) < limit) {
 		var l *Lease
 		if l, err = sc.pickNextLocked(&lockWait); l == nil {
 			break
@@ -986,35 +998,35 @@ func (sc *Scheduler) dropLeaseLocked(l *Lease) {
 // beginSettle marks an outstanding lease as settling, erroring on a lease
 // that is not outstanding (double completion, or completion after Release)
 // or already settling. The lease stays in the table so its arm remains
-// excluded from Grant until endSettle.
-func (sc *Scheduler) beginSettle(l *Lease) error {
+// excluded from Grant until endSettle. It returns the lease's job — a lease
+// in the table was minted from one (newLeaseLocked), and jobs are never
+// removed.
+func (sc *Scheduler) beginSettle(l *Lease) (*Job, error) {
 	if l == nil {
-		return fmt.Errorf("server: nil lease")
+		return nil, fmt.Errorf("server: nil lease")
 	}
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
 	stored, ok := sc.leases[l.ID]
 	if !ok || stored != l {
-		return fmt.Errorf("server: lease %d (%s/%s) is not outstanding: %w", l.ID, l.JobID, l.Candidate.Name(), ErrLeaseConflict)
+		return nil, fmt.Errorf("server: lease %d (%s/%s) is not outstanding: %w", l.ID, l.JobID, l.Candidate.Name(), ErrLeaseConflict)
 	}
 	if stored.settling {
-		return fmt.Errorf("server: lease %d (%s/%s) is already being settled: %w", l.ID, l.JobID, l.Candidate.Name(), ErrLeaseConflict)
+		return nil, fmt.Errorf("server: lease %d (%s/%s) is already being settled: %w", l.ID, l.JobID, l.Candidate.Name(), ErrLeaseConflict)
 	}
 	stored.settling = true
-	return nil
+	return sc.selIdx.entries[l.entry].job, nil
 }
 
-// endSettle drops a settling lease from the table and publishes the job's
-// scalars s, read under its lock after whatever the settle did to the
-// bandit (job nil: the lease named no known job, nothing to publish). Every
-// caller leaves the arm tried or retired, so its failure tally goes too.
-func (sc *Scheduler) endSettle(l *Lease, job *Job, s core.Scalars) {
+// endSettle drops a settling lease from the table and publishes its job's
+// scalars s, read under the job's lock after whatever the settle did to
+// the bandit. Every caller leaves the arm tried or retired, so its failure
+// tally goes too.
+func (sc *Scheduler) endSettle(l *Lease, s core.Scalars) {
 	sc.coordMu.Lock()
 	sc.dropLeaseLocked(l)
 	delete(sc.failCounts, failKey{l.JobID, l.Arm})
-	if job != nil {
-		sc.selIdx.publish(job.tenant.ID, s)
-	}
+	sc.selIdx.publish(l.entry, s)
 	sc.coordMu.Unlock()
 }
 
@@ -1027,7 +1039,8 @@ func (sc *Scheduler) endSettle(l *Lease, job *Job, s core.Scalars) {
 // scheduling — instead of killing the server.
 func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 	settleT0 := time.Now()
-	if err := sc.beginSettle(l); err != nil {
+	job, err := sc.beginSettle(l)
+	if err != nil {
 		// A conflicting settle still leaves evidence: a zero-length settle
 		// span (the root span, if any, was closed by the terminal path that
 		// won the race).
@@ -1047,12 +1060,6 @@ func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 		finishLeaseSpan(l, outcome, err)
 		return err
 	}
-	job, ok := sc.Job(l.JobID)
-	if !ok {
-		sc.endSettle(l, nil, core.Scalars{})
-		return fail("error", fmt.Errorf("server: lease %d refers to unknown job %s", l.ID, l.JobID))
-	}
-
 	rec := storage.ModelRecord{Name: l.Candidate.Name(), Accuracy: accuracy, Cost: cost}
 	if outcome, err := sc.observeAndRecord(l, job, &rec, settle.ID()); err != nil {
 		return fail(outcome, err)
@@ -1085,7 +1092,7 @@ func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelReco
 	bounce := func() {
 		s := sc.scoreLocked(job)
 		job.mu.Unlock()
-		sc.endSettle(l, job, s)
+		sc.endSettle(l, s)
 	}
 	job.mu.Lock()
 	if job.failed != "" {
@@ -1125,7 +1132,7 @@ func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelReco
 	delete(sc.failCounts, failKey{l.JobID, l.Arm})
 	sc.rounds++
 	rec.Round = sc.rounds
-	sc.selIdx.publish(job.tenant.ID, s)
+	sc.selIdx.publish(l.entry, s)
 	sc.coordMu.Unlock()
 
 	job.store.RecordModel(*rec)
@@ -1177,13 +1184,9 @@ func (sc *Scheduler) markJobDoneLocked(job *Job) {
 // is polluted with a fabricated result. The round counter does not
 // advance. It errors on a lease that is not outstanding.
 func (sc *Scheduler) Abandon(l *Lease) error {
-	if err := sc.beginSettle(l); err != nil {
+	job, err := sc.beginSettle(l)
+	if err != nil {
 		return err
-	}
-	job, ok := sc.Job(l.JobID)
-	if !ok {
-		sc.endSettle(l, nil, core.Scalars{})
-		return fmt.Errorf("server: lease %d refers to unknown job %s", l.ID, l.JobID)
 	}
 	job.settleMu.Lock() // abandoned-list order = WAL order, like Complete
 	defer job.settleMu.Unlock()
@@ -1198,7 +1201,7 @@ func (sc *Scheduler) Abandon(l *Lease) error {
 	}
 	s := sc.scoreLocked(job)
 	job.mu.Unlock()
-	sc.endSettle(l, job, s) // the arm is retired (Tried) now, never re-selectable
+	sc.endSettle(l, s) // the arm is retired (Tried) now, never re-selectable
 	finishLeaseSpan(l, "abandoned", nil)
 	if fresh && sc.log != nil {
 		if err := sc.log.AppendCandidateAbandoned(l.JobID, l.Candidate.Name()); err != nil {

@@ -54,12 +54,11 @@ import (
 // the live scalars itself and picks again (refreshLocked). Everything here
 // is guarded by the scheduler's coordMu.
 type selectionIndex struct {
-	entries []selEntry     // index order: entries[i] is sc.jobs[i]
+	entries []selEntry     // index order: entries[i] is sc.jobs[i], i == job.tenant.ID
 	views   []*core.Tenant // views[i] is entries[i]'s view: the slice pickers see
-	byID    map[string]int // job id → entry index (== tenant.ID)
 	classes []*selClass    // arrival order
 	byClass map[string]*selClass
-	shares  []int // scratch for ActiveClasses: first active member per share
+	firsts  []int // scratch for ActiveClasses: first active member per share
 	stats   SelectionStats
 
 	// version counts selection-surface changes globally: every per-job
@@ -120,7 +119,7 @@ type selClass struct {
 	drained int            // members before this position have no open arm, for good
 	stats   *SelectionStats
 
-	stash    []int // scratch for heap pop-and-restore
+	walk     []int // scratch for GreedyChoice's heap walk
 	unserved []int // scratch for the unserved-tenant fold
 	cands    []int // scratch for GreedyCandidates
 }
@@ -146,9 +145,9 @@ type SelectionStats struct {
 	// StalePicks counts user picks redone because the chosen job's bandit
 	// was ahead of its view (a settle had observed but not yet published).
 	StalePicks uint64 `json:"stale_picks"`
-	// HeapPops counts entries popped (and restored) while answering
-	// greedy argmax queries; ~1 per pick when the top of the heap is an
-	// eligible candidate.
+	// HeapPops counts heap members examined while answering greedy argmax
+	// queries; 1 per pick when the top of the heap is an eligible
+	// candidate.
 	HeapPops uint64 `json:"heap_pops"`
 	// EpochBumps counts epoch advances across all jobs.
 	EpochBumps uint64 `json:"epoch_bumps"`
@@ -166,8 +165,7 @@ type SelectionStats struct {
 // add appends the entry of a newly published job, scored s. Callers hold
 // jobsMu (write) and coordMu, so entries stay parallel to sc.jobs.
 func (ix *selectionIndex) add(job *Job, s core.Scalars) {
-	if ix.byID == nil {
-		ix.byID = make(map[string]int)
+	if ix.byClass == nil {
 		ix.byClass = make(map[string]*selClass)
 	}
 	key := string(job.Class)
@@ -186,7 +184,6 @@ func (ix *selectionIndex) add(job *Job, s core.Scalars) {
 	ix.version++ // arrivals are changes: every synced worker hears of them
 	ix.entries = append(ix.entries, selEntry{job: job, class: c, local: len(c.views), changed: ix.version})
 	ix.views = append(ix.views, view)
-	ix.byID[job.ID] = i
 	ix.stats.JobsRescored++
 	c.members = append(c.members, i)
 	c.views = append(c.views, view)
@@ -249,7 +246,7 @@ func (ix *selectionIndex) anyActive() bool {
 // ActiveClasses implements core.ClassOracle in O(classes): the classes with
 // an active member, ordered by their lowest-indexed one.
 func (ix *selectionIndex) ActiveClasses(dst []core.ClassShare) []core.ClassShare {
-	firsts := ix.shares[:0]
+	firsts := ix.firsts[:0]
 	for _, c := range ix.classes {
 		if c.active == 0 {
 			continue
@@ -262,7 +259,7 @@ func (ix *selectionIndex) ActiveClasses(dst []core.ClassShare) []core.ClassShare
 		dst = slices.Insert(dst, at, core.ClassShare{Class: c.key, Weight: c.weight})
 		firsts = slices.Insert(firsts, at, first)
 	}
-	ix.shares = firsts
+	ix.firsts = firsts
 	return dst
 }
 
@@ -366,25 +363,35 @@ func (c *selClass) GreedyChoice([]*core.Tenant) int {
 	}
 	avg := sum / float64(nActive)
 
-	// Heap argmax with the candidate filter (σ̃ ≥ avg): pop until the top
-	// is an eligible candidate, then restore. The heap orders by
-	// (gap desc, position asc), matching the linear scan's strict-> tie-break
-	// of "lowest index among the max-gap candidates".
-	stash := c.stash[:0]
+	// Heap argmax with the candidate filter (σ̃ ≥ avg), without touching the
+	// heap: walk it from the root, never below a member that is eligible
+	// (its subtree ranks lower) or that ranks below the best eligible one
+	// found so far. That visits the ineligible members ranking above the
+	// winner and their children — about one member per pick when the top is
+	// eligible. The heap orders by (gap desc, position asc), matching the
+	// linear scan's strict-> tie-break of "lowest index among the max-gap
+	// candidates".
 	choice := -1
-	for len(c.heap) > 0 {
-		top := c.heapPop()
-		stash = append(stash, top)
+	walk := append(c.walk[:0], 0)
+	for len(walk) > 0 {
+		p := walk[len(walk)-1]
+		walk = walk[:len(walk)-1]
+		k := c.heap[p]
 		c.stats.HeapPops++
-		if t := c.views[top]; t.Active() && t.SigmaTilde() >= avg {
-			choice = top
-			break
+		if choice >= 0 && !c.less(k, choice) {
+			continue
+		}
+		if t := c.views[k]; t.Active() && t.SigmaTilde() >= avg {
+			choice = k
+			continue
+		}
+		if l := 2*p + 1; l+1 < len(c.heap) {
+			walk = append(walk, l, l+1)
+		} else if l < len(c.heap) {
+			walk = append(walk, l)
 		}
 	}
-	for _, k := range stash {
-		c.heapPush(k)
-	}
-	c.stash = stash[:0]
+	c.walk = walk
 	if choice >= 0 {
 		return choice
 	}
@@ -504,18 +511,6 @@ func (c *selClass) heapPush(k int) {
 	c.pos[k] = len(c.heap)
 	c.heap = append(c.heap, k)
 	c.siftUp(len(c.heap) - 1)
-}
-
-func (c *selClass) heapPop() int {
-	top := c.heap[0]
-	last := len(c.heap) - 1
-	c.heap[0] = c.heap[last]
-	c.pos[c.heap[0]] = 0
-	c.heap = c.heap[:last]
-	if last > 0 {
-		c.siftDown(0)
-	}
-	return top
 }
 
 // fix restores the invariant after member k's gap changed.

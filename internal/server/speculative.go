@@ -10,7 +10,7 @@ import (
 )
 
 // Fleet-side posterior scoring: the scheduler exports each job's cached UCB
-// surface tagged with its selection-index dirty epoch, and accepts
+// surface tagged with its selection-index epoch, and accepts
 // speculative lease grants for (job, arm, epoch) proposals that workers
 // pre-scored locally against that surface. Validation is one epoch
 // comparison, a look at the job's own in-flight arm list (kept on its index
@@ -33,7 +33,7 @@ var opPickSpeculative = telemetry.SpanOp("pick_speculative")
 // PosteriorDelta is one job's selection surface as shipped to fleet workers
 // (it is the wire type: fleet.JobPosterior aliases it): the real
 // (unhallucinated) UCB per arm — all a worker ranks on — stamped with the
-// job's selection-index dirty epoch. Tried lists arms that are observed or
+// job's selection-index epoch. Tried lists arms that are observed or
 // retired (their UCB entries are zeroed — the wire format is JSON, which
 // cannot carry the NaN markers UCBSurface uses); Leased lists arms currently
 // held by outstanding leases. Workers propose only arms in neither list.
@@ -48,7 +48,7 @@ type PosteriorDelta struct {
 	Done   bool      `json:"done,omitempty"`
 }
 
-// PosteriorDeltas exports the posterior surface of every job whose dirty
+// PosteriorDeltas exports the posterior surface of every job whose
 // epoch differs from the caller's known map (job id → last seen epoch; jobs
 // absent from the map are always sent).
 func (sc *Scheduler) PosteriorDeltas(known map[string]uint64) []PosteriorDelta {
@@ -142,10 +142,7 @@ func (sc *Scheduler) SpeculativeGrant(jobID string, arm int, epoch uint64) (*Lea
 	t0 := time.Now()
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
-	i, ok := sc.selIdx.byID[jobID]
-	if !ok {
-		return nil, nil
-	}
+	i := job.tenant.ID // a job visible through sc.Job has its entry (see add)
 	entry := &sc.selIdx.entries[i]
 	if entry.epoch != epoch || slices.Contains(entry.leased, arm) {
 		return nil, nil

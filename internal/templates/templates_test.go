@@ -168,6 +168,17 @@ func TestGenerateWithNormalization(t *testing.T) {
 	if !seen["VGG+norm(k=0.2)"] || !seen["AlexNet"] {
 		t.Errorf("expected candidates missing: %v", seen)
 	}
+	// Generate renders each name once; a hand-built literal renders on
+	// demand, to the same string, and a generated name costs nothing to read.
+	for _, c := range cands {
+		if lit := (Candidate{Model: c.Model, Normalizer: c.Normalizer}); lit.Name() != c.Name() {
+			t.Errorf("generated name %q, literal renders %q", c.Name(), lit.Name())
+		}
+	}
+	last := cands[len(cands)-1]
+	if allocs := testing.AllocsPerRun(100, func() { _ = last.Name() }); allocs != 0 {
+		t.Errorf("Name() of a generated candidate allocates %v times", allocs)
+	}
 }
 
 func TestGenerateWithoutNormalization(t *testing.T) {
