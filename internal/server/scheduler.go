@@ -776,7 +776,9 @@ func (sc *Scheduler) InFlight() int {
 // parallel picks diversify.
 //
 // Every returned lease must eventually be handed back via Settle (or its
-// parts: Complete with the training result, Release, Abandon).
+// parts: Complete with the training result, Release, Abandon). An error
+// comes with no leases: whatever the call had leased before a picker broke
+// its contract is released before it returns.
 func (sc *Scheduler) Grant(n, limit int) ([]*Lease, error) {
 	t0 := time.Now()
 	sc.coordMu.Lock()
@@ -785,7 +787,7 @@ func (sc *Scheduler) Grant(n, limit int) ([]*Lease, error) {
 	// lock — the two places a Grant can stall behind other work.
 	lockWait := time.Since(t0)
 	var picked []*Lease
-	var err error // a picker-contract violation ends the Grant; leases already made are returned with it
+	var err error
 	for len(picked) < n && (limit <= 0 || len(sc.leases) < limit) {
 		var l *Lease
 		if l, err = sc.pickNextLocked(&lockWait); l == nil {
@@ -794,6 +796,18 @@ func (sc *Scheduler) Grant(n, limit int) ([]*Lease, error) {
 		picked = append(picked, l)
 	}
 	pickStageLockWait.Observe(lockWait)
+	if err != nil {
+		// A picker-contract violation ends the Grant with nothing granted:
+		// a caller that sees an error has no leases to settle, so the ones
+		// this call already made go back here — a plain release, no failure
+		// tallied — before anyone else can see them.
+		for _, l := range picked {
+			if relErr := sc.releaseLocked(l); relErr != nil {
+				err = errors.Join(err, relErr)
+			}
+		}
+		return nil, err
+	}
 	if len(picked) > 0 {
 		// Attribute the Grant's lock wait to the first lease's tree (once
 		// per Grant, like the histogram).

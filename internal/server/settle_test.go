@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/templates"
 )
@@ -360,4 +361,66 @@ func TestGrantConcurrentRespectsCountAndCeiling(t *testing.T) {
 		t.Errorf("%d leases left outstanding", sc.InFlight())
 	}
 	checkIndexConsistent(t, sc)
+}
+
+// breakingPicker is HYBRID until its failAt-th pick (1-based), which
+// answers an out-of-range index — a picker-contract violation.
+type breakingPicker struct {
+	core.UserPicker
+	picks, failAt int
+}
+
+func (p *breakingPicker) Pick(tenants []*core.Tenant) int {
+	p.picks++
+	if p.picks == p.failAt {
+		return len(tenants)
+	}
+	return p.UserPicker.Pick(tenants)
+}
+
+// A Grant that errors grants nothing: the lease its first pick made before
+// the picker broke its contract on the second must be released inside the
+// call — no caller settles leases that arrive beside an error, so a lease
+// returned there stayed outstanding, its arm hallucinated into every later
+// pick of the job, until a TTL sweep (or forever, engine-only).
+func TestGrantErrorReleasesPartialBatch(t *testing.T) {
+	submit := func(picker core.UserPicker) *Scheduler {
+		sc := NewScheduler(NewSimTrainer(cluster.NewPool(8, 0.9), 42), picker, "http://test:9000")
+		for _, name := range []string{"a", "b"} {
+			if _, err := sc.Submit(name, recoveryTSProgram); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sc
+	}
+	twin := submit(nil)
+	want, err := twin.Grant(1, 0)
+	if err != nil || len(want) != 1 {
+		t.Fatalf("twin Grant: %v %v", want, err)
+	}
+
+	picker := &breakingPicker{UserPicker: core.NewHybridPicker(), failAt: 2}
+	sc := submit(picker)
+	ls, err := sc.Grant(2, 0)
+	if err == nil || len(ls) != 0 {
+		t.Fatalf("Grant with a picker that breaks on its second pick returned %d leases, error %v; want none and an error", len(ls), err)
+	}
+	if n := sc.InFlight(); n != 0 {
+		t.Fatalf("%d leases outstanding after a failed Grant", n)
+	}
+	if tallySize(sc) != 0 {
+		t.Fatal("a failed Grant tallied run failures")
+	}
+	if err := sc.CheckIndexConsistent(); err != nil {
+		t.Fatal(err)
+	}
+	// The picker conforms from here on: the arm the failed call had leased
+	// first is the top pick again.
+	got, err := sc.Grant(1, 0)
+	if err != nil || len(got) != 1 {
+		t.Fatalf("Grant after the failure: %v %v", got, err)
+	}
+	if got[0].JobID != want[0].JobID || got[0].Arm != want[0].Arm {
+		t.Fatalf("granted %s arm %d after the failure, want %s arm %d — the failed Grant's first pick", got[0].JobID, got[0].Arm, want[0].JobID, want[0].Arm)
+	}
 }
