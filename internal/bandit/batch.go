@@ -72,10 +72,11 @@ func (b *GPUCB) NewShadow(inFlight []int) *GPUCB {
 }
 
 // CloneShadow is the deep-clone reference implementation of NewShadow: the
-// posterior is fully copied and refactorized instead of prefix-shared. It
-// exists as the baseline that shadow-equivalence tests and the pick-path
-// benchmarks compare NewShadow against, and as the legacy selection mode
-// of server.Scheduler.
+// posterior is rebuilt from the history — factor refactorized, solved block
+// and surface accumulated from row 0 — instead of prefix-shared. It exists
+// as the baseline the shadow- and rebuild-equivalence tests and the
+// server's reference picker (reference_test.go) compare NewShadow against;
+// no product path selects with it.
 func (b *GPUCB) CloneShadow(inFlight []int) *GPUCB {
 	shadow := b.shadowOver(b.gp.Clone())
 	for _, a := range inFlight {
@@ -89,9 +90,9 @@ func (b *GPUCB) CloneShadow(inFlight []int) *GPUCB {
 // ever call this on a shadow from NewShadow/shadowClone — it consumes the
 // arm like a real observation. The posterior update goes through
 // gp.ObserveHallucinated: hallucinating the mean leaves the mean surface
-// untouched, so only the variances change, via an O(K·t) rank-1 downdate
-// of the cached posterior instead of a full O(K·t²) recompute — this is
-// what keeps per-arm UCB scores incremental across a batch of picks.
+// untouched, so only the variances change, by the one O(K·t) block row a
+// real observation costs too — this is what keeps per-arm UCB scores
+// incremental across a batch of picks.
 func (b *GPUCB) Hallucinate(a int) {
 	if a < 0 || a >= b.NumArms() || b.Tried(a) {
 		return

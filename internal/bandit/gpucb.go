@@ -217,7 +217,9 @@ func (b *GPUCB) SelectArm() (arm int, ucb float64) {
 	}
 	b.stats.Misses++
 	beta := b.Beta()
-	mu, sigma := b.gp.Posterior()
+	// The cached surface, read in place: σ is only needed for the arms still
+	// open, so it is rooted here instead of materialised for all K.
+	mu, rawVar := b.gp.Surface()
 	if cap(b.cachedUCBs) < b.NumArms() {
 		b.cachedUCBs = make([]float64, b.NumArms())
 	}
@@ -233,7 +235,7 @@ func (b *GPUCB) SelectArm() (arm int, ucb float64) {
 		if b.cfg.CostAware {
 			bk /= b.cfg.Costs[k]
 		}
-		v := mu[k] + b.shift(k) + math.Sqrt(bk)*sigma[k]
+		v := mu[k] + b.shift(k) + math.Sqrt(bk)*gp.StdOfRaw(rawVar[k])
 		b.cachedUCBs[k] = v
 		if v > ucb {
 			ucb = v

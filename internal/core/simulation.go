@@ -103,7 +103,9 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 	}
 	s := &Simulation{env: cfg.Env, userPicker: cfg.UserPicker, modelPicker: cfg.ModelPicker}
 	// Tenants with the same arm count share the same features, hence the
-	// same prior: evaluate the K² kernel entries once per distinct K.
+	// same prior: evaluate the K² kernel entries once per distinct K. gp.New
+	// adopts the matrix it is given, so those tenants also share its storage
+	// (nothing below writes it).
 	priors := make(map[int]*linalg.Matrix)
 	for i := 0; i < n; i++ {
 		k := cfg.Env.NumModels(i)

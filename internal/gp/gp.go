@@ -12,55 +12,88 @@ import (
 // (Appendix A: "for GP's not conditioned on data, we assume that µ = 0") and
 // covariance Σ; observations carry i.i.d. Gaussian noise of variance σ².
 //
+// What one observation costs. With L the Cholesky factor of (Σt + σ²I), B
+// the t×K cross-covariance block (row i = Σ(aᵢ, ·)), Z = L⁻¹B the solved
+// block and w = L⁻¹y, the posterior is
+//
+//	µ(j) = Σᵢ wᵢ·Z[i][j],    σ²(j) = Σ(j,j) − Σᵢ Z[i][j]².
+//
+// Extending the factor by a row changes no earlier row of Z and no earlier
+// entry of w, so an observation of arm k adds one of each: the new factor
+// row is column k of Z (a gather, O(t), when the block is current — see
+// observe), the new entry of w is one dot product with it (O(t)), and the
+// next read appends the new block row (O(K·t), the only pass over the
+// block) while adding its term to µ and subtracting its squares from the raw
+// variance (O(K)). Only a refactorization (jitter escalation) or Reset
+// replaces the factor and drops the block; the next read is then the
+// from-row-0 case of the same loop.
+//
+// µ is defined as that sum accumulated from zero in row order, which is the
+// order an incremental read, a from-row-0 read, a Clone and a replay all
+// produce: however the rows were batched into reads, shared with shadows or
+// rolled back, the surface equals a from-scratch rebuild's bit for bit. The
+// one exception is a hallucination, which keeps the mean it was taken at
+// (ObserveHallucinated) and marks it kept (muKept): the first read after a
+// later real observation then re-accumulates µ from row 0 over the existing
+// block instead of extending a sum that lacks the hallucinated rows' terms.
+//
+// Everything a Shadow or a Checkpoint shares with the base is immutable or
+// append-only: the prior (New adopts it, the GP never writes it), the rows
+// of the factor and of the block, and the cached surfaces postMu/postRaw
+// (a read allocates fresh ones). arms, ys, w and the block's row-pointer
+// slice only grow by appending, and shadows hold them capacity-clamped.
+//
 // A GP is not safe for concurrent use; each tenant owns its own instance.
 type GP struct {
-	prior    *linalg.Matrix // K×K prior covariance Σ
+	prior    *linalg.Matrix // K×K prior covariance Σ; shared, never written
 	noiseVar float64        // σ²
 
 	arms []int     // a[1:t] — observed arm indices
 	ys   []float64 // y[1:t] — observed rewards
 
 	chol   *linalg.Cholesky // factorization of (Σt + σ²I); nil when t == 0
-	alpha  []float64        // (Σt+σ²I)⁻¹ y; nil when t == 0
+	w      []float64        // L⁻¹y, one entry per observation
 	jitter float64          // diagonal jitter added to keep (Σt+σ²I) PD
 
-	// Posterior state. postZ holds the leading rows of the solved block
-	// L⁻¹·B (B is the t×K cross-covariance block, row i = Σ(a_i, ·)) and
-	// postRaw the running raw variance Σ(j,j) − Σᵢ zᵢ(j)² over exactly those
-	// rows, unclamped. Row i of the block depends only on factor rows 0..i,
-	// which Cholesky.Extend never changes, so both stay valid across every
-	// observation that extended the factor: the next read appends the rows
-	// observed since, O(K·t) each (refreshPosterior). Only a refactor
-	// (jitter escalation) or Reset replaces the factor and drops them, and
-	// the next read is then the from-row-0 case of the same loop.
-	//
-	// postMu/postSigma cache the surface read off that state: between
-	// observations repeated Posterior calls are O(K) copies. postValid is
-	// set by a read and cleared by Observe/Reset. postMu, postSigma and
-	// postRaw are never mutated in place (updates allocate fresh ones) and
-	// postZ only grows by appending, which is what lets Shadow share all
-	// four with the base.
+	// postZ holds the leading rows of the solved block (at most t; fewer
+	// when observations have not been read yet), postRaw the raw variance
+	// over exactly those rows, unclamped, and postMu the mean over them —
+	// or, when muKept, the mean a hallucination kept. postValid says they
+	// cover all t observations; it is set by a read and cleared by
+	// Observe/Reset.
 	postMu    []float64
-	postSigma []float64
 	postRaw   []float64
-	postZ     []float64
+	postZ     [][]float64
 	postValid bool
+	muKept    bool
 	postStats CacheStats
 }
 
 // CacheStats counts posterior-cache traffic: Hits and Misses tally
 // Posterior calls served from / recomputing the cached surface, and
-// Invalidations tallies observations (or resets) that dirtied it. Exposed
-// so the selection layers above can report cache effectiveness per tenant.
+// Invalidations tallies observations (or resets) that dirtied it. Rebuilds
+// counts the misses that could not extend the surface by the rows observed
+// since the last read and started over from row 0 of a history of more than
+// one observation: the block was dropped by a jitter refactorization (or
+// never read), or the mean was a hallucination's and had to be
+// re-accumulated. Zero on a healthy tenant that reads between observations.
+// Exposed so the selection layers above can report cache effectiveness per
+// tenant.
 type CacheStats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
 	Invalidations uint64 `json:"invalidations"`
+	Rebuilds      uint64 `json:"rebuilds"`
 }
 
 // New creates a GP over K arms with the given prior covariance and
 // observation noise variance σ² (noiseVar). It panics if the prior is not
 // square or noiseVar is negative.
+//
+// The process adopts prior instead of copying it — it only ever reads it,
+// and shadows and clones share it — so the caller must not modify the
+// matrix afterwards, and may hand one matrix to any number of processes
+// (core.NewSimulation gives every tenant of one arm count the same one).
 func New(prior *linalg.Matrix, noiseVar float64) *GP {
 	if prior.Rows() != prior.Cols() {
 		panic(fmt.Sprintf("gp: prior covariance must be square, got %d×%d", prior.Rows(), prior.Cols()))
@@ -68,7 +101,7 @@ func New(prior *linalg.Matrix, noiseVar float64) *GP {
 	if noiseVar < 0 {
 		panic(fmt.Sprintf("gp: negative noise variance %g", noiseVar))
 	}
-	return &GP{prior: prior.Clone(), noiseVar: noiseVar}
+	return &GP{prior: prior, noiseVar: noiseVar}
 }
 
 // NewFromFeatures creates a GP whose prior covariance is built from per-arm
@@ -107,11 +140,12 @@ func (g *GP) Observations() (arms []int, ys []float64) {
 // the caller. On error the observation is rolled back and the posterior —
 // surface, solved block and factor — is left exactly as before the call.
 //
-// The factorization of (Σt + σ²I) is extended incrementally in O(t²); a full
-// refactorization with escalating jitter is the fallback when the extended
-// matrix is numerically semi-definite. The (µ, σ) surface is brought up to
-// date by the next read, in O(K·t) after an extension and O(K·t²) after a
-// refactorization.
+// The cost is O(t) when a read followed the previous observation (the new
+// factor row is gathered from the solved block) and O(t²) when it did not
+// (the row is forward-solved); a full refactorization with escalating
+// jitter is the fallback when the extended matrix is numerically
+// semi-definite. The (µ, σ) surface is brought up to date by the next read,
+// in O(K·t) after an extension and O(K·t²) after a refactorization.
 func (g *GP) Observe(k int, y float64) error {
 	g.checkArm(k)
 	if _, err := g.observe(k, y); err != nil {
@@ -128,26 +162,39 @@ func (g *GP) checkArm(k int) {
 	}
 }
 
-// observe appends (k, y) to the history and brings the factor and the solve
-// vector up to date. extended reports that the factor grew by one row, so
-// the solved block is still a prefix of the new one; otherwise the factor
-// was rebuilt (first observation, or jitter escalation after the extension
-// hit a non-positive pivot) and the block is dropped. On error nothing has
+// observe appends (k, y) to the history and brings the factor and w up to
+// date. extended reports that the factor grew by one row, so the solved
+// block is still a prefix of the new one; otherwise the factor was rebuilt
+// (first observation, or jitter escalation after the extension hit a
+// non-positive pivot) and the block is dropped. On error nothing has
 // changed.
+//
+// The new factor row solves L·r = [Σ(a₁,k) … Σ(a_t,k)], and that right-hand
+// side is column k of B: when the block holds all t rows, r is column k of
+// Z — computed by the row kernel with the operations Extend's own solve
+// would perform — and is gathered instead of solved. A block that lags
+// (observations replayed without reads in between) takes Extend.
 func (g *GP) observe(k int, y float64) (extended bool, err error) {
 	t := len(g.arms)
 	if g.chol != nil {
 		row := make([]float64, t+1)
-		for i, a := range g.arms {
-			row[i] = g.prior.At(a, k)
-		}
 		row[t] = g.prior.At(k, k) + g.noiseVar + g.jitter
-		extended = g.chol.Extend(row) == nil
+		if len(g.postZ) == t {
+			for i, zi := range g.postZ {
+				row[i] = zi[k]
+			}
+			extended = g.chol.ExtendSolved(row) == nil
+		} else {
+			for i, a := range g.arms {
+				row[i] = g.prior.At(a, k)
+			}
+			extended = g.chol.Extend(row) == nil
+		}
 	}
 	g.arms = append(g.arms, k)
 	g.ys = append(g.ys, y)
 	if extended {
-		g.alpha = g.chol.SolveVec(g.ys)
+		g.w = g.chol.AppendSolved(g.w, y)
 		return true, nil
 	}
 	if err := g.refactor(); err != nil {
@@ -172,12 +219,16 @@ func (g *GP) observe(k int, y float64) (extended bool, err error) {
 //	σ′²(j) = σ²(j) − z(j)²,   z(j) = (Σ(k,j) − L[t,:t]·Z[:,j]) / L[t,t],
 //
 // which is the row every read after an observation appends to the solved
-// block anyway. So this is Observe followed by a read that keeps µ: O(K·t),
-// and σ′ is bit for bit what a from-scratch posterior pass would produce.
-// This is the hot operation behind every hallucinated batch pick. On a
-// numerically semi-definite extension the factor is rebuilt with escalated
-// jitter and the cached surface invalidated, exactly as in Observe —
-// correctness never depends on the fast path.
+// block anyway. So this is Observe followed by a read that keeps µ: O(K·t)
+// for the block row and nothing else above O(K + t), and σ′ is bit for bit
+// what a from-scratch posterior pass would produce. The kept µ is the
+// caller's surface from before the call, not the row-order sum (the two
+// differ by the hallucinated row's term, which is zero up to round-off);
+// the process remembers that, see GP. This is the hot operation behind every
+// hallucinated batch pick. On a numerically semi-definite extension the
+// factor is rebuilt with escalated jitter and the cached surface
+// invalidated, exactly as in Observe — correctness never depends on the
+// fast path.
 func (g *GP) ObserveHallucinated(k int) error {
 	g.checkArm(k)
 	if len(g.arms) == 0 {
@@ -209,12 +260,12 @@ type Checkpoint struct {
 	obs      int
 	chol     *linalg.Cholesky
 	cholSize int
-	alpha    []float64
+	w        []float64
 	postMu   []float64
-	postSig  []float64
 	postRaw  []float64
-	postZ    []float64
+	postZ    [][]float64
 	postOK   bool
+	muKept   bool
 	jitter   float64
 }
 
@@ -231,13 +282,15 @@ func (g *GP) Checkpoint() Checkpoint {
 		obs:      len(g.arms),
 		chol:     g.chol,
 		cholSize: size,
-		alpha:    g.alpha,
+		w:        g.w,
 		postMu:   g.postMu,
-		postSig:  g.postSigma,
 		postRaw:  g.postRaw,
-		postZ:    g.postZ,
-		postOK:   g.postValid,
-		jitter:   g.jitter,
+		// Clamped like the factor's rows in Truncate: block rows appended
+		// after a Rollback go to a fresh pointer array.
+		postZ:  g.postZ[:len(g.postZ):len(g.postZ)],
+		postOK: g.postValid,
+		muKept: g.muKept,
+		jitter: g.jitter,
 	}
 }
 
@@ -257,12 +310,12 @@ func (g *GP) Rollback(cp Checkpoint) {
 	if g.chol != nil && g.chol.Size() > cp.cholSize {
 		g.chol.Truncate(cp.cholSize)
 	}
-	g.alpha = cp.alpha
+	g.w = cp.w
 	g.postMu = cp.postMu
-	g.postSigma = cp.postSig
 	g.postRaw = cp.postRaw
 	g.postZ = cp.postZ
 	g.postValid = cp.postOK
+	g.muKept = cp.muKept
 	g.jitter = cp.jitter
 }
 
@@ -285,9 +338,10 @@ func (g *GP) invalidatePosterior() {
 // counters.
 func (g *GP) PosteriorCacheStats() CacheStats { return g.postStats }
 
-// refactor rebuilds the Cholesky factorization of (Σt + σ²I) and the solve
-// vector alpha. t is at most a few hundred in every workload this system
-// handles, so a full O(t³) refactorization per observation is cheap.
+// refactor rebuilds the Cholesky factorization of (Σt + σ²I) and w. t is at
+// most a few hundred in every workload this system handles, so a full O(t³)
+// refactorization is cheap where it is needed: the first observation, a
+// jitter escalation, a Clone, a likelihood evaluation.
 func (g *GP) refactor() error {
 	t := len(g.arms)
 	kt := g.prior.Submatrix(g.arms, g.arms).AddDiag(g.noiseVar)
@@ -297,9 +351,14 @@ func (g *GP) refactor() error {
 	}
 	g.chol = ch
 	g.jitter = jit
-	g.alpha = ch.SolveVec(g.ys)
+	g.w = ch.ForwardSolve(g.ys)
 	return nil
 }
+
+// alpha returns (Σt+σ²I)⁻¹y = L⁻ᵀw in O(t²). Nothing per observation or per
+// read needs it — the surface is read off Z and w — only the per-arm Mean
+// on a stale cache and the marginal likelihood do.
+func (g *GP) alpha() []float64 { return g.chol.BackwardSolve(g.w) }
 
 // kvec returns Σt(k) = [Σ(a₁,k), …, Σ(a_t,k)].
 func (g *GP) kvec(k int) []float64 {
@@ -311,10 +370,11 @@ func (g *GP) kvec(k int) []float64 {
 }
 
 // Mean returns the posterior mean µt(k) of arm k. A valid posterior cache
-// answers in O(1) — the cached mean is accumulated in the same term order
-// as the dot product below, so the two paths agree bit for bit. (After
-// ObserveHallucinated the cache is also the authoritative mean surface:
-// hallucinations leave µ unchanged by construction.)
+// answers in O(1). (After ObserveHallucinated the cache is also the
+// authoritative mean surface: hallucinations leave µ unchanged by
+// construction.) On a stale cache it is Σt(k)·α, O(t²), which agrees with
+// the surface the next read caches to round-off — both are roundings of the
+// same number — and leaves the solved block alone.
 func (g *GP) Mean(k int) float64 {
 	if len(g.arms) == 0 {
 		return 0 // zero-mean prior
@@ -322,7 +382,7 @@ func (g *GP) Mean(k int) float64 {
 	if g.postValid {
 		return g.postMu[k]
 	}
-	return linalg.Dot(g.kvec(k), g.alpha)
+	return linalg.Dot(g.kvec(k), g.alpha())
 }
 
 // Var returns the posterior variance σt²(k) of arm k, clamped at zero to
@@ -344,26 +404,50 @@ func (g *GP) Std(k int) float64 { return math.Sqrt(g.Var(k)) }
 
 // Posterior returns the posterior mean and standard deviation for every arm
 // in one pass. It is equivalent to calling Mean and Std per arm but batches
-// the work across arms: the means fall out of one alpha sweep over the
-// observed arms' prior rows, and the K forward solves behind the variances
-// are rows of one solved block (linalg.AppendSolvedRow) instead of K
-// separate O(t²) solves with their K temporary vectors — this is the hot
-// path of every UCB selection.
+// the work across arms: the K forward solves behind the variances are rows
+// of one solved block (linalg.AppendSolvedRow) instead of K separate O(t²)
+// solves with their K temporary vectors, and the means fall out of the same
+// rows — this is the hot path of every UCB selection.
 //
-// The surface is cached between observations: every call but the first
-// after an Observe is an O(K) copy (the returned slices are the caller's to
-// mutate). That first call appends one row to the solved block per
-// observation since the last read and re-sweeps µ — O(K·t) — because the
-// block survives factor extensions; only after a jitter refactorization
-// replaced the factor does it re-solve all t rows, O(K·t²).
+// The surface is cached between observations as (µ, raw variance): every
+// call but the first after an Observe is O(K) — two fresh slices, the
+// caller's to mutate, σ being the clamped square root taken here. That
+// first call appends one row to the solved block per observation since the
+// last read, O(K·t) each, and folds it into µ and the variance in O(K);
+// only after a jitter refactorization replaced the factor does it re-solve
+// all t rows, O(K·t²). Surface is the same read without the copies.
 func (g *GP) Posterior() (mu, sigma []float64) {
 	k := g.NumArms()
 	g.freshenPosterior()
 	mu = make([]float64, k)
 	sigma = make([]float64, k)
 	copy(mu, g.postMu)
-	copy(sigma, g.postSigma)
+	for j, v := range g.postRaw {
+		sigma[j] = StdOfRaw(v)
+	}
 	return mu, sigma
+}
+
+// Surface makes the cached surface current, exactly as Posterior does, and
+// returns it in place: the posterior mean and the raw posterior variance
+// Σ(j,j) − Σᵢ Z[i][j]² of every arm, which round-off can leave slightly
+// negative (StdOfRaw clamps). The slices are the cache itself — shared with
+// shadows and checkpoints, never written again once built — so the caller
+// must not modify them; they stay valid, as a snapshot of this moment,
+// across later observations.
+func (g *GP) Surface() (mu, rawVar []float64) {
+	g.freshenPosterior()
+	return g.postMu, g.postRaw
+}
+
+// StdOfRaw turns a raw variance from Surface into the standard deviation
+// Posterior reports: clamped at zero to absorb floating-point round-off
+// (the same clamp as Var), then rooted.
+func StdOfRaw(v float64) float64 {
+	if v < 0 {
+		v = 0
+	}
+	return math.Sqrt(v)
 }
 
 // freshenPosterior makes the cached surface current, recomputing it only
@@ -377,49 +461,63 @@ func (g *GP) freshenPosterior() {
 	g.refreshPosterior(nil)
 }
 
-// refreshPosterior brings the solved block, the raw variances and the
-// cached surface up to date with the factor. It appends the block rows the
-// factor has and the block lacks — all t after a refactorization, one per
-// observation since the last read otherwise — subtracting each row's
-// squares from the raw variances as it lands, which is the order a single
-// pass from row 0 subtracts them in: the surface does not depend on how the
-// rows were batched into reads. µ is re-swept from alpha unless the caller
-// knows it (a hallucination leaves it unchanged by construction). Every
-// slice it stores is fresh or append-extended, never written in place:
-// the old ones may be shared with a base, a shadow or a checkpoint.
-func (g *GP) refreshPosterior(mu []float64) {
+// refreshPosterior brings the solved block, the raw variances and the mean
+// up to date with the factor. It appends the block rows the factor has and
+// the block lacks — all t after a refactorization, one per observation
+// since the last read otherwise — folding each into the raw variances and
+// the mean as it lands, which is the order a single pass from row 0 folds
+// them in: the surface does not depend on how the rows were batched into
+// reads. keepMu is the mean a hallucination leaves unchanged by
+// construction; it is adopted as is and marked kept, and the first refresh
+// without one after that restarts the mean's sum from row 0 of the block
+// (see GP). Every slice stored is fresh or append-extended, never written
+// in place: the old ones may be shared with a base, a shadow or a
+// checkpoint.
+func (g *GP) refreshPosterior(keepMu []float64) {
 	k := g.NumArms()
-	if mu == nil {
-		// µ(j) = kvec(j)·alpha, accumulated row-wise over B.
-		mu = make([]float64, k)
-		for i, a := range g.arms {
-			ai := g.alpha[i]
-			for j, v := range g.prior.RowView(a) {
-				mu[j] += ai * v
-			}
-		}
+	have := len(g.postZ)
+	resum := g.muKept && keepMu == nil
+	if len(g.arms) > 1 && (have == 0 || resum) {
+		g.postStats.Rebuilds++
 	}
-	// σ²(j) = Σ(j,j) − ‖L⁻¹·kvec(j)‖², all K solves one block row at a time.
 	var raw []float64
-	if len(g.postZ) == 0 {
+	if have == 0 {
 		raw = g.prior.Diag()
 	} else {
-		raw = append(raw, g.postRaw...)
+		raw = make([]float64, k)
+		copy(raw, g.postRaw)
 	}
-	for have := len(g.postZ); have < len(g.arms)*k; have += k {
-		g.postZ = g.chol.AppendSolvedRow(g.postZ, g.prior.RowView(g.arms[have/k]))
-		for j, v := range g.postZ[have:] {
-			raw[j] -= v * v
+	mu := keepMu
+	if mu == nil {
+		mu = make([]float64, k)
+		if resum {
+			for i, zi := range g.postZ {
+				wi := g.w[i]
+				for j, z := range zi {
+					mu[j] += wi * z
+				}
+			}
+		} else if have > 0 {
+			copy(mu, g.postMu)
 		}
 	}
-	sigma := make([]float64, k)
-	for j, v := range raw {
-		if v < 0 {
-			v = 0 // floating-point round-off, same clamp as Var
+	for i := have; i < len(g.arms); i++ {
+		g.postZ = g.chol.AppendSolvedRow(g.postZ, g.prior.RowView(g.arms[i]))
+		zi := g.postZ[i]
+		if keepMu != nil {
+			for j, z := range zi {
+				raw[j] -= z * z
+			}
+			continue
 		}
-		sigma[j] = math.Sqrt(v)
+		wi := g.w[i]
+		for j, z := range zi {
+			raw[j] -= z * z
+			mu[j] += wi * z
+		}
 	}
-	g.postMu, g.postSigma, g.postRaw = mu, sigma, raw
+	g.postMu, g.postRaw = mu, raw
+	g.muKept = keepMu != nil
 	g.postValid = true
 }
 
@@ -434,7 +532,7 @@ func (g *GP) LogMarginalLikelihood() float64 {
 	if t == 0 {
 		return 0
 	}
-	quad := linalg.Dot(g.ys, g.alpha)
+	quad := linalg.Dot(g.ys, g.alpha())
 	return -0.5*quad - 0.5*g.chol.LogDet() - 0.5*float64(t)*math.Log(2*math.Pi)
 }
 
@@ -446,17 +544,17 @@ func (g *GP) Reset() {
 	g.arms = nil
 	g.ys = nil
 	g.chol = nil
-	g.alpha = nil
+	g.w = nil
 	g.jitter = 0
 	g.invalidatePosterior()
 	g.postMu = nil
-	g.postSigma = nil
 	g.postRaw = nil
 	g.postZ = nil
+	g.muKept = false
 }
 
 // Shadow returns an O(1) hallucination shadow of the process: a GP sharing
-// the base's (immutable) prior, observation history, solve vector and
+// the base's (immutable) prior, observation history, solved vector and
 // Cholesky factor by reference instead of deep-copying them. The shadow
 // may Observe independently — its history slices are capacity-clamped and
 // its factor is a prefix-sharing linalg.Cholesky snapshot, so later growth
@@ -476,16 +574,16 @@ func (g *GP) Shadow() *GP {
 		noiseVar:  g.noiseVar,
 		arms:      g.arms[:t:t],
 		ys:        g.ys[:t:t],
-		alpha:     g.alpha, // replaced wholesale on Observe, never mutated
+		w:         g.w[:len(g.w):len(g.w)],
 		jitter:    g.jitter,
 		postMu:    g.postMu, // cached surfaces are immutable once built
-		postSigma: g.postSigma,
 		postRaw:   g.postRaw,
 		postValid: g.postValid,
-		// The solved block is append-extended by every read that follows an
-		// observation; clamping the capacity keeps either side's appends out
-		// of storage the other can see (same copy-on-write discipline as
-		// the factor).
+		muKept:    g.muKept,
+		// The solved block grows by one row slice per observation read;
+		// its rows are immutable, and clamping the row-pointer slice keeps
+		// either side's appends out of storage the other can see (same
+		// copy-on-write discipline as the factor).
 		postZ: g.postZ[:len(g.postZ):len(g.postZ)],
 	}
 	if g.chol != nil {

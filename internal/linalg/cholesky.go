@@ -71,7 +71,11 @@ func NewCholeskyJittered(a *Matrix, startJitter float64, maxTries int) (*Cholesk
 // Extend grows the factorization by one row: row is the new last row of the
 // extended matrix A′ (its length must be Size()+1, ending with the new
 // diagonal element). On a non-positive pivot the factorization is left
-// unchanged and ErrNotPositiveDefinite is returned. The cost is O(n²).
+// unchanged and ErrNotPositiveDefinite is returned. The cost is O(n²): the
+// forward solve L·y = row[:n]. A caller that already holds y — it is column
+// k of any block solved against this factor whose right-hand side column k
+// is row[:n] — skips the solve with ExtendSolved; the pivot rule is the
+// same code.
 func (c *Cholesky) Extend(row []float64) error {
 	n := c.Size()
 	if len(row) != n+1 {
@@ -87,7 +91,34 @@ func (c *Cholesky) Extend(row []float64) error {
 		}
 		y[i] = s / li[i]
 	}
-	d := row[n]
+	y[n] = row[n]
+	return c.appendRow(y)
+}
+
+// ExtendSolved is Extend for a caller that has the forward solve already:
+// y[:n] is L⁻¹·row[:n] and y[n] the new diagonal element of A′, n = Size().
+// The cost is O(n). On success the factor adopts y as its new row (the
+// caller must not touch it again); on a non-positive pivot y and the factor
+// are left unchanged and ErrNotPositiveDefinite is returned.
+//
+// When y[:n] was gathered from a block built by AppendSolvedRow or
+// ForwardSolveBatch, the new row is bit for bit the row Extend computes:
+// the row kernel performs Extend's subtractions on the same operands in the
+// same order and divides by the same pivot.
+func (c *Cholesky) ExtendSolved(y []float64) error {
+	if n := c.Size(); len(y) != n+1 {
+		return fmt.Errorf("linalg: ExtendSolved row has %d elements for size-%d factor", len(y), n)
+	}
+	return c.appendRow(y)
+}
+
+// appendRow finishes an extension: y[:n] is the solved part of the new
+// factor row and y[n] the diagonal element it pivots on. This is the one
+// pivot rule — d = y[n] − Σy², rejected when d ≤ 0 or NaN — behind Extend
+// and ExtendSolved. y is written only on success.
+func (c *Cholesky) appendRow(y []float64) error {
+	n := len(y) - 1
+	d := y[n]
 	for _, v := range y[:n] {
 		d -= v * v
 	}
@@ -198,14 +229,34 @@ func (c *Cholesky) QuadForm(b []float64) float64 {
 	return s
 }
 
+// AppendSolved extends a solved vector by one entry: w holds the first
+// len(w) entries of L⁻¹·v and b is entry len(w) of v; the result is w with
+// that entry of the solution appended (in place when w has the capacity,
+// like append), in O(len(w)). Entry i depends only on factor rows 0..i,
+// which Extend never changes, so a vector solved against a shorter factor
+// stays valid as the factor grows. The appended entry is bit for bit what
+// ForwardSolve computes there.
+func (c *Cholesky) AppendSolved(w []float64, b float64) []float64 {
+	i := len(w)
+	if i >= c.Size() {
+		panic(fmt.Sprintf("linalg: AppendSolved onto %d solved entries of a size-%d factor", i, c.Size()))
+	}
+	row := c.rows[i]
+	s := b
+	for k, v := range w {
+		s -= row[k] * v
+	}
+	return append(w, s/row[i])
+}
+
 // ForwardSolveBatch solves L·Z = B for many right-hand sides in one pass
 // over the factor. B is row-major with one column per right-hand side —
 // b[i*cols+j] is element i of rhs j — and the result uses the same layout.
 // Walking L's rows once with the columns adjacent in the inner loop is
 // what makes batched GP posteriors cheap: per-column ForwardSolve calls
-// would traverse the factor (and allocate) once per column, while here the
-// inner loop is a contiguous AXPY across all columns. It is
-// AppendSolvedRow from row 0 to Size().
+// would traverse the factor (and allocate) once per column. The rows of the
+// result are carved out of one flat buffer and solved by the kernel behind
+// AppendSolvedRow, so it is that routine from row 0 to Size(), bit for bit.
 func (c *Cholesky) ForwardSolveBatch(b []float64, cols int) []float64 {
 	n := c.Size()
 	if cols <= 0 {
@@ -214,46 +265,96 @@ func (c *Cholesky) ForwardSolveBatch(b []float64, cols int) []float64 {
 	if len(b) != n*cols {
 		panic(fmt.Sprintf("linalg: ForwardSolveBatch length %d does not match %d×%d", len(b), n, cols))
 	}
-	z := make([]float64, 0, len(b))
-	for i := 0; i < n; i++ {
-		z = c.AppendSolvedRow(z, b[i*cols:(i+1)*cols])
+	flat := make([]float64, len(b))
+	z := make([][]float64, n)
+	for i := range z {
+		z[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
+		c.solveRow(z[i], z[:i], b[i*cols:(i+1)*cols])
 	}
-	return z
+	return flat
 }
 
 // AppendSolvedRow extends a solved block by one row. z holds the first
-// i = len(z)/len(b) rows of Z = L⁻¹·B (row-major, len(b) columns) and b is
-// row i of B; the result is z with row i of Z appended (in place when z has
-// the capacity, like append). Row i of Z depends only on factor rows 0..i,
-// which Extend never changes, so a block solved against a shorter factor
-// stays valid as the factor grows and each new factor row costs one
-// O(i·cols) call here instead of a full ForwardSolveBatch — the step that
-// keeps per-observation GP posterior updates linear in the history.
-func (c *Cholesky) AppendSolvedRow(z, b []float64) []float64 {
+// i = len(z) rows of Z = L⁻¹·B, one slice of len(b) columns per row, and b
+// is row i of B; the result is z with row i of Z appended — a fresh slice of
+// exactly len(b) floats, so growing the block never copies it, and only the
+// row-pointer slice is written (in place when it has the capacity, like
+// append). Rows already in z are read, never written. Row i of Z depends
+// only on factor rows 0..i, which Extend never changes, so a block solved
+// against a shorter factor stays valid as the factor grows and each new
+// factor row costs one O(i·cols) call here instead of a full
+// ForwardSolveBatch — the step that keeps per-observation GP posterior
+// updates linear in the history.
+func (c *Cholesky) AppendSolvedRow(z [][]float64, b []float64) [][]float64 {
 	cols := len(b)
-	if cols == 0 || len(z)%cols != 0 || len(z)/cols >= c.Size() {
-		panic(fmt.Sprintf("linalg: AppendSolvedRow of %d columns onto %d solved values of a size-%d factor", cols, len(z), c.Size()))
+	if cols == 0 || len(z) >= c.Size() {
+		panic(fmt.Sprintf("linalg: AppendSolvedRow of %d columns onto %d solved rows of a size-%d factor", cols, len(z), c.Size()))
 	}
-	i := len(z) / cols
-	z = append(z, b...)
+	for k, zk := range z {
+		if len(zk) != cols {
+			panic(fmt.Sprintf("linalg: AppendSolvedRow of %d columns onto a block whose row %d has %d", cols, k, len(zk)))
+		}
+	}
+	dst := make([]float64, cols)
+	c.solveRow(dst, z, b)
+	return append(z, dst)
+}
+
+// solveRow is the row kernel: it writes row i = len(z) of Z = L⁻¹·B into
+// dst, given rows 0..i−1 in z and row i of B in b (all len(dst) long),
+//
+//	dst[j] = (b[j] − Σ_{k<i} L[i][k]·z[k][j]) / L[i][i],
+//
+// subtracting in increasing k and dividing last (not multiplying by a
+// reciprocal) — per column the operations of ForwardSolve and of Extend's
+// solve, so all three agree bit for bit. A zero factor coefficient is
+// skipped, as a sparse factor would.
+//
+// The sum is i AXPYs onto dst. Taking four coefficients per pass keeps the
+// target element in a register across four subtractions — the same
+// subtractions in the same order — and loads and stores dst a quarter as
+// often, which is where the time goes once the block outgrows L1. A group
+// holding a zero coefficient takes the scalar loop, so the skip means the
+// same thing on both routes.
+func (c *Cholesky) solveRow(dst []float64, z [][]float64, b []float64) {
+	i := len(z)
 	row := c.rows[i]
-	zi := z[i*cols:]
-	for k := 0; k < i; k++ {
-		coef := row[k]
-		if coef == 0 {
+	copy(dst, b)
+	k := 0
+	for ; k+4 <= i; k += 4 {
+		c0, c1, c2, c3 := row[k], row[k+1], row[k+2], row[k+3]
+		if c0 == 0 || c1 == 0 || c2 == 0 || c3 == 0 {
+			for m := k; m < k+4; m++ {
+				axpyNeg(dst, row[m], z[m])
+			}
 			continue
 		}
-		zk := z[k*cols : (k+1)*cols]
-		for j, v := range zk {
-			zi[j] -= coef * v
+		z0, z1, z2, z3 := z[k][:len(dst)], z[k+1][:len(dst)], z[k+2][:len(dst)], z[k+3][:len(dst)]
+		for j, s := range dst {
+			s -= c0 * z0[j]
+			s -= c1 * z1[j]
+			s -= c2 * z2[j]
+			s -= c3 * z3[j]
+			dst[j] = s
 		}
 	}
-	// Divide (not multiply by a reciprocal): bit-identical to the
-	// per-column ForwardSolve, so batched and scalar posteriors agree
-	// exactly.
-	piv := row[i]
-	for j := range zi {
-		zi[j] /= piv
+	for ; k < i; k++ {
+		axpyNeg(dst, row[k], z[k])
 	}
-	return z
+	piv := row[i]
+	for j := range dst {
+		dst[j] /= piv
+	}
+}
+
+// axpyNeg subtracts coef·x from dst elementwise; a zero coefficient is a
+// no-op.
+func axpyNeg(dst []float64, coef float64, x []float64) {
+	if coef == 0 {
+		return
+	}
+	x = x[:len(dst)]
+	for j := range dst {
+		dst[j] -= coef * x[j]
+	}
 }

@@ -479,7 +479,7 @@ func TestAppendSolvedRowTracksExtend(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	ch := &Cholesky{}
-	var z []float64
+	var z [][]float64
 	for i := 0; i < n; i++ {
 		if err := ch.Extend(a.RowView(i)[:i+1]); err != nil {
 			t.Fatal(err)
@@ -487,20 +487,21 @@ func TestAppendSolvedRowTracksExtend(t *testing.T) {
 		if i%3 == 2 {
 			continue // let the block fall several rows behind the factor
 		}
-		for have := len(z) / cols; have <= i; have++ {
+		for have := len(z); have <= i; have++ {
 			z = ch.AppendSolvedRow(z, b[have*cols:(have+1)*cols])
 		}
 	}
 	want := ch.ForwardSolveBatch(b, cols)
-	if len(z) != len(want) {
-		t.Fatalf("incremental block has %d values, want %d", len(z), len(want))
+	if len(z)*cols != len(want) {
+		t.Fatalf("incremental block has %d rows, want %d", len(z), len(want)/cols)
 	}
-	for i := range want {
-		if math.Float64bits(z[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("element %d: incremental %g vs batch %g", i, z[i], want[i])
+	for i, v := range want {
+		if got := z[i/cols][i%cols]; math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("element %d: incremental %g vs batch %g", i, got, v)
 		}
 	}
-	mustPanic(t, func() { ch.AppendSolvedRow(z, b[:cols]) })     // block already has Size() rows
-	mustPanic(t, func() { ch.AppendSolvedRow(z[:7], b[:cols]) }) // ragged block
-	mustPanic(t, func() { ch.AppendSolvedRow(nil, nil) })        // no columns
+	ragged := append([][]float64{z[0][:cols-1]}, z[1:7]...)
+	mustPanic(t, func() { ch.AppendSolvedRow(z, b[:cols]) })      // block already has Size() rows
+	mustPanic(t, func() { ch.AppendSolvedRow(ragged, b[:cols]) }) // ragged block
+	mustPanic(t, func() { ch.AppendSolvedRow(nil, nil) })         // no columns
 }
