@@ -66,6 +66,12 @@ func TestPprofMountAndSelectionMetrics(t *testing.T) {
 			Picks       uint64 `json:"picks"`
 			OraclePicks uint64 `json:"oracle_picks"`
 			EpochBumps  uint64 `json:"epoch_bumps"`
+			BanditCache struct {
+				Posterior struct {
+					Misses   uint64  `json:"misses"`
+					Rebuilds *uint64 `json:"rebuilds"`
+				} `json:"posterior"`
+			} `json:"bandit_cache"`
 		} `json:"selection"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
@@ -73,6 +79,12 @@ func TestPprofMountAndSelectionMetrics(t *testing.T) {
 	}
 	if metrics.Selection.Picks == 0 || metrics.Selection.OraclePicks == 0 || metrics.Selection.EpochBumps == 0 {
 		t.Fatalf("selection counters missing from /admin/metrics: %+v", metrics.Selection)
+	}
+
+	// Every posterior refresh of this healthy service extended the surface
+	// by the rows observed since the last read; none started over.
+	if pc := metrics.Selection.BanditCache.Posterior; pc.Misses == 0 || pc.Rebuilds == nil || *pc.Rebuilds != 0 {
+		t.Fatalf("posterior cache counters in /admin/metrics: %d misses, rebuilds %v; want misses and a zero rebuilds field", pc.Misses, pc.Rebuilds)
 	}
 
 	st := svc.SelectionMetrics()

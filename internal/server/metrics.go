@@ -138,6 +138,7 @@ func (a *API) writeDynamicMetrics(w io.Writer) {
 		{"posterior", "hits", sel.BanditCache.Posterior.Hits},
 		{"posterior", "misses", sel.BanditCache.Posterior.Misses},
 		{"posterior", "invalidations", sel.BanditCache.Posterior.Invalidations},
+		{"posterior", "rebuilds", sel.BanditCache.Posterior.Rebuilds},
 	} {
 		telemetry.WriteGauge(w, "easeml_bandit_cache_events_total",
 			`{cache="`+row.cache+`",event="`+row.event+`"}`, float64(row.v))

@@ -844,6 +844,7 @@ func (sc *Scheduler) SelectionStats() SelectionStats {
 		stats.BanditCache.Posterior.Hits += bs.Posterior.Hits
 		stats.BanditCache.Posterior.Misses += bs.Posterior.Misses
 		stats.BanditCache.Posterior.Invalidations += bs.Posterior.Invalidations
+		stats.BanditCache.Posterior.Rebuilds += bs.Posterior.Rebuilds
 	}
 	return stats
 }
