@@ -19,6 +19,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"sort"
 	"sync"
@@ -35,6 +36,7 @@ import (
 	"repro/internal/dsl"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/gp"
 	"repro/internal/server"
 )
 
@@ -167,6 +169,46 @@ func BenchmarkSchedulerMultiTenant(b *testing.B) {
 			b.ReportMetric(float64(totalRounds)/busy.Seconds(), "rounds/s")
 			b.ReportMetric(float64(busy.Nanoseconds())/float64(totalRounds), "ns/round")
 		})
+	}
+}
+
+// BenchmarkSimulationStep measures one global step of Algorithm 2 at the
+// paper's largest operating point: ten 179CLASSIFIER tenants (179 arms each,
+// one shared prior), HYBRID user picking, cost-aware GP-UCB, run to half the
+// cost budget as §5.3 does. One op is one Simulation.Step — pick a tenant,
+// pick its arm, condition its GP, refresh its surface; a simulation that
+// reaches the budget is rebuilt with the timer stopped. B/op is pinned in
+// BENCH_allocs.json beside allocs/op: the step is GC-bound, so bytes per
+// step × steps per second is what the process's RSS follows.
+func BenchmarkSimulationStep(b *testing.B) {
+	d := dataset.Classifier179()
+	train, test := d.Split(10, rand.New(rand.NewSource(1)))
+	env := core.NewMatrixEnv(d, test)
+	cfg := core.SimConfig{
+		Env:         env,
+		ModelPicker: core.UCBModelPicker{},
+		Kernel:      gp.RBF{Variance: 0.05, LengthScale: 1},
+		Features:    d.QualityVectors(train),
+		CostAware:   true,
+		PriorMean:   0.7,
+	}
+	budget := 0.5 * env.TotalCost()
+	var sim *core.Simulation
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sim == nil || sim.CumulativeCost() >= budget {
+			b.StopTimer()
+			cfg.UserPicker = core.NewHybridPicker()
+			var err error
+			if sim, err = core.NewSimulation(cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if ok, err := sim.Step(); err != nil || !ok {
+			b.Fatalf("step %d: ok=%v err=%v", sim.Steps(), ok, err)
+		}
 	}
 }
 
