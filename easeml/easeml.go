@@ -574,10 +574,12 @@ func (s *Service) FleetStatus() (server.FleetStatus, bool) {
 
 // Ready reports whether the service can take traffic: OpenService has
 // finished (WAL recovery replayed, the fleet listener — when configured —
-// bound and accepting) and Close has not begun. GET /readyz serves this;
-// /healthz stays 200 regardless, distinguishing "alive" from "ready".
+// bound and accepting), Close has not begun and the WAL is not poisoned by
+// a failed write or fsync (every later mutation fails; restart to recover
+// what reached the disk). GET /readyz serves this; /healthz stays 200
+// regardless, distinguishing "alive" from "ready".
 func (s *Service) Ready() bool {
-	return !s.closed.Load()
+	return !s.closed.Load() && (s.log == nil || s.log.Err() == nil)
 }
 
 // FleetAddr returns the bound address of the dedicated fleet listener

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -440,6 +442,55 @@ func TestServiceWALSegmentsAndCompactStep(t *testing.T) {
 	}
 	if st.Examples != 13 {
 		t.Errorf("recovered %d examples after incremental compaction + crash, want 13", st.Examples)
+	}
+}
+
+// A WAL failure takes the service out of rotation: once a segment roll
+// fails (the data directory replaced by a regular file, so opening the next
+// segment fails even as root) the log is poisoned, every later feed fails
+// and GET /readyz answers 503.
+func TestServiceNotReadyAfterWALFailure(t *testing.T) {
+	const prog = "{input: {[Tensor[4]], [next]}, output: {[Tensor[2]], []}}"
+	dir := filepath.Join(t.TempDir(), "data")
+	svc, err := OpenService(ServiceConfig{GPUs: 4, Seed: 5, DataDir: dir, WALSegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	readyz := func() int {
+		rw := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+		return rw.Code
+	}
+	job, err := svc.Submit("ts", prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := readyz(); code != http.StatusOK {
+		t.Fatalf("GET /readyz on a healthy service = %d, want 200", code)
+	}
+	if err := os.Rename(dir, dir+".moved"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Appends keep landing in the open segment until one has to roll.
+	var feedErr error
+	for i := 0; i < 100 && feedErr == nil; i++ {
+		_, feedErr = svc.Feed(job.Name, []float64{1, 2, 3, float64(i)}, []float64{0, 1})
+	}
+	if feedErr == nil {
+		t.Fatal("no feed failed although every segment roll must")
+	}
+	if svc.Ready() {
+		t.Error("Ready() after a failed segment roll = true")
+	}
+	if code := readyz(); code != http.StatusServiceUnavailable {
+		t.Errorf("GET /readyz after a failed segment roll = %d, want 503", code)
+	}
+	if _, err := svc.Feed(job.Name, []float64{9, 9, 9, 9}, []float64{1, 0}); err == nil {
+		t.Error("a feed after the WAL failed was acknowledged")
 	}
 }
 

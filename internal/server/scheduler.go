@@ -60,10 +60,13 @@
 // appends a WAL event before the operation acknowledges: job submissions,
 // fed and refined examples, recorded models and abandoned candidates all
 // survive a crash. A failed append surfaces as an error from the mutating
-// call; the in-memory state may then be ahead of the log (there is no
-// transactional rollback) — treat the process as failing and restart it,
-// at which point recovery reflects exactly the acknowledged operations.
-// Leases are volatile — an in-flight lease of a crashed process leaves its
+// call, and the first write, flush, fsync or segment-roll failure poisons
+// the log: every later append and compaction returns that error without
+// writing, so nothing is acknowledged after a failure the log cannot
+// vouch for, and the facade's readiness probe turns false. The in-memory
+// state may be ahead of the log (there is no transactional rollback); a
+// restart recovers every acknowledged operation, plus whatever of the
+// failed batch reached the disk. Leases are volatile — an in-flight lease of a crashed process leaves its
 // arm untried in the recovered state and is re-queued by the next process's
 // first scheduling pass. (Lease *expiries* are logged, though: when a fleet
 // worker goes silent and its lease times out, the expiry event is appended

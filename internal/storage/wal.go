@@ -287,6 +287,16 @@ type Log struct {
 	lastWritten uint64 // highest seq written to any segment
 	sealed      []segmentInfo
 	recycled    []string // pool of truncated retired segment files
+	// fsync syncs a segment or snapshot file; (*os.File).Sync outside
+	// tests, which swap it to inject a failing device.
+	fsync func(*os.File) error
+
+	// failed holds the first write, flush, fsync or roll error. Once it is
+	// set the log is poisoned: a failed fsync may already have dropped the
+	// batch's pages, so a later fsync succeeding proves nothing about them,
+	// and every later AppendBatch and Compact returns this error without
+	// touching the files.
+	failed atomic.Pointer[error]
 
 	// Per-log operation tallies for the /admin/metrics WAL section; the
 	// process-global Prometheus counters above aggregate across logs.
@@ -331,10 +341,27 @@ func (l *Log) Stats() LogStats {
 	}
 }
 
+// Err reports the I/O failure that poisoned the log, or nil while it is
+// healthy. A poisoned log acknowledges nothing further; the process should
+// be restarted, and recovery then replays what reached the disk.
+func (l *Log) Err() error {
+	if p := l.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// poison records err as the log's failure unless an earlier one is already
+// stored, and returns err.
+func (l *Log) poison(err error) error {
+	l.failed.CompareAndSwap(nil, &err)
+	return err
+}
+
 // timedSync fsyncs f under the WAL's fsync telemetry.
 func (l *Log) timedSync(f *os.File) error {
 	t0 := time.Now()
-	err := f.Sync()
+	err := l.fsync(f)
 	walFsyncLatency.ObserveSince(t0)
 	walFsyncs.Inc()
 	l.fsyncs.Add(1)
@@ -412,7 +439,7 @@ func OpenDirOptions(dir string, opts LogOptions) (*Log, *RecoveredState, error) 
 		}
 	}
 
-	l := &Log{dir: dir, opts: opts, seq: maxSeq, lastWritten: maxSeq}
+	l := &Log{dir: dir, opts: opts, seq: maxSeq, lastWritten: maxSeq, fsync: (*os.File).Sync}
 	l.qcond = sync.NewCond(&l.mu)
 	l.recycled = listRecycled(dir)
 	if len(segs) == 0 {
@@ -590,10 +617,13 @@ func taskFor(s *Store, id string) (*TaskStore, error) {
 // consecutive sequence numbers (returning the first), and blocks until all
 // of them are fsynced or the commit fails. It is safe — and profitable —
 // for concurrent use: requests that overlap in time share one fsync. An
-// empty batch is a no-op.
+// empty batch is a no-op. A poisoned log (see Err) fails every append.
 func (l *Log) AppendBatch(events []Event) (uint64, error) {
 	if len(events) == 0 {
 		return 0, nil
+	}
+	if err := l.Err(); err != nil {
+		return 0, err
 	}
 	t0 := time.Now()
 	req := &commitReq{bodies: make([][]byte, len(events)), done: make(chan error, 1)}
@@ -687,8 +717,11 @@ func (l *Log) commitBatch(batch []*commitReq) error {
 	span := telemetry.NewSpanAt(telemetry.NewTraceID(), "", opWALGroupCommit, time.Now())
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
-	if l.f == nil {
-		err := fmt.Errorf("storage: append to closed WAL")
+	err := l.Err()
+	if err == nil && l.f == nil {
+		err = fmt.Errorf("storage: append to closed WAL")
+	}
+	if err != nil {
 		span.Fail(err)
 		span.End()
 		return err
@@ -707,7 +740,8 @@ func (l *Log) commitBatch(batch []*commitReq) error {
 }
 
 // commitBatchLocked is commitBatch's write+flush+fsync body; callers hold
-// ioMu. It reports the records and encoded bytes written.
+// ioMu. It reports the records and encoded bytes written. Any failure
+// poisons the log.
 func (l *Log) commitBatchLocked(batch []*commitReq) (records, n int, err error) {
 	for _, r := range batch {
 		for i, body := range r.bodies {
@@ -716,14 +750,14 @@ func (l *Log) commitBatchLocked(batch []*commitReq) (records, n int, err error) 
 			size := int64(len(l.head) + len(body))
 			if l.size > 0 && l.size+size > l.opts.SegmentBytes {
 				if err := l.rollLocked(seq); err != nil {
-					return 0, 0, err
+					return 0, 0, l.poison(err)
 				}
 			}
 			if _, err := l.w.Write(l.head); err != nil {
-				return 0, 0, fmt.Errorf("storage: appending WAL event: %w", err)
+				return 0, 0, l.poison(fmt.Errorf("storage: appending WAL event: %w", err))
 			}
 			if _, err := l.w.Write(body); err != nil {
-				return 0, 0, fmt.Errorf("storage: appending WAL event: %w", err)
+				return 0, 0, l.poison(fmt.Errorf("storage: appending WAL event: %w", err))
 			}
 			l.size += size
 			n += int(size)
@@ -732,12 +766,12 @@ func (l *Log) commitBatchLocked(batch []*commitReq) (records, n int, err error) 
 		records += len(r.bodies)
 	}
 	if err := l.w.Flush(); err != nil {
-		return 0, 0, fmt.Errorf("storage: flushing WAL: %w", err)
+		return 0, 0, l.poison(fmt.Errorf("storage: flushing WAL: %w", err))
 	}
 	// The fsync precedes every waiter's release: acknowledgement means
 	// "on disk", not "handed to the OS".
 	if err := l.timedSync(l.f); err != nil {
-		return 0, 0, fmt.Errorf("storage: syncing WAL: %w", err)
+		return 0, 0, l.poison(fmt.Errorf("storage: syncing WAL: %w", err))
 	}
 	l.groupCommits.Add(1)
 	l.bytesWritten.Add(uint64(n))
@@ -756,7 +790,9 @@ func (l *Log) rollLocked(nextFirst uint64) error {
 	if err := l.timedSync(l.f); err != nil {
 		return fmt.Errorf("storage: syncing WAL segment before seal: %w", err)
 	}
-	if err := l.f.Close(); err != nil {
+	err := l.f.Close()
+	l.f = nil
+	if err != nil {
 		return fmt.Errorf("storage: sealing WAL segment: %w", err)
 	}
 	l.sealed = append(l.sealed, segmentInfo{
@@ -841,6 +877,9 @@ func (l *Log) Compact(jobs []JobMeta, abandoned map[string][]string, budgetExhau
 	}
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
+	if err := l.Err(); err != nil {
+		return err
+	}
 	if l.f == nil {
 		return fmt.Errorf("storage: compact on closed WAL")
 	}
@@ -860,14 +899,16 @@ func (l *Log) Compact(jobs []JobMeta, abandoned map[string][]string, budgetExhau
 		// The active segment is fully covered too: retire it so a
 		// fully-compacted log occupies one empty segment.
 		if err := l.w.Flush(); err != nil {
-			return fmt.Errorf("storage: flushing WAL before compaction: %w", err)
+			return l.poison(fmt.Errorf("storage: flushing WAL before compaction: %w", err))
 		}
-		if err := l.f.Close(); err != nil {
-			return fmt.Errorf("storage: closing covered WAL segment: %w", err)
+		err := l.f.Close()
+		l.f = nil
+		if err != nil {
+			return l.poison(fmt.Errorf("storage: closing covered WAL segment: %w", err))
 		}
 		l.recycleLocked(filepath.Join(l.dir, segmentFileName(l.first)))
 		if err := l.openSegmentLocked(l.lastWritten + 1); err != nil {
-			return err
+			return l.poison(err)
 		}
 	}
 	walSegments.Set(float64(len(l.sealed) + 1))
@@ -887,6 +928,9 @@ func (l *Log) Compact(jobs []JobMeta, abandoned map[string][]string, budgetExhau
 func (l *Log) CompactOldest(jobs []JobMeta, abandoned map[string][]string, budgetExhausted []string, store *Store) (bool, error) {
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
+	if err := l.Err(); err != nil {
+		return false, err
+	}
 	if l.f == nil {
 		return false, fmt.Errorf("storage: compact on closed WAL")
 	}
@@ -950,7 +994,8 @@ func syncDir(dir string) error {
 }
 
 // Close drains the commit queue, then flushes and fsyncs the active
-// segment. Further appends fail.
+// segment. Further appends fail. A poisoned log is closed without another
+// write or fsync, and Close returns the error that poisoned it.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -963,6 +1008,13 @@ func (l *Log) Close() error {
 	<-l.done // committer commits every queued append before exiting
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
+	if err := l.Err(); err != nil {
+		if l.f != nil {
+			l.f.Close() // the stored failure is the error to report
+			l.f = nil
+		}
+		return err
+	}
 	if l.f == nil {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -71,6 +72,60 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	if l2.Seq() != 7 {
 		t.Errorf("seq %d after recovery append, want 7", l2.Seq())
+	}
+}
+
+// A failed fsync poisons the log: the batch it failed is not acknowledged,
+// and neither is anything after it — a later fsync succeeding says nothing
+// about pages the failed one may have dropped — so every later append and
+// compaction returns the stored error without touching the segment.
+func TestFailedSyncPoisonsLog(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendJobSubmitted("job-0001", "demo", "{prog}"); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("injected fsync failure")
+	failures := 1
+	l.fsync = func(f *os.File) error {
+		if failures > 0 {
+			failures--
+			return boom
+		}
+		return f.Sync()
+	}
+	if _, err := l.AppendBatch(exampleBatch(1, 2)); !errors.Is(err, boom) {
+		t.Fatalf("append whose fsync failed: %v, want the fsync error", err)
+	}
+	if err := l.Err(); !errors.Is(err, boom) {
+		t.Fatalf("Err after a failed fsync = %v, want the fsync error", err)
+	}
+	written := l.Stats().BytesWritten
+	seg := activeSegment(t, dir)
+	before, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendBatch(exampleBatch(3, 1)); !errors.Is(err, boom) {
+		t.Errorf("append after a failed fsync: %v, want the stored fsync error", err)
+	}
+	if got := l.Stats().BytesWritten; got != written {
+		t.Errorf("append after a failed fsync wrote: bytes_written %d → %d", written, got)
+	}
+	if after, err := os.Stat(seg); err != nil || after.Size() != before.Size() {
+		t.Errorf("append after a failed fsync touched the segment: %d → %v bytes (%v)", before.Size(), after.Size(), err)
+	}
+	if err := l.Compact(nil, nil, nil, NewStore(), l.Seq()); !errors.Is(err, boom) {
+		t.Errorf("Compact on a poisoned log: %v, want the stored fsync error", err)
+	}
+	if _, err := l.CompactOldest(nil, nil, nil, NewStore()); !errors.Is(err, boom) {
+		t.Errorf("CompactOldest on a poisoned log: %v, want the stored fsync error", err)
+	}
+	if err := l.Close(); !errors.Is(err, boom) {
+		t.Errorf("Close on a poisoned log: %v, want the stored fsync error", err)
 	}
 }
 
