@@ -154,11 +154,13 @@ type ServiceConfig struct {
 	// Requires OpenService (NewService panics on a DataDir it cannot
 	// open).
 	DataDir string
-	// WALSegmentBytes is the write-ahead log's segment roll threshold: an
-	// append that would push the active wal-<firstseq>.jsonl past it seals
+	// WALSegmentBytes is the write-ahead log's segment roll threshold: a
+	// record that would push the active wal-<firstseq>.wal past it seals
 	// the segment and opens the next, giving incremental compaction
 	// (CompactStep) its granularity. Zero means the storage default
-	// (4 MiB); ignored without DataDir.
+	// (4 MiB); ignored without DataDir. A data directory holding JSONL
+	// segments of an earlier release must be compacted by that release
+	// (POST /admin/snapshot) before this one opens it.
 	WALSegmentBytes int64
 	// WALSyncInterval is accepted and ignored.
 	//

@@ -2,9 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
+	"math"
 	"os"
-	"strings"
 	"testing"
 )
 
@@ -106,9 +108,9 @@ func TestTornTailInsideBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut in the middle of the batch's 4th record (the file's 5th line).
-	lines := strings.SplitAfter(string(data), "\n")
-	cut := len(strings.Join(lines[:4], "")) + len(lines[4])/2
+	// Cut in the middle of the batch's 4th record (the file's 5th frame).
+	starts := frameStarts(t, data)
+	cut := (starts[4] + starts[5]) / 2
 	if err := os.Truncate(path, int64(cut)); err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +133,31 @@ func TestTornTailInsideBatch(t *testing.T) {
 	}
 }
 
-// Records are encoded before their seq is known and the seq spliced in at
-// commit; the bytes on disk must be exactly json.Marshal of the event.
-func TestRecordEncodingMatchesMarshal(t *testing.T) {
+// frameStarts returns the offset of every frame in data plus len(data),
+// reading only the length fields.
+func frameStarts(t *testing.T, data []byte) []int {
+	t.Helper()
+	var starts []int
+	for pos := 0; pos < len(data); pos += frameHeader + int(binary.LittleEndian.Uint32(data[pos:])) {
+		starts = append(starts, pos)
+	}
+	return append(starts, len(data))
+}
+
+// Records are framed before their seq is known and sealed at commit; the
+// bytes on disk must be exactly the documented frame, built here from the
+// layout alone: length, CRC32C over body then seq, seq, and a kind 2
+// binary body for example_fed or a kind 1 JSON body (json.Marshal minus
+// the seq) for everything else.
+func TestRecordFrameLayout(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	events := exampleBatch(1, 12)
+	events[3].Input = []float64{math.Copysign(0, -1), 5e-324, math.MaxFloat64}
+	events[4].Output = nil
 	events = append(events, Event{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "m", Accuracy: 0.5}})
 	if _, err := l.AppendBatch(events); err != nil {
 		t.Fatal(err)
@@ -147,20 +165,40 @@ func TestRecordEncodingMatchesMarshal(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	le := binary.LittleEndian
 	var want []byte
 	for i, ev := range events {
-		ev.Seq = uint64(i + 1)
-		line, err := json.Marshal(ev)
-		if err != nil {
-			t.Fatal(err)
+		var body []byte
+		if ev.Type == EventExampleFed {
+			body = append([]byte{2, byte(len(ev.Job))}, ev.Job...)
+			body = binary.AppendVarint(body, int64(ev.Example))
+			for _, v := range [][]float64{ev.Input, ev.Output} {
+				body = append(body, byte(len(v)))
+				for _, x := range v {
+					body = le.AppendUint64(body, math.Float64bits(x))
+				}
+			}
+		} else {
+			js, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body = append([]byte{1, '{'}, bytes.TrimPrefix(js, []byte(`{"seq":0,`))...)
 		}
-		want = append(append(want, line...), '\n')
+		seq := le.AppendUint64(nil, uint64(i+1))
+		crc := crc32.Checksum(append(append([]byte(nil), body...), seq...), crc32.MakeTable(crc32.Castagnoli))
+		want = le.AppendUint32(want, uint32(len(body)))
+		want = le.AppendUint32(want, crc)
+		want = append(append(want, seq...), body...)
 	}
 	got, err := os.ReadFile(activeSegment(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("on-disk records differ from json.Marshal:\n got %s\nwant %s", got, want)
+		t.Errorf("on-disk records differ from the documented frames:\n got %x\nwant %x", got, want)
+	}
+	if x := diskEvents(t, dir)[3].Input[0]; x != 0 || !math.Signbit(x) {
+		t.Error("-0 did not survive the round trip")
 	}
 }

@@ -2,8 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,12 +14,13 @@ import (
 	"strings"
 )
 
-// Segment file layout. The WAL is a sequence of fixed-size-ish JSONL
-// segments named by the first sequence number they may hold:
+// Segment file layout. The WAL is a sequence of fixed-size-ish segments of
+// CRC-framed binary records, named by the first sequence number they may
+// hold:
 //
-//	wal-0000000000000001.jsonl   (sealed)
-//	wal-0000000000004096.jsonl   (sealed)
-//	wal-0000000000008210.jsonl   (active, appended to)
+//	wal-0000000000000001.wal   (sealed)
+//	wal-0000000000004096.wal   (sealed)
+//	wal-0000000000008210.wal   (active, appended to)
 //
 // The name is an ordering key and a lower bound, not a promise that the
 // first record carries exactly that seq: compaction may drop a covered
@@ -25,24 +29,300 @@ import (
 // Replay therefore never trusts names for anything but ordering; the
 // per-record seq field is authoritative.
 //
+// A record is one frame, all integers little-endian:
+//
+//	u32 body length · u32 CRC · u64 seq · body
+//
+// The CRC is CRC32C (Castagnoli) over the body, continued over the 8 seq
+// bytes — body first, so AppendBatch checksums the body outside the log
+// mutex and the committer extends it once the seq is known. The body is a
+// kind byte and its payload:
+//
+//	kind 1  the event as JSON, without its seq
+//	kind 2  example_fed: uvarint len(job) · job · varint example ·
+//	        uvarint n · n×f64 · uvarint m · m×f64   (input, then output)
+//
+// Kind 2 carries what replay of example_fed reads and nothing else; the
+// floats are their IEEE-754 bits, so a fed example costs 8 bytes per float
+// on disk instead of its decimal text. An event kind 2 cannot carry (a
+// non-finite float) is encoded as kind 1, which refuses it as JSON always
+// has.
+//
+// Torn tails: in the last segment only, replay truncates back to the last
+// intact frame when what follows it is an incomplete header, a frame whose
+// declared length runs past the end of the file, a frame whose CRC fails
+// and that is followed by nothing but zero bytes, or an all-zero remainder
+// — the shapes a crash mid-commit leaves. The length is the one field the
+// CRC does not cover, so before calling such a frame torn replay checks
+// that it is not an intact frame under another length followed by the
+// next record's header; that is a damaged length, not a torn write.
+// Anything else is a corrupt-record error naming the segment and byte
+// offset: a CRC failure with data after it, an undecodable body, an
+// unknown kind, payload bytes left over — and any damage at all in a
+// sealed segment, which was fsynced before its successor existed.
+//
+// Upgrading: the JSONL segments of earlier releases (wal-<seq>.jsonl, and
+// the pre-segmentation wal.jsonl) are not replayed. OpenDir removes empty
+// ones — a full compaction leaves exactly that — and refuses a data
+// directory where one still holds records: compact it with the release
+// that wrote it (POST /admin/snapshot) first. The snapshot format is
+// unchanged.
+//
 // Recycled files (recycled-<origin>.seg) are retired segments kept around,
 // truncated to zero, for the next roll to rename back into service —
 // segment reuse instead of delete/create keeps directory churn constant
-// under sustained load. They deliberately do not match the wal-*.jsonl
-// glob, so recovery never replays one. There is no physical preallocation:
-// extending a recycled file with zeros would read back as a corrupt JSONL
-// record, so recycling here saves the create/unlink metadata traffic only.
+// under sustained load. They deliberately do not match the wal-*.wal glob,
+// so recovery never replays one. Recycling saves the create/unlink
+// metadata traffic only; segments are not preallocated.
 const (
 	segmentPrefix = "wal-"
-	segmentSuffix = ".jsonl"
+	segmentSuffix = ".wal"
 	segmentSeqLen = 16 // zero-padded decimal digits in the name
 
-	legacyWALFile = "wal.jsonl"
+	legacySuffix = ".jsonl" // wal-<seq>.jsonl and wal.jsonl of earlier releases
 
 	recyclePrefix = "recycled-"
 	recycleSuffix = ".seg"
 	maxRecycled   = 2 // pool cap; beyond this, retired segments are unlinked
 )
+
+// Frame layout constants; see the segment layout above.
+const (
+	frameHeader = 16 // u32 body length · u32 CRC · u64 seq
+
+	kindJSON = 1
+	kindFed  = 2
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// jsonSeqHead opens json.Marshal of an Event with Seq 0 (seq is its first
+// field and has no omitempty); kind 1 bodies drop it.
+const jsonSeqHead = `{"seq":0,`
+
+// appendFrame appends ev as a frame with its seq left zero and the body's
+// own CRC in the CRC slot; sealFrame completes both once the seq is known.
+func appendFrame(dst []byte, ev Event) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst, err := appendBody(dst, ev)
+	if err != nil {
+		return dst[:start], err
+	}
+	body := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, castagnoli))
+	return dst, nil
+}
+
+// sealFrame writes seq into the frame appendFrame built and extends its
+// body CRC over the seq bytes. It returns the frame's size.
+func sealFrame(frame []byte, seq uint64) int {
+	binary.LittleEndian.PutUint64(frame[8:], seq)
+	crc := crc32.Update(binary.LittleEndian.Uint32(frame[4:]), castagnoli, frame[8:frameHeader])
+	binary.LittleEndian.PutUint32(frame[4:], crc)
+	return frameHeader + int(binary.LittleEndian.Uint32(frame))
+}
+
+// appendBody appends ev's kind byte and payload.
+func appendBody(dst []byte, ev Event) ([]byte, error) {
+	if ev.Type == EventExampleFed {
+		start := len(dst)
+		dst = append(dst, kindFed)
+		dst = binary.AppendUvarint(dst, uint64(len(ev.Job)))
+		dst = append(dst, ev.Job...)
+		dst = binary.AppendVarint(dst, int64(ev.Example))
+		var ok bool
+		dst, ok = appendFloats(dst, ev.Input)
+		if ok {
+			dst, ok = appendFloats(dst, ev.Output)
+		}
+		if ok {
+			return dst, nil
+		}
+		dst = dst[:start] // a non-finite float: kind 1 refuses it below
+	}
+	ev.Seq = 0
+	data, err := json.Marshal(ev)
+	if err != nil {
+		return dst, fmt.Errorf("storage: encoding WAL event: %w", err)
+	}
+	return append(append(dst, kindJSON, '{'), data[len(jsonSeqHead):]...), nil
+}
+
+// appendFloats appends uvarint len(v) and v's IEEE-754 bits; ok is false
+// (and dst partly written) at the first NaN or infinity.
+func appendFloats(dst []byte, v []float64) (_ []byte, ok bool) {
+	dst = binary.AppendUvarint(dst, uint64(len(v)))
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return dst, false
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+	}
+	return dst, true
+}
+
+// decodeBody decodes a frame body (kind byte + payload) into an event
+// without its seq.
+func decodeBody(body []byte) (Event, error) {
+	if len(body) == 0 {
+		return Event{}, fmt.Errorf("empty body")
+	}
+	var ev Event
+	switch body[0] {
+	case kindJSON:
+		if err := json.Unmarshal(body[1:], &ev); err != nil {
+			return Event{}, err
+		}
+	case kindFed:
+		p := body[1:]
+		job, p, err := readBytes(p)
+		if err != nil {
+			return Event{}, err
+		}
+		example, k := binary.Varint(p)
+		if k <= 0 {
+			return Event{}, fmt.Errorf("bad example id")
+		}
+		ev = Event{Type: EventExampleFed, Job: string(job), Example: int(example)}
+		if ev.Input, p, err = readFloats(p[k:]); err != nil {
+			return Event{}, err
+		}
+		if ev.Output, p, err = readFloats(p); err != nil {
+			return Event{}, err
+		}
+		if len(p) != 0 {
+			return Event{}, fmt.Errorf("%d trailing payload bytes", len(p))
+		}
+	default:
+		return Event{}, fmt.Errorf("unknown record kind %d", body[0])
+	}
+	return ev, nil
+}
+
+// readBytes reads a uvarint-length-prefixed byte string off p.
+func readBytes(p []byte) (s, rest []byte, err error) {
+	n, k := binary.Uvarint(p)
+	if k <= 0 || n > uint64(len(p)-k) {
+		return nil, nil, fmt.Errorf("bad string length")
+	}
+	return p[k : k+int(n)], p[k+int(n):], nil
+}
+
+// readFloats reads a uvarint count and that many f64s off p; a zero count
+// reads as nil, as an omitted JSON array did.
+func readFloats(p []byte) (v []float64, rest []byte, err error) {
+	n, k := binary.Uvarint(p)
+	if k <= 0 || n > uint64(len(p)-k)/8 {
+		return nil, nil, fmt.Errorf("bad float count")
+	}
+	p = p[k:]
+	if n == 0 {
+		return nil, p, nil
+	}
+	v = make([]float64, n)
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+	return v, p[8*n:], nil
+}
+
+// scanFrames passes each intact record of a segment's bytes to apply, in
+// order, and returns the offset just past the last one. With last set
+// (the active segment) a torn tail ends the scan without error and the
+// returned offset is where to truncate; every other defect, and any
+// defect at all in a sealed segment, is a corrupt-record error naming the
+// segment and the byte offset of the bad frame.
+func scanFrames(name string, data []byte, last bool, apply func(Event) error) (int, error) {
+	pos := 0
+	for pos < len(data) {
+		rest := data[pos:]
+		size, why := checkFrame(rest)
+		if why == "" {
+			ev, err := decodeBody(rest[frameHeader:size])
+			if err != nil {
+				return pos, fmt.Errorf("storage: corrupt WAL record in %s at byte %d: %v", name, pos, err)
+			}
+			ev.Seq = binary.LittleEndian.Uint64(rest[8:])
+			if err := apply(ev); err != nil {
+				return pos, err
+			}
+			pos += size
+			continue
+		}
+		if last && torn(rest, size) {
+			return pos, nil
+		}
+		return pos, fmt.Errorf("storage: corrupt WAL record in %s at byte %d: %s", name, pos, why)
+	}
+	return pos, nil
+}
+
+// checkFrame validates the frame at the start of rest: it returns the
+// frame's declared size and, when the frame is not intact, why.
+func checkFrame(rest []byte) (size int, why string) {
+	if len(rest) < frameHeader {
+		return 0, "incomplete frame header"
+	}
+	size = frameHeader + int(binary.LittleEndian.Uint32(rest))
+	if size > len(rest) {
+		return size, fmt.Sprintf("frame of %d bytes runs past the end of the segment", size)
+	}
+	crc := crc32.Update(crc32.Checksum(rest[frameHeader:size], castagnoli), castagnoli, rest[8:frameHeader])
+	if crc != binary.LittleEndian.Uint32(rest[4:]) {
+		return size, "CRC mismatch"
+	}
+	return size, ""
+}
+
+// torn reports whether the defective frame at the start of rest, of
+// declared size, is the tail a crash mid-commit leaves behind (see the
+// segment layout above).
+func torn(rest []byte, size int) bool {
+	if len(rest) < frameHeader {
+		return true
+	}
+	if size < len(rest) && !allZero(rest[size:]) {
+		return false // a CRC failure with data after it
+	}
+	return !misframed(rest)
+}
+
+// misframed reports whether the frame at the start of rest is intact under
+// some length other than the one its header declares and is followed by
+// the next record's header: its length field is damaged. Candidate ends
+// only grow, so the body CRC is extended rather than recomputed and the
+// search stays linear in len(rest).
+func misframed(rest []byte) bool {
+	seq := rest[8:frameHeader]
+	want := binary.LittleEndian.Uint32(rest[4:])
+	var next [8]byte
+	binary.LittleEndian.PutUint64(next[:], binary.LittleEndian.Uint64(seq)+1)
+	crc, summed := uint32(0), frameHeader
+	for from := frameHeader + 1 + 8; from < len(rest); {
+		i := bytes.Index(rest[from:], next[:])
+		if i < 0 {
+			return false
+		}
+		end := from + i - 8 // where the next header, whose seq field this is, starts
+		crc, summed = crc32.Update(crc, castagnoli, rest[summed:end]), end
+		if crc32.Update(crc, castagnoli, seq) == want {
+			return true
+		}
+		from += i + 1
+	}
+	return false
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // segmentInfo is one segment's identity: the seq lower bound from its
 // name, the highest event seq actually stored (0 for an empty segment),
@@ -120,39 +400,31 @@ func listRecycled(dir string) []string {
 	return pool
 }
 
-// migrateLegacyWAL renames a pre-segmentation wal.jsonl into segment form
-// so one recovery path serves both layouts. The segment is named by the
-// first event's seq (falling back to the snapshot horizon + 1 for an
-// empty or torn-at-the-first-line file — the name only has to order
-// correctly, and there are no other segments to order against).
-func migrateLegacyWAL(dir string, lastSeq uint64) error {
-	path := filepath.Join(dir, legacyWALFile)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
+// dropLegacyWAL removes the empty JSONL segments an earlier release leaves
+// after a full compaction and refuses a directory where a JSONL segment
+// still holds records: this release does not replay that format.
+func dropLegacyWAL(dir string) error {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return fmt.Errorf("storage: reading legacy WAL: %w", err)
+		return fmt.Errorf("storage: listing data dir: %w", err)
 	}
-	first := lastSeq + 1
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasPrefix(name, "wal") || !strings.HasSuffix(name, legacySuffix) {
 			continue
 		}
-		var ev struct {
-			Seq uint64 `json:"seq"`
+		path := filepath.Join(dir, name)
+		info, err := e.Info()
+		if err != nil {
+			return fmt.Errorf("storage: inspecting %s: %w", path, err)
 		}
-		if json.Unmarshal(line, &ev) == nil && ev.Seq > 0 {
-			first = ev.Seq
+		if info.Size() > 0 {
+			return fmt.Errorf("storage: %s holds WAL records in the JSONL format of an earlier release, which this one does not replay; "+
+				"compact the data directory with that release first (POST /admin/snapshot), then open it again", path)
 		}
-		break // only the first non-blank line decides the name
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("storage: removing empty legacy segment: %w", err)
+		}
 	}
-	dst := filepath.Join(dir, segmentFileName(first))
-	if _, serr := os.Stat(dst); serr == nil {
-		return fmt.Errorf("storage: both legacy %s and segment %s present", legacyWALFile, filepath.Base(dst))
-	}
-	if err := os.Rename(path, dst); err != nil {
-		return fmt.Errorf("storage: migrating legacy WAL: %w", err)
-	}
-	return syncDir(dir)
+	return nil
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -106,7 +105,8 @@ func TestTornTailAtSegmentBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(fmt.Sprintf(`{"seq":%d,"type":"example_fed","jo`, seq+1)); err != nil {
+	next := frame(t, seq+1, Event{Type: EventExampleFed, Job: "job-0001", Example: int(seq), Input: []float64{1, 2}, Output: []float64{3}})
+	if _, err := f.Write(next[:frameHeader+3]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -246,12 +246,7 @@ func TestDuplicateEventAcrossSegments(t *testing.T) {
 		t.Helper()
 		var b []byte
 		for _, ev := range events {
-			line, err := json.Marshal(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b = append(b, line...)
-			b = append(b, '\n')
+			b = append(b, frame(t, ev.Seq, ev)...)
 		}
 		if err := os.WriteFile(filepath.Join(dir, segmentFileName(first)), b, 0o644); err != nil {
 			t.Fatal(err)
@@ -298,21 +293,29 @@ func diskEvents(t *testing.T, dir string) []Event {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-			if line == "" {
-				continue
-			}
-			var ev Event
-			if err := json.Unmarshal([]byte(line), &ev); err != nil {
-				t.Fatal(err)
-			}
+		name := filepath.Base(s.path)
+		if _, err := scanFrames(name, data, false, func(ev Event) error {
 			if ev.Seq != uint64(len(events))+1 {
-				t.Fatalf("segment %s: seq %d follows %d", filepath.Base(s.path), ev.Seq, len(events))
+				return fmt.Errorf("segment %s: seq %d follows %d", name, ev.Seq, len(events))
 			}
 			events = append(events, ev)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return events
+}
+
+// frame returns ev's record as the committer writes it under seq.
+func frame(t testing.TB, seq uint64, ev Event) []byte {
+	t.Helper()
+	b, err := appendFrame(nil, ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealFrame(b, seq)
+	return b
 }
 
 // Concurrent appends through the group-commit pipeline — single appends
@@ -429,57 +432,54 @@ func TestSyncIntervalIgnored(t *testing.T) {
 	}
 }
 
-// A pre-segmentation wal.jsonl is renamed into segment form on open and
-// replays like any other segment.
-func TestLegacyWALMigration(t *testing.T) {
+// JSONL segments of earlier releases are not replayed: the empty one a
+// full compaction leaves is removed (the snapshot carries the state), and
+// a directory where one still holds records is refused with the upgrade
+// path in the error.
+func TestLegacyJSONLDirectory(t *testing.T) {
 	dir := t.TempDir()
-	var b []byte
-	for _, ev := range []Event{
-		{Seq: 1, Type: EventJobSubmitted, Job: "job-0001", Name: "demo", Program: "{prog}"},
-		{Seq: 2, Type: EventExampleFed, Job: "job-0001", Example: 1, Input: []float64{1}, Output: []float64{2}},
-	} {
-		line, err := json.Marshal(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b = append(b, line...)
-		b = append(b, '\n')
-	}
-	if err := os.WriteFile(filepath.Join(dir, legacyWALFile), b, 0o644); err != nil {
+	snap, err := os.Create(filepath.Join(dir, snapshotFile))
+	if err != nil {
 		t.Fatal(err)
 	}
-
+	store := NewStore()
+	if _, err := store.CreateTask("job-0001"); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeSnapshot(snap, store, []JobMeta{{ID: "job-0001", Name: "demo", Program: "{prog}"}}, nil, nil, 7); err != nil {
+		t.Fatal(err)
+	}
+	snap.Close()
+	compacted := filepath.Join(dir, "wal-0000000000000008.jsonl")
+	if err := os.WriteFile(compacted, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	l, rec, err := OpenDir(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("a fully compacted earlier-release directory was refused: %v", err)
 	}
-	if len(rec.Jobs) != 1 || rec.Events != 2 {
-		t.Fatalf("legacy recovery: %d jobs, %d events", len(rec.Jobs), rec.Events)
+	if _, err := os.Stat(compacted); !os.IsNotExist(err) {
+		t.Errorf("empty JSONL segment left in place: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, legacyWALFile)); !os.IsNotExist(err) {
-		t.Errorf("legacy wal.jsonl still present after migration: %v", err)
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 1 || segs[0].first != 1 {
-		t.Fatalf("migrated segments %+v, want one named by seq 1", segs)
-	}
-	// Appends continue into the migrated segment.
-	if err := l.AppendExampleFed("job-0001", 2, []float64{3}, []float64{4}); err != nil {
-		t.Fatal(err)
+	if len(rec.Jobs) != 1 || l.Seq() != 7 {
+		t.Errorf("recovered %d jobs at seq %d, want the snapshot's 1 job at seq 7", len(rec.Jobs), l.Seq())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec2, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, _ := rec2.Store.Task("job-0001")
-	if got := len(ts.Examples()); got != 2 {
-		t.Errorf("recovered %d examples after migration + append, want 2", got)
+
+	for _, name := range []string{"wal-0000000000000008.jsonl", "wal.jsonl"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			line := `{"seq":1,"type":"job_submitted","job":"job-0001","name":"demo","program":"{prog}"}` + "\n"
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(line), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := OpenDir(dir)
+			if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "POST /admin/snapshot") {
+				t.Fatalf("a JSONL segment holding records: %v, want a refusal naming it and the upgrade path", err)
+			}
+		})
 	}
 }
 

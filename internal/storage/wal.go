@@ -2,8 +2,6 @@ package storage
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,15 +17,19 @@ import (
 // The write-ahead log turns the shared storage into a real durability
 // subsystem: every state mutation of the service (job submitted, example
 // fed or refined, model recorded, candidate abandoned) is appended as one
-// JSONL event before the mutation is acknowledged, and boot-time recovery
-// replays the surviving events on top of the last snapshot.
+// CRC32C-framed binary record before the mutation is acknowledged, and
+// boot-time recovery replays the surviving records on top of the last
+// snapshot. segment.go defines the frame, the CRC order, the torn-tail
+// rule and what happens to the JSONL segments of earlier releases.
 //
 // The log is segmented and group-committed, and the commit is
 // self-clocked: no durable write waits on a timer. Appends do not write:
-// AppendBatch encodes its events, takes consecutive seqs, enqueues them as
-// one request and blocks. A single committer goroutine commits as soon as
-// it has work and the device is free — a batch is whatever arrived during
-// the previous fsync — paying one write + one fsync for the whole batch,
+// AppendBatch frames its events and checksums their bodies outside the log
+// mutex, takes consecutive seqs, enqueues them as one request and blocks;
+// the committer writes each seq into its frame and extends the CRC over
+// it. A single committer goroutine commits as soon as it has work and the
+// device is free — a batch is whatever arrived during the previous
+// fsync — paying one write + one fsync for the whole batch,
 // then releases every waiter at once. So an acknowledged mutation is on
 // disk (fsynced, not merely flushed to the OS), a lone writer pays one
 // fsync and nothing else, and the per-event durability cost shrinks as
@@ -41,7 +43,7 @@ import (
 //	AppendBatch ──▶ commit queue ──▶ committer: 1 write + 1 fsync per batch
 //	  (blocks)                      │ ack all waiters after the fsync
 //	                                ▼
-//	                   wal-<firstseq>.jsonl (active)
+//	                    wal-<firstseq>.wal (active)
 //	                                │ roll at SegmentBytes: flush+fsync+seal
 //	                                ▼
 //	                       sealed segments (read-only)
@@ -52,8 +54,11 @@ import (
 //	     (incremental)                last seq; that one segment recycled —
 //	                                  pause is O(segment), not O(log)
 //
-//	Recover (OpenDir) ──▶ snapshot.json + segments replayed in seq order;
-//	                      a torn tail is truncated in the last segment only
+//	Recover (OpenDir) ──▶ snapshot.json + segments replayed frame by frame
+//	                      in seq order; a torn tail is truncated in the last
+//	                      segment only, any other damage is an error
+//
+// A failed write, flush, fsync or roll poisons the log (see Log.Err).
 //
 // Replay is idempotent and seq-filtered: an event already reflected in
 // the snapshot, or surviving in two segments after an interrupted
@@ -239,29 +244,14 @@ var opWALGroupCommit = telemetry.SpanOp("wal_group_commit")
 // records take consecutive seqs from first.
 type commitReq struct {
 	first  uint64
-	bodies [][]byte // one per event: the JSONL record after its `{"seq":N` head
+	frames []byte // the records back to back, seq and CRC not yet sealed
 	done   chan error
 }
 
-// recHead opens every record. Seq is Event's first field, so a record is
-// recHead + seq + the body encodeBody produced — which lets events be
-// encoded before their seq is known, outside the log mutex.
-const recHead = `{"seq":`
-
-// encodeBody marshals ev minus its `{"seq":N` head, newline included.
-func encodeBody(ev Event) ([]byte, error) {
-	ev.Seq = 0
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return nil, fmt.Errorf("storage: encoding WAL event: %w", err)
-	}
-	return append(data[len(recHead+"0"):], '\n'), nil
-}
-
-// Log is a segmented, group-committed JSONL write-ahead log over a data
-// directory. AppendBatch blocks until its events are fsynced (batched with
-// their neighbours), so an acknowledged mutation survives power failure,
-// not just process crash.
+// Log is a segmented, group-committed write-ahead log of CRC-framed
+// records over a data directory. AppendBatch blocks until its events are
+// fsynced (batched with their neighbours), so an acknowledged mutation
+// survives power failure, not just process crash.
 //
 // Locking: mu guards sequencing and the commit queue (AppendBatch holds it
 // only to take seqs and enqueue — never while encoding or during I/O);
@@ -281,7 +271,6 @@ type Log struct {
 	ioMu        sync.Mutex
 	f           *os.File // active segment
 	w           *bufio.Writer
-	head        []byte // scratch for a record's `{"seq":N` head
 	size        int64  // bytes in the active segment
 	first       uint64 // active segment's name seq (lower bound)
 	lastWritten uint64 // highest seq written to any segment
@@ -375,12 +364,12 @@ func OpenDir(dir string) (*Log, *RecoveredState, error) {
 }
 
 // OpenDirOptions opens (creating if needed) a data directory and recovers
-// its state: the snapshot is loaded if present, a pre-segmentation
-// wal.jsonl is migrated into segment form, then the segments' surviving
-// events are replayed on top in seq order. A torn final line — the
-// signature of a crash mid-commit — is discarded and truncated away in
-// the last segment; corruption anywhere else is an error. The returned
-// Log appends to the last segment.
+// its state: the snapshot is loaded if present, then the segments'
+// surviving records are replayed on top in seq order. A torn tail — the
+// signature of a crash mid-commit — is truncated away in the last
+// segment; corruption anywhere else is an error, and so is a JSONL
+// segment of an earlier release that still holds records (segment.go).
+// The returned Log appends to the last segment.
 func OpenDirOptions(dir string, opts LogOptions) (*Log, *RecoveredState, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -414,7 +403,7 @@ func OpenDirOptions(dir string, opts LogOptions) (*Log, *RecoveredState, error) 
 		return nil, nil, fmt.Errorf("storage: opening snapshot: %w", err)
 	}
 
-	if err := migrateLegacyWAL(dir, lastSeq); err != nil {
+	if err := dropLegacyWAL(dir); err != nil {
 		return nil, nil, err
 	}
 	segs, err := listSegments(dir)
@@ -468,9 +457,9 @@ func OpenDirOptions(dir string, opts LogOptions) (*Log, *RecoveredState, error) 
 
 // replaySegment applies a segment's events with Seq > *horizon to rec,
 // advancing the horizon past each applied event. Only the last segment
-// may carry a torn tail (it is truncated away); a torn or corrupt record
-// in a sealed segment is real corruption and an error. It returns the
-// highest sequence number seen in the segment (0 if empty).
+// may carry a torn tail (it is truncated away); any damage in a sealed
+// segment is corruption and an error. It returns the highest sequence
+// number seen in the segment (0 if empty).
 func replaySegment(path string, horizon *uint64, rec *RecoveredState, last bool) (uint64, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -480,60 +469,29 @@ func replaySegment(path string, horizon *uint64, rec *RecoveredState, last bool)
 		return 0, fmt.Errorf("storage: reading WAL segment: %w", err)
 	}
 	var maxSeq uint64
-	offset := 0 // end of the last fully applied line
 	applied := 0
-	for pos := 0; pos < len(data); {
-		nl := bytes.IndexByte(data[pos:], '\n')
-		line := data[pos:]
-		terminated := nl >= 0
-		if terminated {
-			line = data[pos : pos+nl]
+	end, err := scanFrames(filepath.Base(path), data, last, func(ev Event) error {
+		maxSeq = max(maxSeq, ev.Seq)
+		if ev.Seq <= *horizon {
+			return nil
 		}
-		if len(bytes.TrimSpace(line)) > 0 {
-			var ev Event
-			if uerr := json.Unmarshal(line, &ev); uerr != nil {
-				if last && (!terminated || allBlank(data[pos:])) {
-					break // torn tail from a crash mid-commit: discard
-				}
-				return 0, fmt.Errorf("storage: corrupt WAL record in %s at byte %d: %v", filepath.Base(path), pos, uerr)
-			}
-			if ev.Seq > maxSeq {
-				maxSeq = ev.Seq
-			}
-			if ev.Seq > *horizon {
-				if aerr := applyEvent(ev, rec); aerr != nil {
-					return 0, fmt.Errorf("storage: replaying WAL seq %d: %w", ev.Seq, aerr)
-				}
-				*horizon = ev.Seq
-				applied++
-			}
+		if err := applyEvent(ev, rec); err != nil {
+			return fmt.Errorf("storage: replaying WAL seq %d: %w", ev.Seq, err)
 		}
-		if !terminated {
-			break
-		}
-		pos += nl + 1
-		offset = pos
+		*horizon = ev.Seq
+		applied++
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	if offset < len(data) {
-		if !last {
-			return 0, fmt.Errorf("storage: sealed WAL segment %s has a torn tail", filepath.Base(path))
-		}
-		if terr := os.Truncate(path, int64(offset)); terr != nil {
-			return 0, fmt.Errorf("storage: truncating torn WAL tail: %w", terr)
+	if end < len(data) {
+		if err := os.Truncate(path, int64(end)); err != nil {
+			return 0, fmt.Errorf("storage: truncating torn WAL tail: %w", err)
 		}
 	}
 	rec.Events += applied
 	return maxSeq, nil
-}
-
-// allBlank reports whether tail is a single (possibly unterminated) line:
-// i.e. whether everything after the first newline is whitespace.
-func allBlank(tail []byte) bool {
-	nl := bytes.IndexByte(tail, '\n')
-	if nl < 0 {
-		return true
-	}
-	return len(bytes.TrimSpace(tail[nl+1:])) == 0
 }
 
 // applyEvent folds one WAL event into the recovered state. Every case is
@@ -626,10 +584,14 @@ func (l *Log) AppendBatch(events []Event) (uint64, error) {
 		return 0, err
 	}
 	t0 := time.Now()
-	req := &commitReq{bodies: make([][]byte, len(events)), done: make(chan error, 1)}
-	for i, ev := range events {
+	size := 0
+	for _, ev := range events {
+		size += frameHeader + 64 + len(ev.Job) + 8*(len(ev.Input)+len(ev.Output))
+	}
+	req := &commitReq{frames: make([]byte, 0, size), done: make(chan error, 1)}
+	for _, ev := range events {
 		var err error
-		if req.bodies[i], err = encodeBody(ev); err != nil {
+		if req.frames, err = appendFrame(req.frames, ev); err != nil {
 			return 0, err
 		}
 	}
@@ -740,30 +702,31 @@ func (l *Log) commitBatch(batch []*commitReq) error {
 }
 
 // commitBatchLocked is commitBatch's write+flush+fsync body; callers hold
-// ioMu. It reports the records and encoded bytes written. Any failure
-// poisons the log.
+// ioMu. It seals each record's frame with its seq, writes a request's
+// frames in one run per segment, and reports the records and bytes
+// written. Any failure poisons the log.
 func (l *Log) commitBatchLocked(batch []*commitReq) (records, n int, err error) {
 	for _, r := range batch {
-		for i, body := range r.bodies {
-			seq := r.first + uint64(i)
-			l.head = strconv.AppendUint(append(l.head[:0], recHead...), seq, 10)
-			size := int64(len(l.head) + len(body))
-			if l.size > 0 && l.size+size > l.opts.SegmentBytes {
+		seq, run := r.first, 0 // run: start of the frames not yet written
+		for off := 0; off < len(r.frames); seq++ {
+			size := sealFrame(r.frames[off:], seq)
+			if l.size+int64(off-run) > 0 && l.size+int64(off-run+size) > l.opts.SegmentBytes {
+				if err := l.writeLocked(r.frames[run:off]); err != nil {
+					return 0, 0, err
+				}
 				if err := l.rollLocked(seq); err != nil {
 					return 0, 0, l.poison(err)
 				}
+				run = off
 			}
-			if _, err := l.w.Write(l.head); err != nil {
-				return 0, 0, l.poison(fmt.Errorf("storage: appending WAL event: %w", err))
-			}
-			if _, err := l.w.Write(body); err != nil {
-				return 0, 0, l.poison(fmt.Errorf("storage: appending WAL event: %w", err))
-			}
-			l.size += size
-			n += int(size)
+			off += size
 			l.lastWritten = seq
+			records++
 		}
-		records += len(r.bodies)
+		if err := l.writeLocked(r.frames[run:]); err != nil {
+			return 0, 0, err
+		}
+		n += len(r.frames)
 	}
 	if err := l.w.Flush(); err != nil {
 		return 0, 0, l.poison(fmt.Errorf("storage: flushing WAL: %w", err))
@@ -778,6 +741,16 @@ func (l *Log) commitBatchLocked(batch []*commitReq) (records, n int, err error) 
 	walBatchSize.Observe(uint64(records))
 	walBytesWritten.Add(uint64(n))
 	return records, n, nil
+}
+
+// writeLocked hands sealed frames to the active segment's buffer. Callers
+// hold ioMu; a failure poisons the log.
+func (l *Log) writeLocked(frames []byte) error {
+	if _, err := l.w.Write(frames); err != nil {
+		return l.poison(fmt.Errorf("storage: appending WAL records: %w", err))
+	}
+	l.size += int64(len(frames))
+	return nil
 }
 
 // rollLocked seals the active segment (flush, fsync, close, record its
@@ -803,7 +776,7 @@ func (l *Log) rollLocked(nextFirst uint64) error {
 	return l.openSegmentLocked(nextFirst)
 }
 
-// openSegmentLocked makes wal-<first>.jsonl the active segment,
+// openSegmentLocked makes wal-<first>.wal the active segment,
 // preferring to rename a recycled file back into service over creating a
 // new one, and makes its directory entry durable. Callers hold ioMu.
 func (l *Log) openSegmentLocked(first uint64) error {

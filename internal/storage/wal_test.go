@@ -157,13 +157,14 @@ func TestWALTornTailDiscarded(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: a partial record with no newline.
+	// Simulate a crash mid-append: the first half of the next record.
 	walPath := activeSegment(t, dir)
 	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"seq":3,"type":"example_fed","job":"jo`); err != nil {
+	next := frame(t, 3, Event{Type: EventExampleFed, Job: "job-0001", Example: 2, Input: []float64{3}, Output: []float64{4}})
+	if _, err := f.Write(next[:len(next)/2]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -202,6 +203,9 @@ func TestWALCorruptionMidFileRejected(t *testing.T) {
 	if err := l.AppendJobSubmitted("job-0001", "demo", "{prog}"); err != nil {
 		t.Fatal(err)
 	}
+	if err := l.AppendExampleFed("job-0001", 1, []float64{1}, []float64{2}); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -210,12 +214,13 @@ func TestWALCorruptionMidFileRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupted := "GARBAGE NOT JSON\n" + string(data)
-	if err := os.WriteFile(walPath, []byte(corrupted), 0o644); err != nil {
+	data[frameHeader+5] ^= 0x20 // inside the first record's body; a record follows
+	if err := os.WriteFile(walPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenDir(dir); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Fatalf("mid-file corruption accepted: %v", err)
+	_, _, err = OpenDir(dir)
+	if err == nil || !strings.Contains(err.Error(), "corrupt") || !strings.Contains(err.Error(), "at byte 0") {
+		t.Fatalf("mid-file corruption accepted or not located: %v", err)
 	}
 }
 
