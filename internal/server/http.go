@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -306,7 +307,8 @@ func (a *API) handleJobOp(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, st)
 	case "feed":
 		var req FeedRequest
-		if !requirePost(w, r) || !ReadJSON(w, r, &req) {
+		if !requirePost(w, r) || !readFloatBody(w, r, &req,
+			floatField{key: "inputs", mat: &req.Inputs}, floatField{key: "outputs", mat: &req.Outputs}) {
 			return
 		}
 		if len(req.Inputs) != len(req.Outputs) {
@@ -337,7 +339,7 @@ func (a *API) handleJobOp(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	case "infer":
 		var req InferRequest
-		if !requirePost(w, r) || !ReadJSON(w, r, &req) {
+		if !requirePost(w, r) || !readFloatBody(w, r, &req, floatField{key: "input", vec: &req.Input}) {
 			return
 		}
 		out, model, err := a.sched.Infer(id, req.Input)
@@ -628,7 +630,7 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 // MaxRequestBytes bounds every JSON request body: a feed's decoded events
 // stay pinned in the WAL commit queue until their fsync, so an unbounded
 // body is unbounded memory. A bulk feed of 512 768-float examples is
-// ≈ 1.6 MB.
+// ≈ 7.4 MB of JSON (≈ 19 bytes of text per float).
 const MaxRequestBytes = 32 << 20
 
 // ReadJSON decodes a request body strictly (unknown fields rejected),
@@ -637,7 +639,12 @@ const MaxRequestBytes = 32 << 20
 // the fleet coordinator's handlers so every HTTP surface speaks one
 // envelope.
 func ReadJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	return decodeJSON(w, http.MaxBytesReader(w, r.Body, MaxRequestBytes), dst)
+}
+
+// decodeJSON is ReadJSON over a body already capped at MaxRequestBytes.
+func decodeJSON(w http.ResponseWriter, body io.Reader, dst any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		var tooLarge *http.MaxBytesError
