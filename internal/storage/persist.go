@@ -77,9 +77,9 @@ func writeSnapshot(w io.Writer, s *Store, jobs []JobMeta, abandoned map[string][
 		ts.mu.RUnlock()
 		snap.Tasks[id] = t
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
+	// Compact, not indented: indenting a large store's snapshot took longer
+	// than encoding it, and it runs on every compaction and shutdown.
+	if err := json.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("storage: snapshot: %w", err)
 	}
 	return nil
