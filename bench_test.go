@@ -274,6 +274,53 @@ func BenchmarkFeedSaturation(b *testing.B) {
 	}
 }
 
+// BenchmarkBulkFeedHTTP measures the bulk-load path end to end over real
+// HTTP: one op is one Feed of 100 image examples (768 floats each, pixel
+// values k/255) through internal/client into a durable service, answered
+// after its WAL fsync — client marshal, server body decode, WAL framing and
+// commit, store insert. examples/s is the headline; the allocation gate
+// pins allocations and bytes per call, which move with every copy of the
+// floats on that path.
+func BenchmarkBulkFeedHTTP(b *testing.B) {
+	const (
+		perCall = 100
+		program = "{input: {[Tensor[16, 16, 3]], []}, output: {[Tensor[2]], []}}"
+	)
+	svc, err := easeml.OpenService(easeml.ServiceConfig{GPUs: 4, Seed: 7, DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	job, err := svc.Submit("bulk", program)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	cl := client.New(srv.URL)
+	inputs, outputs := make([][]float64, perCall), make([][]float64, perCall)
+	for k := range inputs {
+		inputs[k] = make([]float64, 16*16*3)
+		for i := range inputs[k] {
+			inputs[k][i] = float64((i*7+k*13)%256) / 255
+		}
+		outputs[k] = []float64{float64(k % 2), float64(1 - k%2)}
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ids, err := cl.Feed(ctx, job.Name, inputs, outputs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(ids) != perCall {
+			b.Fatalf("%d ids for %d examples", len(ids), perCall)
+		}
+	}
+	b.StopTimer() // the deferred Close compacts the whole store
+	b.ReportMetric(float64(b.N*perCall)/b.Elapsed().Seconds(), "examples/s")
+}
+
 // BenchmarkPickWorkManyJobs measures the scheduler's selection hot path at
 // scale — 256 jobs × 35 candidate arms, ~60% observed — through the
 // cross-job selection index (dirty-epoch score heap + O(1) prefix-sharing
