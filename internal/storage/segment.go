@@ -176,8 +176,7 @@ func decodeBody(body []byte) (Event, error) {
 			return Event{}, err
 		}
 	case kindFed:
-		p := body[1:]
-		job, p, err := readBytes(p)
+		job, p, err := readBytes(body[1:])
 		if err != nil {
 			return Event{}, err
 		}
@@ -283,7 +282,7 @@ func torn(rest []byte, size int) bool {
 	if len(rest) < frameHeader {
 		return true
 	}
-	if size < len(rest) && !allZero(rest[size:]) {
+	if size < len(rest) && len(bytes.TrimLeft(rest[size:], "\x00")) > 0 {
 		return false // a CRC failure with data after it
 	}
 	return !misframed(rest)
@@ -313,15 +312,6 @@ func misframed(rest []byte) bool {
 		from += i + 1
 	}
 	return false
-}
-
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // segmentInfo is one segment's identity: the seq lower bound from its
