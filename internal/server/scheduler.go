@@ -66,11 +66,12 @@
 // vouch for, and the facade's readiness probe turns false. The in-memory
 // state may be ahead of the log (there is no transactional rollback); a
 // restart recovers every acknowledged operation, plus whatever of the
-// failed batch reached the disk. Leases are volatile — an in-flight lease of a crashed process leaves its
-// arm untried in the recovered state and is re-queued by the next process's
-// first scheduling pass. (Lease *expiries* are logged, though: when a fleet
-// worker goes silent and its lease times out, the expiry event is appended
-// so the operational history survives a coordinator crash.)
+// failed batch reached the disk. Leases are volatile — an in-flight lease
+// of a crashed process leaves its arm untried in the recovered state and
+// is re-queued by the next process's first scheduling pass. (Lease
+// *expiries* are logged, though: when a fleet worker goes silent and its
+// lease times out, the expiry event is appended so the operational history
+// survives a coordinator crash.)
 //
 // # Lease TTL and expiry
 //
