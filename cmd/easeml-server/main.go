@@ -10,7 +10,6 @@
 //	              [-wal-segment-bytes 4194304]
 //	              [-fleet-addr ADDR] [-lease-ttl 10s] [-speculative]
 //	              [-quota-config FILE] [-max-inflight 0] [-pprof]
-//	              [-mutex-profile-fraction 0] [-block-profile-rate 0]
 //	              [-log-format text|json] [-log-level info] [-slow-op 100ms]
 //	              [-trace-buffer 4096] [-version]
 //
@@ -40,10 +39,8 @@
 // request is one commit however many examples it carries.
 // (-wal-sync-interval, which used to size a commit linger, is deprecated:
 // accepted, ignored, and warned about once.) Segments roll at
-// -wal-segment-bytes. POST /admin/snapshot
-// compacts the whole log into the snapshot at runtime;
-// POST /admin/snapshot?mode=incremental folds just the oldest sealed
-// segment, an O(segment) pause.
+// -wal-segment-bytes. POST /admin/snapshot compacts the whole log into
+// the snapshot at runtime and retires every segment the snapshot covers.
 //
 // With -quota-config the server enforces tenant admission control: the
 // JSON file declares per-tenant service classes (guaranteed / standard /
@@ -68,9 +65,9 @@
 // With -pprof the Go profiler is mounted at /debug/pprof/ on the admin mux
 // (off by default — profiles expose internals, so only enable it where the
 // admin surface is trusted): CPU and heap profiles of the live pick path,
-// readable with `go tool pprof`. -pprof also arms the runtime's mutex and
-// block profilers (tunable via -mutex-profile-fraction and
-// -block-profile-rate) so lock contention shows under /debug/pprof/mutex.
+// readable with `go tool pprof`. -pprof also arms the runtime's mutex
+// profiler (1 in 100 contention events) and block profiler (one sample per
+// 1 ms blocked) so lock contention shows under /debug/pprof/mutex.
 //
 // Logs are structured (log/slog): -log-format selects text or json,
 // -log-level the verbosity, and operations slower than -slow-op (picks,
@@ -115,8 +112,6 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 0, "cap on total outstanding fleet leases; saturated guaranteed work preempts best-effort (0 = no cap)")
 	speculative := flag.Bool("speculative", true, "accept speculative lease proposals and ship posterior deltas to fleet workers (false = plain poll protocol)")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the admin mux (off by default; exposes profiles to anyone who can reach the server)")
-	mutexFraction := flag.Int("mutex-profile-fraction", 0, "with -pprof: runtime.SetMutexProfileFraction sampling rate (0 = default 100, negative = leave runtime setting)")
-	blockRate := flag.Int("block-profile-rate", 0, "with -pprof: runtime.SetBlockProfileRate nanosecond granularity (0 = default 1e6, negative = leave runtime setting)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	slowOp := flag.Duration("slow-op", 100*time.Millisecond, "log operations (picks, WAL appends, HTTP requests) slower than this (0 disables the slow-op log)")
@@ -160,8 +155,6 @@ func main() {
 		FleetMaxInFlight:         *maxInFlight,
 		DisableSpeculativeLeases: !*speculative,
 		Pprof:                    *pprofFlag,
-		MutexProfileFraction:     *mutexFraction,
-		BlockProfileRate:         *blockRate,
 		Logger:                   logger,
 		TraceBuffer:              *traceBuffer,
 	}

@@ -156,8 +156,8 @@ type ServiceConfig struct {
 	DataDir string
 	// WALSegmentBytes is the write-ahead log's segment roll threshold: a
 	// record that would push the active wal-<firstseq>.wal past it seals
-	// the segment and opens the next, giving incremental compaction
-	// (CompactStep) its granularity. Zero means the storage default
+	// the segment and opens the next; Compact retires every sealed segment
+	// its snapshot covers. Zero means the storage default
 	// (4 MiB); ignored without DataDir. A data directory holding JSONL
 	// segments of an earlier release must be compacted by that release
 	// (POST /admin/snapshot) before this one opens it.
@@ -215,19 +215,11 @@ type ServiceConfig struct {
 	// on the service handler (the admin surface). Off by default: the
 	// profiler exposes goroutine dumps and CPU profiles, so enable it only
 	// where the admin endpoint is trusted (easeml-server's -pprof flag).
-	// Enabling it also arms the runtime's mutex and block profilers (see
-	// MutexProfileFraction / BlockProfileRate) so contention shows up under
-	// /debug/pprof/mutex and /debug/pprof/block.
+	// Enabling it also arms the runtime's mutex profiler (1 in 100
+	// contention events) and block profiler (one sample per 1 ms blocked)
+	// so contention shows up under /debug/pprof/mutex and
+	// /debug/pprof/block.
 	Pprof bool
-	// MutexProfileFraction is the runtime.SetMutexProfileFraction sampling
-	// rate armed when Pprof is on: 1/N mutex contention events are sampled
-	// (default 100; negative leaves the runtime setting untouched).
-	MutexProfileFraction int
-	// BlockProfileRate is the runtime.SetBlockProfileRate granularity in
-	// nanoseconds armed when Pprof is on: one sample per BlockProfileRate
-	// nanoseconds blocked (default 1e6, i.e. microsecond-scale events are
-	// sampled; negative leaves the runtime setting untouched).
-	BlockProfileRate int
 	// Logger, when set, receives the fleet coordinator's structured
 	// diagnostics (worker churn, lease lifecycle with trace IDs). Nil keeps
 	// the coordinator silent — tests stay quiet; easeml-server passes its
@@ -388,20 +380,8 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Pprof {
 		// -pprof arms the contention profilers too: without these the mutex
 		// and block profiles under /debug/pprof are permanently empty.
-		if cfg.MutexProfileFraction >= 0 {
-			frac := cfg.MutexProfileFraction
-			if frac == 0 {
-				frac = 100
-			}
-			runtime.SetMutexProfileFraction(frac)
-		}
-		if cfg.BlockProfileRate >= 0 {
-			rate := cfg.BlockProfileRate
-			if rate == 0 {
-				rate = 1_000_000
-			}
-			runtime.SetBlockProfileRate(rate)
-		}
+		runtime.SetMutexProfileFraction(100)
+		runtime.SetBlockProfileRate(int(time.Millisecond))
 	}
 	if cfg.Fleet || cfg.FleetAddr != "" {
 		s.coord = fleet.NewCoordinator(sched, fleet.CoordinatorConfig{
@@ -432,12 +412,6 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 // Compact folds the write-ahead log into the data directory's snapshot,
 // bounding boot-time replay. It errors for a service without a DataDir.
 func (s *Service) Compact() error { return s.sched.Compact() }
-
-// CompactStep folds only the oldest sealed WAL segment into the snapshot
-// — the incremental counterpart to Compact, with an O(segment) pause. It
-// reports whether a segment was folded (false when nothing is sealed yet)
-// and errors for a service without a DataDir.
-func (s *Service) CompactStep() (bool, error) { return s.sched.CompactIncremental() }
 
 // Close shuts the service's background machinery down: the fleet
 // coordinator's sweeper and listener stop, then (when durable) the WAL is

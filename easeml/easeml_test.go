@@ -391,10 +391,10 @@ func TestServiceRecoversFromDataDir(t *testing.T) {
 }
 
 // The WAL tuning knobs flow through ServiceConfig: tiny segments roll
-// under a feed workload, CompactStep folds the oldest sealed segment (also
-// reachable as POST /admin/snapshot?mode=incremental), and a crash after
-// the step still recovers everything.
-func TestServiceWALSegmentsAndCompactStep(t *testing.T) {
+// under a feed workload, one POST /admin/snapshot retires every sealed
+// segment (a leftover mode selector is ignored), GET answers 405, and a
+// crash after the compaction still recovers everything.
+func TestServiceWALSegmentsAndCompact(t *testing.T) {
 	const prog = "{input: {[Tensor[4]], [next]}, output: {[Tensor[2]], []}}"
 	dir := t.TempDir()
 	cfg := ServiceConfig{GPUs: 4, Seed: 5, DataDir: dir, WALSegmentBytes: 512}
@@ -407,24 +407,27 @@ func TestServiceWALSegmentsAndCompactStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 20; i++ {
 		if _, err := svc1.Feed(job.Name, []float64{1, 2, 3, float64(i)}, []float64{0, 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	folded, err := svc1.CompactStep()
-	if err != nil {
-		t.Fatal(err)
+	if got := svc1.log.Stats().Segments; got < 4 {
+		t.Fatalf("%d segments; want >= 3 sealed plus the active one at 512 bytes", got)
 	}
-	if !folded {
-		t.Fatal("CompactStep folded nothing; segments did not roll at 512 bytes")
+	serve := func(method string) *httptest.ResponseRecorder {
+		rw := httptest.NewRecorder()
+		svc1.Handler().ServeHTTP(rw, httptest.NewRequest(method, "/admin/snapshot?mode=partial", nil))
+		return rw
 	}
-	// The HTTP form of the same step.
-	req := httptest.NewRequest(http.MethodPost, "/admin/snapshot?mode=incremental", nil)
-	rw := httptest.NewRecorder()
-	svc1.Handler().ServeHTTP(rw, req)
-	if rw.Code != http.StatusOK {
-		t.Fatalf("POST /admin/snapshot?mode=incremental: %d %s", rw.Code, rw.Body)
+	if rw := serve(http.MethodGet); rw.Code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /admin/snapshot: %d %s, want 405", rw.Code, rw.Body)
+	}
+	if rw := serve(http.MethodPost); rw.Code != http.StatusOK {
+		t.Fatalf("POST /admin/snapshot: %d %s", rw.Code, rw.Body)
+	}
+	if got := svc1.log.Stats().Segments; got != 1 {
+		t.Errorf("%d segments after one POST /admin/snapshot, want 1 (every sealed segment retired)", got)
 	}
 	if _, err := svc1.Feed(job.Name, []float64{9, 9, 9, 9}, []float64{1, 0}); err != nil {
 		t.Fatal(err)
@@ -440,8 +443,11 @@ func TestServiceWALSegmentsAndCompactStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Examples != 13 {
-		t.Errorf("recovered %d examples after incremental compaction + crash, want 13", st.Examples)
+	if st.Examples != 21 {
+		t.Errorf("recovered %d examples after compaction + crash, want 21", st.Examples)
+	}
+	if svc2.Recovered.WALEvents != 1 {
+		t.Errorf("replayed %d WAL events, want only the feed after the compaction", svc2.Recovered.WALEvents)
 	}
 }
 

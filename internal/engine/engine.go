@@ -12,16 +12,18 @@
 //	     ▲                               └──▶ worker 1 ──Train──▶ Settle
 //	     └──────────── kick on settle ◀───────────┘
 //
-// Whether the dispatcher still earns its place is open. It was kept because
-// one Grant amortized an O(J) sweep of every job's lock over a batch, where
-// workers leasing for themselves paid it per lease (drain_engine ops_per_s
-// 0.82×, p95 1.27× when that was tried). That sweep is gone — a Grant now
-// takes coordMu and the chosen job's lock, whatever J is — and in steady
-// state the dispatcher grants about one lease per call anyway. What remains
-// in its favour is unmeasured: it keeps picks off the workers' critical
-// path (a worker finds its next lease already queued) and keeps at most one
-// goroutine contending for coordMu on the grant side. Deleting it needs its
-// own measured PR (ROADMAP item 2). What a failed run costs — retry or
+// The dispatcher was measured against its removal and stays. In the
+// alternative each worker loops Grant(1) → Train → Settle with no queue
+// (idleness sampled before a retry Grant; a worker that finds work or
+// exits kicks the next). Over ten alternated pairs of drain_engine (seed 1,
+// 10 s, 2 CPUs) no row was worse beyond its bound: ops_per_s 27,255 →
+// 29,588 (1.09×, not a gain), cpu_ms_per_op 0.84×, op_p50_ms 0.88×, but
+// op_p95_ms 0.0498 → 0.0598 ms (1.20×), every run above the dispatcher's
+// median. Traced, hallucination time fell 557 → 93 ms (in-flight leases
+// drop from 2×W to W) while coordMu wait rose 60 → 117 ms, and two
+// CPU-bound workers that never block stretched the harness sampler's poll
+// gaps (p95 3 → 6 ms, p99 4 → 11 ms). Not favoured on both ops_per_s and
+// op_p95_ms, so the dispatcher stays. What a failed run costs — retry or
 // abandon — is the scheduler's decision (Settle), shared with every other
 // executor.
 //
@@ -29,7 +31,7 @@
 // (result observed, or the failed run released/abandoned) or released
 // (drain), never both, never twice. Stopping is graceful: workers finish
 // the run they are on, queued-but-unstarted leases are released back to the
-// scheduler, and Run returns only when every lease is settled.
+// scheduler, and Stop and Drain return only when every lease is settled.
 package engine
 
 import (
@@ -51,10 +53,6 @@ type Config struct {
 	// Workers is the worker-pool size (default 4). Each worker trains one
 	// candidate at a time, so Workers bounds wall-clock concurrency.
 	Workers int
-	// ExitOnIdle makes Run return once no work is available and nothing is
-	// in flight (batch mode: examples, benchmarks). The default keeps the
-	// engine alive waiting for new jobs (server mode).
-	ExitOnIdle bool
 }
 
 // idlePoll is the idle re-poll period in server mode; Kick wakes the
@@ -82,7 +80,7 @@ type Metrics struct {
 	Utilization float64 // mean busy fraction across workers over Elapsed
 }
 
-// ErrRunning is returned by Run/Start when the engine is already running.
+// ErrRunning is returned by Start/Drain when the engine is already running.
 var ErrRunning = errors.New("engine: already running")
 
 // ErrInterrupted is returned by Drain when the run ended (context cancelled
@@ -90,7 +88,8 @@ var ErrRunning = errors.New("engine: already running")
 var ErrInterrupted = errors.New("engine: drain interrupted before the work source ran dry")
 
 // Engine keeps a device pool busy with leased scheduler work. Create with
-// New, then either Run (blocking, batch) or Start/Stop (server mode).
+// New, then either Drain (blocking, until the scheduler runs dry) or
+// Start/Stop (server mode).
 // Counters are cumulative across runs.
 type Engine struct {
 	sched   *server.Scheduler
@@ -180,26 +179,13 @@ func (e *Engine) Metrics() Metrics {
 	return m
 }
 
-// Run executes the engine until the context is cancelled or — with
-// Config.ExitOnIdle — until all work is drained. It returns ErrRunning when
-// called while another run is active. On return every lease the engine
-// obtained has been completed or released.
-func (e *Engine) Run(ctx context.Context) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	if err := e.begin(cancel, e.cfg.ExitOnIdle); err != nil {
-		return err
-	}
-	_, err := e.execute(ctx)
-	return err
-}
-
-// Drain runs the engine until no work remains, regardless of the configured
-// server mode — Run with ExitOnIdle forced on. Because it shares the
-// engine's running guard, a Drain and a Start can never race onto the same
-// scheduler. Unlike Run (whose nil-on-cancel is Stop's graceful path), an
-// interrupted Drain returns ErrInterrupted: a partial drain must never look
-// like a completed one.
+// Drain runs the engine until no work is available and nothing is in
+// flight. It returns ErrRunning when called while another run is active;
+// because it shares the engine's running guard, a Drain and a Start can
+// never race onto the same scheduler. A Drain cut short by its context or
+// by Stop returns ErrInterrupted: a partial drain must never look like a
+// completed one. On return every lease the engine obtained has been
+// completed or released.
 func (e *Engine) Drain(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -213,11 +199,12 @@ func (e *Engine) Drain(ctx context.Context) error {
 	return err
 }
 
-// Start launches Run in the background (server mode); Stop cancels it and
-// waits for the graceful drain.
+// Start launches the engine in the background (server mode): it keeps
+// polling for new jobs until Stop cancels it and waits for the graceful
+// drain.
 func (e *Engine) Start() error {
 	ctx, cancel := context.WithCancel(context.Background())
-	if err := e.begin(cancel, e.cfg.ExitOnIdle); err != nil {
+	if err := e.begin(cancel, false); err != nil {
 		cancel()
 		return err
 	}

@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync/atomic"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/server"
+	"repro/internal/storage"
 	"repro/internal/templates"
 )
 
@@ -43,8 +43,8 @@ func newLoadedScheduler(t testing.TB, jobs int, delay time.Duration) (*server.Sc
 
 func TestEngineExhaustsAllCandidatesExactlyOnce(t *testing.T) {
 	sc, _, total := newLoadedScheduler(t, 4, 0)
-	eng := engine.New(sc, sc.Trainer(), engine.Config{Workers: 8, ExitOnIdle: true})
-	if err := eng.Run(context.Background()); err != nil {
+	eng := engine.New(sc, sc.Trainer(), engine.Config{Workers: 8})
+	if err := eng.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := sc.Rounds(); got != total {
@@ -85,12 +85,12 @@ func TestEngineExhaustsAllCandidatesExactlyOnce(t *testing.T) {
 
 func TestEngineRerunAfterDrain(t *testing.T) {
 	sc, _, total := newLoadedScheduler(t, 2, 0)
-	eng := engine.New(sc, sc.Trainer(), engine.Config{Workers: 4, ExitOnIdle: true})
-	if err := eng.Run(context.Background()); err != nil {
+	eng := engine.New(sc, sc.Trainer(), engine.Config{Workers: 4})
+	if err := eng.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// A drained engine can run again: no work, immediate clean exit.
-	if err := eng.Run(context.Background()); err != nil {
+	if err := eng.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if sc.Rounds() != total {
@@ -116,8 +116,8 @@ func TestEngineMatchesSerialBestRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	parallel := mk(8)
-	eng := engine.New(parallel, parallel.Trainer(), engine.Config{Workers: 8, ExitOnIdle: true})
-	if err := eng.Run(context.Background()); err != nil {
+	eng := engine.New(parallel, parallel.Trainer(), engine.Config{Workers: 8})
+	if err := eng.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for _, job := range serial.Jobs() {
@@ -171,8 +171,8 @@ func TestEngineDrainOnStop(t *testing.T) {
 	// Resume and finish: released leases must be reschedulable, and nothing
 	// may be trained twice (Complete would error, Observe would panic).
 	sc.Trainer().(*server.SimTrainer).Delay = 0
-	eng2 := engine.New(sc, sc.Trainer(), engine.Config{Workers: 4, ExitOnIdle: true})
-	if err := eng2.Run(context.Background()); err != nil {
+	eng2 := engine.New(sc, sc.Trainer(), engine.Config{Workers: 4})
+	if err := eng2.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if sc.Rounds() != total {
@@ -180,28 +180,40 @@ func TestEngineDrainOnStop(t *testing.T) {
 	}
 }
 
+// A snapshot taken mid-flight restores exactly: Compact races live settles
+// while the engine has leases in flight, and must lose nothing and retrain
+// nothing. The process is then abandoned without Close, recovered into a
+// fresh scheduler and drained; the second engine trains exactly the
+// candidates the first one had not settled.
 func TestEngineSnapshotRestoreMidFlight(t *testing.T) {
+	dir := t.TempDir()
 	mk := func(delay time.Duration) *server.Scheduler {
 		pool := cluster.NewPool(24, 0.35)
 		trainer := server.NewSimTrainer(pool, 42)
 		trainer.Devices = 8
 		trainer.Delay = delay
 		sc := server.NewScheduler(trainer, nil, "")
-		for i := 0; i < 3; i++ {
-			prog := imgProgram
-			if i%2 == 1 {
-				prog = tsProgram
-			}
-			if _, err := sc.Submit(fmt.Sprintf("job-%d", i), prog); err != nil {
-				t.Fatal(err)
-			}
+		log, rec, err := storage.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Recover(rec, log); err != nil {
+			t.Fatal(err)
 		}
 		return sc
 	}
 	sc := mk(time.Millisecond)
 	total := 0
-	for _, j := range sc.Jobs() {
-		total += len(j.Candidates)
+	for i := 0; i < 3; i++ {
+		prog := imgProgram
+		if i%2 == 1 {
+			prog = tsProgram
+		}
+		job, err := sc.Submit(fmt.Sprintf("job-%d", i), prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(job.Candidates)
 	}
 	eng := engine.New(sc, sc.Trainer(), engine.Config{Workers: 8})
 	if err := eng.Start(); err != nil {
@@ -211,39 +223,34 @@ func TestEngineSnapshotRestoreMidFlight(t *testing.T) {
 	for sc.Rounds() < 5 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	// Snapshot while workers are mid-flight: the snapshot must only contain
-	// fully completed rounds and be replayable.
-	var buf bytes.Buffer
-	if err := sc.Snapshot(&buf); err != nil {
+	if sc.InFlight() == 0 {
+		t.Fatal("no leases in flight at the compaction")
+	}
+	if err := sc.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	snapRounds := sc.Rounds()
 	if err := eng.Stop(); err != nil {
 		t.Fatal(err)
 	}
+	settled := sc.Rounds()
+	if settled >= total {
+		t.Fatalf("first engine finished all %d rounds; delay too short to test a mid-flight compaction", total)
+	}
+	// Abandon sc and its log: no Close, no second Compact.
 
 	fresh := mk(0)
-	if err := fresh.Restore(&buf); err != nil {
-		t.Fatal(err)
+	if got := fresh.Rounds(); got != settled {
+		t.Fatalf("recovered %d rounds, the abandoned process had settled %d", got, settled)
 	}
-	if fresh.InFlight() != 0 {
-		t.Errorf("fresh scheduler has %d leases", fresh.InFlight())
-	}
-	restored := fresh.Rounds()
-	if restored < snapRounds-8 || restored > snapRounds {
-		t.Errorf("restored %d rounds from a snapshot taken at ~%d", restored, snapRounds)
-	}
-	// Finish on the restored scheduler with a fresh engine: completed work
-	// must not be retrained.
-	eng2 := engine.New(fresh, fresh.Trainer(), engine.Config{Workers: 8, ExitOnIdle: true})
-	if err := eng2.Run(context.Background()); err != nil {
+	eng2 := engine.New(fresh, fresh.Trainer(), engine.Config{Workers: 8})
+	if err := eng2.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.Rounds() != total {
-		t.Errorf("restored run finished at %d rounds, want %d", fresh.Rounds(), total)
+		t.Errorf("recovered run finished at %d rounds, want %d", fresh.Rounds(), total)
 	}
-	if got := int(eng2.Metrics().Completed); got != total-restored {
-		t.Errorf("fresh engine trained %d, want %d (the un-snapshotted remainder)", got, total-restored)
+	if got := int(eng2.Metrics().Completed); got != total-settled {
+		t.Errorf("fresh engine trained %d, want %d (the unsettled remainder)", got, total-settled)
 	}
 }
 
@@ -269,8 +276,8 @@ func (f *flakyTrainer) EstimateCost(jobID string, c templates.Candidate) (float6
 func TestEngineSurvivesTrainerErrors(t *testing.T) {
 	sc, trainer, total := newLoadedScheduler(t, 2, 0)
 	flaky := &flakyTrainer{inner: trainer, budget: 5}
-	eng := engine.New(sc, flaky, engine.Config{Workers: 4, ExitOnIdle: true})
-	if err := eng.Run(context.Background()); err != nil {
+	eng := engine.New(sc, flaky, engine.Config{Workers: 4})
+	if err := eng.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	m := eng.Metrics()
@@ -311,9 +318,9 @@ func TestEngineGivesUpOnPermanentlyFailingCandidate(t *testing.T) {
 	sc, trainer, total := newLoadedScheduler(t, 1, 0)
 	broken := sc.Jobs()[0].Candidates[0].Name()
 	eng := engine.New(sc, &brokenCandidateTrainer{inner: trainer, broken: broken},
-		engine.Config{Workers: 4, ExitOnIdle: true})
+		engine.Config{Workers: 4})
 	done := make(chan error, 1)
-	go func() { done <- eng.Run(context.Background()) }()
+	go func() { done <- eng.Drain(context.Background()) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -359,8 +366,8 @@ func TestEngineMetricsAndVirtualTime(t *testing.T) {
 	if _, err := sc.Submit("a", imgProgram); err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(sc, trainer, engine.Config{Workers: 8, ExitOnIdle: true})
-	if err := eng.Run(context.Background()); err != nil {
+	eng := engine.New(sc, trainer, engine.Config{Workers: 8})
+	if err := eng.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// A clean drain: every candidate completed, nothing handed back, failed

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -54,9 +55,9 @@ func TestRetryBudgetIsSharedAcrossExecutors(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	tr := &stopOnFailTrainer{Trainer: sc.Trainer(), broken: broken, stop: cancel}
-	eng := engine.New(sc, tr, engine.Config{Workers: 1, ExitOnIdle: true})
-	if err := eng.Run(ctx); err != nil {
-		t.Fatal(err)
+	eng := engine.New(sc, tr, engine.Config{Workers: 1})
+	if err := eng.Drain(ctx); !errors.Is(err, engine.ErrInterrupted) {
+		t.Fatalf("Drain stopped by the failing run: %v, want ErrInterrupted", err)
 	}
 	if m := eng.Metrics(); tr.runs != 1 || m.Errors != 1 || m.Abandoned != 0 || m.Completed != 0 || sc.InFlight() != 0 {
 		t.Fatalf("engine path: %d runs of %s, metrics %+v, %d leases outstanding; want one failed run, all released",

@@ -202,8 +202,8 @@ func (r *registry) snapshot() []server.FleetWorkerStatus {
 			ID: w.id, Name: w.name, Devices: w.devices, Alpha: w.alpha,
 			State: w.state, InFlight: len(w.inFlight),
 			Completed: w.completed, Failures: w.failures, ExpiredLeases: w.expired,
-			PreemptedLeases:    w.preempted,
-			LastHeartbeatAgeMS: float64(now.Sub(w.lastBeat)) / float64(time.Millisecond),
+			PreemptedLeases: w.preempted,
+			HeartbeatAgeMS:  float64(now.Sub(w.lastBeat)) / float64(time.Millisecond),
 		}
 		out = append(out, st)
 	}

@@ -27,7 +27,6 @@ import (
 //	POST /jobs/{id}/infer/stream   same request, NDJSON streaming reply
 //	GET  /metrics                  Prometheus text exposition of all telemetry
 //	POST /admin/rounds             run scheduling rounds synchronously
-//	GET  /admin/snapshot           checkpoint the shared storage as JSON
 //	POST /admin/snapshot           compact the WAL into the on-disk snapshot
 //	GET  /admin/metrics            scheduler counters + engine metrics
 //	POST /admin/start              start the async execution engine
@@ -120,9 +119,9 @@ type FleetWorkerStatus struct {
 	// PreemptedLeases counts leases reclaimed from this worker by priority
 	// preemption (guaranteed work displacing best-effort runs).
 	PreemptedLeases int64 `json:"preempted_leases"`
-	// LastHeartbeatAgeMS is how long the worker has been silent
+	// HeartbeatAgeMS is how long the worker has been silent
 	// (registration counts as contact).
-	LastHeartbeatAgeMS float64 `json:"last_heartbeat_age_ms"`
+	HeartbeatAgeMS float64 `json:"last_heartbeat_age_ms"`
 }
 
 // FleetStatus is the GET /admin/fleet reply: the worker registry and the
@@ -579,44 +578,22 @@ func (a *API) handleEngineStop(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]bool{"running": false})
 }
 
+// handleSnapshot is the compaction trigger: it folds the write-ahead log
+// into the data directory's snapshot and retires every segment the
+// snapshot covers. The query string is ignored.
 func (a *API) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		w.Header().Set("Content-Type", "application/json")
-		if err := a.sched.Snapshot(w); err != nil {
-			// Headers are already sent; the truncated body signals the failure.
-			return
-		}
-	case http.MethodPost:
-		// With a data directory, a snapshot request is a compaction
-		// trigger: fold the write-ahead log into the on-disk snapshot.
-		// ?mode=incremental folds only the oldest sealed WAL segment
-		// (an O(segment) pause; "compacted" is false when there was
-		// nothing sealed to fold).
-		if !a.sched.Persistent() {
-			WriteError(w, http.StatusConflict, errors.New("no data dir configured (run the server with -data-dir)"))
-			return
-		}
-		switch mode := r.URL.Query().Get("mode"); mode {
-		case "", "full":
-			if err := a.sched.Compact(); err != nil {
-				WriteError(w, http.StatusInternalServerError, err)
-				return
-			}
-			WriteJSON(w, http.StatusOK, map[string]bool{"compacted": true})
-		case "incremental":
-			folded, err := a.sched.CompactIncremental()
-			if err != nil {
-				WriteError(w, http.StatusInternalServerError, err)
-				return
-			}
-			WriteJSON(w, http.StatusOK, map[string]bool{"compacted": folded})
-		default:
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("unknown compaction mode %q (use full or incremental)", mode))
-		}
-	default:
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
+	if !requirePost(w, r) {
+		return
 	}
+	if !a.sched.Persistent() {
+		WriteError(w, http.StatusConflict, errors.New("no data dir configured (run the server with -data-dir)"))
+		return
+	}
+	if err := a.sched.Compact(); err != nil {
+		WriteError(w, http.StatusInternalServerError, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, map[string]bool{"compacted": true})
 }
 
 func requirePost(w http.ResponseWriter, r *http.Request) bool {

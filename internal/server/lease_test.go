@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/cluster"
@@ -152,26 +151,20 @@ func TestCompleteAndReleaseLifecycle(t *testing.T) {
 	}
 }
 
-func TestRestoreRejectsOutstandingLeases(t *testing.T) {
-	mk := func() *server.Scheduler {
-		return server.NewScheduler(server.NewSimTrainer(cluster.NewPool(2, 0.9), 1), nil, "")
-	}
-	old := mk()
-	if _, err := old.Submit("a", tsProgram); err != nil {
+// Recover rebuilds state into a fresh scheduler only: one that already
+// holds jobs or leases is refused, so recovery never races live scheduling.
+func TestRecoverRequiresFreshScheduler(t *testing.T) {
+	sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(2, 0.9), 1), nil, "")
+	if _, err := sc.Submit("a", tsProgram); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := old.Snapshot(&buf); err != nil {
+	if err := sc.Recover(nil, nil); err == nil {
+		t.Error("Recover after a submission accepted")
+	}
+	if _, err := sc.PickWork(1); err != nil {
 		t.Fatal(err)
 	}
-	fresh := mk()
-	if _, err := fresh.Submit("a", tsProgram); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.PickWork(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.Restore(&buf); err == nil {
-		t.Error("Restore with outstanding leases accepted")
+	if err := sc.Recover(nil, nil); err == nil {
+		t.Error("Recover with outstanding leases accepted")
 	}
 }

@@ -58,7 +58,7 @@ func (sc *Scheduler) Recover(rec *storage.RecoveredState, log *storage.Log) erro
 		}
 		for _, job := range sc.jobs {
 			job.mu.Lock()
-			err := sc.replayTaskLocked(job, job.store)
+			err := sc.replayTaskLocked(job)
 			if err == nil {
 				err = sc.retireAbandonedLocked(job, rec.Abandoned[job.ID])
 			}
@@ -144,31 +144,10 @@ func (sc *Scheduler) Compact() error {
 		return fmt.Errorf("server: no write-ahead log attached (start with a data dir)")
 	}
 	through := sc.log.Seq()
-	metas, abandoned, budgetExhausted := sc.captureState()
-	return sc.log.Compact(metas, abandoned, budgetExhausted, sc.store, through)
-}
-
-// CompactIncremental folds only the oldest sealed WAL segment into the
-// snapshot — an O(segment) pause instead of Compact's O(log) one, suited
-// to being called periodically under sustained ingest. It reports whether
-// a segment was folded (false when the log has no sealed segments yet).
-// The captured state may run ahead of the folded segment's horizon; as
-// with Compact, every mutation lands in memory before its WAL append, so
-// the capture covers the horizon and replay idempotency absorbs the rest.
-func (sc *Scheduler) CompactIncremental() (bool, error) {
-	if sc.log == nil {
-		return false, fmt.Errorf("server: no write-ahead log attached (start with a data dir)")
-	}
-	metas, abandoned, budgetExhausted := sc.captureState()
-	return sc.log.CompactOldest(metas, abandoned, budgetExhausted, sc.store)
-}
-
-// captureState snapshots the durable scheduler state a compaction writes:
-// job metas, abandoned candidates and budget-exhausted jobs.
-func (sc *Scheduler) captureState() (metas []storage.JobMeta, abandoned map[string][]string, budgetExhausted []string) {
 	jobs := sc.Jobs()
-	metas = make([]storage.JobMeta, len(jobs))
-	abandoned = make(map[string][]string)
+	metas := make([]storage.JobMeta, len(jobs))
+	abandoned := make(map[string][]string)
+	var budgetExhausted []string
 	for i, job := range jobs {
 		metas[i] = storage.JobMeta{ID: job.ID, Name: job.Name, Program: job.Program.String()}
 		job.mu.Lock()
@@ -180,5 +159,5 @@ func (sc *Scheduler) captureState() (metas []storage.JobMeta, abandoned map[stri
 		}
 		job.mu.Unlock()
 	}
-	return metas, abandoned, budgetExhausted
+	return sc.log.Compact(metas, abandoned, budgetExhausted, sc.store, through)
 }

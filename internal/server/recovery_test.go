@@ -279,9 +279,10 @@ func TestCrashRecoveryAcrossSegmentRoll(t *testing.T) {
 	}
 }
 
-// A crash right after an incremental compaction step recovers from the
-// stepped snapshot plus the remaining segments' tail.
-func TestRecoveryAfterIncrementalCompaction(t *testing.T) {
+// A crash after a full compaction over many sealed segments recovers from
+// the snapshot plus the segments written after it; the compaction retires
+// every segment it covers.
+func TestRecoveryAfterCompactionAcrossSegments(t *testing.T) {
 	dir := t.TempDir()
 	tiny := storage.LogOptions{SegmentBytes: 512}
 	sc1, log1 := newDurableSchedulerOpts(t, dir, tiny)
@@ -297,16 +298,16 @@ func TestRecoveryAfterIncrementalCompaction(t *testing.T) {
 	if _, err := sc1.RunRounds(2); err != nil {
 		t.Fatal(err)
 	}
-	if log1.Stats().Segments < 2 {
-		t.Fatalf("workload stayed in one segment; raise the event count")
+	if log1.Stats().Segments < 3 {
+		t.Fatalf("workload stayed in %d segments; raise the event count", log1.Stats().Segments)
 	}
-	folded, err := sc1.CompactIncremental()
-	if err != nil {
+	if err := sc1.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if !folded {
-		t.Fatal("incremental compaction folded nothing despite sealed segments")
+	if got := log1.Stats().Segments; got != 1 {
+		t.Errorf("%d segments after Compact, want 1 (every covered segment retired)", got)
 	}
+	// Mutations after the compaction live in the new segments only.
 	// Mutations after the step live in the surviving segments only.
 	if _, err := sc1.Feed(job.ID, []float64{9, 9, 9, 9}, []float64{1, 0}); err != nil {
 		t.Fatal(err)

@@ -89,7 +89,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"slices"
 	"strconv"
@@ -444,10 +443,8 @@ func (sc *Scheduler) HeartbeatLease(id int) error {
 	if !ok {
 		return fmt.Errorf("server: heartbeat for lease %d: %w", id, ErrLeaseConflict)
 	}
-	now := sc.now()
-	stored.LastHeartbeat = now
 	if sc.leaseTTL > 0 {
-		stored.Expires = now.Add(sc.leaseTTL)
+		stored.Expires = sc.now().Add(sc.leaseTTL)
 	}
 	return nil
 }
@@ -723,9 +720,6 @@ type Lease struct {
 	// zero means the lease never expires. Stamped at pick time when a TTL
 	// is configured and refreshed by HeartbeatLease. Guarded by coordMu.
 	Expires time.Time
-	// LastHeartbeat is the last time the lease holder was heard from (pick
-	// time, then every HeartbeatLease). Guarded by coordMu.
-	LastHeartbeat time.Time
 
 	// Trace is the lease's lifecycle trace ID, minted at pick time. It
 	// travels with the lease through the fleet protocol (the wire lease
@@ -989,9 +983,7 @@ func (sc *Scheduler) newLeaseLocked(job *Job, arm int, ucb float64) *Lease {
 		Trace: telemetry.NewTraceID(), entry: job.tenant.ID}
 	leaseTraces.Inc()
 	if sc.leaseTTL > 0 {
-		now := sc.now()
-		l.LastHeartbeat = now
-		l.Expires = now.Add(sc.leaseTTL)
+		l.Expires = sc.now().Add(sc.leaseTTL)
 	}
 	return l
 }
@@ -1457,92 +1449,28 @@ type Status struct {
 	Models          []storage.ModelRecord `json:"models"`
 }
 
-// Snapshot checkpoints the shared storage (fed examples, refine state and
-// completed model records for every job) as JSON — the legacy manual
-// checkpoint surface. With a WAL attached, prefer Compact, which folds the
-// log into the on-disk snapshot.
-func (sc *Scheduler) Snapshot(w io.Writer) error {
-	return sc.store.Snapshot(w)
-}
-
-// Restore replays a storage snapshot into this scheduler: for every job id
-// present in both the snapshot and the current job set (jobs are resubmitted
-// from their programs on restart, which reproduces the same ids and
-// candidate surfaces), the recorded examples and model results are loaded
-// and each completed run is fed back into the job's bandit so the GP
-// posterior resumes where the previous process stopped. (The WAL path —
-// OpenDir + Recover — supersedes this for -data-dir deployments: it also
-// restores the job definitions themselves.)
-//
-// It must be called before any scheduling round; it returns an error when a
-// snapshot record does not match the job's candidate set.
-func (sc *Scheduler) Restore(r io.Reader) error {
-	snap, err := storage.LoadStore(r)
-	if err != nil {
-		return err
-	}
-	// Resolve jobs before taking coordMu, honouring the jobsMu→coordMu
-	// lock order.
-	jobsByID := make(map[string]*Job, len(snap.TaskIDs()))
-	for _, id := range snap.TaskIDs() {
-		job, ok := sc.Job(id)
-		if !ok {
-			return fmt.Errorf("server: snapshot contains unknown job %q (resubmit jobs before restoring)", id)
-		}
-		jobsByID[id] = job
-	}
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	if sc.rounds != 0 {
-		return fmt.Errorf("server: Restore after %d rounds; restore into a fresh scheduler", sc.rounds)
-	}
-	if len(sc.leases) != 0 {
-		return fmt.Errorf("server: Restore with %d leases outstanding; drain the engine first", len(sc.leases))
-	}
-	for _, id := range snap.TaskIDs() {
-		job := jobsByID[id]
-		ts, _ := snap.Task(id)
-		job.mu.Lock()
-		err := sc.replayTaskLocked(job, ts)
-		score := sc.scoreLocked(job)
-		job.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		sc.selIdx.publish(job.tenant.ID, score) // the replay moved the bandit
-	}
-	return nil
-}
-
-// replayTaskLocked loads a task's examples and model records into a job and
-// feeds each completed run back into its bandit. Callers hold job.mu and
-// coordMu (for the round counter).
-func (sc *Scheduler) replayTaskLocked(job *Job, ts *storage.TaskStore) error {
+// replayTaskLocked feeds each completed run recorded in a recovered job's
+// store back into its bandit, so the GP posterior resumes where the
+// previous process stopped. The job was built over the recovered store, so
+// its examples and model records are already in place. Callers hold job.mu
+// and coordMu (for the round counter).
+func (sc *Scheduler) replayTaskLocked(job *Job) error {
 	candidateIdx := make(map[string]int, len(job.Candidates))
 	for i, c := range job.Candidates {
 		candidateIdx[c.Name()] = i
 	}
-	// Re-feed examples preserving ids and refine state. In the WAL
-	// recovery path the job was built over the recovered store, so ts IS
-	// job.store and the examples are already in place.
-	if ts != job.store {
-		for _, ex := range ts.Examples() {
-			job.store.PutExample(ex)
-		}
-	}
-	// Replay completed runs into the bandit and the model records. A
-	// posterior update that fails mid-replay (the job is ill-conditioned
-	// on replay too) retires the job but keeps recording its model
-	// history — recorded results must never silently vanish.
+	// A posterior update that fails mid-replay (the job is ill-conditioned
+	// on replay too) retires the job; its model records stay in the store —
+	// recorded results must never silently vanish.
 	failed := job.failed != ""
-	for _, m := range ts.Models() {
+	for _, m := range job.store.Models() {
 		arm, ok := candidateIdx[m.Name]
 		if !ok {
-			return fmt.Errorf("server: snapshot run %q does not match a candidate of %q", m.Name, job.ID)
+			return fmt.Errorf("server: recovered run %q does not match a candidate of %q", m.Name, job.ID)
 		}
 		if !failed {
 			if job.tenant.Bandit.Tried(arm) {
-				return fmt.Errorf("server: snapshot replays candidate %q of %q twice", m.Name, job.ID)
+				return fmt.Errorf("server: recovered run replays candidate %q of %q twice", m.Name, job.ID)
 			}
 			ucb := job.tenant.Bandit.UCB(arm)
 			if err := job.tenant.Bandit.Observe(arm, m.Accuracy); err != nil {
@@ -1551,9 +1479,6 @@ func (sc *Scheduler) replayTaskLocked(job *Job, ts *storage.TaskStore) error {
 			} else {
 				job.tenant.RecordObservation(ucb, m.Accuracy)
 			}
-		}
-		if !job.store.HasModel(m.Name) {
-			job.store.RecordModel(m)
 		}
 		if m.Round > sc.rounds {
 			sc.rounds = m.Round

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -299,45 +298,13 @@ func TestSimTrainerCostsPositiveAndStable(t *testing.T) {
 	}
 }
 
+// POST /admin/snapshot is the one checkpoint route: it compacts the WAL
+// (409 without a data dir); GET and every other method answer 405.
 func TestSnapshotEndpoint(t *testing.T) {
 	sc := newScheduler(t)
 	srv := httptest.NewServer(server.NewAPI(sc).Handler())
 	defer srv.Close()
 
-	cl := client.New(srv.URL)
-	ctx := context.Background()
-	sub, err := cl.Submit(ctx, "snap", tsProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Feed(ctx, sub.ID, [][]float64{{1, 2, 3, 4}}, [][]float64{{0, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.RunRounds(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(srv.URL + "/admin/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	restored, err := storage.LoadStore(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, ok := restored.Task(sub.ID)
-	if !ok {
-		t.Fatalf("restored store missing task %s", sub.ID)
-	}
-	if len(ts.Examples()) != 1 || len(ts.Models()) != 2 {
-		t.Errorf("restored %d examples, %d models", len(ts.Examples()), len(ts.Models()))
-	}
-	best, ok := ts.Best()
-	if !ok || best.Accuracy <= 0 {
-		t.Errorf("restored best %+v", best)
-	}
-	// POST is the compaction trigger; without a data dir it answers 409.
 	postResp, err := http.Post(srv.URL+"/admin/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -346,91 +313,40 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if postResp.StatusCode != http.StatusConflict {
 		t.Errorf("POST snapshot without a data dir returned %d, want 409", postResp.StatusCode)
 	}
-	// Other methods are rejected.
-	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/admin/snapshot", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delResp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delResp.Body.Close()
-	if delResp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("DELETE snapshot returned %d", delResp.StatusCode)
-	}
-}
-
-// Crash-restart path: snapshot a running service, build a fresh scheduler,
-// resubmit the same jobs, restore — the best model, the model history and
-// the bandit's tried set must survive, and scheduling must continue without
-// retraining completed candidates.
-func TestRestoreResumesService(t *testing.T) {
-	mk := func() *server.Scheduler {
-		return server.NewScheduler(server.NewSimTrainer(cluster.NewPool(4, 0.9), 42), nil, "")
-	}
-	old := mk()
-	if _, err := old.Submit("a", tsProgram); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := old.Submit("b", tsProgram); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := old.Feed("job-0001", []float64{1, 2, 3, 4}, []float64{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := old.RunRounds(3); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := old.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	oldStatus, _ := old.Status("job-0001")
-
-	fresh := mk()
-	if _, err := fresh.Submit("a", tsProgram); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.Submit("b", tsProgram); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	st, err := fresh.Status("job-0001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Trained != oldStatus.Trained || st.Examples != 1 {
-		t.Errorf("restored status %+v, want %d trained", st, oldStatus.Trained)
-	}
-	if oldStatus.Best != nil && (st.Best == nil || st.Best.Name != oldStatus.Best.Name) {
-		t.Errorf("restored best %+v, want %+v", st.Best, oldStatus.Best)
-	}
-	// Continuing must not retrain completed candidates: total across both
-	// jobs is 8 candidates, 3 already done ⇒ at most 5 more rounds.
-	ran, err := fresh.RunRounds(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran != 5 {
-		t.Errorf("ran %d more rounds after restore, want 5", ran)
+	for _, method := range []string{http.MethodGet, http.MethodDelete} {
+		req, err := http.NewRequest(method, srv.URL+"/admin/snapshot", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || body.Error != "use POST" {
+			t.Errorf("%s snapshot returned %d %q, want 405 \"use POST\"", method, resp.StatusCode, body.Error)
+		}
 	}
 }
 
-func TestRestoreRejectsUnknownJob(t *testing.T) {
-	old := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(2, 0.9), 1), nil, "")
-	if _, err := old.Submit("a", tsProgram); err != nil {
+// A recovered run that names no candidate of its job is refused, not
+// silently dropped.
+func TestRecoverRejectsUnknownCandidate(t *testing.T) {
+	store := storage.NewStore()
+	ts, err := store.CreateTask("job-0001")
+	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := old.Snapshot(&buf); err != nil {
-		t.Fatal(err)
+	ts.RecordModel(storage.ModelRecord{Name: "NoSuchModel", Accuracy: 0.5, Round: 1})
+	rec := &storage.RecoveredState{
+		Jobs:  []storage.JobMeta{{ID: "job-0001", Name: "a", Program: tsProgram}},
+		Store: store,
 	}
-	fresh := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(2, 0.9), 1), nil, "")
-	if err := fresh.Restore(&buf); err == nil {
-		t.Error("restore without resubmitted jobs accepted")
+	err = newScheduler(t).Recover(rec, nil)
+	if err == nil || !strings.Contains(err.Error(), `recovered run "NoSuchModel"`) {
+		t.Errorf("Recover with an unknown candidate's run: %v", err)
 	}
 }
 

@@ -6,13 +6,11 @@ import (
 	"io"
 )
 
-// Snapshot/Load give the shared store crash-restart durability: the server
-// can checkpoint all fed examples, refine states and completed model records
-// to a writer (typically a file on the 100 TB shared storage of Figure 1)
-// and restore them on startup. With a write-ahead log attached (see wal.go),
-// the snapshot is the compaction target: it additionally records the job
-// registry, the abandoned-candidate sets and the WAL sequence number it
-// covers, so boot-time recovery replays only the log's tail.
+// The snapshot is the write-ahead log's compaction target (see wal.go):
+// Log.Compact writes every fed example, refine state and completed model
+// record (the shared storage of Figure 1) together with the job registry,
+// the abandoned-candidate sets and the WAL sequence number it covers, and
+// OpenDir loads it back so boot-time recovery replays only the log's tail.
 
 // storeSnapshot is the JSON wire format of a Store. Version 1 carried tasks
 // only; version 2 adds the WAL-compaction metadata (jobs, abandoned,
@@ -38,22 +36,9 @@ type taskSnapshot struct {
 
 const snapshotVersion = 3
 
-// Snapshot serializes the whole store as JSON (tasks only — the legacy
-// checkpoint surface of GET /admin/snapshot). The WAL compaction path uses
-// writeSnapshot, which adds the job registry and sequence horizon.
-func (s *Store) Snapshot(w io.Writer) error {
-	return writeSnapshot(w, s, nil, nil, nil, 0)
-}
-
 // writeSnapshot serializes the store plus compaction metadata.
 func writeSnapshot(w io.Writer, s *Store, jobs []JobMeta, abandoned map[string][]string, budgetExhausted []string, lastSeq uint64) error {
-	s.mu.RLock()
-	taskIDs := make([]string, 0, len(s.tasks))
-	for id := range s.tasks {
-		taskIDs = append(taskIDs, id)
-	}
-	s.mu.RUnlock()
-
+	taskIDs := s.TaskIDs()
 	snap := storeSnapshot{
 		Version:         snapshotVersion,
 		Tasks:           make(map[string]taskSnapshot, len(taskIDs)),
@@ -83,12 +68,6 @@ func writeSnapshot(w io.Writer, s *Store, jobs []JobMeta, abandoned map[string][
 		return fmt.Errorf("storage: snapshot: %w", err)
 	}
 	return nil
-}
-
-// LoadStore reconstructs a store from a Snapshot stream.
-func LoadStore(r io.Reader) (*Store, error) {
-	s, _, _, _, _, err := loadSnapshot(r)
-	return s, err
 }
 
 // loadSnapshot reconstructs a store plus the compaction metadata from a

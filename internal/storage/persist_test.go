@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -19,13 +20,19 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	tsB, _ := s.CreateTask("b")
 	tsB.Feed([]float64{9}, []float64{9})
 
+	jobs := []JobMeta{{ID: "a", Name: "dogs", Program: "p"}}
+	abandoned := map[string][]string{"a": {"VGG"}}
 	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
+	if err := writeSnapshot(&buf, s, jobs, abandoned, []string{"b"}, 42); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadStore(&buf)
+	restored, gotJobs, gotAbandoned, gotExhausted, lastSeq, err := loadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotJobs, jobs) || !reflect.DeepEqual(gotAbandoned, abandoned) ||
+		!reflect.DeepEqual(gotExhausted, []string{"b"}) || lastSeq != 42 {
+		t.Errorf("metadata lost: jobs %v abandoned %v exhausted %v last_seq %d", gotJobs, gotAbandoned, gotExhausted, lastSeq)
 	}
 
 	ids := restored.TaskIDs()
@@ -58,10 +65,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotEmptyStore(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewStore().Snapshot(&buf); err != nil {
+	if err := writeSnapshot(&buf, NewStore(), nil, nil, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadStore(&buf)
+	restored, _, _, _, _, err := loadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +77,14 @@ func TestSnapshotEmptyStore(t *testing.T) {
 	}
 }
 
-func TestLoadStoreErrors(t *testing.T) {
+func TestLoadSnapshotErrors(t *testing.T) {
 	cases := map[string]string{
 		"garbage":     "not json",
 		"bad version": `{"version": 99, "tasks": {}}`,
 		"bad example": `{"version": 1, "tasks": {"a": {"next_id": 1, "examples": [{"ID": 0}]}}}`,
 	}
 	for name, data := range cases {
-		if _, err := LoadStore(strings.NewReader(data)); err == nil {
+		if _, _, _, _, _, err := loadSnapshot(strings.NewReader(data)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -88,10 +95,10 @@ func TestSnapshotIsDeterministicJSON(t *testing.T) {
 	ts, _ := s.CreateTask("x")
 	ts.Feed([]float64{1}, []float64{2})
 	var a, b bytes.Buffer
-	if err := s.Snapshot(&a); err != nil {
+	if err := writeSnapshot(&a, s, nil, nil, nil, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Snapshot(&b); err != nil {
+	if err := writeSnapshot(&b, s, nil, nil, nil, 7); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -166,11 +167,11 @@ func TestTornSealedSegmentRejected(t *testing.T) {
 	}
 }
 
-// Crash between the incremental snapshot install and the segment removal:
-// the snapshot already covers the folded segment, but the segment file
-// survives. Recovery must treat the leftover as covered history (the seq
-// horizon skips it) and reconstruct the same state as a clean fold.
-func TestCrashMidIncrementalCompaction(t *testing.T) {
+// Crash between the snapshot rename and the segment retire: the snapshot
+// already covers every segment, but their files survive. Recovery must
+// treat the leftovers as covered history (the seq horizon skips them) and
+// rebuild the same state as the clean compaction.
+func TestCrashMidCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := OpenDirOptions(dir, tinySegments)
 	if err != nil {
@@ -184,14 +185,15 @@ func TestCrashMidIncrementalCompaction(t *testing.T) {
 	if len(segs) < 3 {
 		t.Fatalf("need >= 3 segments, have %d", len(segs))
 	}
-	oldest := segs[0]
-	saved, err := os.ReadFile(oldest.path)
-	if err != nil {
-		t.Fatal(err)
+	saved := make(map[string][]byte, len(segs))
+	for _, seg := range segs {
+		if saved[seg.path], err = os.ReadFile(seg.path); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// State capture mirrors the scheduler's: full current state, folded
-	// at the oldest sealed segment's horizon.
+	// State capture mirrors the scheduler's: full current state at the
+	// log's horizon.
 	store := NewStore()
 	ts, err := store.CreateTask("job-0001")
 	if err != nil {
@@ -201,36 +203,48 @@ func TestCrashMidIncrementalCompaction(t *testing.T) {
 		ts.PutExample(Example{ID: i, Input: []float64{1, 2}, Output: []float64{3}, Enabled: true})
 	}
 	jobs := []JobMeta{{ID: "job-0001", Name: "demo", Program: "{prog}"}}
-	folded, err := l.CompactOldest(jobs, nil, nil, store)
-	if err != nil {
+	if err := l.Compact(jobs, nil, nil, store, l.Seq()); err != nil {
 		t.Fatal(err)
-	}
-	if !folded {
-		t.Fatal("CompactOldest folded nothing despite sealed segments")
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Undo the removal: the crash happened after the snapshot rename but
-	// before the segment left the directory.
-	if err := os.WriteFile(oldest.path, saved, 0o644); err != nil {
+	if n := segmentCount(t, dir); n != 1 {
+		t.Fatalf("compaction left %d segments, want 1", n)
+	}
+	clean, cleanRec, err := OpenDirOptions(dir, tinySegments)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := clean.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Undo the retire: the crash happened after the snapshot rename but
+	// before any covered segment left the directory.
+	for path, data := range saved {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	_, rec, err := OpenDirOptions(dir, tinySegments)
 	if err != nil {
-		t.Fatalf("recovery with leftover folded segment failed: %v", err)
+		t.Fatalf("recovery with leftover covered segments failed: %v", err)
+	}
+	if rec.Events != 0 {
+		t.Errorf("replayed %d covered events, want 0", rec.Events)
 	}
 	rts, ok := rec.Store.Task("job-0001")
 	if !ok {
 		t.Fatal("recovered store missing task")
 	}
-	if got := len(rts.Examples()); got != 20 {
-		t.Errorf("recovered %d examples, want 20 (duplicate segment must replay as no-op)", got)
+	cts, _ := cleanRec.Store.Task("job-0001")
+	if got, want := rts.Examples(), cts.Examples(); len(got) != 20 || !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered %d examples, want the clean compaction's %d", len(got), len(want))
 	}
-	if len(rec.Jobs) != 1 {
-		t.Errorf("recovered jobs %+v", rec.Jobs)
+	if !reflect.DeepEqual(rec.Jobs, cleanRec.Jobs) {
+		t.Errorf("recovered jobs %+v, want %+v", rec.Jobs, cleanRec.Jobs)
 	}
 }
 
@@ -535,60 +549,5 @@ func TestSegmentRecycling(t *testing.T) {
 	rts, _ := rec.Store.Task("job-0001")
 	if got := len(rts.Examples()); got != 40 {
 		t.Errorf("recovered %d examples, want 40", got)
-	}
-}
-
-// Incremental compaction folds exactly one sealed segment per step and
-// reports false once nothing sealed remains; state survives each step.
-func TestCompactOldestStepwise(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := OpenDirOptions(dir, tinySegments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedN(t, l, 20)
-	start := l.Stats().Segments
-	if start < 3 {
-		t.Fatalf("need >= 3 segments, have %d", start)
-	}
-	store := NewStore()
-	ts, err := store.CreateTask("job-0001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 20; i++ {
-		ts.PutExample(Example{ID: i, Input: []float64{1, 2}, Output: []float64{3}, Enabled: true})
-	}
-	jobs := []JobMeta{{ID: "job-0001", Name: "demo", Program: "{prog}"}}
-	steps := 0
-	for {
-		folded, err := l.CompactOldest(jobs, nil, nil, store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !folded {
-			break
-		}
-		steps++
-		if got := l.Stats().Segments; got != start-steps {
-			t.Fatalf("after %d folds: %d segments, want %d", steps, got, start-steps)
-		}
-	}
-	if steps != start-1 {
-		t.Errorf("folded %d segments, want %d (all sealed, never the active one)", steps, start-1)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec, err := OpenDirOptions(dir, tinySegments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rts, ok := rec.Store.Task("job-0001")
-	if !ok {
-		t.Fatal("recovered store missing task")
-	}
-	if got := len(rts.Examples()); got != 20 {
-		t.Errorf("recovered %d examples after stepwise compaction, want 20", got)
 	}
 }

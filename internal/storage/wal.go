@@ -48,11 +48,8 @@ import (
 //	                                ▼
 //	                       sealed segments (read-only)
 //	                                │
-//	     Compact ───────────────────┤ snapshot.json ⟵ full state @ horizon;
-//	     (full: admin / shutdown)   │ every covered segment recycled
-//	     CompactOldest ─────────────┘ snapshot @ oldest sealed segment's
-//	     (incremental)                last seq; that one segment recycled —
-//	                                  pause is O(segment), not O(log)
+//	     Compact ───────────────────┘ snapshot.json ⟵ full state @ horizon;
+//	     (admin / shutdown)           every covered segment recycled
 //
 //	Recover (OpenDir) ──▶ snapshot.json + segments replayed frame by frame
 //	                      in seq order; a torn tail is truncated in the last
@@ -63,8 +60,8 @@ import (
 // Replay is idempotent and seq-filtered: an event already reflected in
 // the snapshot, or surviving in two segments after an interrupted
 // compaction, applies at most once. The "snapshot state vs. log tail"
-// boundary therefore never has to be exact, which is what lets
-// incremental compaction snapshot current state under an old horizon.
+// boundary therefore never has to be exact, which is what lets Compact
+// capture live state under a horizon read before the capture.
 
 // EventType labels one WAL record.
 type EventType string
@@ -184,8 +181,7 @@ const snapshotFile = "snapshot.json"
 
 // DefaultSegmentBytes is the segment roll threshold when LogOptions does
 // not set one: large enough that single-process tests stay in one segment,
-// small enough that incremental compaction has real granularity under
-// sustained ingest.
+// small enough that a covered segment's file is cheap to recycle.
 const DefaultSegmentBytes = 4 << 20
 
 // batchGatherWindow bounds the committer's cohort-gather yield loop: how
@@ -227,7 +223,7 @@ var (
 	walFsyncs = telemetry.Default().Counter("easeml_wal_fsyncs_total",
 		"File fsyncs issued by the WAL (group commit, seal, snapshot, close).")
 	walCompactions = telemetry.Default().Counter("easeml_wal_compactions_total",
-		"Snapshot compactions completed (full and incremental).")
+		"Snapshot compactions completed.")
 	walBatchSize = telemetry.Default().ValueHistogram("easeml_wal_group_commit_batch_size",
 		"Appends committed per WAL group-commit batch (per fsync).")
 	walSegments = telemetry.Default().Gauge("easeml_wal_segments",
@@ -888,40 +884,6 @@ func (l *Log) Compact(jobs []JobMeta, abandoned map[string][]string, budgetExhau
 	walCompactions.Inc()
 	l.compactions.Add(1)
 	return syncDir(l.dir)
-}
-
-// CompactOldest is the incremental compaction step: it folds only the
-// oldest sealed segment into the snapshot and recycles that one file,
-// leaving the rest of the log untouched — an O(segment) pause instead of
-// Compact's O(log) one. The snapshot carries the caller's full current
-// state but records the folded segment's last seq as its horizon;
-// recovery replays the newer segments' events on top, where idempotent
-// replay absorbs them. It reports whether a segment was folded (false
-// with no error when no sealed segments exist).
-func (l *Log) CompactOldest(jobs []JobMeta, abandoned map[string][]string, budgetExhausted []string, store *Store) (bool, error) {
-	l.ioMu.Lock()
-	defer l.ioMu.Unlock()
-	if err := l.Err(); err != nil {
-		return false, err
-	}
-	if l.f == nil {
-		return false, fmt.Errorf("storage: compact on closed WAL")
-	}
-	if len(l.sealed) == 0 {
-		return false, nil
-	}
-	seg := l.sealed[0]
-	if seg.last > 0 {
-		if err := l.writeSnapshotLocked(jobs, abandoned, budgetExhausted, store, seg.last); err != nil {
-			return false, err
-		}
-	}
-	l.recycleLocked(seg.path)
-	l.sealed = l.sealed[1:]
-	walSegments.Set(float64(len(l.sealed) + 1))
-	walCompactions.Inc()
-	l.compactions.Add(1)
-	return true, syncDir(l.dir)
 }
 
 // writeSnapshotLocked writes state as the directory's snapshot with the

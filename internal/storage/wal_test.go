@@ -121,9 +121,6 @@ func TestFailedSyncPoisonsLog(t *testing.T) {
 	if err := l.Compact(nil, nil, nil, NewStore(), l.Seq()); !errors.Is(err, boom) {
 		t.Errorf("Compact on a poisoned log: %v, want the stored fsync error", err)
 	}
-	if _, err := l.CompactOldest(nil, nil, nil, NewStore()); !errors.Is(err, boom) {
-		t.Errorf("CompactOldest on a poisoned log: %v, want the stored fsync error", err)
-	}
 	if err := l.Close(); !errors.Is(err, boom) {
 		t.Errorf("Close on a poisoned log: %v, want the stored fsync error", err)
 	}
