@@ -277,8 +277,8 @@ func BenchmarkFeedSaturation(b *testing.B) {
 // BenchmarkBulkFeedHTTP measures the bulk-load path end to end over real
 // HTTP: one op is one Feed of 100 image examples (768 floats each, pixel
 // values k/255) through internal/client into a durable service, answered
-// after its WAL fsync — client marshal, server body decode, WAL framing and
-// commit, store insert. examples/s is the headline; the allocation gate
+// after its WAL fsync — client tensor-body encode, server body decode, WAL
+// framing and commit, store insert. examples/s is the headline; the allocation gate
 // pins allocations and bytes per call, which move with every copy of the
 // floats on that path.
 func BenchmarkBulkFeedHTTP(b *testing.B) {

@@ -1,6 +1,13 @@
 // Package client is the Go client for the ease.ml HTTP service — the
 // programmable counterpart of the generated feed/refine/infer binaries
 // (§2, Figure 3).
+//
+// Feed, Infer, InferBatch and InferStream send their floats as a tensor
+// body (server.TensorContentType: raw little-endian f64, built in one
+// buffer of exactly its size) instead of JSON text, so no float is printed
+// here or parsed by the server. They refuse NaN and ±Inf before sending,
+// as the JSON encoding they replace did. Every other request, and every
+// reply, is JSON.
 package client
 
 import (
@@ -85,7 +92,7 @@ func (c *Client) Jobs(ctx context.Context) ([]string, error) {
 // the first uncommitted pair instead of re-sending duplicates.
 func (c *Client) Feed(ctx context.Context, jobID string, inputs, outputs [][]float64) ([]int, error) {
 	var resp server.FeedResponse
-	err := c.post(ctx, "/jobs/"+jobID+"/feed", server.FeedRequest{Inputs: inputs, Outputs: outputs}, &resp)
+	err := c.postFloats(ctx, "/jobs/"+jobID+"/feed", &server.FeedRequest{Inputs: inputs, Outputs: outputs}, &resp)
 	if err != nil {
 		var apiErr *APIError
 		if errors.As(err, &apiErr) {
@@ -105,7 +112,7 @@ func (c *Client) Refine(ctx context.Context, jobID string, exampleID int, enable
 // Infer applies the best model so far to one input object.
 func (c *Client) Infer(ctx context.Context, jobID string, input []float64) (server.InferResponse, error) {
 	var resp server.InferResponse
-	err := c.post(ctx, "/jobs/"+jobID+"/infer", server.InferRequest{Input: input}, &resp)
+	err := c.postFloats(ctx, "/jobs/"+jobID+"/infer", &server.InferRequest{Input: input}, &resp)
 	return resp, err
 }
 
@@ -113,7 +120,7 @@ func (c *Client) Infer(ctx context.Context, jobID string, input []float64) (serv
 // round trip, one server-side session, one model for every output.
 func (c *Client) InferBatch(ctx context.Context, jobID string, inputs [][]float64) (server.InferBatchResponse, error) {
 	var resp server.InferBatchResponse
-	err := c.post(ctx, "/jobs/"+jobID+"/infer/batch", server.InferBatchRequest{Inputs: inputs}, &resp)
+	err := c.postFloats(ctx, "/jobs/"+jobID+"/infer/batch", &server.InferBatchRequest{Inputs: inputs}, &resp)
 	return resp, err
 }
 
@@ -123,18 +130,9 @@ func (c *Client) InferBatch(ctx context.Context, jobID string, inputs [][]float6
 // is dropped, which is the protocol's cancellation signal).
 func (c *Client) InferStream(ctx context.Context, jobID string, inputs [][]float64, fn func(index int, output []float64) error) (string, error) {
 	path := "/jobs/" + jobID + "/infer/stream"
-	payload, err := json.Marshal(server.InferBatchRequest{Inputs: inputs})
+	resp, err := c.sendFloats(ctx, path, &server.InferBatchRequest{Inputs: inputs})
 	if err != nil {
-		return "", fmt.Errorf("client: encode %s: %w", path, err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
-	if err != nil {
-		return "", fmt.Errorf("client: build POST %s: %w", path, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return "", fmt.Errorf("client: POST %s: %w", path, err)
+		return "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
@@ -195,16 +193,43 @@ func (c *Client) post(ctx context.Context, path string, body, dst any) error {
 	if err != nil {
 		return fmt.Errorf("client: encode %s: %w", path, err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
+	resp, err := c.send(ctx, path, "application/json", payload)
 	if err != nil {
-		return fmt.Errorf("client: build POST %s: %w", path, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("client: POST %s: %w", path, err)
+		return err
 	}
 	return decode(path, resp, dst)
+}
+
+// postFloats is post with body sent as a tensor body.
+func (c *Client) postFloats(ctx context.Context, path string, body server.FloatBody, dst any) error {
+	resp, err := c.sendFloats(ctx, path, body)
+	if err != nil {
+		return err
+	}
+	return decode(path, resp, dst)
+}
+
+// sendFloats POSTs body to path as a tensor body.
+func (c *Client) sendFloats(ctx context.Context, path string, body server.FloatBody) (*http.Response, error) {
+	payload, err := server.TensorBody(body)
+	if err != nil {
+		return nil, fmt.Errorf("client: encode %s: %w", path, err)
+	}
+	return c.send(ctx, path, server.TensorContentType, payload)
+}
+
+// send POSTs payload to path.
+func (c *Client) send(ctx context.Context, path, contentType string, payload []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(payload))
+	if err != nil {
+		return nil, fmt.Errorf("client: build POST %s: %w", path, err)
+	}
+	req.Header.Set("Content-Type", contentType)
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("client: POST %s: %w", path, err)
+	}
+	return resp, nil
 }
 
 func (c *Client) get(ctx context.Context, path string, dst any) error {

@@ -2,9 +2,11 @@ package client
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -83,6 +85,38 @@ func TestConnectionRefused(t *testing.T) {
 	}
 	if _, err := cl.FleetStatus(ctx); err == nil {
 		t.Error("dead server FleetStatus did not error")
+	}
+}
+
+// A NaN or ±Inf float is refused before anything is sent, on every method
+// that sends floats.
+func TestNonFiniteFloatsAreNotSent(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+	}))
+	defer srv.Close()
+	cl, ctx := New(srv.URL), context.Background()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		row := []float64{1, bad}
+		if ids, err := cl.Feed(ctx, "j", [][]float64{{1, 2}, row}, [][]float64{{1}, {0}}); err == nil || ids != nil {
+			t.Errorf("Feed with input %v: ids %v, err %v", bad, ids, err)
+		}
+		if _, err := cl.Feed(ctx, "j", [][]float64{{1, 2}}, [][]float64{row}); err == nil {
+			t.Errorf("Feed with output %v succeeded", bad)
+		}
+		if _, err := cl.Infer(ctx, "j", row); err == nil {
+			t.Errorf("Infer with %v succeeded", bad)
+		}
+		if _, err := cl.InferBatch(ctx, "j", [][]float64{row}); err == nil {
+			t.Errorf("InferBatch with %v succeeded", bad)
+		}
+		if _, err := cl.InferStream(ctx, "j", [][]float64{row}, func(int, []float64) error { return nil }); err == nil {
+			t.Errorf("InferStream with %v succeeded", bad)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("%d requests reached the server", n)
 	}
 }
 

@@ -1,8 +1,13 @@
 package server_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/rawf64"
 	"repro/internal/server"
 	"repro/internal/storage"
 )
@@ -21,6 +27,7 @@ type feedFixture struct {
 	sc    *server.Scheduler
 	log   *storage.Log
 	srv   *httptest.Server
+	dir   string
 	jobID string
 }
 
@@ -55,7 +62,7 @@ func newFeedFixture(t *testing.T, quota *admission.Quota) (*feedFixture, func() 
 	}
 	srv := httptest.NewServer(server.NewAPI(sc).Handler())
 	t.Cleanup(srv.Close)
-	return &feedFixture{sc: sc, log: log, srv: srv, jobID: job.ID},
+	return &feedFixture{sc: sc, log: log, srv: srv, dir: dir, jobID: job.ID},
 		func() *server.Scheduler { sc, _ := open(); return sc }
 }
 
@@ -181,22 +188,104 @@ func TestFeedBatchArityMismatch(t *testing.T) {
 	}
 }
 
-// A body over MaxRequestBytes answers 413 with a typed code, on every
-// surface that decodes through ReadJSON.
-func TestRequestBodyTooLarge(t *testing.T) {
-	f, _ := newFeedFixture(t, nil)
-	body := strings.Repeat(" ", server.MaxRequestBytes) + `{"inputs":[[1,2,3,4]],"outputs":[[1,0]]}`
-	resp, err := http.Post(f.srv.URL+"/jobs/"+f.jobID+"/feed", "application/json", strings.NewReader(body))
+// A NaN or ±Inf fed value is refused like a wrong width, whichever way it
+// arrives: the examples before it are stored, committed and acknowledged,
+// it is not, and memory never runs ahead of the WAL.
+func TestFeedNonFiniteCommitsThePrefix(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f, reopen := newFeedFixture(t, nil)
+		ids, err := f.sc.FeedBatch(f.jobID, [][]float64{{1, 2, 3, 4}, {bad, 1, 1, 1}}, [][]float64{{1, 0}, {0, 1}})
+		if want := fmt.Sprintf("server: input element 0 is %v, inputs must be finite", bad); len(ids) != 1 || ids[0] != 1 || err == nil || err.Error() != want {
+			t.Fatalf("FeedBatch with input %v: ids %v, err %v; want [1] and %q", bad, ids, err, want)
+		}
+		ids, err = f.sc.FeedBatch(f.jobID, [][]float64{{1, 2, 3, 4}}, [][]float64{{1, bad}})
+		if want := fmt.Sprintf("server: output element 1 is %v, outputs must be finite", bad); len(ids) != 0 || err == nil || err.Error() != want {
+			t.Fatalf("FeedBatch with output %v: ids %v, err %v; want none and %q", bad, ids, err, want)
+		}
+		// Over HTTP a tensor body can carry the value; JSON cannot.
+		body := rawf64.AppendMatrix(nil, [][]float64{{5, 6, 7, 8}, {1, 2, bad, 4}})
+		body = rawf64.AppendMatrix(body, [][]float64{{0, 1}, {1, 0}})
+		resp := postTensor(t, f.srv.URL+"/jobs/"+f.jobID+"/feed", bytes.NewReader(body))
+		var env server.ErrorBody
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || len(env.IDs) != 1 || env.IDs[0] != 2 || !strings.Contains(env.Error, "inputs must be finite") {
+			t.Fatalf("tensor feed with %v: HTTP %d %+v, want 400 with ids [2]", bad, resp.StatusCode, env)
+		}
+		if id, err := f.sc.Feed(f.jobID, []float64{1, 2, 3, 4}, []float64{1, 0}); err != nil || id != 3 {
+			t.Fatalf("next feed: id %d, err %v; want 3", id, err)
+		}
+		if got := f.examples(t, f.sc); got != 3 {
+			t.Errorf("store holds %d examples, want 3", got)
+		}
+		if got := f.examples(t, reopen()); got != 3 {
+			t.Errorf("recovered %d examples, want 3", got)
+		}
+	}
+}
+
+func postTensor(t *testing.T, url string, body io.Reader) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url, server.TensorContentType, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var env server.ErrorBody
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+	return resp
+}
+
+// A tensor body the decoder cannot frame answers 400 with the envelope and
+// stores nothing.
+func TestMalformedTensorBody(t *testing.T) {
+	f, _ := newFeedFixture(t, nil)
+	good, err := server.TensorBody(&server.FeedRequest{Inputs: [][]float64{{1, 2, 3, 4}}, Outputs: [][]float64{{1, 0}}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Code != server.CodeRequestTooLarge {
-		t.Fatalf("HTTP %d code %q (%s), want 413 %s", resp.StatusCode, env.Code, env.Error, server.CodeRequestTooLarge)
+	for name, body := range map[string][]byte{
+		"count past the end": {1, 9, 0, 0},
+		"truncated float":    good[:len(good)-1],
+		"trailing bytes":     append(bytes.Clone(good), 0),
+		"huge row count":     binary.AppendUvarint(nil, 1<<40),
+		"non-minimal count":  append([]byte{0x81, 0x00}, good[1:]...),
+		"JSON text":          []byte(`{"inputs":[[1,2,3,4]],"outputs":[[1,0]]}`),
+	} {
+		resp := postTensor(t, f.srv.URL+"/jobs/"+f.jobID+"/feed", bytes.NewReader(body))
+		var env server.ErrorBody
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(env.Error, "invalid tensor body: ") || env.IDs != nil {
+			t.Errorf("%s: HTTP %d %+v, want 400 invalid tensor body", name, resp.StatusCode, env)
+		}
+	}
+	if got := f.examples(t, f.sc); got != 0 {
+		t.Errorf("malformed bodies stored %d examples", got)
+	}
+}
+
+// A body over MaxRequestBytes answers 413 with a typed code, on every
+// surface that decodes through ReadJSON, and as a tensor body.
+func TestRequestBodyTooLarge(t *testing.T) {
+	f, _ := newFeedFixture(t, nil)
+	for contentType, body := range map[string]io.Reader{
+		"application/json":       strings.NewReader(strings.Repeat(" ", server.MaxRequestBytes) + `{"inputs":[[1,2,3,4]],"outputs":[[1,0]]}`),
+		server.TensorContentType: bytes.NewReader(make([]byte, server.MaxRequestBytes+1)),
+	} {
+		resp, err := http.Post(f.srv.URL+"/jobs/"+f.jobID+"/feed", contentType, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env server.ErrorBody
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Code != server.CodeRequestTooLarge {
+			t.Fatalf("%s: HTTP %d code %q (%s), want 413 %s", contentType, resp.StatusCode, env.Code, env.Error, server.CodeRequestTooLarge)
+		}
 	}
 	if got := f.examples(t, f.sc); got != 0 {
 		t.Errorf("an oversized request stored %d examples", got)

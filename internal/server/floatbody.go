@@ -2,232 +2,128 @@ package server
 
 import (
 	"bytes"
-	"io"
+	"fmt"
 	"net/http"
-	"strconv"
 
+	"repro/internal/rawf64"
 	"repro/internal/telemetry"
 )
 
 // Float-array request bodies — feed, infer, infer/batch, infer/stream — are
-// almost all numbers, and encoding/json spends its time on them in
-// reflection and its general scanner. readFloatBody reads such a body whole
-// and decodes the one shape clients marshal with a dedicated scanner: an
-// object whose keys are exactly the request's lowercase field names,
-// unescaped and each at most once, holding arrays (or arrays of arrays) of
-// JSON numbers. The numbers are checked against the JSON grammar and parsed
-// by strconv.ParseFloat, the call encoding/json makes, so the values are
-// bit-identical. Anything else — null, escapes, other keys or key case,
-// numbers ParseFloat refuses, trailing bytes — falls back to ReadJSON's
-// strict decoder over the same bytes, so every error and edge case answers
-// exactly as before. FuzzFloatBody checks that the scanner accepts nothing
-// encoding/json rejects and decodes what it accepts identically.
+// almost all numbers, so besides JSON they travel as a tensor body: with
+// Content-Type exactly TensorContentType, the body is the request's
+// float-array fields in declaration order, each a rawf64 vector or matrix
+// (FeedRequest: inputs, outputs; InferRequest: input; InferBatchRequest:
+// inputs), and nothing else. The floats are copied out as raw bits, so no
+// decimal text is printed by the client or parsed here; a 100 × 768-float
+// feed is 614 KB instead of 1.45 MB of JSON. The decoder only frames: what
+// the values may be (width, finiteness) is checked where the JSON path
+// checks it too. Any other Content-Type is read by ReadJSON, as before.
+
+// TensorContentType is the media type of a tensor body.
+const TensorContentType = "application/x-easeml-f64"
 
 var floatBodyDecodes = telemetry.Default().CounterVec("easeml_float_body_decodes_total",
-	"Float-array request bodies (feed, infer, infer/batch, infer/stream) by decoder: fast (the canonical-form scanner) or fallback (encoding/json).",
+	"Float-array request bodies (feed, infer, infer/batch, infer/stream) by decoder: tensor (raw f64) or json (encoding/json).",
 	"decoder")
 
-// floatField binds one body key to the request field it fills: a vector
-// (vec) or a matrix (mat).
+// FloatBody is a request with float-array fields: FeedRequest,
+// InferRequest and InferBatchRequest.
+type FloatBody interface {
+	floatFields() []floatField
+}
+
+// floatField is one float-array field of a request: a vector (vec) or a
+// matrix (mat), named key in JSON.
 type floatField struct {
 	key string
 	vec *[]float64
 	mat *[][]float64
 }
 
-// readFloatBody decodes a float-array request body into dst, whose
-// float-array fields are fields (and which has no others). Like ReadJSON it
-// answers 400 or 413 itself and reports false on failure.
-func readFloatBody(w http.ResponseWriter, r *http.Request, dst any, fields ...floatField) bool {
-	body := http.MaxBytesReader(w, r.Body, MaxRequestBytes)
-	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= MaxRequestBytes {
-		// Room for the whole body and the read that sees EOF: no regrowth.
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	_, err := buf.ReadFrom(body)
-	if err == nil && scanFloatBody(buf.Bytes(), fields) {
-		floatBodyDecodes.With("fast").Inc()
-		return true
-	}
+func (r *FeedRequest) floatFields() []floatField {
+	return []floatField{{key: "inputs", mat: &r.Inputs}, {key: "outputs", mat: &r.Outputs}}
+}
+
+func (r *InferRequest) floatFields() []floatField {
+	return []floatField{{key: "input", vec: &r.Input}}
+}
+
+func (r *InferBatchRequest) floatFields() []floatField {
+	return []floatField{{key: "inputs", mat: &r.Inputs}}
+}
+
+// TensorBody encodes req as a tensor body, in one buffer of exactly its
+// size. Like json.Marshal it refuses NaN and ±Inf, so a client sending
+// only what it encodes never puts them on the wire.
+func TensorBody(req FloatBody) ([]byte, error) {
+	fields := req.floatFields()
+	size := 0
 	for _, f := range fields {
 		if f.vec != nil {
-			*f.vec = nil
+			if i := rawf64.NonFinite(*f.vec); i >= 0 {
+				return nil, fmt.Errorf("%s element %d is %v, values must be finite", f.key, i, (*f.vec)[i])
+			}
+			size += rawf64.VectorSize(*f.vec)
+			continue
+		}
+		for row, v := range *f.mat {
+			if i := rawf64.NonFinite(v); i >= 0 {
+				return nil, fmt.Errorf("%s[%d] element %d is %v, values must be finite", f.key, row, i, v[i])
+			}
+		}
+		size += rawf64.MatrixSize(*f.mat)
+	}
+	b := make([]byte, 0, size)
+	for _, f := range fields {
+		if f.vec != nil {
+			b = rawf64.AppendVector(b, *f.vec)
 		} else {
-			*f.mat = nil
+			b = rawf64.AppendMatrix(b, *f.mat)
 		}
 	}
-	floatBodyDecodes.With("fallback").Inc()
-	// What was read, then whatever the reader still has to say (EOF, or
-	// the size limit's error): the strict decoder sees the stream ReadJSON
-	// would have.
-	return decodeJSON(w, io.MultiReader(bytes.NewReader(buf.Bytes()), body), dst)
+	return b, nil
 }
 
-// scanFloatBody decodes b into fields when b has the canonical shape, and
-// reports whether it did. On false the fields may be partly written.
-func scanFloatBody(b []byte, fields []floatField) bool {
-	s := floatScanner{b: b}
-	var seen uint64 // bit k: fields[k] already read
-	ok := s.list('{', '}', func() bool {
-		k := s.key(fields)
-		if k < 0 || seen&(1<<k) != 0 || !s.consume(':') {
-			return false
-		}
-		seen |= 1 << k
-		var ok bool
-		if f := fields[k]; f.vec != nil {
-			*f.vec, ok = s.vector()
-		} else {
-			*f.mat, ok = s.matrix()
-		}
-		return ok
-	})
-	s.skipSpace()
-	return ok && s.i == len(s.b)
-}
-
-// floatScanner walks a body; i is the next unread byte.
-type floatScanner struct {
-	b []byte
-	i int
-}
-
-func (s *floatScanner) skipSpace() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\n', '\r':
-			s.i++
-		default:
-			return
-		}
+// readFloatBody decodes a float-array request body into dst: a tensor body
+// by its Content-Type, anything else through ReadJSON. Like ReadJSON it
+// answers 400 or 413 itself and reports false on failure.
+func readFloatBody(w http.ResponseWriter, r *http.Request, dst FloatBody) bool {
+	if r.Header.Get("Content-Type") != TensorContentType {
+		floatBodyDecodes.With("json").Inc()
+		return ReadJSON(w, r, dst)
 	}
-}
-
-// consume skips whitespace, then c if it is next, reporting whether it was.
-func (s *floatScanner) consume(c byte) bool {
-	s.skipSpace()
-	if s.i < len(s.b) && s.b[s.i] == c {
-		s.i++
-		return true
+	floatBodyDecodes.With("tensor").Inc()
+	// The buffer grows with the bytes that arrive, never to the declared
+	// Content-Length: a client announcing 32 MiB and trickling bytes must
+	// not pin 32 MiB.
+	var buf bytes.Buffer
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	if err == nil {
+		err = decodeTensor(buf.Bytes(), dst.floatFields())
 	}
-	return false
-}
-
-// key reads an object key and returns the index of the field it names
-// exactly, or -1. A key with an escape or a control byte names no field.
-func (s *floatScanner) key(fields []floatField) int {
-	if !s.consume('"') {
-		return -1
-	}
-	end := bytes.IndexByte(s.b[s.i:], '"')
-	if end < 0 {
-		return -1
-	}
-	name := s.b[s.i : s.i+end]
-	s.i += end + 1
-	for k, f := range fields {
-		if string(name) == f.key {
-			return k
-		}
-	}
-	return -1
-}
-
-// list reads open, then elements separated by commas, then close; elem
-// reads one element.
-func (s *floatScanner) list(open, close byte, elem func() bool) bool {
-	if !s.consume(open) {
+	if err != nil {
+		writeBodyError(w, "invalid tensor body", err)
 		return false
 	}
-	if s.consume(close) {
-		return true
-	}
-	for elem() {
-		if s.consume(close) {
-			return true
-		}
-		if !s.consume(',') {
-			return false
-		}
-	}
-	return false
+	return true
 }
 
-// matrix reads an array of vectors. Like encoding/json, it and vector
-// read [] as an empty, non-nil slice.
-func (s *floatScanner) matrix() ([][]float64, bool) {
-	m := [][]float64{}
-	ok := s.list('[', ']', func() bool {
-		v, ok := s.vector()
-		m = append(m, v)
-		return ok
-	})
-	return m, ok
-}
-
-// vector reads an array of numbers into a slice allocated once, at the
-// size the commas before the next ']' announce.
-func (s *floatScanner) vector() ([]float64, bool) {
-	s.skipSpace()
-	end := max(bytes.IndexByte(s.b[s.i:], ']'), 0)
-	v := make([]float64, 0, bytes.Count(s.b[s.i:s.i+end], []byte{','})+1)
-	ok := s.list('[', ']', func() bool {
-		x, ok := s.number()
-		v = append(v, x)
-		return ok
-	})
-	return v, ok
-}
-
-// number reads one number in JSON's grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and parses it with
-// strconv.ParseFloat; false for anything else or a value ParseFloat
-// refuses (out of range).
-func (s *floatScanner) number() (float64, bool) {
-	s.skipSpace()
-	b, i := s.b, s.i
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i)
-	default:
-		return 0, false
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
-		if j == i+1 {
-			return 0, false
+// decodeTensor decodes a whole tensor body into fields.
+func decodeTensor(b []byte, fields []floatField) error {
+	var err error
+	for _, f := range fields {
+		if f.vec != nil {
+			*f.vec, b, err = rawf64.ReadVector(b)
+		} else {
+			*f.mat, b, err = rawf64.ReadMatrix(b)
 		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
+		if err != nil {
+			return fmt.Errorf("%s: %w", f.key, err)
 		}
-		j := digits(b, i)
-		if j == i {
-			return 0, false
-		}
-		i = j
 	}
-	x, err := strconv.ParseFloat(string(b[s.i:i]), 64)
-	if err != nil {
-		return 0, false
+	if len(b) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(b))
 	}
-	s.i = i
-	return x, true
-}
-
-// digits returns the index of the first non-digit at or after i.
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
+	return nil
 }

@@ -2,32 +2,30 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+
+	"repro/internal/rawf64"
 )
 
-// floatBodyShapes are the request types read through readFloatBody, each
-// with the fields its handler passes.
+// floatBodyShapes are the request types read through readFloatBody.
 var floatBodyShapes = []struct {
-	name   string
-	fields func(dst any) []floatField
-	zero   func() any
+	name string
+	zero func() FloatBody
 }{
-	{"feed", func(dst any) []floatField {
-		r := dst.(*FeedRequest)
-		return []floatField{{key: "inputs", mat: &r.Inputs}, {key: "outputs", mat: &r.Outputs}}
-	}, func() any { return new(FeedRequest) }},
-	{"infer", func(dst any) []floatField {
-		r := dst.(*InferRequest)
-		return []floatField{{key: "input", vec: &r.Input}}
-	}, func() any { return new(InferRequest) }},
-	{"infer_batch", func(dst any) []floatField {
-		r := dst.(*InferBatchRequest)
-		return []floatField{{key: "inputs", mat: &r.Inputs}}
-	}, func() any { return new(InferBatchRequest) }},
+	{"feed", func() FloatBody { return new(FeedRequest) }},
+	{"infer", func() FloatBody { return new(InferRequest) }},
+	{"infer_batch", func() FloatBody { return new(InferBatchRequest) }},
 }
 
 // sameFloatFields compares two decodes field by field: nil-ness, lengths
@@ -64,72 +62,279 @@ func sameFloatFields(a, b []floatField) bool {
 	return true
 }
 
-// FuzzFloatBody: the fast scanner's accepted set is a subset of what
-// ReadJSON's strict decoder accepts, with an identical value (bit for bit,
-// -0 included); whatever the strict decoder rejects, the scanner rejects.
-func FuzzFloatBody(f *testing.F) {
-	for _, v := range []any{
-		FeedRequest{Inputs: [][]float64{{0.1, math.Copysign(0, -1), 1e-7, 123456789.125}, {}}, Outputs: [][]float64{{1, 0}, {0, 1}}},
-		InferRequest{Input: []float64{math.MaxFloat64, math.SmallestNonzeroFloat64, -2.5}},
-		InferBatchRequest{Inputs: [][]float64{{1, 2, 3}}},
-	} {
-		b, err := json.Marshal(v)
-		if err != nil {
-			f.Fatal(err)
+// sameFloatBits is sameFloatFields up to nil-ness: a tensor body does not
+// tell an empty vector from a nil one.
+func sameFloatBits(a, b []floatField) bool {
+	return bytes.Equal(encodeFields(a), encodeFields(b))
+}
+
+// encodeFields encodes decoded fields back into a tensor body, non-finite
+// values included (TensorBody refuses those).
+func encodeFields(fields []floatField) []byte {
+	var b []byte
+	for _, f := range fields {
+		if f.vec != nil {
+			b = rawf64.AppendVector(b, *f.vec)
+		} else {
+			b = rawf64.AppendMatrix(b, *f.mat)
 		}
-		f.Add(b)
 	}
+	return b
+}
+
+// decodedBytes is the float memory a decode holds: 8 bytes per float and
+// a 24-byte slice header per matrix row.
+func decodedBytes(fields []floatField) int {
+	n := 0
+	for _, f := range fields {
+		if f.vec != nil {
+			n += 8 * cap(*f.vec)
+			continue
+		}
+		n += 24 * cap(*f.mat)
+		for _, v := range *f.mat {
+			n += 8 * cap(v)
+		}
+	}
+	return n
+}
+
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzTensorBody from tensorCorpus")
+
+// tensorCorpus is FuzzTensorBody's seed corpus: bodies the client encodes,
+// and the malformed shapes the decoder must refuse.
+func tensorCorpus(t testing.TB) map[string][]byte {
+	encode := func(req FloatBody) []byte {
+		b, err := TensorBody(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	feed := encode(&FeedRequest{
+		Inputs:  [][]float64{{0.1, math.Copysign(0, -1), 1e-7, 123456789.125}, {}},
+		Outputs: [][]float64{{1, 0}, {0, 1}},
+	})
+	infer := encode(&InferRequest{Input: []float64{math.MaxFloat64, math.SmallestNonzeroFloat64, -2.5, math.Copysign(0, -1)}})
+	nan := binary.LittleEndian.AppendUint64([]byte{1}, math.Float64bits(math.NaN()))
+	return map[string][]byte{
+		"feed_encoded":       feed,
+		"infer_encoded":      infer,
+		"batch_encoded":      encode(&InferBatchRequest{Inputs: [][]float64{{1, 2, 3}, {4, 5, 6}}}),
+		"empty_matrices":     {0, 0},
+		"empty_body":         {},
+		"count_past_end":     append([]byte{3}, infer[1:17]...),
+		"truncated_float":    infer[:len(infer)-3],
+		"trailing_bytes":     append(bytes.Clone(infer), 'x'),
+		"non_minimal_count":  {0x80, 0x00},
+		"row_count_past_end": {0xff, 0xff, 0xff, 0xff, 0x0f, 0},
+		"float_count_2_62":   binary.AppendUvarint(nil, 1<<62),
+		"varint_overflow":    bytes.Repeat([]byte{0xff}, 11),
+		"nan_bits":           nan,
+		"json_body":          []byte(`{"input":[1,2]}`),
+	}
+}
+
+// The committed seed corpus is what tensorCorpus generates; rewrite it with
+// go test ./internal/server -run TestTensorBodyCorpus -update-corpus.
+func TestTensorBodyCorpus(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzTensorBody")
+	for name, body := range tensorCorpus(t) {
+		path := filepath.Join(dir, name)
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", body)
+		if *updateCorpus {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Errorf("%s is stale (%v); rerun with -update-corpus", path, err)
+		}
+	}
+}
+
+// FuzzTensorBody: the decoder never panics; it accepts exactly the bodies
+// the encoder produces (so nothing short, over-long or trailing) within 24
+// bytes of decoded memory per body byte; and the encoder round-trips every
+// finite value bit for bit.
+func FuzzTensorBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, shape := range floatBodyShapes {
-			fast, ref := shape.zero(), shape.zero()
-			ok := scanFloatBody(body, shape.fields(fast))
-			dec := json.NewDecoder(bytes.NewReader(body))
-			dec.DisallowUnknownFields()
-			err := dec.Decode(ref)
-			if ok && err != nil {
-				t.Fatalf("%s: the scanner accepted %q, which encoding/json rejects: %v", shape.name, body, err)
+			fields := shape.zero().floatFields()
+			if decodeTensor(body, fields) == nil {
+				if got := encodeFields(fields); !bytes.Equal(got, body) {
+					t.Fatalf("%s: accepted %x, which encodes back as %x", shape.name, body, got)
+				}
+				if n := decodedBytes(fields); n > 24*len(body) {
+					t.Fatalf("%s: %d body bytes decoded into %d bytes", shape.name, len(body), n)
+				}
+				if len(body) > 0 && decodeTensor(body[:len(body)-1], shape.zero().floatFields()) == nil {
+					t.Fatalf("%s: accepted %x and its prefix", shape.name, body)
+				}
+				if decodeTensor(append(bytes.Clone(body), 0), shape.zero().floatFields()) == nil {
+					t.Fatalf("%s: accepted %x with a trailing byte", shape.name, body)
+				}
 			}
-			if ok && !sameFloatFields(shape.fields(fast), shape.fields(ref)) {
-				t.Fatalf("%s: %q decodes to %+v by the scanner, %+v by encoding/json", shape.name, body, fast, ref)
+
+			// The body's bytes read as floats, through the encoder.
+			v := make([]float64, len(body)/8)
+			for i := range v {
+				v[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+			}
+			req := shape.zero()
+			for _, fld := range req.floatFields() {
+				if fld.vec != nil {
+					*fld.vec = v
+				} else {
+					*fld.mat = [][]float64{v, v[len(v)/2:], nil}
+				}
+			}
+			enc, err := TensorBody(req)
+			if rawf64.NonFinite(v) >= 0 {
+				if err == nil {
+					t.Fatalf("%s: encoded a non-finite value", shape.name)
+				}
+				continue
+			}
+			if err != nil || len(enc) != cap(enc) {
+				t.Fatalf("%s: encode: %v (len %d, cap %d)", shape.name, err, len(enc), cap(enc))
+			}
+			back := shape.zero().floatFields()
+			if err := decodeTensor(enc, back); err != nil || !sameFloatBits(back, req.floatFields()) {
+				t.Fatalf("%s: %v does not round-trip: %v", shape.name, v, err)
 			}
 		}
 	})
 }
 
-// What the Go client sends takes the fast path and decodes to exactly what
-// was marshalled; a body outside the canonical shape is still accepted, by
-// the fallback, as before.
+// postFloatBody runs readFloatBody on body sent with contentType.
+func postFloatBody(dst FloatBody, contentType string, body []byte) (*httptest.ResponseRecorder, bool) {
+	rw := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/jobs/x/feed", bytes.NewReader(body))
+	req.Header.Set("Content-Type", contentType)
+	return rw, readFloatBody(rw, req, dst)
+}
+
+// What the Go client sends is a tensor body and decodes to exactly what was
+// encoded; a JSON body is still accepted, by encoding/json, as before.
 func TestFloatBodyDecoders(t *testing.T) {
 	want := FeedRequest{
 		Inputs:  [][]float64{{0.1, math.Copysign(0, -1), 1e-300, 7}, {3, 4, 5, 6}},
 		Outputs: [][]float64{{1, 0}, {0, 1}},
+	}
+	tensor, err := TensorBody(&want)
+	if err != nil {
+		t.Fatal(err)
 	}
 	canonical, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name, decoder string
-		body          []byte
+		name, decoder, contentType string
+		body                       []byte
 	}{
-		{"client body", "fast", canonical},
-		{"capitalized key", "fallback", bytes.Replace(canonical, []byte(`"inputs"`), []byte(`"Inputs"`), 1)},
+		{"client body", "tensor", TensorContentType, tensor},
+		{"capitalized key", "json", "application/json", bytes.Replace(canonical, []byte(`"inputs"`), []byte(`"Inputs"`), 1)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			before := floatBodyDecodes.With(c.decoder).Value()
 			var got FeedRequest
-			rw := httptest.NewRecorder()
-			req := httptest.NewRequest(http.MethodPost, "/jobs/x/feed", bytes.NewReader(c.body))
-			if !readFloatBody(rw, req, &got, floatField{key: "inputs", mat: &got.Inputs}, floatField{key: "outputs", mat: &got.Outputs}) {
+			if rw, ok := postFloatBody(&got, c.contentType, c.body); !ok {
 				t.Fatalf("rejected: %d %s", rw.Code, rw.Body)
 			}
 			if n := floatBodyDecodes.With(c.decoder).Value() - before; n != 1 {
 				t.Errorf("%s decodes moved by %d, want 1", c.decoder, n)
 			}
-			wantFields := []floatField{{mat: &want.Inputs}, {mat: &want.Outputs}}
-			if !sameFloatFields([]floatField{{mat: &got.Inputs}, {mat: &got.Outputs}}, wantFields) {
+			if !sameFloatFields(got.floatFields(), want.floatFields()) {
 				t.Errorf("decoded %+v, want %+v", got, want)
 			}
 		})
+	}
+}
+
+// A JSON float body decodes exactly as encoding/json's strict decoder
+// decodes it: the same values bit for bit, the same error texts. The cases
+// are the edge shapes of JSON numbers, keys and framing.
+func TestJSONFloatBody(t *testing.T) {
+	for _, c := range []struct{ name, body string }{
+		{"feed_seed", `{"inputs":[[0.1,-0,1e-7,123456789.125],[]],"outputs":[[1,0],[0,1]]}`},
+		{"infer_seed", `{"input":[1.7976931348623157e+308,5e-324,-2.5]}`},
+		{"batch_seed", `{"inputs":[[1,2,3]]}`},
+		{"bare_exponent", `{"input":[1e]}`},
+		{"bare_minus", `{"input":[-]}`},
+		{"batch_marshalled", `{"inputs":[[1,2,3],[4,5,6]]}`},
+		{"deep_nesting", `{"input":[[1]]}`},
+		{"denormal_5e-324", `{"input":[5e-324,-5e-324]}`},
+		{"duplicate_key", `{"input":[1],"input":[2]}`},
+		{"empty_arrays", `{"inputs":[],"outputs":[[]]}`},
+		{"empty_object", `{}`},
+		{"encoder_newline", "{\"input\":[1,2]}\n"},
+		{"escaped_key", `{"\u0069nput":[1]}`},
+		{"escaped_quote_key", `{"in\"put":[1]}`},
+		{"feed_marshalled", `{"inputs":[[0.00392156862745098,0.03137254901960784,1],[0.5,-0,1e-7]],"outputs":[[1,0],[0,1]]}`},
+		{"infer_marshalled", `{"input":[0.9058823529411765,-2.5,123456789.125,1e+21]}`},
+		{"infinity", `{"input":[Infinity]}`},
+		{"leading_dot", `{"input":[.5]}`},
+		{"leading_zero_01", `{"input":[01]}`},
+		{"nan", `{"input":[NaN]}`},
+		{"nested_null_row", `{"inputs":[[1],null]}`},
+		{"nested_null_value", `{"input":[1,null]}`},
+		{"null_body", `null`},
+		{"null_field", `{"input":null}`},
+		{"overflow_1e309", `{"input":[1e309]}`},
+		{"plus_sign", `{"input":[+1]}`},
+		{"string_value", `{"input":["1"]}`},
+		{"trailing_bytes", `{"input":[1]}x`},
+		{"trailing_comma", `{"input":[1,]}`},
+		{"trailing_dot", `{"input":[1.]}`},
+		{"trailing_value", `{"input":[1]} {"input":[2]}`},
+		{"unknown_key", `{"input":[1],"model":"x"}`},
+		{"unterminated", `{"inputs":[[1,2`},
+		{"uppercase_key", `{"Inputs":[[1]],"outputs":[[2]]}`},
+		{"whitespace", ` { "inputs" : [ [ 1 , 2 ] , [ ] ] , "outputs" : [ ] } `},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, shape := range floatBodyShapes {
+				got, ref := shape.zero(), shape.zero()
+				rw, ok := postFloatBody(got, "application/json", []byte(c.body))
+				dec := json.NewDecoder(strings.NewReader(c.body))
+				dec.DisallowUnknownFields()
+				err := dec.Decode(ref)
+				if ok != (err == nil) {
+					t.Fatalf("%s: readFloatBody ok=%v, encoding/json err=%v", shape.name, ok, err)
+				}
+				if ok && !sameFloatFields(got.floatFields(), ref.floatFields()) {
+					t.Fatalf("%s: decoded %+v, encoding/json %+v", shape.name, got, ref)
+				}
+				var env ErrorBody
+				if !ok && (json.Unmarshal(rw.Body.Bytes(), &env) != nil || env.Error != "invalid JSON: "+err.Error()) {
+					t.Fatalf("%s: HTTP %d %s, want 400 invalid JSON: %v", shape.name, rw.Code, rw.Body, err)
+				}
+			}
+		})
+	}
+}
+
+// The body buffer grows with the bytes that arrive: a request that
+// declares 32 MiB and sends 1 KiB does not allocate 32 MiB.
+func TestFloatBodySizedByArrival(t *testing.T) {
+	for _, contentType := range []string{TensorContentType, "application/json"} {
+		rw := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/jobs/x/feed", bytes.NewReader(make([]byte, 1024)))
+		req.Header.Set("Content-Type", contentType)
+		req.ContentLength = MaxRequestBytes
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		readFloatBody(rw, req, new(FeedRequest))
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: a 1 KiB body declared as %d bytes allocated %d bytes", contentType, req.ContentLength, n)
+		}
 	}
 }

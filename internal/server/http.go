@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
@@ -215,9 +214,11 @@ type SubmitResponse struct {
 // FeedRequest is the POST /jobs/{id}/feed payload: Inputs[i] pairs with
 // Outputs[i]. The whole request is one WAL commit, acknowledged once every
 // example in it is fsynced. Examples are taken in order and the first one
-// refused (wrong width: 400; tenant over its rate limit: 429) ends the
-// request: the error envelope's "ids" are the examples before it, which
-// are committed — resume from input len(ids).
+// refused (wrong width or a NaN/±Inf value: 400; tenant over its rate
+// limit: 429) ends the request: the error envelope's "ids" are the
+// examples before it, which are committed — resume from input len(ids).
+// Like InferRequest and InferBatchRequest it travels as JSON or as a
+// tensor body (TensorContentType).
 type FeedRequest struct {
 	Inputs  [][]float64 `json:"inputs"`
 	Outputs [][]float64 `json:"outputs"`
@@ -306,8 +307,7 @@ func (a *API) handleJobOp(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, st)
 	case "feed":
 		var req FeedRequest
-		if !requirePost(w, r) || !readFloatBody(w, r, &req,
-			floatField{key: "inputs", mat: &req.Inputs}, floatField{key: "outputs", mat: &req.Outputs}) {
+		if !requirePost(w, r) || !readFloatBody(w, r, &req) {
 			return
 		}
 		if len(req.Inputs) != len(req.Outputs) {
@@ -338,7 +338,7 @@ func (a *API) handleJobOp(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	case "infer":
 		var req InferRequest
-		if !requirePost(w, r) || !readFloatBody(w, r, &req, floatField{key: "input", vec: &req.Input}) {
+		if !requirePost(w, r) || !readFloatBody(w, r, &req) {
 			return
 		}
 		out, model, err := a.sched.Infer(id, req.Input)
@@ -604,10 +604,11 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// MaxRequestBytes bounds every JSON request body: a feed's decoded events
-// stay pinned in the WAL commit queue until their fsync, so an unbounded
-// body is unbounded memory. A bulk feed of 512 768-float examples is
-// ≈ 7.4 MB of JSON (≈ 19 bytes of text per float).
+// MaxRequestBytes bounds every request body: a feed's decoded events stay
+// pinned in the WAL commit queue until their fsync, so an unbounded body is
+// unbounded memory. A bulk feed of 512 768-float examples is ≈ 3.1 MB as a
+// tensor body (8 bytes per float) and ≈ 7.4 MB as JSON (≈ 19 bytes of text
+// per float).
 const MaxRequestBytes = 32 << 20
 
 // ReadJSON decodes a request body strictly (unknown fields rejected),
@@ -616,26 +617,27 @@ const MaxRequestBytes = 32 << 20
 // the fleet coordinator's handlers so every HTTP surface speaks one
 // envelope.
 func ReadJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	return decodeJSON(w, http.MaxBytesReader(w, r.Body, MaxRequestBytes), dst)
-}
-
-// decodeJSON is ReadJSON over a body already capped at MaxRequestBytes.
-func decodeJSON(w http.ResponseWriter, body io.Reader, dst any) bool {
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorBody{
-				Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
-				Code:  CodeRequestTooLarge,
-			})
-			return false
-		}
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+		writeBodyError(w, "invalid JSON", err)
 		return false
 	}
 	return true
+}
+
+// writeBodyError answers a request body that failed to read or decode: 413
+// with CodeRequestTooLarge past MaxRequestBytes, else 400 "what: err".
+func writeBodyError(w http.ResponseWriter, what string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		WriteJSON(w, http.StatusRequestEntityTooLarge, ErrorBody{
+			Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
+			Code:  CodeRequestTooLarge,
+		})
+		return
+	}
+	WriteError(w, http.StatusBadRequest, fmt.Errorf("%s: %w", what, err))
 }
 
 // WriteJSON writes v as the JSON response body under the given status.

@@ -43,7 +43,7 @@ type InferStreamLine struct {
 
 func (a *API) handleInferBatch(w http.ResponseWriter, r *http.Request, id string) {
 	var req InferBatchRequest
-	if !requirePost(w, r) || !readFloatBody(w, r, &req, floatField{key: "inputs", mat: &req.Inputs}) {
+	if !requirePost(w, r) || !readFloatBody(w, r, &req) {
 		return
 	}
 	outs, model, err := a.sched.InferBatch(id, req.Inputs)
@@ -65,7 +65,7 @@ func (a *API) handleInferBatch(w http.ResponseWriter, r *http.Request, id string
 // connection.
 func (a *API) handleInferStream(w http.ResponseWriter, r *http.Request, id string) {
 	var req InferBatchRequest
-	if !requirePost(w, r) || !readFloatBody(w, r, &req, floatField{key: "inputs", mat: &req.Inputs}) {
+	if !requirePost(w, r) || !readFloatBody(w, r, &req) {
 		return
 	}
 	sess, err := a.sched.NewInferSession(id)

@@ -1376,7 +1376,8 @@ func (sc *Scheduler) FeedBatch(jobID string, inputs, outputs [][]float64) ([]int
 }
 
 // admitExample passes one fed example through the tenant's rate limit and
-// the job's schema.
+// the job's schema, and refuses NaN and ±Inf: the store would take them
+// but the WAL cannot log them, so memory would run ahead of the log.
 func (sc *Scheduler) admitExample(job *Job, input, output []float64) error {
 	if sc.adm != nil {
 		if err := sc.adm.AdmitOp(job.Name); err != nil {
@@ -1389,7 +1390,10 @@ func (sc *Scheduler) admitExample(job *Job, input, output []float64) error {
 	if want := job.Program.Output.TotalElements(); len(output) != want {
 		return fmt.Errorf("server: output has %d elements, schema wants %d", len(output), want)
 	}
-	return nil
+	if err := checkFinite("input", input); err != nil {
+		return err
+	}
+	return checkFinite("output", output)
 }
 
 // Refine toggles a supervision example for a job (durably, when a WAL is

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 
+	"repro/internal/rawf64"
 	"repro/internal/telemetry"
 )
 
@@ -70,10 +71,13 @@ func (s *InferSession) checkInput(input []float64) error {
 	if len(input) != s.inLen {
 		return fmt.Errorf("server: input has %d elements, schema wants %d", len(input), s.inLen)
 	}
-	for i, v := range input {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("server: input element %d is %v, inputs must be finite", i, v)
-		}
+	return checkFinite("input", input)
+}
+
+// checkFinite refuses a NaN or ±Inf element of v, naming v what.
+func checkFinite(what string, v []float64) error {
+	if i := rawf64.NonFinite(v); i >= 0 {
+		return fmt.Errorf("server: %s element %d is %v, %ss must be finite", what, i, v[i], what)
 	}
 	return nil
 }

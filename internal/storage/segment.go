@@ -6,12 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/rawf64"
 )
 
 // Segment file layout. The WAL is a sequence of fixed-size-ish segments of
@@ -40,7 +41,7 @@ import (
 //
 //	kind 1  the event as JSON, without its seq
 //	kind 2  example_fed: uvarint len(job) · job · varint example ·
-//	        uvarint n · n×f64 · uvarint m · m×f64   (input, then output)
+//	        input · output   (each a rawf64 vector: uvarint n · n×f64)
 //
 // Kind 2 carries what replay of example_fed reads and nothing else; the
 // floats are their IEEE-754 bits, so a fed example costs 8 bytes per float
@@ -126,41 +127,20 @@ func sealFrame(frame []byte, seq uint64) int {
 
 // appendBody appends ev's kind byte and payload.
 func appendBody(dst []byte, ev Event) ([]byte, error) {
-	if ev.Type == EventExampleFed {
-		start := len(dst)
+	if ev.Type == EventExampleFed && rawf64.NonFinite(ev.Input) < 0 && rawf64.NonFinite(ev.Output) < 0 {
 		dst = append(dst, kindFed)
 		dst = binary.AppendUvarint(dst, uint64(len(ev.Job)))
 		dst = append(dst, ev.Job...)
 		dst = binary.AppendVarint(dst, int64(ev.Example))
-		var ok bool
-		dst, ok = appendFloats(dst, ev.Input)
-		if ok {
-			dst, ok = appendFloats(dst, ev.Output)
-		}
-		if ok {
-			return dst, nil
-		}
-		dst = dst[:start] // a non-finite float: kind 1 refuses it below
+		dst = rawf64.AppendVector(dst, ev.Input)
+		return rawf64.AppendVector(dst, ev.Output), nil
 	}
-	ev.Seq = 0
+	ev.Seq = 0 // a non-finite example_fed lands here too: JSON refuses it
 	data, err := json.Marshal(ev)
 	if err != nil {
 		return dst, fmt.Errorf("storage: encoding WAL event: %w", err)
 	}
 	return append(append(dst, kindJSON, '{'), data[len(jsonSeqHead):]...), nil
-}
-
-// appendFloats appends uvarint len(v) and v's IEEE-754 bits; ok is false
-// (and dst partly written) at the first NaN or infinity.
-func appendFloats(dst []byte, v []float64) (_ []byte, ok bool) {
-	dst = binary.AppendUvarint(dst, uint64(len(v)))
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return dst, false
-		}
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-	}
-	return dst, true
 }
 
 // decodeBody decodes a frame body (kind byte + payload) into an event
@@ -185,10 +165,10 @@ func decodeBody(body []byte) (Event, error) {
 			return Event{}, fmt.Errorf("bad example id")
 		}
 		ev = Event{Type: EventExampleFed, Job: string(job), Example: int(example)}
-		if ev.Input, p, err = readFloats(p[k:]); err != nil {
+		if ev.Input, p, err = rawf64.ReadVector(p[k:]); err != nil {
 			return Event{}, err
 		}
-		if ev.Output, p, err = readFloats(p); err != nil {
+		if ev.Output, p, err = rawf64.ReadVector(p); err != nil {
 			return Event{}, err
 		}
 		if len(p) != 0 {
@@ -207,24 +187,6 @@ func readBytes(p []byte) (s, rest []byte, err error) {
 		return nil, nil, fmt.Errorf("bad string length")
 	}
 	return p[k : k+int(n)], p[k+int(n):], nil
-}
-
-// readFloats reads a uvarint count and that many f64s off p; a zero count
-// reads as nil, as an omitted JSON array did.
-func readFloats(p []byte) (v []float64, rest []byte, err error) {
-	n, k := binary.Uvarint(p)
-	if k <= 0 || n > uint64(len(p)-k)/8 {
-		return nil, nil, fmt.Errorf("bad float count")
-	}
-	p = p[k:]
-	if n == 0 {
-		return nil, p, nil
-	}
-	v = make([]float64, n)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	return v, p[8*n:], nil
 }
 
 // scanFrames passes each intact record of a segment's bytes to apply, in
