@@ -38,6 +38,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -362,6 +363,10 @@ func (e *Engine) worker(ctx context.Context, id int, queue <-chan *server.Lease)
 		}
 		outcome, err := e.sched.Settle(l, acc, cost, runErr)
 		e.settled(outcome, err)
+		// Woken goroutines inherit their waker's time slice, so without a
+		// yield the engine's hand-offs can keep the process's other
+		// goroutines (HTTP handlers, pollers) off every P for 10 ms.
+		runtime.Gosched()
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/rawf64"
@@ -258,67 +257,53 @@ func TestFloatBodyDecoders(t *testing.T) {
 	}
 }
 
-// A JSON float body decodes exactly as encoding/json's strict decoder
-// decodes it: the same values bit for bit, the same error texts. The cases
-// are the edge shapes of JSON numbers, keys and framing.
-func TestJSONFloatBody(t *testing.T) {
-	for _, c := range []struct{ name, body string }{
-		{"feed_seed", `{"inputs":[[0.1,-0,1e-7,123456789.125],[]],"outputs":[[1,0],[0,1]]}`},
-		{"infer_seed", `{"input":[1.7976931348623157e+308,5e-324,-2.5]}`},
-		{"batch_seed", `{"inputs":[[1,2,3]]}`},
-		{"bare_exponent", `{"input":[1e]}`},
-		{"bare_minus", `{"input":[-]}`},
-		{"batch_marshalled", `{"inputs":[[1,2,3],[4,5,6]]}`},
-		{"deep_nesting", `{"input":[[1]]}`},
-		{"denormal_5e-324", `{"input":[5e-324,-5e-324]}`},
-		{"duplicate_key", `{"input":[1],"input":[2]}`},
-		{"empty_arrays", `{"inputs":[],"outputs":[[]]}`},
-		{"empty_object", `{}`},
-		{"encoder_newline", "{\"input\":[1,2]}\n"},
-		{"escaped_key", `{"\u0069nput":[1]}`},
-		{"escaped_quote_key", `{"in\"put":[1]}`},
-		{"feed_marshalled", `{"inputs":[[0.00392156862745098,0.03137254901960784,1],[0.5,-0,1e-7]],"outputs":[[1,0],[0,1]]}`},
-		{"infer_marshalled", `{"input":[0.9058823529411765,-2.5,123456789.125,1e+21]}`},
-		{"infinity", `{"input":[Infinity]}`},
-		{"leading_dot", `{"input":[.5]}`},
-		{"leading_zero_01", `{"input":[01]}`},
-		{"nan", `{"input":[NaN]}`},
-		{"nested_null_row", `{"inputs":[[1],null]}`},
-		{"nested_null_value", `{"input":[1,null]}`},
-		{"null_body", `null`},
-		{"null_field", `{"input":null}`},
-		{"overflow_1e309", `{"input":[1e309]}`},
-		{"plus_sign", `{"input":[+1]}`},
-		{"string_value", `{"input":["1"]}`},
-		{"trailing_bytes", `{"input":[1]}x`},
-		{"trailing_comma", `{"input":[1,]}`},
-		{"trailing_dot", `{"input":[1.]}`},
-		{"trailing_value", `{"input":[1]} {"input":[2]}`},
-		{"unknown_key", `{"input":[1],"model":"x"}`},
-		{"unterminated", `{"inputs":[[1,2`},
-		{"uppercase_key", `{"Inputs":[[1]],"outputs":[[2]]}`},
-		{"whitespace", ` { "inputs" : [ [ 1 , 2 ] , [ ] ] , "outputs" : [ ] } `},
+// FuzzFloatBody: a JSON float body decodes exactly as encoding/json's
+// strict decoder decodes it (accepted or not, the same values bit for bit,
+// the same error text), and whatever it accepts decodes to the same bits
+// when the Go client sends it as a tensor body. The committed corpus holds
+// the edge shapes of JSON numbers, keys and framing.
+func FuzzFloatBody(f *testing.F) {
+	for _, v := range []any{
+		FeedRequest{Inputs: [][]float64{{0.1, math.Copysign(0, -1), 1e-7, 123456789.125}, {}}, Outputs: [][]float64{{1, 0}, {0, 1}}},
+		InferRequest{Input: []float64{math.MaxFloat64, math.SmallestNonzeroFloat64, -2.5}},
+		InferBatchRequest{Inputs: [][]float64{{1, 2, 3}}},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			for _, shape := range floatBodyShapes {
-				got, ref := shape.zero(), shape.zero()
-				rw, ok := postFloatBody(got, "application/json", []byte(c.body))
-				dec := json.NewDecoder(strings.NewReader(c.body))
-				dec.DisallowUnknownFields()
-				err := dec.Decode(ref)
-				if ok != (err == nil) {
-					t.Fatalf("%s: readFloatBody ok=%v, encoding/json err=%v", shape.name, ok, err)
-				}
-				if ok && !sameFloatFields(got.floatFields(), ref.floatFields()) {
-					t.Fatalf("%s: decoded %+v, encoding/json %+v", shape.name, got, ref)
-				}
-				var env ErrorBody
-				if !ok && (json.Unmarshal(rw.Body.Bytes(), &env) != nil || env.Error != "invalid JSON: "+err.Error()) {
-					t.Fatalf("%s: HTTP %d %s, want 400 invalid JSON: %v", shape.name, rw.Code, rw.Body, err)
-				}
-			}
-		})
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, shape := range floatBodyShapes {
+			got, ref := shape.zero(), shape.zero()
+			rw, ok := postFloatBody(got, "application/json", body)
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			err := dec.Decode(ref)
+			if ok != (err == nil) {
+				t.Fatalf("%s: %q: readFloatBody ok=%v, encoding/json err=%v", shape.name, body, ok, err)
+			}
+			if !ok {
+				var env ErrorBody
+				if json.Unmarshal(rw.Body.Bytes(), &env) != nil || env.Error != "invalid JSON: "+err.Error() {
+					t.Fatalf("%s: %q: HTTP %d %s, want 400 invalid JSON: %v", shape.name, body, rw.Code, rw.Body, err)
+				}
+				continue
+			}
+			if !sameFloatFields(got.floatFields(), ref.floatFields()) {
+				t.Fatalf("%s: %q decodes to %+v, encoding/json %+v", shape.name, body, got, ref)
+			}
+			tensor, err := TensorBody(ref)
+			if err != nil {
+				t.Fatalf("%s: %q: JSON carried a value the tensor encoder refuses: %v", shape.name, body, err)
+			}
+			back := shape.zero()
+			if rw, ok := postFloatBody(back, TensorContentType, tensor); !ok || !sameFloatBits(back.floatFields(), ref.floatFields()) {
+				t.Fatalf("%s: %q as a tensor body: HTTP %d %s, decoded %+v", shape.name, body, rw.Code, rw.Body, back)
+			}
+		}
+	})
 }
 
 // The body buffer grows with the bytes that arrive: a request that
