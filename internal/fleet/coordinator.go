@@ -345,6 +345,13 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		}
 		batch, err := c.sched.Grant(remaining, c.cfg.MaxInFlight)
 		if err != nil {
+			// An error comes with no leases (Grant's contract, kept for the
+			// call): hand back the speculative ones the worker will never see.
+			for _, wl := range wire {
+				_ = c.sched.Release(c.remote[wl.LeaseID].lease)
+				delete(c.remote, wl.LeaseID)
+				c.reg.leaseSettled(req.WorkerID, wl.LeaseID, "withdrawn")
+			}
 			return LeaseResponse{}, err
 		}
 		for _, l := range batch {
@@ -378,13 +385,7 @@ func (c *Coordinator) changeFeed(since uint64) ([]JobPosterior, uint64) {
 // than leaked. Callers hold c.mu.
 func (c *Coordinator) grantLocked(l *server.Lease, workerID, path string) (WireLease, bool) {
 	grantT0 := time.Now()
-	if err := c.sched.AssignLease(l, workerID); err != nil {
-		// Cannot happen for a lease we just picked; hand it back rather
-		// than leak it.
-		_ = c.sched.Release(l)
-		return WireLease{}, false
-	}
-	if err := c.reg.leaseAssigned(workerID, l.ID); err != nil {
+	if c.sched.AssignLease(l, workerID) != nil || c.reg.leaseAssigned(workerID, l.ID) != nil {
 		_ = c.sched.Release(l)
 		return WireLease{}, false
 	}

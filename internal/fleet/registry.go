@@ -143,6 +143,7 @@ func (r *registry) leaseSettled(id string, leaseID int, outcome string) {
 		w.expired++
 	case "preempted": // reclaimed for priority work: no fault of the worker
 		w.preempted++
+	case "withdrawn": // granted by a Lease call that then failed: never a run
 	default: // released, abandoned: a failed run either way
 		w.failures++
 	}

@@ -406,13 +406,19 @@ func TestConcurrentSettlesAgainstGrants(t *testing.T) {
 	}
 	granted := 0
 	for idle := 0; idle < 1000; {
+		// Sample idleness before the grant, as engine.dispatch does: a
+		// settle finishes before it leaves InFlight, so "nothing in flight,
+		// then nothing granted" proves the scheduler dry. Read after an empty
+		// grant at the ceiling, a zero only says the settlers caught up —
+		// and their releases may have reopened arms the grant never saw.
+		idleBefore := sc.InFlight() == 0
 		ls, err := sc.Grant(2, settlers)
 		if err != nil {
 			t.Error(err)
 			break
 		}
 		if len(ls) == 0 {
-			if sc.InFlight() == 0 {
+			if idleBefore {
 				break // drained
 			}
 			idle++
