@@ -116,7 +116,7 @@ type RecoveryInfo struct {
 	Jobs            int // jobs resubmitted from the log
 	Models          int // completed training runs replayed into the bandits
 	Examples        int // supervision examples restored
-	WALEvents       int // WAL events replayed on top of the snapshot
+	WALEvents       int // WAL tail events replayed on top of the checkpoint
 	ExpiredLeases   int // lease-expiry records in the WAL tail (fleet history)
 	PreemptedLeases int // lease-preemption records in the WAL tail (fleet history)
 	BudgetExhausted int // jobs recovered in the drained, budget-exhausted state
@@ -157,10 +157,10 @@ type ServiceConfig struct {
 	// WALSegmentBytes is the write-ahead log's segment roll threshold: a
 	// record that would push the active wal-<firstseq>.wal past it seals
 	// the segment and opens the next; Compact retires every sealed segment
-	// its snapshot covers. Zero means the storage default
-	// (4 MiB); ignored without DataDir. A data directory holding JSONL
-	// segments of an earlier release must be compacted by that release
-	// (POST /admin/snapshot) before this one opens it.
+	// its checkpoint (snapshot.wal) covers. Zero means the storage default
+	// (4 MiB); ignored without DataDir. A data directory holding a file of
+	// an earlier release (snapshot.json, wal-*.jsonl, wal.jsonl) is
+	// refused: this release reads only snapshot.wal and wal-*.wal.
 	WALSegmentBytes int64
 	// WALSyncInterval is accepted and ignored.
 	//

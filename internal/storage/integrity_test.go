@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -16,7 +17,7 @@ import (
 // both record kinds to l, and returns every appended event with its seq.
 // Zero floats give the frames runs of zero bytes, the shape a torn tail
 // of a zero-extended file has.
-func appendMixedBatches(t *testing.T, l *Log) []Event {
+func appendMixedBatches(t testing.TB, l *Log) []Event {
 	t.Helper()
 	batches := [][]Event{
 		{{Type: EventJobSubmitted, Job: "job-0001", Name: "demo", Program: "{prog}"}},
@@ -212,6 +213,86 @@ func TestEveryBitFlipDetected(t *testing.T) {
 	}
 }
 
+// mixedCheckpoint compacts the state appendMixedBatches' events recover
+// to, with one example disabled and the job budget-exhausted so that every
+// kind of checkpoint frame is present, and returns the checkpoint's bytes.
+func mixedCheckpoint(t testing.TB) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	l, _, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendMixedBatches(t, l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, rec, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := rec.Store.Task("job-0001")
+	if err := ts.Refine(2, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Compact(rec.Jobs, rec.Abandoned, []string{"job-0001"}, rec.Store, l.Seq()); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// Every strict byte prefix and every single-bit flip of a checkpoint makes
+// OpenDir fail. The checkpoint is installed by rename, so unlike the
+// active segment it has no torn tail to forgive. A refusal returns no
+// state and leaves the file as it was.
+func TestEveryCheckpointDamageRefused(t *testing.T) {
+	data := mixedCheckpoint(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, checkpointFile)
+	refused := func(what string, b []byte) {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, rec, err := OpenDir(dir)
+		if err == nil {
+			l.Close()
+			t.Fatalf("%s: accepted", what)
+		}
+		if l != nil || rec != nil {
+			t.Fatalf("%s: refused (%v) but returned state", what, err)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, b) {
+			t.Fatalf("%s: the refused checkpoint changed on disk", what)
+		}
+	}
+	for p := 0; p < len(data); p++ {
+		refused(fmt.Sprintf("prefix of %d bytes", p), data[:p])
+	}
+	for bit := 0; bit < 8*len(data); bit++ {
+		flipped := bytes.Clone(data)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		refused(fmt.Sprintf("bit %d", bit), flipped)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, rec, err := OpenDir(dir)
+	if err != nil {
+		t.Fatalf("the intact checkpoint: %v", err)
+	}
+	defer l.Close()
+	if len(rec.Jobs) != 1 || !rec.BudgetExhausted["job-0001"] {
+		t.Errorf("the intact checkpoint recovered %+v", rec)
+	}
+}
+
 // The length field is the one the CRC does not cover. A damaged length on
 // a frame that is not the last must not pass for a torn tail, whether it
 // now runs past the end of the file or ends exactly there.
@@ -240,50 +321,64 @@ func TestDamagedLengthIsNotATornTail(t *testing.T) {
 	}
 }
 
-// A fed float changed on disk — a digit of its decimal text in a JSONL
-// record, its IEEE-754 bits in a frame — must not be replayed as if it had
-// been fed. A record follows it, so this is corruption, not a torn tail.
+// A fed float changed on disk — its IEEE-754 bits in a segment's frame or
+// in the checkpoint's — must not be loaded as if it had been fed. A record
+// follows it, so in a segment this is corruption, not a torn tail.
 func TestChangedFedFloatRejected(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendJobSubmitted("job-0001", "demo", "{prog}"); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendExampleFed("job-0001", 1, []float64{0.25}, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendExampleFed("job-0001", 2, []float64{3}, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := activeSegment(t, dir)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed := bytes.Replace(data, []byte("0.25"), []byte("0.75"), 1)
-	if bytes.Equal(changed, data) {
-		bits := func(x float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)) }
-		changed = bytes.Replace(data, bits(0.25), bits(0.75), 1)
-	}
-	if bytes.Equal(changed, data) {
-		t.Fatal("the fed float 0.25 is not on disk as text or bits")
-	}
-	if err := os.WriteFile(path, changed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, rec, err := OpenDir(dir)
-	if err == nil {
-		ts, _ := rec.Store.Task("job-0001")
-		t.Fatalf("a changed fed float was replayed as truth: %+v", ts.Examples())
-	}
-	if !strings.Contains(err.Error(), "corrupt") {
-		t.Errorf("rejected with %v, want a corrupt-record error", err)
+	for _, file := range []string{"segment", checkpointFile} {
+		t.Run(file, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := OpenDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.AppendJobSubmitted("job-0001", "demo", "{prog}"); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.AppendExampleFed("job-0001", 1, []float64{0.25}, []float64{1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.AppendExampleFed("job-0001", 2, []float64{3}, []float64{1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := activeSegment(t, dir)
+			if file == checkpointFile {
+				l, rec, err := OpenDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Compact(rec.Jobs, nil, nil, rec.Store, l.Seq()); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				path = filepath.Join(dir, checkpointFile)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits := func(x float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)) }
+			changed := bytes.Replace(data, bits(0.25), bits(0.75), 1)
+			if bytes.Equal(changed, data) {
+				t.Fatal("the fed float 0.25 is not on disk as its bits")
+			}
+			if err := os.WriteFile(path, changed, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, rec, err := OpenDir(dir)
+			if err == nil {
+				ts, _ := rec.Store.Task("job-0001")
+				t.Fatalf("a changed fed float was loaded as truth: %+v", ts.Examples())
+			}
+			if !strings.Contains(err.Error(), "corrupt") {
+				t.Errorf("rejected with %v, want a corrupt-record error", err)
+			}
+		})
 	}
 }
 
@@ -291,7 +386,9 @@ func TestChangedFedFloatRejected(t *testing.T) {
 // and every record it applies is a frame whose CRC holds, at the offsets
 // the scan walked, with the seq the frame carries. A scan without error
 // consumed the whole input unless it stopped at a torn tail of the active
-// segment.
+// segment. The checkpoint loader, run on the same bytes, never panics and
+// loads them only when they are whole frames ending in the one trailer,
+// which counts the frames before it.
 func FuzzReplaySegment(f *testing.F) {
 	var seg []byte
 	for i, ev := range []Event{
@@ -305,6 +402,7 @@ func FuzzReplaySegment(f *testing.F) {
 	f.Add(seg, false)
 	f.Add(seg[:len(seg)-5], true)
 	f.Add(append(bytes.Clone(seg), make([]byte, 40)...), true)
+	f.Add(mixedCheckpoint(f), false)
 	table := crc32.MakeTable(crc32.Castagnoli)
 	f.Fuzz(func(t *testing.T, data []byte, last bool) {
 		got, end, err := scanAll(data, last)
@@ -326,6 +424,25 @@ func FuzzReplaySegment(f *testing.F) {
 		}
 		if err == nil && end < len(data) && !last {
 			t.Fatalf("a sealed scan stopped at %d of %d bytes without an error", end, len(data))
+		}
+
+		rec := &RecoveredState{Store: NewStore(), Abandoned: map[string][]string{}, BudgetExhausted: map[string]bool{}}
+		seq, err := applyCheckpoint(data, rec)
+		if err != nil {
+			return
+		}
+		all, _, err := scanAll(data, false)
+		if err != nil || len(all) == 0 {
+			t.Fatalf("loaded a checkpoint that is not whole frames: %v", err)
+		}
+		trailer := all[len(all)-1]
+		if trailer.Type != EventCheckpoint || trailer.Frames != len(all)-1 || trailer.Seq != seq {
+			t.Fatalf("loaded a checkpoint of %d frames ending in %+v", len(all), trailer)
+		}
+		for _, ev := range all[:len(all)-1] {
+			if ev.Type == EventCheckpoint {
+				t.Fatalf("loaded a checkpoint with a trailer before its last frame")
+			}
 		}
 	})
 }

@@ -1,13 +1,17 @@
 package storage
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,12 +66,23 @@ import (
 // unknown kind, payload bytes left over — and any damage at all in a
 // sealed segment, which was fsynced before its successor existed.
 //
-// Upgrading: the JSONL segments of earlier releases (wal-<seq>.jsonl, and
-// the pre-segmentation wal.jsonl) are not replayed. OpenDir removes empty
-// ones — a full compaction leaves exactly that — and refuses a data
-// directory where one still holds records: compact it with the release
-// that wrote it (POST /admin/snapshot) first. The snapshot format is
-// unchanged.
+// The checkpoint, snapshot.wal, is made of the same frames. Log.Compact
+// writes it as one sequential run: a job_submitted per job in registry
+// order; then per task, in task-id order, a kind-2 example_fed per example
+// in id order, an example_refined (enabled false) per disabled example and
+// a model_recorded per model in completion order; then candidate_abandoned
+// and budget_exhausted, sorted by job so equal states give equal bytes.
+// Every frame carries the checkpoint's horizon seq. The last frame is the
+// trailer, a kind-1 checkpoint event whose frames field counts the frames
+// before it. OpenDir scans the checkpoint as it scans a sealed segment —
+// any damage is an error and nothing is truncated — fails unless the file
+// ends in exactly one trailer with a matching count, applies every frame
+// but the trailer, and replays the segments from the trailer's seq.
+//
+// Upgrading: the files of earlier releases — the JSON snapshot.json and
+// the JSONL segments wal-<seq>.jsonl and wal.jsonl — are not read. OpenDir
+// refuses a data directory holding any of them and names the file: this
+// release reads only snapshot.wal and wal-*.wal.
 //
 // Recycled files (recycled-<origin>.seg) are retired segments kept around,
 // truncated to zero, for the next roll to rename back into service —
@@ -80,7 +95,10 @@ const (
 	segmentSuffix = ".wal"
 	segmentSeqLen = 16 // zero-padded decimal digits in the name
 
-	legacySuffix = ".jsonl" // wal-<seq>.jsonl and wal.jsonl of earlier releases
+	checkpointFile = "snapshot.wal"
+
+	legacySnapshot = "snapshot.json" // the JSON snapshot of earlier releases
+	legacySuffix   = ".jsonl"        // wal-<seq>.jsonl and wal.jsonl of earlier releases
 
 	recyclePrefix = "recycled-"
 	recycleSuffix = ".seg"
@@ -276,6 +294,90 @@ func misframed(rest []byte) bool {
 	return false
 }
 
+// writeCheckpoint writes the state Compact captured as checkpoint frames,
+// each sealed with the horizon seq through, and the trailer that counts
+// them (see the layout above).
+func writeCheckpoint(w io.Writer, jobs []JobMeta, abandoned map[string][]string, budgetExhausted []string, store *Store, through uint64) error {
+	bw := bufio.NewWriterSize(w, 1<<20)
+	var frame []byte
+	frames := 0
+	var err error
+	put := func(ev Event) {
+		if err != nil {
+			return
+		}
+		if frame, err = appendFrame(frame[:0], ev); err == nil {
+			sealFrame(frame, through)
+			_, err = bw.Write(frame)
+			frames++
+		}
+	}
+	for _, m := range jobs {
+		put(Event{Type: EventJobSubmitted, Job: m.ID, Name: m.Name, Program: m.Program})
+	}
+	for _, id := range store.TaskIDs() {
+		ts, _ := store.Task(id) // tasks are never removed
+		exs, models := ts.Examples(), ts.Models()
+		for _, ex := range exs {
+			put(Event{Type: EventExampleFed, Job: id, Example: ex.ID, Input: ex.Input, Output: ex.Output})
+		}
+		for _, ex := range exs {
+			if !ex.Enabled {
+				put(Event{Type: EventExampleRefined, Job: id, Example: ex.ID})
+			}
+		}
+		for i := range models {
+			put(Event{Type: EventModelRecorded, Job: id, Model: &models[i]})
+		}
+	}
+	for _, id := range slices.Sorted(maps.Keys(abandoned)) {
+		for _, name := range abandoned[id] {
+			put(Event{Type: EventCandidateAbandoned, Job: id, Candidate: name})
+		}
+	}
+	for _, id := range slices.Sorted(slices.Values(budgetExhausted)) {
+		put(Event{Type: EventBudgetExhausted, Job: id})
+	}
+	put(Event{Type: EventCheckpoint, Frames: frames})
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
+		return fmt.Errorf("storage: writing checkpoint: %w", err)
+	}
+	return nil
+}
+
+// applyCheckpoint applies a checkpoint's frames to rec and returns its
+// horizon seq. It scans the checkpoint as a sealed segment, so any damage
+// is an error, and fails unless the last frame, and no other, is a trailer
+// counting the frames before it.
+func applyCheckpoint(data []byte, rec *RecoveredState) (uint64, error) {
+	var trailer *Event
+	frames := 0
+	_, err := scanFrames(checkpointFile, data, false, func(ev Event) error {
+		switch {
+		case trailer != nil:
+			return fmt.Errorf("storage: %s holds a frame after its trailer", checkpointFile)
+		case ev.Type == EventCheckpoint:
+			trailer = &ev
+			return nil
+		}
+		frames++
+		if err := applyEvent(ev, rec); err != nil {
+			return fmt.Errorf("storage: loading %s: %w", checkpointFile, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	if trailer == nil || trailer.Frames != frames {
+		return 0, fmt.Errorf("storage: %s does not end in a trailer counting its %d frames", checkpointFile, frames)
+	}
+	return trailer.Seq, nil
+}
+
 // segmentInfo is one segment's identity: the seq lower bound from its
 // name, the highest event seq actually stored (0 for an empty segment),
 // and its path.
@@ -352,30 +454,19 @@ func listRecycled(dir string) []string {
 	return pool
 }
 
-// dropLegacyWAL removes the empty JSONL segments an earlier release leaves
-// after a full compaction and refuses a directory where a JSONL segment
-// still holds records: this release does not replay that format.
-func dropLegacyWAL(dir string) error {
+// refuseEarlierRelease refuses a data directory holding a file an earlier
+// release wrote — the JSON snapshot or a JSONL segment, empty or not —
+// and names the file.
+func refuseEarlierRelease(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("storage: listing data dir: %w", err)
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "wal") || !strings.HasSuffix(name, legacySuffix) {
-			continue
-		}
-		path := filepath.Join(dir, name)
-		info, err := e.Info()
-		if err != nil {
-			return fmt.Errorf("storage: inspecting %s: %w", path, err)
-		}
-		if info.Size() > 0 {
-			return fmt.Errorf("storage: %s holds WAL records in the JSONL format of an earlier release, which this one does not replay; "+
-				"compact the data directory with that release first (POST /admin/snapshot), then open it again", path)
-		}
-		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("storage: removing empty legacy segment: %w", err)
+		if name == legacySnapshot || (strings.HasPrefix(name, "wal") && strings.HasSuffix(name, legacySuffix)) {
+			return fmt.Errorf("storage: %s is in the format of an earlier release; this release reads only %s and %s*%s",
+				filepath.Join(dir, name), checkpointFile, segmentPrefix, segmentSuffix)
 		}
 	}
 	return nil

@@ -446,52 +446,35 @@ func TestSyncIntervalIgnored(t *testing.T) {
 	}
 }
 
-// JSONL segments of earlier releases are not replayed: the empty one a
-// full compaction leaves is removed (the snapshot carries the state), and
-// a directory where one still holds records is refused with the upgrade
-// path in the error.
+// Files of earlier releases — the JSON snapshot and the JSONL segments —
+// are refused, empty or not, by an error that names the file and the two
+// formats this release reads. Nothing in the directory is removed, and
+// the error does not send the operator back to the earlier release's
+// compaction, which writes the very file being refused.
 func TestLegacyJSONLDirectory(t *testing.T) {
-	dir := t.TempDir()
-	snap, err := os.Create(filepath.Join(dir, snapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewStore()
-	if _, err := store.CreateTask("job-0001"); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeSnapshot(snap, store, []JobMeta{{ID: "job-0001", Name: "demo", Program: "{prog}"}}, nil, nil, 7); err != nil {
-		t.Fatal(err)
-	}
-	snap.Close()
-	compacted := filepath.Join(dir, "wal-0000000000000008.jsonl")
-	if err := os.WriteFile(compacted, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, rec, err := OpenDir(dir)
-	if err != nil {
-		t.Fatalf("a fully compacted earlier-release directory was refused: %v", err)
-	}
-	if _, err := os.Stat(compacted); !os.IsNotExist(err) {
-		t.Errorf("empty JSONL segment left in place: %v", err)
-	}
-	if len(rec.Jobs) != 1 || l.Seq() != 7 {
-		t.Errorf("recovered %d jobs at seq %d, want the snapshot's 1 job at seq 7", len(rec.Jobs), l.Seq())
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, name := range []string{"wal-0000000000000008.jsonl", "wal.jsonl"} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			line := `{"seq":1,"type":"job_submitted","job":"job-0001","name":"demo","program":"{prog}"}` + "\n"
-			if err := os.WriteFile(filepath.Join(dir, name), []byte(line), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, _, err := OpenDir(dir)
-			if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "POST /admin/snapshot") {
-				t.Fatalf("a JSONL segment holding records: %v, want a refusal naming it and the upgrade path", err)
+	job := `{"seq":1,"type":"job_submitted","job":"job-0001","name":"demo","program":"{prog}"}`
+	for _, c := range []struct{ name, data string }{
+		{legacySnapshot, `{"version":3,"tasks":{},"jobs":[{"id":"job-0001","name":"demo","program":"{prog}"}],"last_seq":7}`},
+		{"wal-0000000000000008.jsonl", job + "\n"},
+		{"wal.jsonl", job + "\n"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, data := range []string{c.data, ""} {
+				dir := t.TempDir()
+				path := filepath.Join(dir, c.name)
+				if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				_, _, err := OpenDir(dir)
+				if err == nil || !strings.Contains(err.Error(), c.name) || !strings.Contains(err.Error(), "reads only snapshot.wal and wal-*.wal") {
+					t.Fatalf("%d bytes of %s: %v, want a refusal naming the file and the formats this release reads", len(data), c.name, err)
+				}
+				if strings.Contains(err.Error(), "/admin/snapshot") {
+					t.Errorf("the refusal suggests compacting with the earlier release: %v", err)
+				}
+				if _, err := os.Stat(path); err != nil {
+					t.Errorf("the refused file is gone: %v", err)
+				}
 			}
 		})
 	}

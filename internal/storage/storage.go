@@ -56,16 +56,16 @@ func (s *TaskStore) Feed(input, output []float64) int {
 }
 
 // PutExample inserts (or overwrites) an example under its existing id,
-// preserving its enabled state — the WAL-replay path, where ids were
-// assigned by a previous process. nextID stays ahead of every inserted id.
-// Overwriting is what makes replay idempotent across the snapshot boundary.
+// preserving its enabled state — the replay path, where ids were assigned
+// by a previous process. It takes ownership of ex.Input and ex.Output
+// (replay decodes fresh slices): the caller must not modify them
+// afterwards. nextID stays ahead of every inserted id, so it is derived
+// state: max id + 1. Overwriting is what makes replay idempotent across
+// the checkpoint boundary.
 func (s *TaskStore) PutExample(ex Example) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cp := ex
-	cp.Input = append([]float64(nil), ex.Input...)
-	cp.Output = append([]float64(nil), ex.Output...)
-	s.examples[ex.ID] = &cp
+	s.examples[ex.ID] = &ex
 	if ex.ID >= s.nextID {
 		s.nextID = ex.ID + 1
 	}

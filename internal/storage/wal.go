@@ -19,8 +19,9 @@ import (
 // fed or refined, model recorded, candidate abandoned) is appended as one
 // CRC32C-framed binary record before the mutation is acknowledged, and
 // boot-time recovery replays the surviving records on top of the last
-// snapshot. segment.go defines the frame, the CRC order, the torn-tail
-// rule and what happens to the JSONL segments of earlier releases.
+// checkpoint. segment.go defines the frame, the CRC order, the torn-tail
+// rule, the checkpoint's layout (the same frames, ended by a trailer) and
+// what happens to the files of earlier releases.
 //
 // The log is segmented and group-committed, and the commit is
 // self-clocked: no durable write waits on a timer. Appends do not write:
@@ -35,7 +36,7 @@ import (
 // fsync and nothing else, and the per-event durability cost shrinks as
 // concurrency (or the caller's batch) grows. Records land in fixed-size
 // segment files named by seq; compaction folds sealed segments into the
-// snapshot and recycles their files instead of rewriting a single
+// checkpoint and recycles their files instead of rewriting a single
 // world-file.
 //
 // Durability lifecycle:
@@ -48,18 +49,20 @@ import (
 //	                                ▼
 //	                       sealed segments (read-only)
 //	                                │
-//	     Compact ───────────────────┘ snapshot.json ⟵ full state @ horizon;
-//	     (admin / shutdown)           every covered segment recycled
+//	     Compact ───────────────────┘ snapshot.wal ⟵ full state @ horizon as
+//	     (admin / shutdown)           frames + trailer; every covered
+//	                                  segment recycled
 //
-//	Recover (OpenDir) ──▶ snapshot.json + segments replayed frame by frame
-//	                      in seq order; a torn tail is truncated in the last
-//	                      segment only, any other damage is an error
+//	Recover (OpenDir) ──▶ snapshot.wal (any damage is an error), then the
+//	                      segments replayed frame by frame in seq order; a
+//	                      torn tail is truncated in the last segment only,
+//	                      any other damage is an error
 //
 // A failed write, flush, fsync or roll poisons the log (see Log.Err).
 //
 // Replay is idempotent and seq-filtered: an event already reflected in
-// the snapshot, or surviving in two segments after an interrupted
-// compaction, applies at most once. The "snapshot state vs. log tail"
+// the checkpoint, or surviving in two segments after an interrupted
+// compaction, applies at most once. The "checkpoint state vs. log tail"
 // boundary therefore never has to be exact, which is what lets Compact
 // capture live state under a horizon read before the capture.
 
@@ -72,7 +75,7 @@ type EventType string
 // next process instead of being lost or double-counted. Lease *expiries*
 // are logged, though — they are operational history (which worker went
 // silent on which candidate), not state the re-queue depends on, so
-// compaction folds them away rather than into the snapshot.
+// compaction folds them away rather than into the checkpoint.
 const (
 	EventJobSubmitted       EventType = "job_submitted"
 	EventExampleFed         EventType = "example_fed"
@@ -89,14 +92,17 @@ const (
 	// cost budget ran out. Unlike lease events this IS state recovery
 	// depends on: the job's remaining candidates were retired, and a
 	// recovered process must agree instead of resuming training. Compaction
-	// folds it into the snapshot.
+	// folds it into the checkpoint.
 	EventBudgetExhausted EventType = "budget_exhausted"
+	// EventCheckpoint is the trailer of the checkpoint file (segment.go).
+	// It never belongs in a segment, and replay refuses it there.
+	EventCheckpoint EventType = "checkpoint"
 )
 
 // Event is one WAL record. Seq is assigned by AppendBatch and is strictly
 // increasing across the life of a log directory (compaction records the
-// high-water mark in the snapshot, so replay can skip events the snapshot
-// already covers).
+// high-water mark in the checkpoint, so replay can skip events the
+// checkpoint already covers).
 type Event struct {
 	Seq  uint64    `json:"seq"`
 	Type EventType `json:"type"`
@@ -130,6 +136,9 @@ type Event struct {
 	// cost at the moment of exhaustion.
 	Tenant string  `json:"tenant,omitempty"`
 	Cost   float64 `json:"cost,omitempty"`
+
+	// checkpoint: the number of frames before the trailer.
+	Frames int `json:"frames,omitempty"`
 }
 
 // ExpiredLease is one recovered lease-expiry record: a candidate whose
@@ -161,7 +170,7 @@ type JobMeta struct {
 	Program string `json:"program"`
 }
 
-// RecoveredState is what OpenDir reconstructs from snapshot + log: the job
+// RecoveredState is what OpenDir reconstructs from checkpoint + log: the job
 // registry in submission order, the shared store (examples, refine state,
 // model records), and the candidates abandoned per job. The scheduler
 // replays Store model records into its bandits to resume selection.
@@ -174,10 +183,8 @@ type RecoveredState struct {
 	BudgetExhausted map[string]bool
 	Expired         []ExpiredLease   // lease expiries in the surviving WAL tail
 	Preempted       []PreemptedLease // lease preemptions in the surviving WAL tail
-	Events          int              // WAL events applied on top of the snapshot
+	Events          int              // WAL tail events applied on top of the checkpoint
 }
-
-const snapshotFile = "snapshot.json"
 
 // DefaultSegmentBytes is the segment roll threshold when LogOptions does
 // not set one: large enough that single-process tests stay in one segment,
@@ -272,7 +279,7 @@ type Log struct {
 	lastWritten uint64 // highest seq written to any segment
 	sealed      []segmentInfo
 	recycled    []string // pool of truncated retired segment files
-	// fsync syncs a segment or snapshot file; (*os.File).Sync outside
+	// fsync syncs a segment or checkpoint file; (*os.File).Sync outside
 	// tests, which swap it to inject a failing device.
 	fsync func(*os.File) error
 
@@ -360,18 +367,21 @@ func OpenDir(dir string) (*Log, *RecoveredState, error) {
 }
 
 // OpenDirOptions opens (creating if needed) a data directory and recovers
-// its state: the snapshot is loaded if present, then the segments'
+// its state: the checkpoint is loaded if present, then the segments'
 // surviving records are replayed on top in seq order. A torn tail — the
 // signature of a crash mid-commit — is truncated away in the last
-// segment; corruption anywhere else is an error, and so is a JSONL
-// segment of an earlier release that still holds records (segment.go).
-// The returned Log appends to the last segment.
+// segment; damage anywhere else, the checkpoint included, is an error,
+// and so is any file of an earlier release (segment.go). The returned Log
+// appends to the last segment.
 func OpenDirOptions(dir string, opts LogOptions) (*Log, *RecoveredState, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("storage: creating data dir: %w", err)
+	}
+	if err := refuseEarlierRelease(dir); err != nil {
+		return nil, nil, err
 	}
 
 	rec := &RecoveredState{
@@ -380,35 +390,21 @@ func OpenDirOptions(dir string, opts LogOptions) (*Log, *RecoveredState, error) 
 		BudgetExhausted: make(map[string]bool),
 	}
 	var lastSeq uint64
-	snapPath := filepath.Join(dir, snapshotFile)
-	if f, err := os.Open(snapPath); err == nil {
-		store, jobs, abandoned, exhausted, seq, lerr := loadSnapshot(f)
-		f.Close()
-		if lerr != nil {
-			return nil, nil, fmt.Errorf("storage: loading %s: %w", snapPath, lerr)
+	if data, err := os.ReadFile(filepath.Join(dir, checkpointFile)); err == nil {
+		if lastSeq, err = applyCheckpoint(data, rec); err != nil {
+			return nil, nil, err
 		}
-		rec.Store, rec.Jobs = store, jobs
-		for id, names := range abandoned {
-			rec.Abandoned[id] = append([]string(nil), names...)
-		}
-		for _, id := range exhausted {
-			rec.BudgetExhausted[id] = true
-		}
-		lastSeq = seq
 	} else if !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("storage: opening snapshot: %w", err)
+		return nil, nil, fmt.Errorf("storage: reading checkpoint: %w", err)
 	}
 
-	if err := dropLegacyWAL(dir); err != nil {
-		return nil, nil, err
-	}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	// horizon is the monotonic replay filter: events at or below it are
-	// already reflected (snapshot, or an earlier copy in a previous
+	// already reflected (checkpoint, or an earlier copy in a previous
 	// segment) and skip. It is what makes replay idempotent when the same
 	// event survives in two segments after an interrupted compaction.
 	horizon := lastSeq
@@ -490,9 +486,10 @@ func replaySegment(path string, horizon *uint64, rec *RecoveredState, last bool)
 	return maxSeq, nil
 }
 
-// applyEvent folds one WAL event into the recovered state. Every case is
-// idempotent: applying an event whose effect is already present is a no-op,
-// which makes replay safe across the snapshot boundary.
+// applyEvent folds one WAL or checkpoint event into the recovered state.
+// Every case is idempotent: applying an event whose effect is already
+// present is a no-op, which makes replay safe across the checkpoint
+// boundary.
 func applyEvent(ev Event, rec *RecoveredState) error {
 	switch ev.Type {
 	case EventJobSubmitted:
@@ -559,7 +556,7 @@ func applyEvent(ev Event, rec *RecoveredState) error {
 
 // taskFor resolves (creating if necessary) the task store for a job id.
 // Creation covers replay of a log whose job_submitted event predates the
-// snapshot's sequence horizon but whose task was never snapshotted.
+// checkpoint's sequence horizon but whose task was never checkpointed.
 func taskFor(s *Store, id string) (*TaskStore, error) {
 	if ts, ok := s.Task(id); ok {
 		return ts, nil
@@ -830,16 +827,16 @@ func (l *Log) Seq() uint64 {
 // Dir returns the data directory the log lives in.
 func (l *Log) Dir() string { return l.dir }
 
-// Compact checkpoints the given state as the directory's snapshot and
-// recycles every segment it covers. through is the caller's sequence
-// horizon — the log's Seq() read *before* the caller captured the state
-// it passes here — so an event appended while the state was being
-// captured (and thus possibly missing from it) survives in a segment and
-// is replayed on recovery; segments the capture provably covers are
-// recycled. Replay idempotency absorbs the overlap. The snapshot is
-// written to a temp file, fsynced and renamed over the old one, so a
-// crash mid-compaction leaves either the old or the new snapshot intact —
-// never a torn one.
+// Compact writes the given state as the directory's checkpoint
+// (snapshot.wal, see segment.go) and recycles every segment it covers.
+// through is the caller's sequence horizon — the log's Seq() read
+// *before* the caller captured the state it passes here — so an event
+// appended while the state was being captured (and thus possibly missing
+// from it) survives in a segment and is replayed on recovery; segments
+// the capture provably covers are recycled. Replay idempotency absorbs
+// the overlap. The checkpoint is written to a temp file, fsynced and
+// renamed over the old one, so a crash mid-compaction leaves either the
+// old or the new checkpoint intact — never a torn one.
 func (l *Log) Compact(jobs []JobMeta, abandoned map[string][]string, budgetExhausted []string, store *Store, through uint64) error {
 	if s := l.Seq(); through > s {
 		through = s
@@ -852,7 +849,7 @@ func (l *Log) Compact(jobs []JobMeta, abandoned map[string][]string, budgetExhau
 	if l.f == nil {
 		return fmt.Errorf("storage: compact on closed WAL")
 	}
-	if err := l.writeSnapshotLocked(jobs, abandoned, budgetExhausted, store, through); err != nil {
+	if err := l.writeCheckpointLocked(jobs, abandoned, budgetExhausted, store, through); err != nil {
 		return err
 	}
 	kept := l.sealed[:0]
@@ -886,16 +883,16 @@ func (l *Log) Compact(jobs []JobMeta, abandoned map[string][]string, budgetExhau
 	return syncDir(l.dir)
 }
 
-// writeSnapshotLocked writes state as the directory's snapshot with the
-// given seq horizon, via temp file + fsync + rename + dir sync. Callers
-// hold ioMu.
-func (l *Log) writeSnapshotLocked(jobs []JobMeta, abandoned map[string][]string, budgetExhausted []string, store *Store, through uint64) error {
-	tmp := filepath.Join(l.dir, snapshotFile+".tmp")
+// writeCheckpointLocked writes state as the directory's checkpoint with
+// the given seq horizon, via temp file + fsync + rename + dir sync.
+// Callers hold ioMu.
+func (l *Log) writeCheckpointLocked(jobs []JobMeta, abandoned map[string][]string, budgetExhausted []string, store *Store, through uint64) error {
+	tmp := filepath.Join(l.dir, checkpointFile+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("storage: creating snapshot: %w", err)
+		return fmt.Errorf("storage: creating checkpoint: %w", err)
 	}
-	if err := writeSnapshot(f, store, jobs, abandoned, budgetExhausted, through); err != nil {
+	if err := writeCheckpoint(f, jobs, abandoned, budgetExhausted, store, through); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -903,13 +900,13 @@ func (l *Log) writeSnapshotLocked(jobs []JobMeta, abandoned map[string][]string,
 	if err := l.timedSync(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("storage: syncing snapshot: %w", err)
+		return fmt.Errorf("storage: syncing checkpoint: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("storage: closing snapshot: %w", err)
+		return fmt.Errorf("storage: closing checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, snapshotFile)); err != nil {
-		return fmt.Errorf("storage: installing snapshot: %w", err)
+	if err := os.Rename(tmp, filepath.Join(l.dir, checkpointFile)); err != nil {
+		return fmt.Errorf("storage: installing checkpoint: %w", err)
 	}
 	return syncDir(l.dir)
 }
