@@ -119,10 +119,18 @@ func (b *GPUCB) CacheStats() Stats {
 // hit the same cache — exposed so equivalence tests can compare whole
 // surfaces instead of single argmax winners.
 func (b *GPUCB) UCBSurface() []float64 {
+	return append([]float64(nil), b.UCBView()...)
+}
+
+// UCBView is UCBSurface without the copy: the bandit's own cached
+// surface, read-only and valid until the bandit's next mutation (Observe,
+// Retire, or anything else that moves its posterior or step). The pick
+// path reads it in place under the job's lock.
+func (b *GPUCB) UCBView() []float64 {
 	if arm, _ := b.SelectArm(); arm < 0 {
 		return nil
 	}
-	return append([]float64(nil), b.cachedUCBs...)
+	return b.cachedUCBs
 }
 
 // New creates a GPUCB over the arms of the given posterior process.

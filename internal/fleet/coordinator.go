@@ -391,7 +391,7 @@ func (c *Coordinator) grantLocked(l *server.Lease, workerID, path string) (WireL
 	}
 	c.remote[l.ID] = &remoteLease{lease: l, worker: workerID}
 	fleetLeasesGranted.Inc()
-	grant := telemetry.NewSpanAt(l.Trace, l.RootSpanID(), opLeaseGrant, grantT0)
+	grant := telemetry.StageAt(l.Trace, l.RootSpanID(), opLeaseGrant, grantT0)
 	grant.SetAttr("worker", workerID)
 	grant.SetAttr("path", path)
 	grant.End()
@@ -498,7 +498,8 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	// Import the worker's spans into the coordinator's flight recorder, so
 	// one GET /admin/traces/{id} serves the whole cross-process tree. Only
 	// spans of this lease's trace are accepted (a worker cannot pollute
-	// other traces), capped so a misbehaving report cannot flush the ring.
+	// other traces), capped in number so a misbehaving report cannot flush
+	// the ring, and each bounded in size by Import.
 	imported := 0
 	for i := range req.Spans {
 		sd := req.Spans[i]
@@ -508,7 +509,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		if sd.Process == "" {
 			sd.Process = "worker:" + req.WorkerID
 		}
-		telemetry.DefaultRecorder().Record(sd)
+		telemetry.DefaultRecorder().Import(sd)
 		imported++
 	}
 

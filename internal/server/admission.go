@@ -122,7 +122,7 @@ func (sc *Scheduler) enforceBudget(tenant string) error {
 		sc.markJobDoneLocked(job)
 		score := sc.scoreLocked(job)
 		job.mu.Unlock()
-		sc.decisions.add(&DecisionRecord{
+		sc.decisions.Add(&DecisionRecord{
 			Kind:        DecisionBudgetExhausted,
 			Tenant:      tenant,
 			Job:         job.ID,
@@ -200,7 +200,7 @@ func (sc *Scheduler) PreemptForPriority() (*Lease, error) {
 	sc.coordMu.Unlock()
 
 	finishLeaseSpan(victim, "preempted", nil)
-	sc.decisions.add(&DecisionRecord{
+	sc.decisions.Add(&DecisionRecord{
 		Kind:         DecisionPreemption,
 		Trace:        victim.Trace,
 		Tenant:       victimJob.Name,

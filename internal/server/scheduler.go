@@ -91,7 +91,6 @@ import (
 	"hash/fnv"
 	"math"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -357,7 +356,7 @@ type Scheduler struct {
 
 	// decisions is the decision-provenance ring (see provenance.go). The
 	// zero value is ready; it does its own leaf locking.
-	decisions decisionRing
+	decisions telemetry.DecisionRing
 }
 
 // NewScheduler creates a scheduler with the given trainer and user picker
@@ -809,7 +808,7 @@ func (sc *Scheduler) Grant(n, limit int) ([]*Lease, error) {
 	if len(picked) > 0 {
 		// Attribute the Grant's lock wait to the first lease's tree (once
 		// per Grant, like the histogram).
-		lw := telemetry.NewSpanAt(picked[0].Trace, picked[0].RootSpanID(), opPickLockWait, t0)
+		lw := telemetry.StageAt(picked[0].Trace, picked[0].RootSpanID(), opPickLockWait, t0)
 		lw.EndAt(t0.Add(lockWait))
 	}
 	telemetry.SlowOp("pick_work", time.Since(t0), "leases", len(picked))
@@ -968,7 +967,7 @@ func (sc *Scheduler) leaseArmLocked(i int, selectT0 time.Time) (*Lease, error) {
 		return nil, fmt.Errorf("server: job %s reported active but selected no arm", job.ID)
 	}
 	l := sc.newLeaseLocked(job, arm, ucb)
-	sc.emitPickProvenance(l, job, job.tenant.Bandit.UCBSurface(), len(e.leased), len(sc.selIdx.entries), selectT0, hallStart, hallDur)
+	sc.emitGrantProvenance(l, job, false, len(e.leased), selectT0, hallStart, hallDur)
 	sc.addLeaseLocked(l)
 	sc.selIdx.stats.Picks++
 	return l, nil
@@ -1056,14 +1055,14 @@ func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 		// span (the root span, if any, was closed by the terminal path that
 		// won the race).
 		if l != nil && l.Trace != "" {
-			s := telemetry.NewSpanAt(l.Trace, l.RootSpanID(), opSettle, settleT0)
+			s := telemetry.StageAt(l.Trace, l.RootSpanID(), opSettle, settleT0)
 			s.SetAttr("outcome", "conflict")
 			s.Fail(err)
 			s.End()
 		}
 		return err
 	}
-	settle := telemetry.NewSpanAt(l.Trace, l.RootSpanID(), opSettle, settleT0)
+	settle := telemetry.StageAt(l.Trace, l.RootSpanID(), opSettle, settleT0)
 	fail := func(outcome string, err error) error {
 		settle.SetAttr("outcome", outcome)
 		settle.Fail(err)
@@ -1072,7 +1071,7 @@ func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 		return err
 	}
 	rec := storage.ModelRecord{Name: l.Candidate.Name(), Accuracy: accuracy, Cost: cost}
-	if outcome, err := sc.observeAndRecord(l, job, &rec, settle.ID()); err != nil {
+	if outcome, err := sc.observeAndRecord(l, job, &rec, &settle); err != nil {
 		return fail(outcome, err)
 	}
 	settle.SetAttr("outcome", "completed")
@@ -1094,7 +1093,8 @@ func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 // rec.Round and returns the span outcome tag with any error. The lock is
 // distinct from job.mu, which is released before the store write and the
 // fsync: a pick of this job (which takes job.mu) never waits on a commit.
-func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelRecord, settleSpan string) (string, error) {
+// The WAL append's span is a child of settle.
+func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelRecord, settle *telemetry.Stage) (string, error) {
 	job.settleMu.Lock()
 	defer job.settleMu.Unlock()
 
@@ -1149,14 +1149,14 @@ func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelReco
 	job.store.RecordModel(*rec)
 	if sc.log != nil {
 		walT0 := time.Now()
-		wspan := telemetry.NewSpanAt(l.Trace, settleSpan, opWALAppend, walT0)
+		wspan := telemetry.StageAt(l.Trace, settle.ID(), opWALAppend, walT0)
 		seq, err := sc.log.AppendModelRecorded(l.JobID, *rec)
 		if err != nil {
 			wspan.Fail(err)
 			wspan.End()
 			return "error", fmt.Errorf("server: logging result for %s/%s: %w", l.JobID, rec.Name, err)
 		}
-		wspan.SetAttr("wal_seq", strconv.FormatUint(seq, 10))
+		wspan.SetAttrUint("wal_seq", seq)
 		wspan.End()
 		pickStageWALAppend.ObserveSince(walT0)
 	}

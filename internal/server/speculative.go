@@ -5,8 +5,6 @@ import (
 	"math"
 	"slices"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // Fleet-side posterior scoring: the scheduler exports each job's cached UCB
@@ -24,11 +22,6 @@ import (
 // models are bit-identical to a speculation-off run; only completion order
 // (round numbering) may differ. The equivalence suite in internal/fleet
 // asserts exactly that.
-
-// opPickSpeculative is the selection-stage span of a speculatively granted
-// lease — it replaces opPickSelect in the lease's span tree, so traces make
-// the grant path explicit.
-var opPickSpeculative = telemetry.SpanOp("pick_speculative")
 
 // PosteriorDelta is one job's selection surface as shipped to fleet workers
 // (it is the wire type: fleet.JobPosterior aliases it): the real
@@ -174,54 +167,9 @@ func (sc *Scheduler) SpeculativeGrant(jobID string, arm int, epoch uint64) (*Lea
 		pickStageHallucinate.Observe(hallDur)
 	}
 	l := sc.newLeaseLocked(job, arm, ucb)
-	sc.emitSpeculativeProvenance(l, job, len(sc.selIdx.entries), t0, hallStart, hallDur)
+	sc.emitGrantProvenance(l, job, true, 0, t0, hallStart, hallDur)
 	sc.addLeaseLocked(l)
 	sc.selIdx.stats.Picks++
 	sc.selIdx.stats.SpeculativeGrants++
 	return l, nil
-}
-
-// emitSpeculativeProvenance records a speculative grant's spans and
-// DecisionRecord: the lease root span carries path=speculative and the
-// selection-stage child is opPickSpeculative (not opPickSelect), so span
-// trees distinguish the two grant paths; the pick decision's Detail says
-// "speculative" for the same reason. No TopUCB table — the whole point of
-// the fast path is not touching the UCB surface. Called with coordMu and
-// the job lock held; it only touches leaf mutexes.
-func (sc *Scheduler) emitSpeculativeProvenance(l *Lease, job *Job, jobsInSnapshot int, t0, hallStart time.Time, hallDur time.Duration) {
-	name := l.Candidate.Name() // renders once: the fast path is hot
-	root := telemetry.NewSpanAt(l.Trace, "", opLease, t0)
-	root.SetAttr("job", l.JobID)
-	root.SetAttr("tenant", job.Name)
-	root.SetAttr("candidate", name)
-	root.SetAttr("path", "speculative")
-	l.span = root
-
-	now := time.Now()
-	sel := telemetry.NewSpanAt(l.Trace, root.ID(), opPickSpeculative, t0)
-	sel.EndAt(now)
-	if hallDur > 0 {
-		h := telemetry.NewSpanAt(l.Trace, root.ID(), opPickHallucinate, hallStart)
-		h.EndAt(hallStart.Add(hallDur))
-	}
-
-	d := &DecisionRecord{
-		Kind:         DecisionPick,
-		TimeNS:       now.UnixNano(),
-		Trace:        l.Trace,
-		Tenant:       job.Name,
-		Job:          l.JobID,
-		Candidate:    name,
-		Arm:          l.Arm,
-		UCB:          l.UCB,
-		Jobs:         jobsInSnapshot,
-		Class:        string(job.Class),
-		ClassWeights: classWeights,
-		BudgetUsed:   job.tenant.Bandit.CumulativeCost(),
-		Detail:       "speculative",
-	}
-	if sc.adm != nil {
-		d.BudgetLimit = sc.adm.Budget(job.Name)
-	}
-	sc.decisions.add(d)
 }

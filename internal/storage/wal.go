@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -669,7 +668,7 @@ func (l *Log) commitBatch(batch []*commitReq) error {
 	// Group commits belong to no single request trace (one fsync serves
 	// many), so each batch records a root span under its own trace: the
 	// flight-recorder view of the WAL's write pipeline.
-	span := telemetry.NewSpanAt(telemetry.NewTraceID(), "", opWALGroupCommit, time.Now())
+	span := telemetry.StageAt(telemetry.NewTraceID(), "", opWALGroupCommit, time.Now())
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
 	err := l.Err()
@@ -685,10 +684,10 @@ func (l *Log) commitBatch(batch []*commitReq) error {
 	if err != nil {
 		span.Fail(err)
 	} else {
-		span.SetAttr("records", strconv.Itoa(records))
-		span.SetAttr("bytes", strconv.Itoa(n))
-		span.SetAttr("first_seq", strconv.FormatUint(batch[0].first, 10))
-		span.SetAttr("last_seq", strconv.FormatUint(l.lastWritten, 10))
+		span.SetAttrUint("records", uint64(records))
+		span.SetAttrUint("bytes", uint64(n))
+		span.SetAttrUint("first_seq", batch[0].first)
+		span.SetAttrUint("last_seq", l.lastWritten)
 	}
 	span.End()
 	return err

@@ -54,8 +54,8 @@ func InstrumentHTTP(reg *Registry, route func(*http.Request) string, next http.H
 		rt := route(r)
 		elapsed := time.Since(t0)
 		latency.With(rt).Observe(elapsed)
-		requests.With(rt, strconv.Itoa(sw.code)).Inc()
 		code := strconv.Itoa(sw.code)
+		requests.With(rt, code).Inc()
 		span.SetAttr("route", rt)
 		span.SetAttr("method", r.Method)
 		span.SetAttr("status", code)
@@ -63,6 +63,8 @@ func InstrumentHTTP(reg *Registry, route func(*http.Request) string, next http.H
 			span.SetAttr("outcome", "error")
 		}
 		span.EndAt(t0.Add(elapsed))
-		SlowOp("http_"+r.Method, elapsed, "route", rt, "status", sw.code, "trace", trace)
+		if t := SlowOpThreshold(); t > 0 && elapsed >= t {
+			SlowOp("http_"+r.Method, elapsed, "route", rt, "status", sw.code, "trace", trace)
+		}
 	})
 }

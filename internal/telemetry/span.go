@@ -9,10 +9,12 @@ import (
 	"time"
 )
 
-// SpanData is the serializable form of one span: what the flight recorder
-// stores and what crosses the wire when a worker ships its spans back to
+// SpanData is the serializable form of one span: what /admin/traces
+// serves and what crosses the wire when a worker ships its spans back to
 // the coordinator inside a CompleteRequest. Times are unix nanoseconds so
-// the JSON form is stable across processes and clock formats.
+// the JSON form is stable across processes and clock formats. The flight
+// recorder holds spans by value in its own form and builds a SpanData
+// only when read.
 type SpanData struct {
 	TraceID    string            `json:"trace"`
 	SpanID     string            `json:"span"`
@@ -32,10 +34,12 @@ func (d SpanData) Start() time.Time { return time.Unix(0, d.StartNS) }
 func (d SpanData) Duration() time.Duration { return time.Duration(d.DurationNS) }
 
 // Span is a live (not yet ended) span. It is safe for concurrent use;
-// End is idempotent and hands the span's data to the flight recorder.
+// End is idempotent and hands the span to the flight recorder. A span
+// costs two allocations, itself and its ID (a string, so children and
+// remote workers can parent to it); its attributes are held inline.
 type Span struct {
 	mu   sync.Mutex
-	data SpanData
+	rec  record
 	done bool
 }
 
@@ -99,38 +103,29 @@ func SpanFrom(ctx context.Context) *Span {
 	return s
 }
 
-// NewSpanAt creates a detached span with an explicit start time — the
-// scheduler's pick stages measure t0 before the span exists, so child
-// spans are minted retroactively from the same stage boundaries the
-// PR-6 histograms observe.
+// NewSpanAt creates a detached span with an explicit start time, for a
+// span that outlives the function that opens it (a lease's root) or that
+// children parent to. A span that starts and ends in one function is a
+// Stage, which allocates nothing.
 func NewSpanAt(trace, parent, op string, start time.Time) *Span {
-	return &Span{data: SpanData{
-		TraceID:  trace,
-		SpanID:   NewSpanID(),
-		ParentID: parent,
-		Op:       op,
-		StartNS:  start.UnixNano(),
-	}}
+	return &Span{rec: record{trace: trace, parent: parent, op: op,
+		id: stringValue(NewSpanID()), startNS: start.UnixNano()}}
 }
 
 // ID returns the span's ID (stable from creation, safe to ship over the
 // wire so remote children can parent to it).
-func (s *Span) ID() string { return s.data.SpanID }
+func (s *Span) ID() string { return s.rec.id.spanID() }
 
 // TraceID returns the trace the span belongs to.
-func (s *Span) TraceID() string { return s.data.TraceID }
+func (s *Span) TraceID() string { return s.rec.trace }
 
 // SetAttr attaches a key/value attribute. No-op after End.
 func (s *Span) SetAttr(k, v string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.done {
-		return
+	if !s.done {
+		s.rec.setAttr(k, stringValue(v))
 	}
-	if s.data.Attrs == nil {
-		s.data.Attrs = make(map[string]string, 4)
-	}
-	s.data.Attrs[k] = v
 }
 
 // Fail marks the span as errored. No-op after End or on a nil error.
@@ -141,7 +136,7 @@ func (s *Span) Fail(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.done {
-		s.data.Err = err.Error()
+		s.rec.ext().err = err.Error()
 	}
 }
 
@@ -150,7 +145,7 @@ func (s *Span) Fail(err error) {
 func (s *Span) Data() SpanData {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.data
+	return s.rec.data()
 }
 
 // End closes the span at time.Now and records it into the default flight
@@ -161,16 +156,11 @@ func (s *Span) End() { s.EndAt(time.Now()) }
 // end at the same instant the matching histogram observes).
 func (s *Span) EndAt(end time.Time) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.done {
-		s.mu.Unlock()
 		return
 	}
 	s.done = true
-	s.data.DurationNS = end.UnixNano() - s.data.StartNS
-	if s.data.DurationNS < 0 {
-		s.data.DurationNS = 0
-	}
-	data := s.data
-	s.mu.Unlock()
-	DefaultRecorder().Record(data)
+	s.rec.end(end)
+	DefaultRecorder().record(&s.rec)
 }

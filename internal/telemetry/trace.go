@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand/v2"
 	"net/http"
-	"strconv"
 )
 
 // TraceHeader is the wire contract for trace propagation: every HTTP
@@ -19,23 +18,21 @@ type traceCtxKey struct{}
 // NewTraceID mints a 16-hex-char trace ID. It draws from the runtime's
 // per-P random source, so minting on the pick path (one ID per lease)
 // costs no synchronization.
-func NewTraceID() string { return hex64(rand.Uint64()) }
+func NewTraceID() string { return hexString(rand.Uint64(), 16) }
 
 // NewSpanID mints an 8-hex-char span ID for sub-operations under a trace.
-func NewSpanID() string { return hex64(rand.Uint64())[:8] }
+func NewSpanID() string { return hexString(uint64(rand.Uint32()), 8) }
 
-func hex64(v uint64) string {
-	const width = 16
-	s := strconv.FormatUint(v, 16)
-	if len(s) >= width {
-		return s
+// hexString renders the low 4·n bits of v as n zero-padded lowercase hex
+// digits (n ≤ 16), in one allocation of exactly n bytes.
+func hexString(v uint64, n int) string {
+	const digits = "0123456789abcdef"
+	var buf [16]byte
+	for i := n - 1; i >= 0; i-- {
+		buf[i] = digits[v&0xf]
+		v >>= 4
 	}
-	buf := make([]byte, width)
-	for i := 0; i < width-len(s); i++ {
-		buf[i] = '0'
-	}
-	copy(buf[width-len(s):], s)
-	return string(buf)
+	return string(buf[:n])
 }
 
 // ValidTraceID bounds what we accept off the wire: 1–64 chars of

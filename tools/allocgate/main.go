@@ -25,7 +25,9 @@
 // catch a path that starts allocating per item; bytes catch the one that
 // keeps its count and grows what it allocates — and on a GC-bound workload
 // bytes per step × steps per second is the allocation rate the heap goal,
-// and so the process's peak RSS, follows.
+// and so the process's peak RSS, follows. An object's "max" is a budget:
+// allocs/op may not pass it, whatever the growth factor allows
+// ({"allocs": 2, "max": 2} holds a benchmark at exactly its budget).
 //
 // Benchmarks in the baseline that do not appear on stdin fail the gate
 // (a renamed or deleted benchmark must update the baseline explicitly);
@@ -49,10 +51,12 @@ type baseline struct {
 	Benchmarks      map[string]pin `json:"benchmarks"`
 }
 
-// pin is one benchmark's baseline: allocs/op, and B/op when Bytes > 0.
+// pin is one benchmark's baseline: allocs/op, B/op when Bytes > 0, and
+// a hard ceiling on allocs/op when Max > 0.
 type pin struct {
 	Allocs float64 `json:"allocs"`
 	Bytes  float64 `json:"bytes"`
+	Max    float64 `json:"max"`
 }
 
 // UnmarshalJSON accepts a plain number (allocs/op only) or an object.
@@ -108,12 +112,16 @@ func main() {
 	}
 
 	failed := false
-	// check enforces one figure of one benchmark against its baseline.
-	check := func(name, unit string, cur, pinned float64) {
+	// check enforces one figure of one benchmark against its baseline,
+	// and against budget when it is positive.
+	check := func(name, unit string, cur, pinned, budget float64) {
 		limit := pinned * base.MaxGrowthFactor
+		if budget > 0 && budget < limit {
+			limit = budget
+		}
 		if cur > limit {
-			fmt.Fprintf(os.Stderr, "allocgate: FAIL %s: %.0f %s exceeds %.0f (baseline %.0f × %.1f)\n",
-				name, cur, unit, limit, pinned, base.MaxGrowthFactor)
+			fmt.Fprintf(os.Stderr, "allocgate: FAIL %s: %.0f %s exceeds %.0f (baseline %.0f × %.1f, budget %.0f)\n",
+				name, cur, unit, limit, pinned, base.MaxGrowthFactor, budget)
 			failed = true
 			return
 		}
@@ -126,9 +134,9 @@ func main() {
 			failed = true
 			continue
 		}
-		check(name, "allocs/op", cur.Allocs, want.Allocs)
+		check(name, "allocs/op", cur.Allocs, want.Allocs, want.Max)
 		if want.Bytes > 0 {
-			check(name, "B/op", cur.Bytes, want.Bytes)
+			check(name, "B/op", cur.Bytes, want.Bytes, 0)
 		}
 	}
 	for name, cur := range got {
