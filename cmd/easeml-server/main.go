@@ -17,8 +17,9 @@
 // concurrent trainers lease work through the scheduler's Grant/Settle cycle
 // and keep the pool busy, with at most 2×N leases in flight.
 // The engine is controlled at runtime via POST /admin/start|stop and
-// observed via GET /admin/metrics. Without workers, rounds are driven
-// explicitly via POST /admin/rounds, serialized across the whole pool.
+// observed via the easeml_engine_* families of GET /metrics. Without
+// workers, rounds are driven explicitly via POST /admin/rounds, serialized
+// across the whole pool.
 //
 // With -fleet-addr the server becomes a fleet coordinator: remote
 // easeml-worker agents register, lease candidates, heartbeat and report
@@ -71,9 +72,8 @@
 //
 // Logs are structured (log/slog): -log-format selects text or json,
 // -log-level the verbosity, and operations slower than -slow-op (picks,
-// WAL appends, HTTP requests) are logged with their trace IDs. Prometheus
-// metrics are exposed on GET /metrics; GET /admin/metrics serves the JSON
-// view.
+// WAL appends, HTTP requests) are logged with their trace IDs. Every
+// metric is exposed on GET /metrics (Prometheus text format).
 //
 // SIGINT/SIGTERM drain the engine gracefully before exit: running trainings
 // finish, queued leases are handed back, and (with -data-dir) the log is

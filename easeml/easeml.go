@@ -500,10 +500,10 @@ func (s *Service) GPUTime() float64 { return s.pool.Now() }
 
 // Handler exposes the service over HTTP (see internal/server for the
 // endpoint list); internal/client provides the matching Go client. When the
-// service has an engine, the /admin/metrics and /admin/start|stop endpoints
-// control it. With the fleet enabled, the /fleet/* worker protocol is
-// mounted alongside the service API and GET /admin/fleet reports the
-// worker registry.
+// service has an engine, /admin/start|stop control it and GET /metrics
+// carries its easeml_engine_* families. With the fleet enabled, the
+// /fleet/* worker protocol is mounted alongside the service API and GET
+// /admin/fleet reports the worker registry.
 func (s *Service) Handler() http.Handler {
 	api := server.NewAPI(s.sched).WithReadiness(s.Ready)
 	if s.engine != nil {
@@ -536,7 +536,8 @@ func (s *Service) Handler() http.Handler {
 
 // SelectionMetrics snapshots the scheduler's pick-path counters: selection
 // index epoch/heap/shadow traffic plus the aggregated per-job bandit cache
-// tallies (also served under "selection" in GET /admin/metrics).
+// tallies (also served by GET /metrics as easeml_selection_events_total and
+// easeml_bandit_cache_events_total).
 func (s *Service) SelectionMetrics() server.SelectionStats { return s.sched.SelectionStats() }
 
 // FleetStatus snapshots the fleet's worker registry and lease counters; ok
@@ -678,19 +679,13 @@ func (c engineControl) Status() server.EngineStatus {
 		Errors:      m.Errors,
 		InFlight:    m.InFlight,
 		QueueDepth:  m.QueueDepth,
-		UptimeMS:    float64(m.Elapsed) / float64(time.Millisecond),
+		Uptime:      m.Elapsed,
 		Utilization: m.Utilization,
 	}
 	for _, w := range m.PerWorker {
-		st.PerWorker = append(st.PerWorker, server.EngineWorkerStatus{
-			Items:  w.Items,
-			BusyMS: float64(w.Busy) / float64(time.Millisecond),
-		})
+		st.PerWorker = append(st.PerWorker, server.EngineWorkerStatus(w))
 	}
 	st.VirtualMakespan, st.VirtualSingleDevice = c.s.VirtualTimes()
-	if st.VirtualMakespan > 0 {
-		st.VirtualSpeedup = st.VirtualSingleDevice / st.VirtualMakespan
-	}
 	return st
 }
 

@@ -3,11 +3,13 @@ package easeml
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -219,6 +221,34 @@ func TestServiceEngineDrain(t *testing.T) {
 	}
 }
 
+// scrape GETs base/metrics and returns its samples keyed by name plus
+// label block, e.g. `easeml_engine_runs_total{outcome="completed"}`.
+func scrape(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: %d, %v", resp.StatusCode, err)
+	}
+	samples := make(map[string]float64)
+	for _, line := range strings.Split(string(body), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || i < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("unparseable sample %q: %v", line, err)
+		}
+		samples[line[:i]] = v
+	}
+	return samples
+}
+
 func TestServiceEngineHTTPAdmin(t *testing.T) {
 	svc := NewService(ServiceConfig{GPUs: 8, Seed: 5, Workers: 4})
 	if _, err := svc.Submit("a", imgProgram); err != nil {
@@ -227,26 +257,10 @@ func TestServiceEngineHTTPAdmin(t *testing.T) {
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	getMetrics := func() server.MetricsResponse {
-		t.Helper()
-		resp, err := http.Get(srv.URL + "/admin/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("metrics status %d", resp.StatusCode)
-		}
-		var m server.MetricsResponse
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-
-	m := getMetrics()
-	if m.Jobs != 1 || m.Engine == nil || m.Engine.Running || m.Engine.Workers != 4 {
-		t.Fatalf("initial metrics %+v engine %+v", m, m.Engine)
+	m := scrape(t, srv.URL)
+	if m["easeml_jobs"] != 1 || m["easeml_engine_running"] != 0 || m["easeml_engine_workers"] != 4 {
+		t.Fatalf("initial scrape: jobs %g, engine running %g, workers %g",
+			m["easeml_jobs"], m["easeml_engine_running"], m["easeml_engine_workers"])
 	}
 
 	post := func(path string) int {
@@ -266,15 +280,16 @@ func TestServiceEngineHTTPAdmin(t *testing.T) {
 	}
 	// Wait for the engine to finish the job's 35 candidates.
 	deadline := time.Now().Add(10 * time.Second)
-	for getMetrics().Rounds < 35 && time.Now().Before(deadline) {
+	for scrape(t, srv.URL)["easeml_rounds_total"] < 35 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	m = getMetrics()
-	if m.Rounds != 35 || m.InFlight != 0 {
-		t.Errorf("after drain: %+v", m)
+	m = scrape(t, srv.URL)
+	if m["easeml_rounds_total"] != 35 || m["easeml_leases_in_flight"] != 0 {
+		t.Errorf("after drain: rounds %g, in flight %g", m["easeml_rounds_total"], m["easeml_leases_in_flight"])
 	}
-	if m.Engine.Completed != 35 || m.Engine.VirtualMakespan <= 0 {
-		t.Errorf("engine block %+v", m.Engine)
+	completed, makespan := m[`easeml_engine_runs_total{outcome="completed"}`], m[`easeml_engine_virtual_seconds{schedule="pool"}`]
+	if completed != 35 || makespan <= 0 {
+		t.Errorf("engine: %g completed, virtual makespan %g", completed, makespan)
 	}
 	if code := post("/admin/stop"); code != http.StatusOK {
 		t.Errorf("stop returned %d", code)
@@ -283,21 +298,12 @@ func TestServiceEngineHTTPAdmin(t *testing.T) {
 		t.Errorf("double stop returned %d, want 409", code)
 	}
 
-	// A service without an engine: no engine block, start/stop conflict.
+	// A service without an engine: no engine families, start/stop conflict.
 	plain := NewService(ServiceConfig{GPUs: 4})
 	plainSrv := httptest.NewServer(plain.Handler())
 	defer plainSrv.Close()
-	resp, err := http.Get(plainSrv.URL + "/admin/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pm server.MetricsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pm); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if pm.Engine != nil {
-		t.Error("engineless service reports an engine block")
+	if _, ok := scrape(t, plainSrv.URL)["easeml_engine_running"]; ok {
+		t.Error("engineless service reports engine families")
 	}
 	sr, err := http.Post(plainSrv.URL+"/admin/start", "application/json", nil)
 	if err != nil {

@@ -1,7 +1,6 @@
 package easeml
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -53,43 +52,25 @@ func TestPprofMountAndSelectionMetrics(t *testing.T) {
 	}
 
 	// The service API must still work side by side with the profiler.
-	resp, err = http.Get(srv.URL + "/admin/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: status %d", resp.StatusCode)
-	}
-	var metrics struct {
-		Selection struct {
-			Picks       uint64 `json:"picks"`
-			OraclePicks uint64 `json:"oracle_picks"`
-			EpochBumps  uint64 `json:"epoch_bumps"`
-			BanditCache struct {
-				Posterior struct {
-					Misses   uint64  `json:"misses"`
-					Rebuilds *uint64 `json:"rebuilds"`
-				} `json:"posterior"`
-			} `json:"bandit_cache"`
-		} `json:"selection"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	if metrics.Selection.Picks == 0 || metrics.Selection.OraclePicks == 0 || metrics.Selection.EpochBumps == 0 {
-		t.Fatalf("selection counters missing from /admin/metrics: %+v", metrics.Selection)
+	m := scrape(t, srv.URL)
+	picks := m[`easeml_selection_events_total{event="picks"}`]
+	if picks == 0 || m[`easeml_selection_events_total{event="oracle_picks"}`] == 0 ||
+		m[`easeml_selection_events_total{event="epoch_bumps"}`] == 0 {
+		t.Fatalf("selection counters missing from /metrics: picks %g, oracle picks %g, epoch bumps %g", picks,
+			m[`easeml_selection_events_total{event="oracle_picks"}`], m[`easeml_selection_events_total{event="epoch_bumps"}`])
 	}
 
 	// Every posterior refresh of this healthy service extended the surface
 	// by the rows observed since the last read; none started over.
-	if pc := metrics.Selection.BanditCache.Posterior; pc.Misses == 0 || pc.Rebuilds == nil || *pc.Rebuilds != 0 {
-		t.Fatalf("posterior cache counters in /admin/metrics: %d misses, rebuilds %v; want misses and a zero rebuilds field", pc.Misses, pc.Rebuilds)
+	misses := m[`easeml_bandit_cache_events_total{cache="posterior",event="misses"}`]
+	rebuilds, ok := m[`easeml_bandit_cache_events_total{cache="posterior",event="rebuilds"}`]
+	if misses == 0 || !ok || rebuilds != 0 {
+		t.Fatalf("posterior cache counters in /metrics: %g misses, rebuilds %g (present %v); want misses and a zero rebuilds sample", misses, rebuilds, ok)
 	}
 
 	st := svc.SelectionMetrics()
-	if st.Picks != metrics.Selection.Picks {
-		t.Fatalf("facade picks %d vs endpoint %d", st.Picks, metrics.Selection.Picks)
+	if float64(st.Picks) != picks {
+		t.Fatalf("facade picks %d vs scrape %g", st.Picks, picks)
 	}
 	if st.BanditCache.Select.Misses == 0 {
 		t.Fatalf("bandit cache counters not aggregated: %+v", st.BanditCache)

@@ -37,7 +37,7 @@ import (
 // admissionVerdicts counts every admission decision by tenant and verdict
 // ("admitted" / "rejected"); rejections are what the HTTP surface turns
 // into 429s. The same tallies are kept per tenant on the controller for
-// the /admin/metrics JSON view.
+// GET /admin/quotas.
 var admissionVerdicts = telemetry.Default().CounterVec("easeml_admission_verdicts_total",
 	"Admission decisions by tenant and verdict; rejected maps to HTTP 429.", "tenant", "verdict")
 

@@ -81,8 +81,8 @@ type GPUCB struct {
 	// round; this cache makes those queries amortized O(1). Alongside the
 	// winning (arm, value) pair the full per-arm UCB surface is kept
 	// (UCBSurface) for diagnostics and the shadow-equivalence tests; stats
-	// counts hits, misses and invalidations for the /admin/metrics
-	// surface.
+	// counts hits, misses and invalidations for the scrape's
+	// easeml_bandit_cache_events_total family.
 	cacheValid bool
 	cachedArm  int
 	cachedUCB  float64

@@ -50,25 +50,6 @@ func CacheEntriesGauge(cache string) *telemetry.Gauge {
 	return cacheEntries.With(cache)
 }
 
-// CacheStats is a point-in-time snapshot of one plan cache's counters.
-// Hits/Misses/Evictions are cumulative since process start (or the last
-// Reset, which tests use); Entries is the current resident count.
-type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-}
-
-// HitRate returns hits/(hits+misses), or 0 before the first lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // DefaultPlanCacheCapacity bounds the process-wide program cache. Programs
 // are a few hundred bytes each; 1024 of them is noise next to one job's
 // candidate stores, and far beyond the distinct-program count of any
@@ -89,9 +70,6 @@ type planCache struct {
 	cap     int
 	entries map[uint64]*list.Element // hash → element whose Value is *planEntry
 	lru     *list.List               // front = most recently used
-	hits    uint64
-	misses  uint64
-	evicted uint64
 
 	hitC, missC, evictC *telemetry.Counter
 	entriesG            *telemetry.Gauge
@@ -125,12 +103,10 @@ func (c *planCache) lookup(src string, hash uint64) (Program, bool) {
 		ent := el.Value.(*planEntry)
 		if ent.src == src {
 			c.lru.MoveToFront(el)
-			c.hits++
 			c.hitC.Inc()
 			return ent.prog, true
 		}
 	}
-	c.misses++
 	c.missC.Inc()
 	return Program{}, false
 }
@@ -151,27 +127,19 @@ func (c *planCache) insert(src string, hash uint64, prog Program) {
 		tail := c.lru.Back()
 		c.lru.Remove(tail)
 		delete(c.entries, hashSource(tail.Value.(*planEntry).src))
-		c.evicted++
 		c.evictC.Inc()
 	}
 	c.entriesG.Set(float64(c.lru.Len()))
 }
 
-func (c *planCache) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evicted, Entries: c.lru.Len()}
-}
-
-// reset drops every entry and zeroes the snapshot counters (the telemetry
-// counters stay cumulative — they are process-global by design).
+// reset drops every entry (the telemetry counters stay cumulative — they
+// are process-global by design).
 func (c *planCache) reset(capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cap = capacity
 	c.entries = make(map[uint64]*list.Element)
 	c.lru = list.New()
-	c.hits, c.misses, c.evicted = 0, 0, 0
 	c.entriesG.Set(0)
 }
 
@@ -194,12 +162,9 @@ func ParseCached(src string) (Program, error) {
 	return prog, nil
 }
 
-// PlanCacheStats snapshots the program cache's counters for /admin/metrics
-// and tests.
-func PlanCacheStats() CacheStats { return programCache.stats() }
-
 // ResetPlanCache empties the program cache and restores the default
-// capacity. Tests use it to measure hit rates from a known-cold state.
+// capacity. Tests use it to measure hit rates from a known-cold state; the
+// counts themselves are the easeml_plan_cache_* families.
 func ResetPlanCache() { programCache.reset(DefaultPlanCacheCapacity) }
 
 // SetPlanCacheCapacity resizes (and empties) the program cache — test

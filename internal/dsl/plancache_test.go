@@ -9,6 +9,31 @@ import (
 
 const cachedProg = "{input: {[Tensor[8, 8, 3]], []}, output: {[Tensor[2]], []}}"
 
+// cacheCounts reads one cache's easeml_plan_cache_* series: the event
+// counters (process-global, so tests diff two reads taken around the
+// section they measure) and the resident-entries gauge.
+type cacheCounts struct {
+	hits, misses, evictions uint64
+	entries                 float64
+}
+
+func countsOf(cache string) cacheCounts {
+	return cacheCounts{
+		hits:      CacheEventCounter(cache, "hit").Value(),
+		misses:    CacheEventCounter(cache, "miss").Value(),
+		evictions: CacheEventCounter(cache, "eviction").Value(),
+		entries:   CacheEntriesGauge(cache).Value(),
+	}
+}
+
+// since is the event traffic from before to c, with c's entries.
+func (c cacheCounts) since(before cacheCounts) cacheCounts {
+	return cacheCounts{c.hits - before.hits, c.misses - before.misses, c.evictions - before.evictions, c.entries}
+}
+
+// programSince is the program cache's traffic since before.
+func programSince(before cacheCounts) cacheCounts { return countsOf("program").since(before) }
+
 func TestParseCachedMatchesParse(t *testing.T) {
 	ResetPlanCache()
 	want, err := Parse(cachedProg)
@@ -31,6 +56,7 @@ func TestParseCachedMatchesParse(t *testing.T) {
 
 func TestParseCachedCountsHitsAndMisses(t *testing.T) {
 	ResetPlanCache()
+	before := countsOf("program")
 	if _, err := ParseCached(cachedProg); err != nil {
 		t.Fatal(err)
 	}
@@ -39,37 +65,39 @@ func TestParseCachedCountsHitsAndMisses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := PlanCacheStats()
-	if st.Misses != 1 || st.Hits != 9 {
-		t.Fatalf("stats = %+v, want 1 miss and 9 hits", st)
+	st := programSince(before)
+	if st.misses != 1 || st.hits != 9 {
+		t.Fatalf("counts = %+v, want 1 miss and 9 hits", st)
 	}
-	if st.Entries != 1 {
-		t.Fatalf("entries = %d, want 1", st.Entries)
+	if st.entries != 1 {
+		t.Fatalf("entries = %g, want 1", st.entries)
 	}
-	if hr := st.HitRate(); hr != 0.9 {
+	if hr := float64(st.hits) / float64(st.hits+st.misses); hr != 0.9 {
 		t.Fatalf("hit rate %g, want 0.9", hr)
 	}
 }
 
 func TestParseCachedDoesNotCacheErrors(t *testing.T) {
 	ResetPlanCache()
+	before := countsOf("program")
 	for i := 0; i < 3; i++ {
 		if _, err := ParseCached("{not a program}"); err == nil {
 			t.Fatal("invalid program accepted")
 		}
 	}
-	st := PlanCacheStats()
-	if st.Entries != 0 {
+	st := programSince(before)
+	if st.entries != 0 {
 		t.Fatalf("error result was cached: %+v", st)
 	}
-	if st.Misses != 3 {
-		t.Fatalf("misses = %d, want 3 (errors never become hits)", st.Misses)
+	if st.misses != 3 {
+		t.Fatalf("misses = %d, want 3 (errors never become hits)", st.misses)
 	}
 }
 
 func TestPlanCacheEvicts(t *testing.T) {
 	SetPlanCacheCapacity(4)
 	defer ResetPlanCache()
+	before := countsOf("program")
 	progs := make([]string, 8)
 	for i := range progs {
 		progs[i] = fmt.Sprintf("{input: {[Tensor[%d]], [next]}, output: {[Tensor[2]], []}}", i+2)
@@ -77,24 +105,24 @@ func TestPlanCacheEvicts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := PlanCacheStats()
-	if st.Entries != 4 {
-		t.Fatalf("entries = %d, want capacity 4", st.Entries)
+	st := programSince(before)
+	if st.entries != 4 {
+		t.Fatalf("entries = %g, want capacity 4", st.entries)
 	}
-	if st.Evictions != 4 {
-		t.Fatalf("evictions = %d, want 4", st.Evictions)
+	if st.evictions != 4 {
+		t.Fatalf("evictions = %d, want 4", st.evictions)
 	}
 	// The LRU keeps the most recent four; the oldest re-parse is a miss.
 	if _, err := ParseCached(progs[7]); err != nil {
 		t.Fatal(err)
 	}
-	if got := PlanCacheStats().Hits; got != 1 {
+	if got := programSince(before).hits; got != 1 {
 		t.Fatalf("hits = %d, want 1 (most recent program resident)", got)
 	}
 	if _, err := ParseCached(progs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if got := PlanCacheStats().Hits; got != 1 {
+	if got := programSince(before).hits; got != 1 {
 		t.Fatalf("hits = %d after touching evicted program, want still 1", got)
 	}
 }
@@ -117,23 +145,24 @@ func TestPlanCacheLRUOrder(t *testing.T) {
 	if _, err := ParseCached(c); err != nil {
 		t.Fatal(err)
 	}
-	before := PlanCacheStats().Hits
+	before := countsOf("program")
 	if _, err := ParseCached(a); err != nil {
 		t.Fatal(err)
 	}
-	if PlanCacheStats().Hits != before+1 {
+	if programSince(before).hits != 1 {
 		t.Fatal("recently-used program was evicted")
 	}
 	if _, err := ParseCached(b); err != nil {
 		t.Fatal(err)
 	}
-	if PlanCacheStats().Hits != before+1 {
+	if programSince(before).hits != 1 {
 		t.Fatal("least-recently-used program survived past capacity")
 	}
 }
 
 func TestParseCachedConcurrent(t *testing.T) {
 	ResetPlanCache()
+	before := countsOf("program")
 	want := MustParse(cachedProg)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -164,8 +193,8 @@ func TestParseCachedConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := PlanCacheStats()
-	if st.Hits+st.Misses != 8*100*2 {
-		t.Fatalf("lookups = %d, want %d", st.Hits+st.Misses, 8*100*2)
+	st := programSince(before)
+	if st.hits+st.misses != 8*100*2 {
+		t.Fatalf("lookups = %d, want %d", st.hits+st.misses, 8*100*2)
 	}
 }

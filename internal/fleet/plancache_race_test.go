@@ -18,6 +18,7 @@ import (
 func TestConcurrentSubmitAndAgentFetchSharePlanCache(t *testing.T) {
 	dsl.ResetPlanCache()
 	templates.ResetCandidateCache()
+	progBefore, candsBefore := cacheLookups("program"), cacheLookups("candidates")
 	sc := newTestScheduler(t)
 	if _, err := sc.Submit("seed", tsProgram); err != nil {
 		t.Fatal(err)
@@ -98,15 +99,34 @@ func TestConcurrentSubmitAndAgentFetchSharePlanCache(t *testing.T) {
 
 	// One program everywhere: after the first parse, every Submit and
 	// every agent fetch should have hit.
-	prog := dsl.PlanCacheStats()
-	if prog.Misses != 1 {
-		t.Errorf("program cache misses = %d, want 1 (%+v)", prog.Misses, prog)
+	prog := cacheLookups("program").since(progBefore)
+	if prog.misses != 1 {
+		t.Errorf("program cache misses = %d, want 1 (%+v)", prog.misses, prog)
 	}
-	if hr := prog.HitRate(); hr <= 0.9 {
+	if hr := prog.hitRate(); hr <= 0.9 {
 		t.Errorf("program cache hit rate %.2f, want > 0.90 (%+v)", hr, prog)
 	}
-	cands := templates.CandidateCacheStats()
-	if hr := cands.HitRate(); hr <= 0.9 {
+	cands := cacheLookups("candidates").since(candsBefore)
+	if hr := cands.hitRate(); hr <= 0.9 {
 		t.Errorf("candidate cache hit rate %.2f, want > 0.90 (%+v)", hr, cands)
 	}
+}
+
+// lookups is one plan cache's hit and miss counts, read from the
+// process-global easeml_plan_cache_events_total series.
+type lookups struct{ hits, misses uint64 }
+
+func cacheLookups(cache string) lookups {
+	return lookups{dsl.CacheEventCounter(cache, "hit").Value(), dsl.CacheEventCounter(cache, "miss").Value()}
+}
+
+func (l lookups) since(before lookups) lookups {
+	return lookups{l.hits - before.hits, l.misses - before.misses}
+}
+
+func (l lookups) hitRate() float64 {
+	if l.hits+l.misses == 0 {
+		return 0
+	}
+	return float64(l.hits) / float64(l.hits+l.misses)
 }

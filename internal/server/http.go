@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"time"
 
 	"repro/internal/admission"
-	"repro/internal/dsl"
-	"repro/internal/storage"
 	"repro/internal/telemetry"
-	"repro/internal/templates"
 )
 
 // API wraps a Scheduler with the HTTP surface of the ease.ml service:
@@ -27,24 +25,24 @@ import (
 //	GET  /metrics                  Prometheus text exposition of all telemetry
 //	POST /admin/rounds             run scheduling rounds synchronously
 //	POST /admin/snapshot           compact the WAL into the on-disk snapshot
-//	GET  /admin/metrics            scheduler counters + engine metrics
 //	POST /admin/start              start the async execution engine
 //	POST /admin/stop               stop the engine (graceful drain)
 //	GET  /admin/fleet              worker registry + lease/expiry counters
 //	GET  /admin/quotas             tenant admission state (classes, caps, budgets)
 //	POST /admin/quotas             install or replace one tenant's quota live
 //	GET  /admin/traces             flight-recorder trace listing (tenant/job/outcome/min-duration filters)
-//	GET  /admin/traces/{id}        one trace's full span tree + WAL seq horizon
+//	GET  /admin/traces/{id}        one trace's full span tree
 //	GET  /admin/decisions          scheduler decision provenance (job/tenant/kind/trace filters)
 //	GET  /healthz                  liveness probe
 //	GET  /readyz                   readiness probe (WAL recovered, fleet listener up)
 //
-// The three /admin engine endpoints operate on the optional EngineControl
-// wired in with WithEngine (the easeml facade does this when the service is
-// configured with workers). Without one, /admin/metrics still reports the
-// scheduler counters and start/stop answer 409 Conflict. /admin/fleet
-// likewise reports the optional FleetControl wired in with WithFleet, and
-// /admin/quotas the admission controller wired in with WithAdmission.
+// The /admin/start|stop endpoints and the easeml_engine_* families of
+// GET /metrics operate on the optional EngineControl wired in with
+// WithEngine (the easeml facade does this when the service is configured
+// with workers). Without one, start/stop answer 409 Conflict and the scrape
+// carries no engine families. /admin/fleet likewise reports the optional
+// FleetControl wired in with WithFleet, and /admin/quotas the admission
+// controller wired in with WithAdmission.
 //
 // Errors are JSON envelopes {"error": "...", "code": "..."}; code
 // "lease_conflict" (HTTP 409) marks lease-lifecycle races — a worker
@@ -77,31 +75,31 @@ type EngineControl interface {
 	Status() EngineStatus
 }
 
-// EngineWorkerStatus is the per-worker slice of EngineStatus.
+// EngineWorkerStatus is one engine worker's share of EngineStatus.
 type EngineWorkerStatus struct {
-	Items  int64   `json:"items"`
-	BusyMS float64 `json:"busy_ms"`
+	Items int64         // completed training runs
+	Busy  time.Duration // wall time spent inside Train
 }
 
-// EngineStatus is the engine block of the metrics endpoint.
+// EngineStatus snapshots the engine for the easeml_engine_* families of
+// GET /metrics.
 type EngineStatus struct {
-	Running     bool                 `json:"running"`
-	Workers     int                  `json:"workers"`
-	Completed   int64                `json:"completed"`
-	Released    int64                `json:"released"`
-	Abandoned   int64                `json:"abandoned"`
-	Errors      int64                `json:"errors"`
-	InFlight    int                  `json:"in_flight"`
-	QueueDepth  int                  `json:"queue_depth"`
-	UptimeMS    float64              `json:"uptime_ms"`
-	Utilization float64              `json:"utilization"`
-	PerWorker   []EngineWorkerStatus `json:"per_worker,omitempty"`
+	Running     bool
+	Workers     int
+	Completed   int64
+	Released    int64
+	Abandoned   int64
+	Errors      int64
+	InFlight    int
+	QueueDepth  int
+	Uptime      time.Duration
+	Utilization float64
+	PerWorker   []EngineWorkerStatus
 	// Virtual-time accounting of the simulated pool: the multi-device
 	// makespan of everything trained so far versus what the serialized
 	// single-device strategy would have taken (§5.3.2).
-	VirtualMakespan     float64 `json:"virtual_makespan"`
-	VirtualSingleDevice float64 `json:"virtual_single_device"`
-	VirtualSpeedup      float64 `json:"virtual_speedup"`
+	VirtualMakespan     float64
+	VirtualSingleDevice float64
 }
 
 // FleetWorkerStatus is the per-worker slice of FleetStatus.
@@ -183,7 +181,6 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("/metrics", a.handlePrometheus)
 	mux.HandleFunc("/admin/rounds", a.handleRounds)
 	mux.HandleFunc("/admin/snapshot", a.handleSnapshot)
-	mux.HandleFunc("/admin/metrics", a.handleMetrics)
 	mux.HandleFunc("/admin/start", a.handleEngineStart)
 	mux.HandleFunc("/admin/stop", a.handleEngineStop)
 	mux.HandleFunc("/admin/fleet", a.handleFleet)
@@ -405,9 +402,8 @@ type SetQuotaRequest struct {
 	admission.Quota
 }
 
-// quotaRows builds the per-tenant status rows shared by GET /admin/quotas
-// and the admission section of GET /admin/metrics: the declared quota,
-// live usage and cost, and the budget-exhausted flag.
+// quotaRows builds the per-tenant status rows of GET /admin/quotas: the
+// declared quota, live usage and cost, and the budget-exhausted flag.
 func (a *API) quotaRows() []QuotaStatus {
 	costs := a.sched.TenantCosts()
 	exhausted := make(map[string]bool)
@@ -460,92 +456,6 @@ func (a *API) handleFleet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, a.fleet.FleetStatus())
-}
-
-// MetricsResponse is the GET /admin/metrics reply. Selection reports the
-// pick-path counters: selection-index epoch/heap/shadow traffic plus the
-// aggregated per-job bandit cache hit/miss/invalidation tallies. The
-// admission, fleet and WAL sections appear when the corresponding
-// subsystem is configured; GET /metrics carries the same state as
-// Prometheus exposition.
-type MetricsResponse struct {
-	Jobs      int            `json:"jobs"`
-	Rounds    int            `json:"rounds"`
-	InFlight  int            `json:"in_flight"`
-	Selection SelectionStats `json:"selection"`
-	Engine    *EngineStatus  `json:"engine,omitempty"`
-	// Admission is the per-tenant view: slots (active vs. max jobs),
-	// budgets with live cost, and admitted/rejected verdict tallies
-	// (rejected == 429s served).
-	Admission *AdmissionMetrics `json:"admission,omitempty"`
-	// Fleet condenses the worker registry: workers by state plus the
-	// lease expiry/preemption counters.
-	Fleet *FleetMetrics `json:"fleet,omitempty"`
-	// WAL reports the durability layer's operation tallies and sequence
-	// horizon (nil for an in-memory scheduler).
-	WAL *storage.LogStats `json:"wal,omitempty"`
-	// PlanCache reports the process-wide DSL program cache and the
-	// candidate-grid cache behind Submit, recovery and agent job fetches.
-	PlanCache *PlanCacheMetrics `json:"plan_cache,omitempty"`
-}
-
-// AdmissionMetrics is the admission section of MetricsResponse.
-type AdmissionMetrics struct {
-	DefaultClass admission.Class `json:"default_class"`
-	Tenants      []QuotaStatus   `json:"tenants"`
-}
-
-// FleetMetrics is the fleet section of MetricsResponse: the registry
-// grouped by worker state plus fleet-wide lease reclaim counters.
-type FleetMetrics struct {
-	WorkersByState  map[string]int `json:"workers_by_state"`
-	RemoteLeases    int            `json:"remote_leases"`
-	ExpiredLeases   int64          `json:"expired_leases"`
-	PreemptedLeases int64          `json:"preempted_leases"`
-}
-
-func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
-	resp := MetricsResponse{
-		Jobs:      len(a.sched.Jobs()),
-		Rounds:    a.sched.Rounds(),
-		InFlight:  a.sched.InFlight(),
-		Selection: a.sched.SelectionStats(),
-	}
-	if a.engine != nil {
-		st := a.engine.Status()
-		resp.Engine = &st
-	}
-	if a.adm != nil {
-		resp.Admission = &AdmissionMetrics{DefaultClass: a.adm.DefaultClass(), Tenants: a.quotaRows()}
-	}
-	if a.fleet != nil {
-		fs := a.fleet.FleetStatus()
-		resp.Fleet = &FleetMetrics{
-			WorkersByState:  map[string]int{"alive": fs.Alive, "dead": fs.Dead, "left": fs.Left},
-			RemoteLeases:    fs.RemoteLeases,
-			ExpiredLeases:   fs.ExpiredLeases,
-			PreemptedLeases: fs.PreemptedLeases,
-		}
-	}
-	if stats, ok := a.sched.WALStats(); ok {
-		resp.WAL = &stats
-	}
-	resp.PlanCache = &PlanCacheMetrics{
-		Program:    dsl.PlanCacheStats(),
-		Candidates: templates.CandidateCacheStats(),
-	}
-	WriteJSON(w, http.StatusOK, resp)
-}
-
-// PlanCacheMetrics is the plan-cache section of MetricsResponse: the
-// parsed-program cache and the candidate-grid cache, both process-wide.
-type PlanCacheMetrics struct {
-	Program    dsl.CacheStats `json:"program"`
-	Candidates dsl.CacheStats `json:"candidates"`
 }
 
 func (a *API) handleEngineStart(w http.ResponseWriter, r *http.Request) {

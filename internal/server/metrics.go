@@ -5,10 +5,10 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 
 	"repro/internal/buildinfo"
-	"repro/internal/storage"
 	"repro/internal/telemetry"
 )
 
@@ -42,7 +42,7 @@ var (
 // placeholder, unknown paths to "other"), so the per-route counters stay
 // bounded no matter what IDs or junk a client requests.
 var adminRoutes = map[string]bool{
-	"/admin/rounds": true, "/admin/snapshot": true, "/admin/metrics": true,
+	"/admin/rounds": true, "/admin/snapshot": true,
 	"/admin/start": true, "/admin/stop": true, "/admin/fleet": true,
 	"/admin/quotas": true, "/admin/traces": true, "/admin/decisions": true,
 }
@@ -145,15 +145,7 @@ func (a *API) writeDynamicMetrics(w io.Writer) {
 	}
 
 	if a.engine != nil {
-		st := a.engine.Status()
-		telemetry.WriteMetricHeader(w, "easeml_engine_runs_total",
-			"In-process engine lease settlements by outcome.", "counter")
-		telemetry.WriteGauge(w, "easeml_engine_runs_total", `{outcome="completed"}`, float64(st.Completed))
-		telemetry.WriteGauge(w, "easeml_engine_runs_total", `{outcome="released"}`, float64(st.Released))
-		telemetry.WriteGauge(w, "easeml_engine_runs_total", `{outcome="abandoned"}`, float64(st.Abandoned))
-		telemetry.WriteGauge(w, "easeml_engine_runs_total", `{outcome="error"}`, float64(st.Errors))
-		telemetry.WriteMetricHeader(w, "easeml_engine_utilization", "Engine worker utilization (0-1).", "gauge")
-		telemetry.WriteGauge(w, "easeml_engine_utilization", "", st.Utilization)
+		writeEngineMetrics(w, a.engine.Status())
 	}
 
 	if a.fleet != nil {
@@ -167,27 +159,71 @@ func (a *API) writeDynamicMetrics(w io.Writer) {
 	}
 
 	if a.adm != nil {
-		costs := a.sched.TenantCosts()
+		// One loop per family: the text format wants every sample of a
+		// family in one group right after its own # TYPE.
+		tenants := a.adm.Snapshot()
 		telemetry.WriteMetricHeader(w, "easeml_tenant_active_jobs", "Unfinished jobs per tenant.", "gauge")
+		for _, ts := range tenants {
+			telemetry.WriteGauge(w, "easeml_tenant_active_jobs", tenantLabel(ts.Tenant), float64(ts.ActiveJobs))
+		}
+		costs := a.sched.TenantCosts()
 		telemetry.WriteMetricHeader(w, "easeml_tenant_cost_used", "GPU cost paid per tenant (budget currency).", "gauge")
-		for _, ts := range a.adm.Snapshot() {
-			label := `{tenant="` + telemetry.EscapeLabelValue(ts.Tenant) + `"}`
-			telemetry.WriteGauge(w, "easeml_tenant_active_jobs", label, float64(ts.ActiveJobs))
-			telemetry.WriteGauge(w, "easeml_tenant_cost_used", label, costs[ts.Tenant])
+		for _, ts := range tenants {
+			telemetry.WriteGauge(w, "easeml_tenant_cost_used", tenantLabel(ts.Tenant), costs[ts.Tenant])
 		}
 	}
 
-	if stats, ok := a.sched.WALStats(); ok {
+	if a.sched.log != nil {
 		telemetry.WriteMetricHeader(w, "easeml_wal_seq", "WAL sequence horizon (last assigned event seq).", "gauge")
-		telemetry.WriteGauge(w, "easeml_wal_seq", "", float64(stats.Seq))
+		telemetry.WriteGauge(w, "easeml_wal_seq", "", float64(a.sched.log.Stats().Seq))
 	}
 }
 
-// WALStats reports the attached WAL's operation tallies; ok is false for
-// an in-memory scheduler.
-func (sc *Scheduler) WALStats() (storage.LogStats, bool) {
-	if sc.log == nil {
-		return storage.LogStats{}, false
-	}
-	return sc.log.Stats(), true
+func tenantLabel(tenant string) string {
+	return `{tenant="` + telemetry.EscapeLabelValue(tenant) + `"}`
 }
+
+// writeEngineMetrics writes the in-process engine's families. The virtual
+// speedup of §5.3.2 is the ratio of the two easeml_engine_virtual_seconds
+// samples.
+func writeEngineMetrics(w io.Writer, st EngineStatus) {
+	telemetry.WriteMetricHeader(w, "easeml_engine_runs_total",
+		"In-process engine lease settlements by outcome.", "counter")
+	telemetry.WriteGauge(w, "easeml_engine_runs_total", `{outcome="completed"}`, float64(st.Completed))
+	telemetry.WriteGauge(w, "easeml_engine_runs_total", `{outcome="released"}`, float64(st.Released))
+	telemetry.WriteGauge(w, "easeml_engine_runs_total", `{outcome="abandoned"}`, float64(st.Abandoned))
+	telemetry.WriteGauge(w, "easeml_engine_runs_total", `{outcome="error"}`, float64(st.Errors))
+	telemetry.WriteMetricHeader(w, "easeml_engine_utilization", "Engine worker utilization (0-1).", "gauge")
+	telemetry.WriteGauge(w, "easeml_engine_utilization", "", st.Utilization)
+	running := 0.0
+	if st.Running {
+		running = 1
+	}
+	for _, g := range []struct {
+		name, help string
+		v          float64
+	}{
+		{"easeml_engine_running", "1 while the engine is started, 0 when stopped.", running},
+		{"easeml_engine_workers", "Engine worker goroutines (configured pool size).", float64(st.Workers)},
+		{"easeml_engine_queue_depth", "Leases sitting in the engine's bounded queue.", float64(st.QueueDepth)},
+		{"easeml_engine_in_flight", "Engine leases queued or training.", float64(st.InFlight)},
+		{"easeml_engine_uptime_seconds", "Wall time the engine has run, summed over its runs.", st.Uptime.Seconds()},
+	} {
+		telemetry.WriteMetricHeader(w, g.name, g.help, "gauge")
+		telemetry.WriteGauge(w, g.name, "", g.v)
+	}
+	telemetry.WriteMetricHeader(w, "easeml_engine_worker_runs_total", "Training runs completed per engine worker.", "counter")
+	for i, ws := range st.PerWorker {
+		telemetry.WriteGauge(w, "easeml_engine_worker_runs_total", workerLabel(i), float64(ws.Items))
+	}
+	telemetry.WriteMetricHeader(w, "easeml_engine_worker_busy_seconds_total", "Wall time spent training per engine worker.", "counter")
+	for i, ws := range st.PerWorker {
+		telemetry.WriteGauge(w, "easeml_engine_worker_busy_seconds_total", workerLabel(i), ws.Busy.Seconds())
+	}
+	telemetry.WriteMetricHeader(w, "easeml_engine_virtual_seconds",
+		"Virtual device time of everything trained: the pool's makespan versus the serialized single-device schedule (§5.3.2).", "gauge")
+	telemetry.WriteGauge(w, "easeml_engine_virtual_seconds", `{schedule="pool"}`, st.VirtualMakespan)
+	telemetry.WriteGauge(w, "easeml_engine_virtual_seconds", `{schedule="single_device"}`, st.VirtualSingleDevice)
+}
+
+func workerLabel(i int) string { return `{worker="` + strconv.Itoa(i) + `"}` }

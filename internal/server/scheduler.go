@@ -12,7 +12,7 @@
 // pair: RunRound (serialized, the deployed single-device strategy),
 // internal/engine (a concurrent worker pool) and internal/fleet's
 // coordinator (remote workers). The HTTP surface (see API in http.go) adds
-// /admin/metrics and /admin/start|stop for engine control.
+// GET /metrics and /admin/start|stop for engine control.
 //
 // # Locking discipline
 //

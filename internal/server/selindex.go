@@ -125,7 +125,9 @@ type selClass struct {
 }
 
 // SelectionStats are the pick-path counters exposed through
-// Scheduler.SelectionStats, GET /admin/metrics and the easeml facade.
+// Scheduler.SelectionStats, the easeml_selection_events_total and
+// easeml_bandit_cache_events_total families of GET /metrics and the easeml
+// facade.
 type SelectionStats struct {
 	// Picks counts pick decisions that produced a lease (both the picker
 	// path and speculative grants).

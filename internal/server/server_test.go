@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -374,6 +375,22 @@ func (f *fakeEngine) Status() server.EngineStatus {
 	return server.EngineStatus{Running: f.running, Workers: 3}
 }
 
+// scrape GETs base/metrics and returns its samples keyed by name plus
+// label block, e.g. `easeml_engine_runs_total{outcome="completed"}`.
+func scrape(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: %d, %v", resp.StatusCode, err)
+	}
+	return server.ParseSamples(t, string(body))
+}
+
 func TestAdminMetricsEndpoint(t *testing.T) {
 	sc := newScheduler(t)
 	if _, err := sc.Submit("a", tsProgram); err != nil {
@@ -383,45 +400,41 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Without an engine the endpoint still reports the scheduler counters.
+	// Without an engine the scrape still reports the scheduler counters.
 	srv := httptest.NewServer(server.NewAPI(sc).Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/admin/metrics")
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, srv.URL)
+	if m["easeml_jobs"] != 1 || m["easeml_rounds_total"] != 2 {
+		t.Errorf("scrape without engine: jobs %g, rounds %g", m["easeml_jobs"], m["easeml_rounds_total"])
 	}
-	var m server.MetricsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
+	if _, ok := m["easeml_engine_running"]; ok {
+		t.Error("scrape without engine carries engine families")
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || m.Jobs != 1 || m.Rounds != 2 || m.Engine != nil {
-		t.Errorf("metrics without engine: status %d, %+v", resp.StatusCode, m)
-	}
-	// Wrong method is rejected.
-	post, err := http.Post(srv.URL+"/admin/metrics", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	post.Body.Close()
-	if post.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST metrics returned %d, want 405", post.StatusCode)
+	// Wrong method is rejected, and the JSON view is gone.
+	for _, c := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodPost, "/metrics", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/admin/metrics", http.StatusNotFound},
+	} {
+		req, _ := http.NewRequest(c.method, srv.URL+c.path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s returned %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+		}
 	}
 
-	// With an engine the reply grows the engine block.
+	// With an engine the scrape grows the engine families.
 	srv2 := httptest.NewServer(server.NewAPI(sc).WithEngine(&fakeEngine{running: true}).Handler())
 	defer srv2.Close()
-	resp2, err := http.Get(srv2.URL + "/admin/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m2 server.MetricsResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&m2); err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if m2.Engine == nil || !m2.Engine.Running || m2.Engine.Workers != 3 {
-		t.Errorf("metrics with engine: %+v", m2.Engine)
+	m2 := scrape(t, srv2.URL)
+	if m2["easeml_engine_running"] != 1 || m2["easeml_engine_workers"] != 3 {
+		t.Errorf("scrape with engine: running %g, workers %g", m2["easeml_engine_running"], m2["easeml_engine_workers"])
 	}
 }
 

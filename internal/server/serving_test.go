@@ -269,11 +269,19 @@ func TestInferStreamContract(t *testing.T) {
 	}
 }
 
+// lookups reads one plan cache's hit and miss counters (process-global:
+// tests diff two reads).
+func lookups(cache string) (hits, misses uint64) {
+	return dsl.CacheEventCounter(cache, "hit").Value(), dsl.CacheEventCounter(cache, "miss").Value()
+}
+
 // Acceptance: repeated-program workloads hit the plan cache >90% of the
 // time across Submit, facade parses and candidate generation.
-func TestPlanCacheHitRateOnRepeatedPrograms(t *testing.T) {
+func TestPlanCacheHitsOnRepeatedPrograms(t *testing.T) {
 	dsl.ResetPlanCache()
 	templates.ResetCandidateCache()
+	progHits0, progMisses0 := lookups("program")
+	candHits0, candMisses0 := lookups("candidates")
 	sc := newScheduler(t)
 	const n = 40
 	for i := 0; i < n; i++ {
@@ -281,40 +289,37 @@ func TestPlanCacheHitRateOnRepeatedPrograms(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prog := dsl.PlanCacheStats()
-	if prog.Hits+prog.Misses < n {
-		t.Fatalf("plan cache saw %d lookups, want ≥ %d", prog.Hits+prog.Misses, n)
+	progHits, progMisses := lookups("program")
+	progHits, progMisses = progHits-progHits0, progMisses-progMisses0
+	if progHits+progMisses < n {
+		t.Fatalf("plan cache saw %d lookups, want ≥ %d", progHits+progMisses, n)
 	}
-	if hr := prog.HitRate(); hr <= 0.9 {
-		t.Fatalf("program cache hit rate %.2f, want > 0.90 (%+v)", hr, prog)
+	if hr := float64(progHits) / float64(progHits+progMisses); hr <= 0.9 {
+		t.Fatalf("program cache hit rate %.2f, want > 0.90 (%d hits, %d misses)", hr, progHits, progMisses)
 	}
-	cands := templates.CandidateCacheStats()
-	if hr := cands.HitRate(); hr <= 0.9 {
-		t.Fatalf("candidate cache hit rate %.2f, want > 0.90 (%+v)", hr, cands)
+	candHits, candMisses := lookups("candidates")
+	candHits, candMisses = candHits-candHits0, candMisses-candMisses0
+	if hr := float64(candHits) / float64(candHits+candMisses); hr <= 0.9 {
+		t.Fatalf("candidate cache hit rate %.2f, want > 0.90 (%d hits, %d misses)", hr, candHits, candMisses)
 	}
 }
 
-// The /admin/metrics JSON surfaces both cache sections.
+// The scrape carries both caches' lookups.
 func TestAdminMetricsReportsPlanCache(t *testing.T) {
 	dsl.ResetPlanCache()
 	templates.ResetCandidateCache()
+	before := map[string]uint64{}
+	for _, cache := range []string{"program", "candidates"} {
+		hits, misses := lookups(cache)
+		before[cache] = hits + misses
+	}
 	srv, _ := newServingFixture(t)
-	resp, err := http.Get(srv.URL + "/admin/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m server.MetricsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.PlanCache == nil {
-		t.Fatal("metrics response has no plan_cache section")
-	}
-	if m.PlanCache.Program.Hits+m.PlanCache.Program.Misses == 0 {
-		t.Fatalf("program cache saw no lookups: %+v", m.PlanCache)
-	}
-	if m.PlanCache.Candidates.Hits+m.PlanCache.Candidates.Misses == 0 {
-		t.Fatalf("candidate cache saw no lookups: %+v", m.PlanCache)
+	m := scrape(t, srv.URL)
+	for cache, n := range before {
+		seen := m[`easeml_plan_cache_events_total{cache="`+cache+`",event="hit"}`] +
+			m[`easeml_plan_cache_events_total{cache="`+cache+`",event="miss"}`]
+		if seen <= float64(n) {
+			t.Errorf("%s cache: the scrape counts %g lookups, %d before the fixture; want more", cache, seen, n)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/storage"
 	"repro/internal/telemetry"
 )
 
@@ -26,13 +25,12 @@ type TracesResponse struct {
 }
 
 // TraceResponse is the GET /admin/traces/{id} reply: the assembled span
-// tree plus the WAL sequence horizon at read time, so span-level wal_seq
-// attributes can be cross-referenced against what recovery would replay.
+// tree. Span-level wal_seq attributes compare against the scrape's
+// easeml_wal_seq, the horizon recovery would replay to.
 type TraceResponse struct {
 	TraceID string                `json:"trace"`
 	Spans   int                   `json:"spans"`
 	Tree    []*telemetry.SpanNode `json:"tree"`
-	WAL     *storage.LogStats     `json:"wal,omitempty"`
 }
 
 // DecisionsResponse is the GET /admin/decisions reply.
@@ -83,11 +81,7 @@ func (a *API) handleTraces(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, errors.New("trace not recorded (never seen, or overwritten in the ring)"))
 		return
 	}
-	resp := TraceResponse{TraceID: id, Spans: len(spans), Tree: telemetry.BuildSpanTree(spans)}
-	if stats, ok := a.sched.WALStats(); ok {
-		resp.WAL = &stats
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, TraceResponse{TraceID: id, Spans: len(spans), Tree: telemetry.BuildSpanTree(spans)})
 }
 
 func (a *API) handleDecisions(w http.ResponseWriter, r *http.Request) {

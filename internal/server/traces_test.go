@@ -45,6 +45,7 @@ func TestRouteLabelCardinality(t *testing.T) {
 		"/":                  "other",
 		"/favicon.ico":       "other",
 		"/admin/unknown":     "other",
+		"/admin/metrics":     "other",
 		"/fleet/unknown":     "other",
 		"/jobs.txt":          "other",
 		"/..%2fadmin/quotas": "other",

@@ -289,8 +289,8 @@ type Log struct {
 	// touching the files.
 	failed atomic.Pointer[error]
 
-	// Per-log operation tallies for the /admin/metrics WAL section; the
-	// process-global Prometheus counters above aggregate across logs.
+	// Per-log operation tallies, read by Stats; the process-global
+	// Prometheus counters above aggregate across logs.
 	appends      atomic.Uint64
 	fsyncs       atomic.Uint64
 	compactions  atomic.Uint64
@@ -298,8 +298,9 @@ type Log struct {
 	bytesWritten atomic.Uint64
 }
 
-// LogStats is one log's operation tallies plus its sequence horizon —
-// the WAL section of the /admin/metrics reply.
+// LogStats is one log's operation tallies plus its sequence horizon. The
+// scrape serves the horizon as easeml_wal_seq; benchmarks and tests read
+// the per-log tallies, which the process-wide easeml_wal_* families sum.
 type LogStats struct {
 	Appends      uint64 `json:"appends"`
 	Fsyncs       uint64 `json:"fsyncs"`

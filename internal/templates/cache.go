@@ -36,9 +36,6 @@ type gridCache struct {
 	cap     int
 	entries map[string]*list.Element
 	lru     *list.List
-	hits    uint64
-	misses  uint64
-	evicted uint64
 
 	hitC, missC, evictC *telemetry.Counter
 	entriesG            *telemetry.Gauge
@@ -72,7 +69,6 @@ func GenerateCached(prog dsl.Program) ([]Candidate, *Template, error) {
 	if el, ok := c.entries[key]; ok {
 		ent := el.Value.(*gridEntry)
 		c.lru.MoveToFront(el)
-		c.hits++
 		c.hitC.Inc()
 		cands := make([]Candidate, len(ent.cands))
 		copy(cands, ent.cands)
@@ -80,7 +76,6 @@ func GenerateCached(prog dsl.Program) ([]Candidate, *Template, error) {
 		c.mu.Unlock()
 		return cands, tpl, nil
 	}
-	c.misses++
 	c.missC.Inc()
 	c.mu.Unlock()
 
@@ -101,21 +96,12 @@ func GenerateCached(prog dsl.Program) ([]Candidate, *Template, error) {
 			tail := c.lru.Back()
 			c.lru.Remove(tail)
 			delete(c.entries, tail.Value.(*gridEntry).key)
-			c.evicted++
 			c.evictC.Inc()
 		}
 	}
 	c.entriesG.Set(float64(c.lru.Len()))
 	c.mu.Unlock()
 	return cands, tpl, nil
-}
-
-// CandidateCacheStats snapshots the grid cache's counters.
-func CandidateCacheStats() dsl.CacheStats {
-	c := candidateCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return dsl.CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evicted, Entries: c.lru.Len()}
 }
 
 // ResetCandidateCache empties the grid cache — test hook for cold-state
@@ -126,6 +112,5 @@ func ResetCandidateCache() {
 	defer c.mu.Unlock()
 	c.entries = make(map[string]*list.Element)
 	c.lru = list.New()
-	c.hits, c.misses, c.evicted = 0, 0, 0
 	c.entriesG.Set(0)
 }

@@ -18,7 +18,9 @@
 //
 // Exposition mode (-exposition) reads Prometheus text format on stdin and
 // validates it parses: well-formed # HELP / # TYPE preambles, sample lines
-// of the shape name{labels} value, and no sample without a preceding TYPE.
+// of the shape name{labels} value, no sample without a preceding TYPE, and
+// every sample grouped under its own family's TYPE (the most recently
+// declared one: the format forbids interleaving two families' samples).
 // CI's scrape smoke pipes a live GET /metrics through it.
 //
 // Usage:
@@ -169,6 +171,7 @@ var (
 func lintExposition(r io.Reader) []string {
 	var problems []string
 	types := make(map[string]string)
+	current := "" // the family of the most recent # TYPE
 	samples := 0
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -188,6 +191,7 @@ func lintExposition(r io.Reader) []string {
 					problems = append(problems, fmt.Sprintf("line %d: duplicate # TYPE for %s", lineNo, m[1]))
 				}
 				types[m[1]] = m[2]
+				current = m[1]
 			case strings.HasPrefix(line, "# TYPE"):
 				problems = append(problems, fmt.Sprintf("line %d: malformed # TYPE: %q", lineNo, line))
 			case strings.HasPrefix(line, "# HELP") && !helpRE.MatchString(line):
@@ -202,19 +206,21 @@ func lintExposition(r io.Reader) []string {
 		}
 		samples++
 		name := m[1]
-		if _, ok := types[name]; ok {
-			continue
-		}
-		// Histogram series carry per-family suffixes.
-		base := name
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			if t := strings.TrimSuffix(name, suffix); t != name && types[t] == "histogram" {
-				base = t
-				break
+		family := name
+		if _, ok := types[name]; !ok {
+			// Histogram series carry per-family suffixes.
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if t := strings.TrimSuffix(name, suffix); t != name && types[t] == "histogram" {
+					family = t
+					break
+				}
 			}
 		}
-		if _, ok := types[base]; !ok {
+		switch _, ok := types[family]; {
+		case !ok:
 			problems = append(problems, fmt.Sprintf("line %d: sample %s has no preceding # TYPE", lineNo, name))
+		case family != current:
+			problems = append(problems, fmt.Sprintf("line %d: sample %s is not grouped under its family's # TYPE (the last one declared is %s)", lineNo, name, current))
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -134,3 +134,42 @@ easeml_http_requests_total{route="/jobs",code="200"} 7
 		}
 	}
 }
+
+// Two families whose samples interleave — both headers first, then the
+// samples alternating — are rejected; the same samples grouped pass.
+func TestLintExpositionInterleavedFamilies(t *testing.T) {
+	interleaved := `# HELP easeml_tenant_active_jobs Jobs.
+# TYPE easeml_tenant_active_jobs gauge
+# HELP easeml_tenant_cost_used Cost.
+# TYPE easeml_tenant_cost_used gauge
+easeml_tenant_active_jobs{tenant="alice"} 1
+easeml_tenant_cost_used{tenant="alice"} 2.5
+easeml_tenant_active_jobs{tenant="bob"} 1
+easeml_tenant_cost_used{tenant="bob"} 0.5
+`
+	problems := lintExposition(strings.NewReader(interleaved))
+	if len(problems) != 2 {
+		t.Fatalf("interleaved exposition: got %d problems, want 2 (both active_jobs samples):\n%s",
+			len(problems), strings.Join(problems, "\n"))
+	}
+	for _, p := range problems {
+		if !strings.Contains(p, "easeml_tenant_active_jobs is not grouped") {
+			t.Errorf("unexpected problem: %s", p)
+		}
+	}
+
+	grouped := `# TYPE easeml_tenant_active_jobs gauge
+easeml_tenant_active_jobs{tenant="alice"} 1
+easeml_tenant_active_jobs{tenant="bob"} 1
+# TYPE easeml_tenant_cost_used gauge
+easeml_tenant_cost_used{tenant="alice"} 2.5
+easeml_tenant_cost_used{tenant="bob"} 0.5
+# TYPE easeml_wal_append_seconds histogram
+easeml_wal_append_seconds_bucket{le="+Inf"} 12
+easeml_wal_append_seconds_sum 0.5
+easeml_wal_append_seconds_count 12
+`
+	if problems := lintExposition(strings.NewReader(grouped)); len(problems) != 0 {
+		t.Errorf("grouped exposition rejected: %v", problems)
+	}
+}
