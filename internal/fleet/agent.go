@@ -583,7 +583,7 @@ func (a *Agent) runLease(ctx context.Context, s slot) (slot, bool) {
 	// The run span parents to the lease's root span on the coordinator
 	// (wl.Span) and ships back inside the completion report, so the
 	// coordinator's flight recorder holds the whole cross-process tree.
-	run := telemetry.NewSpanAt(wl.Trace, wl.Span, opWorkerRun, time.Now())
+	run := telemetry.SpanAt(wl.Trace, wl.Span, opWorkerRun, time.Now())
 	run.SetAttr("job", wl.JobID)
 	run.SetAttr("candidate", wl.Candidate)
 	run.SetAttr("worker", a.cfg.Name)

@@ -60,11 +60,6 @@ var (
 	opWorkerRun  = telemetry.SpanOp("worker_run")
 )
 
-// maxImportSpans caps how many worker-shipped spans one CompleteRequest
-// may import into the coordinator's flight recorder, so a misbehaving
-// worker cannot flush the ring.
-const maxImportSpans = 16
-
 // CoordinatorConfig parameterizes a Coordinator. Zero values select the
 // defaults noted per field.
 type CoordinatorConfig struct {
@@ -391,7 +386,7 @@ func (c *Coordinator) grantLocked(l *server.Lease, workerID, path string) (WireL
 	}
 	c.remote[l.ID] = &remoteLease{lease: l, worker: workerID}
 	fleetLeasesGranted.Inc()
-	grant := telemetry.StageAt(l.Trace, l.RootSpanID(), opLeaseGrant, grantT0)
+	grant := l.ChildSpan(opLeaseGrant, grantT0)
 	grant.SetAttr("worker", workerID)
 	grant.SetAttr("path", path)
 	grant.End()
@@ -496,21 +491,11 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Unlock()
 
 	// Import the worker's spans into the coordinator's flight recorder, so
-	// one GET /admin/traces/{id} serves the whole cross-process tree. Only
-	// spans of this lease's trace are accepted (a worker cannot pollute
-	// other traces), capped in number so a misbehaving report cannot flush
-	// the ring, and each bounded in size by Import.
-	imported := 0
-	for i := range req.Spans {
-		sd := req.Spans[i]
-		if sd.TraceID != l.Trace || sd.SpanID == "" || imported >= maxImportSpans {
-			continue
-		}
-		if sd.Process == "" {
-			sd.Process = "worker:" + req.WorkerID
-		}
-		telemetry.DefaultRecorder().Import(sd)
-		imported++
+	// one GET /admin/traces/{id} serves the whole cross-process tree. Import
+	// accepts only spans of this lease's trace (a worker cannot pollute
+	// other traces), a bounded number of them, each bounded in size.
+	if len(req.Spans) > 0 {
+		telemetry.DefaultRecorder().Import(l.Trace, "worker:"+req.WorkerID, req.Spans)
 	}
 
 	// One settle rule for every executor: the scheduler decides release

@@ -80,13 +80,11 @@ var (
 )
 
 // finishLeaseSpan closes a lease's root span with its terminal outcome.
-// Safe on leases that predate span instrumentation (recovered fixtures)
-// and idempotent across racing terminal paths — only the first End
-// records.
+// It runs exactly once per lease, because every terminal path (expire,
+// release, abandon, complete, preempt) calls it only after winning
+// dropLeaseLocked or beginSettle under coordMu, and at most one path wins
+// each lease. A lease with no trace (a recovered one) records nothing.
 func finishLeaseSpan(l *Lease, outcome string, err error) {
-	if l == nil || l.span == nil {
-		return
-	}
 	l.span.SetAttr("outcome", outcome)
 	l.span.Fail(err)
 	l.span.End()
@@ -101,14 +99,14 @@ func finishLeaseSpan(l *Lease, outcome string, err error) {
 // the selectable arms not yet leased; the speculative path never touches
 // the surface. Called with coordMu and the job's lock held: it only reads
 // the grant's state and takes leaf locks (the decision ring, the flight
-// recorder's slots), and allocates only the root span and its ID.
+// recorder's slots), and allocates nothing for its spans.
 func (sc *Scheduler) emitGrantProvenance(l *Lease, job *Job, speculative bool, leased int, t0, hallStart time.Time, hallDur time.Duration) {
 	name := l.Candidate.Name() // renders once: both grant paths are hot
-	root := telemetry.NewSpanAt(l.Trace, "", opLease, t0)
+	root := &l.span
+	*root = telemetry.SpanAt(l.Trace, "", opLease, t0)
 	root.SetAttr("job", l.JobID)
 	root.SetAttr("tenant", job.Name)
 	root.SetAttr("candidate", name)
-	l.span = root
 
 	d := DecisionRecord{
 		Kind:         DecisionPick,
@@ -136,10 +134,10 @@ func (sc *Scheduler) emitGrantProvenance(l *Lease, job *Job, speculative bool, l
 
 	now := time.Now()
 	d.TimeNS = now.UnixNano()
-	sel := telemetry.StageAt(l.Trace, root.ID(), stage, t0)
+	sel := root.Child(stage, t0)
 	sel.EndAt(now)
 	if hallDur > 0 {
-		h := telemetry.StageAt(l.Trace, root.ID(), opPickHallucinate, hallStart)
+		h := root.Child(opPickHallucinate, hallStart)
 		h.EndAt(hallStart.Add(hallDur))
 	}
 	if sc.adm != nil {

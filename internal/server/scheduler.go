@@ -726,12 +726,12 @@ type Lease struct {
 	// one lease correlate. Immutable after pick.
 	Trace string
 
-	// span is the lease's root lifecycle span, opened at selection and
-	// closed with the terminal outcome (completed / released / abandoned /
-	// expired / preempted / conflict). The pointer is set once before the
-	// lease is published and never reassigned; Span itself is
-	// concurrency-safe.
-	span *telemetry.Span
+	// span is the lease's root lifecycle span, opened at selection before
+	// the lease is published and ended by finishLeaseSpan with the terminal
+	// outcome (completed / released / abandoned / expired / preempted /
+	// conflict). Its trace and ID never change after publication, so
+	// children may open under it from any goroutine.
+	span telemetry.Span
 
 	// entry is the job's position in the selection index (and in sc.jobs).
 	entry int
@@ -744,14 +744,14 @@ type Lease struct {
 	settling bool
 }
 
-// RootSpanID returns the ID of the lease's root lifecycle span ("" for
-// leases that predate span instrumentation). It ships over the fleet wire
-// so a worker's run span parents into the coordinator's tree.
-func (l *Lease) RootSpanID() string {
-	if l.span == nil {
-		return ""
-	}
-	return l.span.ID()
+// RootSpanID renders the ID of the lease's root lifecycle span ("" for a
+// lease with no trace). It ships over the fleet wire so a worker's run
+// span parents into the coordinator's tree.
+func (l *Lease) RootSpanID() string { return l.span.ID() }
+
+// ChildSpan opens a span under the lease's root, started at start.
+func (l *Lease) ChildSpan(op string, start time.Time) telemetry.Span {
+	return l.span.Child(op, start)
 }
 
 // InFlight returns the number of outstanding leases.
@@ -808,7 +808,7 @@ func (sc *Scheduler) Grant(n, limit int) ([]*Lease, error) {
 	if len(picked) > 0 {
 		// Attribute the Grant's lock wait to the first lease's tree (once
 		// per Grant, like the histogram).
-		lw := telemetry.StageAt(picked[0].Trace, picked[0].RootSpanID(), opPickLockWait, t0)
+		lw := picked[0].span.Child(opPickLockWait, t0)
 		lw.EndAt(t0.Add(lockWait))
 	}
 	telemetry.SlowOp("pick_work", time.Since(t0), "leases", len(picked))
@@ -1054,15 +1054,15 @@ func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 		// A conflicting settle still leaves evidence: a zero-length settle
 		// span (the root span, if any, was closed by the terminal path that
 		// won the race).
-		if l != nil && l.Trace != "" {
-			s := telemetry.StageAt(l.Trace, l.RootSpanID(), opSettle, settleT0)
+		if l != nil {
+			s := l.span.Child(opSettle, settleT0)
 			s.SetAttr("outcome", "conflict")
 			s.Fail(err)
 			s.End()
 		}
 		return err
 	}
-	settle := telemetry.StageAt(l.Trace, l.RootSpanID(), opSettle, settleT0)
+	settle := l.span.Child(opSettle, settleT0)
 	fail := func(outcome string, err error) error {
 		settle.SetAttr("outcome", outcome)
 		settle.Fail(err)
@@ -1094,7 +1094,7 @@ func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 // distinct from job.mu, which is released before the store write and the
 // fsync: a pick of this job (which takes job.mu) never waits on a commit.
 // The WAL append's span is a child of settle.
-func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelRecord, settle *telemetry.Stage) (string, error) {
+func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelRecord, settle *telemetry.Span) (string, error) {
 	job.settleMu.Lock()
 	defer job.settleMu.Unlock()
 
@@ -1149,7 +1149,7 @@ func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelReco
 	job.store.RecordModel(*rec)
 	if sc.log != nil {
 		walT0 := time.Now()
-		wspan := telemetry.StageAt(l.Trace, settle.ID(), opWALAppend, walT0)
+		wspan := settle.Child(opWALAppend, walT0)
 		seq, err := sc.log.AppendModelRecorded(l.JobID, *rec)
 		if err != nil {
 			wspan.Fail(err)

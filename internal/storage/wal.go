@@ -669,7 +669,7 @@ func (l *Log) commitBatch(batch []*commitReq) error {
 	// Group commits belong to no single request trace (one fsync serves
 	// many), so each batch records a root span under its own trace: the
 	// flight-recorder view of the WAL's write pipeline.
-	span := telemetry.StageAt(telemetry.NewTraceID(), "", opWALGroupCommit, time.Now())
+	span := telemetry.SpanAt(telemetry.NewTraceID(), "", opWALGroupCommit, time.Now())
 	l.ioMu.Lock()
 	defer l.ioMu.Unlock()
 	err := l.Err()

@@ -24,8 +24,7 @@ func (sw *statusWriter) Flush() {
 	}
 }
 
-// opHTTPRequest is the root span every instrumented HTTP request records:
-// handler work (and the scheduler spans it triggers) parents under it.
+// opHTTPRequest is the root span every instrumented HTTP request records.
 var opHTTPRequest = SpanOp("http_request")
 
 // InstrumentHTTP wraps next with the standard HTTP telemetry: per-route
@@ -34,7 +33,9 @@ var opHTTPRequest = SpanOp("http_request")
 // the inbound X-Easeml-Trace header (or a freshly minted ID, when the
 // header is absent or fails ValidTraceID) lands in the request context
 // and is echoed on the response — and a root http_request span in the
-// flight recorder for every request.
+// flight recorder for every request. Nothing parents under that span: the
+// spans the handler's work records (a lease's tree, a WAL group commit)
+// are not its children, even when they share its trace.
 //
 // route maps a request to its metric label; it must return a bounded set
 // of values (normalize path parameters), or the counter cardinality
@@ -48,7 +49,6 @@ func InstrumentHTTP(reg *Registry, route func(*http.Request) string, next http.H
 		t0 := time.Now()
 		ctx, trace := TraceFromRequest(r)
 		w.Header().Set(TraceHeader, trace)
-		ctx, span := StartSpan(ctx, opHTTPRequest)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		rt := route(r)
@@ -56,6 +56,7 @@ func InstrumentHTTP(reg *Registry, route func(*http.Request) string, next http.H
 		latency.With(rt).Observe(elapsed)
 		code := strconv.Itoa(sw.code)
 		requests.With(rt, code).Inc()
+		span := SpanAt(trace, "", opHTTPRequest, t0)
 		span.SetAttr("route", rt)
 		span.SetAttr("method", r.Method)
 		span.SetAttr("status", code)

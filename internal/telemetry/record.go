@@ -64,20 +64,22 @@ type extra struct {
 	more         map[string]string
 }
 
-// record is one span by value: what a live Span and a Stage fill in place
-// and what a ring slot holds. Attributes are packed three words each, key
-// lengths apart, to keep it at 296 bytes: a full ring then holds no more
-// than the same spans would as heap objects with attribute maps
-// (TestSlotSize). SpanData is built from it only for a reader.
+// record is one span by value: what a Span fills in place and what a ring
+// slot holds. Its ID and its parent's are values, so a child of a local
+// span copies the parent's ID without rendering it. Attributes are packed
+// three words each, key lengths apart, to keep it at 296 bytes: a full
+// ring then holds no more than the same spans would as heap objects with
+// attribute maps (TestSlotSize). SpanData is built from it only for a
+// reader.
 type record struct {
-	trace, parent, op string
-	id                value
-	startNS, durNS    int64
-	extra             *extra
-	attrs             [maxAttrs]attr
-	keyLen            [maxAttrs]uint8
-	nattrs            uint8
-	stored            bool // set on a ring slot that holds a span
+	trace, op      string
+	id, parent     value
+	startNS, durNS int64
+	extra          *extra
+	attrs          [maxAttrs]attr
+	keyLen         [maxAttrs]uint8
+	nattrs         uint8
+	stored         bool // set on a ring slot that holds a span
 }
 
 func (r *record) key(i int) string { return unsafe.String(r.attrs[i].key, r.keyLen[i]) }
@@ -145,7 +147,7 @@ func (r *record) end(end time.Time) {
 
 // data builds the serializable form.
 func (r *record) data() SpanData {
-	d := SpanData{TraceID: r.trace, SpanID: r.id.spanID(), ParentID: r.parent, Op: r.op,
+	d := SpanData{TraceID: r.trace, SpanID: r.id.spanID(), ParentID: r.parent.spanID(), Op: r.op,
 		Process: r.process(), StartNS: r.startNS, DurationNS: r.durNS, Err: r.err()}
 	var more map[string]string
 	if r.extra != nil {
@@ -164,7 +166,7 @@ func (r *record) data() SpanData {
 }
 
 func recordOf(d *SpanData) record {
-	r := record{trace: d.TraceID, parent: d.ParentID, op: d.Op, id: stringValue(d.SpanID),
+	r := record{trace: d.TraceID, parent: stringValue(d.ParentID), op: d.Op, id: stringValue(d.SpanID),
 		startNS: d.StartNS, durNS: d.DurationNS}
 	if d.Process != "" || d.Err != "" {
 		r.extra = &extra{process: d.Process, err: d.Err}
@@ -175,43 +177,62 @@ func recordOf(d *SpanData) record {
 	return r
 }
 
-// Stage is a span built by value and recorded when it ends: recording one
-// allocates nothing. It suits a span that starts and ends in one function
-// — the pick stages, the grant, the settle and the WAL writes. Its ID is
-// minted as a number; ID renders it (one allocation) for the rare child
-// that needs it. End it once, from one goroutine, and leave it alone
-// after; a span shared across goroutines or ended by whichever path
-// finishes first is a Span.
-type Stage struct{ rec record }
+// Span is one span, built by value and recorded when it ends: recording
+// it allocates nothing. Its ID is minted as a number and rendered (one
+// allocation) only by ID, for a child in another process; a child in this
+// one opens with Child. End a span exactly once, from one goroutine, and
+// leave it alone after. The zero Span has no trace: its ID is "" and
+// ending it records nothing.
+type Span struct{ rec record }
 
-// StageAt begins a stage under trace, parented to parent, started at start.
-func StageAt(trace, parent, op string, start time.Time) Stage {
-	return Stage{record{trace: trace, parent: parent, op: op,
+// SpanAt begins a span under trace, parented to the span whose ID is
+// parent ("" for a root), started at start.
+func SpanAt(trace, parent, op string, start time.Time) Span {
+	return Span{record{trace: trace, parent: stringValue(parent), op: op,
 		id: value{n: uint64(rand.Uint32())}, startNS: start.UnixNano()}}
 }
 
-// ID renders the stage's span ID.
-func (s *Stage) ID() string { return s.rec.id.spanID() }
+// Child begins a span under s, started at start. It reads only s's trace
+// and ID, which never change, so it may run while another goroutine ends s.
+func (s *Span) Child(op string, start time.Time) Span {
+	return Span{record{trace: s.rec.trace, parent: s.rec.id, op: op,
+		id: value{n: uint64(rand.Uint32())}, startNS: start.UnixNano()}}
+}
+
+// ID renders the span's ID, "" for the zero Span.
+func (s *Span) ID() string {
+	if s.rec.trace == "" {
+		return ""
+	}
+	return s.rec.id.spanID()
+}
 
 // SetAttr attaches a key/value attribute.
-func (s *Stage) SetAttr(k, v string) { s.rec.setAttr(k, stringValue(v)) }
+func (s *Span) SetAttr(k, v string) { s.rec.setAttr(k, stringValue(v)) }
 
 // SetAttrUint attaches a numeric attribute, formatted in base 10 only when
 // the span is read.
-func (s *Stage) SetAttrUint(k string, v uint64) { s.rec.setAttr(k, value{n: v}) }
+func (s *Span) SetAttrUint(k string, v uint64) { s.rec.setAttr(k, value{n: v}) }
 
-// Fail marks the stage as errored; a nil error is a no-op.
-func (s *Stage) Fail(err error) {
+// Fail marks the span as errored; a nil error is a no-op.
+func (s *Span) Fail(err error) {
 	if err != nil {
 		s.rec.ext().err = err.Error()
 	}
 }
 
-// End records the stage, ended now, into the default flight recorder.
-func (s *Stage) End() { s.EndAt(time.Now()) }
+// Data builds the span's serializable form: how a worker ships its run,
+// once ended, inside its completion report.
+func (s *Span) Data() SpanData { return s.rec.data() }
 
-// EndAt records the stage, ended at end, into the default flight recorder.
-func (s *Stage) EndAt(end time.Time) {
+// End records the span, ended now, into the default flight recorder.
+func (s *Span) End() { s.EndAt(time.Now()) }
+
+// EndAt records the span, ended at end, into the default flight recorder.
+func (s *Span) EndAt(end time.Time) {
+	if s.rec.trace == "" {
+		return
+	}
 	s.rec.end(end)
 	DefaultRecorder().record(&s.rec)
 }

@@ -145,7 +145,7 @@ func TestDecisionListDeepCopies(t *testing.T) {
 // dropped, numeric attributes read back in base 10, and a repeated key
 // overwrites.
 func TestSpanAttributesInlineAndSpilled(t *testing.T) {
-	s := NewSpanAt(NewTraceID(), "", "span_test_root", time.Now())
+	s := SpanAt(NewTraceID(), "", "span_test_root", time.Now())
 	want := map[string]string{}
 	for k := 0; k < maxAttrs+3; k++ {
 		key := "k" + strconv.Itoa(k)
@@ -153,17 +153,17 @@ func TestSpanAttributesInlineAndSpilled(t *testing.T) {
 		s.SetAttr(key, "v"+strconv.Itoa(k))
 		want[key] = "v" + strconv.Itoa(k)
 	}
-	st := StageAt(s.TraceID(), s.ID(), "span_test_child", time.Now())
+	st := s.Child("span_test_child", time.Now())
 	st.SetAttrUint("wal_seq", 18446744073709551615)
 	st.SetAttr("empty", "")
 	st.End()
 	if got := s.Data().Attrs; !maps.Equal(got, want) {
 		t.Fatalf("attrs = %v, want %v", got, want)
 	}
-	spans, _ := DefaultRecorder().Trace(s.TraceID())
+	spans, _ := DefaultRecorder().Trace(s.Data().TraceID)
 	if len(spans) != 1 || spans[0].ParentID != s.ID() || len(spans[0].SpanID) != 8 ||
 		!maps.Equal(spans[0].Attrs, map[string]string{"wal_seq": "18446744073709551615", "empty": ""}) {
-		t.Fatalf("stage read back as %+v", spans)
+		t.Fatalf("child read back as %+v", spans)
 	}
 }
 
@@ -179,7 +179,7 @@ func TestImportBoundsSpans(t *testing.T) {
 	sd.Attrs["k000"] = strings.Repeat("x", 1<<20)
 	sd.Attrs[strings.Repeat("a", 300)] = "long key"
 	before := importCuts.Value()
-	r.Import(sd)
+	r.Import(sd.TraceID, "", []SpanData{sd})
 	spans, _ := r.Trace(sd.TraceID)
 	if len(spans) != 1 || len(spans[0].Attrs) != maxAttrs {
 		t.Fatalf("imported %+v", spans)
@@ -208,23 +208,22 @@ func TestSlotSize(t *testing.T) {
 	}
 }
 
-// BenchmarkSpanRecord pins what recording costs: a stage span (0
-// allocations), a live span with four attributes (2: the Span and its ID)
-// and a decision (0).
+// BenchmarkSpanRecord pins what recording costs: a span (0 allocations),
+// a lease-shaped root with four attributes (0) and a decision (0).
 func BenchmarkSpanRecord(b *testing.B) {
-	trace, parent := NewTraceID(), NewSpanID()
+	trace, parent := NewTraceID(), "5eed0001"
 	t0 := time.Now()
 	b.Run("stage", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			s := StageAt(trace, parent, "span_test_child", t0)
+			s := SpanAt(trace, parent, "span_test_child", t0)
 			s.EndAt(t0)
 		}
 	})
-	b.Run("live", func(b *testing.B) {
+	b.Run("root", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			s := NewSpanAt(trace, "", "span_test_root", t0)
+			s := SpanAt(trace, "", "span_test_root", t0)
 			s.SetAttr("job", "job-0001")
 			s.SetAttr("tenant", "bench")
 			s.SetAttr("candidate", "resnet/lr=0.1")

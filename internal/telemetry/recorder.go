@@ -70,7 +70,7 @@ var (
 	spansRetained = Default().Counter("easeml_trace_spans_retained_total",
 		"Spans copied into the tail-sampling retained ring (slow, failed, or bad-outcome traces).")
 	importCuts = Default().Counter("easeml_trace_import_cuts_total",
-		"Parts of spans imported from other processes dropped or cut on import: attributes past the eighth, and keys, values, IDs, ops, process names and errors over 256 bytes.")
+		"Spans and parts of spans imported from other processes dropped or cut on import: spans of another trace, without an ID or past the sixteenth of a report; attributes past the eighth; keys, values, IDs, ops, process names and errors over 256 bytes.")
 )
 
 // Recorder is the in-process flight recorder: an always-on bounded ring
@@ -164,16 +164,34 @@ func (r *Recorder) Record(data SpanData) {
 }
 
 // maxImportLen bounds every string of a span imported from another
-// process.
-const maxImportLen = 256
+// process, and maxImportSpans how many spans one report may import.
+const maxImportLen, maxImportSpans = 256, 16
 
-// Import records a span shipped from another process — a worker's run,
-// inside its completion report — bounded so a lying sender cannot flood
-// the recorder: it keeps at most 8 attributes (the smallest keys, so the
-// cut is deterministic) and cuts every key, value, ID, op, process name
-// and error to 256 bytes. What it drops or cuts is counted in
-// easeml_trace_import_cuts_total.
-func (r *Recorder) Import(data SpanData) {
+// Import records the spans another process shipped for trace — a worker's
+// run, inside its completion report — bounded so a lying sender cannot
+// flood the recorder: it keeps only spans of trace that carry an ID, at
+// most 16 of them, and stamps process on those that name none. Of each
+// span it keeps at most 8 attributes (the smallest keys, so the cut is
+// deterministic) and cuts every key, value, ID, op, process name and error
+// to 256 bytes. Every span dropped, and every part dropped or cut, is
+// counted in easeml_trace_import_cuts_total.
+func (r *Recorder) Import(trace, process string, spans []SpanData) {
+	kept := 0
+	for _, sd := range spans {
+		if sd.TraceID != trace || sd.SpanID == "" || kept == maxImportSpans {
+			importCuts.Inc()
+			continue
+		}
+		if sd.Process == "" {
+			sd.Process = process
+		}
+		r.importSpan(sd)
+		kept++
+	}
+}
+
+// importSpan records one span of a report, bounded.
+func (r *Recorder) importSpan(data SpanData) {
 	cuts := 0
 	bound := func(s string) string {
 		if len(s) <= maxImportLen {
@@ -304,7 +322,7 @@ type TraceSummary struct {
 	Processes  []string `json:"processes,omitempty"`
 }
 
-// spans copies out every live span of the traces want accepts, both rings
+// spans copies out every stored span of the traces want accepts, both rings
 // merged (retained first), deduplicated by (trace, span) with the
 // retained copy winning.
 func (r *Recorder) spans(want func(trace string) bool) map[string][]record {
@@ -347,7 +365,7 @@ func summarize(trace string, spans []record) TraceSummary {
 		if p := processOf(sd); p != "" {
 			procs[p] = true
 		}
-		if sd.parent == "" && (root == nil || sd.startNS < root.startNS) {
+		if sd.parent == stringValue("") && (root == nil || sd.startNS < root.startNS) {
 			root = sd
 		}
 		if sum.Error == "" && sd.err() != "" {

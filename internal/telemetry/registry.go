@@ -16,13 +16,13 @@
 //   - No third-party imports. Exposition is the Prometheus text format
 //     written by hand; nothing here links against a client library.
 //   - Recording provenance costs a fixed amount, so it stays on always.
-//     The flight recorder's rings hold spans and decisions by value, with
-//     up to eight span attributes and three TopUCB rows inline, and build
-//     SpanData (and its attribute map) only when read. The budgets,
-//     pinned by BenchmarkSpanRecord in the CI allocation gate: a Stage —
-//     a span that begins and ends in one function — records with 0
-//     allocations; a live Span with up to eight attributes costs 2 (the
-//     Span and its ID); a DecisionRing.Add costs 0.
+//     There is one span type, Span, built by value and copied into the
+//     flight recorder when it ends. The recorder's rings hold spans and
+//     decisions by value, with up to eight span attributes and three
+//     TopUCB rows inline, and build SpanData (and its attribute map) only
+//     when read. The budgets, pinned by BenchmarkSpanRecord in the CI
+//     allocation gate: a span records with 0 allocations, a lease-shaped
+//     root with four attributes included; a DecisionRing.Add costs 0.
 package telemetry
 
 import (

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -40,19 +39,14 @@ func TestSpanOpRegistryAndContract(t *testing.T) {
 }
 
 func TestSpanLifecycle(t *testing.T) {
-	ctx, root := StartSpan(context.Background(), "span_test_root")
-	if root.TraceID() == "" || !ValidTraceID(root.TraceID()) {
-		t.Fatalf("root span has invalid trace ID %q", root.TraceID())
-	}
-	if SpanFrom(ctx) != root {
-		t.Fatal("StartSpan did not install the span in the context")
-	}
-	_, child := StartSpan(ctx, "span_test_child")
-	if child.Data().ParentID != root.ID() {
+	root := SpanAt(NewTraceID(), "", "span_test_root", time.Now())
+	trace := root.Data().TraceID
+	child := root.Child("span_test_child", time.Now())
+	if child.Data().ParentID != root.ID() || len(root.ID()) != 8 {
 		t.Fatalf("child parent = %q, want root %q", child.Data().ParentID, root.ID())
 	}
-	if child.TraceID() != root.TraceID() {
-		t.Fatalf("child trace %q != root trace %q", child.TraceID(), root.TraceID())
+	if child.Data().TraceID != trace {
+		t.Fatalf("child trace %q != root trace %q", child.Data().TraceID, trace)
 	}
 
 	root.SetAttr("k", "v")
@@ -63,21 +57,27 @@ func TestSpanLifecycle(t *testing.T) {
 	root.Fail(fmt.Errorf("boom"))
 	start := root.Data().Start()
 	root.EndAt(start.Add(5 * time.Millisecond))
-	root.EndAt(start.Add(time.Hour)) // idempotent: second End ignored
-	root.SetAttr("late", "x")        // no-op after End
-	d := root.Data()
-	if d.Duration() != 5*time.Millisecond {
-		t.Fatalf("duration = %v, want 5ms (second EndAt must not win)", d.Duration())
-	}
-	if d.Err != "boom" || d.Attrs["late"] != "" {
-		t.Fatalf("post-End mutation leaked: %+v", d)
+	spans, _ := DefaultRecorder().Trace(trace)
+	if len(spans) != 1 || spans[0].Duration() != 5*time.Millisecond || spans[0].Err != "boom" ||
+		spans[0].Attrs["k"] != "v" || spans[0].ParentID != "" {
+		t.Fatalf("recorded %+v, want the root alone, 5ms, errored", spans)
 	}
 
 	// EndAt before start clamps to zero rather than a negative duration.
-	s := NewSpanAt(NewTraceID(), "", "span_test_root", time.Now())
+	s := SpanAt(NewTraceID(), "", "span_test_root", time.Now())
 	s.EndAt(time.Now().Add(-time.Second))
 	if s.Data().DurationNS != 0 {
 		t.Fatalf("negative duration not clamped: %d", s.Data().DurationNS)
+	}
+
+	// The zero Span has no trace: no ID, and its children record nothing.
+	var zero Span
+	before := spansRecorded.Value()
+	z := zero.Child("span_test_child", time.Now())
+	z.End()
+	zero.End()
+	if zero.ID() != "" || z.ID() != "" || spansRecorded.Value() != before {
+		t.Fatalf("zero span: ID %q, child ID %q, %d spans recorded", zero.ID(), z.ID(), spansRecorded.Value()-before)
 	}
 }
 

@@ -20,9 +20,6 @@ type traceCtxKey struct{}
 // costs no synchronization.
 func NewTraceID() string { return hexString(rand.Uint64(), 16) }
 
-// NewSpanID mints an 8-hex-char span ID for sub-operations under a trace.
-func NewSpanID() string { return hexString(uint64(rand.Uint32()), 8) }
-
 // hexString renders the low 4·n bits of v as n zero-padded lowercase hex
 // digits (n ≤ 16), in one allocation of exactly n bytes.
 func hexString(v uint64, n int) string {
@@ -62,15 +59,6 @@ func WithTraceID(ctx context.Context, id string) context.Context {
 func TraceIDFrom(ctx context.Context) string {
 	id, _ := ctx.Value(traceCtxKey{}).(string)
 	return id
-}
-
-// EnsureTraceID returns ctx carrying a trace ID, minting one if absent.
-func EnsureTraceID(ctx context.Context) (context.Context, string) {
-	if id := TraceIDFrom(ctx); id != "" {
-		return ctx, id
-	}
-	id := NewTraceID()
-	return WithTraceID(ctx, id), id
 }
 
 // TraceFromRequest extracts the inbound trace ID from r's X-Easeml-Trace
