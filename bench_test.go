@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -454,61 +453,13 @@ func BenchmarkGrantScaling(b *testing.B) {
 	}
 }
 
-// benchFleetProposals ranks the open (untried, unleased) arms of a bench
-// worker's cached posterior surfaces by UCB and returns the full ranking
-// as speculative proposals — the agent's scoring loop, hand-rolled because
-// the bench drives the coordinator in-process. Callers cache the result
-// until a fresh posterior delta invalidates it.
-func benchFleetProposals(post map[string]fleet.JobPosterior) []fleet.LeaseProposal {
-	type scored struct {
-		p   fleet.LeaseProposal
-		ucb float64
-	}
-	var cands []scored
-	for id, s := range post {
-		if s.Done {
-			continue
-		}
-		closed := make(map[int]bool, len(s.Tried)+len(s.Leased))
-		for _, k := range s.Tried {
-			closed[k] = true
-		}
-		for _, k := range s.Leased {
-			closed[k] = true
-		}
-		for arm, u := range s.UCB {
-			if !closed[arm] {
-				cands = append(cands, scored{fleet.LeaseProposal{JobID: id, Arm: arm, Epoch: s.Epoch}, u})
-			}
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].ucb != cands[j].ucb {
-			return cands[i].ucb > cands[j].ucb
-		}
-		if cands[i].p.JobID != cands[j].p.JobID {
-			return cands[i].p.JobID < cands[j].p.JobID
-		}
-		return cands[i].p.Arm < cands[j].p.Arm
-	})
-	props := make([]fleet.LeaseProposal, len(cands))
-	for i, c := range cands {
-		props[i] = c.p
-	}
-	return props
-}
-
 // BenchmarkFleetLeaseThroughput measures coordinator lease-grant
 // throughput: 256 jobs × 35 candidates, 8 registered workers driven
 // serially in-process in a steady-state grant/release cycle (completions
 // report a retryable failure, so candidates re-enter selection and the
 // posterior never drains — the same exchange trick as
-// BenchmarkPickWorkManyJobs). The poll mode takes the full Grant path
-// for every batch; the speculative mode proposes pre-scored (job, arm,
-// epoch) triples and grants on the epoch-validated fast path. Only the
-// coordinator's Lease call is on the clock — worker-side scoring runs
-// between the timed sections, as it does in a real fleet. It reports
-// granted-leases/s per mode, their ratio and the speculative hit rate.
+// BenchmarkPickWorkManyJobs). Every batch takes the full Grant path. Only
+// the coordinator's Lease call is on the clock. It reports granted-leases/s.
 func BenchmarkFleetLeaseThroughput(b *testing.B) {
 	const (
 		jobs    = 256
@@ -516,105 +467,51 @@ func BenchmarkFleetLeaseThroughput(b *testing.B) {
 		workers = 8
 		devices = 4
 	)
-	grantsPerSec := map[string]float64{}
-	run := func(name string, speculative bool) {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 33), nil, "")
-			for i := 0; i < jobs; i++ {
-				if _, err := sc.Submit(fmt.Sprintf("fleet-%03d", i), program); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Observe a slice of every job so the surfaces carry history.
-			if _, err := sc.RunRounds(jobs * 4); err != nil {
+	b.Run("poll", func(b *testing.B) {
+		b.ReportAllocs()
+		sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 33), nil, "")
+		for i := 0; i < jobs; i++ {
+			if _, err := sc.Submit(fmt.Sprintf("fleet-%03d", i), program); err != nil {
 				b.Fatal(err)
 			}
-			sc.SetRetryBudget(1 << 30) // the steady-state releases below never abandon
-			coord := fleet.NewCoordinator(sc, fleet.CoordinatorConfig{Seed: 33, DisableSpeculative: !speculative})
-			// Each bench worker keeps a cached UCB ranking of its posterior
-			// surfaces and re-scores only when a posterior delta arrives —
-			// the same cache discipline as fleet.Agent, hand-rolled so the
-			// untimed worker side stays allocation-quiet and the timed Lease
-			// sections are not polluted by scoring garbage or GC.
-			type wstate struct {
-				id      string
-				post    map[string]fleet.JobPosterior
-				version uint64
-				dirty   bool
-				ranked  []fleet.LeaseProposal
+		}
+		// Observe a slice of every job so the surfaces carry history.
+		if _, err := sc.RunRounds(jobs * 4); err != nil {
+			b.Fatal(err)
+		}
+		sc.SetRetryBudget(1 << 30) // the steady-state releases below never abandon
+		coord := fleet.NewCoordinator(sc, fleet.CoordinatorConfig{Seed: 33})
+		ids := make([]string, workers)
+		for i := range ids {
+			ids[i] = coord.Register(fleet.RegisterRequest{Name: fmt.Sprintf("bench-%d", i), Devices: devices}).WorkerID
+		}
+		granted := 0
+		var leaseDur time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			id := ids[i%workers]
+			t0 := time.Now()
+			resp, err := coord.Lease(fleet.LeaseRequest{WorkerID: id, Max: devices})
+			leaseDur += time.Since(t0)
+			if err != nil {
+				b.Fatal(err)
 			}
-			// adopt installs a change feed the way fleet.Agent does: a
-			// surface only moves to a newer epoch, the cursor only forward.
-			adopt := func(w *wstate, ps []fleet.JobPosterior, version uint64) {
-				for _, p := range ps {
-					if old, ok := w.post[p.JobID]; !ok || p.Epoch > old.Epoch {
-						w.post[p.JobID] = p
-						w.dirty = true
-					}
-				}
-				if version > w.version {
-					w.version = version
-				}
-			}
-			ws := make([]*wstate, workers)
-			for i := range ws {
-				reg := coord.Register(fleet.RegisterRequest{Name: fmt.Sprintf("bench-%d", i), Devices: devices})
-				ws[i] = &wstate{id: reg.WorkerID, post: map[string]fleet.JobPosterior{}}
-			}
-			granted, proposed := 0, 0
-			var leaseDur time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w := ws[i%workers]
-				req := fleet.LeaseRequest{WorkerID: w.id, Max: devices, PosteriorVersion: w.version}
-				if speculative {
-					if w.dirty {
-						w.ranked = benchFleetProposals(w.post)
-						w.dirty = false
-					}
-					req.Proposals = w.ranked
-					if len(req.Proposals) > devices {
-						req.Proposals = req.Proposals[:devices]
-					}
-					proposed += len(req.Proposals)
-				}
-				t0 := time.Now()
-				resp, err := coord.Lease(req)
-				leaseDur += time.Since(t0)
-				if err != nil {
+			granted += len(resp.Leases)
+			for _, wl := range resp.Leases {
+				if _, err := coord.Complete(fleet.CompleteRequest{
+					WorkerID: id, LeaseID: wl.LeaseID, Error: "bench: steady-state release",
+				}); err != nil {
 					b.Fatal(err)
 				}
-				adopt(w, resp.Posteriors, resp.PosteriorVersion)
-				granted += len(resp.Leases)
-				for _, wl := range resp.Leases {
-					cr, err := coord.Complete(fleet.CompleteRequest{
-						WorkerID: w.id, LeaseID: wl.LeaseID, Error: "bench: steady-state release",
-						PosteriorVersion: w.version,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					adopt(w, cr.Posteriors, cr.PosteriorVersion)
-				}
 			}
-			b.StopTimer()
-			if granted == 0 || leaseDur <= 0 {
-				b.Fatal("benchmark granted no leases")
-			}
-			if speculative && proposed > 0 {
-				b.ReportMetric(float64(sc.SelectionStats().SpeculativeGrants)/float64(proposed), "hit-rate")
-			}
-			grantsPerSec[name] = float64(granted) / leaseDur.Seconds()
-			b.ReportMetric(grantsPerSec[name], "granted-leases/s")
-			b.ReportMetric(float64(leaseDur.Nanoseconds())/float64(granted), "ns/grant")
-		})
-	}
-	run("poll", false)
-	run("speculative", true)
-	if poll, spec := grantsPerSec["poll"], grantsPerSec["speculative"]; poll > 0 && spec > 0 {
-		b.ReportMetric(spec/poll, "speedup")
-	}
+		}
+		b.StopTimer()
+		if granted == 0 || leaseDur <= 0 {
+			b.Fatal("benchmark granted no leases")
+		}
+		b.ReportMetric(float64(granted)/leaseDur.Seconds(), "granted-leases/s")
+		b.ReportMetric(float64(leaseDur.Nanoseconds())/float64(granted), "ns/grant")
+	})
 }
 
 func BenchmarkFigure08DatasetStats(b *testing.B) {

@@ -8,7 +8,7 @@
 //	easeml-server [-addr :9000] [-gpus 24] [-seed 1] [-alpha 0.9]
 //	              [-workers 0] [-data-dir DIR]
 //	              [-wal-segment-bytes 4194304]
-//	              [-fleet-addr ADDR] [-lease-ttl 10s] [-speculative]
+//	              [-fleet-addr ADDR] [-lease-ttl 10s]
 //	              [-quota-config FILE] [-max-inflight 0] [-pprof]
 //	              [-log-format text|json] [-log-level info] [-slow-op 100ms]
 //	              [-trace-buffer 4096] [-version]
@@ -110,7 +110,6 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 0, "fleet lease TTL before silent workers' leases are re-queued (default 10s)")
 	quotaConfig := flag.String("quota-config", "", "JSON tenant quota file enabling admission control (classes, caps, rate limits, budgets)")
 	maxInFlight := flag.Int("max-inflight", 0, "cap on total outstanding fleet leases; saturated guaranteed work preempts best-effort (0 = no cap)")
-	speculative := flag.Bool("speculative", true, "accept speculative lease proposals and ship posterior deltas to fleet workers (false = plain poll protocol)")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the admin mux (off by default; exposes profiles to anyone who can reach the server)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -143,20 +142,19 @@ func main() {
 	}
 
 	cfg := easeml.ServiceConfig{
-		GPUs:                     *gpus,
-		Seed:                     *seed,
-		Addr:                     "http://localhost" + *addr,
-		Alpha:                    *alpha,
-		Workers:                  *workers,
-		DataDir:                  *dataDir,
-		WALSegmentBytes:          *walSegmentBytes,
-		FleetAddr:                *fleetAddr,
-		LeaseTTL:                 *leaseTTL,
-		FleetMaxInFlight:         *maxInFlight,
-		DisableSpeculativeLeases: !*speculative,
-		Pprof:                    *pprofFlag,
-		Logger:                   logger,
-		TraceBuffer:              *traceBuffer,
+		GPUs:             *gpus,
+		Seed:             *seed,
+		Addr:             "http://localhost" + *addr,
+		Alpha:            *alpha,
+		Workers:          *workers,
+		DataDir:          *dataDir,
+		WALSegmentBytes:  *walSegmentBytes,
+		FleetAddr:        *fleetAddr,
+		LeaseTTL:         *leaseTTL,
+		FleetMaxInFlight: *maxInFlight,
+		Pprof:            *pprofFlag,
+		Logger:           logger,
+		TraceBuffer:      *traceBuffer,
 	}
 	if *pprofFlag {
 		host := *addr

@@ -9,8 +9,8 @@
 // Usage:
 //
 //	easeml-worker -coordinator http://host:9001 [-name NAME] [-devices 1]
-//	              [-alpha 0.9] [-poll 0] [-heartbeat 0] [-speculative]
-//	              [-version]
+//	              [-alpha 0.9] [-poll 0] [-heartbeat 0]
+//	              [-log-format text|json] [-log-level info] [-version]
 //
 // -devices is how many candidates the worker trains concurrently. -poll
 // and -heartbeat override the coordinator-advertised cadence (0 adopts
@@ -44,7 +44,6 @@ func main() {
 	alpha := flag.Float64("alpha", 0.9, "advertised multi-device scaling exponent")
 	poll := flag.Duration("poll", 0, "lease poll interval (0 = coordinator-advertised)")
 	heartbeat := flag.Duration("heartbeat", 0, "heartbeat interval (0 = coordinator-advertised)")
-	speculative := flag.Bool("speculative", true, "cache posterior surfaces and send speculative lease proposals (false = plain polling)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	flag.Parse()
@@ -62,14 +61,13 @@ func main() {
 	}
 
 	agent, err := fleet.NewAgent(fleet.AgentConfig{
-		Coordinator:        *coordinator,
-		Name:               *name,
-		Devices:            *devices,
-		Alpha:              *alpha,
-		PollInterval:       *poll,
-		HeartbeatInterval:  *heartbeat,
-		DisableSpeculative: !*speculative,
-		Logger:             logger,
+		Coordinator:       *coordinator,
+		Name:              *name,
+		Devices:           *devices,
+		Alpha:             *alpha,
+		PollInterval:      *poll,
+		HeartbeatInterval: *heartbeat,
+		Logger:            logger,
 	})
 	if err != nil {
 		logger.Error("invalid configuration", "err", err)

@@ -193,11 +193,6 @@ type ServiceConfig struct {
 	// guaranteed-class tenant has selectable work, the coordinator
 	// preempts an outstanding best-effort lease to make room.
 	FleetMaxInFlight int
-	// DisableSpeculativeLeases turns off the speculative half of the
-	// fleet lease protocol (worker-side posterior caching, batched lease
-	// proposals, fast-path grants). The default — zero value — keeps
-	// speculation on; wired to easeml-server's -speculative=false.
-	DisableSpeculativeLeases bool
 	// Quotas enables tenant admission control: per-tenant service classes
 	// (guaranteed / standard / best-effort weighted fair sharing),
 	// concurrent-job caps, Submit/Feed rate limits and GPU cost budgets.
@@ -385,11 +380,10 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 	}
 	if cfg.Fleet || cfg.FleetAddr != "" {
 		s.coord = fleet.NewCoordinator(sched, fleet.CoordinatorConfig{
-			LeaseTTL:           cfg.LeaseTTL,
-			Seed:               cfg.Seed,
-			MaxInFlight:        cfg.FleetMaxInFlight,
-			DisableSpeculative: cfg.DisableSpeculativeLeases,
-			Logger:             cfg.Logger,
+			LeaseTTL:    cfg.LeaseTTL,
+			Seed:        cfg.Seed,
+			MaxInFlight: cfg.FleetMaxInFlight,
+			Logger:      cfg.Logger,
 		})
 		s.coord.Start()
 		if cfg.FleetAddr != "" {

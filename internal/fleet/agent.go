@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -50,12 +49,6 @@ type AgentConfig struct {
 	// immediately — the behaviour of a crashed worker (tests and the
 	// kill-a-worker demo use it; real agents should leave gracefully).
 	SkipLeaveOnExit bool
-	// DisableSpeculative turns off worker-side posterior caching and
-	// speculative lease proposals (the default — zero value — is
-	// speculation ON): the agent makes the same lease and settle-and-lease
-	// calls with no proposals in them, so every grant takes the
-	// coordinator's pick path. Wired to easeml-worker's -speculative=false.
-	DisableSpeculative bool
 	// Logger, when set, receives structured agent diagnostics; run
 	// lifecycle events carry the lease's trace ID. Nil keeps the agent
 	// silent.
@@ -93,21 +86,10 @@ type Agent struct {
 	// re-registration: after a coordinator restart a recycled job id may
 	// name a different program, and stale candidates would corrupt results.
 	jobs map[string]map[string]templates.Candidate // job → candidate name → candidate
-	// running holds every lease the agent owns, from the moment its grant is
-	// adopted until its report settles: the heartbeat's lease ids, the
-	// free-slot count and the set of jobs proposals skip.
-	running map[int]runningLease
-	// posteriors caches the coordinator-shipped posterior surface per job —
-	// the state speculative proposals are scored against. Updated from
-	// every change feed (lease and complete responses alike), dropped on
-	// re-registration (a restarted coordinator may recycle job ids with
-	// different programs). Empty when DisableSpeculative.
-	posteriors map[string]*postSurface
-	// postVersion is the change-feed cursor: the largest PosteriorVersion
-	// adopted so far, echoed in every request so the coordinator ships only
-	// what moved since. Zero until the first answer and after
-	// re-registration.
-	postVersion uint64
+	// running holds the run-context abort of every lease the agent owns,
+	// from the moment its grant is adopted until its report settles: the
+	// heartbeat's lease ids and the free-slot count.
+	running map[int]context.CancelFunc
 
 	slotFree chan struct{} // kicks the poll loop when an execution settles
 
@@ -135,22 +117,14 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		cfg.Name = host
 	}
 	return &Agent{
-		cfg:        cfg,
-		client:     newProtoClient(cfg.Coordinator, cfg.HTTPClient),
-		exec:       cfg.Executor,
-		ownExec:    cfg.Executor == nil,
-		jobs:       make(map[string]map[string]templates.Candidate),
-		running:    make(map[int]runningLease),
-		posteriors: make(map[string]*postSurface),
-		slotFree:   make(chan struct{}, 1),
+		cfg:      cfg,
+		client:   newProtoClient(cfg.Coordinator, cfg.HTTPClient),
+		exec:     cfg.Executor,
+		ownExec:  cfg.Executor == nil,
+		jobs:     make(map[string]map[string]templates.Candidate),
+		running:  make(map[int]context.CancelFunc),
+		slotFree: make(chan struct{}, 1),
 	}, nil
-}
-
-// runningLease is one owned lease: the job it trains and the abort of its
-// run context.
-type runningLease struct {
-	job    string
-	cancel context.CancelFunc
 }
 
 // slot is one device slot's current run: a granted lease with the
@@ -161,16 +135,6 @@ type slot struct {
 	exec     Executor
 	lease    WireLease
 	runCtx   context.Context
-}
-
-// postSurface is the agent's view of one job's posterior: the UCB per arm
-// at a given epoch, with open marking the proposable arms — untried,
-// unleased, and not already asked for or granted by this agent.
-type postSurface struct {
-	epoch uint64
-	ucb   []float64
-	open  []bool
-	done  bool
 }
 
 // Completed returns how many runs the agent has reported successfully.
@@ -230,8 +194,8 @@ func (a *Agent) Run(ctx context.Context) error {
 	// configured to die hard) hand the leases back so they re-queue now
 	// rather than at TTL expiry.
 	a.mu.Lock()
-	for _, r := range a.running {
-		r.cancel()
+	for _, cancel := range a.running {
+		cancel()
 	}
 	a.mu.Unlock()
 	execWG.Wait()
@@ -308,15 +272,13 @@ func (a *Agent) adoptRegistration(resp RegisterResponse) {
 	defer a.mu.Unlock()
 	a.workerID = resp.WorkerID
 	a.epoch++
-	for _, r := range a.running {
-		r.cancel()
+	for _, cancel := range a.running {
+		cancel()
 	}
 	if a.ownExec {
 		a.exec = NewSimExecutor(resp.Seed)
 	}
 	a.jobs = make(map[string]map[string]templates.Candidate)
-	a.posteriors = make(map[string]*postSurface)
-	a.postVersion = 0
 	if a.epoch > 1 {
 		return
 	}
@@ -348,7 +310,7 @@ func (a *Agent) pollOnce(ctx context.Context, execWG *sync.WaitGroup) bool {
 	if free <= 0 {
 		return false
 	}
-	resp, err := a.client.lease(ctx, a.leaseRequest(workerID, free))
+	resp, err := a.client.lease(ctx, LeaseRequest{WorkerID: workerID, Max: free})
 	if err != nil {
 		if IsCode(err, CodeUnknownWorker) {
 			a.logInfo("coordinator does not know us; re-registering", "name", a.cfg.Name)
@@ -369,167 +331,33 @@ func (a *Agent) pollOnce(ctx context.Context, execWG *sync.WaitGroup) bool {
 	return len(started) > 0
 }
 
-// leaseRequest builds the ask for up to n leases: speculative proposals
-// ranked on the cached surfaces plus the change-feed cursor.
-func (a *Agent) leaseRequest(workerID string, n int) LeaseRequest {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return LeaseRequest{WorkerID: workerID, Max: n, Proposals: a.proposalsLocked(n), PosteriorVersion: a.postVersion}
-}
-
-// proposalsLocked ranks the cached posteriors' open arms and returns the
-// best n as speculative proposals, in one pass that keeps the running top n
-// in order — no sort, nothing allocated per arm. Ordering: affinity first
-// (jobs whose candidate surface this agent already resolved — re-leasing
-// those skips the plan fetch and reuses the executor's registration), then
-// UCB descending, then (job, arm) as a deterministic tie-break. Two things
-// are kept out because their answer is already known to be "stale": jobs
-// this agent is executing (their epoch moves the moment that run settles),
-// and arms it has already asked for — a proposed arm is closed in the cached
-// surface on the spot, so the next slot ranking the same cache asks for a
-// different one. Nil when speculation is off or nothing is cached yet — the
-// request is then exactly the plain protocol. Callers hold a.mu.
-func (a *Agent) proposalsLocked(n int) []LeaseProposal {
-	if a.cfg.DisableSpeculative || n <= 0 || len(a.posteriors) == 0 {
-		return nil
-	}
-	type scored struct {
-		job      string
-		s        *postSurface
-		arm      int
-		ucb      float64
-		affinity bool
-	}
-	before := func(x, y *scored) bool {
-		if x.affinity != y.affinity {
-			return x.affinity
-		}
-		if x.ucb != y.ucb {
-			return x.ucb > y.ucb
-		}
-		if x.job != y.job {
-			return x.job < y.job
-		}
-		return x.arm < y.arm
-	}
-	var heldBuf [8]string // one entry per busy slot; more than 8 spill to the heap
-	held := heldBuf[:0]
-	for _, r := range a.running {
-		held = append(held, r.job)
-	}
-	best := make([]scored, 0, n)
-	for id, s := range a.posteriors {
-		if s.done || slices.Contains(held, id) {
-			continue
-		}
-		_, affinity := a.jobs[id]
-		for arm, open := range s.open {
-			if !open {
-				continue
-			}
-			u := s.ucb[arm]
-			full := len(best) == n
-			// Nearly every arm loses to the worst one kept on UCB alone.
-			if full && affinity == best[n-1].affinity && u < best[n-1].ucb {
-				continue
-			}
-			c := scored{job: id, s: s, arm: arm, ucb: u, affinity: affinity}
-			if full {
-				if !before(&c, &best[n-1]) {
-					continue
-				}
-				best = best[:n-1]
-			}
-			i := len(best)
-			best = append(best, c)
-			for ; i > 0 && before(&c, &best[i-1]); i-- {
-				best[i] = best[i-1]
-			}
-			best[i] = c
-		}
-	}
-	if len(best) == 0 {
-		return nil
-	}
-	props := make([]LeaseProposal, len(best))
-	for i, c := range best {
-		props[i] = LeaseProposal{JobID: c.job, Arm: c.arm, Epoch: c.s.epoch}
-		c.s.open[c.arm] = false
-	}
-	return props
-}
-
-// adopt installs one coordinator answer — the change feed and the granted
-// leases of a lease response — and retires the lease whose report carried
-// the request (done; 0 for a poll), all in one critical section: the new
-// lease enters running as the old one leaves, so heartbeats and the
-// free-slot count never see a gap. It returns a slot per adopted lease,
-// each with its own run context. from names the registration the request
-// was sent under: if the agent re-registered in the meantime the answer
-// describes state the new registration already resynced from scratch and
-// leases the old worker id holds, so all of it is dropped (the leases come
-// back through expiry). Leases arriving after shutdown began are dropped
-// too — the graceful leave (or the TTL) hands them back.
-//
-// The feed is adopted idempotently, because concurrent slots receive
-// answers in any order: a job's surface is replaced only by a newer epoch,
-// and the cursor only moves forward.
+// adopt installs the granted leases of one coordinator answer and retires
+// the lease whose report carried the request (done; 0 for a poll), all in
+// one critical section: the new lease enters running as the old one leaves,
+// so heartbeats and the free-slot count never see a gap. It returns a slot
+// per adopted lease, each with its own run context. from names the
+// registration the request was sent under: if the agent re-registered in
+// the meantime the leases belong to the old worker id, so they are dropped
+// (they come back through expiry). Leases arriving after shutdown began are
+// dropped too — the graceful leave (or the TTL) hands them back.
 func (a *Agent) adopt(ctx context.Context, from slot, done int, resp LeaseResponse) []slot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if r, ok := a.running[done]; ok {
-		r.cancel() // the run is over; this only frees its context
+	if cancel, ok := a.running[done]; ok {
+		cancel() // the run is over; this only frees its context
 		delete(a.running, done)
 	}
-	if a.epoch != from.epoch {
-		return nil
-	}
-	if resp.PosteriorVersion > a.postVersion {
-		a.postVersion = resp.PosteriorVersion
-	}
-	if !a.cfg.DisableSpeculative {
-		for i := range resp.Posteriors {
-			a.adoptSurfaceLocked(&resp.Posteriors[i])
-		}
-	}
-	if ctx.Err() != nil {
+	if a.epoch != from.epoch || ctx.Err() != nil {
 		return nil
 	}
 	started := make([]slot, len(resp.Leases))
 	for i, wl := range resp.Leases {
-		if s := a.posteriors[wl.JobID]; s != nil && wl.Arm >= 0 && wl.Arm < len(s.open) {
-			s.open[wl.Arm] = false
-		}
 		runCtx, cancel := context.WithCancel(ctx)
-		a.running[wl.LeaseID] = runningLease{job: wl.JobID, cancel: cancel}
+		a.running[wl.LeaseID] = cancel
 		started[i] = from
 		started[i].lease, started[i].runCtx = wl, runCtx
 	}
 	return started
-}
-
-// adoptSurfaceLocked installs one shipped surface unless the cache already
-// holds the job at that epoch or a newer one. Callers hold a.mu.
-func (a *Agent) adoptSurfaceLocked(p *JobPosterior) {
-	if old, ok := a.posteriors[p.JobID]; ok && old.epoch >= p.Epoch {
-		return
-	}
-	if p.Done {
-		a.posteriors[p.JobID] = &postSurface{epoch: p.Epoch, done: true}
-		return
-	}
-	s := &postSurface{epoch: p.Epoch, ucb: p.UCB, open: make([]bool, len(p.UCB))}
-	for k := range s.open {
-		s.open[k] = true
-	}
-	for _, closed := range [2][]int{p.Tried, p.Leased} {
-		for _, k := range closed {
-			if k >= 0 && k < len(s.open) {
-				s.open[k] = false
-			}
-		}
-	}
-	a.posteriors[p.JobID] = s
 }
 
 // idleBackoff is the delay before the next poll after the streak-th
@@ -614,17 +442,12 @@ func (a *Agent) runLease(ctx context.Context, s slot) (slot, bool) {
 	}
 	run.End()
 	req.Spans = []telemetry.SpanData{run.Data()}
+	// Unresolvable work is reported so the coordinator can retry it
+	// elsewhere (or abandon it), but asks for nothing: whatever broke the
+	// resolve would likely break the next one, so the slot goes back to the
+	// poll loop and its backoff.
 	if resolved {
-		lr := a.leaseRequest(s.workerID, 1)
-		req.Lease = &lr
-	} else {
-		// Unresolvable work is reported so the coordinator can retry it
-		// elsewhere (or abandon it), but asks for nothing: whatever broke the
-		// resolve would likely break the next one, so the slot goes back to
-		// the poll loop and its backoff.
-		a.mu.Lock()
-		req.PosteriorVersion = a.postVersion
-		a.mu.Unlock()
+		req.Lease = &LeaseRequest{WorkerID: s.workerID, Max: 1}
 	}
 
 	resp, ok := a.report(req, wl.Trace)
@@ -637,7 +460,7 @@ func (a *Agent) runLease(ctx context.Context, s slot) (slot, bool) {
 			"job", wl.JobID, "candidate", wl.Candidate, "lease", wl.LeaseID,
 			"accuracy", req.Accuracy, "cost", req.Cost, "trace", wl.Trace)
 	}
-	answer := LeaseResponse{Posteriors: resp.Posteriors, PosteriorVersion: resp.PosteriorVersion}
+	var answer LeaseResponse
 	if resp.Lease != nil {
 		answer = *resp.Lease
 	}
@@ -768,13 +591,13 @@ func (a *Agent) heartbeatLoop(ctx context.Context) {
 		a.mu.Lock()
 		for _, id := range ids {
 			if !known[id] {
-				if r, ok := a.running[id]; ok {
+				if cancel, ok := a.running[id]; ok {
 					if preempted[id] {
 						a.logInfo("lease preempted for higher-priority work; aborting run", "lease", id)
 					} else {
 						a.logInfo("lease reclaimed; aborting run", "lease", id)
 					}
-					r.cancel()
+					cancel()
 				}
 			}
 		}

@@ -3,10 +3,8 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -280,68 +278,5 @@ func TestShutdownHandsBackChainedLeaseInReply(t *testing.T) {
 				t.Errorf("after the hand-back %d of 3 untrained candidates are selectable (%v)", len(again), err)
 			}
 		})
-	}
-}
-
-// -speculative on either binary only chooses who picks: all four on/off
-// combinations of coordinator and worker drain to bit-identical models, each
-// through the same lease and settle-and-lease calls.
-func TestSpeculativeCombinationsDrainIdentically(t *testing.T) {
-	drain := func(coordOff, agentOff bool) (map[string]jobOutcome, uint64) {
-		sc := newTestScheduler(t)
-		var ids []string
-		for i := 0; i < 3; i++ {
-			j, err := sc.Submit(fmt.Sprintf("tenant-%d", i), tsProgram)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, j.ID)
-		}
-		coord := NewCoordinator(sc, CoordinatorConfig{Seed: fleetSeed, PollInterval: 5 * time.Millisecond, DisableSpeculative: coordOff})
-		srv := httptest.NewServer(coord.Handler())
-		defer srv.Close()
-		ctx, stop := context.WithCancel(context.Background())
-		defer stop()
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			agent, err := NewAgent(AgentConfig{Coordinator: srv.URL, Name: fmt.Sprintf("w%d", i), Devices: 2,
-				DisableSpeculative: agentOff, PollInterval: 5 * time.Millisecond})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func() { defer wg.Done(); _ = agent.Run(ctx) }()
-		}
-		eventually(t, "the fleet to drain", func() bool {
-			for _, n := range fleetTrainedCounts(t, sc, ids) {
-				if n != 4 {
-					return false
-				}
-			}
-			return true
-		})
-		stop()
-		wg.Wait()
-		out := jobOutcomes(t, sc, ids)
-		for id, o := range out {
-			// Cost accumulates in observation order; identical addends may
-			// round differently in the last bits.
-			o.Cost = math.Round(o.Cost*1e6) / 1e6
-			out[id] = o
-		}
-		return out, sc.SelectionStats().SpeculativeGrants
-	}
-	want, grants := drain(false, false)
-	if grants == 0 {
-		t.Error("speculation on both sides made no speculative grant")
-	}
-	for _, combo := range [][2]bool{{false, true}, {true, false}, {true, true}} {
-		got, grants := drain(combo[0], combo[1])
-		if grants != 0 {
-			t.Errorf("coordinator off=%v agent off=%v still made %d speculative grants", combo[0], combo[1], grants)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("coordinator off=%v agent off=%v diverges:\n got %+v\nwant %+v", combo[0], combo[1], got, want)
-		}
 	}
 }

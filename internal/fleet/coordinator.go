@@ -33,24 +33,9 @@ var (
 		"Graceful worker departures.")
 )
 
-// Speculative-lease tallies: the proposal/validate/resync protocol's
-// traffic. Grants + rejections = proposals; the hit rate
-// (grants / proposals) is the protocol's health number — a persistently
-// low rate means workers resync slower than the posterior moves.
-var (
-	specProposals = telemetry.Default().Counter("easeml_speculative_proposals_total",
-		"Speculative lease proposals received from workers.")
-	specGrants = telemetry.Default().Counter("easeml_speculative_grants_total",
-		"Speculative proposals granted via the epoch-validated fast path.")
-	specRejections = telemetry.Default().CounterVec("easeml_speculative_rejections_total",
-		"Speculative proposals not granted, by reason (stale, capacity, invalid, disabled).", "reason")
-	specPosteriors = telemetry.Default().Counter("easeml_speculative_posteriors_total",
-		"Per-job posterior deltas shipped to workers for local pre-scoring.")
-)
-
 // ErrBadRequest marks protocol violations the sender must fix rather than
-// retry (e.g. a non-positive LeaseRequest.Max); the HTTP surface maps it to
-// 400 with code "bad_request".
+// retry (e.g. a non-positive LeaseRequest.Max, or a result outside the
+// valid range); the HTTP surface maps it to 400 with code "bad_request".
 var ErrBadRequest = errors.New("fleet: bad request")
 
 // Fleet span operations: the coordinator's grant moment and the worker's
@@ -95,12 +80,6 @@ type CoordinatorConfig struct {
 	// preemption), each lease event carrying its trace ID. Nil keeps the
 	// coordinator silent.
 	Logger *slog.Logger
-	// DisableSpeculative turns off the speculative lease protocol (the
-	// default — zero value — is speculation ON): proposals are rejected
-	// with reason "disabled" and no posterior deltas ship, so every lease
-	// goes through the full pick path. Wired to easeml-server's
-	// -speculative=false.
-	DisableSpeculative bool
 }
 
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
@@ -285,13 +264,9 @@ func (c *Coordinator) Register(req RegisterRequest) RegisterResponse {
 
 // Lease grants up to req.Max new leases to a worker (a request also counts
 // as a heartbeat). It is the one grant path: /fleet/lease calls it, and so
-// does Complete for a report that embeds a lease request. Speculative
-// proposals are validated first — each either grants on the scheduler's
-// epoch-checked fast path or is skipped as stale — and remaining capacity
-// falls back to the normal pick path; the response carries the change feed
-// since req.PosteriorVersion, which is how workers resync after a miss. It
-// returns ErrUnknownWorker for ids the registry does not know and
-// ErrBadRequest for a non-positive Max.
+// does Complete for a report that embeds a lease request. Every grant is a
+// Scheduler.Grant pick. It returns ErrUnknownWorker for ids the registry
+// does not know and ErrBadRequest for a non-positive Max.
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	if req.Max <= 0 {
 		return LeaseResponse{}, fmt.Errorf("fleet: lease max must be positive, got %d: %w", req.Max, ErrBadRequest)
@@ -300,85 +275,31 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		return LeaseResponse{}, err
 	}
 	fleetLeasePolls.Inc()
-	speculative := !c.cfg.DisableSpeculative
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var wire []WireLease
-	for _, p := range req.Proposals {
-		specProposals.Inc()
-		switch {
-		case !speculative:
-			specRejections.With("disabled").Inc()
-			continue
-		case len(wire) >= req.Max,
-			c.cfg.MaxInFlight > 0 && c.sched.InFlight() >= c.cfg.MaxInFlight:
-			specRejections.With("capacity").Inc()
-			continue
-		}
-		l, err := c.sched.SpeculativeGrant(p.JobID, p.Arm, p.Epoch)
-		if err != nil {
-			specRejections.With("invalid").Inc()
-			c.logWarn("rejecting malformed speculative proposal",
-				"worker", req.WorkerID, "job", p.JobID, "arm", p.Arm, "err", err)
-			continue
-		}
-		if l == nil {
-			specRejections.With("stale").Inc()
-			continue
-		}
-		if wl, ok := c.grantLocked(l, req.WorkerID, "speculative"); ok {
-			wire = append(wire, wl)
-			specGrants.Inc()
+	// The in-flight cap binds: before picking, let priority preemption
+	// reclaim a best-effort slot if a guaranteed tenant is starved, so
+	// saturation cannot lock high-priority work out of the pool.
+	if c.cfg.MaxInFlight > 0 && c.sched.InFlight() >= c.cfg.MaxInFlight {
+		c.preemptLocked()
+	}
+	batch, err := c.sched.Grant(req.Max, c.cfg.MaxInFlight)
+	if err != nil {
+		return LeaseResponse{}, err
+	}
+	var resp LeaseResponse
+	for _, l := range batch {
+		if wl, ok := c.grantLocked(l, req.WorkerID); ok {
+			resp.Leases = append(resp.Leases, wl)
 		}
 	}
-	if remaining := req.Max - len(wire); remaining > 0 {
-		// The in-flight cap binds: before picking, let priority preemption
-		// reclaim a best-effort slot if a guaranteed tenant is starved, so
-		// saturation cannot lock high-priority work out of the pool.
-		if c.cfg.MaxInFlight > 0 && c.sched.InFlight() >= c.cfg.MaxInFlight {
-			c.preemptLocked()
-		}
-		batch, err := c.sched.Grant(remaining, c.cfg.MaxInFlight)
-		if err != nil {
-			// An error comes with no leases (Grant's contract, kept for the
-			// call): hand back the speculative ones the worker will never see.
-			for _, wl := range wire {
-				_ = c.sched.Release(c.remote[wl.LeaseID].lease)
-				delete(c.remote, wl.LeaseID)
-				c.reg.leaseSettled(req.WorkerID, wl.LeaseID, "withdrawn")
-			}
-			return LeaseResponse{}, err
-		}
-		for _, l := range batch {
-			if wl, ok := c.grantLocked(l, req.WorkerID, "pick"); ok {
-				wire = append(wire, wl)
-			}
-		}
-	}
-	// After the grants, so the deltas' Leased sets already cover them — the
-	// worker's next proposals never re-ask for work it just got.
-	resp := LeaseResponse{Leases: wire}
-	resp.Posteriors, resp.PosteriorVersion = c.changeFeed(req.PosteriorVersion)
 	return resp, nil
 }
 
-// changeFeed answers a worker's cursor: the surface of every job that
-// changed after since, and the version to send next time. Empty with
-// speculation disabled, so those workers cache nothing and propose nothing.
-func (c *Coordinator) changeFeed(since uint64) ([]JobPosterior, uint64) {
-	if c.cfg.DisableSpeculative {
-		return nil, 0
-	}
-	deltas, version := c.sched.PosteriorsSince(since)
-	specPosteriors.Add(uint64(len(deltas)))
-	return deltas, version
-}
-
 // grantLocked assigns a freshly picked lease to a worker and builds its
-// wire form; path tags the grant span and log line ("pick" or
-// "speculative"). On bookkeeping failure the lease is handed back rather
-// than leaked. Callers hold c.mu.
-func (c *Coordinator) grantLocked(l *server.Lease, workerID, path string) (WireLease, bool) {
+// wire form. On bookkeeping failure the lease is handed back rather than
+// leaked. Callers hold c.mu.
+func (c *Coordinator) grantLocked(l *server.Lease, workerID string) (WireLease, bool) {
 	grantT0 := time.Now()
 	if c.sched.AssignLease(l, workerID) != nil || c.reg.leaseAssigned(workerID, l.ID) != nil {
 		_ = c.sched.Release(l)
@@ -388,15 +309,13 @@ func (c *Coordinator) grantLocked(l *server.Lease, workerID, path string) (WireL
 	fleetLeasesGranted.Inc()
 	grant := l.ChildSpan(opLeaseGrant, grantT0)
 	grant.SetAttr("worker", workerID)
-	grant.SetAttr("path", path)
 	grant.End()
 	name := l.Candidate.Name() // renders once: the grant path is hot
 	if c.cfg.Logger != nil {
 		c.logInfo("lease granted",
-			"lease", l.ID, "job", l.JobID, "candidate", name, "worker", workerID,
-			"path", path, "trace", l.Trace)
+			"lease", l.ID, "job", l.JobID, "candidate", name, "worker", workerID, "trace", l.Trace)
 	}
-	return WireLease{LeaseID: l.ID, JobID: l.JobID, Candidate: name, Arm: l.Arm,
+	return WireLease{LeaseID: l.ID, JobID: l.JobID, Candidate: name,
 		Trace: l.Trace, Span: l.RootSpanID()}, true
 }
 
@@ -474,11 +393,19 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 // candidate at the scheduler's retry budget. It returns how the lease
 // settled, or an error wrapping server.ErrLeaseConflict when the report
 // lost a race (double complete, lease expired) — the worker drops those,
-// and nothing is granted. A report
-// that embeds a lease request is then served by Lease, after the settle:
-// the pick sees the observation that just landed. A plain report gets the
-// change feed alone.
+// and nothing is granted. A successful report whose accuracy lies outside
+// [0, 1] or whose cost is negative is refused with ErrBadRequest before
+// anything is claimed or settled: the lease stays outstanding and expires
+// on its TTL, so the candidate re-enters selection and trains once. A
+// report that embeds a lease request is then served by Lease, after the
+// settle: the pick sees the observation that just landed.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
+	if req.Error == "" && (!(req.Accuracy >= 0 && req.Accuracy <= 1) || !(req.Cost >= 0)) {
+		c.logWarn("refusing an out-of-range result",
+			"lease", req.LeaseID, "worker", req.WorkerID, "accuracy", req.Accuracy, "cost", req.Cost)
+		return CompleteResponse{}, fmt.Errorf("fleet: lease %d: accuracy %g outside [0, 1] or cost %g negative: %w",
+			req.LeaseID, req.Accuracy, req.Cost, ErrBadRequest)
+	}
 	c.mu.Lock()
 	rl, ok := c.remote[req.LeaseID]
 	if !ok || rl.worker != req.WorkerID {
@@ -530,7 +457,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	}
 	resp := CompleteResponse{Settled: settled}
 	if req.Lease == nil {
-		resp.Posteriors, resp.PosteriorVersion = c.changeFeed(req.PosteriorVersion)
 		return resp, nil
 	}
 	next := *req.Lease

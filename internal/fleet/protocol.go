@@ -8,13 +8,11 @@
 // exactly once — so the fleet survives worker churn without losing or
 // double-counting work.
 //
-// What one lease costs does not depend on how many jobs exist. A busy slot
-// spends one round trip per cycle: its report embeds the request for its
-// next lease and the answer carries it (settle-and-lease). The worker ranks
-// its cached surfaces in one pass and the coordinator validates the
-// proposal instead of picking. And the cache is kept current by a change
-// feed — "everything that moved since version v" — not by either side
-// diffing its whole state per request.
+// Every grant goes through the scheduler's user picker (Scheduler.Grant),
+// so class weights and σ̃ fair sharing decide who trains next on the fleet
+// exactly as they do in-process. A busy slot spends one round trip per
+// cycle: its report embeds the request for its next lease and the answer
+// carries it (settle-and-lease); /fleet/lease serves the cold and idle slots.
 //
 //	            register/heartbeat          ┌──────────┐
 //	  ┌──────────────────────────────────── │ agent 0  │──Execute──▶ Executor
@@ -29,10 +27,7 @@
 // fleet member with zero network in between.
 package fleet
 
-import (
-	"repro/internal/server"
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // The coordinator's HTTP protocol. All endpoints speak JSON:
 //
@@ -47,8 +42,9 @@ import (
 // "lease_conflict" (409) marks settle races a retrying worker should drop,
 // "unknown_worker" (409) tells an agent to re-register (the coordinator
 // restarted or evicted it), and "bad_request" (400) marks malformed
-// requests (e.g. a non-positive LeaseRequest.Max) the sender must fix, not
-// retry.
+// requests (e.g. a non-positive LeaseRequest.Max, or an accuracy outside
+// [0, 1]) the sender must fix, not retry. A body that does not decode —
+// unknown fields included — is a 400 without a code.
 
 // CodeUnknownWorker tags 409 replies for requests naming a worker id the
 // registry does not know; agents respond by re-registering.
@@ -91,44 +87,12 @@ type RegisterResponse struct {
 // client defaults it to 1. It travels alone on /fleet/lease (a slot with
 // nothing to report: cold start, idle) or inside a CompleteRequest
 // (settle-and-lease: the slot that just finished asks for its next run in
-// the same round trip).
-//
-// A speculative request additionally carries Proposals — (job, arm, epoch)
-// triples the worker pre-scored against its cached posterior surface. With
-// no proposals it is exactly the plain protocol: every grant takes the
-// coordinator's pick path.
+// the same round trip). Either way every grant takes the coordinator's pick
+// path.
 type LeaseRequest struct {
 	WorkerID string `json:"worker_id"`
 	Max      int    `json:"max"`
-	// Proposals are validated in order until Max leases are granted; each
-	// either fast-path grants (epoch matched, arm free) or is skipped
-	// (stale). Remaining capacity falls back to the coordinator's normal
-	// pick path.
-	Proposals []LeaseProposal `json:"proposals,omitempty"`
-	// PosteriorVersion is the change-feed cursor: the PosteriorVersion of
-	// the newest response the worker has adopted. The response carries the
-	// surface of every job that changed after it — nothing when it is
-	// current, everything at zero (a worker that never synced).
-	PosteriorVersion uint64 `json:"posterior_version,omitempty"`
 }
-
-// LeaseProposal is one speculative lease ask: "grant me arm Arm of job Job,
-// which I scored against the posterior surface stamped Epoch". Arm is the
-// candidate's index in the job's (deterministically generated) candidate
-// list — canonical on both sides, so validation is O(1).
-type LeaseProposal struct {
-	JobID string `json:"job_id"`
-	Arm   int    `json:"arm"`
-	Epoch uint64 `json:"epoch"`
-}
-
-// JobPosterior is one job's posterior surface on the wire — only what a
-// worker ranks on: the (unhallucinated) UCB per arm, stamped with the job's
-// selection-index epoch, plus the Tried (observed/retired, UCB entry
-// zeroed) and Leased arm lists; workers propose only arms in neither. Done
-// marks a job that will never train another candidate; its slices are
-// omitted. JSON keys: job_id, epoch, ucb, tried, leased, done.
-type JobPosterior = server.PosteriorDelta
 
 // WireLease is one leased work item on the wire. The candidate is named,
 // not embedded: workers rebuild the full candidate surface from the job's
@@ -137,10 +101,6 @@ type WireLease struct {
 	LeaseID   int    `json:"lease_id"`
 	JobID     string `json:"job_id"`
 	Candidate string `json:"candidate"`
-	// Arm is the candidate's index in the job's candidate list — the same
-	// index proposals and posterior surfaces use, so a worker can close the
-	// granted arm in its cached surface without a name lookup.
-	Arm int `json:"arm"`
 	// Trace is the lease's trace ID, minted by the scheduler at pick time.
 	// Workers carry it into their structured logs and onto the
 	// X-Easeml-Trace header of the completion report, so one lease is
@@ -151,18 +111,9 @@ type WireLease struct {
 	Span string `json:"span,omitempty"`
 }
 
-// LeaseResponse returns the granted leases (possibly none) plus the change
-// feed: the surface of every job that changed after the request's
-// PosteriorVersion, and the version the answer is current at. The feed is
-// read after the grants, so a delta's Leased set already covers the leases
-// of this very response. Answers may be adopted in any order: a worker keeps
-// a job's surface only if its epoch is newer than the cached one, and the
-// largest version seen — so concurrent slots cannot regress the cache. The
-// feed is empty with speculation disabled on the coordinator.
+// LeaseResponse returns the granted leases (possibly none).
 type LeaseResponse struct {
-	Leases           []WireLease    `json:"leases"`
-	Posteriors       []JobPosterior `json:"posteriors,omitempty"`
-	PosteriorVersion uint64         `json:"posterior_version,omitempty"`
+	Leases []WireLease `json:"leases"`
 }
 
 // HeartbeatRequest refreshes the worker's liveness and the TTL of the
@@ -186,7 +137,9 @@ type HeartbeatResponse struct {
 
 // CompleteRequest reports the outcome of one leased run. A non-empty Error
 // means the run failed: the coordinator releases the lease for retry, or
-// abandons the candidate at the scheduler's retry budget.
+// abandons the candidate at the scheduler's retry budget. A successful
+// report must carry an Accuracy in [0, 1] and a non-negative Cost; anything
+// else is refused with 400 "bad_request" and settles nothing.
 type CompleteRequest struct {
 	WorkerID string  `json:"worker_id"`
 	LeaseID  int     `json:"lease_id"`
@@ -204,15 +157,10 @@ type CompleteRequest struct {
 	// the observation that just landed. A report that does not settle (409)
 	// grants nothing.
 	Lease *LeaseRequest `json:"lease,omitempty"`
-	// PosteriorVersion is the change-feed cursor of a report without an
-	// embedded Lease (which carries its own).
-	PosteriorVersion uint64 `json:"posterior_version,omitempty"`
 }
 
-// CompleteResponse reports how the lease settled, plus either the embedded
-// lease answer or — for a plain report — the same change feed a lease
-// response carries: the settle itself moved the job's epoch, and the worker
-// that caused it should not find out a round trip later.
+// CompleteResponse reports how the lease settled, plus the answer to an
+// embedded lease request.
 type CompleteResponse struct {
 	// Settled is "completed", "released" (failed, will retry) or
 	// "abandoned" (failed at the retry budget, candidate retired).
@@ -220,9 +168,7 @@ type CompleteResponse struct {
 	// Lease answers the request's embedded Lease. Nil when none was sent,
 	// or when the lease step failed after the settle went through — the
 	// worker then polls /fleet/lease like any idle slot.
-	Lease            *LeaseResponse `json:"lease,omitempty"`
-	Posteriors       []JobPosterior `json:"posteriors,omitempty"`
-	PosteriorVersion uint64         `json:"posterior_version,omitempty"`
+	Lease *LeaseResponse `json:"lease,omitempty"`
 }
 
 // LeaveRequest deregisters a worker gracefully: its outstanding leases are

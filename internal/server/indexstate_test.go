@@ -156,9 +156,9 @@ func TestGrantLocksOnlyTheChosenJob(t *testing.T) {
 // A settle observes under the job's lock and publishes under coordMu a
 // moment later. A pick that lands in between — here: an observation made
 // on a leased job's bandit with no publish at all — finds the bandit ahead
-// of the view, publishes the live scalars itself, rebuilds the shadow that
-// predates the observation, and picks again; the observed arm is never
-// leased a second time.
+// of the view, publishes the live scalars itself — moving the job's epoch —
+// rebuilds the shadow that predates the observation, and picks again; the
+// observed arm is never leased a second time.
 func TestPickRepublishesWhenBanditIsAheadOfView(t *testing.T) {
 	sc := NewScheduler(NewSimTrainer(cluster.NewPool(8, 0.9), 99), nil, "http://test:9000")
 	job, err := sc.Submit("a", recoveryImgProgram)
@@ -170,7 +170,10 @@ func TestPickRepublishesWhenBanditIsAheadOfView(t *testing.T) {
 		t.Fatalf("standing set: %v %v", held, err)
 	}
 	before := sc.SelectionStats()
-	_, epoch := sc.PosteriorsSince(0)
+	known := map[string]uint64{}
+	for _, d := range sc.PosteriorDeltas(known) {
+		known[d.JobID] = d.Epoch
+	}
 
 	// The first half of a settle, without the second.
 	observed := held[0]
@@ -197,8 +200,8 @@ func TestPickRepublishesWhenBanditIsAheadOfView(t *testing.T) {
 	if after.ShadowsBuilt != before.ShadowsBuilt+1 {
 		t.Errorf("shadows built %d → %d: the pre-observation shadow was revived", before.ShadowsBuilt, after.ShadowsBuilt)
 	}
-	if ds, v := sc.PosteriorsSince(epoch); len(ds) != 1 || v <= epoch {
-		t.Errorf("the republish did not reach the change feed: %v at version %d (was %d)", ds, v, epoch)
+	if ds := sc.PosteriorDeltas(known); len(ds) != 1 || ds[0].JobID != job.ID || ds[0].Epoch <= known[job.ID] {
+		t.Errorf("the republish did not move the job's epoch past %d: %v", known[job.ID], ds)
 	}
 
 	// The settle's own publish arrives late and finds the view already there.

@@ -67,11 +67,12 @@ var classWeights = map[string]float64{
 // released / abandoned / expired / preempted / conflict); the pick_* and
 // settle children share the exact stage boundaries the PR-6 histograms
 // observe, so the span tree and the latency histograms always agree.
-// opPickSpeculative replaces opPickSelect on a speculative grant, so
-// traces make the grant path explicit.
 var (
-	opLease           = telemetry.SpanOp("lease")
-	opPickSelect      = telemetry.SpanOp("pick_select")
+	opLease      = telemetry.SpanOp("lease")
+	opPickSelect = telemetry.SpanOp("pick_select")
+	// opPickSpeculative replaces opPickSelect on a SpeculativeGrant.
+	//
+	// Deprecated: no service path emits it; it goes with SpeculativeGrant.
 	opPickSpeculative = telemetry.SpanOp("pick_speculative")
 	opPickLockWait    = telemetry.SpanOp("pick_lock_wait")
 	opPickHallucinate = telemetry.SpanOp("pick_hallucinate")

@@ -60,14 +60,6 @@ type selectionIndex struct {
 	byClass map[string]*selClass
 	firsts  []int // scratch for ActiveClasses: first active member per share
 	stats   SelectionStats
-
-	// version counts selection-surface changes globally: every per-job
-	// epoch bump and every job arrival advances it, and stamps the entry
-	// it moved (selEntry.changed). It is the fleet protocol's change feed
-	// cursor — a worker that synced at version v needs exactly the entries
-	// with changed > v, and nothing at all when v is current. Never reset,
-	// so a stale worker can never collide with a fresh count.
-	version uint64
 }
 
 // selEntry is one job's slice of the index.
@@ -82,9 +74,6 @@ type selEntry struct {
 	// bump it: the gap reads the real bandit, which leases never touch, and
 	// the shadow tracks lease churn through its arm list below.
 	epoch uint64
-	// changed is the index version at which epoch last moved (or the entry
-	// arrived): the change feed ships the entry to workers synced before it.
-	changed uint64
 
 	// leased lists the job's in-flight arms in grant order (settling leases
 	// included: their arms stay excluded until the observation lands).
@@ -132,9 +121,9 @@ type SelectionStats struct {
 	// Picks counts pick decisions that produced a lease (both the picker
 	// path and speculative grants).
 	Picks uint64 `json:"picks"`
-	// SpeculativeGrants counts leases granted through the fleet's
-	// speculative fast path (Scheduler.SpeculativeGrant): an epoch-validated
-	// worker proposal, no picker sweep.
+	// SpeculativeGrants counts leases granted by the deprecated
+	// Scheduler.SpeculativeGrant (an epoch-validated proposal, no picker
+	// sweep); no service path calls it, so it stays 0 in a running service.
 	SpeculativeGrants uint64 `json:"speculative_grants"`
 	// OraclePicks counts picks answered through the selection index
 	// (heap-backed greedy); LegacyPicks counts picks by pickers without an
@@ -183,8 +172,7 @@ func (ix *selectionIndex) add(job *Job, s core.Scalars) {
 	c.weight = max(c.weight, job.Class.Weight())
 	i := len(ix.entries)
 	view := core.NewTenantView(i, job.ID, s)
-	ix.version++ // arrivals are changes: every synced worker hears of them
-	ix.entries = append(ix.entries, selEntry{job: job, class: c, local: len(c.views), changed: ix.version})
+	ix.entries = append(ix.entries, selEntry{job: job, class: c, local: len(c.views)})
 	ix.views = append(ix.views, view)
 	ix.stats.JobsRescored++
 	c.members = append(c.members, i)
@@ -209,8 +197,6 @@ func (ix *selectionIndex) publish(i int, s core.Scalars) bool {
 	ix.recount(i, was)
 	e.class.fix(e.local)
 	e.epoch++
-	ix.version++
-	e.changed = ix.version
 	ix.stats.EpochBumps++
 	ix.stats.JobsRescored++
 	return true

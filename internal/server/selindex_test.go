@@ -234,12 +234,10 @@ func TestSelectionStatsCounters(t *testing.T) {
 	}
 }
 
-// The fleet's change feed: PosteriorsSince(v) returns exactly the jobs whose
-// epoch moved, or that arrived, after version v — everything at 0, nothing at
-// the current version — together with the version to ask from next time.
-// Lease churn is not a change. PosteriorDeltas(known) is the same loop under
-// a different predicate.
-func TestPosteriorsSinceIsAChangeFeed(t *testing.T) {
+// PosteriorDeltas(known) returns exactly the jobs whose epoch differs from
+// the caller's known one, or that the caller does not know: current epochs
+// select nothing, a stale or missing one selects its job.
+func TestPosteriorDeltasSkipsKnownEpochs(t *testing.T) {
 	sc := equivScheduler(t, 3, false)
 	ids := func(ds []PosteriorDelta) []string {
 		out := make([]string, len(ds))
@@ -248,72 +246,19 @@ func TestPosteriorsSinceIsAChangeFeed(t *testing.T) {
 		}
 		return out
 	}
-	all, v0 := sc.PosteriorsSince(0)
-	if len(all) != 3 || v0 == 0 {
-		t.Fatalf("cursor 0 returned %v at version %d, want all 3 jobs at a non-zero version", ids(all), v0)
-	}
-	if ds, v := sc.PosteriorsSince(v0); len(ds) != 0 || v != v0 {
-		t.Fatalf("current cursor returned %v at version %d, want nothing at %d", ids(ds), v, v0)
-	}
-
-	// Lease churn moves nothing.
-	leases, err := sc.PickWork(2)
-	if err != nil || len(leases) != 2 {
-		t.Fatalf("PickWork: %v %v", leases, err)
-	}
-	if err := sc.Release(leases[1]); err != nil {
-		t.Fatal(err)
-	}
-	if ds, v := sc.PosteriorsSince(v0); len(ds) != 0 || v != v0 {
-		t.Fatalf("lease churn surfaced as a change: %v at version %d", ids(ds), v)
-	}
-
-	// A settle moves exactly its job.
-	if err := sc.Complete(leases[0], 0.7, 2); err != nil {
-		t.Fatal(err)
-	}
-	ds, v1 := sc.PosteriorsSince(v0)
-	if len(ds) != 1 || ds[0].JobID != leases[0].JobID || v1 <= v0 {
-		t.Fatalf("after one settle the feed since %d is %v at version %d, want [%s] at a newer version", v0, ids(ds), v1, leases[0].JobID)
-	}
-	if len(ds[0].Tried) != 1 || ds[0].Tried[0] != leases[0].Arm || ds[0].UCB[leases[0].Arm] != 0 {
-		t.Errorf("settled surface %+v does not show arm %d tried", ds[0], leases[0].Arm)
-	}
-	for _, d := range all {
-		if d.JobID == ds[0].JobID && d.Epoch >= ds[0].Epoch {
-			t.Errorf("epoch did not advance: %d → %d", d.Epoch, ds[0].Epoch)
-		}
-	}
-
-	// An arrival is a change too — and the only one since v1.
-	late, err := sc.Submit("late", recoveryTSProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, v2 := sc.PosteriorsSince(v1)
-	if len(ds) != 1 || ds[0].JobID != late.ID || v2 <= v1 {
-		t.Fatalf("after an arrival the feed since %d is %v at version %d, want [%s]", v1, ids(ds), v2, late.ID)
-	}
-	// An old cursor gets both; zero gets everything.
-	if ds, _ := sc.PosteriorsSince(v0); len(ds) != 2 {
-		t.Errorf("feed since %d is %v, want the settled and the arrived job", v0, ids(ds))
-	}
-	everything, v := sc.PosteriorsSince(0)
-	if len(everything) != 4 || v != v2 {
-		t.Errorf("cursor 0 returned %v at version %d, want 4 jobs at %d", ids(everything), v, v2)
-	}
-
-	// Same loop, epoch predicate: current epochs select nothing, a stale or
-	// missing one selects its job.
 	known := map[string]uint64{}
+	everything := sc.PosteriorDeltas(known)
+	if len(everything) != 3 {
+		t.Fatalf("an empty known map returned %v, want all 3 jobs", ids(everything))
+	}
 	for _, d := range everything {
 		known[d.JobID] = d.Epoch
 	}
 	if ds := sc.PosteriorDeltas(known); len(ds) != 0 {
 		t.Errorf("PosteriorDeltas with current epochs returned %v", ids(ds))
 	}
-	known[late.ID]++
-	delete(known, leases[0].JobID)
+	known[everything[1].JobID]++
+	delete(known, everything[2].JobID)
 	if ds := sc.PosteriorDeltas(known); len(ds) != 2 {
 		t.Errorf("PosteriorDeltas with one stale and one missing epoch returned %v", ids(ds))
 	}

@@ -7,31 +7,24 @@ import (
 	"time"
 )
 
-// Fleet-side posterior scoring: the scheduler exports each job's cached UCB
-// surface tagged with its selection-index epoch, and accepts
-// speculative lease grants for (job, arm, epoch) proposals that workers
-// pre-scored locally against that surface. Validation is one epoch
-// comparison, a look at the job's own in-flight arm list (kept on its index
-// entry — the lease table is never scanned) and the job's own flags — no
-// user pick, no σ̃ fold, no heap traffic — so the steady-state pick cost
-// moves from the coordinator to the fleet's edges (ROADMAP direction 3).
-//
-// Correctness note: a speculative grant changes which arm runs next, never
-// what its result is. Training results are pure functions of (job,
-// candidate) and a full drain trains every candidate exactly once, so final
-// models are bit-identical to a speculation-off run; only completion order
-// (round numbering) may differ. The equivalence suite in internal/fleet
-// asserts exactly that.
+// Exported posterior surfaces and epoch-validated grants: the scheduler
+// exports each job's cached UCB surface tagged with its selection-index
+// epoch, and can lease a (job, arm, epoch) triple scored against that
+// surface without running the user picker. No service path calls either:
+// every fleet grant goes through Grant, so class weights and σ̃ fair sharing
+// decide every lease. Both stay only for the benchmark harness's
+// micro-benchmarks, and go when it is ported.
 
-// PosteriorDelta is one job's selection surface as shipped to fleet workers
-// (it is the wire type: fleet.JobPosterior aliases it): the real
-// (unhallucinated) UCB per arm — all a worker ranks on — stamped with the
-// job's selection-index epoch. Tried lists arms that are observed or
-// retired (their UCB entries are zeroed — the wire format is JSON, which
-// cannot carry the NaN markers UCBSurface uses); Leased lists arms currently
-// held by outstanding leases. Workers propose only arms in neither list.
-// Done marks a job that will never train another candidate (drained, failed
+// PosteriorDelta is one job's selection surface: the real (unhallucinated)
+// UCB per arm, stamped with the job's selection-index epoch. Tried lists
+// arms that are observed or retired (their UCB entries are zeroed, so the
+// delta encodes as JSON, which cannot carry the NaN markers UCBSurface
+// uses); Leased lists arms currently held by outstanding leases. Only arms
+// in neither list can be granted. Done marks a job that will never train another candidate (drained, failed
 // or budget-exhausted) — its slices are omitted.
+//
+// Deprecated: nothing in the service reads it; it stays for the benchmark
+// harness until that is ported to Grant.
 type PosteriorDelta struct {
 	JobID  string    `json:"job_id"`
 	Epoch  uint64    `json:"epoch"`
@@ -43,43 +36,28 @@ type PosteriorDelta struct {
 
 // PosteriorDeltas exports the posterior surface of every job whose
 // epoch differs from the caller's known map (job id → last seen epoch; jobs
-// absent from the map are always sent).
+// absent from the map are always sent). Each delta's epoch and surface are
+// read under coordMu and the job lock together, so it is internally
+// consistent: a caller holding epoch E can ask SpeculativeGrant for any
+// untried, unleased arm and the grant validates iff the job's bandit has not
+// moved since E.
+//
+// Deprecated: nothing in the service calls it; it stays for the benchmark
+// harness until that is ported to Grant.
 func (sc *Scheduler) PosteriorDeltas(known map[string]uint64) []PosteriorDelta {
-	out, _ := sc.posteriorDeltas(func(id string, e *selEntry) bool {
-		v, ok := known[id]
-		return !ok || v != e.epoch
-	})
-	return out
-}
-
-// PosteriorsSince is the fleet's change feed: the surface of every job whose
-// epoch moved (or that arrived) after index version since, plus the version
-// the answer is current at — the cursor for the caller's next call. Nothing
-// is returned at the current version, everything at 0. Both are read in one
-// critical section, so a caller that applies the deltas holds exactly the
-// state of the returned version.
-func (sc *Scheduler) PosteriorsSince(since uint64) ([]PosteriorDelta, uint64) {
-	return sc.posteriorDeltas(func(_ string, e *selEntry) bool { return e.changed > since })
-}
-
-// posteriorDeltas builds the delta of every job want selects, and returns
-// the index version alongside. Each delta's epoch and surface are read under
-// coordMu and the job lock together, so it is internally consistent: a worker
-// holding epoch E can propose any untried, unleased arm and the grant
-// validates iff the job's bandit has not moved since E.
-func (sc *Scheduler) posteriorDeltas(want func(id string, e *selEntry) bool) ([]PosteriorDelta, uint64) {
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
 	var out []PosteriorDelta
 	for i := range sc.selIdx.entries {
-		if e := &sc.selIdx.entries[i]; want(e.job.ID, e) {
+		e := &sc.selIdx.entries[i]
+		if v, ok := known[e.job.ID]; !ok || v != e.epoch {
 			out = append(out, sc.posteriorDeltaLocked(i))
 		}
 	}
-	return out, sc.selIdx.version
+	return out
 }
 
-// posteriorDeltaLocked builds job i's wire delta. Callers hold coordMu
+// posteriorDeltaLocked builds job i's delta. Callers hold coordMu
 // (epoch, lease list); the job lock is taken here so the surface is
 // consistent with the epoch — a bandit that has moved past its view (a
 // settle between its observation and its publish) is published first, so
@@ -109,21 +87,22 @@ func (sc *Scheduler) posteriorDeltaLocked(i int) PosteriorDelta {
 	return d
 }
 
-// SpeculativeGrant validates one worker proposal and, when it holds, leases
-// (jobID, arm) without running the pick path: the only checks are the epoch
+// SpeculativeGrant validates one (job, arm, epoch) proposal and, when it
+// holds, leases (jobID, arm) without running the pick path: the only checks are the epoch
 // comparison, the job's in-flight arm list (an epoch match says nothing
 // about the lease set — lease churn deliberately does not bump epochs), the
 // job's own terminal flags and that its bandit has not moved past the
 // published epoch, and the only bandit work is the hallucination update on
 // the job's persistent shadow. It returns (nil, nil) when the
 // proposal is stale — wrong epoch, arm already leased/tried, job done —
-// which callers treat as "fall back to the normal pick path and resync the
-// worker". Malformed proposals (unknown arm index) are an error.
+// which callers treat as "fall back to the normal pick path". Malformed
+// proposals (unknown arm index) are an error.
 //
-// The fast path intentionally skips the cross-job picker, so it is blind to
-// class weights and σ̃ fair sharing; fairness is preserved by the fallback
-// path (every stale or rejected proposal goes through the full picker) and
-// by preemption, which treats speculative leases like any other.
+// The fast path skips the cross-job picker, so it is blind to class weights
+// and σ̃ fair sharing.
+//
+// Deprecated: nothing in the service calls it — every fleet grant goes
+// through Grant. It stays for the benchmark harness until that is ported.
 func (sc *Scheduler) SpeculativeGrant(jobID string, arm int, epoch uint64) (*Lease, error) {
 	job, ok := sc.Job(jobID)
 	if !ok {
