@@ -456,9 +456,12 @@ func (a *Agent) runLease(ctx context.Context, s slot) (slot, bool) {
 		// Completed agrees with the registry's per-worker tally (a report
 		// that lost a settle race settled nothing).
 		a.completed.Add(1)
-		a.logInfo("run completed",
-			"job", wl.JobID, "candidate", wl.Candidate, "lease", wl.LeaseID,
-			"accuracy", req.Accuracy, "cost", req.Cost, "trace", wl.Trace)
+		// Checked at the call: the six arguments would box per lease.
+		if a.cfg.Logger != nil {
+			a.logInfo("run completed",
+				"job", wl.JobID, "candidate", wl.Candidate, "lease", wl.LeaseID,
+				"accuracy", req.Accuracy, "cost", req.Cost, "trace", wl.Trace)
+		}
 	}
 	var answer LeaseResponse
 	if resp.Lease != nil {

@@ -87,7 +87,7 @@ func (c *Cholesky) Extend(row []float64) error {
 		s := row[i]
 		li := c.rows[i]
 		for k := 0; k < i; k++ {
-			s -= li[k] * y[k]
+			s -= float64(li[k] * y[k])
 		}
 		y[i] = s / li[i]
 	}
@@ -120,7 +120,7 @@ func (c *Cholesky) appendRow(y []float64) error {
 	n := len(y) - 1
 	d := y[n]
 	for _, v := range y[:n] {
-		d -= v * v
+		d -= float64(v * v)
 	}
 	if d <= 0 || math.IsNaN(d) {
 		return fmt.Errorf("%w: new pivot is %g", ErrNotPositiveDefinite, d)
@@ -187,7 +187,7 @@ func (c *Cholesky) ForwardSolve(b []float64) []float64 {
 		s := b[i]
 		row := c.rows[i]
 		for k := 0; k < i; k++ {
-			s -= row[k] * y[k]
+			s -= float64(row[k] * y[k])
 		}
 		y[i] = s / row[i]
 	}
@@ -201,7 +201,7 @@ func (c *Cholesky) BackwardSolve(y []float64) []float64 {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= c.rows[k][i] * x[k]
+			s -= float64(c.rows[k][i] * x[k])
 		}
 		x[i] = s / c.rows[i][i]
 	}
@@ -224,7 +224,7 @@ func (c *Cholesky) QuadForm(b []float64) float64 {
 	y := c.ForwardSolve(b)
 	var s float64
 	for _, v := range y {
-		s += v * v
+		s += float64(v * v)
 	}
 	return s
 }
@@ -244,7 +244,7 @@ func (c *Cholesky) AppendSolved(w []float64, b float64) []float64 {
 	row := c.rows[i]
 	s := b
 	for k, v := range w {
-		s -= row[k] * v
+		s -= float64(row[k] * v)
 	}
 	return append(w, s/row[i])
 }
@@ -308,7 +308,15 @@ func (c *Cholesky) AppendSolvedRow(z [][]float64, b []float64) [][]float64 {
 // subtracting in increasing k and dividing last (not multiplying by a
 // reciprocal) — per column the operations of ForwardSolve and of Extend's
 // solve, so all three agree bit for bit. A zero factor coefficient is
-// skipped, as a sparse factor would.
+// skipped, as a sparse factor would. solveRowKernel runs the sum and the
+// divide: the AVX2 kernel where the CPU has it, solveRowGo elsewhere.
+func (c *Cholesky) solveRow(dst []float64, z [][]float64, b []float64) {
+	copy(dst, b)
+	solveRowKernel(dst, z, c.rows[len(z)])
+}
+
+// solveRowGo is the portable row kernel: dst holds row i = len(z) of B on
+// entry and row i of Z on return, row is factor row i (i+1 long).
 //
 // The sum is i AXPYs onto dst. Taking four coefficients per pass keeps the
 // target element in a register across four subtractions — the same
@@ -316,10 +324,8 @@ func (c *Cholesky) AppendSolvedRow(z [][]float64, b []float64) [][]float64 {
 // often, which is where the time goes once the block outgrows L1. A group
 // holding a zero coefficient takes the scalar loop, so the skip means the
 // same thing on both routes.
-func (c *Cholesky) solveRow(dst []float64, z [][]float64, b []float64) {
+func solveRowGo(dst []float64, z [][]float64, row []float64) {
 	i := len(z)
-	row := c.rows[i]
-	copy(dst, b)
 	k := 0
 	for ; k+4 <= i; k += 4 {
 		c0, c1, c2, c3 := row[k], row[k+1], row[k+2], row[k+3]
@@ -331,10 +337,10 @@ func (c *Cholesky) solveRow(dst []float64, z [][]float64, b []float64) {
 		}
 		z0, z1, z2, z3 := z[k][:len(dst)], z[k+1][:len(dst)], z[k+2][:len(dst)], z[k+3][:len(dst)]
 		for j, s := range dst {
-			s -= c0 * z0[j]
-			s -= c1 * z1[j]
-			s -= c2 * z2[j]
-			s -= c3 * z3[j]
+			s -= float64(c0 * z0[j])
+			s -= float64(c1 * z1[j])
+			s -= float64(c2 * z2[j])
+			s -= float64(c3 * z3[j])
 			dst[j] = s
 		}
 	}
@@ -355,6 +361,6 @@ func axpyNeg(dst []float64, coef float64, x []float64) {
 	}
 	x = x[:len(dst)]
 	for j := range dst {
-		dst[j] -= coef * x[j]
+		dst[j] -= float64(coef * x[j])
 	}
 }

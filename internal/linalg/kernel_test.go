@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -262,6 +263,31 @@ func TestSolveRowSkipsZeroCoefficients(t *testing.T) {
 		want /= last[n-1]
 		if math.Float64bits(v) != math.Float64bits(want) {
 			t.Fatalf("column %d: %g, want %g", j, v, want)
+		}
+	}
+}
+
+// BenchmarkSolveRow times one row of a solved block — the per-observation
+// posterior update — for K arms (columns) after t observations (rows), the
+// shapes the paper's datasets give the GP. Allocation-free: it is pinned at
+// 0 allocs/op.
+func BenchmarkSolveRow(b *testing.B) {
+	for _, k := range []int{4, 35, 179} {
+		for _, t := range []int{20, 90} {
+			b.Run(fmt.Sprintf("K=%d/t=%d", k, t), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(int64(k*1000 + t)))
+				c := factorPrefix(b, randSPD(rng, t+1), t+1)
+				rhs := make([]float64, (t+1)*k)
+				for i := range rhs {
+					rhs[i] = rng.NormFloat64()
+				}
+				z := solvedBlock(c, rhs, k)[:t]
+				dst := make([]float64, k)
+				b.ReportAllocs()
+				for b.Loop() {
+					c.solveRow(dst, z, rhs[t*k:])
+				}
+			})
 		}
 	}
 }

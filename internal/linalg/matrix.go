@@ -6,7 +6,12 @@
 // (internal/gp) and the synthetic data generator (internal/synth) need, and
 // nothing more. Matrices are small (at most a few hundred rows: one row per
 // observation or per candidate model), so the implementations favour clarity
-// and numerical robustness over blocking or SIMD tricks.
+// and numerical robustness over blocking or SIMD tricks; the one SIMD kernel,
+// solveRow's AVX2 form on amd64, computes the portable loop's bits.
+//
+// Every product that feeds a sum is written float64(x*y), which the Go spec
+// forbids a compiler to fuse into an FMA (arm64 otherwise would), so every
+// architecture computes the same bits.
 package linalg
 
 import (
@@ -150,7 +155,7 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 			brow := b.data[k*b.cols : (k+1)*b.cols]
 			orow := out.data[i*out.cols : (i+1)*out.cols]
 			for j, bv := range brow {
-				orow[j] += a * bv
+				orow[j] += float64(a * bv)
 			}
 		}
 	}
@@ -167,7 +172,7 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		var s float64
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		out[i] = s
 	}
@@ -274,7 +279,7 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
@@ -283,7 +288,7 @@ func Dot(a, b []float64) float64 {
 func Norm2(v []float64) float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -297,7 +302,7 @@ func SqDist(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -308,6 +313,6 @@ func AXPY(a float64, x, y []float64) {
 		panic(fmt.Sprintf("linalg: AXPY length mismatch %d vs %d", len(x), len(y)))
 	}
 	for i := range x {
-		y[i] += a * x[i]
+		y[i] += float64(a * x[i])
 	}
 }

@@ -28,7 +28,7 @@ func extRow(a *Matrix, n int) []float64 {
 	return row
 }
 
-func factorPrefix(t *testing.T, a *Matrix, n int) *Cholesky {
+func factorPrefix(t testing.TB, a *Matrix, n int) *Cholesky {
 	t.Helper()
 	c := &Cholesky{}
 	for i := 0; i < n; i++ {

@@ -94,6 +94,7 @@ func TestLeaseRootEndsExactlyOnce(t *testing.T) {
 
 	recorded := telemetry.Default().Counter("easeml_trace_spans_total", "")
 	rounds, seen := 200, map[string]int{}
+	outcomes := []string{"preempted", "expired", "released", "abandoned", "completed"}
 	if testing.Short() {
 		rounds = 50
 	}
@@ -120,29 +121,22 @@ func TestLeaseRootEndsExactlyOnce(t *testing.T) {
 			claims[l] = append(claims[l], outcome)
 			mu.Unlock()
 		}
-		var wg sync.WaitGroup
-		race := func(f func()) {
-			wg.Add(1)
-			go func() { defer wg.Done(); f() }()
+		complete := func(l *Lease) {
+			if settled, err := sc.Settle(l, 0.5, 1, nil); err == nil {
+				claim(l, settled)
+			}
 		}
-		for _, l := range leases {
-			race(func() {
-				if settled, err := sc.Settle(l, 0.5, 1, nil); err == nil {
-					claim(l, settled)
-				}
-			})
-			race(func() {
-				if settled, err := sc.Settle(l, 0, 0, errors.New("run failed")); err == nil {
-					claim(l, settled)
-				}
-			})
-			race(func() {
-				if sc.Release(l) == nil {
-					claim(l, "released")
-				}
-			})
+		fail := func(l *Lease) {
+			if settled, err := sc.Settle(l, 0, 0, errors.New("run failed")); err == nil {
+				claim(l, settled)
+			}
 		}
-		race(func() {
+		release := func(l *Lease) {
+			if sc.Release(l) == nil {
+				claim(l, "released")
+			}
+		}
+		expire := func() {
 			expired, err := sc.ExpireLeases()
 			if err != nil {
 				t.Error(err)
@@ -150,8 +144,8 @@ func TestLeaseRootEndsExactlyOnce(t *testing.T) {
 			for _, l := range expired {
 				claim(l, "expired")
 			}
-		})
-		race(func() {
+		}
+		preempt := func() {
 			victim, err := sc.PreemptForPriority()
 			if err != nil {
 				t.Error(err)
@@ -159,7 +153,41 @@ func TestLeaseRootEndsExactlyOnce(t *testing.T) {
 			if victim != nil {
 				claim(victim, "preempted")
 			}
-		})
+		}
+		perLease := map[string]func(*Lease){"completed": complete, "abandoned": fail, "released": release}
+		whole := map[string]func(){"expired": expire, "preempted": preempt}
+
+		// Until every outcome has been seen, one path per round gets a
+		// head start: it runs to its end before the race begins, so each
+		// terminal path is covered whatever the scheduler does (at one CPU
+		// a completing settle otherwise wins every race). The race that
+		// follows still runs all five paths against it.
+		for _, outcome := range outcomes {
+			if seen[outcome] > 0 {
+				continue
+			}
+			if f, ok := perLease[outcome]; ok {
+				for _, l := range leases {
+					f(l)
+				}
+			} else {
+				whole[outcome]()
+			}
+			break
+		}
+
+		var wg sync.WaitGroup
+		race := func(f func()) {
+			wg.Add(1)
+			go func() { defer wg.Done(); f() }()
+		}
+		for _, l := range leases {
+			race(func() { complete(l) })
+			race(func() { fail(l) })
+			race(func() { release(l) })
+		}
+		race(expire)
+		race(preempt)
 		wg.Wait()
 
 		readBack := 0
@@ -186,9 +214,9 @@ func TestLeaseRootEndsExactlyOnce(t *testing.T) {
 			t.Fatalf("round %d: %d spans recorded, %d distinct read back", round, n, readBack)
 		}
 	}
-	for _, outcome := range []string{"completed", "released", "abandoned", "expired", "preempted"} {
+	for _, outcome := range outcomes {
 		if seen[outcome] == 0 {
-			t.Errorf("no lease ended %q over the run (%v): the race did not cover that path", outcome, seen)
+			t.Errorf("no lease ended %q over the run (%v): not even its head start reached that path", outcome, seen)
 		}
 	}
 

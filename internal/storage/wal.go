@@ -607,7 +607,10 @@ func (l *Log) AppendBatch(events []Event) (uint64, error) {
 	}
 	elapsed := time.Since(t0)
 	walAppendLatency.Observe(elapsed)
-	telemetry.SlowOp("wal_append", elapsed, "type", string(events[0].Type), "seq", req.first, "events", len(events))
+	// Guarded at the call: SlowOp's arguments would box on every append.
+	if t := telemetry.SlowOpThreshold(); t > 0 && elapsed >= t {
+		telemetry.SlowOp("wal_append", elapsed, "type", string(events[0].Type), "seq", req.first, "events", len(events))
+	}
 	return req.first, err
 }
 
