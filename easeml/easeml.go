@@ -339,29 +339,25 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 		s.adm = ctrl
 	}
 	if cfg.DataDir != "" {
-		log, rec, err := storage.OpenDirOptions(cfg.DataDir, storage.LogOptions{
-			SegmentBytes: cfg.WALSegmentBytes,
-		})
+		log, tail, err := sched.Recover(cfg.DataDir, storage.LogOptions{SegmentBytes: cfg.WALSegmentBytes})
 		if err != nil {
 			return nil, err
 		}
-		if err := sched.Recover(rec, log); err != nil {
-			log.Close()
-			return nil, err
-		}
 		s.log = log
-		s.Recovered.Jobs = len(rec.Jobs)
-		s.Recovered.WALEvents = rec.Events
-		s.Recovered.ExpiredLeases = len(rec.Expired)
-		s.Recovered.PreemptedLeases = len(rec.Preempted)
-		s.Recovered.BudgetExhausted = len(rec.BudgetExhausted)
+		s.Recovered.WALEvents = tail.Events()
+		s.Recovered.ExpiredLeases = tail[storage.EventLeaseExpired]
+		s.Recovered.PreemptedLeases = tail[storage.EventLeasePreempted]
 		for _, j := range sched.Jobs() {
 			st, serr := sched.Status(j.ID)
 			if serr != nil {
 				continue
 			}
+			s.Recovered.Jobs++
 			s.Recovered.Models += st.Trained
 			s.Recovered.Examples += st.Examples
+			if st.BudgetExhausted {
+				s.Recovered.BudgetExhausted++
+			}
 		}
 	}
 	if cfg.Workers > 0 {

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -193,11 +194,7 @@ func TestEngineSnapshotRestoreMidFlight(t *testing.T) {
 		trainer.Devices = 8
 		trainer.Delay = delay
 		sc := server.NewScheduler(trainer, nil, "")
-		log, rec, err := storage.OpenDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sc.Recover(rec, log); err != nil {
+		if _, _, err := sc.Recover(dir, storage.LogOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		return sc
@@ -241,6 +238,28 @@ func TestEngineSnapshotRestoreMidFlight(t *testing.T) {
 	fresh := mk(0)
 	if got := fresh.Rounds(); got != settled {
 		t.Fatalf("recovered %d rounds, the abandoned process had settled %d", got, settled)
+	}
+	// Every job comes back as the abandoned process left it: its status,
+	// and what HYBRID ranks it by, bit for bit. A settle that appended
+	// before it changed memory could fall under the checkpoint's horizon
+	// without being in the capture, and would be missing here.
+	for _, job := range sc.Jobs() {
+		want, err := sc.Status(job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fresh.Status(job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("recovered status of %s diverged:\nlive: %+v\nrec:  %+v", job.ID, want, got)
+		}
+		fj, _ := fresh.Job(job.ID) // its status matched, so it exists
+		// %x prints each float in exact hexadecimal: equal strings, equal bits.
+		if g, w := fmt.Sprintf("%x", fj.Scalars()), fmt.Sprintf("%x", job.Scalars()); g != w {
+			t.Errorf("recovered scalars of %s diverged:\nlive: %s\nrec:  %s", job.ID, w, g)
+		}
 	}
 	eng2 := engine.New(fresh, fresh.Trainer(), engine.Config{Workers: 8})
 	if err := eng2.Drain(context.Background()); err != nil {

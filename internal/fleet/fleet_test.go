@@ -27,6 +27,26 @@ func newTestScheduler(t testing.TB) *server.Scheduler {
 	return server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), fleetSeed), nil, "")
 }
 
+// walEvents reads the events of one type a data directory holds, the
+// checkpoint's first, the way recovery streams them.
+func walEvents(t *testing.T, dir string, typ storage.EventType) []storage.Event {
+	t.Helper()
+	var evs []storage.Event
+	log, _, err := storage.Open(dir, storage.LogOptions{}, func(ev storage.Event) error {
+		if ev.Type == typ {
+			evs = append(evs, ev)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
 // baselineModels runs the serialized single-process strategy to exhaustion
 // and returns each job's (candidate → accuracy) map plus its best model.
 func baselineModels(t *testing.T, jobs int) map[string]map[string]float64 {
@@ -225,16 +245,13 @@ func fleetTrainedCounts(t *testing.T, sc *server.Scheduler, ids []string) map[st
 }
 
 // Lease-expiry events must survive a crash/recovery cycle: the WAL records
-// them, OpenDir returns them, and the recovered scheduler re-queues the
+// them, recovery replays them, and the recovered scheduler re-queues the
 // expired candidate (its arm is simply untried).
 func TestLeaseExpiryWALSurvivesCrash(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
-	log, _, err := storage.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := newTestScheduler(t)
-	if err := sc.Recover(nil, log); err != nil {
+	log, _, err := sc.Recover(dir, storage.LogOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	job, err := sc.Submit("a", tsProgram)
@@ -273,22 +290,23 @@ func TestLeaseExpiryWALSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	log2, rec, err := storage.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	expiries := walEvents(t, dir, storage.EventLeaseExpired)
+	if len(expiries) != 1 {
+		t.Fatalf("recovered %d expiry records, want 1 (%+v)", len(expiries), expiries)
 	}
-	defer log2.Close()
-	if len(rec.Expired) != 1 {
-		t.Fatalf("recovered %d expiry records, want 1 (%+v)", len(rec.Expired), rec.Expired)
-	}
-	exp := rec.Expired[0]
+	exp := expiries[0]
 	if exp.Job != job.ID || exp.Candidate != work[0].Candidate.Name() || exp.Worker != "worker-0001" {
 		t.Errorf("recovered expiry %+v", exp)
 	}
 	// The recovered scheduler re-queues the candidate: its arm is untried.
 	sc2 := newTestScheduler(t)
-	if err := sc2.Recover(rec, log2); err != nil {
+	log2, tail, err := sc2.Recover(dir, storage.LogOptions{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer log2.Close()
+	if tail[storage.EventLeaseExpired] != 1 {
+		t.Errorf("recovery replayed %d expiries, want 1", tail[storage.EventLeaseExpired])
 	}
 	again, err := sc2.PickWork(4)
 	if err != nil {

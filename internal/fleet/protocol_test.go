@@ -192,12 +192,9 @@ func TestReRegistrationDropsOldAnswers(t *testing.T) {
 // candidate then trains exactly once, with an honest result.
 func TestOutOfRangeResultIsRefused(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
-	log, _, err := storage.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := newTestScheduler(t)
-	if err := sc.Recover(nil, log); err != nil {
+	log, _, err := sc.Recover(dir, storage.LogOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	job, err := sc.Submit("a", tsProgram)
@@ -264,20 +261,15 @@ func TestOutOfRangeResultIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	log2, rec, err := storage.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log2.Close()
-	if len(rec.Expired) != len(lies) {
-		t.Errorf("WAL holds %d lease expiries, want %d", len(rec.Expired), len(lies))
-	}
-	task, ok := rec.Store.Task(job.ID)
-	if !ok {
-		t.Fatalf("job %s missing from the WAL", job.ID)
+	if n := len(walEvents(t, dir, storage.EventLeaseExpired)); n != len(lies) {
+		t.Errorf("WAL holds %d lease expiries, want %d", n, len(lies))
 	}
 	seen := map[string]bool{}
-	for _, m := range task.Models() {
+	for _, ev := range walEvents(t, dir, storage.EventModelRecorded) {
+		if ev.Job != job.ID {
+			continue
+		}
+		m := ev.Model
 		if seen[m.Name] {
 			t.Errorf("candidate %s trained twice", m.Name)
 		}

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"fmt"
-
 	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -110,18 +108,21 @@ func (sc *Scheduler) enforceBudget(tenant string) error {
 	}
 	var events []storage.Event
 	for _, job := range own {
+		// The job's settle lock orders the drain against its settles and
+		// abandons, and against a concurrent drain of the same tenant, so
+		// each job is drained, recorded and logged once.
+		job.settleMu.Lock()
 		job.mu.Lock()
-		if job.budgetExhausted || job.failed != "" {
-			job.mu.Unlock()
+		done := job.budgetExhausted || job.failed != ""
+		job.mu.Unlock()
+		ev := storage.Event{Type: storage.EventBudgetExhausted, Job: job.ID, Tenant: tenant, Cost: cost}
+		if !done {
+			_ = sc.applyLive(ev) // the job is known: a drain cannot fail
+		}
+		job.settleMu.Unlock()
+		if done {
 			continue
 		}
-		job.budgetExhausted = true
-		for arm := 0; arm < job.tenant.Bandit.NumArms(); arm++ {
-			job.tenant.Bandit.Retire(arm) // no-op for tried arms
-		}
-		sc.markJobDoneLocked(job)
-		score := sc.scoreLocked(job)
-		job.mu.Unlock()
 		sc.decisions.Add(&DecisionRecord{
 			Kind:        DecisionBudgetExhausted,
 			Tenant:      tenant,
@@ -131,19 +132,9 @@ func (sc *Scheduler) enforceBudget(tenant string) error {
 			BudgetUsed:  cost,
 			Outcome:     "drained",
 		})
-		// The drain retired arms: publish the job as inactive (which also
-		// invalidates its hallucination shadow).
-		sc.coordMu.Lock()
-		sc.selIdx.publish(job.tenant.ID, score)
-		sc.coordMu.Unlock()
-		events = append(events, storage.Event{Type: storage.EventBudgetExhausted, Job: job.ID, Tenant: tenant, Cost: cost})
+		events = append(events, ev)
 	}
-	if sc.log != nil {
-		if _, err := sc.log.AppendBatch(events); err != nil {
-			return fmt.Errorf("server: logging budget exhaustion of tenant %q: %w", tenant, err)
-		}
-	}
-	return nil
+	return sc.logEvents("budget exhaustion", tenant, events...)
 }
 
 // PreemptForPriority implements priority preemption over the lease table:
@@ -213,10 +204,6 @@ func (sc *Scheduler) PreemptForPriority() (*Lease, error) {
 		Detail:       "demanding job " + demanding,
 	})
 
-	if sc.log != nil {
-		if err := sc.log.AppendLeasePreempted(victim.JobID, victim.Candidate.Name(), victim.Worker, demanding); err != nil {
-			return victim, fmt.Errorf("server: logging preemption of %s/%s: %w", victim.JobID, victim.Candidate.Name(), err)
-		}
-	}
-	return victim, nil
+	ev := storage.Event{Type: storage.EventLeasePreempted, Job: victim.JobID, Candidate: victim.Candidate.Name(), Worker: victim.Worker, By: demanding}
+	return victim, sc.logEvents("preemption", victim.JobID, ev)
 }

@@ -105,11 +105,7 @@ func TestBudgetExhaustionDrainsAndRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc.SetAdmission(ctrl)
-		log, rec, err := storage.OpenDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sc.Recover(rec, log); err != nil {
+		if _, _, err := sc.Recover(dir, storage.LogOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		return sc
@@ -205,11 +201,8 @@ func TestPreemptForPriority(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.SetAdmission(ctrl)
-	log, rec, err := storage.OpenDir(dir)
+	log, _, err := sc.Recover(dir, storage.LogOptions{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Recover(rec, log); err != nil {
 		t.Fatal(err)
 	}
 
@@ -278,21 +271,39 @@ func TestPreemptForPriority(t *testing.T) {
 	_ = log
 	sc2pool := cluster.NewPool(8, 0.9)
 	sc2 := server.NewScheduler(server.NewSimTrainer(sc2pool, 42), nil, "http://test:9000")
-	log2, rec2, err := storage.OpenDir(dir)
+	log2, _, err := sc2.Recover(dir, storage.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log2.Close()
-	if err := sc2.Recover(rec2, log2); err != nil {
-		t.Fatal(err)
+	preempted := walEvents(t, dir, storage.EventLeasePreempted)
+	if len(preempted) != 1 {
+		t.Fatalf("recovered %d preemption records, want 1", len(preempted))
 	}
-	if len(rec2.Preempted) != 1 {
-		t.Fatalf("recovered %d preemption records, want 1", len(rec2.Preempted))
-	}
-	p := rec2.Preempted[0]
+	p := preempted[0]
 	if p.Job != carol.ID || p.Worker != "worker-0001" || p.By == "" {
 		t.Errorf("preemption record %+v", p)
 	}
+}
+
+// walEvents reads the events of one type a data directory holds, the
+// checkpoint's first, the way recovery streams them.
+func walEvents(t *testing.T, dir string, typ storage.EventType) []storage.Event {
+	t.Helper()
+	var evs []storage.Event
+	log, _, err := storage.Open(dir, storage.LogOptions{}, func(ev storage.Event) error {
+		if ev.Type == typ {
+			evs = append(evs, ev)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return evs
 }
 
 // Standard tenants neither preempt nor get preempted.

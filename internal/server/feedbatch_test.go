@@ -45,11 +45,8 @@ func newFeedFixture(t *testing.T, quota *admission.Quota) (*feedFixture, func() 
 			ctrl.SetClock(func() time.Time { return now })
 			sc.SetAdmission(ctrl)
 		}
-		log, rec, err := storage.OpenDir(dir)
+		log, _, err := sc.Recover(dir, storage.LogOptions{})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sc.Recover(rec, log); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { log.Close() })

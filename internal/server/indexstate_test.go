@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/cluster"
+	"repro/internal/core"
 )
 
 // CheckIndexConsistent compares the selection index's incremental state
@@ -208,11 +209,20 @@ func TestPickRepublishesWhenBanditIsAheadOfView(t *testing.T) {
 	job.mu.Lock()
 	score := job.tenant.Scalars()
 	job.mu.Unlock()
-	sc.endSettle(observed, score)
+	latePublish(sc, observed, score)
 	if bumps := sc.SelectionStats().EpochBumps; bumps != after.EpochBumps {
 		t.Errorf("a publish the view already held bumped the epoch (%d → %d)", after.EpochBumps, bumps)
 	}
 	checkIndexConsistent(t, sc)
+}
+
+// latePublish is a settle's publish of s reaching coordMu after other
+// movers of l's job, followed by the settle's lease drop.
+func latePublish(sc *Scheduler, l *Lease, s core.Scalars) {
+	sc.coordMu.Lock()
+	sc.selIdx.publish(l.entry, s)
+	sc.coordMu.Unlock()
+	sc.endSettle(l)
 }
 
 // quotaScheduler builds a scheduler under the given quotas with one job per
@@ -276,7 +286,7 @@ func TestLatePublishDoesNotReviveADrainedView(t *testing.T) {
 		t.Fatal("the job was not drained")
 	}
 	// Now the slow settle's publish lands.
-	sc.endSettle(slow, stale)
+	latePublish(sc, slow, stale)
 	checkIndexConsistent(t, sc)
 	for {
 		ls, err := sc.Grant(1, 0)

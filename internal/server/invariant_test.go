@@ -29,8 +29,9 @@ import (
 //     with ErrLeaseConflict;
 //  3. post-crash WAL replay reproduces the live scheduler's durable state
 //     bit-for-bit: per-job Status (models, rounds, costs, abandon/budget
-//     markers) and the round counter are equal, and draining the recovered
-//     scheduler to exhaustion never re-trains a recorded candidate.
+//     markers), per-job scheduling scalars (σ̃, gap, best, tried) and the
+//     round counter are equal, and draining the recovered scheduler to
+//     exhaustion never re-trains a recorded candidate.
 //
 // The seed count scales with the environment: 4 under -short (the race CI
 // job), 12 by default, and INVARIANT_SEEDS overrides both — the nightly CI
@@ -108,11 +109,8 @@ func runInvariantSeed(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 		sc.SetAdmission(ctrl)
-		log, rec, err := storage.OpenDir(dir)
+		log, _, err := sc.Recover(dir, storage.LogOptions{})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sc.Recover(rec, log); err != nil {
 			t.Fatal(err)
 		}
 		return sc, ctrl, log
@@ -295,12 +293,15 @@ func runInvariantSeed(t *testing.T, seed int64) {
 	liveRounds := sc.Rounds()
 	liveCosts := sc.TenantCosts()
 	liveStatus := make(map[string]server.Status)
+	liveScalars := make(map[string]string)
 	for tenant, id := range jobs {
 		st, err := sc.Status(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		liveStatus[tenant] = st
+		j, _ := sc.Job(id)
+		liveScalars[tenant] = fmt.Sprintf("%x", j.Scalars()) // floats in exact hexadecimal
 	}
 
 	sc2, _, _ := open()
@@ -320,6 +321,12 @@ func runInvariantSeed(t *testing.T, seed int64) {
 		}
 		if !reflect.DeepEqual(st, liveStatus[tenant]) {
 			t.Fatalf("recovered status of %s diverged:\nlive: %+v\nrec:  %+v", tenant, liveStatus[tenant], st)
+		}
+		// The σ̃ recurrence replays the UCB each arm was leased at, so what
+		// HYBRID ranks the tenant by is bit-identical too.
+		j, _ := sc2.Job(id)
+		if got := fmt.Sprintf("%x", j.Scalars()); got != liveScalars[tenant] {
+			t.Fatalf("recovered scalars of %s diverged:\nlive: %s\nrec:  %s", tenant, liveScalars[tenant], got)
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/storage"
 )
 
 // A lease batch makes many picker calls with no observation in between;
@@ -158,13 +159,13 @@ func TestRecoverRequiresFreshScheduler(t *testing.T) {
 	if _, err := sc.Submit("a", tsProgram); err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Recover(nil, nil); err == nil {
+	if _, _, err := sc.Recover(t.TempDir(), storage.LogOptions{}); err == nil {
 		t.Error("Recover after a submission accepted")
 	}
 	if _, err := sc.PickWork(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Recover(nil, nil); err == nil {
+	if _, _, err := sc.Recover(t.TempDir(), storage.LogOptions{}); err == nil {
 		t.Error("Recover with outstanding leases accepted")
 	}
 }

@@ -309,14 +309,11 @@ func TestMetricsFieldMapping(t *testing.T) {
 	}
 	sc := NewScheduler(NewSimTrainer(cluster.NewPool(8, 0.9), 42), nil, "")
 	sc.SetAdmission(ctrl)
-	wal, rec, err := storage.OpenDir(t.TempDir())
+	wal, _, err := sc.Recover(t.TempDir(), storage.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wal.Close()
-	if err := sc.Recover(rec, wal); err != nil {
-		t.Fatal(err)
-	}
 	for _, sub := range []struct{ tenant, program string }{
 		{"alice", recoveryTSProgram}, {"alice", recoveryTSProgram}, {"bob", recoveryImgProgram},
 	} {

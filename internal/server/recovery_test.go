@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -29,11 +31,8 @@ func newDurableSchedulerOpts(t testing.TB, dir string, opts storage.LogOptions) 
 	t.Helper()
 	pool := cluster.NewPool(8, 0.9)
 	sc := NewScheduler(NewSimTrainer(pool, 42), nil, "http://test:9000")
-	log, rec, err := storage.OpenDirOptions(dir, opts)
+	log, _, err := sc.Recover(dir, opts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Recover(rec, log); err != nil {
 		t.Fatal(err)
 	}
 	return sc, log
@@ -197,6 +196,8 @@ func TestRecoveryAfterCompaction(t *testing.T) {
 	if err := sc1.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	// The checkpoint alone restores the scalars bit for bit.
+	sameScalars(t, sc1, newDurableSchedulerCopy(t, dir), jobA.ID)
 	// Post-compaction mutations live only in the WAL tail.
 	if _, err := sc1.Feed(jobA.ID, []float64{5, 6, 7, 8}, []float64{1, 0}); err != nil {
 		t.Fatal(err)
@@ -220,6 +221,204 @@ func TestRecoveryAfterCompaction(t *testing.T) {
 	if sc2.Rounds() != 4 {
 		t.Errorf("recovered %d rounds, want 4", sc2.Rounds())
 	}
+	sameScalars(t, sc1, sc2, jobA.ID)
+}
+
+// The checkpoint writes a job's models before its abandoned candidates,
+// whatever order they happened in; recovering from it alone must still
+// give the live status and scalars bit for bit.
+func TestCheckpointOfInterleavedAbandonsRecoversScalars(t *testing.T) {
+	dir := t.TempDir()
+	sc1, _ := newDurableScheduler(t, dir)
+	sc1.SetRetryBudget(1) // every failed run abandons its candidate
+	job, err := sc1.Submit("a", recoveryImgProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		leases, err := sc1.Grant(3, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(leases) == 0 {
+			break
+		}
+		for k, l := range leases {
+			var runErr error
+			if (i+k)%3 == 0 {
+				runErr = errors.New("injected failure")
+			}
+			if _, err := sc1.Settle(l, 0.3+0.05*float64((i*3+k)%7), 1, runErr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sc1.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := sc1.Status(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Trained == 0 || len(want.Abandoned) == 0 {
+		t.Fatalf("workload trained %d and abandoned %d; want both", want.Trained, len(want.Abandoned))
+	}
+	sc2 := newDurableSchedulerCopy(t, dir)
+	if got, err := sc2.Status(job.ID); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered status diverged (%v):\nlive: %+v\nrec:  %+v", err, want, got)
+	}
+	sameScalars(t, sc1, sc2, job.ID)
+}
+
+// A Submit and a Feed that land between Compact's capture of the job set
+// and its walk of the store leave a task whose job the checkpoint does not
+// list. The checkpoint must leave that task out (its job_submitted is
+// above the horizon, so all of it replays from the tail) rather than hold
+// frames recovery would apply before their job exists.
+func TestCompactionRacingSubmitRecovers(t *testing.T) {
+	dir := t.TempDir()
+	sc1, log := newDurableScheduler(t, dir)
+	jobA, err := sc1.Submit("a", recoveryTSProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc1.RunRounds(1); err != nil {
+		t.Fatal(err)
+	}
+	// Compact's capture: the horizon, then the job set.
+	through := log.Seq()
+	metas := []storage.JobMeta{{ID: jobA.ID, Name: jobA.Name, Program: jobA.Program.String()}}
+	// The race: a job submitted, fed and trained after the capture.
+	jobB, err := sc1.Submit("b", recoveryTSProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc1.Feed(jobB.ID, []float64{1, 2, 3, 4}, []float64{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc1.RunRounds(3); err != nil {
+		t.Fatal(err)
+	}
+	// Compact's walk of the store, which already holds job B's task.
+	if err := log.Compact(metas, nil, nil, sc1.store, through); err != nil {
+		t.Fatal(err)
+	}
+
+	sc2 := newDurableSchedulerCopy(t, dir)
+	for _, id := range []string{jobA.ID, jobB.ID} {
+		want, err := sc1.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := sc2.Status(id); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("recovered status of %s diverged (%v):\nlive: %+v\nrec:  %+v", id, err, want, got)
+		}
+		sameScalars(t, sc1, sc2, id)
+	}
+}
+
+// A job whose observation fails on replay, though the live service took
+// it (a numeric change between releases can do that), fails alone:
+// recovery succeeds, the job keeps every record the log holds, and the
+// other job comes back as it was.
+func TestReplayObserveFailureFailsJobOnly(t *testing.T) {
+	dir := t.TempDir()
+	sc1, _ := newDurableScheduler(t, dir)
+	sick, err := sc1.Submit("sick", recoveryTSProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, err := sc1.Submit("healthy", recoveryTSProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, sc1)
+	want, err := sc1.Status(sick.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Failed != "" || want.Trained < 3 {
+		t.Fatalf("live sick job: failed %q, trained %d; want healthy with ≥ 3 models", want.Failed, want.Trained)
+	}
+
+	// Recover as Recover does, but give the sick job a grossly indefinite
+	// prior as soon as it is rebuilt: its first observation factorizes,
+	// the second cannot.
+	sc2 := NewScheduler(NewSimTrainer(cluster.NewPool(8, 0.9), 42), nil, "http://test:9000")
+	sc2.jobsMu.Lock()
+	log, _, err := storage.Open(dir, storage.LogOptions{}, func(ev storage.Event) error {
+		if err := sc2.apply(ev); err != nil || ev.Type != storage.EventJobSubmitted || ev.Job != sick.ID {
+			return err
+		}
+		job := sc2.byID[ev.Job]
+		n := len(job.Candidates)
+		rows, costs := make([][]float64, n), make([]float64, n)
+		for i := range rows {
+			rows[i], costs[i] = make([]float64, n), 1
+			for j := range rows[i] {
+				rows[i][j] = 100
+			}
+			rows[i][i] = 1
+		}
+		b := bandit.New(gp.New(linalg.NewMatrixFromRows(rows), 1e-6), bandit.Config{Costs: costs})
+		job.tenant = core.NewTenant(job.tenant.ID, job.ID, b)
+		return nil
+	})
+	sc2.jobsMu.Unlock()
+	if err != nil {
+		t.Fatalf("one job's replay failure stopped recovery: %v", err)
+	}
+	defer log.Close()
+
+	got, err := sc2.Status(sick.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Failed == "" {
+		t.Error("sick job not failed on replay")
+	}
+	if !reflect.DeepEqual(got.Models, want.Models) {
+		t.Errorf("replay dropped records of the failed job:\nlive: %+v\nrec:  %+v", want.Models, got.Models)
+	}
+	if sc2.Rounds() != sc1.Rounds() {
+		t.Errorf("recovered %d rounds, live had %d", sc2.Rounds(), sc1.Rounds())
+	}
+	wantH, err := sc1.Status(healthy.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotH, err := sc2.Status(healthy.ID); err != nil || !reflect.DeepEqual(gotH, wantH) {
+		t.Errorf("healthy job diverged (%v):\nlive: %+v\nrec:  %+v", err, wantH, gotH)
+	}
+	sameScalars(t, sc1, sc2, healthy.ID)
+}
+
+// sameScalars fails t unless job id's scheduling scalars agree bit for
+// bit in the live scheduler and its recovery.
+func sameScalars(t *testing.T, live, rec *Scheduler, id string) {
+	t.Helper()
+	lj, _ := live.Job(id)
+	rj, ok := rec.Job(id)
+	if !ok {
+		t.Fatalf("recovery lost %s", id)
+	}
+	// %x prints each float in exact hexadecimal: equal strings, equal bits.
+	if g, w := fmt.Sprintf("%x", rj.Scalars()), fmt.Sprintf("%x", lj.Scalars()); g != w {
+		t.Errorf("recovered scalars of %s diverged:\nlive: %s\nrec:  %s", id, w, g)
+	}
+}
+
+// newDurableSchedulerCopy recovers a scheduler from a copy of dir, leaving
+// the directory itself to the process that owns it.
+func newDurableSchedulerCopy(t *testing.T, dir string) *Scheduler {
+	t.Helper()
+	cp := t.TempDir()
+	if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	sc, log := newDurableScheduler(t, cp)
+	t.Cleanup(func() { log.Close() })
+	return sc
 }
 
 // Crash-recovery equivalence across segment rolls: the same workload on a

@@ -22,7 +22,7 @@
 //
 //   - jobsMu (RWMutex) guards the job set (jobs, byID, nextID). Write-held
 //     only during Submit and recovery; every other path takes the read side
-//     for a map lookup.
+//     for a map lookup or around apply.
 //   - coordMu is the cross-job coordinator: picker decisions, the lease
 //     table, the round counter and the selection index (selindex.go) — the
 //     published copy of every job's scheduling scalars, its in-flight arm
@@ -34,10 +34,11 @@
 //     runs under the job lock only, so completions for different jobs
 //     proceed in parallel.
 //
-// A fourth lock, Job.settleMu, serializes the settles of one job across
-// their store write and WAL commit, so the live model list, the observation
-// order and the WAL order recovery replays never disagree. It is acquired
-// first, with no other lock held, and by settles only.
+// A fourth lock, Job.settleMu, serializes what moves one job's bandit — its
+// settles, abandons and budget drain — across apply and the WAL commit, so
+// the live model list, the observation order and the WAL order recovery
+// replays never disagree. It is acquired first, with no other lock held,
+// and never on the pick path.
 //
 // Lock order: jobsMu before coordMu before a job lock. Nothing holds two
 // job locks. A pick holds coordMu and the lock of the one job it chose; the
@@ -56,10 +57,12 @@
 //
 // # Durability
 //
-// With a write-ahead log attached (Recover), every state mutation
-// appends a WAL event before the operation acknowledges: job submissions,
-// fed and refined examples, recorded models and abandoned candidates all
-// survive a crash. A failed append surfaces as an error from the mutating
+// With a write-ahead log attached (Recover), every durable change is made
+// by apply (apply.go) from the WAL event the operation then appends, and
+// the operation acknowledges only after the append: job submissions, fed
+// and refined examples, recorded models, abandoned candidates and budget
+// drains all survive a crash, and recovery rebuilds them through the same
+// apply. A failed append surfaces as an error from the mutating
 // call, and the first write, flush, fsync or segment-roll failure poisons
 // the log: every later append and compaction returns that error without
 // writing, so nothing is acknowledged after a failure the log cannot
@@ -279,8 +282,8 @@ type Job struct {
 	// weighted fair sharing and the preemption rules.
 	Class admission.Class
 
-	// settleMu orders the job's settles end to end — observation, round
-	// claim, model store, WAL ack — so the order recovery replays is the
+	// settleMu orders the job's settles, abandons and budget drain end to
+	// end — apply, then the WAL ack — so the order recovery replays is the
 	// order the live state was built in. Taken before every other scheduler
 	// lock and held across the commit; nothing on the pick path takes it.
 	settleMu sync.Mutex
@@ -474,16 +477,24 @@ func (sc *Scheduler) ExpireLeases() ([]*Lease, error) {
 	for _, l := range expired {
 		finishLeaseSpan(l, "expired", nil)
 	}
-	if sc.log != nil {
-		events := make([]storage.Event, len(expired))
-		for i, l := range expired {
-			events[i] = storage.Event{Type: storage.EventLeaseExpired, Job: l.JobID, Candidate: l.Candidate.Name(), Worker: l.Worker}
-		}
-		if _, err := sc.log.AppendBatch(events); err != nil {
-			return expired, fmt.Errorf("server: logging %d lease expiries: %w", len(expired), err)
-		}
+	events := make([]storage.Event, len(expired))
+	for i, l := range expired {
+		events[i] = storage.Event{Type: storage.EventLeaseExpired, Job: l.JobID, Candidate: l.Candidate.Name(), Worker: l.Worker}
 	}
-	return expired, nil
+	return expired, sc.logEvents("lease expiries", "the sweep", events...)
+}
+
+// logEvents appends events to the WAL as one group commit and waits for
+// it; without a log it does nothing. what and id name the events in the
+// error.
+func (sc *Scheduler) logEvents(what, id string, events ...storage.Event) error {
+	if sc.log == nil {
+		return nil
+	}
+	if _, err := sc.log.AppendBatch(events); err != nil {
+		return fmt.Errorf("server: logging %s of %s: %w", what, id, err)
+	}
+	return nil
 }
 
 // Trainer returns the trainer the scheduler was built with, so an execution
@@ -554,26 +565,19 @@ func (sc *Scheduler) submitAdmitted(name, programSrc string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	score := sc.scoreLocked(job) // not yet published: nobody else can hold it
 
 	sc.jobsMu.Lock()
 	defer sc.jobsMu.Unlock()
-	job.tenant.ID = len(sc.jobs)
-	if sc.log != nil {
-		// Log before publishing, inside jobsMu: a submission that cannot
-		// be made durable is not acknowledged, and compaction's capture
-		// (which reads the job set) can never observe a published job
-		// whose event it is about to truncate. The leaked trainer entry
-		// of a failed append is harmless.
-		if err := sc.log.AppendJobSubmitted(id, name, prog.String()); err != nil {
-			return nil, fmt.Errorf("server: logging submission of %q: %w", id, err)
-		}
+	// Log before publishing, inside jobsMu: a submission that cannot be
+	// made durable is not acknowledged, and compaction's capture (which
+	// reads the job set) can never observe a published job whose event it
+	// is about to truncate. The leaked trainer entry of a failed append is
+	// harmless.
+	ev := storage.Event{Type: storage.EventJobSubmitted, Job: id, Name: name, Program: prog.String()}
+	if err := sc.logEvents("submission", id, ev); err != nil {
+		return nil, err
 	}
-	sc.jobs = append(sc.jobs, job)
-	sc.byID[id] = job
-	sc.coordMu.Lock()
-	sc.selIdx.add(job, score)
-	sc.coordMu.Unlock()
+	sc.publishLocked(job)
 	return job, nil
 }
 
@@ -591,11 +595,9 @@ func (sc *Scheduler) buildJob(id, name string, prog dsl.Program) (*Job, error) {
 			return nil, err
 		}
 	}
-	ts, ok := sc.store.Task(id)
-	if !ok {
-		if ts, err = sc.store.CreateTask(id); err != nil {
-			return nil, err
-		}
+	ts, err := sc.store.CreateTask(id)
+	if err != nil {
+		return nil, err
 	}
 
 	costs := make([]float64, len(cands))
@@ -1028,15 +1030,13 @@ func (sc *Scheduler) beginSettle(l *Lease) (*Job, error) {
 	return sc.selIdx.entries[l.entry].job, nil
 }
 
-// endSettle drops a settling lease from the table and publishes its job's
-// scalars s, read under the job's lock after whatever the settle did to
-// the bandit. Every caller leaves the arm tried or retired, so its failure
-// tally goes too.
-func (sc *Scheduler) endSettle(l *Lease, s core.Scalars) {
+// endSettle drops a settling lease from the table once apply has left its
+// arm tried or retired (or the settle bounced), so its failure tally goes
+// too. apply has already published whatever the settle did to the bandit.
+func (sc *Scheduler) endSettle(l *Lease) {
 	sc.coordMu.Lock()
 	sc.dropLeaseLocked(l)
 	delete(sc.failCounts, failKey{l.JobID, l.Arm})
-	sc.selIdx.publish(l.entry, s)
 	sc.coordMu.Unlock()
 }
 
@@ -1086,80 +1086,40 @@ func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 	return nil
 }
 
-// observeAndRecord is the ordered core of Complete: bandit observation →
-// round claim → model store → WAL ack, all under the job's settle lock, so
-// two settles of one job land in the same order in the live model list, in
-// the observation sequence and in the WAL recovery replays. It fills in
-// rec.Round and returns the span outcome tag with any error. The lock is
-// distinct from job.mu, which is released before the store write and the
-// fsync: a pick of this job (which takes job.mu) never waits on a commit.
-// The WAL append's span is a child of settle.
+// observeAndRecord is the ordered core of Complete: apply the model
+// record (observation, σ̃, round claim, model store), drop the lease, then
+// the WAL ack, all under the job's settle lock, so two settles of one job
+// land in the same order in the live model list, in the observation
+// sequence and in the WAL recovery replays. It fills in rec.Round and
+// returns the span outcome tag with any error. The lock is distinct from
+// job.mu, which apply releases before the store write and the fsync: a
+// pick of this job (which takes job.mu) never waits on a commit. The WAL
+// append's span is a child of settle.
 func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelRecord, settle *telemetry.Span) (string, error) {
 	job.settleMu.Lock()
 	defer job.settleMu.Unlock()
-
-	// A settle that bounces leaves the bandit where it was; publishing its
-	// scalars is then a no-op the index drops.
-	bounce := func() {
-		s := sc.scoreLocked(job)
-		job.mu.Unlock()
-		sc.endSettle(l, s)
+	ev := storage.Event{Type: storage.EventModelRecorded, Job: l.JobID, Model: rec, UCB: &l.UCB}
+	err := sc.applyLive(ev)
+	sc.endSettle(l) // the arm is tried now (or the settle bounced)
+	switch {
+	case errors.Is(err, ErrLeaseConflict):
+		return "conflict", err
+	case err != nil:
+		return "failed", err
+	case sc.log == nil:
+		return "completed", nil
 	}
-	job.mu.Lock()
-	if job.failed != "" {
-		bounce()
-		return "failed", fmt.Errorf("server: job %s is failed (%s); dropping result for %s", l.JobID, job.failed, rec.Name)
-	}
-	if job.budgetExhausted {
-		// Graceful drain: the tenant's budget ran out while this run was in
-		// flight. The arm is already retired; the late result bounces off
-		// the same conflict surface as an expired lease, so workers drop it.
-		bounce()
-		return "conflict", fmt.Errorf("server: job %s drained on budget exhaustion; dropping result for %s: %w",
-			l.JobID, rec.Name, ErrLeaseConflict)
-	}
-	if job.tenant.Bandit.Tried(l.Arm) {
-		bounce()
-		return "conflict", fmt.Errorf("server: lease %d arm %d of %s already observed: %w", l.ID, l.Arm, l.JobID, ErrLeaseConflict)
-	}
-	if err := job.tenant.Bandit.Observe(l.Arm, rec.Accuracy); err != nil {
-		sc.failJobLocked(job, err)
-		bounce()
-		return "failed", fmt.Errorf("server: job %s failed: %w", l.JobID, err)
-	}
-	job.tenant.RecordObservation(l.UCB, rec.Accuracy)
-	if job.tenant.Bandit.Exhausted() {
-		sc.markJobDoneLocked(job) // every candidate tried: the job drained
-	}
-	s := sc.scoreLocked(job)
-	job.mu.Unlock()
-
-	// The arm is Tried now, so the lease can be dropped without the arm
-	// ever being selectable in between; claim the round in the same
-	// critical section. The observation moved the job's posterior and σ̃,
-	// so its new scalars are published here too.
-	sc.coordMu.Lock()
-	sc.dropLeaseLocked(l)
-	delete(sc.failCounts, failKey{l.JobID, l.Arm})
-	sc.rounds++
-	rec.Round = sc.rounds
-	sc.selIdx.publish(l.entry, s)
-	sc.coordMu.Unlock()
-
-	job.store.RecordModel(*rec)
-	if sc.log != nil {
-		walT0 := time.Now()
-		wspan := settle.Child(opWALAppend, walT0)
-		seq, err := sc.log.AppendModelRecorded(l.JobID, *rec)
-		if err != nil {
-			wspan.Fail(err)
-			wspan.End()
-			return "error", fmt.Errorf("server: logging result for %s/%s: %w", l.JobID, rec.Name, err)
-		}
-		wspan.SetAttrUint("wal_seq", seq)
+	walT0 := time.Now()
+	wspan := settle.Child(opWALAppend, walT0)
+	seq, err := sc.log.AppendBatch([]storage.Event{ev})
+	if err != nil {
+		wspan.Fail(err)
 		wspan.End()
-		pickStageWALAppend.ObserveSince(walT0)
+		return "error", fmt.Errorf("server: logging result for %s/%s: %w", l.JobID, rec.Name, err)
 	}
+	wspan.SetAttrUint("wal_seq", seq)
+	wspan.End()
+	pickStageWALAppend.ObserveSince(walT0)
 	return "completed", nil
 }
 
@@ -1203,23 +1163,17 @@ func (sc *Scheduler) Abandon(l *Lease) error {
 	defer job.settleMu.Unlock()
 	job.mu.Lock()
 	fresh := !job.tenant.Bandit.Tried(l.Arm)
-	if fresh {
-		job.tenant.Bandit.Retire(l.Arm)
-		job.abandoned = append(job.abandoned, l.Candidate.Name())
-		if job.tenant.Bandit.Exhausted() {
-			sc.markJobDoneLocked(job)
-		}
-	}
-	s := sc.scoreLocked(job)
 	job.mu.Unlock()
-	sc.endSettle(l, s) // the arm is retired (Tried) now, never re-selectable
-	finishLeaseSpan(l, "abandoned", nil)
-	if fresh && sc.log != nil {
-		if err := sc.log.AppendCandidateAbandoned(l.JobID, l.Candidate.Name()); err != nil {
-			return fmt.Errorf("server: logging abandonment of %s/%s: %w", l.JobID, l.Candidate.Name(), err)
-		}
+	ev := storage.Event{Type: storage.EventCandidateAbandoned, Job: l.JobID, Candidate: l.Candidate.Name()}
+	if fresh {
+		err = sc.applyLive(ev)
 	}
-	return nil
+	sc.endSettle(l) // the arm is retired (Tried) now, never re-selectable
+	finishLeaseSpan(l, "abandoned", nil)
+	if err != nil || !fresh {
+		return err
+	}
+	return sc.logEvents("abandonment", l.JobID, ev)
 }
 
 // Release hands a lease back untrained (worker failure or engine drain);
@@ -1355,22 +1309,29 @@ func (sc *Scheduler) FeedBatch(jobID string, inputs, outputs [][]float64) ([]int
 	if len(inputs) != len(outputs) {
 		return nil, fmt.Errorf("server: %d inputs vs %d outputs", len(inputs), len(outputs))
 	}
-	ids := make([]int, 0, len(inputs))
+	n := 0
 	var refused error
 	for i, input := range inputs {
 		if refused = sc.admitExample(job, input, outputs[i]); refused != nil {
 			break
 		}
-		ids = append(ids, job.store.Feed(input, outputs[i]))
+		n++
 	}
-	if sc.log != nil {
-		events := make([]storage.Event, len(ids))
-		for i, id := range ids {
-			events[i] = storage.Event{Type: storage.EventExampleFed, Job: jobID, Example: id, Input: inputs[i], Output: outputs[i]}
-		}
-		if _, err := sc.log.AppendBatch(events); err != nil {
-			return nil, fmt.Errorf("server: logging %d examples for %q: %w", len(ids), jobID, err)
-		}
+	first := job.store.Reserve(n)
+	ids := make([]int, n)
+	events := make([]storage.Event, n)
+	for i := range ids {
+		ids[i] = first + i
+		events[i] = storage.Event{Type: storage.EventExampleFed, Job: jobID, Example: ids[i],
+			Input: slices.Clone(inputs[i]), Output: slices.Clone(outputs[i])}
+	}
+	sc.jobsMu.RLock()
+	for _, ev := range events {
+		_ = sc.apply(ev) // the job is known: a put cannot fail
+	}
+	sc.jobsMu.RUnlock()
+	if err := sc.logEvents("examples", jobID, events...); err != nil {
+		return nil, err
 	}
 	return ids, refused
 }
@@ -1399,19 +1360,11 @@ func (sc *Scheduler) admitExample(job *Job, input, output []float64) error {
 // Refine toggles a supervision example for a job (durably, when a WAL is
 // attached).
 func (sc *Scheduler) Refine(jobID string, exampleID int, enabled bool) error {
-	job, ok := sc.Job(jobID)
-	if !ok {
-		return errNoJob(jobID)
-	}
-	if err := job.store.Refine(exampleID, enabled); err != nil {
+	ev := storage.Event{Type: storage.EventExampleRefined, Job: jobID, Example: exampleID, Enabled: enabled}
+	if err := sc.applyLive(ev); err != nil {
 		return err
 	}
-	if sc.log != nil {
-		if err := sc.log.AppendExampleRefined(jobID, exampleID, enabled); err != nil {
-			return fmt.Errorf("server: logging refine for %q: %w", jobID, err)
-		}
-	}
-	return nil
+	return sc.logEvents("refine", jobID, ev)
 }
 
 // Infer applies the best model so far to an input. The simulated model
@@ -1453,42 +1406,13 @@ type Status struct {
 	Models          []storage.ModelRecord `json:"models"`
 }
 
-// replayTaskLocked feeds each completed run recorded in a recovered job's
-// store back into its bandit, so the GP posterior resumes where the
-// previous process stopped. The job was built over the recovered store, so
-// its examples and model records are already in place. Callers hold job.mu
-// and coordMu (for the round counter).
-func (sc *Scheduler) replayTaskLocked(job *Job) error {
-	candidateIdx := make(map[string]int, len(job.Candidates))
-	for i, c := range job.Candidates {
-		candidateIdx[c.Name()] = i
-	}
-	// A posterior update that fails mid-replay (the job is ill-conditioned
-	// on replay too) retires the job; its model records stay in the store —
-	// recorded results must never silently vanish.
-	failed := job.failed != ""
-	for _, m := range job.store.Models() {
-		arm, ok := candidateIdx[m.Name]
-		if !ok {
-			return fmt.Errorf("server: recovered run %q does not match a candidate of %q", m.Name, job.ID)
-		}
-		if !failed {
-			if job.tenant.Bandit.Tried(arm) {
-				return fmt.Errorf("server: recovered run replays candidate %q of %q twice", m.Name, job.ID)
-			}
-			ucb := job.tenant.Bandit.UCB(arm)
-			if err := job.tenant.Bandit.Observe(arm, m.Accuracy); err != nil {
-				sc.failJobLocked(job, err)
-				failed = true
-			} else {
-				job.tenant.RecordObservation(ucb, m.Accuracy)
-			}
-		}
-		if m.Round > sc.rounds {
-			sc.rounds = m.Round
-		}
-	}
-	return nil
+// Scalars reports the job's scheduling scalars — σ̃, the UCB gap, the
+// best observed quality and the tried count, what the user picker ranks
+// it by — read live under its lock. Recovery reproduces them bit for bit.
+func (job *Job) Scalars() core.Scalars {
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	return job.tenant.Scalars()
 }
 
 // Status reports a job's current state.

@@ -335,17 +335,21 @@ func TestSnapshotEndpoint(t *testing.T) {
 // A recovered run that names no candidate of its job is refused, not
 // silently dropped.
 func TestRecoverRejectsUnknownCandidate(t *testing.T) {
-	store := storage.NewStore()
-	ts, err := store.CreateTask("job-0001")
+	dir := t.TempDir()
+	log, _, err := storage.Open(dir, storage.LogOptions{}, func(storage.Event) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts.RecordModel(storage.ModelRecord{Name: "NoSuchModel", Accuracy: 0.5, Round: 1})
-	rec := &storage.RecoveredState{
-		Jobs:  []storage.JobMeta{{ID: "job-0001", Name: "a", Program: tsProgram}},
-		Store: store,
+	if _, err := log.AppendBatch([]storage.Event{
+		{Type: storage.EventJobSubmitted, Job: "job-0001", Name: "a", Program: tsProgram},
+		{Type: storage.EventModelRecorded, Job: "job-0001", Model: &storage.ModelRecord{Name: "NoSuchModel", Accuracy: 0.5, Round: 1}, UCB: new(float64)},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	err = newScheduler(t).Recover(rec, nil)
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = newScheduler(t).Recover(dir, storage.LogOptions{})
 	if err == nil || !strings.Contains(err.Error(), `recovered run "NoSuchModel"`) {
 		t.Errorf("Recover with an unknown candidate's run: %v", err)
 	}

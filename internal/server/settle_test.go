@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/storage"
 	"repro/internal/templates"
 )
 
@@ -239,13 +238,14 @@ func TestRunRoundsAbandonsPermanentlyFailingCandidate(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	log2, rec, err := storage.OpenDirOptions(dir, storage.LogOptions{})
+	sc2, log2 := newDurableScheduler(t, dir)
+	defer log2.Close()
+	st2, err := sc2.Status(brokenJob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer log2.Close()
-	if !reflect.DeepEqual(rec.Abandoned[brokenJob], []string{broken}) {
-		t.Errorf("recovered abandoned list %v, want {%s: [%s]}", rec.Abandoned, brokenJob, broken)
+	if !reflect.DeepEqual(st2.Abandoned, []string{broken}) {
+		t.Errorf("recovered abandoned list %v, want [%s]", st2.Abandoned, broken)
 	}
 }
 

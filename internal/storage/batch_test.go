@@ -20,7 +20,7 @@ func exampleBatch(from, n int) []Event {
 }
 
 func TestAppendBatchEmptyAndClosed(t *testing.T) {
-	l, _, err := OpenDir(t.TempDir())
+	l, _, err := openDir(t.TempDir(), LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestAppendBatchEmptyAndClosed(t *testing.T) {
 // completely.
 func TestAppendBatchSpansSegmentRoll(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDirOptions(dir, tinySegments)
+	l, _, err := openDir(dir, tinySegments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestAppendBatchSpansSegmentRoll(t *testing.T) {
 	if got := len(diskEvents(t, dir)); got != n+1 {
 		t.Fatalf("%d records on disk, want %d", got, n+1)
 	}
-	l2, rec, err := OpenDirOptions(dir, tinySegments)
+	l2, rec, err := openDir(dir, tinySegments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestAppendBatchSpansSegmentRoll(t *testing.T) {
 // torn one and everything after it.
 func TestTornTailInsideBatch(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
+	l, _, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestTornTailInsideBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, rec, err := OpenDir(dir)
+	l2, rec, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatalf("tail torn inside a batch rejected: %v", err)
 	}
@@ -151,14 +151,14 @@ func frameStarts(t *testing.T, data []byte) []int {
 // the seq) for everything else.
 func TestRecordFrameLayout(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
+	l, _, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	events := exampleBatch(1, 12)
 	events[3].Input = []float64{math.Copysign(0, -1), 5e-324, math.MaxFloat64}
 	events[4].Output = nil
-	events = append(events, Event{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "m", Accuracy: 0.5}})
+	events = append(events, Event{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "m", Accuracy: 0.5}, UCB: ptr(0.75)})
 	if _, err := l.AppendBatch(events); err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,11 @@ import (
 	"testing"
 )
 
+func ptr(x float64) *float64 { return &x }
+
 // image renders everything a recovered state holds, in order, with every
 // fed float as its IEEE-754 bits, so two states compare bit for bit.
-func image(rec *RecoveredState) string {
+func image(rec *recovered) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "jobs %+v\nabandoned %v\nexhausted %v\nexpired %v\npreempted %v\n",
 		rec.Jobs, rec.Abandoned, rec.BudgetExhausted, rec.Expired, rec.Preempted)
@@ -25,13 +27,14 @@ func image(rec *RecoveredState) string {
 		}
 		return out
 	}
-	for _, id := range rec.Store.TaskIDs() {
+	for _, id := range slices.Sorted(maps.Keys(rec.Store.tasks)) {
 		ts, _ := rec.Store.Task(id)
 		best, ok := ts.Best()
 		ts.mu.RLock()
 		next := ts.nextID
 		ts.mu.RUnlock()
-		fmt.Fprintf(&b, "task %s next %d best %+v %v models %+v\n", id, next, best, ok, ts.Models())
+		models, ucbs := ts.runs()
+		fmt.Fprintf(&b, "task %s next %d best %+v %v models %+v ucbs %x\n", id, next, best, ok, models, bits(ucbs))
 		for _, ex := range ts.Examples() {
 			fmt.Fprintf(&b, "  example %d %v %x %x\n", ex.ID, ex.Enabled, bits(ex.Input), bits(ex.Output))
 		}
@@ -41,14 +44,14 @@ func image(rec *RecoveredState) string {
 
 // The checkpoint restores exactly what replaying the WAL restores. A mixed
 // store — two jobs submitted out of id order, a disabled example, a best
-// model that is not the last, abandoned candidates on both jobs, a
+// model that is not the last, models leased at UCBs with low bits set, abandoned candidates on both jobs, a
 // budget-exhausted job, and -0, subnormal and 1e300 floats — compacted and
 // reopened equals the same events replayed out of the segments, bit for
 // bit. rec.Events counts only the WAL tail, the next fed id continues the
 // sequence, and two compactions of an unchanged store write the same bytes.
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
+	l, _, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +64,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		{Type: EventExampleRefined, Job: "job-0001", Example: 2, Enabled: false},
 		{Type: EventExampleRefined, Job: "job-0001", Example: 1, Enabled: false},
 		{Type: EventExampleRefined, Job: "job-0001", Example: 1, Enabled: true},
-		{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "ResNet", Accuracy: 0.9, Cost: 5, Round: 1}},
-		{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "AlexNet", Accuracy: 0.6, Cost: 2, Round: 3}},
-		{Type: EventModelRecorded, Job: "job-0002", Model: &ModelRecord{Name: "GRU", Accuracy: 0.4, Cost: 1, Round: 2}},
+		{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "ResNet", Accuracy: 0.9, Cost: 5, Round: 1}, UCB: ptr(0.6944794283145839)},
+		{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "AlexNet", Accuracy: 0.6, Cost: 2, Round: 3}, UCB: ptr(math.Nextafter(1, 2))},
+		{Type: EventModelRecorded, Job: "job-0002", Model: &ModelRecord{Name: "GRU", Accuracy: 0.4, Cost: 1, Round: 2}, UCB: ptr(-0.25)},
 		{Type: EventCandidateAbandoned, Job: "job-0002", Candidate: "VGG"},
 		{Type: EventCandidateAbandoned, Job: "job-0001", Candidate: "LSTM"},
 		{Type: EventCandidateAbandoned, Job: "job-0001", Candidate: "GRU"},
@@ -76,7 +79,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l, wal, err := OpenDir(dir)
+	l, wal, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +103,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l, ck, err := OpenDir(dir)
+	l, ck, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +147,7 @@ func TestSnapshotIsDeterministicJSON(t *testing.T) {
 // and opening it recovers nothing at seq 0.
 func TestSnapshotEmptyStore(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
+	l, _, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +164,12 @@ func TestSnapshotEmptyStore(t *testing.T) {
 	if got, _, err := scanAll(data, false); err != nil || len(got) != 1 || got[0].Type != EventCheckpoint || got[0].Frames != 0 || got[0].Seq != 0 {
 		t.Fatalf("empty checkpoint holds %+v (%v), want the trailer alone", got, err)
 	}
-	l, rec, err := OpenDir(dir)
+	l, rec, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if len(rec.Jobs) != 0 || len(rec.Store.TaskIDs()) != 0 || rec.Events != 0 || l.Seq() != 0 {
+	if len(rec.Jobs) != 0 || len(rec.Store.tasks) != 0 || rec.Events != 0 || l.Seq() != 0 {
 		t.Errorf("empty checkpoint recovered %+v at seq %d", rec, l.Seq())
 	}
 }
@@ -177,8 +180,8 @@ func TestLoadCheckpointErrors(t *testing.T) {
 	job := frame(t, 5, Event{Type: EventJobSubmitted, Job: "job-0001", Name: "demo", Program: "{prog}"})
 	trailer := func(n int) []byte { return frame(t, 5, Event{Type: EventCheckpoint, Frames: n}) }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	fresh := func() *RecoveredState {
-		return &RecoveredState{Store: NewStore(), Abandoned: map[string][]string{}, BudgetExhausted: map[string]bool{}}
+	fresh := func() *recovered {
+		return newRecovered()
 	}
 	for name, data := range map[string][]byte{
 		"empty":               nil,
@@ -190,12 +193,12 @@ func TestLoadCheckpointErrors(t *testing.T) {
 		"zeros after trailer": cat(job, trailer(1), make([]byte, 20)),
 		"torn after trailer":  cat(job, trailer(1), job[:frameHeader+3]),
 	} {
-		if _, err := applyCheckpoint(data, fresh()); err == nil {
+		if _, err := applyCheckpoint(data, fresh().apply); err == nil {
 			t.Errorf("%s: loaded", name)
 		}
 	}
 	rec := fresh()
-	if seq, err := applyCheckpoint(cat(job, trailer(1)), rec); err != nil || seq != 5 || len(rec.Jobs) != 1 {
+	if seq, err := applyCheckpoint(cat(job, trailer(1)), rec.apply); err != nil || seq != 5 || len(rec.Jobs) != 1 {
 		t.Errorf("intact checkpoint: seq %d, jobs %+v, %v; want seq 5 and the job", seq, rec.Jobs, err)
 	}
 
@@ -204,7 +207,7 @@ func TestLoadCheckpointErrors(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segmentFileName(1)), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenDir(dir); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+	if _, _, err := openDir(dir, LogOptions{}); err == nil || !strings.Contains(err.Error(), "checkpoint") {
 		t.Errorf("a trailer in a segment: %v, want it refused", err)
 	}
 }

@@ -24,7 +24,7 @@ func appendMixedBatches(t testing.TB, l *Log) []Event {
 		exampleBatch(1, 3),
 		{{Type: EventExampleFed, Job: "job-0001", Example: 4, Input: []float64{0, 0}, Output: []float64{0}}},
 		{
-			{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "m1", Accuracy: 0.5, Cost: 1, Round: 1}},
+			{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "m1", Accuracy: 0.5, Cost: 1, Round: 1}, UCB: ptr(0.75)},
 			{Type: EventCandidateAbandoned, Job: "job-0001", Candidate: "m9"},
 		},
 		{
@@ -61,7 +61,7 @@ func scanAll(data []byte, last bool) ([]Event, int, error) {
 // the write stream after any byte.
 func TestEveryPrefixRecoversWholeFrames(t *testing.T) {
 	src := t.TempDir()
-	l, _, err := OpenDir(src)
+	l, _, err := openDir(src, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +84,13 @@ func TestEveryPrefixRecoversWholeFrames(t *testing.T) {
 			whole++
 		}
 		var horizon uint64
-		rec := &RecoveredState{Store: NewStore(), Abandoned: map[string][]string{}, BudgetExhausted: map[string]bool{}}
-		maxSeq, err := replaySegment(path, &horizon, rec, true)
+		applied := 0
+		maxSeq, err := replaySegment(path, &horizon, func(Event) error { applied++; return nil }, true)
 		if err != nil {
 			t.Fatalf("prefix of %d bytes: %v", p, err)
 		}
-		if rec.Events != whole || maxSeq != uint64(whole) {
-			t.Fatalf("prefix of %d bytes replayed %d events up to seq %d, want the %d whole frames", p, rec.Events, maxSeq, whole)
+		if applied != whole || maxSeq != uint64(whole) {
+			t.Fatalf("prefix of %d bytes replayed %d events up to seq %d, want the %d whole frames", p, applied, maxSeq, whole)
 		}
 		if info, err := os.Stat(path); err != nil || info.Size() != int64(starts[whole]) {
 			t.Fatalf("prefix of %d bytes left %v bytes (%v), want it truncated to %d", p, info.Size(), err, starts[whole])
@@ -98,12 +98,12 @@ func TestEveryPrefixRecoversWholeFrames(t *testing.T) {
 	}
 }
 
-// Three crash points through OpenDir: on a batch boundary, inside a frame
+// Three crash points through Open: on a batch boundary, inside a frame
 // in the middle of an AppendBatch, and inside a frame header. Recovery
 // keeps the whole frames, and the log appends cleanly after them.
 func TestCrashPrefixesThroughOpenDir(t *testing.T) {
 	src := t.TempDir()
-	l, _, err := OpenDir(src)
+	l, _, err := openDir(src, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCrashPrefixesThroughOpenDir(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, segmentFileName(1)), data[:c.cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			l, rec, err := OpenDir(dir)
+			l, rec, err := openDir(dir, LogOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +158,10 @@ func TestCrashPrefixesThroughOpenDir(t *testing.T) {
 // the frame before it. Replay never yields a value that was not appended.
 func TestEveryBitFlipDetected(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDirOptions(dir, tinySegments)
+	// Segments sized so that each one holds several frames: the
+	// model_recorded and candidate_abandoned frames (207 bytes with the
+	// ucb) share one.
+	l, _, err := openDir(dir, LogOptions{SegmentBytes: 224})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +222,7 @@ func TestEveryBitFlipDetected(t *testing.T) {
 func mixedCheckpoint(t testing.TB) []byte {
 	t.Helper()
 	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
+	l, _, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +230,7 @@ func mixedCheckpoint(t testing.TB) []byte {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l, rec, err := OpenDir(dir)
+	l, rec, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +252,7 @@ func mixedCheckpoint(t testing.TB) []byte {
 }
 
 // Every strict byte prefix and every single-bit flip of a checkpoint makes
-// OpenDir fail. The checkpoint is installed by rename, so unlike the
+// Open fail. The checkpoint is installed by rename, so unlike the
 // active segment it has no torn tail to forgive. A refusal returns no
 // state and leaves the file as it was.
 func TestEveryCheckpointDamageRefused(t *testing.T) {
@@ -260,7 +263,7 @@ func TestEveryCheckpointDamageRefused(t *testing.T) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, rec, err := OpenDir(dir)
+		l, rec, err := openDir(dir, LogOptions{})
 		if err == nil {
 			l.Close()
 			t.Fatalf("%s: accepted", what)
@@ -283,7 +286,7 @@ func TestEveryCheckpointDamageRefused(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, rec, err := OpenDir(dir)
+	l, rec, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatalf("the intact checkpoint: %v", err)
 	}
@@ -298,7 +301,7 @@ func TestEveryCheckpointDamageRefused(t *testing.T) {
 // now runs past the end of the file or ends exactly there.
 func TestDamagedLengthIsNotATornTail(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
+	l, _, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +331,7 @@ func TestChangedFedFloatRejected(t *testing.T) {
 	for _, file := range []string{"segment", checkpointFile} {
 		t.Run(file, func(t *testing.T) {
 			dir := t.TempDir()
-			l, _, err := OpenDir(dir)
+			l, _, err := openDir(dir, LogOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,7 +349,7 @@ func TestChangedFedFloatRejected(t *testing.T) {
 			}
 			path := activeSegment(t, dir)
 			if file == checkpointFile {
-				l, rec, err := OpenDir(dir)
+				l, rec, err := openDir(dir, LogOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -370,7 +373,7 @@ func TestChangedFedFloatRejected(t *testing.T) {
 			if err := os.WriteFile(path, changed, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, rec, err := OpenDir(dir)
+			_, rec, err := openDir(dir, LogOptions{})
 			if err == nil {
 				ts, _ := rec.Store.Task("job-0001")
 				t.Fatalf("a changed fed float was loaded as truth: %+v", ts.Examples())
@@ -394,7 +397,7 @@ func FuzzReplaySegment(f *testing.F) {
 	for i, ev := range []Event{
 		{Type: EventJobSubmitted, Job: "job-0001", Name: "demo", Program: "{prog}"},
 		{Type: EventExampleFed, Job: "job-0001", Example: 1, Input: []float64{0.5, -0}, Output: []float64{1}},
-		{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "m", Accuracy: 0.5}},
+		{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "m", Accuracy: 0.5}, UCB: ptr(0.75)},
 	} {
 		seg = append(seg, frame(f, uint64(i+1), ev)...)
 	}
@@ -426,8 +429,8 @@ func FuzzReplaySegment(f *testing.F) {
 			t.Fatalf("a sealed scan stopped at %d of %d bytes without an error", end, len(data))
 		}
 
-		rec := &RecoveredState{Store: NewStore(), Abandoned: map[string][]string{}, BudgetExhausted: map[string]bool{}}
-		seq, err := applyCheckpoint(data, rec)
+		rec := newRecovered()
+		seq, err := applyCheckpoint(data, rec.apply)
 		if err != nil {
 			return
 		}

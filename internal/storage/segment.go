@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -67,22 +66,26 @@ import (
 // sealed segment, which was fsynced before its successor existed.
 //
 // The checkpoint, snapshot.wal, is made of the same frames. Log.Compact
-// writes it as one sequential run: a job_submitted per job in registry
-// order; then per task, in task-id order, a kind-2 example_fed per example
-// in id order, an example_refined (enabled false) per disabled example and
-// a model_recorded per model in completion order; then candidate_abandoned
-// and budget_exhausted, sorted by job so equal states give equal bytes.
-// Every frame carries the checkpoint's horizon seq. The last frame is the
-// trailer, a kind-1 checkpoint event whose frames field counts the frames
-// before it. OpenDir scans the checkpoint as it scans a sealed segment —
-// any damage is an error and nothing is truncated — fails unless the file
-// ends in exactly one trailer with a matching count, applies every frame
-// but the trailer, and replays the segments from the trailer's seq.
+// writes it as one sequential run, per job in registry order (so equal
+// states give equal bytes): its job_submitted, a kind-2 example_fed per
+// example in id order, an example_refined (enabled false) per disabled
+// example, a model_recorded per model in completion order, each carrying
+// the UCB its arm was leased at, a candidate_abandoned per abandoned
+// candidate and its budget_exhausted. Every frame carries the
+// checkpoint's horizon seq. The last frame is the trailer, a kind-1
+// checkpoint event whose frames field counts the frames before it. Open
+// scans the checkpoint as it scans a sealed segment — any damage is an
+// error and nothing is truncated — streaming every frame but the trailer,
+// fails unless the file ends in exactly one trailer with a matching count,
+// and replays the segments from the trailer's seq.
 //
 // Upgrading: the files of earlier releases — the JSON snapshot.json and
-// the JSONL segments wal-<seq>.jsonl and wal.jsonl — are not read. OpenDir
+// the JSONL segments wal-<seq>.jsonl and wal.jsonl — are not read. Open
 // refuses a data directory holding any of them and names the file: this
-// release reads only snapshot.wal and wal-*.wal.
+// release reads only snapshot.wal and wal-*.wal. A model_recorded frame
+// without its ucb field, as releases before the UCB was logged wrote them,
+// is a corrupt-record error naming the file and byte offset; it is never
+// replayed as UCB 0.
 //
 // Recycled files (recycled-<origin>.seg) are retired segments kept around,
 // truncated to zero, for the next roll to rename back into service —
@@ -172,6 +175,9 @@ func decodeBody(body []byte) (Event, error) {
 	case kindJSON:
 		if err := json.Unmarshal(body[1:], &ev); err != nil {
 			return Event{}, err
+		}
+		if ev.Type == EventModelRecorded && (ev.Model == nil || ev.UCB == nil) {
+			return Event{}, fmt.Errorf("model_recorded without its model and ucb (an earlier release wrote it)")
 		}
 	case kindFed:
 		job, p, err := readBytes(body[1:])
@@ -296,7 +302,10 @@ func misframed(rest []byte) bool {
 
 // writeCheckpoint writes the state Compact captured as checkpoint frames,
 // each sealed with the horizon seq through, and the trailer that counts
-// them (see the layout above).
+// them (see the layout above). It writes the listed jobs only: a job
+// submitted after the caller listed them has its job_submitted above the
+// horizon, so all its events replay from the tail, and a checkpoint frame
+// for it would precede its job.
 func writeCheckpoint(w io.Writer, jobs []JobMeta, abandoned map[string][]string, budgetExhausted []string, store *Store, through uint64) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	var frame []byte
@@ -314,29 +323,27 @@ func writeCheckpoint(w io.Writer, jobs []JobMeta, abandoned map[string][]string,
 	}
 	for _, m := range jobs {
 		put(Event{Type: EventJobSubmitted, Job: m.ID, Name: m.Name, Program: m.Program})
-	}
-	for _, id := range store.TaskIDs() {
-		ts, _ := store.Task(id) // tasks are never removed
-		exs, models := ts.Examples(), ts.Models()
-		for _, ex := range exs {
-			put(Event{Type: EventExampleFed, Job: id, Example: ex.ID, Input: ex.Input, Output: ex.Output})
-		}
-		for _, ex := range exs {
-			if !ex.Enabled {
-				put(Event{Type: EventExampleRefined, Job: id, Example: ex.ID})
+		if ts, ok := store.Task(m.ID); ok {
+			exs := ts.Examples()
+			models, ucbs := ts.runs()
+			for _, ex := range exs {
+				put(Event{Type: EventExampleFed, Job: m.ID, Example: ex.ID, Input: ex.Input, Output: ex.Output})
+			}
+			for _, ex := range exs {
+				if !ex.Enabled {
+					put(Event{Type: EventExampleRefined, Job: m.ID, Example: ex.ID})
+				}
+			}
+			for i := range models {
+				put(Event{Type: EventModelRecorded, Job: m.ID, Model: &models[i], UCB: &ucbs[i]})
 			}
 		}
-		for i := range models {
-			put(Event{Type: EventModelRecorded, Job: id, Model: &models[i]})
+		for _, name := range abandoned[m.ID] {
+			put(Event{Type: EventCandidateAbandoned, Job: m.ID, Candidate: name})
 		}
-	}
-	for _, id := range slices.Sorted(maps.Keys(abandoned)) {
-		for _, name := range abandoned[id] {
-			put(Event{Type: EventCandidateAbandoned, Job: id, Candidate: name})
+		if slices.Contains(budgetExhausted, m.ID) {
+			put(Event{Type: EventBudgetExhausted, Job: m.ID})
 		}
-	}
-	for _, id := range slices.Sorted(slices.Values(budgetExhausted)) {
-		put(Event{Type: EventBudgetExhausted, Job: id})
 	}
 	put(Event{Type: EventCheckpoint, Frames: frames})
 	if err == nil {
@@ -348,11 +355,11 @@ func writeCheckpoint(w io.Writer, jobs []JobMeta, abandoned map[string][]string,
 	return nil
 }
 
-// applyCheckpoint applies a checkpoint's frames to rec and returns its
+// applyCheckpoint passes a checkpoint's frames to apply and returns its
 // horizon seq. It scans the checkpoint as a sealed segment, so any damage
 // is an error, and fails unless the last frame, and no other, is a trailer
 // counting the frames before it.
-func applyCheckpoint(data []byte, rec *RecoveredState) (uint64, error) {
+func applyCheckpoint(data []byte, apply func(Event) error) (uint64, error) {
 	var trailer *Event
 	frames := 0
 	_, err := scanFrames(checkpointFile, data, false, func(ev Event) error {
@@ -364,8 +371,8 @@ func applyCheckpoint(data []byte, rec *RecoveredState) (uint64, error) {
 			return nil
 		}
 		frames++
-		if err := applyEvent(ev, rec); err != nil {
-			return fmt.Errorf("storage: loading %s: %w", checkpointFile, err)
+		if err := apply(ev); err != nil {
+			return fmt.Errorf("storage: loading %s frame %d: %w", checkpointFile, frames, err)
 		}
 		return nil
 	})

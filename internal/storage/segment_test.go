@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -43,7 +45,7 @@ func segmentCount(t *testing.T, dir string) int {
 
 func TestSegmentRollAndRecovery(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDirOptions(dir, tinySegments)
+	l, _, err := openDir(dir, tinySegments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestSegmentRollAndRecovery(t *testing.T) {
 		t.Fatalf("20 appends over %d-byte segments left %d segments, want several", tinySegments.SegmentBytes, n)
 	}
 
-	l2, rec, err := OpenDirOptions(dir, tinySegments)
+	l2, rec, err := openDir(dir, tinySegments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestSegmentRollAndRecovery(t *testing.T) {
 // untouched.
 func TestTornTailAtSegmentBoundary(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDirOptions(dir, tinySegments)
+	l, _, err := openDir(dir, tinySegments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestTornTailAtSegmentBoundary(t *testing.T) {
 	}
 	f.Close()
 
-	l2, rec, err := OpenDirOptions(dir, tinySegments)
+	l2, rec, err := openDir(dir, tinySegments)
 	if err != nil {
 		t.Fatalf("torn tail in last segment rejected: %v", err)
 	}
@@ -124,7 +126,7 @@ func TestTornTailAtSegmentBoundary(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec2, err := OpenDirOptions(dir, tinySegments)
+	_, rec2, err := openDir(dir, tinySegments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestTornTailAtSegmentBoundary(t *testing.T) {
 // fsynced before the next segment exists — so recovery must refuse it.
 func TestTornSealedSegmentRejected(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDirOptions(dir, tinySegments)
+	l, _, err := openDir(dir, tinySegments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func TestTornSealedSegmentRejected(t *testing.T) {
 	if err := os.WriteFile(sealed, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = OpenDirOptions(dir, tinySegments)
+	_, _, err = openDir(dir, tinySegments)
 	if err == nil || (!strings.Contains(err.Error(), "torn") && !strings.Contains(err.Error(), "corrupt")) {
 		t.Fatalf("torn sealed segment accepted: %v", err)
 	}
@@ -173,7 +175,7 @@ func TestTornSealedSegmentRejected(t *testing.T) {
 // rebuild the same state as the clean compaction.
 func TestCrashMidCompaction(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDirOptions(dir, tinySegments)
+	l, _, err := openDir(dir, tinySegments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +214,7 @@ func TestCrashMidCompaction(t *testing.T) {
 	if n := segmentCount(t, dir); n != 1 {
 		t.Fatalf("compaction left %d segments, want 1", n)
 	}
-	clean, cleanRec, err := OpenDirOptions(dir, tinySegments)
+	clean, cleanRec, err := openDir(dir, tinySegments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +230,7 @@ func TestCrashMidCompaction(t *testing.T) {
 		}
 	}
 
-	_, rec, err := OpenDirOptions(dir, tinySegments)
+	_, rec, err := openDir(dir, tinySegments)
 	if err != nil {
 		t.Fatalf("recovery with leftover covered segments failed: %v", err)
 	}
@@ -276,7 +278,7 @@ func TestDuplicateEventAcrossSegments(t *testing.T) {
 		{Seq: 4, Type: EventLeaseExpired, Job: "job-0001", Candidate: "MLP", Worker: "w2"},
 	})
 
-	l, rec, err := OpenDir(dir)
+	l, rec, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +340,7 @@ func frame(t testing.TB, seq uint64, ev Event) []byte {
 // matches seq order, and recovery sees them all.
 func TestGroupCommitConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDirOptions(dir, LogOptions{SegmentBytes: 4096})
+	l, _, err := openDir(dir, LogOptions{SegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +411,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 		}
 	}
 
-	_, rec, err := OpenDirOptions(dir, LogOptions{})
+	_, rec, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +426,7 @@ func TestSyncIntervalIgnored(t *testing.T) {
 	const interval = 200 * time.Millisecond
 	for _, iv := range []time.Duration{interval, -1} {
 		t.Run(iv.String(), func(t *testing.T) {
-			l, _, err := OpenDirOptions(t.TempDir(), LogOptions{SyncInterval: iv})
+			l, _, err := openDir(t.TempDir(), LogOptions{SyncInterval: iv})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -465,7 +467,7 @@ func TestLegacyJSONLDirectory(t *testing.T) {
 				if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				_, _, err := OpenDir(dir)
+				_, _, err := openDir(dir, LogOptions{})
 				if err == nil || !strings.Contains(err.Error(), c.name) || !strings.Contains(err.Error(), "reads only snapshot.wal and wal-*.wal") {
 					t.Fatalf("%d bytes of %s: %v, want a refusal naming the file and the formats this release reads", len(data), c.name, err)
 				}
@@ -480,11 +482,48 @@ func TestLegacyJSONLDirectory(t *testing.T) {
 	}
 }
 
+// A model_recorded frame without its ucb field, as releases before the
+// UCB was logged wrote it, refuses the open — in the last segment, where a
+// torn tail would be cut, and in the checkpoint — with an error naming the
+// file and the frame's byte offset. It never reaches the caller, so it is
+// never replayed as UCB 0.
+func TestModelRecordWithoutUCBRefused(t *testing.T) {
+	jobEv := Event{Type: EventJobSubmitted, Job: "job-0001", Name: "demo", Program: "{prog}"}
+	oldEv := Event{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "m1", Accuracy: 0.5, Round: 1}}
+	job, old := frame(t, 1, jobEv), frame(t, 2, oldEv)
+	if bytes.Contains(old, []byte(`"ucb"`)) {
+		t.Fatal("the earlier release's frame carries a ucb")
+	}
+	for name, data := range map[string][]byte{
+		segmentFileName(1): slices.Concat(job, old),
+		checkpointFile:     slices.Concat(frame(t, 2, jobEv), old, frame(t, 2, Event{Type: EventCheckpoint, Frames: 2})),
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var models int
+		_, _, err := Open(dir, LogOptions{}, func(ev Event) error {
+			if ev.Type == EventModelRecorded {
+				models++
+			}
+			return nil
+		})
+		at := fmt.Sprintf("%s at byte %d", name, len(job))
+		if err == nil || !strings.Contains(err.Error(), at) || !strings.Contains(err.Error(), "ucb") {
+			t.Errorf("%s: %v, want a refusal naming %q and the missing ucb", name, err, at)
+		}
+		if models != 0 {
+			t.Errorf("%s: %d model records applied", name, models)
+		}
+	}
+}
+
 // Full compaction retires covered segments into the recycle pool, and the
 // next roll renames a pooled file back into service instead of creating.
 func TestSegmentRecycling(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDirOptions(dir, tinySegments)
+	l, _, err := openDir(dir, tinySegments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +564,7 @@ func TestSegmentRecycling(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec, err := OpenDirOptions(dir, tinySegments)
+	_, rec, err := openDir(dir, tinySegments)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -34,6 +35,7 @@ type TaskStore struct {
 	nextID   int
 	examples map[int]*Example
 	models   []ModelRecord
+	ucbs     []float64 // per model: the UCB its arm was leased at
 	best     *ModelRecord
 }
 
@@ -42,26 +44,22 @@ func NewTaskStore() *TaskStore {
 	return &TaskStore{nextID: 1, examples: make(map[int]*Example)}
 }
 
-// Feed registers a new example pair (enabled by default, as freshly fed
-// supervision is live) and returns its id.
-func (s *TaskStore) Feed(input, output []float64) int {
+// Reserve assigns n consecutive example ids and returns the first: the
+// ids of a live feed, whose examples then arrive through PutExample.
+func (s *TaskStore) Reserve(n int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := s.nextID
-	s.nextID++
-	in := append([]float64(nil), input...)
-	out := append([]float64(nil), output...)
-	s.examples[id] = &Example{ID: id, Input: in, Output: out, Enabled: true}
+	s.nextID += n
 	return id
 }
 
-// PutExample inserts (or overwrites) an example under its existing id,
-// preserving its enabled state — the replay path, where ids were assigned
-// by a previous process. It takes ownership of ex.Input and ex.Output
-// (replay decodes fresh slices): the caller must not modify them
-// afterwards. nextID stays ahead of every inserted id, so it is derived
-// state: max id + 1. Overwriting is what makes replay idempotent across
-// the checkpoint boundary.
+// PutExample inserts (or overwrites) an example under an id Reserve
+// assigned, in this process or a previous one, preserving its enabled
+// state. It takes ownership of ex.Input and ex.Output: the caller must
+// not modify them afterwards. nextID stays ahead of every inserted id.
+// Overwriting is what makes replay idempotent across the checkpoint
+// boundary.
 func (s *TaskStore) PutExample(ex Example) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -86,7 +84,7 @@ func (s *TaskStore) Refine(id int, enabled bool) error {
 }
 
 // Examples returns a copy of all examples sorted by id. Payload slices are
-// shared (they are never mutated after Feed).
+// shared (they are never mutated after PutExample).
 func (s *TaskStore) Examples() []Example {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -111,12 +109,15 @@ func (s *TaskStore) EnabledCount() int {
 	return n
 }
 
-// RecordModel stores a completed training run and updates the best model if
-// it improves on it ("the user has a view of the best available model").
-func (s *TaskStore) RecordModel(rec ModelRecord) {
+// RecordModel stores a completed training run, with the upper confidence
+// bound its arm was leased at (which the checkpoint logs for the σ̃
+// recurrence), and updates the best model if it improves on it ("the
+// user has a view of the best available model").
+func (s *TaskStore) RecordModel(rec ModelRecord, ucb float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.models = append(s.models, rec)
+	s.ucbs = append(s.ucbs, ucb)
 	if s.best == nil || rec.Accuracy > s.best.Accuracy {
 		cp := rec
 		s.best = &cp
@@ -135,6 +136,13 @@ func (s *TaskStore) HasModel(name string) bool {
 		}
 	}
 	return false
+}
+
+// runs returns copies of the recorded training runs and their UCBs.
+func (s *TaskStore) runs() ([]ModelRecord, []float64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return slices.Clone(s.models), slices.Clone(s.ucbs)
 }
 
 // Models returns a copy of all recorded training runs in completion order.
@@ -185,16 +193,4 @@ func (s *Store) Task(id string) (*TaskStore, bool) {
 	defer s.mu.RUnlock()
 	ts, ok := s.tasks[id]
 	return ts, ok
-}
-
-// TaskIDs returns all task ids in sorted order.
-func (s *Store) TaskIDs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]string, 0, len(s.tasks))
-	for id := range s.tasks {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,18 +53,20 @@ import (
 //	     (admin / shutdown)           frames + trailer; every covered
 //	                                  segment recycled
 //
-//	Recover (OpenDir) ──▶ snapshot.wal (any damage is an error), then the
-//	                      segments replayed frame by frame in seq order; a
-//	                      torn tail is truncated in the last segment only,
-//	                      any other damage is an error
+//	Open(dir, apply) ──▶ snapshot.wal's frames streamed to apply (any
+//	                     damage is an error), then the segments' frames
+//	                     above the horizon, in seq order; a torn tail is
+//	                     truncated in the last segment only, any other
+//	                     damage is an error
 //
 // A failed write, flush, fsync or roll poisons the log (see Log.Err).
 //
-// Replay is idempotent and seq-filtered: an event already reflected in
-// the checkpoint, or surviving in two segments after an interrupted
-// compaction, applies at most once. The "checkpoint state vs. log tail"
-// boundary therefore never has to be exact, which is what lets Compact
-// capture live state under a horizon read before the capture.
+// Replay is seq-filtered, and its consumer idempotent: an event surviving
+// in two segments after an interrupted compaction applies once, and one
+// already reflected in the checkpoint changes nothing. The "checkpoint
+// state vs. log tail" boundary therefore never has to be exact, which is
+// what lets Compact capture live state under a horizon read before the
+// capture.
 
 // EventType labels one WAL record.
 type EventType string
@@ -119,6 +122,11 @@ type Event struct {
 
 	// model_recorded
 	Model *ModelRecord `json:"model,omitempty"`
+	// UCB is the upper confidence bound the model's arm was leased at —
+	// the GP-BUCB hallucinated one when other arms of the job were in
+	// flight — which the scheduler's σ̃ recurrence replays. Required:
+	// replay refuses a model_recorded without it.
+	UCB *float64 `json:"ucb,omitempty"`
 
 	// candidate_abandoned / lease_expired / lease_preempted
 	Candidate string `json:"candidate,omitempty"`
@@ -140,26 +148,6 @@ type Event struct {
 	Frames int `json:"frames,omitempty"`
 }
 
-// ExpiredLease is one recovered lease-expiry record: a candidate whose
-// remote worker went silent before reporting a result. The arm itself is
-// simply untried in the recovered state (the re-queue needs no replay);
-// the record preserves the operational history across a crash.
-type ExpiredLease struct {
-	Job       string
-	Candidate string
-	Worker    string
-}
-
-// PreemptedLease is one recovered lease-preemption record: a best-effort
-// candidate whose lease was reclaimed to make room for higher-priority
-// work. Pure operational history, like ExpiredLease.
-type PreemptedLease struct {
-	Job       string
-	Candidate string
-	Worker    string
-	By        string // the job whose work demanded the capacity
-}
-
 // JobMeta is the durable identity of a submitted job: everything needed to
 // rebuild its candidate surface on recovery (the program is re-parsed and
 // re-matched, which reproduces the same candidates deterministically).
@@ -169,20 +157,18 @@ type JobMeta struct {
 	Program string `json:"program"`
 }
 
-// RecoveredState is what OpenDir reconstructs from checkpoint + log: the job
-// registry in submission order, the shared store (examples, refine state,
-// model records), and the candidates abandoned per job. The scheduler
-// replays Store model records into its bandits to resume selection.
+// RecoveredState is what OpenDirOptions folds a data directory into: the
+// job registry in submission order and the shared store (examples, refine
+// state, model records).
+//
+// Deprecated: the scheduler recovers by streaming the events through Open
+// into its own apply; nothing is materialised. RecoveredState stays only
+// for the frozen benchmark harness (bench/micro.go, through
+// OpenDirOptions), until the benchmark refresh (ROADMAP item 1(b)).
 type RecoveredState struct {
-	Jobs      []JobMeta
-	Store     *Store
-	Abandoned map[string][]string
-	// BudgetExhausted marks jobs drained because their tenant's budget ran
-	// out; the scheduler re-retires their remaining candidates on recovery.
-	BudgetExhausted map[string]bool
-	Expired         []ExpiredLease   // lease expiries in the surviving WAL tail
-	Preempted       []PreemptedLease // lease preemptions in the surviving WAL tail
-	Events          int              // WAL tail events applied on top of the checkpoint
+	Jobs   []JobMeta
+	Store  *Store
+	Events int // WAL tail events applied on top of the checkpoint
 }
 
 // DefaultSegmentBytes is the segment roll threshold when LogOptions does
@@ -360,20 +346,32 @@ func (l *Log) timedSync(f *os.File) error {
 	return err
 }
 
-// OpenDir opens (creating if needed) a data directory with default
-// LogOptions and recovers its state. See OpenDirOptions.
-func OpenDir(dir string) (*Log, *RecoveredState, error) {
-	return OpenDirOptions(dir, LogOptions{})
+// Tail counts the WAL tail events Open applied on top of the checkpoint,
+// by type. The checkpoint's own frames are not counted.
+type Tail map[EventType]int
+
+// Events returns how many tail events were applied.
+func (t Tail) Events() int {
+	n := 0
+	for _, c := range t {
+		n += c
+	}
+	return n
 }
 
-// OpenDirOptions opens (creating if needed) a data directory and recovers
-// its state: the checkpoint is loaded if present, then the segments'
-// surviving records are replayed on top in seq order. A torn tail — the
+// Open opens (creating if needed) a data directory and streams its events
+// to apply, in seq order and nothing materialised: the checkpoint's
+// frames, then the segments' frames above the horizon. A torn tail — the
 // signature of a crash mid-commit — is truncated away in the last
-// segment; damage anywhere else, the checkpoint included, is an error,
-// and so is any file of an earlier release (segment.go). The returned Log
-// appends to the last segment.
-func OpenDirOptions(dir string, opts LogOptions) (*Log, *RecoveredState, error) {
+// segment; damage anywhere else, the checkpoint included, is an error
+// naming the file and byte offset, and so is any file of an earlier
+// release (segment.go). An error from apply stops the stream and is
+// returned wrapped with the event's file and seq; the caller discards
+// what apply built. apply must be idempotent: Compact captures live state
+// under a horizon read before the capture, so an event just above it may
+// already be in the checkpoint. The returned Log appends to the last
+// segment.
+func Open(dir string, opts LogOptions, apply func(Event) error) (*Log, Tail, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
@@ -384,14 +382,9 @@ func OpenDirOptions(dir string, opts LogOptions) (*Log, *RecoveredState, error) 
 		return nil, nil, err
 	}
 
-	rec := &RecoveredState{
-		Store:           NewStore(),
-		Abandoned:       make(map[string][]string),
-		BudgetExhausted: make(map[string]bool),
-	}
 	var lastSeq uint64
 	if data, err := os.ReadFile(filepath.Join(dir, checkpointFile)); err == nil {
-		if lastSeq, err = applyCheckpoint(data, rec); err != nil {
+		if lastSeq, err = applyCheckpoint(data, apply); err != nil {
 			return nil, nil, err
 		}
 	} else if !os.IsNotExist(err) {
@@ -403,6 +396,14 @@ func OpenDirOptions(dir string, opts LogOptions) (*Log, *RecoveredState, error) 
 		return nil, nil, err
 	}
 
+	tail := make(Tail)
+	counted := func(ev Event) error {
+		if err := apply(ev); err != nil {
+			return err
+		}
+		tail[ev.Type]++
+		return nil
+	}
 	// horizon is the monotonic replay filter: events at or below it are
 	// already reflected (checkpoint, or an earlier copy in a previous
 	// segment) and skip. It is what makes replay idempotent when the same
@@ -410,7 +411,7 @@ func OpenDirOptions(dir string, opts LogOptions) (*Log, *RecoveredState, error) 
 	horizon := lastSeq
 	maxSeq := lastSeq
 	for i := range segs {
-		segMax, rerr := replaySegment(segs[i].path, &horizon, rec, i == len(segs)-1)
+		segMax, rerr := replaySegment(segs[i].path, &horizon, counted, i == len(segs)-1)
 		if rerr != nil {
 			return nil, nil, rerr
 		}
@@ -444,15 +445,15 @@ func OpenDirOptions(dir string, opts LogOptions) (*Log, *RecoveredState, error) 
 	walSegments.Set(float64(len(l.sealed) + 1))
 	l.done = make(chan struct{})
 	go l.committer()
-	return l, rec, nil
+	return l, tail, nil
 }
 
-// replaySegment applies a segment's events with Seq > *horizon to rec,
+// replaySegment passes a segment's events with Seq > *horizon to apply,
 // advancing the horizon past each applied event. Only the last segment
 // may carry a torn tail (it is truncated away); any damage in a sealed
-// segment is corruption and an error. It returns the highest sequence
-// number seen in the segment (0 if empty).
-func replaySegment(path string, horizon *uint64, rec *RecoveredState, last bool) (uint64, error) {
+// segment is corruption and an error, and so is a checkpoint trailer. It
+// returns the highest sequence number seen in the segment (0 if empty).
+func replaySegment(path string, horizon *uint64, apply func(Event) error, last bool) (uint64, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return 0, nil
@@ -460,18 +461,20 @@ func replaySegment(path string, horizon *uint64, rec *RecoveredState, last bool)
 	if err != nil {
 		return 0, fmt.Errorf("storage: reading WAL segment: %w", err)
 	}
+	name := filepath.Base(path)
 	var maxSeq uint64
-	applied := 0
-	end, err := scanFrames(filepath.Base(path), data, last, func(ev Event) error {
+	end, err := scanFrames(name, data, last, func(ev Event) error {
 		maxSeq = max(maxSeq, ev.Seq)
 		if ev.Seq <= *horizon {
 			return nil
 		}
-		if err := applyEvent(ev, rec); err != nil {
-			return fmt.Errorf("storage: replaying WAL seq %d: %w", ev.Seq, err)
+		if ev.Type == EventCheckpoint {
+			return fmt.Errorf("storage: %s holds a checkpoint trailer at seq %d", name, ev.Seq)
+		}
+		if err := apply(ev); err != nil {
+			return fmt.Errorf("storage: replaying WAL seq %d in %s: %w", ev.Seq, name, err)
 		}
 		*horizon = ev.Seq
-		applied++
 		return nil
 	})
 	if err != nil {
@@ -482,74 +485,45 @@ func replaySegment(path string, horizon *uint64, rec *RecoveredState, last bool)
 			return 0, fmt.Errorf("storage: truncating torn WAL tail: %w", err)
 		}
 	}
-	rec.Events += applied
 	return maxSeq, nil
 }
 
-// applyEvent folds one WAL or checkpoint event into the recovered state.
-// Every case is idempotent: applying an event whose effect is already
-// present is a no-op, which makes replay safe across the checkpoint
-// boundary.
-func applyEvent(ev Event, rec *RecoveredState) error {
-	switch ev.Type {
-	case EventJobSubmitted:
-		for _, m := range rec.Jobs {
-			if m.ID == ev.Job {
-				return nil
-			}
-		}
+// OpenDirOptions opens a data directory through Open and folds every
+// event into a RecoveredState.
+//
+// Deprecated: use Open, which streams the events instead of
+// materialising them. OpenDirOptions stays only for the frozen benchmark
+// harness (bench/micro.go), until the benchmark refresh (ROADMAP item
+// 1(b)) moves it to Open.
+func OpenDirOptions(dir string, opts LogOptions) (*Log, *RecoveredState, error) {
+	rec := &RecoveredState{Store: NewStore()}
+	l, tail, err := Open(dir, opts, rec.apply)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec.Events = tail.Events()
+	return l, rec, nil
+}
+
+// apply folds one event into the job registry and the store; the other
+// event types leave both alone. Every case is idempotent.
+func (rec *RecoveredState) apply(ev Event) error {
+	if ev.Type == EventJobSubmitted && !slices.ContainsFunc(rec.Jobs, func(m JobMeta) bool { return m.ID == ev.Job }) {
 		rec.Jobs = append(rec.Jobs, JobMeta{ID: ev.Job, Name: ev.Name, Program: ev.Program})
-		if _, ok := rec.Store.Task(ev.Job); !ok {
-			if _, err := rec.Store.CreateTask(ev.Job); err != nil {
-				return err
-			}
-		}
+	}
+	ts, err := taskFor(rec.Store, ev.Job)
+	if err != nil {
+		return err
+	}
+	switch ev.Type {
 	case EventExampleFed:
-		ts, err := taskFor(rec.Store, ev.Job)
-		if err != nil {
-			return err
-		}
 		ts.PutExample(Example{ID: ev.Example, Input: ev.Input, Output: ev.Output, Enabled: true})
 	case EventExampleRefined:
-		ts, err := taskFor(rec.Store, ev.Job)
-		if err != nil {
-			return err
-		}
-		if err := ts.Refine(ev.Example, ev.Enabled); err != nil {
-			return err
-		}
+		return ts.Refine(ev.Example, ev.Enabled)
 	case EventModelRecorded:
-		if ev.Model == nil {
-			return fmt.Errorf("model_recorded event without a model")
-		}
-		ts, err := taskFor(rec.Store, ev.Job)
-		if err != nil {
-			return err
-		}
 		if !ts.HasModel(ev.Model.Name) {
-			ts.RecordModel(*ev.Model)
+			ts.RecordModel(*ev.Model, *ev.UCB)
 		}
-	case EventCandidateAbandoned:
-		for _, name := range rec.Abandoned[ev.Job] {
-			if name == ev.Candidate {
-				return nil
-			}
-		}
-		rec.Abandoned[ev.Job] = append(rec.Abandoned[ev.Job], ev.Candidate)
-	case EventLeaseExpired:
-		// Pure history: the monotonic replay horizon admits each seq at
-		// most once, so no dedup is needed here.
-		rec.Expired = append(rec.Expired, ExpiredLease{Job: ev.Job, Candidate: ev.Candidate, Worker: ev.Worker})
-	case EventLeasePreempted:
-		// Pure history, like expiry.
-		rec.Preempted = append(rec.Preempted, PreemptedLease{Job: ev.Job, Candidate: ev.Candidate, Worker: ev.Worker, By: ev.By})
-	case EventBudgetExhausted:
-		if rec.BudgetExhausted == nil {
-			rec.BudgetExhausted = make(map[string]bool)
-		}
-		rec.BudgetExhausted[ev.Job] = true // idempotent by construction
-	default:
-		return fmt.Errorf("unknown event type %q", ev.Type)
 	}
 	return nil
 }
@@ -832,6 +806,7 @@ func (l *Log) Dir() string { return l.dir }
 
 // Compact writes the given state as the directory's checkpoint
 // (snapshot.wal, see segment.go) and recycles every segment it covers.
+// Only the listed jobs' tasks are written from the store.
 // through is the caller's sequence horizon — the log's Seq() read
 // *before* the caller captured the state it passes here — so an event
 // appended while the state was being captured (and thus possibly missing
@@ -978,27 +953,4 @@ func (l *Log) AppendJobSubmitted(jobID, name, program string) error {
 // AppendExampleFed logs a fed supervision example under its assigned id.
 func (l *Log) AppendExampleFed(jobID string, exampleID int, input, output []float64) error {
 	return l.Append(Event{Type: EventExampleFed, Job: jobID, Example: exampleID, Input: input, Output: output})
-}
-
-// AppendExampleRefined logs an example's refine toggle.
-func (l *Log) AppendExampleRefined(jobID string, exampleID int, enabled bool) error {
-	return l.Append(Event{Type: EventExampleRefined, Job: jobID, Example: exampleID, Enabled: enabled})
-}
-
-// AppendModelRecorded logs a completed training run (a settled lease) and
-// returns the seq the record took.
-func (l *Log) AppendModelRecorded(jobID string, rec ModelRecord) (uint64, error) {
-	return l.AppendBatch([]Event{{Type: EventModelRecorded, Job: jobID, Model: &rec}})
-}
-
-// AppendCandidateAbandoned logs a candidate retired after repeated failures.
-func (l *Log) AppendCandidateAbandoned(jobID, candidate string) error {
-	return l.Append(Event{Type: EventCandidateAbandoned, Job: jobID, Candidate: candidate})
-}
-
-// AppendLeasePreempted logs a lease reclaimed to make room for
-// higher-priority work (by names the demanding job); like expiry, the arm
-// re-enters selection in memory and only the history needs the log.
-func (l *Log) AppendLeasePreempted(jobID, candidate, worker, by string) error {
-	return l.Append(Event{Type: EventLeasePreempted, Job: jobID, Candidate: candidate, Worker: worker, By: by})
 }

@@ -3,13 +3,14 @@ package storage
 import (
 	"errors"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
 
 func TestWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, rec, err := OpenDir(dir)
+	l, rec, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,20 +26,20 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := l.AppendExampleFed("job-0001", 2, []float64{4, 5}, []float64{6}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendExampleRefined("job-0001", 1, false); err != nil {
+	if err := l.Append(Event{Type: EventExampleRefined, Job: "job-0001", Example: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendModelRecorded("job-0001", ModelRecord{Name: "m1", Accuracy: 0.8, Cost: 2, Round: 1}); err != nil {
+	if err := l.Append(Event{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "m1", Accuracy: 0.8, Cost: 2, Round: 1}, UCB: ptr(0.5)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendCandidateAbandoned("job-0001", "m9"); err != nil {
+	if err := l.Append(Event{Type: EventCandidateAbandoned, Job: "job-0001", Candidate: "m9"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	l2, rec2, err := OpenDir(dir)
+	l2, rec2, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestWALRoundTrip(t *testing.T) {
 // compaction returns the stored error without touching the segment.
 func TestFailedSyncPoisonsLog(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
+	l, _, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func activeSegment(t *testing.T, dir string) string {
 
 func TestWALTornTailDiscarded(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
+	l, _, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestWALTornTailDiscarded(t *testing.T) {
 	}
 	f.Close()
 
-	l2, rec, err := OpenDir(dir)
+	l2, rec, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatalf("torn tail rejected: %v", err)
 	}
@@ -181,7 +182,7 @@ func TestWALTornTailDiscarded(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec3, err := OpenDir(dir)
+	_, rec3, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestWALTornTailDiscarded(t *testing.T) {
 
 func TestWALCorruptionMidFileRejected(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
+	l, _, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestWALCorruptionMidFileRejected(t *testing.T) {
 	if err := os.WriteFile(walPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = OpenDir(dir)
+	_, _, err = openDir(dir, LogOptions{})
 	if err == nil || !strings.Contains(err.Error(), "corrupt") || !strings.Contains(err.Error(), "at byte 0") {
 		t.Fatalf("mid-file corruption accepted or not located: %v", err)
 	}
@@ -223,7 +224,7 @@ func TestWALCorruptionMidFileRejected(t *testing.T) {
 
 func TestCompactionTruncatesAndRecovers(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
+	l, _, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +240,8 @@ func TestCompactionTruncatesAndRecovers(t *testing.T) {
 	if err := l.AppendExampleFed("job-0001", 1, []float64{1}, []float64{2}); err != nil {
 		t.Fatal(err)
 	}
-	ts.RecordModel(ModelRecord{Name: "m1", Accuracy: 0.7, Round: 1})
-	if _, err := l.AppendModelRecorded("job-0001", ModelRecord{Name: "m1", Accuracy: 0.7, Round: 1}); err != nil {
+	ts.RecordModel(ModelRecord{Name: "m1", Accuracy: 0.7, Round: 1}, 0.5)
+	if err := l.Append(Event{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "m1", Accuracy: 0.7, Round: 1}, UCB: ptr(0.5)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -261,15 +262,15 @@ func TestCompactionTruncatesAndRecovers(t *testing.T) {
 	}
 
 	// Post-compaction appends land in the (empty) log with continuing seq.
-	ts.RecordModel(ModelRecord{Name: "m2", Accuracy: 0.9, Round: 2})
-	if _, err := l.AppendModelRecorded("job-0001", ModelRecord{Name: "m2", Accuracy: 0.9, Round: 2}); err != nil {
+	ts.RecordModel(ModelRecord{Name: "m2", Accuracy: 0.9, Round: 2}, 0.5)
+	if err := l.Append(Event{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "m2", Accuracy: 0.9, Round: 2}, UCB: ptr(0.5)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	_, rec, err := OpenDir(dir)
+	_, rec, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestCompactionTruncatesAndRecovers(t *testing.T) {
 // still in the log (the straggler window during compaction) applies once.
 func TestWALReplayIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
+	l, _, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestWALReplayIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts.PutExample(Example{ID: 1, Input: []float64{1}, Output: []float64{2}, Enabled: true})
-	ts.RecordModel(ModelRecord{Name: "m1", Accuracy: 0.7, Round: 1})
+	ts.RecordModel(ModelRecord{Name: "m1", Accuracy: 0.7, Round: 1}, 0.5)
 
 	// Compact with state that already includes the example and the model,
 	// then append the very events the snapshot covers — the straggler
@@ -319,7 +320,7 @@ func TestWALReplayIdempotent(t *testing.T) {
 	if err := l.AppendExampleFed("job-0001", 1, []float64{1}, []float64{2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendModelRecorded("job-0001", ModelRecord{Name: "m1", Accuracy: 0.7, Round: 1}); err != nil {
+	if err := l.Append(Event{Type: EventModelRecorded, Job: "job-0001", Model: &ModelRecord{Name: "m1", Accuracy: 0.7, Round: 1}, UCB: ptr(0.5)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendJobSubmitted("job-0001", "demo", "{prog}"); err != nil {
@@ -329,7 +330,7 @@ func TestWALReplayIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, rec, err := OpenDir(dir)
+	_, rec, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +351,7 @@ func TestWALReplayIdempotent(t *testing.T) {
 // them would lose acknowledged mutations.
 func TestCompactionPreservesEventsPastHorizon(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
+	l, _, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ func TestCompactionPreservesEventsPastHorizon(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec, err := OpenDir(dir)
+	_, rec, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestCompactionPreservesEventsPastHorizon(t *testing.T) {
 // untried arm itself, which needs no replay).
 func TestLeaseExpiredEventsRecoverAndCompact(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
+	l, _, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,14 +415,14 @@ func TestLeaseExpiredEventsRecoverAndCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, rec, err := OpenDir(dir)
+	l2, rec, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Expired) != 2 {
 		t.Fatalf("recovered %d expiries, want 2: %+v", len(rec.Expired), rec.Expired)
 	}
-	if rec.Expired[0] != (ExpiredLease{Job: "job-0001", Candidate: "GRU", Worker: "worker-0002"}) {
+	if e := rec.Expired[0]; e.Job != "job-0001" || e.Candidate != "GRU" || e.Worker != "worker-0002" {
 		t.Errorf("first expiry %+v", rec.Expired[0])
 	}
 
@@ -432,7 +433,7 @@ func TestLeaseExpiredEventsRecoverAndCompact(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l3, rec2, err := OpenDir(dir)
+	l3, rec2, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,14 +451,14 @@ func TestLeaseExpiredEventsRecoverAndCompact(t *testing.T) {
 // compaction in the snapshot).
 func TestPreemptionAndBudgetEventsRecoverAndCompact(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := OpenDir(dir)
+	l, _, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendJobSubmitted("job-0001", "carol", "{prog}"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendLeasePreempted("job-0001", "GRU", "worker-0002", "job-0002"); err != nil {
+	if err := l.Append(Event{Type: EventLeasePreempted, Job: "job-0001", Candidate: "GRU", Worker: "worker-0002", By: "job-0002"}); err != nil {
 		t.Fatal(err)
 	}
 	budgetEv := Event{Type: EventBudgetExhausted, Job: "job-0001", Tenant: "carol", Cost: 41.5}
@@ -472,14 +473,14 @@ func TestPreemptionAndBudgetEventsRecoverAndCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, rec, err := OpenDir(dir)
+	l2, rec, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Preempted) != 1 {
 		t.Fatalf("recovered %d preemptions, want 1: %+v", len(rec.Preempted), rec.Preempted)
 	}
-	if rec.Preempted[0] != (PreemptedLease{Job: "job-0001", Candidate: "GRU", Worker: "worker-0002", By: "job-0002"}) {
+	if p := rec.Preempted[0]; p.Job != "job-0001" || p.Candidate != "GRU" || p.Worker != "worker-0002" || p.By != "job-0002" {
 		t.Errorf("preemption record %+v", rec.Preempted[0])
 	}
 	if !rec.BudgetExhausted["job-0001"] {
@@ -498,7 +499,7 @@ func TestPreemptionAndBudgetEventsRecoverAndCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l3, rec2, err := OpenDir(dir)
+	l3, rec2, err := openDir(dir, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,4 +510,50 @@ func TestPreemptionAndBudgetEventsRecoverAndCompact(t *testing.T) {
 	if !rec2.BudgetExhausted["job-0001"] {
 		t.Error("compaction lost the budget-exhausted marker")
 	}
+}
+
+// recovered is a data directory folded for the tests: the RecoveredState
+// the benchmark reads, plus the events it leaves out.
+type recovered struct {
+	*RecoveredState
+	Abandoned       map[string][]string
+	BudgetExhausted map[string]bool
+	Expired         []Event // lease_expired events in the WAL tail
+	Preempted       []Event // lease_preempted events in the WAL tail
+}
+
+func newRecovered() *recovered {
+	return &recovered{RecoveredState: &RecoveredState{Store: NewStore()},
+		Abandoned: map[string][]string{}, BudgetExhausted: map[string]bool{}}
+}
+
+func (r *recovered) apply(ev Event) error {
+	if err := r.RecoveredState.apply(ev); err != nil {
+		return err
+	}
+	switch ev.Type {
+	case EventCandidateAbandoned:
+		if !slices.Contains(r.Abandoned[ev.Job], ev.Candidate) {
+			r.Abandoned[ev.Job] = append(r.Abandoned[ev.Job], ev.Candidate)
+		}
+	case EventBudgetExhausted:
+		r.BudgetExhausted[ev.Job] = true
+	case EventLeaseExpired:
+		r.Expired = append(r.Expired, ev)
+	case EventLeasePreempted:
+		r.Preempted = append(r.Preempted, ev)
+	}
+	return nil
+}
+
+// openDir opens a data directory through Open and folds its events, as
+// OpenDirOptions does, into a recovered.
+func openDir(dir string, opts LogOptions) (*Log, *recovered, error) {
+	rec := newRecovered()
+	l, tail, err := Open(dir, opts, rec.apply)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec.Events = tail.Events()
+	return l, rec, nil
 }
