@@ -148,7 +148,9 @@ type ServiceConfig struct {
 	TrainDelay time.Duration
 	// DataDir, when set, makes the service durable: every state mutation
 	// is appended to a write-ahead log in this directory before being
-	// acknowledged, and OpenService recovers jobs, examples and recorded
+	// acknowledged (a fleet answer that grants the next lease acknowledges
+	// a settle with its WAL seq and the durable horizon instead, see
+	// internal/fleet), and OpenService recovers jobs, examples and recorded
 	// models from the snapshot + WAL at boot (see internal/storage).
 	// In-flight leases of a crashed process are re-queued, not lost.
 	// Requires OpenService (NewService panics on a DataDir it cannot

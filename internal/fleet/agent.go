@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -90,6 +91,11 @@ type Agent struct {
 	// from the moment its grant is adopted until its report settles: the
 	// heartbeat's lease ids and the free-slot count.
 	running map[int]context.CancelFunc
+	// pending holds the WAL seqs of settles the coordinator accepted before
+	// their fsync: each is counted in completed once an answer's durable
+	// horizon reaches it, and dropped uncounted on re-registration — a
+	// restarted coordinator reissues the seqs its lost records held.
+	pending []uint64
 
 	slotFree chan struct{} // kicks the poll loop when an execution settles
 
@@ -137,7 +143,12 @@ type slot struct {
 	runCtx   context.Context
 }
 
-// Completed returns how many runs the agent has reported successfully.
+// Completed returns how many runs the agent has reported successfully and
+// knows durable: a settle counts once some coordinator answer (to a report
+// or to the leave) carries a durable horizon at or above its seq. Until
+// then it is pending, and a re-registration drops it uncounted. The
+// coordinator's GET /admin/fleet tally counts settles as they apply, so it
+// can run ahead of this count.
 func (a *Agent) Completed() int64 { return a.completed.Load() }
 
 // Failed returns how many runs ended in an executor error.
@@ -204,8 +215,14 @@ func (a *Agent) Run(ctx context.Context) error {
 	if !a.cfg.SkipLeaveOnExit {
 		leaveCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		if err := a.client.leave(leaveCtx, a.WorkerID()); err != nil {
+		a.mu.Lock()
+		workerID, epoch := a.workerID, a.epoch
+		a.mu.Unlock()
+		resp, err := a.client.leave(leaveCtx, workerID)
+		if err != nil {
 			a.logWarn("leave failed", "name", a.cfg.Name, "err", err)
+		} else {
+			a.settled(epoch, false, 0, resp.Durable)
 		}
 	}
 	return nil
@@ -272,6 +289,7 @@ func (a *Agent) adoptRegistration(resp RegisterResponse) {
 	defer a.mu.Unlock()
 	a.workerID = resp.WorkerID
 	a.epoch++
+	a.pending = nil
 	for _, cancel := range a.running {
 		cancel()
 	}
@@ -451,11 +469,12 @@ func (a *Agent) runLease(ctx context.Context, s slot) (slot, bool) {
 	}
 
 	resp, ok := a.report(req, wl.Trace)
+	if ok {
+		// A failed run settles nothing Completed counts, but its answer's
+		// horizon still covers earlier settles.
+		a.settled(s.epoch, err == nil, resp.Seq, resp.Durable)
+	}
 	if ok && err == nil {
-		// Counted only once the coordinator accepted the result, so
-		// Completed agrees with the registry's per-worker tally (a report
-		// that lost a settle race settled nothing).
-		a.completed.Add(1)
 		// Checked at the call: the six arguments would box per lease.
 		if a.cfg.Logger != nil {
 			a.logInfo("run completed",
@@ -471,6 +490,31 @@ func (a *Agent) runLease(ctx context.Context, s slot) (slot, bool) {
 		return started[0], true
 	}
 	return slot{}, false
+}
+
+// settled takes in a coordinator answer given under registration epoch:
+// the run it settled, if completed, joins the pending list, and every
+// pending settle the answer's durable horizon covers is counted. An answer
+// from an earlier registration touches nothing but its own settle, which
+// counts if already durable: its record survives any restart.
+func (a *Agent) settled(epoch int, completed bool, seq, durable uint64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if epoch != a.epoch {
+		if completed && seq <= durable {
+			a.completed.Add(1)
+		}
+		return
+	}
+	if completed {
+		a.pending = append(a.pending, seq)
+	}
+	a.pending = slices.DeleteFunc(a.pending, func(p uint64) bool {
+		if p <= durable {
+			a.completed.Add(1)
+		}
+		return p <= durable
+	})
 }
 
 // report delivers a completion, retrying transient transport failures; a

@@ -81,9 +81,10 @@ func (p *protoClient) complete(ctx context.Context, req CompleteRequest) (Comple
 	return resp, err
 }
 
-func (p *protoClient) leave(ctx context.Context, workerID string) error {
+func (p *protoClient) leave(ctx context.Context, workerID string) (LeaveResponse, error) {
 	var resp LeaveResponse
-	return p.post(ctx, "/fleet/leave", LeaveRequest{WorkerID: workerID}, &resp)
+	err := p.post(ctx, "/fleet/leave", LeaveRequest{WorkerID: workerID}, &resp)
+	return resp, err
 }
 
 func (p *protoClient) jobInfo(ctx context.Context, jobID string) (JobInfo, error) {

@@ -399,6 +399,12 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 // on its TTL, so the candidate re-enters selection and trains once. A
 // report that embeds a lease request is then served by Lease, after the
 // settle: the pick sees the observation that just landed.
+//
+// The settle's model record is enqueued, not waited for, when the answer
+// grants a lease: the worker's next run overlaps the fsync, and the answer
+// carries the record's seq and the log's durable horizon, so the worker
+// counts the settle once some answer's horizon reaches it. An answer that
+// grants nothing waits for the record's fsync first.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if req.Error == "" && (!(req.Accuracy >= 0 && req.Accuracy <= 1) || !(req.Cost >= 0)) {
 		c.logWarn("refusing an out-of-range result",
@@ -433,7 +439,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if req.Error != "" {
 		runErr = errors.New(req.Error)
 	}
-	settled, err := c.sched.Settle(l, req.Accuracy, req.Cost, runErr)
+	settled, commit, err := c.sched.SettleEnqueued(l, req.Accuracy, req.Cost, runErr)
 	if err != nil {
 		if errors.Is(err, server.ErrLeaseConflict) {
 			fleetCompletes.With("conflict").Inc()
@@ -455,28 +461,36 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		c.logInfo("lease settled",
 			"lease", req.LeaseID, "outcome", settled, "job", l.JobID, "worker", req.WorkerID, "trace", l.Trace)
 	}
-	resp := CompleteResponse{Settled: settled}
-	if req.Lease == nil {
-		return resp, nil
+	resp := CompleteResponse{Settled: settled, Seq: commit.Seq}
+	if req.Lease != nil {
+		next := *req.Lease
+		next.WorkerID = req.WorkerID
+		if granted, err := c.Lease(next); err != nil {
+			// The settle went through and must be acknowledged; the worker
+			// sees no lease answer and falls back to polling.
+			c.logWarn("lease step of a settle-and-lease failed", "worker", req.WorkerID, "err", err)
+		} else {
+			resp.Lease = &granted
+		}
 	}
-	next := *req.Lease
-	next.WorkerID = req.WorkerID
-	if granted, err := c.Lease(next); err != nil {
-		// The settle is durable and must be acknowledged; the worker sees no
-		// lease answer and falls back to polling.
-		c.logWarn("lease step of a settle-and-lease failed", "worker", req.WorkerID, "err", err)
-	} else {
-		resp.Lease = &granted
+	if resp.Lease == nil || len(resp.Lease.Leases) == 0 {
+		// No next run to overlap the fsync with: acknowledge it durable.
+		if err := commit.Wait(); err != nil {
+			return CompleteResponse{}, err
+		}
 	}
+	resp.Durable = c.sched.DurableSeq()
 	return resp, nil
 }
 
 // Leave deregisters a worker gracefully: its outstanding leases are
-// released (re-queued) immediately instead of waiting out the TTL.
-func (c *Coordinator) Leave(workerID string) (int, error) {
+// released (re-queued) immediately instead of waiting out the TTL. It
+// answers once every WAL record enqueued before it is durable, with the
+// durable horizon, so the worker can count its last settles.
+func (c *Coordinator) Leave(workerID string) (LeaveResponse, error) {
 	ids, err := c.reg.leave(workerID)
 	if err != nil {
-		return 0, err
+		return LeaveResponse{}, err
 	}
 	released := 0
 	for _, id := range ids {
@@ -493,7 +507,11 @@ func (c *Coordinator) Leave(workerID string) (int, error) {
 	}
 	fleetLeaves.Inc()
 	c.logInfo("worker left", "worker", workerID, "released", released)
-	return released, nil
+	durable, err := c.sched.SyncLog()
+	if err != nil {
+		return LeaveResponse{}, fmt.Errorf("fleet: leave of %s: %w", workerID, err)
+	}
+	return LeaveResponse{Released: released, Durable: durable}, nil
 }
 
 // JobInfo resolves a job for a worker: the logged program (from which the

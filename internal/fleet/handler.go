@@ -73,12 +73,12 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	released, err := c.Leave(req.WorkerID)
+	resp, err := c.Leave(req.WorkerID)
 	if err != nil {
 		writeFleetError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, LeaveResponse{Released: released})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {

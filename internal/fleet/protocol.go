@@ -160,7 +160,10 @@ type CompleteRequest struct {
 }
 
 // CompleteResponse reports how the lease settled, plus the answer to an
-// embedded lease request.
+// embedded lease request. An answer that grants a lease is written before
+// the settle's WAL record is fsynced; one that grants nothing waits for
+// it. Either way Seq and Durable tell the worker when the settle is
+// durable: once some answer's Durable reaches its Seq.
 type CompleteResponse struct {
 	// Settled is "completed", "released" (failed, will retry) or
 	// "abandoned" (failed at the retry budget, candidate retired).
@@ -169,6 +172,12 @@ type CompleteResponse struct {
 	// or when the lease step failed after the settle went through — the
 	// worker then polls /fleet/lease like any idle slot.
 	Lease *LeaseResponse `json:"lease,omitempty"`
+	// Seq is the WAL seq of a completed run's model record; 0 for a
+	// coordinator without a WAL and for a failed run's release or abandon.
+	Seq uint64 `json:"seq"`
+	// Durable is the coordinator's durable WAL horizon when the answer was
+	// written: every record at or below it is fsynced.
+	Durable uint64 `json:"durable"`
 }
 
 // LeaveRequest deregisters a worker gracefully: its outstanding leases are
@@ -177,9 +186,13 @@ type LeaveRequest struct {
 	WorkerID string `json:"worker_id"`
 }
 
-// LeaveResponse reports how many leases the departure re-queued.
+// LeaveResponse reports how many leases the departure re-queued. It is
+// written once every WAL record enqueued before the leave is durable, and
+// Durable is the horizon then reached: it covers all of the worker's
+// settles.
 type LeaveResponse struct {
-	Released int `json:"released"`
+	Released int    `json:"released"`
+	Durable  uint64 `json:"durable"`
 }
 
 // JobInfo is the GET /fleet/job reply: the job's logged program, from

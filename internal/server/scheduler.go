@@ -35,8 +35,8 @@
 //     proceed in parallel.
 //
 // A fourth lock, Job.settleMu, serializes what moves one job's bandit — its
-// settles, abandons and budget drain — across apply and the WAL commit, so
-// the live model list, the observation order and the WAL order recovery
+// settles, abandons and budget drain — across apply and the WAL enqueue,
+// so the live model list, the observation order and the WAL order recovery
 // replays never disagree. It is acquired first, with no other lock held,
 // and never on the pick path.
 //
@@ -62,7 +62,10 @@
 // the operation acknowledges only after the append: job submissions, fed
 // and refined examples, recorded models, abandoned candidates and budget
 // drains all survive a crash, and recovery rebuilds them through the same
-// apply. A failed append surfaces as an error from the mutating
+// apply. The one exception is SettleEnqueued, which returns once the model
+// record is enqueued: its caller (the fleet's settle-and-lease) hands the
+// record's seq and the durable horizon (DurableSeq) to the worker, which
+// counts the settle once the horizon covers it. A failed append surfaces as an error from the mutating
 // call, and the first write, flush, fsync or segment-roll failure poisons
 // the log: every later append and compaction returns that error without
 // writing, so nothing is acknowledged after a failure the log cannot
@@ -1048,6 +1051,30 @@ func (sc *Scheduler) endSettle(l *Lease) {
 // fails on an ill-conditioned covariance fails the job — retiring it from
 // scheduling — instead of killing the server.
 func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
+	_, err := sc.complete(l, accuracy, cost, true)
+	return err
+}
+
+// Commit is a settle's model record on its way into the WAL. Seq is its
+// sequence number; 0 when no record is pending (no WAL, or a release or an
+// abandon, which settle synchronously). Wait blocks until the record is
+// fsynced; call it at most once.
+type Commit struct {
+	Seq  uint64
+	done <-chan error
+}
+
+// Wait returns once the record is durable, or the commit's error.
+func (c Commit) Wait() error {
+	if c.done == nil {
+		return nil
+	}
+	return <-c.done
+}
+
+// complete is Complete. With wait it returns once the model record is
+// durable; without, right after the enqueue, with the record's Commit.
+func (sc *Scheduler) complete(l *Lease, accuracy, cost float64, wait bool) (Commit, error) {
 	settleT0 := time.Now()
 	job, err := sc.beginSettle(l)
 	if err != nil {
@@ -1060,67 +1087,78 @@ func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
 			s.Fail(err)
 			s.End()
 		}
-		return err
+		return Commit{}, err
 	}
 	settle := l.span.Child(opSettle, settleT0)
-	fail := func(outcome string, err error) error {
+	rec := storage.ModelRecord{Name: l.Candidate.Name(), Accuracy: accuracy, Cost: cost}
+	commit, outcome, err := sc.observeAndRecord(l, job, &rec, &settle, wait)
+	if err != nil {
 		settle.SetAttr("outcome", outcome)
 		settle.Fail(err)
 		settle.End()
 		finishLeaseSpan(l, outcome, err)
-		return err
-	}
-	rec := storage.ModelRecord{Name: l.Candidate.Name(), Accuracy: accuracy, Cost: cost}
-	if outcome, err := sc.observeAndRecord(l, job, &rec, &settle); err != nil {
-		return fail(outcome, err)
+		return Commit{}, err
 	}
 	settle.SetAttr("outcome", "completed")
 	settle.End()
 	finishLeaseSpan(l, "completed", nil)
 	// The observation paid its arm's cost into the bandit; check the
-	// tenant's budget after the result is durable, so a budget-drained job
-	// never loses an acknowledged model record.
+	// tenant's budget after the result is logged, so a budget-drained job
+	// never loses an acknowledged model record: the drain's own events
+	// commit behind it.
 	if err := sc.enforceBudget(job.Name); err != nil {
-		return fmt.Errorf("server: completing %s/%s: %w", l.JobID, rec.Name, err)
+		return commit, fmt.Errorf("server: completing %s/%s: %w", l.JobID, rec.Name, err)
 	}
-	return nil
+	return commit, nil
 }
 
 // observeAndRecord is the ordered core of Complete: apply the model
 // record (observation, σ̃, round claim, model store), drop the lease, then
-// the WAL ack, all under the job's settle lock, so two settles of one job
-// land in the same order in the live model list, in the observation
-// sequence and in the WAL recovery replays. It fills in rec.Round and
-// returns the span outcome tag with any error. The lock is distinct from
-// job.mu, which apply releases before the store write and the fsync: a
-// pick of this job (which takes job.mu) never waits on a commit. The WAL
-// append's span is a child of settle.
-func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelRecord, settle *telemetry.Span) (string, error) {
-	job.settleMu.Lock()
-	defer job.settleMu.Unlock()
+// enqueue the WAL record, all under the job's settle lock, so two settles
+// of one job land in the same order in the live model list, in the
+// observation sequence and in the WAL recovery replays. The wait for the
+// fsync (with wait) runs after the lock is released, so settles of one job
+// share a group commit. It fills in rec.Round and returns the record's
+// pending Commit (empty once waited on) and the span outcome tag with any
+// error. The lock is distinct from job.mu, which apply releases before the
+// store write: a pick of this job (which takes job.mu) never waits on a
+// commit. The WAL append's span is a child of settle and covers the
+// enqueue, and the fsync too when the settle waits.
+func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelRecord, settle *telemetry.Span, wait bool) (Commit, string, error) {
 	ev := storage.Event{Type: storage.EventModelRecorded, Job: l.JobID, Model: rec, UCB: &l.UCB}
+	var commit Commit
+	var walT0 time.Time
+	var walErr error
+	job.settleMu.Lock()
 	err := sc.applyLive(ev)
 	sc.endSettle(l) // the arm is tried now (or the settle bounced)
+	if err == nil && sc.log != nil {
+		walT0 = time.Now()
+		commit.Seq, commit.done, walErr = sc.log.Enqueue([]storage.Event{ev})
+	}
+	job.settleMu.Unlock()
 	switch {
 	case errors.Is(err, ErrLeaseConflict):
-		return "conflict", err
+		return Commit{}, "conflict", err
 	case err != nil:
-		return "failed", err
+		return Commit{}, "failed", err
 	case sc.log == nil:
-		return "completed", nil
+		return Commit{}, "completed", nil
 	}
-	walT0 := time.Now()
 	wspan := settle.Child(opWALAppend, walT0)
-	seq, err := sc.log.AppendBatch([]storage.Event{ev})
-	if err != nil {
-		wspan.Fail(err)
-		wspan.End()
-		return "error", fmt.Errorf("server: logging result for %s/%s: %w", l.JobID, rec.Name, err)
+	if walErr == nil && wait {
+		walErr = commit.Wait()
+		commit.done = nil
 	}
-	wspan.SetAttrUint("wal_seq", seq)
+	if walErr != nil {
+		wspan.Fail(walErr)
+		wspan.End()
+		return Commit{}, "error", fmt.Errorf("server: logging result for %s/%s: %w", l.JobID, rec.Name, walErr)
+	}
+	wspan.SetAttrUint("wal_seq", commit.Seq)
 	wspan.End()
 	pickStageWALAppend.ObserveSince(walT0)
-	return "completed", nil
+	return commit, "completed", nil
 }
 
 // failJobLocked marks a job as failed and retires all its untried arms, so
@@ -1221,13 +1259,28 @@ const (
 // tallied only when the settle itself succeeds, in the release's own
 // critical section: a report that loses to lease expiry (ErrLeaseConflict)
 // burns no budget. It returns how the lease settled (with an error: the
-// path that failed).
+// path that failed), once whatever it logged is durable.
 func (sc *Scheduler) Settle(l *Lease, accuracy, cost float64, runErr error) (string, error) {
+	settled, _, err := sc.settle(l, accuracy, cost, runErr, true)
+	return settled, err
+}
+
+// SettleEnqueued is Settle without the wait for a completed run's model
+// record: it returns as soon as the record is applied and enqueued, with
+// its pending Commit. The record is durable once Commit.Wait returns or
+// the log's durable horizon (DurableSeq) reaches Commit.Seq. A release or
+// an abandon is synchronous, as in Settle, and returns an empty Commit.
+func (sc *Scheduler) SettleEnqueued(l *Lease, accuracy, cost float64, runErr error) (string, Commit, error) {
+	return sc.settle(l, accuracy, cost, runErr, false)
+}
+
+func (sc *Scheduler) settle(l *Lease, accuracy, cost float64, runErr error, wait bool) (string, Commit, error) {
 	if l == nil {
-		return "", fmt.Errorf("server: nil lease")
+		return "", Commit{}, fmt.Errorf("server: nil lease")
 	}
 	if runErr == nil {
-		return SettledCompleted, sc.Complete(l, accuracy, cost)
+		commit, err := sc.complete(l, accuracy, cost, wait)
+		return SettledCompleted, commit, err
 	}
 	key := failKey{l.JobID, l.Arm}
 	sc.coordMu.Lock()
@@ -1238,10 +1291,32 @@ func (sc *Scheduler) Settle(l *Lease, accuracy, cost float64, runErr error) (str
 			sc.failCounts[key] = failures
 		}
 		sc.coordMu.Unlock()
-		return SettledReleased, err
+		return SettledReleased, Commit{}, err
 	}
 	sc.coordMu.Unlock()
-	return SettledAbandoned, sc.Abandon(l)
+	return SettledAbandoned, Commit{}, sc.Abandon(l)
+}
+
+// DurableSeq returns the WAL's durable horizon: every record with a seq at
+// or below it is fsynced. It is 0 without a log.
+func (sc *Scheduler) DurableSeq() uint64 {
+	if sc.log == nil {
+		return 0
+	}
+	return sc.log.Durable()
+}
+
+// SyncLog waits until every WAL record enqueued so far is durable and
+// returns the durable horizon then reached; without a log it returns 0.
+func (sc *Scheduler) SyncLog() (uint64, error) {
+	if sc.log == nil {
+		return 0, nil
+	}
+	_, done, err := sc.log.Enqueue(nil)
+	if err == nil {
+		err = <-done
+	}
+	return sc.log.Durable(), err
 }
 
 // RunRound executes one multi-tenant scheduling round: pick a job, pick its

@@ -25,24 +25,26 @@ import (
 //
 // The log is segmented and group-committed, and the commit is
 // self-clocked: no durable write waits on a timer. Appends do not write:
-// AppendBatch frames its events and checksums their bodies outside the log
-// mutex, takes consecutive seqs, enqueues them as one request and blocks;
-// the committer writes each seq into its frame and extends the CRC over
+// Enqueue frames its events and checksums their bodies outside the log
+// mutex, takes consecutive seqs and enqueues them as one request, returning
+// the last seq and a done channel; AppendBatch is Enqueue plus the wait.
+// The committer writes each seq into its frame and extends the CRC over
 // it. A single committer goroutine commits as soon as it has work and the
 // device is free — a batch is whatever arrived during the previous
-// fsync — paying one write + one fsync for the whole batch,
-// then releases every waiter at once. So an acknowledged mutation is on
-// disk (fsynced, not merely flushed to the OS), a lone writer pays one
-// fsync and nothing else, and the per-event durability cost shrinks as
-// concurrency (or the caller's batch) grows. Records land in fixed-size
-// segment files named by seq; compaction folds sealed segments into the
-// checkpoint and recycles their files instead of rewriting a single
-// world-file.
+// fsync — paying one write + one fsync for the whole batch, advancing the
+// durable horizon (Durable) and then releasing every waiter at once. So
+// an acknowledged mutation is on disk (fsynced, not merely flushed to the
+// OS), a lone writer pays one fsync and nothing else, and the per-event
+// durability cost shrinks as concurrency (or the caller's batch) grows.
+// Records land in fixed-size segment files named by seq; compaction folds
+// sealed segments into the checkpoint and recycles their files instead of
+// rewriting a single world-file.
 //
 // Durability lifecycle:
 //
-//	AppendBatch ──▶ commit queue ──▶ committer: 1 write + 1 fsync per batch
-//	  (blocks)                      │ ack all waiters after the fsync
+//	Enqueue ──────▶ commit queue ──▶ committer: 1 write + 1 fsync per batch
+//	(AppendBatch:                   │ advance Durable, then release all
+//	 + wait on done)                │ waiters, then count the telemetry
 //	                                ▼
 //	                    wal-<firstseq>.wal (active)
 //	                                │ roll at SegmentBytes: flush+fsync+seal
@@ -101,7 +103,7 @@ const (
 	EventCheckpoint EventType = "checkpoint"
 )
 
-// Event is one WAL record. Seq is assigned by AppendBatch and is strictly
+// Event is one WAL record. Seq is assigned by Enqueue and is strictly
 // increasing across the life of a log directory (compaction records the
 // high-water mark in the checkpoint, so replay can skip events the
 // checkpoint already covers).
@@ -202,9 +204,10 @@ type LogOptions struct {
 	SyncInterval time.Duration
 }
 
-// WAL telemetry: append latency now spans enqueue → fsynced ack (the
-// durability an acknowledged mutation buys); fsync latency covers group
-// commits, segment seals, compactions and close.
+// WAL telemetry: append latency spans enqueue → fsync (the durability an
+// acknowledged mutation buys), observed by the committer for every
+// request, waited on or not; fsync latency covers group commits, segment
+// seals, compactions and close.
 var (
 	walAppendLatency = telemetry.Default().Histogram("easeml_wal_append_seconds",
 		"WAL append latency: from enqueue to fsynced acknowledgement.")
@@ -228,20 +231,23 @@ var (
 // its own trace — one fsync serves many request traces).
 var opWALGroupCommit = telemetry.SpanOp("wal_group_commit")
 
-// commitReq is one AppendBatch call waiting in the commit queue: its
-// records take consecutive seqs from first.
+// commitReq is one Enqueue call waiting in the commit queue: its records
+// take consecutive seqs from first. One without events is a barrier.
 type commitReq struct {
 	first  uint64
-	frames []byte // the records back to back, seq and CRC not yet sealed
+	events []Event // read for their types once the commit is released
+	frames []byte  // the records back to back, seq and CRC not yet sealed
+	t0     time.Time
 	done   chan error
 }
 
 // Log is a segmented, group-committed write-ahead log of CRC-framed
 // records over a data directory. AppendBatch blocks until its events are
 // fsynced (batched with their neighbours), so an acknowledged mutation
-// survives power failure, not just process crash.
+// survives power failure, not just process crash; Enqueue returns at once,
+// and Durable says how far the fsyncs have reached.
 //
-// Locking: mu guards sequencing and the commit queue (AppendBatch holds it
+// Locking: mu guards sequencing and the commit queue (Enqueue holds it
 // only to take seqs and enqueue — never while encoding or during I/O);
 // ioMu guards the segment files and is held for writes, fsyncs, rolls and
 // compaction. Neither is taken while holding the other.
@@ -264,6 +270,10 @@ type Log struct {
 	lastWritten uint64 // highest seq written to any segment
 	sealed      []segmentInfo
 	recycled    []string // pool of truncated retired segment files
+	// durable is the highest seq known fsynced: the committer advances it
+	// after each successful group commit, before releasing the batch. It
+	// never passes a failed fsync, so a poisoned log's horizon freezes.
+	durable atomic.Uint64
 	// fsync syncs a segment or checkpoint file; (*os.File).Sync outside
 	// tests, which swap it to inject a failing device.
 	fsync func(*os.File) error
@@ -271,7 +281,7 @@ type Log struct {
 	// failed holds the first write, flush, fsync or roll error. Once it is
 	// set the log is poisoned: a failed fsync may already have dropped the
 	// batch's pages, so a later fsync succeeding proves nothing about them,
-	// and every later AppendBatch and Compact returns this error without
+	// and every later Enqueue and Compact returns this error without
 	// touching the files.
 	failed atomic.Pointer[error]
 
@@ -422,6 +432,7 @@ func Open(dir string, opts LogOptions, apply func(Event) error) (*Log, Tail, err
 	}
 
 	l := &Log{dir: dir, opts: opts, seq: maxSeq, lastWritten: maxSeq, fsync: (*os.File).Sync}
+	l.durable.Store(maxSeq)
 	l.qcond = sync.NewCond(&l.mu)
 	l.recycled = listRecycled(dir)
 	if len(segs) == 0 {
@@ -538,54 +549,60 @@ func taskFor(s *Store, id string) (*TaskStore, error) {
 	return s.CreateTask(id)
 }
 
-// AppendBatch appends events as one request: it encodes them, assigns them
-// consecutive sequence numbers (returning the first), and blocks until all
-// of them are fsynced or the commit fails. It is safe — and profitable —
-// for concurrent use: requests that overlap in time share one fsync. An
-// empty batch is a no-op. A poisoned log (see Err) fails every append.
-func (l *Log) AppendBatch(events []Event) (uint64, error) {
-	if len(events) == 0 {
-		return 0, nil
-	}
+// Enqueue queues events as one commit request without waiting: it encodes
+// them, assigns them consecutive sequence numbers and returns the last one
+// with a channel that receives the commit's result once all of them are
+// fsynced (nil) or the commit failed. Requests that overlap in time share
+// one fsync and commit in Enqueue order, so a seq is durable once Durable
+// reaches it. The log keeps events (the committer counts their types after
+// the release): the caller must not modify them afterwards. Without events
+// it is a barrier: it takes no seq, returns the current one, and done
+// fires once everything enqueued before it is durable. A poisoned log (see
+// Err) fails every Enqueue.
+func (l *Log) Enqueue(events []Event) (uint64, <-chan error, error) {
 	if err := l.Err(); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	t0 := time.Now()
+	req := &commitReq{events: events, t0: time.Now(), done: make(chan error, 1)}
 	size := 0
 	for _, ev := range events {
 		size += frameHeader + 64 + len(ev.Job) + 8*(len(ev.Input)+len(ev.Output))
 	}
-	req := &commitReq{frames: make([]byte, 0, size), done: make(chan error, 1)}
+	req.frames = make([]byte, 0, size)
 	for _, ev := range events {
 		var err error
 		if req.frames, err = appendFrame(req.frames, ev); err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
-		return 0, fmt.Errorf("storage: append to closed WAL")
+		return 0, nil, fmt.Errorf("storage: append to closed WAL")
 	}
 	req.first = l.seq + 1
 	l.seq += uint64(len(events))
 	l.queue = append(l.queue, req)
 	l.qcond.Signal()
-	l.mu.Unlock()
-	err := <-req.done
-	if err == nil {
-		for _, ev := range events {
-			walAppends.With(string(ev.Type)).Inc()
-		}
-		l.appends.Add(uint64(len(events)))
+	return l.seq, req.done, nil
+}
+
+// Durable returns the durable horizon: every event with a seq at or below
+// it is fsynced. It only grows, and it never passes a failed fsync.
+func (l *Log) Durable() uint64 { return l.durable.Load() }
+
+// AppendBatch is Enqueue plus the wait: it returns the first seq of the
+// events once all of them are fsynced, or the commit's error. An empty
+// batch is a no-op.
+func (l *Log) AppendBatch(events []Event) (uint64, error) {
+	if len(events) == 0 {
+		return 0, nil
 	}
-	elapsed := time.Since(t0)
-	walAppendLatency.Observe(elapsed)
-	// Guarded at the call: SlowOp's arguments would box on every append.
-	if t := telemetry.SlowOpThreshold(); t > 0 && elapsed >= t {
-		telemetry.SlowOp("wal_append", elapsed, "type", string(events[0].Type), "seq", req.first, "events", len(events))
+	last, done, err := l.Enqueue(events)
+	if err != nil {
+		return 0, err
 	}
-	return req.first, err
+	return last - uint64(len(events)) + 1, <-done
 }
 
 // Append is AppendBatch for one event.
@@ -633,8 +650,35 @@ func (l *Log) committer() {
 			}
 		}
 		err := l.commitBatch(batch)
+		if err == nil {
+			l.durable.Store(l.lastWritten)
+		}
 		for _, r := range batch {
 			r.done <- err
+		}
+		appendTelemetry(batch, err)
+	}
+}
+
+// appendTelemetry counts a released batch's events and observes each
+// request's enqueue-to-fsync latency. The committer runs it after the
+// release, so no waiter pays for it.
+func appendTelemetry(batch []*commitReq, err error) {
+	now := time.Now()
+	for _, r := range batch {
+		if len(r.events) == 0 {
+			continue // a barrier appends nothing
+		}
+		if err == nil {
+			for _, ev := range r.events {
+				walAppends.With(string(ev.Type)).Inc()
+			}
+		}
+		elapsed := now.Sub(r.t0)
+		walAppendLatency.Observe(elapsed)
+		// Guarded at the call: SlowOp's arguments would box on every append.
+		if t := telemetry.SlowOpThreshold(); t > 0 && elapsed >= t {
+			telemetry.SlowOp("wal_append", elapsed, "type", string(r.events[0].Type), "seq", r.first, "events", len(r.events))
 		}
 	}
 }
@@ -643,6 +687,11 @@ func (l *Log) committer() {
 // (rolling at the size threshold) and fsyncs once. Callers must not hold
 // ioMu.
 func (l *Log) commitBatch(batch []*commitReq) error {
+	if !slices.ContainsFunc(batch, func(r *commitReq) bool { return len(r.events) > 0 }) {
+		// Barriers only: every request ahead of them committed in an
+		// earlier batch, or that batch's failure poisoned the log.
+		return l.Err()
+	}
 	// Group commits belong to no single request trace (one fsync serves
 	// many), so each batch records a root span under its own trace: the
 	// flight-recorder view of the WAL's write pipeline.
@@ -707,6 +756,7 @@ func (l *Log) commitBatchLocked(batch []*commitReq) (records, n int, err error) 
 		return 0, 0, l.poison(fmt.Errorf("storage: syncing WAL: %w", err))
 	}
 	l.groupCommits.Add(1)
+	l.appends.Add(uint64(records))
 	l.bytesWritten.Add(uint64(n))
 	walBatchSize.Observe(uint64(records))
 	walBytesWritten.Add(uint64(n))

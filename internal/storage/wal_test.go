@@ -2,9 +2,12 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -124,6 +127,105 @@ func TestFailedSyncPoisonsLog(t *testing.T) {
 	}
 	if err := l.Close(); !errors.Is(err, boom) {
 		t.Errorf("Close on a poisoned log: %v, want the stored fsync error", err)
+	}
+}
+
+// Enqueue does not wait, and Durable is the horizon the peer of a
+// non-waiting caller counts by: it only grows, it reaches an enqueued seq
+// only once that seq's fsync has returned, and it stays below a batch
+// whose fsync fails — after which every Enqueue, a barrier's included,
+// returns the poison error.
+func TestDurableHorizon(t *testing.T) {
+	l, _, err := openDir(t.TempDir(), LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The hook runs on the committer under ioMu, where lastWritten is the
+	// batch's last seq: synced is how far the fsyncs have provably reached.
+	boom := errors.New("injected fsync failure")
+	var synced atomic.Uint64
+	entered, gate := make(chan struct{}), make(chan error)
+	l.fsync = func(f *os.File) error {
+		entered <- struct{}{}
+		if err := <-gate; err != nil {
+			return err
+		}
+		if err := f.Sync(); err != nil {
+			return err
+		}
+		synced.Store(l.lastWritten)
+		return nil
+	}
+	// A watcher samples the horizon throughout.
+	stop := make(chan struct{})
+	watched := make(chan error, 1)
+	go func() {
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				watched <- nil
+				return
+			default:
+			}
+			d := l.Durable()
+			if d < last {
+				watched <- fmt.Errorf("durable horizon fell from %d to %d", last, d)
+				return
+			}
+			if s := synced.Load(); d > s {
+				watched <- fmt.Errorf("durable horizon %d ahead of the fsyncs (%d)", d, s)
+				return
+			}
+			last = d
+			runtime.Gosched()
+		}
+	}()
+
+	commit := func(events []Event, syncErr error) (uint64, error) {
+		t.Helper()
+		seq, done, err := l.Enqueue(events)
+		if err != nil {
+			t.Fatalf("enqueue: %v", err)
+		}
+		<-entered // the committer is inside the batch's fsync
+		if d := l.Durable(); d >= seq {
+			t.Errorf("durable horizon %d reached seq %d before its fsync returned", d, seq)
+		}
+		gate <- syncErr
+		return seq, <-done
+	}
+	if seq, err := commit(exampleBatch(1, 3), nil); seq != 3 || err != nil {
+		t.Fatalf("first batch: seq %d, err %v; want 3, nil", seq, err)
+	}
+	if d := l.Durable(); d != 3 {
+		t.Errorf("durable horizon %d after the first commit, want 3", d)
+	}
+	// A barrier with nothing ahead of it uncommitted fires without an fsync.
+	if seq, done, err := l.Enqueue(nil); seq != 3 || err != nil || <-done != nil {
+		t.Errorf("barrier: seq %d, err %v; want 3 and an immediate release", seq, err)
+	}
+	if seq, err := commit(exampleBatch(4, 2), boom); seq != 5 || !errors.Is(err, boom) {
+		t.Fatalf("failing batch: seq %d, err %v; want 5 and the fsync error", seq, err)
+	}
+	if d := l.Durable(); d != 3 {
+		t.Errorf("durable horizon %d after a failed fsync, want it frozen at 3", d)
+	}
+	if _, _, err := l.Enqueue(exampleBatch(6, 1)); !errors.Is(err, boom) {
+		t.Errorf("enqueue on a poisoned log: %v, want the fsync error", err)
+	}
+	if _, _, err := l.Enqueue(nil); !errors.Is(err, boom) {
+		t.Errorf("barrier on a poisoned log: %v, want the fsync error", err)
+	}
+	close(stop)
+	if err := <-watched; err != nil {
+		t.Error(err)
+	}
+	if d := l.Durable(); d != 3 {
+		t.Errorf("durable horizon %d on the poisoned log, want 3", d)
+	}
+	if err := l.Close(); !errors.Is(err, boom) {
+		t.Errorf("Close on a poisoned log: %v, want the fsync error", err)
 	}
 }
 
