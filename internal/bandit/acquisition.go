@@ -40,7 +40,7 @@ func (a UCBAcquisition) Score(mu, sigma, best, cost, beta float64) float64 {
 	if a.CostAware {
 		beta /= cost
 	}
-	return mu + math.Sqrt(beta)*sigma
+	return mu + float64(math.Sqrt(beta)*sigma)
 }
 
 // EIAcquisition is GP-EI (Snoek et al.): the expected improvement over the
@@ -74,7 +74,7 @@ func (a EIAcquisition) Score(mu, sigma, best, cost, beta float64) float64 {
 		}
 	} else {
 		z := (mu - best - xi) / sigma
-		ei = (mu-best-xi)*stdNormCDF(z) + sigma*stdNormPDF(z)
+		ei = float64((mu-best-xi)*stdNormCDF(z)) + float64(sigma*stdNormPDF(z))
 	}
 	if a.CostAware {
 		ei /= cost
@@ -136,7 +136,7 @@ func (a ThompsonAcquisition) Name() string {
 
 // Score implements Acquisition.
 func (a ThompsonAcquisition) Score(mu, sigma, best, cost, beta float64) float64 {
-	draw := mu + sigma*a.Rng.NormFloat64()
+	draw := mu + float64(sigma*a.Rng.NormFloat64())
 	if a.CostAware {
 		return draw / cost
 	}

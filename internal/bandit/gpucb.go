@@ -209,7 +209,7 @@ func (b *GPUCB) UCB(k int) float64 {
 	if b.cfg.CostAware {
 		beta /= b.cfg.Costs[k]
 	}
-	return b.Mean(k) + math.Sqrt(beta)*b.gp.Std(k)
+	return b.Mean(k) + float64(math.Sqrt(beta)*b.gp.Std(k))
 }
 
 // SelectArm returns the untried arm maximizing the (cost-aware) UCB
@@ -225,8 +225,8 @@ func (b *GPUCB) SelectArm() (arm int, ucb float64) {
 	}
 	b.stats.Misses++
 	beta := b.Beta()
-	// The cached surface, read in place: σ is only needed for the arms still
-	// open, so it is rooted here instead of materialised for all K.
+	// The cached surface, read in place and used at once: σ is only needed
+	// for the arms still open, so it is rooted here, not for all K.
 	mu, rawVar := b.gp.Surface()
 	if cap(b.cachedUCBs) < b.NumArms() {
 		b.cachedUCBs = make([]float64, b.NumArms())
@@ -243,7 +243,7 @@ func (b *GPUCB) SelectArm() (arm int, ucb float64) {
 		if b.cfg.CostAware {
 			bk /= b.cfg.Costs[k]
 		}
-		v := mu[k] + b.shift(k) + math.Sqrt(bk)*gp.StdOfRaw(rawVar[k])
+		v := mu[k] + b.shift(k) + float64(math.Sqrt(bk)*gp.StdOfRaw(rawVar[k]))
 		b.cachedUCBs[k] = v
 		if v > ucb {
 			ucb = v

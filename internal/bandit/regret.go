@@ -41,7 +41,7 @@ func (r *RegretTracker) MuStar() float64 { return r.muStar }
 func (r *RegretTracker) Record(k int) {
 	inst := r.muStar - r.means[k]
 	r.cumulative += inst
-	r.costAware += r.costs[k] * inst
+	r.costAware += float64(r.costs[k] * inst)
 	if !r.haveBest || r.means[k] > r.best {
 		r.best = r.means[k]
 		r.haveBest = true

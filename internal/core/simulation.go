@@ -226,7 +226,7 @@ func (s *Simulation) Step() (bool, error) {
 	for i, t := range s.Tenants {
 		regretSum += s.best[i] - t.LastReward()
 	}
-	s.cumRegret += cost * regretSum
+	s.cumRegret += float64(cost * regretSum)
 
 	s.trace = append(s.trace, TracePoint{
 		Step:    s.steps,

@@ -38,12 +38,12 @@ import (
 // block instead of extending a sum that lacks the hallucinated rows' terms.
 //
 // Everything a Shadow or a Checkpoint shares with the base is immutable or
-// append-only: the prior (New adopts it, the GP never writes it), the rows
-// of the factor and of the block, and the cached surfaces postMu/postRaw
-// (a read allocates fresh ones). arms, ys, w and the block's row-pointer
-// slice only grow by appending, and shadows hold them capacity-clamped.
-//
-// A GP is not safe for concurrent use; each tenant owns its own instance.
+// append-only: the prior (New adopts it, the GP never writes it) and the
+// rows of the factor and of the block; arms, ys, w and the block's
+// row-pointer slice only grow, and shadows hold them capacity-clamped. A
+// read writes the surfaces postMu/postRaw in place unless Shadow, Checkpoint
+// or Rollback marked them shared (it then allocates an owned pair), so a GP
+// is not safe for concurrent use even to take a shadow; each tenant owns one.
 type GP struct {
 	prior    *linalg.Matrix // K×K prior covariance Σ; shared, never written
 	noiseVar float64        // σ²
@@ -60,13 +60,14 @@ type GP struct {
 	// over exactly those rows, unclamped, and postMu the mean over them —
 	// or, when muKept, the mean a hallucination kept. postValid says they
 	// cover all t observations; it is set by a read and cleared by
-	// Observe/Reset.
-	postMu    []float64
-	postRaw   []float64
-	postZ     [][]float64
-	postValid bool
-	muKept    bool
-	postStats CacheStats
+	// Observe/Reset; postShared, that a read must not write postMu/postRaw.
+	postMu     []float64
+	postRaw    []float64
+	postZ      [][]float64
+	postValid  bool
+	postShared bool
+	muKept     bool
+	postStats  CacheStats
 }
 
 // CacheStats counts posterior-cache traffic: Hits and Misses tally
@@ -235,8 +236,7 @@ func (g *GP) ObserveHallucinated(k int) error {
 		return g.Observe(k, 0) // zero-mean prior: the hallucinated value is 0
 	}
 	g.freshenPosterior()
-	mu := g.postMu
-	extended, err := g.observe(k, mu[k])
+	extended, err := g.observe(k, g.postMu[k])
 	if err != nil {
 		return err
 	}
@@ -244,18 +244,18 @@ func (g *GP) ObserveHallucinated(k int) error {
 		g.invalidatePosterior()
 		return nil
 	}
-	g.refreshPosterior(mu)
+	g.refreshPosterior(g.postMu)
 	return nil
 }
 
 // Checkpoint captures the process state in O(1) for a later Rollback —
 // the rollback half of the snapshot/rollback API. It records slice
 // headers and the factor pointer, never copying data: every structure it
-// references is immutable once built (history prefixes, solve vectors,
-// cached surfaces), so restoring the headers restores the state bit for
-// bit. The intended use is hallucination lookahead: checkpoint a shadow
-// before each fake observation, then Rollback instead of rebuilding when
-// in-flight work is handed back.
+// references is immutable once built (history prefixes, solve vectors) or
+// marked shared (cached surfaces), so restoring the headers restores the
+// state bit for bit. The intended use is hallucination lookahead:
+// checkpoint a shadow before each fake observation, then Rollback instead
+// of rebuilding when in-flight work is handed back.
 type Checkpoint struct {
 	obs      int
 	chol     *linalg.Cholesky
@@ -274,6 +274,7 @@ func (cp Checkpoint) Obs() int { return cp.obs }
 
 // Checkpoint captures the current state; see the type's documentation.
 func (g *GP) Checkpoint() Checkpoint {
+	g.postShared = true
 	size := 0
 	if g.chol != nil {
 		size = g.chol.Size()
@@ -294,12 +295,12 @@ func (g *GP) Checkpoint() Checkpoint {
 	}
 }
 
-// Rollback restores the state captured by cp in O(1) (plus an O(n)
-// pointer truncation inside the factor). Observations made after the
-// checkpoint are discarded; the caller must not roll back past
-// observations that other shadows were built on top of (the server's
-// selection index only ever rolls a private shadow back to one of its own
-// checkpoints). Checkpoints taken after cp become invalid.
+// Rollback restores the state captured by cp in O(1) (plus an O(n) pointer
+// truncation inside the factor), its surfaces marked shared: cp may restore
+// them again. Later observations are discarded; the caller must not roll
+// back past observations that other shadows were built on (the server's
+// selection index only rolls a private shadow back to its own checkpoints).
+// Checkpoints taken after cp become invalid.
 func (g *GP) Rollback(cp Checkpoint) {
 	if cp.obs > len(g.arms) {
 		panic(fmt.Sprintf("gp: rollback to %d observations, have %d", cp.obs, len(g.arms)))
@@ -315,6 +316,7 @@ func (g *GP) Rollback(cp Checkpoint) {
 	g.postRaw = cp.postRaw
 	g.postZ = cp.postZ
 	g.postValid = cp.postOK
+	g.postShared = true
 	g.muKept = cp.muKept
 	g.jitter = cp.jitter
 }
@@ -324,9 +326,8 @@ func (g *GP) Rollback(cp Checkpoint) {
 // whole history.
 func (g *GP) ObservedArm(i int) int { return g.arms[i] }
 
-// invalidatePosterior marks the cached posterior surface stale. The cached
-// slices are left in place (a shadow may still be reading them); the next
-// Posterior call allocates a fresh surface.
+// invalidatePosterior marks the cached posterior surface stale; the next
+// read extends it by the new rows (see refreshPosterior).
 func (g *GP) invalidatePosterior() {
 	if g.postValid {
 		g.postValid = false
@@ -410,12 +411,12 @@ func (g *GP) Std(k int) float64 { return math.Sqrt(g.Var(k)) }
 // rows — this is the hot path of every UCB selection.
 //
 // The surface is cached between observations as (µ, raw variance): every
-// call but the first after an Observe is O(K) — two fresh slices, the
-// caller's to mutate, σ being the clamped square root taken here. That
+// call but the first after an Observe is O(K) — two fresh copies, the
+// caller's to mutate and keep, σ the clamped square root taken here. That
 // first call appends one row to the solved block per observation since the
 // last read, O(K·t) each, and folds it into µ and the variance in O(K);
 // only after a jitter refactorization replaced the factor does it re-solve
-// all t rows, O(K·t²). Surface is the same read without the copies.
+// all t rows, O(K·t²). Surface is the same read, in place, without copies.
 func (g *GP) Posterior() (mu, sigma []float64) {
 	k := g.NumArms()
 	g.freshenPosterior()
@@ -431,10 +432,9 @@ func (g *GP) Posterior() (mu, sigma []float64) {
 // Surface makes the cached surface current, exactly as Posterior does, and
 // returns it in place: the posterior mean and the raw posterior variance
 // Σ(j,j) − Σᵢ Z[i][j]² of every arm, which round-off can leave slightly
-// negative (StdOfRaw clamps). The slices are the cache itself — shared with
-// shadows and checkpoints, never written again once built — so the caller
-// must not modify them; they stay valid, as a snapshot of this moment,
-// across later observations.
+// negative (StdOfRaw clamps). The slices are the cache itself: the caller
+// must not modify them, and they are valid until this process's next
+// mutation (a read may then write them in place; see GP).
 func (g *GP) Surface() (mu, rawVar []float64) {
 	g.freshenPosterior()
 	return g.postMu, g.postRaw
@@ -470,35 +470,32 @@ func (g *GP) freshenPosterior() {
 // reads. keepMu is the mean a hallucination leaves unchanged by
 // construction; it is adopted as is and marked kept, and the first refresh
 // without one after that restarts the mean's sum from row 0 of the block
-// (see GP). Every slice stored is fresh or append-extended, never written
-// in place: the old ones may be shared with a base, a shadow or a
-// checkpoint.
+// (see GP). Rows fold into owned surfaces in place and into copies of
+// shared ones; a kept mean stays marked shared.
 func (g *GP) refreshPosterior(keepMu []float64) {
-	k := g.NumArms()
 	have := len(g.postZ)
 	resum := g.muKept && keepMu == nil
 	if len(g.arms) > 1 && (have == 0 || resum) {
 		g.postStats.Rebuilds++
 	}
-	var raw []float64
+	raw, mu := g.postRaw, keepMu
 	if have == 0 {
 		raw = g.prior.Diag()
-	} else {
-		raw = make([]float64, k)
-		copy(raw, g.postRaw)
+	} else if g.postShared {
+		raw = append([]float64(nil), raw...)
 	}
-	mu := keepMu
 	if mu == nil {
-		mu = make([]float64, k)
-		if resum {
-			for i, zi := range g.postZ {
+		mu = g.postMu
+		if resum || have == 0 {
+			mu = make([]float64, g.NumArms())
+			for i, zi := range g.postZ { // no rows when have == 0
 				wi := g.w[i]
 				for j, z := range zi {
-					mu[j] += wi * z
+					mu[j] += float64(wi * z)
 				}
 			}
-		} else if have > 0 {
-			copy(mu, g.postMu)
+		} else if g.postShared {
+			mu = append([]float64(nil), mu...)
 		}
 	}
 	for i := have; i < len(g.arms); i++ {
@@ -506,18 +503,19 @@ func (g *GP) refreshPosterior(keepMu []float64) {
 		zi := g.postZ[i]
 		if keepMu != nil {
 			for j, z := range zi {
-				raw[j] -= z * z
+				raw[j] -= float64(z * z)
 			}
 			continue
 		}
 		wi := g.w[i]
 		for j, z := range zi {
-			raw[j] -= z * z
-			mu[j] += wi * z
+			raw[j] -= float64(z * z)
+			mu[j] += float64(wi * z)
 		}
 	}
 	g.postMu, g.postRaw = mu, raw
 	g.muKept = keepMu != nil
+	g.postShared = g.muKept
 	g.postValid = true
 }
 
@@ -533,7 +531,7 @@ func (g *GP) LogMarginalLikelihood() float64 {
 		return 0
 	}
 	quad := linalg.Dot(g.ys, g.alpha())
-	return -0.5*quad - 0.5*g.chol.LogDet() - 0.5*float64(t)*math.Log(2*math.Pi)
+	return float64(-0.5*quad) - float64(0.5*g.chol.LogDet()) - float64(0.5*float64(t)*math.Log(2*math.Pi))
 }
 
 // Reset discards all observations, returning the process to its prior.
@@ -565,21 +563,23 @@ func (g *GP) Reset() {
 //
 // The shadow captures the base's state at the split; observations made by
 // the base afterwards do not appear in the shadow, and vice versa. The
-// cached posterior surface (if any) is shared too — cached slices are
-// immutable once built — while the shadow's cache counters start at zero.
+// cached surface is shared too, marked so on both sides, while the
+// shadow's cache counters start at zero.
 func (g *GP) Shadow() *GP {
 	t := len(g.arms)
+	g.postShared = true
 	s := &GP{
-		prior:     g.prior, // immutable after New
-		noiseVar:  g.noiseVar,
-		arms:      g.arms[:t:t],
-		ys:        g.ys[:t:t],
-		w:         g.w[:len(g.w):len(g.w)],
-		jitter:    g.jitter,
-		postMu:    g.postMu, // cached surfaces are immutable once built
-		postRaw:   g.postRaw,
-		postValid: g.postValid,
-		muKept:    g.muKept,
+		prior:      g.prior, // immutable after New
+		noiseVar:   g.noiseVar,
+		arms:       g.arms[:t:t],
+		ys:         g.ys[:t:t],
+		w:          g.w[:len(g.w):len(g.w)],
+		jitter:     g.jitter,
+		postMu:     g.postMu,
+		postRaw:    g.postRaw,
+		postValid:  g.postValid,
+		postShared: true,
+		muKept:     g.muKept,
 		// The solved block grows by one row slice per observation read;
 		// its rows are immutable, and clamping the row-pointer slice keeps
 		// either side's appends out of storage the other can see (same
