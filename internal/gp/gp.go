@@ -118,9 +118,6 @@ func (g *GP) NumArms() int { return g.prior.Rows() }
 // NumObservations returns t, the number of observations so far.
 func (g *GP) NumObservations() int { return len(g.arms) }
 
-// NoiseVar returns the observation noise variance σ².
-func (g *GP) NoiseVar() float64 { return g.noiseVar }
-
 // PriorVar returns the prior variance Σ(k,k) of arm k.
 func (g *GP) PriorVar(k int) float64 { return g.prior.At(k, k) }
 

@@ -237,7 +237,7 @@ func TestTuneRBFPrefersInformativeLengthScale(t *testing.T) {
 	if res.LML == math.Inf(-1) {
 		t.Fatal("tuning failed")
 	}
-	tiny := sumLML(RBF{Variance: 1e-3, LengthScale: 1e-4}, features, [][]float64{sample}, 0.01)
+	tiny := referenceSumLML(RBF{Variance: 1e-3, LengthScale: 1e-4}, features, [][]float64{sample}, 0.01)
 	if res.LML < tiny {
 		t.Errorf("tuned LML %g worse than degenerate %g", res.LML, tiny)
 	}
@@ -260,6 +260,9 @@ func TestTunePanics(t *testing.T) {
 		"empty samples":    func() { TuneRBF([][]float64{{0}}, nil, 0.01, nil, nil) },
 		"length mismatch":  func() { TuneRBF([][]float64{{0}, {1}}, [][]float64{{1}}, 0.01, nil, nil) },
 		"empty candidates": func() { TuneKernels(nil, [][]float64{{0}}, [][]float64{{1}}, 0.01) },
+		"candidate sample length mismatch": func() {
+			TuneKernels([]Kernel{RBF{Variance: 1, LengthScale: 1}}, [][]float64{{0}, {1}}, [][]float64{{1}}, 0.01)
+		},
 	} {
 		func() {
 			defer func() {

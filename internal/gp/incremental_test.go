@@ -262,7 +262,7 @@ func alphaRouteMu(g *GP) []float64 {
 	if len(g.arms) == 0 {
 		return mu
 	}
-	alpha := g.chol.SolveVec(g.ys)
+	alpha := g.chol.BackwardSolve(g.chol.ForwardSolve(g.ys))
 	for i, a := range g.arms {
 		for j, v := range g.prior.RowView(a) {
 			mu[j] += alpha[i] * v

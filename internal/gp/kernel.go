@@ -42,8 +42,10 @@ type RBF struct {
 }
 
 // Eval implements Kernel.
-func (k RBF) Eval(x, y []float64) float64 {
-	return k.Variance * math.Exp(-linalg.SqDist(x, y)/(2*k.LengthScale*k.LengthScale))
+func (k RBF) Eval(x, y []float64) float64 { return k.fromSqDist(linalg.SqDist(x, y)) }
+
+func (k RBF) fromSqDist(d2 float64) float64 {
+	return k.Variance * math.Exp(-d2/(2*k.LengthScale*k.LengthScale))
 }
 
 // Name implements Kernel.
@@ -58,8 +60,10 @@ type Matern52 struct {
 }
 
 // Eval implements Kernel.
-func (k Matern52) Eval(x, y []float64) float64 {
-	r := math.Sqrt(linalg.SqDist(x, y))
+func (k Matern52) Eval(x, y []float64) float64 { return k.fromSqDist(linalg.SqDist(x, y)) }
+
+func (k Matern52) fromSqDist(d2 float64) float64 {
+	r := math.Sqrt(d2)
 	a := math.Sqrt(5) * r / k.LengthScale
 	return k.Variance * (1 + a + a*a/3) * math.Exp(-a)
 }
@@ -77,8 +81,10 @@ type Matern32 struct {
 }
 
 // Eval implements Kernel.
-func (k Matern32) Eval(x, y []float64) float64 {
-	r := math.Sqrt(linalg.SqDist(x, y))
+func (k Matern32) Eval(x, y []float64) float64 { return k.fromSqDist(linalg.SqDist(x, y)) }
+
+func (k Matern32) fromSqDist(d2 float64) float64 {
+	r := math.Sqrt(d2)
 	a := math.Sqrt(3) * r / k.LengthScale
 	return k.Variance * (1 + a) * math.Exp(-a)
 }
@@ -100,6 +106,13 @@ func (k Linear) Eval(x, y []float64) float64 { return k.Variance * linalg.Dot(x,
 
 // Name implements Kernel.
 func (k Linear) Name() string { return fmt.Sprintf("linear(s²=%g)", k.Variance) }
+
+// stationary is a kernel of the squared distance alone: Eval(x, y) is
+// fromSqDist(linalg.SqDist(x, y)), bit for bit.
+type stationary interface {
+	Kernel
+	fromSqDist(d2 float64) float64
+}
 
 // Sum combines kernels additively; a typical use is RBF + White.
 type Sum struct {
@@ -138,9 +151,17 @@ func (k White) Name() string { return fmt.Sprintf("white(s²=%g)", k.Variance) }
 // CovarianceMatrix builds the K×K prior covariance over the given feature
 // vectors: Σ[i,j] = kernel(features[i], features[j]). The result is exactly
 // symmetric.
+//
+// Cost: one Eval per pair i ≤ j, except for RBF and the Matérn kernels:
+// one distance pass (linalg.SqDistUpper, straight into the result), then
+// one fromSqDist per pair, the bits Eval would give.
 func CovarianceMatrix(k Kernel, features [][]float64) *linalg.Matrix {
 	n := len(features)
 	m := linalg.NewMatrix(n, n)
+	if s, ok := k.(stationary); ok {
+		linalg.SqDistUpper(m, features)
+		return m.MapUpper(m, s.fromSqDist)
+	}
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			v := k.Eval(features[i], features[j])

@@ -2,6 +2,8 @@ package gp
 
 import (
 	"math"
+
+	"repro/internal/linalg"
 )
 
 // TuneResult reports the outcome of a hyperparameter search.
@@ -20,14 +22,13 @@ type TuneResult struct {
 // lengthScales are the grids; when nil, sensible defaults spanning several
 // orders of magnitude are used. TuneRBF panics if samples is empty or a
 // sample's length differs from len(features).
+//
+// Cost: one distance pass per call, then per grid point one map of the
+// distances through its RBF and one jittered Cholesky, plus a forward and a
+// backward solve per sample: the bits of factorizing per sample.
 func TuneRBF(features [][]float64, samples [][]float64, noiseVar float64, variances, lengthScales []float64) TuneResult {
 	if len(samples) == 0 {
 		panic("gp: TuneRBF requires at least one training sample")
-	}
-	for _, s := range samples {
-		if len(s) != len(features) {
-			panic("gp: TuneRBF sample length does not match number of arms")
-		}
 	}
 	if variances == nil {
 		variances = []float64{0.001, 0.01, 0.05, 0.1, 0.5, 1}
@@ -35,11 +36,15 @@ func TuneRBF(features [][]float64, samples [][]float64, noiseVar float64, varian
 	if lengthScales == nil {
 		lengthScales = []float64{0.01, 0.05, 0.1, 0.5, 1, 2, 5}
 	}
+	n := len(features)
+	d2, cov := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+	linalg.SqDistUpper(d2, features)
 	best := TuneResult{LML: math.Inf(-1)}
 	for _, v := range variances {
 		for _, l := range lengthScales {
 			k := RBF{Variance: v, LengthScale: l}
-			lml := sumLML(k, features, samples, noiseVar)
+			// sumLML keeps nothing of cov (refactor copies it).
+			lml := sumLML(d2.MapUpper(cov, k.fromSqDist), samples, noiseVar)
 			if lml > best.LML {
 				best = TuneResult{Kernel: k, LML: lml}
 			}
@@ -49,14 +54,16 @@ func TuneRBF(features [][]float64, samples [][]float64, noiseVar float64, varian
 }
 
 // TuneKernels evaluates an arbitrary list of candidate kernels and returns
-// the one with the highest summed log marginal likelihood over samples.
+// the one with the highest summed log marginal likelihood over samples, one
+// factorization per candidate. It panics if candidates is empty or a
+// sample's length differs from len(features).
 func TuneKernels(candidates []Kernel, features [][]float64, samples [][]float64, noiseVar float64) TuneResult {
 	if len(candidates) == 0 {
 		panic("gp: TuneKernels requires at least one candidate")
 	}
 	best := TuneResult{LML: math.Inf(-1)}
 	for _, k := range candidates {
-		lml := sumLML(k, features, samples, noiseVar)
+		lml := sumLML(CovarianceMatrix(k, features), samples, noiseVar)
 		if lml > best.LML {
 			best = TuneResult{Kernel: k, LML: lml}
 		}
@@ -65,23 +72,33 @@ func TuneKernels(candidates []Kernel, features [][]float64, samples [][]float64,
 }
 
 // sumLML sums the log marginal likelihood of each centered sample under the
-// zero-mean GP with the given kernel. Samples are centered (their mean is
-// subtracted) because the working prior is zero-mean while raw accuracies
-// live around their task's baseline.
-func sumLML(k Kernel, features [][]float64, samples [][]float64, noiseVar float64) float64 {
-	cov := CovarianceMatrix(k, features)
-	var total float64
+// zero-mean GP with prior covariance cov. Samples are centered (their mean
+// is subtracted) because the working prior is zero-mean while raw
+// accuracies live around their task's baseline.
+//
+// Every sample observes arms 0..K−1, so one factor, refactor's, serves all;
+// a further sample costs refactor's forward solve and the likelihood.
+func sumLML(cov *linalg.Matrix, samples [][]float64, noiseVar float64) float64 {
+	g := New(cov, noiseVar)
+	for arm := range cov.Rows() {
+		g.arms = append(g.arms, arm)
+	}
 	for _, s := range samples {
-		centered := center(s)
-		g := New(cov, noiseVar)
-		for arm, v := range centered {
-			g.arms = append(g.arms, arm)
-			g.ys = append(g.ys, v)
+		if len(s) != len(g.arms) {
+			panic("gp: tuning sample length does not match number of arms")
 		}
-		if err := g.refactor(); err != nil {
-			// A kernel whose covariance cannot be factorized over the
-			// samples is disqualified outright.
-			return math.Inf(-1)
+	}
+	var total float64
+	for i, s := range samples {
+		g.ys = center(s)
+		if i == 0 {
+			if err := g.refactor(); err != nil {
+				// A kernel whose covariance cannot be factorized over the
+				// samples is disqualified outright.
+				return math.Inf(-1)
+			}
+		} else {
+			g.w = g.chol.ForwardSolve(g.ys)
 		}
 		total += g.LogMarginalLikelihood()
 	}

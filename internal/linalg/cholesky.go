@@ -170,15 +170,6 @@ func (c *Cholesky) L() *Matrix {
 	return l
 }
 
-// SolveVec solves A·x = b for x, where A = L·Lᵀ is the factorized matrix.
-func (c *Cholesky) SolveVec(b []float64) []float64 {
-	if len(b) != c.Size() {
-		panic(fmt.Sprintf("linalg: SolveVec length %d does not match size %d", len(b), c.Size()))
-	}
-	y := c.ForwardSolve(b)
-	return c.BackwardSolve(y)
-}
-
 // ForwardSolve solves L·y = b for y.
 func (c *Cholesky) ForwardSolve(b []float64) []float64 {
 	n := c.Size()

@@ -110,56 +110,11 @@ func (m *Matrix) RowView(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("linalg: col %d out of range for %d×%d matrix", j, m.rows, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
-// Mul returns the matrix product m·b. It panics on a dimension mismatch.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("linalg: cannot multiply %d×%d by %d×%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			orow := out.data[i*out.cols : (i+1)*out.cols]
-			for j, bv := range brow {
-				orow[j] += float64(a * bv)
-			}
-		}
-	}
-	return out
 }
 
 // MulVec returns the matrix-vector product m·x. It panics if len(x) != Cols.
@@ -177,14 +132,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		out[i] = s
 	}
 	return out
-}
-
-// Scale multiplies every element of m by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
 }
 
 // AddDiag adds v to every diagonal element in place and returns m.
@@ -209,22 +156,6 @@ func (m *Matrix) Diag() []float64 {
 		d[i] = m.data[i*m.cols+i]
 	}
 	return d
-}
-
-// Symmetrize replaces m with (m + mᵀ)/2 in place and returns m.
-// Useful to clean up tiny asymmetries before a Cholesky factorization.
-func (m *Matrix) Symmetrize() *Matrix {
-	if m.rows != m.cols {
-		panic(fmt.Sprintf("linalg: Symmetrize on non-square %d×%d matrix", m.rows, m.cols))
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			v := (m.data[i*m.cols+j] + m.data[j*m.cols+i]) / 2
-			m.data[i*m.cols+j] = v
-			m.data[j*m.cols+i] = v
-		}
-	}
-	return m
 }
 
 // Submatrix returns the matrix restricted to the given row and column index
@@ -284,15 +215,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += float64(x * x)
-	}
-	return math.Sqrt(s)
-}
-
 // SqDist returns the squared Euclidean distance between two equal-length
 // vectors.
 func SqDist(a, b []float64) float64 {
@@ -307,12 +229,52 @@ func SqDist(a, b []float64) float64 {
 	return s
 }
 
-// AXPY computes y += a*x in place. It panics on a length mismatch.
-func AXPY(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: AXPY length mismatch %d vs %d", len(x), len(y)))
+// SqDistUpper writes SqDist(points[i], points[j]) into dst at (i, j) for
+// every j ≥ i and leaves the strict lower triangle alone. Four partners
+// share each sweep of a point, each with its own running sum in SqDist's
+// order: SqDist's bits, four add chains in flight. It panics if dst is not
+// n×n for n points or the points' lengths differ.
+func SqDistUpper(dst *Matrix, points [][]float64) {
+	n := len(points)
+	if dst.rows != n || dst.cols != n {
+		panic(fmt.Sprintf("linalg: SqDistUpper of %d points into a %d×%d matrix", n, dst.rows, dst.cols))
 	}
-	for i := range x {
-		y[i] += float64(a * x[i])
+	for i, x := range points {
+		row, j := dst.data[i*n:(i+1)*n], i
+		for ; j+4 <= n; j += 4 {
+			a, b, c, d := points[j], points[j+1], points[j+2], points[j+3]
+			if len(a) != len(x) || len(b) != len(x) || len(c) != len(x) || len(d) != len(x) {
+				panic(fmt.Sprintf("linalg: SqDist length mismatch: %d vs %d, %d, %d, %d", len(x), len(a), len(b), len(c), len(d)))
+			}
+			var sa, sb, sc, sd float64
+			for p, xp := range x {
+				da, db, dc, dd := xp-a[p], xp-b[p], xp-c[p], xp-d[p]
+				sa += float64(da * da)
+				sb += float64(db * db)
+				sc += float64(dc * dc)
+				sd += float64(dd * dd)
+			}
+			row[j], row[j+1], row[j+2], row[j+3] = sa, sb, sc, sd
+		}
+		for ; j < n; j++ {
+			row[j] = SqDist(x, points[j])
+		}
 	}
+}
+
+// MapUpper sets dst at (i, j) and (j, i) to f(m[i][j]) for every j ≥ i, in
+// row order, and returns dst. dst may be m; m's strict lower triangle is
+// never read. It panics if m is not square or dst's shape differs.
+func (m *Matrix) MapUpper(dst *Matrix, f func(float64) float64) *Matrix {
+	n := m.rows
+	if m.cols != n || dst.rows != n || dst.cols != n {
+		panic(fmt.Sprintf("linalg: MapUpper of a %d×%d matrix into a %d×%d one", m.rows, m.cols, dst.rows, dst.cols))
+	}
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			v := f(m.data[i*n+j])
+			dst.data[i*n+j], dst.data[j*n+i] = v, v
+		}
+	}
+	return dst
 }

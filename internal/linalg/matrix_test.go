@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -89,15 +90,10 @@ func TestRowColClone(t *testing.T) {
 	if row[0] != 4 || row[2] != 6 {
 		t.Errorf("Row(1) = %v", row)
 	}
-	col := m.Col(2)
-	if col[0] != 3 || col[1] != 6 {
-		t.Errorf("Col(2) = %v", col)
-	}
-	// Mutating copies must not affect the matrix.
+	// Mutating the copy must not affect the matrix.
 	row[0] = 99
-	col[0] = 99
-	if m.At(1, 0) != 4 || m.At(0, 2) != 3 {
-		t.Error("Row/Col returned aliased storage")
+	if m.At(1, 0) != 4 {
+		t.Error("Row returned aliased storage")
 	}
 	c := m.Clone()
 	c.Set(0, 0, 42)
@@ -149,20 +145,12 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestScaleAddDiagDiag(t *testing.T) {
-	m := Identity(3).Scale(2).AddDiag(0.5)
+	m := Identity(3).AddDiag(1.5)
 	d := m.Diag()
 	for i, v := range d {
 		if v != 2.5 {
 			t.Errorf("diag[%d] = %g, want 2.5", i, v)
 		}
-	}
-}
-
-func TestSymmetrize(t *testing.T) {
-	m := NewMatrixFromRows([][]float64{{1, 2}, {4, 1}})
-	m.Symmetrize()
-	if m.At(0, 1) != 3 || m.At(1, 0) != 3 {
-		t.Errorf("symmetrize failed: %v", m)
 	}
 }
 
@@ -178,17 +166,84 @@ func TestVectorHelpers(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Errorf("Dot = %g, want 32", got)
 	}
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Errorf("Norm2 = %g, want 5", got)
-	}
 	if got := SqDist([]float64{1, 1}, []float64{4, 5}); got != 25 {
 		t.Errorf("SqDist = %g, want 25", got)
 	}
-	y := []float64{1, 1}
-	AXPY(2, []float64{10, 20}, y)
-	if y[0] != 21 || y[1] != 41 {
-		t.Errorf("AXPY = %v", y)
+}
+
+// SqDistUpper must give SqDist's bits on and above the diagonal, whatever
+// the four-pair sweep leaves over, and write nothing below it.
+func TestSqDistUpperMatchesSqDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= 9; n++ {
+		points := make([][]float64, n)
+		for i := range points {
+			points[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		}
+		m := NewMatrix(n, n)
+		for i := range m.data {
+			m.data[i] = -1
+		}
+		SqDistUpper(m, points)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				want := -1.0
+				if j >= i {
+					want = SqDist(points[i], points[j])
+				}
+				if math.Float64bits(m.At(i, j)) != math.Float64bits(want) {
+					t.Fatalf("n=%d: entry (%d,%d) = %v, want %v", n, i, j, m.At(i, j), want)
+				}
+			}
+		}
+		sym := m.MapUpper(NewMatrix(n, n), math.Sqrt)
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				if sym.At(i, j) != math.Sqrt(m.At(i, j)) || sym.At(j, i) != sym.At(i, j) {
+					t.Fatalf("n=%d: MapUpper entry (%d,%d) = %v / %v", n, i, j, sym.At(i, j), sym.At(j, i))
+				}
+			}
+		}
 	}
+	mustPanic(t, func() { SqDistUpper(NewMatrix(5, 5), [][]float64{{0}, {1, 2}, {2}, {3}, {4}}) })
+	mustPanic(t, func() { SqDistUpper(NewMatrix(2, 3), [][]float64{{0}, {1}}) })
+	mustPanic(t, func() { NewMatrix(2, 2).MapUpper(NewMatrix(3, 3), math.Sqrt) })
+}
+
+// Transpose and Mul serve the tests alone, to build positive definite
+// matrices and check factors.
+
+// Transpose returns a new matrix that is the transpose of m.
+func (m *Matrix) Transpose() *Matrix {
+	t := NewMatrix(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			t.data[j*t.cols+i] = m.data[i*m.cols+j]
+		}
+	}
+	return t
+}
+
+// Mul returns the matrix product m·b. It panics on a dimension mismatch.
+func (m *Matrix) Mul(b *Matrix) *Matrix {
+	if m.cols != b.rows {
+		panic(fmt.Sprintf("linalg: cannot multiply %d×%d by %d×%d", m.rows, m.cols, b.rows, b.cols))
+	}
+	out := NewMatrix(m.rows, b.cols)
+	for i := 0; i < m.rows; i++ {
+		for k := 0; k < m.cols; k++ {
+			a := m.data[i*m.cols+k]
+			if a == 0 {
+				continue
+			}
+			brow := b.data[k*b.cols : (k+1)*b.cols]
+			orow := out.data[i*out.cols : (i+1)*out.cols]
+			for j, bv := range brow {
+				orow[j] += float64(a * bv)
+			}
+		}
+	}
+	return out
 }
 
 // randomSPD builds a random symmetric positive definite n×n matrix.
@@ -280,7 +335,7 @@ func TestSolveVec(t *testing.T) {
 			want[i] = rng.NormFloat64()
 		}
 		b := a.MulVec(want)
-		got := ch.SolveVec(b)
+		got := ch.BackwardSolve(ch.ForwardSolve(b))
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-8 {
 				t.Fatalf("n=%d: solution mismatch at %d: %g vs %g", n, i, got[i], want[i])
@@ -316,7 +371,7 @@ func TestQuadForm(t *testing.T) {
 	}
 }
 
-// Property: for random SPD matrices, SolveVec inverts MulVec.
+// Property: for random SPD matrices, the two triangular solves invert MulVec.
 func TestQuickCholeskySolveInverts(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%15) + 1
@@ -330,7 +385,7 @@ func TestQuickCholeskySolveInverts(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		got := ch.SolveVec(a.MulVec(x))
+		got := ch.BackwardSolve(ch.ForwardSolve(a.MulVec(x)))
 		for i := range x {
 			if math.Abs(got[i]-x[i]) > 1e-6 {
 				return false
@@ -408,7 +463,7 @@ func BenchmarkSolveVec50(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ch.SolveVec(v)
+		ch.BackwardSolve(ch.ForwardSolve(v))
 	}
 }
 

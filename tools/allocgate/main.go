@@ -28,6 +28,8 @@
 // and so the process's peak RSS, follows. An object's "max" is a budget:
 // allocs/op may not pass it, whatever the growth factor allows
 // ({"allocs": 2, "max": 2} holds a benchmark at exactly its budget).
+// "max_bytes" is the same budget for B/op; without "bytes" beside it the
+// limit is 0 and the gate fails.
 //
 // Benchmarks in the baseline that do not appear on stdin fail the gate
 // (a renamed or deleted benchmark must update the baseline explicitly);
@@ -40,6 +42,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
@@ -51,12 +54,13 @@ type baseline struct {
 	Benchmarks      map[string]pin `json:"benchmarks"`
 }
 
-// pin is one benchmark's baseline: allocs/op, B/op when Bytes > 0, and
-// a hard ceiling on allocs/op when Max > 0.
+// pin is one benchmark's baseline: allocs/op, B/op when Bytes > 0, and hard
+// ceilings on allocs/op when Max > 0 and on B/op when MaxBytes > 0.
 type pin struct {
-	Allocs float64 `json:"allocs"`
-	Bytes  float64 `json:"bytes"`
-	Max    float64 `json:"max"`
+	Allocs   float64 `json:"allocs"`
+	Bytes    float64 `json:"bytes"`
+	Max      float64 `json:"max"`
+	MaxBytes float64 `json:"max_bytes"`
 }
 
 // UnmarshalJSON accepts a plain number (allocs/op only) or an object.
@@ -87,12 +91,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "allocgate: parsing baseline: %v\n", err)
 		os.Exit(2)
 	}
+	os.Exit(run(base, os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run gates the -benchmem output read from in against base, writing ok and
+// note lines to out and failures to errOut, and returns the exit status:
+// 0 when every pin holds, 1 when one does not, 2 when in cannot be read.
+func run(base baseline, in io.Reader, out, errOut io.Writer) int {
 	if base.MaxGrowthFactor <= 1 {
 		base.MaxGrowthFactor = 2
 	}
 
 	got := make(map[string]pin)
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		m := benchLine.FindStringSubmatch(line)
@@ -107,8 +118,8 @@ func main() {
 		got[m[1]] = pin{Allocs: allocs, Bytes: bytes}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "allocgate: reading stdin: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(errOut, "allocgate: reading stdin: %v\n", err)
+		return 2
 	}
 
 	failed := false
@@ -120,31 +131,32 @@ func main() {
 			limit = budget
 		}
 		if cur > limit {
-			fmt.Fprintf(os.Stderr, "allocgate: FAIL %s: %.0f %s exceeds %.0f (baseline %.0f × %.1f, budget %.0f)\n",
+			fmt.Fprintf(errOut, "allocgate: FAIL %s: %.0f %s exceeds %.0f (baseline %.0f × %.1f, budget %.0f)\n",
 				name, cur, unit, limit, pinned, base.MaxGrowthFactor, budget)
 			failed = true
 			return
 		}
-		fmt.Printf("allocgate: ok %s: %.0f %s (limit %.0f)\n", name, cur, unit, limit)
+		fmt.Fprintf(out, "allocgate: ok %s: %.0f %s (limit %.0f)\n", name, cur, unit, limit)
 	}
 	for name, want := range base.Benchmarks {
 		cur, ok := got[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "allocgate: FAIL %s: baseline present but benchmark did not run\n", name)
+			fmt.Fprintf(errOut, "allocgate: FAIL %s: baseline present but benchmark did not run\n", name)
 			failed = true
 			continue
 		}
 		check(name, "allocs/op", cur.Allocs, want.Allocs, want.Max)
-		if want.Bytes > 0 {
-			check(name, "B/op", cur.Bytes, want.Bytes, 0)
+		if want.Bytes > 0 || want.MaxBytes > 0 {
+			check(name, "B/op", cur.Bytes, want.Bytes, want.MaxBytes)
 		}
 	}
 	for name, cur := range got {
 		if _, ok := base.Benchmarks[name]; !ok {
-			fmt.Printf("allocgate: note %s: %.0f allocs/op, %.0f B/op (no baseline, not enforced)\n", name, cur.Allocs, cur.Bytes)
+			fmt.Fprintf(out, "allocgate: note %s: %.0f allocs/op, %.0f B/op (no baseline, not enforced)\n", name, cur.Allocs, cur.Bytes)
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
