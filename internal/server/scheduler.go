@@ -256,6 +256,17 @@ func (st *SimTrainer) EstimateCost(jobID string, c templates.Candidate) (float64
 	return entry.sim.Cost(0, idx), nil
 }
 
+// TrueQuality returns the noise-free accuracy a candidate of a registered
+// job can reach — the ground truth a training run's measured accuracy is a
+// noisy draw around, against which a job's accuracy loss is measured.
+func (st *SimTrainer) TrueQuality(jobID string, c templates.Candidate) (float64, error) {
+	entry, idx, err := st.lookup(jobID, c)
+	if err != nil {
+		return 0, err
+	}
+	return entry.sim.TrueQuality(0, idx), nil
+}
+
 func frac(h int64, salt int64) float64 {
 	x := uint64(h) * uint64(salt*2654435761+1)
 	x ^= x >> 33
