@@ -339,11 +339,12 @@ func (g *GP) PosteriorCacheStats() CacheStats { return g.postStats }
 // refactor rebuilds the Cholesky factorization of (Σt + σ²I) and w. t is at
 // most a few hundred in every workload this system handles, so a full O(t³)
 // refactorization is cheap where it is needed: the first observation, a
-// jitter escalation, a Clone, a likelihood evaluation.
+// jitter escalation, a Clone, a likelihood evaluation. The factor reads Σt
+// straight out of the prior, adding σ² to each diagonal element as it reads
+// it: no t×t copy is made.
 func (g *GP) refactor() error {
 	t := len(g.arms)
-	kt := g.prior.Submatrix(g.arms, g.arms).AddDiag(g.noiseVar)
-	ch, jit, err := linalg.NewCholeskyJittered(kt, 1e-10, 12)
+	ch, jit, err := linalg.NewCholeskyJitteredAt(g.prior, g.arms, g.noiseVar, 1e-10, 12)
 	if err != nil {
 		return fmt.Errorf("gp: covariance of %d observations is not PSD: %w", t, err)
 	}

@@ -43,7 +43,8 @@ func TuneRBF(features [][]float64, samples [][]float64, noiseVar float64, varian
 	for _, v := range variances {
 		for _, l := range lengthScales {
 			k := RBF{Variance: v, LengthScale: l}
-			// sumLML keeps nothing of cov (refactor copies it).
+			// sumLML keeps nothing of cov once it returns, so the next
+			// grid point may overwrite it.
 			lml := sumLML(d2.MapUpper(cov, k.fromSqDist), samples, noiseVar)
 			if lml > best.LML {
 				best = TuneResult{Kernel: k, LML: lml}

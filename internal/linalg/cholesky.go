@@ -25,14 +25,47 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 	if a.Rows() != a.Cols() {
 		return nil, fmt.Errorf("linalg: Cholesky of non-square %d×%d matrix", a.Rows(), a.Cols())
 	}
-	c := &Cholesky{}
-	row := make([]float64, 0, a.Rows())
-	for i := 0; i < a.Rows(); i++ {
-		row = row[:0]
-		for j := 0; j <= i; j++ {
-			row = append(row, a.At(i, j))
+	return factor(a, nil, 0, 0)
+}
+
+// factor factorizes a[idx, idx] + (shift + jitter)·I (all of a when idx is
+// nil), reading only its lower triangle and adding shift, then jitter, to
+// each diagonal element as it reads it. Row i is Extend's: the forward solve of the row's first i
+// elements against the rows before it, then appendRow's pivot, the same
+// operations in the same order, done in place. The rows are carved out of
+// one backing array of n(n+1)/2 floats, each capacity-clamped, so one
+// factorization is three allocations and a later Extend still allocates
+// its own row, never writing where a Snapshot can see.
+func factor(a *Matrix, idx []int, shift, jitter float64) (*Cholesky, error) {
+	n := a.Rows()
+	if idx != nil {
+		n = len(idx)
+	}
+	at := func(i int) int {
+		if idx == nil {
+			return i
 		}
-		if err := c.Extend(row); err != nil {
+		return idx[i]
+	}
+	buf := make([]float64, n*(n+1)/2)
+	c := &Cholesky{rows: make([][]float64, 0, n)}
+	for i := 0; i < n; i++ {
+		y := buf[: i+1 : i+1]
+		buf = buf[i+1:]
+		ai := at(i)
+		for j := 0; j < i; j++ {
+			y[j] = a.At(ai, at(j))
+		}
+		y[i] = a.At(ai, ai) + shift + jitter
+		for j := 0; j < i; j++ {
+			s := y[j]
+			lj := c.rows[j]
+			for k := 0; k < j; k++ {
+				s -= float64(lj[k] * y[k])
+			}
+			y[j] = s / lj[j]
+		}
+		if err := c.appendRow(y); err != nil {
 			return nil, fmt.Errorf("%w (pivot %d)", err, i)
 		}
 	}
@@ -48,19 +81,31 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 // built from nearly identical quality vectors are often singular to machine
 // precision even though they are valid covariances.
 func NewCholeskyJittered(a *Matrix, startJitter float64, maxTries int) (*Cholesky, float64, error) {
+	if a.Rows() != a.Cols() {
+		return nil, 0, fmt.Errorf("linalg: Cholesky of non-square %d×%d matrix", a.Rows(), a.Cols())
+	}
+	return NewCholeskyJitteredAt(a, nil, 0, startJitter, maxTries)
+}
+
+// NewCholeskyJitteredAt is NewCholeskyJittered of a[idx, idx] + shift·I,
+// the principal submatrix at idx (all of a when idx is nil; indices must be
+// in range and may repeat) with shift on its diagonal, read straight out of
+// a: no copy of the submatrix is made. A diagonal element is
+// (a[idx[i], idx[i]] + shift) + jitter, the additions of shifting a copy and
+// then jittering it, so the factor is that copy's bit for bit.
+func NewCholeskyJitteredAt(a *Matrix, idx []int, shift, startJitter float64, maxTries int) (*Cholesky, float64, error) {
 	if startJitter <= 0 {
 		startJitter = 1e-10
 	}
 	if maxTries <= 0 {
 		maxTries = 10
 	}
-	if ch, err := NewCholesky(a); err == nil {
+	if ch, err := factor(a, idx, shift, 0); err == nil {
 		return ch, 0, nil
 	}
 	jitter := startJitter
 	for try := 0; try < maxTries; try++ {
-		aj := a.Clone().AddDiag(jitter)
-		if ch, err := NewCholesky(aj); err == nil {
+		if ch, err := factor(a, idx, shift, jitter); err == nil {
 			return ch, jitter, nil
 		}
 		jitter *= 10

@@ -158,18 +158,6 @@ func (m *Matrix) Diag() []float64 {
 	return d
 }
 
-// Submatrix returns the matrix restricted to the given row and column index
-// sets (in the given order). Indices may repeat.
-func (m *Matrix) Submatrix(rowIdx, colIdx []int) *Matrix {
-	out := NewMatrix(len(rowIdx), len(colIdx))
-	for i, r := range rowIdx {
-		for j, c := range colIdx {
-			out.data[i*out.cols+j] = m.At(r, c)
-		}
-	}
-	return out
-}
-
 // Equal reports whether m and b have the same shape and all elements are
 // within tol of each other.
 func (m *Matrix) Equal(b *Matrix, tol float64) bool {

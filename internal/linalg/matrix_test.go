@@ -210,8 +210,20 @@ func TestSqDistUpperMatchesSqDist(t *testing.T) {
 	mustPanic(t, func() { NewMatrix(2, 2).MapUpper(NewMatrix(3, 3), math.Sqrt) })
 }
 
-// Transpose and Mul serve the tests alone, to build positive definite
-// matrices and check factors.
+// Submatrix, Transpose and Mul serve the tests alone, to build positive
+// definite matrices, check factors and pick out principal submatrices.
+
+// Submatrix returns the matrix restricted to the given row and column index
+// sets (in the given order). Indices may repeat.
+func (m *Matrix) Submatrix(rowIdx, colIdx []int) *Matrix {
+	out := NewMatrix(len(rowIdx), len(colIdx))
+	for i, r := range rowIdx {
+		for j, c := range colIdx {
+			out.data[i*out.cols+j] = m.At(r, c)
+		}
+	}
+	return out
+}
 
 // Transpose returns a new matrix that is the transpose of m.
 func (m *Matrix) Transpose() *Matrix {

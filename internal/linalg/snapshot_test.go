@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -167,5 +168,95 @@ func TestSnapshotAllocFree(t *testing.T) {
 		if allocs > 1 {
 			t.Fatalf("Snapshot of size-%d factor allocates %g objects, want ≤1", n, allocs)
 		}
+	}
+}
+
+// NewCholesky carves its rows out of one backing array. The factor must be
+// the one Extend builds row by row, bit for bit, and the rows must be
+// capacity-clamped: an Extend on the factor and on a snapshot of it each
+// append a row of their own, leaving the other side's rows alone.
+func TestCarvedFactorMatchesExtendAndStaysPrivate(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{1, 2, 7, 35} {
+		a := randSPD(rng, n+2)
+		lead := NewMatrix(n, n)
+		for i := range n {
+			for j := range n {
+				lead.Set(i, j, a.At(i, j))
+			}
+		}
+		c, err := NewCholesky(lead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFactor(t, factorPrefix(t, a, n), c, "NewCholesky")
+		for i, row := range c.rows {
+			if len(row) != i+1 || cap(row) != i+1 {
+				t.Fatalf("n=%d: row %d has len %d cap %d", n, i, len(row), cap(row))
+			}
+		}
+		snap := c.Snapshot()
+		if err := c.Extend(extRow(a, n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := snap.Extend(extRow(a, n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Extend(extRow(a, n+1)); err != nil {
+			t.Fatal(err)
+		}
+		sameFactor(t, factorPrefix(t, a, n+2), c, "extended factor")
+		sameFactor(t, factorPrefix(t, a, n+1), snap, "extended snapshot")
+	}
+}
+
+// NewCholeskyJitteredAt reads a principal submatrix with a shifted diagonal
+// in place. Its factor and jitter must be those of factorizing the shifted
+// copy, bit for bit, on the first try and after jitter escalation alike.
+func TestJitteredAtMatchesShiftedCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a := randSPD(rng, 9)
+	// Arms 2 and 6 form an all-4 block coupled to nothing else: any index
+	// set holding both is exactly singular, so its shift-free factor needs
+	// jitter.
+	for j := range 9 {
+		for _, k := range []int{2, 6} {
+			a.Set(k, j, 0)
+			a.Set(j, k, 0)
+		}
+	}
+	for _, k := range []int{2, 6} {
+		a.Set(k, 2, 4)
+		a.Set(k, 6, 4)
+	}
+	jittered := 0
+	for _, tc := range []struct {
+		idx   []int
+		shift float64
+	}{
+		{nil, 1e-4},
+		{[]int{0, 1, 2, 3, 4, 5, 6, 7, 8}, 0},
+		{[]int{4, 2, 8, 6, 1}, 0},
+		{[]int{4, 2, 8, 6, 1}, 1e-4},
+		{[]int{3, 3, 5}, 1e-4},
+	} {
+		idx := tc.idx
+		if idx == nil {
+			idx = []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
+		}
+		want, wantJit, wantErr := NewCholeskyJittered(a.Submatrix(idx, idx).AddDiag(tc.shift), 1e-10, 12)
+		got, gotJit, gotErr := NewCholeskyJitteredAt(a, tc.idx, tc.shift, 1e-10, 12)
+		if (wantErr == nil) != (gotErr == nil) || wantJit != gotJit {
+			t.Fatalf("idx %v shift %g: jitter %g err %v, want jitter %g err %v", tc.idx, tc.shift, gotJit, gotErr, wantJit, wantErr)
+		}
+		if wantErr == nil {
+			sameFactor(t, want, got, fmt.Sprintf("idx %v shift %g", tc.idx, tc.shift))
+		}
+		if gotJit > 0 {
+			jittered++
+		}
+	}
+	if jittered == 0 {
+		t.Error("no case took the jitter path")
 	}
 }
