@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -436,17 +437,16 @@ func (s *Service) Submit(name, program string) (*Job, error) {
 	if s.engine != nil {
 		s.engine.Kick() // wake an idle engine for the new job
 	}
-	out := &Job{
-		Name:     j.ID,
-		Program:  j.Program.String(),
-		Template: j.Template,
-		Julia:    j.Julia,
-		Python:   j.Python,
-	}
-	for _, c := range j.Candidates {
-		out.Candidates = append(out.Candidates, c.Name())
-	}
-	return out, nil
+	// The names are the program's, shared by all its jobs: the caller
+	// gets its own copy.
+	return &Job{
+		Name:       j.ID,
+		Program:    j.ProgramString(),
+		Template:   j.Template,
+		Candidates: slices.Clone(j.CandidateNames()),
+		Julia:      j.Julia,
+		Python:     j.Python,
+	}, nil
 }
 
 // Feed registers a supervision example and returns its id.

@@ -170,6 +170,9 @@ func New(process *gp.GP, cfg Config) *GPUCB {
 // NumArms returns K.
 func (b *GPUCB) NumArms() int { return b.gp.NumArms() }
 
+// Process returns the bandit's posterior process.
+func (b *GPUCB) Process() *gp.GP { return b.gp }
+
 // NumTried returns the number of arms already played.
 func (b *GPUCB) NumTried() int { return b.nTried }
 

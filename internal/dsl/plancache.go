@@ -28,7 +28,7 @@ import (
 var (
 	cacheEvents = telemetry.Default().CounterVec(
 		"easeml_plan_cache_events_total",
-		"Plan-cache lookups by cache (program, candidates) and event (hit, miss, eviction).",
+		"Plan-cache lookups by cache (program, candidates, plan) and event (hit, miss, eviction).",
 		"cache", "event")
 	cacheEntries = telemetry.Default().GaugeVec(
 		"easeml_plan_cache_entries",

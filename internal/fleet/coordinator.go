@@ -394,7 +394,8 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 // settled, or an error wrapping server.ErrLeaseConflict when the report
 // lost a race (double complete, lease expired) — the worker drops those,
 // and nothing is granted. A successful report whose accuracy lies outside
-// [0, 1] or whose cost is negative is refused with ErrBadRequest before
+// [0, 1], or whose cost is negative or more than maxCostFactor times the
+// candidate's estimated cost, is refused with ErrBadRequest before
 // anything is claimed or settled: the lease stays outstanding and expires
 // on its TTL, so the candidate re-enters selection and trains once. A
 // report that embeds a lease request is then served by Lease, after the
@@ -405,6 +406,12 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 // carries the record's seq and the log's durable horizon, so the worker
 // counts the settle once some answer's horizon reaches it. An answer that
 // grants nothing waits for the record's fsync first.
+// maxCostFactor bounds a reported cost by the candidate's estimate: a run
+// the trainer prices at c that reports more than maxCostFactor·c is a lie
+// (a finite 1e308 would otherwise exhaust its tenant's budget and skew
+// every cost-aware pick that reads the tally).
+const maxCostFactor = 100
+
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if req.Error == "" && (!(req.Accuracy >= 0 && req.Accuracy <= 1) || !(req.Cost >= 0)) {
 		c.logWarn("refusing an out-of-range result",
@@ -418,6 +425,16 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		c.mu.Unlock()
 		fleetCompletes.With("conflict").Inc()
 		return CompleteResponse{}, fmt.Errorf("fleet: lease %d is not held by %s: %w", req.LeaseID, req.WorkerID, server.ErrLeaseConflict)
+	}
+	if req.Error == "" {
+		est, err := c.sched.Trainer().EstimateCost(rl.lease.JobID, rl.lease.Candidate)
+		if err == nil && req.Cost > maxCostFactor*est {
+			c.mu.Unlock()
+			c.logWarn("refusing a cost far beyond the estimate",
+				"lease", req.LeaseID, "worker", req.WorkerID, "cost", req.Cost, "estimate", est)
+			return CompleteResponse{}, fmt.Errorf("fleet: lease %d: cost %g is over %d× the estimated %g: %w",
+				req.LeaseID, req.Cost, maxCostFactor, est, ErrBadRequest)
+		}
 	}
 	delete(c.remote, req.LeaseID) // claim: at most one report settles a lease
 	l := rl.lease
@@ -522,11 +539,7 @@ func (c *Coordinator) JobInfo(jobID string) (JobInfo, error) {
 	if !ok {
 		return JobInfo{}, fmt.Errorf("fleet: no job %q", jobID)
 	}
-	info := JobInfo{ID: job.ID, Name: job.Name, Program: job.Program.String()}
-	for _, cand := range job.Candidates {
-		info.Candidates = append(info.Candidates, cand.Name())
-	}
-	return info, nil
+	return JobInfo{ID: job.ID, Name: job.Name, Program: job.ProgramString(), Candidates: job.CandidateNames()}, nil
 }
 
 // FleetStatus implements server.FleetControl for GET /admin/fleet.

@@ -63,7 +63,7 @@ func (x *SimExecutor) RegisterJob(jobID string, cands []templates.Candidate) err
 	if x.registered[jobID] {
 		return nil
 	}
-	if err := x.trainer.Register(jobID, cands); err != nil {
+	if err := x.trainer.Register(jobID, cands, nil); err != nil {
 		// The underlying trainer is the source of truth; tolerate a
 		// registration that raced a concurrent one.
 		if strings.Contains(err.Error(), "already registered") {

@@ -186,7 +186,8 @@ func TestReRegistrationDropsOldAnswers(t *testing.T) {
 }
 
 // A worker that lies about a result is refused before anything settles: an
-// accuracy outside [0, 1] or a negative cost answers 400 "bad_request",
+// accuracy outside [0, 1], a negative cost or a cost over 100× the
+// candidate's estimate (a finite 1e308) answers 400 "bad_request",
 // writes no model record or observation (live or in the WAL) and grants no
 // embedded lease. The lease stays outstanding, expires on its TTL, and the
 // candidate then trains exactly once, with an honest result.
@@ -217,6 +218,7 @@ func TestOutOfRangeResultIsRefused(t *testing.T) {
 		{Accuracy: 1e300, Cost: 1},
 		{Accuracy: -0.25, Cost: 1, Lease: &LeaseRequest{Max: 1}},
 		{Accuracy: 0.5, Cost: -3},
+		{Accuracy: 0.5, Cost: 1e308},
 	}
 	for _, lie := range lies {
 		lr, err := pc.lease(ctx, LeaseRequest{WorkerID: reg.WorkerID, Max: 1})
@@ -274,7 +276,7 @@ func TestOutOfRangeResultIsRefused(t *testing.T) {
 			t.Errorf("candidate %s trained twice", m.Name)
 		}
 		seen[m.Name] = true
-		if m.Accuracy < 0 || m.Accuracy > 1 || m.Cost < 0 {
+		if m.Accuracy < 0 || m.Accuracy > 1 || m.Cost < 0 || m.Cost > 1e300 {
 			t.Errorf("WAL model record %+v carries an out-of-range result", m)
 		}
 	}

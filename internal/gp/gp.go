@@ -115,6 +115,10 @@ func NewFromFeatures(k Kernel, features [][]float64, noiseVar float64) *GP {
 // NumArms returns K, the number of arms.
 func (g *GP) NumArms() int { return g.prior.Rows() }
 
+// Prior returns the prior covariance the process adopted: shared, never
+// written.
+func (g *GP) Prior() *linalg.Matrix { return g.prior }
+
 // NumObservations returns t, the number of observations so far.
 func (g *GP) NumObservations() int { return len(g.arms) }
 

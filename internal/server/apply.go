@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dsl"
 	"repro/internal/storage"
-	"repro/internal/templates"
 )
 
 // apply makes the durable change one WAL event describes. It is the only
@@ -107,7 +106,7 @@ func (sc *Scheduler) applySubmitted(ev storage.Event) error {
 	if err != nil {
 		return fmt.Errorf("server: recovering job %s: parsing logged program: %w", ev.Job, err)
 	}
-	job, err := sc.buildJob(ev.Job, ev.Name, prog)
+	job, err := sc.buildJob(ev.Job, ev.Name, prog, prog.String())
 	if err != nil {
 		return fmt.Errorf("server: recovering job %s: %w", ev.Job, err)
 	}
@@ -207,7 +206,10 @@ func (sc *Scheduler) finishApplyLocked(job *Job, m *storage.ModelRecord) {
 
 // arm returns the index of the candidate with the given name, or -1.
 func (job *Job) arm(name string) int {
-	return slices.IndexFunc(job.Candidates, func(c templates.Candidate) bool { return c.Name() == name })
+	if i, ok := job.plan.arms[name]; ok {
+		return i
+	}
+	return -1
 }
 
 // jobNumber extracts the numeric suffix of a "job-NNNN" id (0 when the id

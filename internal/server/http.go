@@ -272,10 +272,7 @@ func (a *API) handleJobs(w http.ResponseWriter, r *http.Request) {
 			WriteError(w, userErrStatus(err), err)
 			return
 		}
-		resp := SubmitResponse{ID: job.ID, Template: job.Template, Julia: job.Julia, Python: job.Python}
-		for _, c := range job.Candidates {
-			resp.Candidates = append(resp.Candidates, c.Name())
-		}
+		resp := SubmitResponse{ID: job.ID, Template: job.Template, Candidates: job.CandidateNames(), Julia: job.Julia, Python: job.Python}
 		WriteJSON(w, http.StatusCreated, resp)
 	default:
 		WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))

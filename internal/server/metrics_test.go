@@ -496,13 +496,14 @@ func TestMetricsFieldMapping(t *testing.T) {
 
 	// The plan-cache section counted since the last reset. With a program
 	// cache of capacity 1, the submits above parse ts (miss), ts (hit) and
-	// img (miss, evicting ts); the grid cache keeps both grids.
+	// img (miss, evicting ts); the scheduler's plan cache serves the second
+	// ts submit, so the grid cache sees only the two programs' misses.
 	for _, c := range []struct {
 		cache                            string
 		hits, misses, evictions, entries float64
 	}{
 		{"program", 1, 2, 1, 1},
-		{"candidates", 1, 2, 0, 2},
+		{"candidates", 0, 2, 0, 2},
 	} {
 		for _, e := range []struct {
 			field, event string

@@ -46,7 +46,7 @@ func (sc *Scheduler) Compact() error {
 	abandoned := make(map[string][]string)
 	var budgetExhausted []string
 	for i, job := range jobs {
-		metas[i] = storage.JobMeta{ID: job.ID, Name: job.Name, Program: job.Program.String()}
+		metas[i] = storage.JobMeta{ID: job.ID, Name: job.Name, Program: job.ProgramString()}
 		job.mu.Lock()
 		if len(job.abandoned) > 0 {
 			abandoned[job.ID] = append([]string(nil), job.abandoned...)

@@ -94,7 +94,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
 	"sync"
@@ -153,7 +152,7 @@ type SimTrainer struct {
 
 type simEntry struct {
 	sim   *trainsim.Simulator
-	index map[string]int // candidate name → model index
+	index map[string]int // candidate name → model index; may be shared, never written
 }
 
 // NewSimTrainer creates a SimTrainer over the given pool.
@@ -163,24 +162,29 @@ func NewSimTrainer(pool *cluster.Pool, seed int64) *SimTrainer {
 
 // Register builds the per-job simulator for a candidate list. Candidate
 // training behaviour is derived deterministically from the job id and the
-// candidate name, so restarts reproduce the same quality surface.
-func (st *SimTrainer) Register(jobID string, cands []templates.Candidate) error {
+// candidate name, so restarts reproduce the same quality surface. arms maps
+// each candidate's name to its index in cands; the trainer keeps it and
+// never writes it, so every job of one program may pass the same map (nil:
+// Register builds one).
+func (st *SimTrainer) Register(jobID string, cands []templates.Candidate, arms map[string]int) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, ok := st.sims[jobID]; ok {
 		return fmt.Errorf("server: job %q already registered with trainer", jobID)
 	}
-	h := fnv.New64a()
-	h.Write([]byte(jobID))
-	jobHash := int64(h.Sum64() & 0x7fffffffffff)
+	jobHash := int64(fnv64a(jobID) & 0x7fffffffffff)
 
 	difficulty := 0.05 + 0.30*frac(jobHash, 11)
-	entry := &simEntry{index: make(map[string]int, len(cands))}
+	if arms == nil {
+		arms = make(map[string]int, len(cands))
+		for i, c := range cands {
+			arms[c.Name()] = i
+		}
+	}
+	entry := &simEntry{index: arms}
 	models := make([]trainsim.ModelSpec, len(cands))
 	for i, c := range cands {
-		ch := fnv.New64a()
-		ch.Write([]byte(c.Model))
-		candHash := int64(ch.Sum64() & 0x7fffffffffff)
+		candHash := int64(fnv64a(c.Model) & 0x7fffffffffff)
 		peak := 0.55 + 0.40*frac(candHash, 3)
 		if c.Normalizer != nil {
 			// Normalization variants perturb the base model's peak: helpful
@@ -195,7 +199,6 @@ func (st *SimTrainer) Register(jobID string, cands []templates.Candidate) error 
 			CostPerEpoch: 0.5 + 15*frac(candHash, 13)*frac(candHash, 17),
 			BestLR:       trainsim.DefaultLearningRates[int(candHash)%len(trainsim.DefaultLearningRates)],
 		}
-		entry.index[c.Name()] = i
 	}
 	sim, err := trainsim.New(trainsim.Config{
 		Models: models,
@@ -267,6 +270,17 @@ func (st *SimTrainer) TrueQuality(jobID string, c templates.Candidate) (float64,
 	return entry.sim.TrueQuality(0, idx), nil
 }
 
+// fnv64a is hash/fnv's 64-bit FNV-1a of s, without the hasher and byte
+// slice that package allocates per call.
+func fnv64a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 func frac(h int64, salt int64) float64 {
 	x := uint64(h) * uint64(salt*2654435761+1)
 	x ^= x >> 33
@@ -287,9 +301,13 @@ type Job struct {
 	Name       string
 	Program    dsl.Program
 	Template   string
-	Candidates []templates.Candidate
+	Candidates []templates.Candidate // shared by every job of the program: read-only
 	Julia      string
 	Python     string
+
+	// plan is what the job shares with every other job of its program (see
+	// plan.go): the candidate names, the name → arm map and the GP prior.
+	plan *programPlan
 
 	// Class is the tenant's admission service class, fixed at submission
 	// (standard when no admission controller is configured). It drives
@@ -370,6 +388,10 @@ type Scheduler struct {
 	adm *admission.Controller
 
 	log *storage.Log // nil: in-memory only
+
+	// plans holds what jobs of one program share (plan.go); it does its
+	// own locking.
+	plans planCache
 
 	// decisions is the decision-provenance ring (see provenance.go). The
 	// zero value is ready; it does its own leaf locking.
@@ -575,7 +597,7 @@ func (sc *Scheduler) submitAdmitted(name, programSrc string) (*Job, error) {
 	id := fmt.Sprintf("job-%04d", sc.nextID)
 	sc.jobsMu.Unlock()
 
-	job, err := sc.buildJob(id, name, prog)
+	job, err := sc.buildJob(id, name, prog, prog.String())
 	if err != nil {
 		return nil, err
 	}
@@ -587,7 +609,7 @@ func (sc *Scheduler) submitAdmitted(name, programSrc string) (*Job, error) {
 	// reads the job set) can never observe a published job whose event it
 	// is about to truncate. The leaked trainer entry of a failed append is
 	// harmless.
-	ev := storage.Event{Type: storage.EventJobSubmitted, Job: id, Name: name, Program: prog.String()}
+	ev := storage.Event{Type: storage.EventJobSubmitted, Job: id, Name: name, Program: job.ProgramString()}
 	if err := sc.logEvents("submission", id, ev); err != nil {
 		return nil, err
 	}
@@ -595,17 +617,21 @@ func (sc *Scheduler) submitAdmitted(name, programSrc string) (*Job, error) {
 	return job, nil
 }
 
-// buildJob constructs a Job for an already-parsed program under a fixed id:
-// trainer registration, task storage, cost estimation and the GP-UCB
-// tenant (its index is fixed at publish time). It takes no scheduler
-// locks; the trainer and store do their own locking.
-func (sc *Scheduler) buildJob(id, name string, prog dsl.Program) (*Job, error) {
-	cands, tpl, err := templates.GenerateCached(prog)
+// buildJob constructs a Job for an already-parsed program, whose String()
+// is key, under a fixed id. What the program alone determines comes from
+// its plan (plan.go), shared with every other job of it; the job builds
+// only its own part: trainer registration, task storage, cost estimation,
+// the GP-UCB tenant over the plan's prior (its index is fixed at publish
+// time) and the id-bearing Python library. It takes no scheduler locks;
+// the plan cache, trainer and store do their own locking.
+func (sc *Scheduler) buildJob(id, name string, prog dsl.Program, key string) (*Job, error) {
+	plan, err := sc.plans.get(prog, key)
 	if err != nil {
 		return nil, err
 	}
+	cands := plan.candidates
 	if reg, ok := sc.trainer.(*SimTrainer); ok {
-		if err := reg.Register(id, cands); err != nil {
+		if err := reg.Register(id, cands, plan.arms); err != nil {
 			return nil, err
 		}
 	}
@@ -615,17 +641,14 @@ func (sc *Scheduler) buildJob(id, name string, prog dsl.Program) (*Job, error) {
 	}
 
 	costs := make([]float64, len(cands))
-	features := make([][]float64, len(cands))
 	for i, c := range cands {
 		cost, err := sc.trainer.EstimateCost(id, c)
 		if err != nil {
 			return nil, fmt.Errorf("server: estimating cost of %q: %w", c.Name(), err)
 		}
 		costs[i] = cost
-		features[i] = candidateFeature(c)
 	}
-	process := gp.NewFromFeatures(gp.RBF{Variance: 0.05, LengthScale: 0.5}, features, 1e-4)
-	b := bandit.New(process, bandit.Config{
+	b := bandit.New(gp.New(plan.prior, noiseVar), bandit.Config{
 		Costs:     costs,
 		CostAware: true,
 		BetaArms:  32 * len(cands), // headroom for jobs arriving later
@@ -642,24 +665,30 @@ func (sc *Scheduler) buildJob(id, name string, prog dsl.Program) (*Job, error) {
 		ID:         id,
 		Name:       name,
 		Program:    prog,
-		Template:   tpl.Name,
+		Template:   plan.template,
 		Candidates: cands,
-		Julia:      codegen.JuliaTypes(prog),
+		Julia:      plan.julia,
 		Python:     codegen.PythonLibrary(id, sc.server, prog),
 		Class:      class,
+		plan:       plan,
 		tenant:     tenant,
 		store:      ts,
 	}, nil
 }
+
+// CandidateNames returns the job's candidate names in arm order. The slice
+// is shared by every job of the program: read it, never write it.
+func (job *Job) CandidateNames() []string { return job.plan.names }
+
+// ProgramString is job.Program.String(), rendered once per program.
+func (job *Job) ProgramString() string { return job.plan.program }
 
 // candidateFeature embeds a candidate for the GP kernel: a hash-derived
 // model-family coordinate plus the normalization parameter. Candidates of
 // the same base model cluster together, which is what lets one observation
 // inform its normalization variants.
 func candidateFeature(c templates.Candidate) []float64 {
-	h := fnv.New64a()
-	h.Write([]byte(c.Model))
-	base := float64(h.Sum64()%1000) / 1000
+	base := float64(fnv64a(c.Model)%1000) / 1000
 	k := 0.0
 	if c.Normalizer != nil {
 		k = c.Normalizer.K

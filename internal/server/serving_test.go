@@ -276,12 +276,15 @@ func lookups(cache string) (hits, misses uint64) {
 }
 
 // Acceptance: repeated-program workloads hit the plan cache >90% of the
-// time across Submit, facade parses and candidate generation.
+// time across Submit, facade parses and candidate generation. The
+// scheduler's plan cache serves a repeated program's candidates, so the
+// grid is generated, and looked up, once.
 func TestPlanCacheHitsOnRepeatedPrograms(t *testing.T) {
 	dsl.ResetPlanCache()
 	templates.ResetCandidateCache()
 	progHits0, progMisses0 := lookups("program")
 	candHits0, candMisses0 := lookups("candidates")
+	planHits0, planMisses0 := lookups("plan")
 	sc := newScheduler(t)
 	const n = 40
 	for i := 0; i < n; i++ {
@@ -297,10 +300,17 @@ func TestPlanCacheHitsOnRepeatedPrograms(t *testing.T) {
 	if hr := float64(progHits) / float64(progHits+progMisses); hr <= 0.9 {
 		t.Fatalf("program cache hit rate %.2f, want > 0.90 (%d hits, %d misses)", hr, progHits, progMisses)
 	}
+	planHits, planMisses := lookups("plan")
+	planHits, planMisses = planHits-planHits0, planMisses-planMisses0
+	if planHits+planMisses != n {
+		t.Fatalf("scheduler plan cache saw %d lookups, want %d", planHits+planMisses, n)
+	}
+	if hr := float64(planHits) / float64(planHits+planMisses); hr <= 0.9 {
+		t.Fatalf("scheduler plan cache hit rate %.2f, want > 0.90 (%d hits, %d misses)", hr, planHits, planMisses)
+	}
 	candHits, candMisses := lookups("candidates")
-	candHits, candMisses = candHits-candHits0, candMisses-candMisses0
-	if hr := float64(candHits) / float64(candHits+candMisses); hr <= 0.9 {
-		t.Fatalf("candidate cache hit rate %.2f, want > 0.90 (%d hits, %d misses)", hr, candHits, candMisses)
+	if candHits, candMisses = candHits-candHits0, candMisses-candMisses0; candHits != 0 || candMisses != 1 {
+		t.Fatalf("candidate cache saw %d hits and %d misses, want the one miss of the plan's build", candHits, candMisses)
 	}
 }
 
@@ -309,7 +319,7 @@ func TestAdminMetricsReportsPlanCache(t *testing.T) {
 	dsl.ResetPlanCache()
 	templates.ResetCandidateCache()
 	before := map[string]uint64{}
-	for _, cache := range []string{"program", "candidates"} {
+	for _, cache := range []string{"program", "candidates", "plan"} {
 		hits, misses := lookups(cache)
 		before[cache] = hits + misses
 	}

@@ -26,6 +26,7 @@ import (
 	"math"
 	"os"
 	"strconv"
+	"strings"
 
 	"repro/internal/quality"
 )
@@ -145,21 +146,17 @@ func gate(pins, got []pin, out, errOut io.Writer) int {
 	return 0
 }
 
-// summarize prints each configuration's ten-seed means in decimal.
+// summarize prints each configuration's means over its seeds in decimal.
 func summarize(out io.Writer, rows []pin) {
-	var byConfig []string
+	var configs []string
 	sums := map[string]*[5]float64{}
 	for _, p := range rows {
-		var r quality.Row
-		if _, err := fmt.Sscanf(p.Row, "jobs=%d/devices=%d/seed=%d", &r.Jobs, &r.Devices, &r.Seed); err != nil {
-			continue
-		}
-		key := fmt.Sprintf("jobs=%d devices=%d", r.Jobs, r.Devices)
-		s, ok := sums[key]
+		config, _, _ := strings.Cut(p.Row, "/seed=")
+		s, ok := sums[config]
 		if !ok {
 			s = new([5]float64)
-			sums[key] = s
-			byConfig = append(byConfig, key)
+			sums[config] = s
+			configs = append(configs, config)
 		}
 		s[0] += decimal(p.AUC)
 		s[1] += decimal(p.TimeToTarget)
@@ -168,9 +165,9 @@ func summarize(out io.Writer, rows []pin) {
 		s[4]++
 	}
 	fmt.Fprintf(out, "%-20s %8s %14s %8s %14s  (means over seeds)\n", "", "auc", "time_to_0.01", "final", "time_to_final")
-	for _, key := range byConfig {
-		s := sums[key]
-		fmt.Fprintf(out, "%-20s %8.4f %14.3f %8.4f %14.3f\n", key, s[0]/s[4], s[1]/s[4], s[2]/s[4], s[3]/s[4])
+	for _, config := range configs {
+		s := sums[config]
+		fmt.Fprintf(out, "%-20s %8.4f %14.3f %8.4f %14.3f\n", config, s[0]/s[4], s[1]/s[4], s[2]/s[4], s[3]/s[4])
 	}
 }
 
