@@ -387,6 +387,12 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 	return resp, nil
 }
 
+// maxCostFactor bounds a reported cost by the candidate's estimate: a run
+// the trainer prices at c that reports more than maxCostFactor·c is a lie
+// (a finite 1e308 would otherwise exhaust its tenant's budget and skew
+// every cost-aware pick that reads the tally).
+const maxCostFactor = 100
+
 // Complete settles a leased run with the worker's reported outcome through
 // server.Scheduler.Settle: success feeds the observation into the
 // scheduler; failure releases the lease for retry, or abandons the
@@ -406,12 +412,6 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 // carries the record's seq and the log's durable horizon, so the worker
 // counts the settle once some answer's horizon reaches it. An answer that
 // grants nothing waits for the record's fsync first.
-// maxCostFactor bounds a reported cost by the candidate's estimate: a run
-// the trainer prices at c that reports more than maxCostFactor·c is a lie
-// (a finite 1e308 would otherwise exhaust its tenant's budget and skew
-// every cost-aware pick that reads the tally).
-const maxCostFactor = 100
-
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if req.Error == "" && (!(req.Accuracy >= 0 && req.Accuracy <= 1) || !(req.Cost >= 0)) {
 		c.logWarn("refusing an out-of-range result",

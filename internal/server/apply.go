@@ -106,7 +106,7 @@ func (sc *Scheduler) applySubmitted(ev storage.Event) error {
 	if err != nil {
 		return fmt.Errorf("server: recovering job %s: parsing logged program: %w", ev.Job, err)
 	}
-	job, err := sc.buildJob(ev.Job, ev.Name, prog, prog.String())
+	job, err := sc.buildJob(ev.Job, ev.Name, prog)
 	if err != nil {
 		return fmt.Errorf("server: recovering job %s: %w", ev.Job, err)
 	}

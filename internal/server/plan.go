@@ -81,11 +81,11 @@ var (
 	planEvictions = dsl.CacheEventCounter("plan", "eviction")
 )
 
-// get returns the plan of prog, whose String() is key, building it on a
-// miss. Two racing misses build twice, and the first to insert wins: both
-// callers get the inserted plan, so every job of a program resident in the
-// cache shares one.
-func (c *planCache) get(prog dsl.Program, key string) (*programPlan, error) {
+// get returns the plan of prog, building it on a miss. Two racing misses
+// build twice, and the first to insert wins: both callers get the inserted
+// plan, so every job of a program resident in the cache shares one.
+func (c *planCache) get(prog dsl.Program) (*programPlan, error) {
+	key := prog.String()
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/linalg"
@@ -151,5 +152,32 @@ func TestPlanCacheIsBoundedAndPerScheduler(t *testing.T) {
 	}
 	if other.plan == evicted.plan || priorOf(other) == priorOf(evicted) {
 		t.Fatal("two schedulers share a plan")
+	}
+}
+
+// TestConcurrentSubmitsShareOnePlan: submissions of one new program racing
+// on an empty cache may each build a plan, but the first insert wins and
+// every job ends up holding it.
+func TestConcurrentSubmitsShareOnePlan(t *testing.T) {
+	sc := NewScheduler(NewSimTrainer(nil, 1), nil, "")
+	const n = 8
+	jobs := make([]*Job, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			jobs[i], errs[i] = sc.Submit(fmt.Sprintf("t%d", i), footprintProgram)
+		}()
+	}
+	wg.Wait()
+	for i := range n {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if jobs[i].plan != jobs[0].plan || priorOf(jobs[i]) != priorOf(jobs[0]) {
+			t.Fatalf("%s holds a plan of its own", jobs[i].ID)
+		}
 	}
 }

@@ -597,7 +597,7 @@ func (sc *Scheduler) submitAdmitted(name, programSrc string) (*Job, error) {
 	id := fmt.Sprintf("job-%04d", sc.nextID)
 	sc.jobsMu.Unlock()
 
-	job, err := sc.buildJob(id, name, prog, prog.String())
+	job, err := sc.buildJob(id, name, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -617,15 +617,15 @@ func (sc *Scheduler) submitAdmitted(name, programSrc string) (*Job, error) {
 	return job, nil
 }
 
-// buildJob constructs a Job for an already-parsed program, whose String()
-// is key, under a fixed id. What the program alone determines comes from
-// its plan (plan.go), shared with every other job of it; the job builds
+// buildJob constructs a Job for an already-parsed program under a fixed
+// id. What the program alone determines comes from its plan (plan.go),
+// shared with every other job of it; the job builds
 // only its own part: trainer registration, task storage, cost estimation,
 // the GP-UCB tenant over the plan's prior (its index is fixed at publish
 // time) and the id-bearing Python library. It takes no scheduler locks;
 // the plan cache, trainer and store do their own locking.
-func (sc *Scheduler) buildJob(id, name string, prog dsl.Program, key string) (*Job, error) {
-	plan, err := sc.plans.get(prog, key)
+func (sc *Scheduler) buildJob(id, name string, prog dsl.Program) (*Job, error) {
+	plan, err := sc.plans.get(prog)
 	if err != nil {
 		return nil, err
 	}
