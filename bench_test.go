@@ -43,11 +43,6 @@ import (
 // runs the full protocol.
 var benchCfg = experiments.FigureConfig{RunsSmall: 10, RunsLarge: 2, TestUsers: 10, Seed: 1}
 
-func finalAvg(r experiments.Result, series int) float64 {
-	s := r.Series[series]
-	return s.Avg[len(s.Avg)-1]
-}
-
 // BenchmarkEngine pits the async multi-device execution engine against the
 // serialized single-device strategy on the same job set and seed: per worker
 // count it reports the virtual-time makespan speedup (the §5.3.2 strategy
@@ -514,88 +509,13 @@ func BenchmarkFleetLeaseThroughput(b *testing.B) {
 	})
 }
 
-func BenchmarkFigure08DatasetStats(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		stats := experiments.Figure8()
-		if len(stats) != 6 {
-			b.Fatalf("%d datasets", len(stats))
-		}
-	}
-}
-
-func BenchmarkFigure09EndToEnd(b *testing.B) {
-	var res experiments.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.Figure9(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(finalAvg(res, 0), "easeml-final-loss")
-	b.ReportMetric(finalAvg(res, 1), "mostcited-final-loss")
-	b.ReportMetric(finalAvg(res, 2), "mostrecent-final-loss")
-	if s, ok := experiments.Figure9Speedup(res, 0.15); ok {
-		b.ReportMetric(s, "speedup@0.15")
-	}
-}
-
-func BenchmarkFigure10CostOblivious(b *testing.B) {
-	// One representative pair per benchmark iteration: the real-quality
-	// dataset plus one SYN instance (the full six-dataset sweep lives in
-	// cmd/experiments).
-	var deep, syn experiments.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		deep, err = experiments.Run(experiments.Protocol{
-			Dataset:   dataset.DeepLearning(),
-			TestUsers: benchCfg.TestUsers,
-			Runs:      benchCfg.RunsSmall,
-			Seed:      benchCfg.Seed,
-		}, []experiments.Strategy{experiments.EaseML(), experiments.RoundRobin(), experiments.Random()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		syn, err = experiments.Run(experiments.Protocol{
-			Dataset:   dataset.Syn(0.5, 1.0),
-			TestUsers: benchCfg.TestUsers,
-			Runs:      benchCfg.RunsLarge,
-			Seed:      benchCfg.Seed,
-		}, []experiments.Strategy{experiments.EaseML(), experiments.RoundRobin(), experiments.Random()})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(finalAvg(deep, 0), "deep-easeml-loss")
-	b.ReportMetric(finalAvg(deep, 1), "deep-roundrobin-loss")
-	b.ReportMetric(finalAvg(syn, 0), "syn-easeml-loss")
-	b.ReportMetric(finalAvg(syn, 1), "syn-roundrobin-loss")
-}
-
-func BenchmarkFigure11CostAware(b *testing.B) {
-	var deep experiments.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		deep, err = experiments.Run(experiments.Protocol{
-			Dataset:   dataset.DeepLearning(),
-			TestUsers: benchCfg.TestUsers,
-			Runs:      benchCfg.RunsSmall,
-			CostAware: true,
-			Seed:      benchCfg.Seed,
-		}, []experiments.Strategy{experiments.EaseML(), experiments.RoundRobin(), experiments.Random()})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(finalAvg(deep, 0), "easeml-loss")
-	b.ReportMetric(finalAvg(deep, 1), "roundrobin-loss")
-	b.ReportMetric(finalAvg(deep, 2), "random-loss")
-}
-
+// BenchmarkFigure12Correlation reports strong vs weak model correlation at
+// α=1: the paper finds stronger correlation helps every scheduler
+// (§5.3.1). It asserts nothing: on seed 1 both worst-case losses are
+// already 0 at mid-budget, and earlier in the budget the weakly correlated
+// dataset's reaches 0 first. The other §5 figures are TestFigure* tests in
+// internal/experiments.
 func BenchmarkFigure12Correlation(b *testing.B) {
-	// Strong vs weak model correlation at α=1: stronger correlation must
-	// help every scheduler (§5.3.1).
 	var strong, weak experiments.Result
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -622,57 +542,6 @@ func BenchmarkFigure12Correlation(b *testing.B) {
 	mid := len(strong.Series[0].Worst) / 2
 	b.ReportMetric(strong.Series[0].Worst[mid], "strongcorr-worst@50")
 	b.ReportMetric(weak.Series[0].Worst[mid], "weakcorr-worst@50")
-}
-
-func BenchmarkFigure13CostLesion(b *testing.B) {
-	var res experiments.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.Figure13(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(finalAvg(res, 0), "costaware-loss")
-	b.ReportMetric(finalAvg(res, 1), "costoblivious-loss")
-}
-
-func BenchmarkFigure14KernelTraining(b *testing.B) {
-	var res map[string]experiments.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.Figure14(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(finalAvg(res["10%"], 0), "kernel10pct-loss")
-	b.ReportMetric(finalAvg(res["50%"], 0), "kernel50pct-loss")
-	b.ReportMetric(finalAvg(res["100%"], 0), "kernel100pct-loss")
-}
-
-func BenchmarkFigure15Hybrid(b *testing.B) {
-	cfg := benchCfg
-	cfg.RunsLarge = 1 // a full-budget 179CLASSIFIER replay is ~4s per run
-	var res experiments.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.Figure15(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Early-budget (10%) losses: GREEDY ahead of ROUNDROBIN, HYBRID close
-	// to GREEDY.
-	g10 := res.Series[0].Avg[10]
-	r10 := res.Series[1].Avg[10]
-	h10 := res.Series[2].Avg[10]
-	b.ReportMetric(g10, "greedy-loss@10")
-	b.ReportMetric(r10, "roundrobin-loss@10")
-	b.ReportMetric(h10, "hybrid-loss@10")
-	if x, ok := experiments.Crossover(res.Series[0], res.Series[1]); ok {
-		b.ReportMetric(x, "rr-overtakes-greedy@pct")
-	}
 }
 
 // BenchmarkInferQPS measures the online-serving path over real HTTP: one

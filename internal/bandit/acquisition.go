@@ -1,15 +1,10 @@
 package bandit
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-)
+import "math"
 
 // This file implements the alternative acquisition functions the paper
 // names in §4.5 ("it is not clear how to integrate other algorithms such as
-// GP-EI and GP-PI into a multi-tenant framework") and the classic UCB1 rule
-// whose K·log T regret §3.1 contrasts with GP-UCB. They plug into the same
+// GP-EI and GP-PI into a multi-tenant framework"). They plug into the same
 // GPUCB bandit as alternative SelectArmBy policies, enabling the ablation
 // benches DESIGN.md calls out.
 
@@ -117,32 +112,6 @@ func (a PIAcquisition) Score(mu, sigma, best, cost, beta float64) float64 {
 	return pi
 }
 
-// ThompsonAcquisition is (independent-arm) Thompson sampling: each arm's
-// score is one draw from its marginal posterior, optionally divided by the
-// arm's cost. A natural randomized baseline absent from the paper's
-// evaluation; included for the acquisition ablation.
-type ThompsonAcquisition struct {
-	Rng       *rand.Rand
-	CostAware bool
-}
-
-// Name implements Acquisition.
-func (a ThompsonAcquisition) Name() string {
-	if a.CostAware {
-		return "thompson/cost"
-	}
-	return "thompson"
-}
-
-// Score implements Acquisition.
-func (a ThompsonAcquisition) Score(mu, sigma, best, cost, beta float64) float64 {
-	draw := mu + float64(sigma*a.Rng.NormFloat64())
-	if a.CostAware {
-		return draw / cost
-	}
-	return draw
-}
-
 // stdNormPDF is the standard normal density.
 func stdNormPDF(z float64) float64 {
 	return math.Exp(-z*z/2) / math.Sqrt(2*math.Pi)
@@ -182,97 +151,3 @@ func (b *GPUCB) SelectArmBy(acq Acquisition) (arm int, score float64) {
 	}
 	return arm, score
 }
-
-// UCB1 is the classic (GP-free) UCB1 bandit of §3.1's discussion: each arm
-// is modeled independently, scores are ȳₖ + √(2·ln t / nₖ), and every arm
-// must be tried once before the rule applies. Its regret is O(K·log T) —
-// the bound the paper contrasts with GP-UCB's √(T·log K) — and it serves as
-// the "no cross-model generalization" ablation baseline.
-type UCB1 struct {
-	costs   []float64
-	sums    []float64
-	counts  []int
-	t       int
-	tried   []bool
-	nTried  int
-	bestArm int
-	bestY   float64
-	haveObs bool
-}
-
-// NewUCB1 creates a UCB1 bandit over arms with the given costs.
-func NewUCB1(costs []float64) *UCB1 {
-	if len(costs) == 0 {
-		panic("bandit: UCB1 needs at least one arm")
-	}
-	for i, c := range costs {
-		if c <= 0 {
-			panic(fmt.Sprintf("bandit: UCB1 arm %d has non-positive cost %g", i, c))
-		}
-	}
-	return &UCB1{
-		costs:   costs,
-		sums:    make([]float64, len(costs)),
-		counts:  make([]int, len(costs)),
-		tried:   make([]bool, len(costs)),
-		bestArm: -1,
-	}
-}
-
-// NumArms returns K.
-func (u *UCB1) NumArms() int { return len(u.costs) }
-
-// Exhausted reports whether every arm has been played (model selection
-// plays each arm at most once).
-func (u *UCB1) Exhausted() bool { return u.nTried == len(u.costs) }
-
-// Tried reports whether arm k was played.
-func (u *UCB1) Tried(k int) bool { return u.tried[k] }
-
-// SelectArm returns the untried arm with the highest UCB1 score. Untried
-// arms have infinite score, so the rule degenerates to "first untried" until
-// everything has one sample — exactly UCB1's forced initialization (§3.1:
-// "the UCB algorithm must play all arms once or twice in the initial
-// step").
-func (u *UCB1) SelectArm() (arm int, score float64) {
-	if u.Exhausted() {
-		return -1, math.Inf(-1)
-	}
-	arm = -1
-	score = math.Inf(-1)
-	for k := range u.costs {
-		if u.tried[k] {
-			continue
-		}
-		s := math.Inf(1) // never sampled ⇒ must explore
-		if u.counts[k] > 0 {
-			mean := u.sums[k] / float64(u.counts[k])
-			s = mean + math.Sqrt(2*math.Log(float64(u.t+1))/float64(u.counts[k]))
-		}
-		if s > score || arm == -1 {
-			score = s
-			arm = k
-		}
-	}
-	return arm, score
-}
-
-// Observe records reward y for arm k.
-func (u *UCB1) Observe(k int, y float64) {
-	if u.tried[k] {
-		panic(fmt.Sprintf("bandit: UCB1 arm %d played twice", k))
-	}
-	u.tried[k] = true
-	u.nTried++
-	u.t++
-	u.sums[k] += y
-	u.counts[k]++
-	if !u.haveObs || y > u.bestY {
-		u.bestY = y
-		u.bestArm = k
-		u.haveObs = true
-	}
-}
-
-// Best returns the best arm observed so far.
-func (u *UCB1) Best() (arm int, y float64, ok bool) { return u.bestArm, u.bestY, u.haveObs }

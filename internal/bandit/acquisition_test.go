@@ -150,58 +150,6 @@ func TestEIPIFindOptimum(t *testing.T) {
 	}
 }
 
-func TestUCB1Validation(t *testing.T) {
-	for name, f := range map[string]func(){
-		"no arms":  func() { NewUCB1(nil) },
-		"bad cost": func() { NewUCB1([]float64{1, 0}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestUCB1Lifecycle(t *testing.T) {
-	u := NewUCB1(unitCosts(4))
-	rewards := []float64{0.2, 0.9, 0.4, 0.6}
-	seen := map[int]bool{}
-	for !u.Exhausted() {
-		arm, score := u.SelectArm()
-		if arm < 0 || seen[arm] {
-			t.Fatalf("invalid arm %d", arm)
-		}
-		// Untried arms score +Inf: forced initialization.
-		if !math.IsInf(score, 1) {
-			t.Errorf("untried arm scored %g, want +Inf", score)
-		}
-		seen[arm] = true
-		u.Observe(arm, rewards[arm])
-	}
-	arm, y, ok := u.Best()
-	if !ok || arm != 1 || y != 0.9 {
-		t.Errorf("Best = (%d,%g,%v)", arm, y, ok)
-	}
-	if a, s := u.SelectArm(); a != -1 || !math.IsInf(s, -1) {
-		t.Errorf("exhausted SelectArm = (%d,%g)", a, s)
-	}
-}
-
-func TestUCB1DoublePlayPanics(t *testing.T) {
-	u := NewUCB1(unitCosts(2))
-	u.Observe(0, 0.5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	u.Observe(0, 0.6)
-}
-
 // Property: every acquisition plays each arm exactly once over a full sweep
 // and ends with the true optimum found.
 func TestQuickAcquisitionsFullSweep(t *testing.T) {

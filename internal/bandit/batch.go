@@ -2,50 +2,6 @@ package bandit
 
 import "repro/internal/gp"
 
-// SelectBatch picks up to batchSize distinct untried arms for parallel
-// execution on multiple devices — the §6 future-work direction ("parallel
-// Gaussian Process in which multiple processes are being evaluated …
-// extend ease.ml's resource model from a single device to multiple
-// devices").
-//
-// It follows the GP-BUCB hallucination scheme (Desautels et al., cited by
-// the paper): after choosing an arm, the posterior is conditioned on a fake
-// observation equal to the current posterior mean. The mean is unchanged
-// but the variance collapses, so subsequent picks diversify instead of
-// piling onto near-duplicates of the first choice. The bandit's real state
-// is untouched; callers Observe the true rewards when the parallel runs
-// finish.
-func (b *GPUCB) SelectBatch(batchSize int) []int {
-	if batchSize <= 0 {
-		return nil
-	}
-	remaining := b.NumArms() - b.NumTried()
-	if remaining == 0 {
-		return nil
-	}
-	if batchSize > remaining {
-		batchSize = remaining
-	}
-	if batchSize == 1 {
-		arm, _ := b.SelectArm()
-		return []int{arm}
-	}
-
-	shadow := b.shadowClone()
-	var batch []int
-	for len(batch) < batchSize {
-		arm, _ := shadow.SelectArm()
-		if arm < 0 {
-			break
-		}
-		batch = append(batch, arm)
-		// Observing the posterior mean keeps the mean surface intact while
-		// collapsing the arm's variance.
-		shadow.Hallucinate(arm)
-	}
-	return batch
-}
-
 // NewShadow returns a hallucination shadow of the bandit: a copy
 // conditioned on fake posterior-mean observations for every in-flight arm
 // (arms leased to engine workers whose results have not come back yet).
@@ -87,7 +43,7 @@ func (b *GPUCB) CloneShadow(inFlight []int) *GPUCB {
 
 // Hallucinate conditions the bandit on a fake observation of arm a at its
 // current posterior mean (no-op for invalid or already-tried arms). Only
-// ever call this on a shadow from NewShadow/shadowClone — it consumes the
+// ever call this on a shadow from NewShadow/CloneShadow — it consumes the
 // arm like a real observation. The posterior update goes through
 // gp.ObserveHallucinated: hallucinating the mean leaves the mean surface
 // untouched, so only the variances change, by the one O(K·t) block row a
@@ -165,12 +121,6 @@ func (b *GPUCB) Rollback(cp Checkpoint) {
 	b.bestY = cp.bestY
 	b.haveObs = cp.haveObs
 	b.invalidateCache()
-}
-
-// shadowClone duplicates the bandit's decision-relevant state for
-// hallucinated lookahead, built on a prefix-sharing gp.Shadow.
-func (b *GPUCB) shadowClone() *GPUCB {
-	return b.shadowOver(b.gp.Shadow())
 }
 
 // shadowOver wraps a (shared or cloned) posterior process in a copy of the

@@ -182,14 +182,8 @@ func (b *GPUCB) Exhausted() bool { return b.nTried == b.NumArms() }
 // Tried reports whether arm k has been played.
 func (b *GPUCB) Tried(k int) bool { return b.tried != nil && b.tried[k] }
 
-// Cost returns the cost ck of arm k.
-func (b *GPUCB) Cost(k int) float64 { return b.cfg.Costs[k] }
-
 // CumulativeCost returns the total cost paid so far.
 func (b *GPUCB) CumulativeCost() float64 { return b.cumCost }
-
-// Step returns the local time step t (number of selections made).
-func (b *GPUCB) Step() int { return b.t }
 
 // Beta returns βt for the *next* selection (local step t+1).
 func (b *GPUCB) Beta() float64 {
@@ -343,9 +337,6 @@ func (b *GPUCB) Posterior() (mu, sigma []float64) {
 // Mean returns the posterior mean of arm k (in raw reward space, i.e.
 // including the prior-mean shifts).
 func (b *GPUCB) Mean(k int) float64 { return b.gp.Mean(k) + b.shift(k) }
-
-// Std returns the posterior standard deviation of arm k.
-func (b *GPUCB) Std(k int) float64 { return b.gp.Std(k) }
 
 func maxFloat(xs []float64) float64 {
 	m := xs[0]

@@ -180,14 +180,6 @@ func (c *Client) RunRounds(ctx context.Context, n int) (server.RoundsResponse, e
 	return resp, err
 }
 
-// FleetStatus reports the fleet worker registry (GET /admin/fleet); it
-// errors with HTTP 409 on servers running without a fleet coordinator.
-func (c *Client) FleetStatus(ctx context.Context) (server.FleetStatus, error) {
-	var resp server.FleetStatus
-	err := c.get(ctx, "/admin/fleet", &resp)
-	return resp, err
-}
-
 func (c *Client) post(ctx context.Context, path string, body, dst any) error {
 	payload, err := json.Marshal(body)
 	if err != nil {

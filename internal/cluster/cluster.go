@@ -17,8 +17,6 @@ import (
 
 // Job is one completed training job with its virtual-time interval.
 type Job struct {
-	ID    int
-	Label string
 	Work  float64 // GPU-time units on a single GPU
 	GPUs  int     // GPUs the job ran on
 	Start float64 // virtual start time
@@ -38,10 +36,8 @@ type Pool struct {
 
 	clock     float64   // single-device frontier
 	gpuFree   []float64 // per-GPU next-free time (multi-device mode)
-	nextJobID int
-	completed []Job
-	horizon   float64 // latest completion time over all jobs
-	workTotal float64 // total work submitted, for the serialized baseline
+	horizon   float64   // latest completion time over all jobs
+	workTotal float64   // total work submitted, for the serialized baseline
 }
 
 // NewPool creates a pool of numGPUs devices with scaling exponent alpha
@@ -56,7 +52,7 @@ func NewPool(numGPUs int, alpha float64) *Pool {
 	if alpha <= 0 || alpha > 1 {
 		panic(fmt.Sprintf("cluster: scaling exponent %g outside (0,1]", alpha))
 	}
-	return &Pool{numGPUs: numGPUs, alpha: alpha, gpuFree: make([]float64, numGPUs), nextJobID: 1}
+	return &Pool{numGPUs: numGPUs, alpha: alpha, gpuFree: make([]float64, numGPUs)}
 }
 
 // Speedup returns the simulated speedup of running one job on g GPUs:
@@ -71,15 +67,14 @@ func (p *Pool) Speedup(g int) float64 {
 // RunSingleDevice executes a job on the whole pool (the deployed ease.ml
 // strategy: "use all its GPUs to train a single model"). Jobs serialize on
 // the virtual clock. It returns the completed job record.
-func (p *Pool) RunSingleDevice(label string, work float64) Job {
+func (p *Pool) RunSingleDevice(work float64) Job {
 	if work <= 0 {
 		panic(fmt.Sprintf("cluster: non-positive work %g", work))
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	dur := work / p.Speedup(p.numGPUs)
-	j := Job{ID: p.nextJobID, Label: label, Work: work, GPUs: p.numGPUs, Start: p.clock, End: p.clock + dur}
-	p.nextJobID++
+	j := Job{Work: work, GPUs: p.numGPUs, Start: p.clock, End: p.clock + dur}
 	p.clock = j.End
 	// Single-device runs also occupy every GPU.
 	for i := range p.gpuFree {
@@ -91,11 +86,10 @@ func (p *Pool) RunSingleDevice(label string, work float64) Job {
 	return j
 }
 
-// record appends a finished job and folds it into the running aggregates
-// (metrics reads stay O(1) however long the history grows). Callers must
-// hold p.mu.
+// record folds a finished job into the running aggregates; the pool keeps
+// no history, so a long-running service holds O(1) state per pool. Callers
+// must hold p.mu.
 func (p *Pool) record(j Job) {
-	p.completed = append(p.completed, j)
 	if j.End > p.horizon {
 		p.horizon = j.End
 	}
@@ -104,8 +98,8 @@ func (p *Pool) record(j Job) {
 
 // RunOneGPU executes a job on the earliest-available single GPU (the
 // multi-device alternative of §5.3.2). Jobs overlap across GPUs.
-func (p *Pool) RunOneGPU(label string, work float64) Job {
-	return p.RunOneGPUAmong(label, work, p.numGPUs)
+func (p *Pool) RunOneGPU(work float64) Job {
+	return p.RunOneGPUAmong(work, p.numGPUs)
 }
 
 // RunOneGPUAmong executes a job on the earliest-available single GPU among
@@ -113,7 +107,7 @@ func (p *Pool) RunOneGPU(label string, work float64) Job {
 // when its worker pool owns only a slice of the cluster: W workers can keep
 // at most W devices busy, so packing onto more would under-report the
 // virtual makespan. limit ≤ 0 or beyond the pool size means the whole pool.
-func (p *Pool) RunOneGPUAmong(label string, work float64, limit int) Job {
+func (p *Pool) RunOneGPUAmong(work float64, limit int) Job {
 	if work <= 0 {
 		panic(fmt.Sprintf("cluster: non-positive work %g", work))
 	}
@@ -132,8 +126,7 @@ func (p *Pool) RunOneGPUAmong(label string, work float64, limit int) Job {
 	if p.clock > start {
 		start = p.clock
 	}
-	j := Job{ID: p.nextJobID, Label: label, Work: work, GPUs: 1, Start: start, End: start + work}
-	p.nextJobID++
+	j := Job{Work: work, GPUs: 1, Start: start, End: start + work}
 	p.gpuFree[g] = j.End
 	p.record(j)
 	return j
@@ -163,30 +156,4 @@ func (p *Pool) SingleDeviceTime() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.workTotal / math.Pow(float64(p.numGPUs), p.alpha)
-}
-
-// Completed returns a copy of all finished jobs in submission order.
-func (p *Pool) Completed() []Job {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]Job(nil), p.completed...)
-}
-
-// Utilization returns GPU-time used divided by GPU-time available up to the
-// latest completion; 0 for an idle pool.
-func (p *Pool) Utilization() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var used, horizon float64
-	for _, j := range p.completed {
-		// A g-GPU job at speedup s occupies g GPUs for work/s time.
-		used += float64(j.GPUs) * (j.End - j.Start)
-		if j.End > horizon {
-			horizon = j.End
-		}
-	}
-	if horizon == 0 {
-		return 0
-	}
-	return used / (horizon * float64(p.numGPUs))
 }

@@ -45,8 +45,8 @@ func TestSpeedup(t *testing.T) {
 
 func TestSingleDeviceSerializes(t *testing.T) {
 	p := NewPool(8, 0.9)
-	j1 := p.RunSingleDevice("a", 80)
-	j2 := p.RunSingleDevice("b", 40)
+	j1 := p.RunSingleDevice(80)
+	j2 := p.RunSingleDevice(40)
 	if j1.Start != 0 {
 		t.Errorf("first job starts at %g", j1.Start)
 	}
@@ -67,9 +67,9 @@ func TestSingleDeviceSerializes(t *testing.T) {
 
 func TestOneGPUOverlaps(t *testing.T) {
 	p := NewPool(2, 0.9)
-	j1 := p.RunOneGPU("a", 10)
-	j2 := p.RunOneGPU("b", 10)
-	j3 := p.RunOneGPU("c", 5)
+	j1 := p.RunOneGPU(10)
+	j2 := p.RunOneGPU(10)
+	j3 := p.RunOneGPU(5)
 	if j1.Start != 0 || j2.Start != 0 {
 		t.Errorf("first two jobs should start immediately: %g, %g", j1.Start, j2.Start)
 	}
@@ -89,13 +89,13 @@ func TestSingleDeviceReturnsFirstModelFaster(t *testing.T) {
 	work := []float64{100, 100, 100, 100}
 	var firstSingle, firstMulti float64
 	for i, w := range work {
-		j := single.RunSingleDevice("job", w)
+		j := single.RunSingleDevice(w)
 		if i == 0 {
 			firstSingle = j.End
 		}
 	}
 	for i, w := range work {
-		j := multi.RunOneGPU("job", w)
+		j := multi.RunOneGPU(w)
 		if i == 0 {
 			firstMulti = j.End
 		}
@@ -108,8 +108,8 @@ func TestSingleDeviceReturnsFirstModelFaster(t *testing.T) {
 func TestNonPositiveWorkPanics(t *testing.T) {
 	p := NewPool(2, 0.9)
 	for name, f := range map[string]func(){
-		"single": func() { p.RunSingleDevice("x", 0) },
-		"one":    func() { p.RunOneGPU("x", -1) },
+		"single": func() { p.RunSingleDevice(0) },
+		"one":    func() { p.RunOneGPU(-1) },
 	} {
 		func() {
 			defer func() {
@@ -122,26 +122,6 @@ func TestNonPositiveWorkPanics(t *testing.T) {
 	}
 }
 
-func TestCompletedAndUtilization(t *testing.T) {
-	p := NewPool(4, 1) // linear scaling for exact accounting
-	if p.Utilization() != 0 {
-		t.Error("idle pool should report 0 utilization")
-	}
-	p.RunSingleDevice("a", 40) // occupies 4 GPUs for 10 time units
-	jobs := p.Completed()
-	if len(jobs) != 1 || jobs[0].Label != "a" {
-		t.Fatalf("Completed = %+v", jobs)
-	}
-	if got := p.Utilization(); math.Abs(got-1) > 1e-12 {
-		t.Errorf("utilization %g, want 1 for a fully packed pool", got)
-	}
-	// IDs are sequential.
-	j2 := p.RunSingleDevice("b", 4)
-	if j2.ID != 2 {
-		t.Errorf("job id %d, want 2", j2.ID)
-	}
-}
-
 func TestConcurrentSubmissions(t *testing.T) {
 	p := NewPool(4, 0.9)
 	var wg sync.WaitGroup
@@ -150,14 +130,15 @@ func TestConcurrentSubmissions(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				p.RunSingleDevice("j", 1)
-				p.RunOneGPU("k", 1)
+				p.RunSingleDevice(1)
+				p.RunOneGPU(1)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := len(p.Completed()); got != 320 {
-		t.Errorf("%d jobs completed, want 320", got)
+	// 320 unit jobs: the running work total counts every one of them.
+	if got, want := p.SingleDeviceTime(), 320/p.Speedup(4); math.Abs(got-want) > 1e-9 {
+		t.Errorf("single-device time %g, want %g for 320 unit jobs", got, want)
 	}
 }
 
@@ -166,7 +147,7 @@ func TestRunOneGPUAmongRespectsLimit(t *testing.T) {
 	// Four equal jobs onto two devices: two waves of two.
 	var jobs []Job
 	for i := 0; i < 4; i++ {
-		jobs = append(jobs, p.RunOneGPUAmong("j", 10, 2))
+		jobs = append(jobs, p.RunOneGPUAmong(10, 2))
 	}
 	if jobs[0].Start != 0 || jobs[1].Start != 0 {
 		t.Errorf("first wave starts %g/%g, want 0/0", jobs[0].Start, jobs[1].Start)
@@ -179,8 +160,8 @@ func TestRunOneGPUAmongRespectsLimit(t *testing.T) {
 	}
 	// Out-of-range limits fall back to the whole pool.
 	q := NewPool(3, 0.9)
-	a := q.RunOneGPUAmong("a", 5, 0)
-	b := q.RunOneGPUAmong("b", 5, 99)
+	a := q.RunOneGPUAmong(5, 0)
+	b := q.RunOneGPUAmong(5, 99)
 	if a.Start != 0 || b.Start != 0 {
 		t.Errorf("whole-pool fallback serialized: %g/%g", a.Start, b.Start)
 	}
@@ -195,7 +176,7 @@ func TestMakespanAndSingleDeviceTime(t *testing.T) {
 	// whole 4-GPU pool they would take 4 × (1/4) = 1 as well (linear
 	// scaling makes the strategies tie).
 	for i := 0; i < 4; i++ {
-		p.RunOneGPU("j", 1)
+		p.RunOneGPU(1)
 	}
 	if math.Abs(p.Makespan()-1) > 1e-12 {
 		t.Errorf("makespan %g, want 1", p.Makespan())
@@ -206,7 +187,7 @@ func TestMakespanAndSingleDeviceTime(t *testing.T) {
 	// Sublinear scaling breaks the tie in favour of one-GPU packing.
 	q := NewPool(4, 0.5)
 	for i := 0; i < 4; i++ {
-		q.RunOneGPU("j", 1)
+		q.RunOneGPU(1)
 	}
 	if q.Makespan() >= q.SingleDeviceTime() {
 		t.Errorf("sublinear pool: makespan %g should beat single-device %g", q.Makespan(), q.SingleDeviceTime())
@@ -222,7 +203,7 @@ func TestQuickSingleDeviceClock(t *testing.T) {
 		prevEnd := 0.0
 		for _, w := range works {
 			work := 1 + float64(w)
-			j := p.RunSingleDevice("x", work)
+			j := p.RunSingleDevice(work)
 			if j.Start != prevEnd {
 				return false
 			}

@@ -1,8 +1,8 @@
 // Package codegen implements ease.ml's code-generation step (§2, Figure 3):
 // a user program is translated into system data types (rendered in Julia
-// format, as in the paper), and into the three user-facing binaries (feed,
-// refine, infer) plus a Python library stub that all carry the task's unique
-// identifier and the ease.ml server address.
+// format, as in the paper), and into a Python library stub exposing the
+// three user-facing operations (feed, refine, infer) that carries the task's
+// unique identifier and the ease.ml server address.
 package codegen
 
 import (
@@ -64,35 +64,9 @@ func writeJuliaType(sb *strings.Builder, name string, d dsl.DataType) {
 	sb.WriteString("end\n")
 }
 
-// Binary describes one generated user-facing executable.
-type Binary struct {
-	Name   string // "feed", "refine" or "infer"
-	TaskID string // unique identifier baked into the binary
-	Server string // ease.ml server address baked into the binary
-	Usage  string // one-line usage string shown by the binary
-}
-
-// Binaries returns the three user-facing binaries of Figure 3 for a task.
-func Binaries(taskID, server string) []Binary {
-	return []Binary{
-		{
-			Name: "feed", TaskID: taskID, Server: server,
-			Usage: "feed -input <objects> -output <labels>: register input/output example pairs",
-		},
-		{
-			Name: "refine", TaskID: taskID, Server: server,
-			Usage: "refine: inspect all fed examples and turn each on or off",
-		},
-		{
-			Name: "infer", TaskID: taskID, Server: server,
-			Usage: "infer -input <objects>: apply the best model learned so far",
-		},
-	}
-}
-
 // PythonLibrary renders the importable Python stub of Figure 3's
-// "Define Model: myapp.py" walkthrough. It shares the binaries'
-// functionality in programmable form.
+// "Define Model: myapp.py" walkthrough: feed, refine and infer in
+// programmable form.
 func PythonLibrary(taskID, server string, p dsl.Program) string {
 	var sb strings.Builder
 	sb.WriteString("# Generated by ease.ml — do not edit.\n")

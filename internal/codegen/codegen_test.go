@@ -56,28 +56,6 @@ func TestJuliaTypesAutoNameAvoidsCollision(t *testing.T) {
 	}
 }
 
-func TestBinaries(t *testing.T) {
-	bins := Binaries("task-42", "http://easeml:9000")
-	if len(bins) != 3 {
-		t.Fatalf("%d binaries, want feed/refine/infer", len(bins))
-	}
-	names := map[string]bool{}
-	for _, b := range bins {
-		names[b.Name] = true
-		if b.TaskID != "task-42" || b.Server != "http://easeml:9000" {
-			t.Errorf("binary %q missing identity: %+v", b.Name, b)
-		}
-		if b.Usage == "" {
-			t.Errorf("binary %q has no usage", b.Name)
-		}
-	}
-	for _, want := range []string{"feed", "refine", "infer"} {
-		if !names[want] {
-			t.Errorf("missing binary %q", want)
-		}
-	}
-}
-
 func TestPythonLibrary(t *testing.T) {
 	p := dsl.MustParse("{input: {[Tensor[256, 256, 3]], []}, output: {[Tensor[2]], []}}")
 	got := PythonLibrary("myapp", "http://localhost:9000", p)

@@ -84,10 +84,6 @@ func NewClassWeightedPicker(newInner func() UserPicker) *ClassWeightedPicker {
 // Name implements UserPicker.
 func (p *ClassWeightedPicker) Name() string { return p.name }
 
-// Inner returns the picker of one class (nil before the class's first
-// pick), so callers can inspect per-class state such as HYBRID's freeze.
-func (p *ClassWeightedPicker) Inner(class string) UserPicker { return p.inner[class] }
-
 // classKey normalizes a tenant's class label ("" reads as "standard").
 func classKey(t *Tenant) string {
 	if t.Class == "" {

@@ -415,10 +415,10 @@ func TestSimulationLossMonotonicallyDecreases(t *testing.T) {
 func TestNewSimulationValidation(t *testing.T) {
 	env := simpleEnv([][]float64{{0.5}}, [][]float64{{1}})
 	cases := map[string]SimConfig{
-		"missing env":    {UserPicker: FCFSPicker{}, ModelPicker: UCBModelPicker{}, Kernel: gp.Linear{Variance: 1}},
-		"missing picker": {Env: env, ModelPicker: UCBModelPicker{}, Kernel: gp.Linear{Variance: 1}},
+		"missing env":    {UserPicker: FCFSPicker{}, ModelPicker: UCBModelPicker{}, Kernel: gp.RBF{Variance: 1, LengthScale: 1}},
+		"missing picker": {Env: env, ModelPicker: UCBModelPicker{}, Kernel: gp.RBF{Variance: 1, LengthScale: 1}},
 		"missing kernel": {Env: env, UserPicker: FCFSPicker{}, ModelPicker: UCBModelPicker{}},
-		"short features": {Env: env, UserPicker: FCFSPicker{}, ModelPicker: UCBModelPicker{}, Kernel: gp.Linear{Variance: 1}, Features: nil},
+		"short features": {Env: env, UserPicker: FCFSPicker{}, ModelPicker: UCBModelPicker{}, Kernel: gp.RBF{Variance: 1, LengthScale: 1}, Features: nil},
 	}
 	for name, cfg := range cases {
 		if _, err := NewSimulation(cfg); err == nil {

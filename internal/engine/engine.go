@@ -140,13 +140,6 @@ func (e *Engine) Kick() {
 	}
 }
 
-// Running reports whether an engine run is active.
-func (e *Engine) Running() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.running
-}
-
 // Metrics snapshots the engine counters.
 func (e *Engine) Metrics() Metrics {
 	e.mu.Lock()

@@ -91,10 +91,10 @@ func RunDeviceAblation(cfg DeviceAblationConfig) (DeviceAblationResult, error) {
 	}
 
 	single := replay(trace, best, func(pool *cluster.Pool, tp core.TracePoint) float64 {
-		return pool.RunSingleDevice(fmt.Sprintf("u%d/m%d", tp.User, tp.Arm), tp.Cost).End
+		return pool.RunSingleDevice(tp.Cost).End
 	}, cfg.GPUs, cfg.Alpha)
 	multi := replay(trace, best, func(pool *cluster.Pool, tp core.TracePoint) float64 {
-		return pool.RunOneGPU(fmt.Sprintf("u%d/m%d", tp.User, tp.Arm), tp.Cost).End
+		return pool.RunOneGPU(tp.Cost).End
 	}, cfg.GPUs, cfg.Alpha)
 
 	// Integrate both to the same horizon so the comparison is fair.

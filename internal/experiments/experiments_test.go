@@ -181,6 +181,77 @@ func TestFigure9EaseMLWins(t *testing.T) {
 	}
 }
 
+// figureCfg is the configuration the §5 figure benchmarks ran with: ten
+// DEEPLEARNING repetitions, two on the larger datasets, ten test users,
+// seed 1.
+var figureCfg = FigureConfig{RunsSmall: 10, RunsLarge: 2, TestUsers: 10, Seed: 1}
+
+// area is the sum of a series' average-loss curve over the budget grid.
+func area(s Series) float64 {
+	var a float64
+	for _, v := range s.Avg {
+		a += v
+	}
+	return a
+}
+
+// easeMLBelowBaselines asserts that ease.ml's average-loss area is at
+// least 1 % below ROUNDROBIN's and RANDOM's, the strategies' order in
+// Figures 10 and 11.
+func easeMLBelowBaselines(t *testing.T, name string, res Result) {
+	t.Helper()
+	ease := area(res.Series[0])
+	for _, b := range res.Series[1:] {
+		if ease > 0.99*area(b) {
+			t.Errorf("%s: ease.ml loss area %.4f not 1%% below %s's %.4f", name, ease, b.Label, area(b))
+		}
+	}
+}
+
+// Figure 10 (cost-oblivious): ease.ml ahead of ROUNDROBIN and RANDOM on the
+// real-quality dataset and on SYN(0.5, 1).
+func TestFigure10EaseMLBeatsBaselines(t *testing.T) {
+	for _, d := range []*dataset.Dataset{dataset.DeepLearning(), dataset.Syn(0.5, 1.0)} {
+		res, err := Run(Protocol{Dataset: d, TestUsers: figureCfg.TestUsers, Runs: figureCfg.runsFor(d), Seed: figureCfg.Seed},
+			[]Strategy{EaseML(), RoundRobin(), Random()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		easeMLBelowBaselines(t, d.Name, res)
+	}
+}
+
+// Figure 11 (cost-aware): the same order on DEEPLEARNING under a cost
+// budget.
+func TestFigure11CostAwareEaseMLBeatsBaselines(t *testing.T) {
+	res, err := Run(Protocol{Dataset: dataset.DeepLearning(), TestUsers: figureCfg.TestUsers, Runs: figureCfg.RunsSmall,
+		CostAware: true, Seed: figureCfg.Seed}, []Strategy{EaseML(), RoundRobin(), Random()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	easeMLBelowBaselines(t, "DEEPLEARNING", res)
+}
+
+// Figure 15 on 179CLASSIFIER, one repetition: at 10 % of the budget GREEDY
+// is at least 10 % ahead of ROUNDROBIN, and HYBRID has kept within a
+// quarter of that gap of GREEDY.
+func TestFigure15HybridTracksGreedyEarly(t *testing.T) {
+	cfg := figureCfg
+	cfg.RunsLarge = 1
+	res, err := Figure15(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedy, rr, hybrid := res.Series[0].Avg[10], res.Series[1].Avg[10], res.Series[2].Avg[10]
+	if greedy > 0.9*rr {
+		t.Errorf("at 10%%: GREEDY loss %.4f not 10%% below ROUNDROBIN's %.4f", greedy, rr)
+	}
+	if math.Abs(hybrid-greedy) > 0.25*(rr-greedy) {
+		t.Errorf("at 10%%: HYBRID loss %.4f strays from GREEDY's %.4f by more than a quarter of the gap to ROUNDROBIN's %.4f",
+			hybrid, greedy, rr)
+	}
+}
+
 func TestFigure13CostAwarenessHelps(t *testing.T) {
 	res, err := Figure13(smallCfg)
 	if err != nil {

@@ -154,14 +154,6 @@ func (a *Agent) Completed() int64 { return a.completed.Load() }
 // Failed returns how many runs ended in an executor error.
 func (a *Agent) Failed() int64 { return a.failed.Load() }
 
-// WorkerID returns the coordinator-assigned id (empty before the first
-// registration succeeds).
-func (a *Agent) WorkerID() string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.workerID
-}
-
 // Run executes the agent until ctx is cancelled: register, then loop
 // polling for leases and executing them, with a background heartbeat
 // stream. It returns nil on a clean shutdown and the registration error

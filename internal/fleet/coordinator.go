@@ -345,18 +345,6 @@ func (c *Coordinator) preemptLocked() {
 		"worker", victim.Worker, "trace", victim.Trace)
 }
 
-// Preempt runs one priority-preemption pass directly (tests, and
-// operators draining best-effort load by hand); it reports whether a lease
-// was preempted. The lease-poll path runs the same pass automatically
-// whenever the in-flight cap is saturated.
-func (c *Coordinator) Preempt() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	before := c.preemptedTotal.Load()
-	c.preemptLocked()
-	return c.preemptedTotal.Load() > before
-}
-
 // Heartbeat refreshes a worker's liveness and the TTLs of the leases it
 // reports as still executing; it returns the subset still outstanding
 // (a missing id means the lease expired and the run should be aborted)

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"strings"
 	"sync"
 
 	"repro/internal/server"
@@ -63,13 +62,9 @@ func (x *SimExecutor) RegisterJob(jobID string, cands []templates.Candidate) err
 	if x.registered[jobID] {
 		return nil
 	}
+	// The trainer is private and only this method registers into it,
+	// under x.mu, so a job it already holds is in registered above.
 	if err := x.trainer.Register(jobID, cands, nil); err != nil {
-		// The underlying trainer is the source of truth; tolerate a
-		// registration that raced a concurrent one.
-		if strings.Contains(err.Error(), "already registered") {
-			x.registered[jobID] = true
-			return nil
-		}
 		return err
 	}
 	x.registered[jobID] = true

@@ -122,18 +122,6 @@ func (g *GP) Prior() *linalg.Matrix { return g.prior }
 // NumObservations returns t, the number of observations so far.
 func (g *GP) NumObservations() int { return len(g.arms) }
 
-// PriorVar returns the prior variance Σ(k,k) of arm k.
-func (g *GP) PriorVar(k int) float64 { return g.prior.At(k, k) }
-
-// Observations returns copies of the observed arm indices and rewards.
-func (g *GP) Observations() (arms []int, ys []float64) {
-	arms = make([]int, len(g.arms))
-	copy(arms, g.arms)
-	ys = make([]float64, len(g.ys))
-	copy(ys, g.ys)
-	return arms, ys
-}
-
 // Observe conditions the process on reward y for arm k (Algorithm 1 line 5)
 // and updates the posterior (lines 6–7). It panics if k is out of range (a
 // programming error) but returns an error when the observation covariance
@@ -534,23 +522,6 @@ func (g *GP) LogMarginalLikelihood() float64 {
 	}
 	quad := linalg.Dot(g.ys, g.alpha())
 	return float64(-0.5*quad) - float64(0.5*g.chol.LogDet()) - float64(0.5*float64(t)*math.Log(2*math.Pi))
-}
-
-// Reset discards all observations, returning the process to its prior.
-// The history slices are dropped, not truncated: a Shadow may still be
-// reading the old backing arrays, and re-appending into them would leak
-// the new history into the shadow's clamped view.
-func (g *GP) Reset() {
-	g.arms = nil
-	g.ys = nil
-	g.chol = nil
-	g.w = nil
-	g.jitter = 0
-	g.invalidatePosterior()
-	g.postMu = nil
-	g.postRaw = nil
-	g.postZ = nil
-	g.muKept = false
 }
 
 // Shadow returns an O(1) hallucination shadow of the process: a GP sharing

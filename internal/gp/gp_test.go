@@ -17,10 +17,6 @@ func TestKernelValues(t *testing.T) {
 		want float64
 	}{
 		{RBF{Variance: 2, LengthScale: 5}, 2 * math.Exp(-25.0/50.0)},
-		{Linear{Variance: 3}, 0},
-		{White{Variance: 7}, 0},
-		{Matern32{Variance: 1, LengthScale: 5}, (1 + math.Sqrt(3)) * math.Exp(-math.Sqrt(3))},
-		{Matern52{Variance: 1, LengthScale: 5}, (1 + math.Sqrt(5) + 5.0/3.0) * math.Exp(-math.Sqrt(5))},
 	}
 	for _, tc := range tests {
 		if got := tc.k.Eval(x, y); math.Abs(got-tc.want) > 1e-12 {
@@ -33,25 +29,11 @@ func TestKernelSelfCovariance(t *testing.T) {
 	x := []float64{1.5, -2, 0.25}
 	kernels := []Kernel{
 		RBF{Variance: 0.8, LengthScale: 1.2},
-		Matern32{Variance: 0.8, LengthScale: 1.2},
-		Matern52{Variance: 0.8, LengthScale: 1.2},
-		White{Variance: 0.8},
 	}
 	for _, k := range kernels {
 		if got := k.Eval(x, x); math.Abs(got-0.8) > 1e-12 {
 			t.Errorf("%s self-covariance = %g, want 0.8", k.Name(), got)
 		}
-	}
-}
-
-func TestSumKernel(t *testing.T) {
-	k := Sum{A: Linear{Variance: 1}, B: White{Variance: 0.5}}
-	x := []float64{1, 2}
-	if got := k.Eval(x, x); math.Abs(got-(5+0.5)) > 1e-12 {
-		t.Errorf("Sum.Eval = %g, want 5.5", got)
-	}
-	if got := k.Eval(x, []float64{2, 1}); math.Abs(got-4) > 1e-12 {
-		t.Errorf("Sum.Eval cross = %g, want 4", got)
 	}
 }
 
@@ -243,26 +225,10 @@ func TestTuneRBFPrefersInformativeLengthScale(t *testing.T) {
 	}
 }
 
-func TestTuneKernels(t *testing.T) {
-	features := [][]float64{{0}, {0.5}, {1}}
-	sample := []float64{0.2, 0.5, 0.8}
-	res := TuneKernels([]Kernel{
-		RBF{Variance: 0.1, LengthScale: 0.5},
-		Matern52{Variance: 0.1, LengthScale: 0.5},
-	}, features, [][]float64{sample}, 0.01)
-	if res.Kernel == nil {
-		t.Fatal("no kernel selected")
-	}
-}
-
 func TestTunePanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"empty samples":    func() { TuneRBF([][]float64{{0}}, nil, 0.01, nil, nil) },
-		"length mismatch":  func() { TuneRBF([][]float64{{0}, {1}}, [][]float64{{1}}, 0.01, nil, nil) },
-		"empty candidates": func() { TuneKernels(nil, [][]float64{{0}}, [][]float64{{1}}, 0.01) },
-		"candidate sample length mismatch": func() {
-			TuneKernels([]Kernel{RBF{Variance: 1, LengthScale: 1}}, [][]float64{{0}, {1}}, [][]float64{{1}}, 0.01)
-		},
+		"empty samples":   func() { TuneRBF([][]float64{{0}}, nil, 0.01, nil, nil) },
+		"length mismatch": func() { TuneRBF([][]float64{{0}, {1}}, [][]float64{{1}}, 0.01, nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -311,7 +277,7 @@ func TestQuickPosteriorConsistency(t *testing.T) {
 		for i := range features {
 			features[i] = []float64{rng.Float64()}
 		}
-		g := NewFromFeatures(Matern52{Variance: 1, LengthScale: 0.5}, features, 0.02)
+		g := NewFromFeatures(RBF{Variance: 1, LengthScale: 0.5}, features, 0.02)
 		for o := 0; o < 7; o++ {
 			g.Observe(rng.Intn(k), rng.Float64())
 		}

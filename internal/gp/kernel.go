@@ -51,116 +51,19 @@ func (k RBF) fromSqDist(d2 float64) float64 {
 // Name implements Kernel.
 func (k RBF) Name() string { return fmt.Sprintf("rbf(s²=%g,ℓ=%g)", k.Variance, k.LengthScale) }
 
-// Matern52 is the Matérn kernel with ν = 5/2:
-// k(r) = Variance · (1 + √5 r/ℓ + 5r²/(3ℓ²)) · exp(−√5 r/ℓ).
-// The paper's Theorems 2–3 discussion covers Matérn kernels explicitly.
-type Matern52 struct {
-	Variance    float64
-	LengthScale float64
-}
-
-// Eval implements Kernel.
-func (k Matern52) Eval(x, y []float64) float64 { return k.fromSqDist(linalg.SqDist(x, y)) }
-
-func (k Matern52) fromSqDist(d2 float64) float64 {
-	r := math.Sqrt(d2)
-	a := math.Sqrt(5) * r / k.LengthScale
-	return k.Variance * (1 + a + a*a/3) * math.Exp(-a)
-}
-
-// Name implements Kernel.
-func (k Matern52) Name() string {
-	return fmt.Sprintf("matern52(s²=%g,ℓ=%g)", k.Variance, k.LengthScale)
-}
-
-// Matern32 is the Matérn kernel with ν = 3/2:
-// k(r) = Variance · (1 + √3 r/ℓ) · exp(−√3 r/ℓ).
-type Matern32 struct {
-	Variance    float64
-	LengthScale float64
-}
-
-// Eval implements Kernel.
-func (k Matern32) Eval(x, y []float64) float64 { return k.fromSqDist(linalg.SqDist(x, y)) }
-
-func (k Matern32) fromSqDist(d2 float64) float64 {
-	r := math.Sqrt(d2)
-	a := math.Sqrt(3) * r / k.LengthScale
-	return k.Variance * (1 + a) * math.Exp(-a)
-}
-
-// Name implements Kernel.
-func (k Matern32) Name() string {
-	return fmt.Sprintf("matern32(s²=%g,ℓ=%g)", k.Variance, k.LengthScale)
-}
-
-// Linear is the (homogeneous) linear kernel k(x,y) = Variance · ⟨x,y⟩.
-// The paper's regret-bound discussion (after Theorem 3) analyzes the linear
-// kernel case, where the per-tenant information gain is O(log |T(i)|).
-type Linear struct {
-	Variance float64
-}
-
-// Eval implements Kernel.
-func (k Linear) Eval(x, y []float64) float64 { return k.Variance * linalg.Dot(x, y) }
-
-// Name implements Kernel.
-func (k Linear) Name() string { return fmt.Sprintf("linear(s²=%g)", k.Variance) }
-
-// stationary is a kernel of the squared distance alone: Eval(x, y) is
-// fromSqDist(linalg.SqDist(x, y)), bit for bit.
-type stationary interface {
-	Kernel
-	fromSqDist(d2 float64) float64
-}
-
-// Sum combines kernels additively; a typical use is RBF + White.
-type Sum struct {
-	A, B Kernel
-}
-
-// Eval implements Kernel.
-func (k Sum) Eval(x, y []float64) float64 { return k.A.Eval(x, y) + k.B.Eval(x, y) }
-
-// Name implements Kernel.
-func (k Sum) Name() string { return k.A.Name() + "+" + k.B.Name() }
-
-// White is the white-noise kernel: Variance on identical inputs, 0 elsewhere.
-// "Identical" means equal element-wise; it is intended for exact feature
-// vectors, not near-duplicates.
-type White struct {
-	Variance float64
-}
-
-// Eval implements Kernel.
-func (k White) Eval(x, y []float64) float64 {
-	if len(x) != len(y) {
-		return 0
-	}
-	for i := range x {
-		if x[i] != y[i] {
-			return 0
-		}
-	}
-	return k.Variance
-}
-
-// Name implements Kernel.
-func (k White) Name() string { return fmt.Sprintf("white(s²=%g)", k.Variance) }
-
 // CovarianceMatrix builds the K×K prior covariance over the given feature
 // vectors: Σ[i,j] = kernel(features[i], features[j]). The result is exactly
 // symmetric.
 //
-// Cost: one Eval per pair i ≤ j, except for RBF and the Matérn kernels:
-// one distance pass (linalg.SqDistUpper, straight into the result), then
-// one fromSqDist per pair, the bits Eval would give.
+// Cost: one Eval per pair i ≤ j, except for RBF: one distance pass
+// (linalg.SqDistUpper, straight into the result), then one fromSqDist per
+// pair, the bits Eval would give.
 func CovarianceMatrix(k Kernel, features [][]float64) *linalg.Matrix {
 	n := len(features)
 	m := linalg.NewMatrix(n, n)
-	if s, ok := k.(stationary); ok {
+	if r, ok := k.(RBF); ok {
 		linalg.SqDistUpper(m, features)
-		return m.MapUpper(m, s.fromSqDist)
+		return m.MapUpper(m, r.fromSqDist)
 	}
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {

@@ -54,24 +54,6 @@ func TuneRBF(features [][]float64, samples [][]float64, noiseVar float64, varian
 	return best
 }
 
-// TuneKernels evaluates an arbitrary list of candidate kernels and returns
-// the one with the highest summed log marginal likelihood over samples, one
-// factorization per candidate. It panics if candidates is empty or a
-// sample's length differs from len(features).
-func TuneKernels(candidates []Kernel, features [][]float64, samples [][]float64, noiseVar float64) TuneResult {
-	if len(candidates) == 0 {
-		panic("gp: TuneKernels requires at least one candidate")
-	}
-	best := TuneResult{LML: math.Inf(-1)}
-	for _, k := range candidates {
-		lml := sumLML(CovarianceMatrix(k, features), samples, noiseVar)
-		if lml > best.LML {
-			best = TuneResult{Kernel: k, LML: lml}
-		}
-	}
-	return best
-}
-
 // sumLML sums the log marginal likelihood of each centered sample under the
 // zero-mean GP with prior covariance cov. Samples are centered (their mean
 // is subtracted) because the working prior is zero-mean while raw

@@ -82,12 +82,6 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
-// Add adds v to the element at row i, column j.
-func (m *Matrix) Add(i, j int, v float64) {
-	m.check(i, j)
-	m.data[i*m.cols+j] += v
-}
-
 func (m *Matrix) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("linalg: index (%d,%d) out of range for %d×%d matrix", i, j, m.rows, m.cols))
@@ -108,13 +102,6 @@ func (m *Matrix) RowView(i int) []float64 {
 		panic(fmt.Sprintf("linalg: row %d out of range for %d×%d matrix", i, m.rows, m.cols))
 	}
 	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
-}
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
 }
 
 // MulVec returns the matrix-vector product m·x. It panics if len(x) != Cols.

@@ -1,34 +1,26 @@
-// Package normalize implements ease.ml's automatic input normalization
-// (§2, Figure 5). Inputs whose dynamic range spans many orders of magnitude
-// (the paper cites an astrophysics and a proteomics application with >10
+// Package normalize names ease.ml's automatic input normalization (§2,
+// Figure 5). Inputs whose dynamic range spans many orders of magnitude (the
+// paper cites an astrophysics and a proteomics application with >10
 // orders) are squashed through the parameterized family
 //
 //	f_k(x) = −x^(2k) + x^k
 //
 // with one candidate model generated per value of k. The figure's canonical
-// sweep is k ∈ {0.2, 0.4, 0.6, 0.8}.
-//
-// As printed, f_k peaks at ¼ (at x = 2^(−1/k)); Normalizer therefore also
-// offers a rescaled variant mapping onto [0, 1], which matches the plotted
-// curves. Both behaviours are exposed so the reproduction documents rather
-// than hides the ambiguity.
+// sweep is k ∈ {0.2, 0.4, 0.6, 0.8}. The simulated trainer only needs k,
+// which shifts a normalized candidate's peak accuracy; no code path applies
+// f_k to data.
 package normalize
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // DefaultKs is the k sweep shown in Figure 5.
 var DefaultKs = []float64{0.2, 0.4, 0.6, 0.8}
 
-// Normalizer applies f_k to inputs that have been min-max scaled to [0,1].
+// Normalizer is one member of the f_k family, applied to inputs min-max
+// scaled to [0,1].
 type Normalizer struct {
 	// K is the family parameter; must be > 0.
 	K float64
-	// Rescale multiplies the output by 4 so the peak value is 1 (the
-	// plotted normalization); when false the raw −x^(2k)+x^k is returned.
-	Rescale bool
 }
 
 // New returns a Normalizer for the given k. It panics if k ≤ 0.
@@ -36,52 +28,7 @@ func New(k float64) Normalizer {
 	if k <= 0 {
 		panic(fmt.Sprintf("normalize: non-positive k %g", k))
 	}
-	return Normalizer{K: k, Rescale: true}
-}
-
-// Apply evaluates the normalization function at x. Inputs are clamped to
-// [0, 1] first (the raw tensor is min-max scaled before f_k is applied).
-func (n Normalizer) Apply(x float64) float64 {
-	if x < 0 {
-		x = 0
-	}
-	if x > 1 {
-		x = 1
-	}
-	xk := math.Pow(x, n.K)
-	v := -xk*xk + xk
-	if n.Rescale {
-		v *= 4
-	}
-	return v
-}
-
-// ApplySlice normalizes a tensor flattened to a slice: it min-max scales the
-// values to [0,1] and applies f_k element-wise, returning a new slice.
-// A constant input maps to all zeros.
-func (n Normalizer) ApplySlice(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	span := hi - lo
-	for i, x := range xs {
-		if span == 0 {
-			out[i] = n.Apply(0)
-			continue
-		}
-		out[i] = n.Apply((x - lo) / span)
-	}
-	return out
+	return Normalizer{K: k}
 }
 
 // Name identifies the normalizer in candidate-model names.

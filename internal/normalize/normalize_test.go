@@ -1,43 +1,6 @@
 package normalize
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
-
-func TestApplyKnownValues(t *testing.T) {
-	// Raw family: f_k(x) = −x^(2k) + x^k peaks at ¼ when x^k = ½.
-	n := Normalizer{K: 0.5, Rescale: false}
-	x := math.Pow(0.5, 1/0.5) // x^k = 0.5
-	if got := n.Apply(x); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("raw peak = %g, want 0.25", got)
-	}
-	// Rescaled family peaks at 1.
-	r := New(0.5)
-	if got := r.Apply(x); math.Abs(got-1) > 1e-12 {
-		t.Errorf("rescaled peak = %g, want 1", got)
-	}
-}
-
-func TestApplyBoundary(t *testing.T) {
-	for _, k := range DefaultKs {
-		n := New(k)
-		if got := n.Apply(0); got != 0 {
-			t.Errorf("k=%g: f(0) = %g, want 0", k, got)
-		}
-		if got := n.Apply(1); math.Abs(got) > 1e-12 {
-			t.Errorf("k=%g: f(1) = %g, want 0", k, got)
-		}
-	}
-}
-
-func TestApplyClamps(t *testing.T) {
-	n := New(0.4)
-	if n.Apply(-5) != n.Apply(0) || n.Apply(7) != n.Apply(1) {
-		t.Error("inputs outside [0,1] not clamped")
-	}
-}
+import "testing"
 
 func TestNewPanicsOnBadK(t *testing.T) {
 	for _, k := range []float64{0, -1} {
@@ -52,32 +15,13 @@ func TestNewPanicsOnBadK(t *testing.T) {
 	}
 }
 
-func TestApplySlice(t *testing.T) {
-	n := New(0.5)
-	// Values spanning a huge dynamic range get min-max scaled first.
-	out := n.ApplySlice([]float64{0, 1e10})
-	if out[0] != n.Apply(0) || out[1] != n.Apply(1) {
-		t.Errorf("ApplySlice = %v", out)
-	}
-	// Constant input maps to zeros.
-	flat := n.ApplySlice([]float64{3, 3, 3})
-	for i, v := range flat {
-		if v != 0 {
-			t.Errorf("flat[%d] = %g, want 0", i, v)
-		}
-	}
-	if got := n.ApplySlice(nil); len(got) != 0 {
-		t.Errorf("empty input gave %v", got)
-	}
-}
-
 func TestSweep(t *testing.T) {
 	def := Sweep(nil)
 	if len(def) != len(DefaultKs) {
 		t.Fatalf("default sweep has %d entries, want %d", len(def), len(DefaultKs))
 	}
 	for i, n := range def {
-		if n.K != DefaultKs[i] || !n.Rescale {
+		if n.K != DefaultKs[i] {
 			t.Errorf("sweep[%d] = %+v", i, n)
 		}
 	}
@@ -90,18 +34,5 @@ func TestSweep(t *testing.T) {
 func TestName(t *testing.T) {
 	if got := New(0.2).Name(); got != "norm(k=0.2)" {
 		t.Errorf("Name = %q", got)
-	}
-}
-
-// Property: the rescaled family maps [0,1] into [0,1].
-func TestQuickRange(t *testing.T) {
-	f := func(xRaw, kRaw uint16) bool {
-		x := float64(xRaw) / 65535
-		k := 0.05 + float64(kRaw%100)/100
-		v := New(k).Apply(x)
-		return v >= 0 && v <= 1+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }

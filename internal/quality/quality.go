@@ -125,7 +125,7 @@ func Run(r Row) (Result, error) {
 			if err != nil {
 				return Result{}, fmt.Errorf("quality: %s: %w", r.Key(), err)
 			}
-			end := pool.RunOneGPUAmong(l.JobID, cost, r.Devices).End
+			end := pool.RunOneGPUAmong(cost, r.Devices).End
 			pending = append(pending, run{lease: l, acc: acc, cost: cost, end: end})
 		}
 		if len(pending) == 0 {

@@ -32,10 +32,6 @@ func (sc *Scheduler) SetAdmission(ctrl *admission.Controller) {
 	}
 }
 
-// Admission returns the installed admission controller (nil when the
-// scheduler admits everything).
-func (sc *Scheduler) Admission() *admission.Controller { return sc.adm }
-
 // TenantCost returns the total GPU cost paid so far by every job of a
 // tenant — the quantity budgets are enforced against.
 func (sc *Scheduler) TenantCost(tenant string) float64 {

@@ -25,7 +25,7 @@ func TestJobFootprint(t *testing.T) {
 		t.Skip("drains 1,000 jobs; the heap figure is meaningless under -race")
 	}
 	const n, devices = 1000, 4
-	const budget = 34 << 10 // bytes retained per finished job
+	const budget = 28 << 10 // bytes retained per finished job
 
 	// The flight recorder's rings are process-wide and fixed in size: one
 	// lease through a scheduler of its own allocates them before the

@@ -242,9 +242,9 @@ func (st *SimTrainer) Train(jobID string, c templates.Candidate) (float64, float
 	}
 	if st.Pool != nil {
 		if st.Devices > 0 {
-			st.Pool.RunOneGPUAmong(jobID+"/"+c.Name(), res.Cost, st.Devices)
+			st.Pool.RunOneGPUAmong(res.Cost, st.Devices)
 		} else {
-			st.Pool.RunSingleDevice(jobID+"/"+c.Name(), res.Cost)
+			st.Pool.RunSingleDevice(res.Cost)
 		}
 	}
 	return res.Accuracy, res.Cost, nil
@@ -814,7 +814,7 @@ func (sc *Scheduler) InFlight() int {
 // never overshoot either. Jobs are chosen by the configured core.UserPicker
 // over the tenants that still have unleased untried candidates; within a
 // job the candidate is chosen by GP-BUCB with the job's in-flight arms
-// hallucinated (bandit.SelectBatch's scheme, applied incrementally), so
+// hallucinated (bandit.NewShadow and Hallucinate, applied incrementally), so
 // parallel picks diversify.
 //
 // Every returned lease must eventually be handed back via Settle (or its

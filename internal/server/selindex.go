@@ -80,18 +80,17 @@ type selEntry struct {
 	leased []int
 
 	// shadow is the persistent GP-BUCB hallucination shadow for the job's
-	// in-flight arms, valid while shadowEpoch == epoch (an observation
-	// invalidates it wholesale). shadowArms lists the hallucinated arms in
+	// in-flight arms, built at the current epoch (publish drops it: an
+	// observation invalidates it wholesale). shadowArms lists the hallucinated arms in
 	// application order and shadowCPs[i] is the shadow's state before
 	// hallucination i, so lease churn is absorbed incrementally: newly
 	// leased arms hallucinate on top (checkpointing first), and handed-back
 	// leases roll the shadow back to the matching checkpoint in O(1) —
 	// never a rebuild, never a re-hallucination of what is still in
 	// flight.
-	shadow      *bandit.GPUCB
-	shadowEpoch uint64
-	shadowArms  []int
-	shadowCPs   []bandit.Checkpoint
+	shadow     *bandit.GPUCB
+	shadowArms []int
+	shadowCPs  []bandit.Checkpoint
 }
 
 // selClass is one class's partition of the index, and the
@@ -197,6 +196,14 @@ func (ix *selectionIndex) publish(i int, s core.Scalars) bool {
 	ix.recount(i, was)
 	e.class.fix(e.local)
 	e.epoch++
+	// The shadow hallucinated over the old epoch's posterior and can never
+	// be revived: shadowFor builds a new one at the next pick. Drop it now,
+	// so a finished job does not keep it alive; the slices keep their
+	// capacity for the next shadow.
+	e.shadow = nil
+	clear(e.shadowCPs[:cap(e.shadowCPs)])
+	e.shadowCPs = e.shadowCPs[:0]
+	e.shadowArms = e.shadowArms[:0]
 	ix.stats.EpochBumps++
 	ix.stats.JobsRescored++
 	return true
@@ -420,7 +427,7 @@ func (c *selClass) GreedyCandidates([]*core.Tenant) []int {
 // O(1) prefix-sharing bandit.NewShadow, never a deep clone) only when an
 // observation landed or the lease history diverged.
 func (ix *selectionIndex) shadowFor(e *selEntry, base *bandit.GPUCB, cur []int) *bandit.GPUCB {
-	if e.shadow != nil && e.shadowEpoch == e.epoch {
+	if e.shadow != nil {
 		n := len(e.shadowArms)
 		switch {
 		case len(cur) <= n && intPrefix(cur, e.shadowArms):
@@ -440,7 +447,6 @@ func (ix *selectionIndex) shadowFor(e *selEntry, base *bandit.GPUCB, cur []int) 
 		}
 	}
 	e.shadow = base.NewShadow(nil)
-	e.shadowEpoch = e.epoch
 	e.shadowArms = e.shadowArms[:0]
 	e.shadowCPs = e.shadowCPs[:0]
 	ix.stats.ShadowsBuilt++

@@ -851,9 +851,6 @@ func (l *Log) Seq() uint64 {
 	return l.seq
 }
 
-// Dir returns the data directory the log lives in.
-func (l *Log) Dir() string { return l.dir }
-
 // Compact writes the given state as the directory's checkpoint
 // (snapshot.wal, see segment.go) and recycles every segment it covers.
 // Only the listed jobs' tasks are written from the store.

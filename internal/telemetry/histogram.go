@@ -89,22 +89,6 @@ func (h *Histogram) snapshot() (counts [histBuckets + 1]uint64, sumNS uint64) {
 	return counts, sumNS
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	counts, _ := h.snapshot()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	return total
-}
-
-// Sum returns the sum of all observed durations.
-func (h *Histogram) Sum() time.Duration {
-	_, sumNS := h.snapshot()
-	return time.Duration(sumNS)
-}
-
 // Quantile returns the exact-bucket q-quantile: the inclusive upper
 // bound of the bucket containing the ceil(q·n)-th smallest observation.
 // It returns 0 on an empty histogram and clamps q to [0, 1].
@@ -186,22 +170,6 @@ func (h *ValueHistogram) snapshot() (counts [histBuckets + 1]uint64, sum uint64)
 		sum += h.shards[s].sum.Load()
 	}
 	return counts, sum
-}
-
-// Count returns the total number of observations.
-func (h *ValueHistogram) Count() uint64 {
-	counts, _ := h.snapshot()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	return total
-}
-
-// Sum returns the sum of all observed values.
-func (h *ValueHistogram) Sum() uint64 {
-	_, sum := h.snapshot()
-	return sum
 }
 
 // Quantile returns the exact-bucket q-quantile as a plain value (the

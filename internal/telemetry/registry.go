@@ -28,7 +28,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"regexp"
 	"strconv"
 	"strings"
@@ -218,18 +217,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	for _, f := range fams {
 		f.write(w)
 	}
-}
-
-// Handler serves the registry as GET /metrics.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "use GET", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
-	})
 }
 
 func (f *family) write(w io.Writer) {

@@ -5,7 +5,6 @@ import (
 	"regexp"
 	"sort"
 	"sync"
-	"time"
 )
 
 // SpanData is the serializable form of one span: what /admin/traces
@@ -25,12 +24,6 @@ type SpanData struct {
 	Err        string            `json:"error,omitempty"`
 	Attrs      map[string]string `json:"attrs,omitempty"`
 }
-
-// Start returns the span's start time.
-func (d SpanData) Start() time.Time { return time.Unix(0, d.StartNS) }
-
-// Duration returns the span's duration.
-func (d SpanData) Duration() time.Duration { return time.Duration(d.DurationNS) }
 
 // spanOpRE is the operation-name contract: lower snake_case, statically
 // enforced by tools/metriclint over every SpanOp declaration in the tree.

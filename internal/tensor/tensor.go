@@ -2,7 +2,7 @@
 // (§2: every nonrecursive field is a constant-size Tensor[...]), plus the
 // default loaders the paper mentions ("ease.ml provides a default loader
 // for some popular Tensor types (e.g., loads JPEG images into
-// Tensor[A,B,3])") and the hooks for automatic input normalization.
+// Tensor[A,B,3])").
 package tensor
 
 import (
@@ -12,8 +12,6 @@ import (
 	_ "image/png"  // PNG shares the image-shaped template
 	"io"
 	"strings"
-
-	"repro/internal/normalize"
 )
 
 // Tensor is a dense row-major tensor of float64 values.
@@ -25,21 +23,6 @@ type Tensor struct {
 // New returns a zero tensor of the given shape. It panics on an empty shape
 // or non-positive dimensions.
 func New(shape ...int) *Tensor {
-	n := checkShape(shape)
-	return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
-}
-
-// FromData wraps data (not copied) in a tensor of the given shape. It
-// panics if the element count does not match.
-func FromData(data []float64, shape ...int) *Tensor {
-	n := checkShape(shape)
-	if len(data) != n {
-		panic(fmt.Sprintf("tensor: %d elements for shape %v (want %d)", len(data), shape, n))
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: data}
-}
-
-func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")
 	}
@@ -50,93 +33,14 @@ func checkShape(shape []int) int {
 		}
 		n *= d
 	}
-	return n
+	return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
 }
 
 // Shape returns a copy of the tensor's shape.
 func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) }
 
-// Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.shape) }
-
-// NumElements returns the total number of scalar elements.
-func (t *Tensor) NumElements() int { return len(t.data) }
-
 // Data returns the underlying row-major storage (not a copy).
 func (t *Tensor) Data() []float64 { return t.data }
-
-// offset converts a multi-index to the flat row-major offset, panicking on
-// rank or range violations.
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: %d indices for rank-%d tensor", len(idx), len(t.shape)))
-	}
-	off := 0
-	for d, i := range idx {
-		if i < 0 || i >= t.shape[d] {
-			panic(fmt.Sprintf("tensor: index %d out of range for dimension %d (size %d)", i, d, t.shape[d]))
-		}
-		off = off*t.shape[d] + i
-	}
-	return off
-}
-
-// At returns the element at the multi-index.
-func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx)] }
-
-// Set assigns the element at the multi-index.
-func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx)] = v }
-
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	data := make([]float64, len(t.data))
-	copy(data, t.data)
-	return FromData(data, t.shape...)
-}
-
-// Reshape returns a tensor sharing this tensor's storage with a new shape
-// of the same element count.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := checkShape(shape)
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elements) to %v (%d)", t.shape, len(t.data), shape, n))
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
-}
-
-// MinMax returns the smallest and largest element.
-func (t *Tensor) MinMax() (lo, hi float64) {
-	lo, hi = t.data[0], t.data[0]
-	for _, v := range t.data[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
-// Normalize returns a new tensor with the Figure 5 normalization applied:
-// values are min-max scaled to [0,1] and squashed through f_k.
-func (t *Tensor) Normalize(n normalize.Normalizer) *Tensor {
-	return FromData(n.ApplySlice(t.data), t.shape...)
-}
-
-// MatchesField reports whether the tensor's shape equals the dims of an
-// ease.ml tensor field declaration.
-func (t *Tensor) MatchesField(dims []int) bool {
-	if len(dims) != len(t.shape) {
-		return false
-	}
-	for i, d := range dims {
-		if t.shape[i] != d {
-			return false
-		}
-	}
-	return true
-}
 
 // String renders shape and a few leading values for debugging.
 func (t *Tensor) String() string {

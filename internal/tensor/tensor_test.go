@@ -8,38 +8,27 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/normalize"
 )
 
 func TestNewAndIndexing(t *testing.T) {
 	tt := New(2, 3, 4)
-	if tt.Rank() != 3 || tt.NumElements() != 24 {
-		t.Fatalf("rank %d, elements %d", tt.Rank(), tt.NumElements())
+	if shape := tt.Shape(); len(shape) != 3 || shape[0] != 2 || shape[1] != 3 || shape[2] != 4 {
+		t.Fatalf("shape %v, want [2 3 4]", shape)
 	}
-	tt.Set(7.5, 1, 2, 3)
-	if got := tt.At(1, 2, 3); got != 7.5 {
-		t.Errorf("At = %g", got)
+	if len(tt.Data()) != 24 {
+		t.Fatalf("%d elements, want 24", len(tt.Data()))
 	}
-	// Row-major layout: last index fastest.
-	if tt.Data()[23] != 7.5 {
-		t.Error("row-major offset wrong")
-	}
-	if tt.At(0, 0, 0) != 0 {
-		t.Error("zero init violated")
+	for i, v := range tt.Data() {
+		if v != 0 {
+			t.Fatalf("element %d = %g: zero init violated", i, v)
+		}
 	}
 }
 
 func TestPanics(t *testing.T) {
 	cases := map[string]func(){
-		"empty shape":    func() { New() },
-		"zero dim":       func() { New(2, 0) },
-		"bad data len":   func() { FromData([]float64{1}, 2) },
-		"rank mismatch":  func() { New(2, 2).At(1) },
-		"out of range":   func() { New(2, 2).At(2, 0) },
-		"negative index": func() { New(2, 2).At(-1, 0) },
-		"bad reshape":    func() { New(2, 2).Reshape(3) },
+		"empty shape": func() { New() },
+		"zero dim":    func() { New(2, 0) },
 	}
 	for name, f := range cases {
 		func() {
@@ -50,62 +39,6 @@ func TestPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestCloneAndReshape(t *testing.T) {
-	a := FromData([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	c := a.Clone()
-	c.Set(99, 0, 0)
-	if a.At(0, 0) != 1 {
-		t.Error("Clone aliases storage")
-	}
-	r := a.Reshape(3, 2)
-	if r.At(2, 1) != 6 {
-		t.Errorf("reshaped At(2,1) = %g", r.At(2, 1))
-	}
-	// Reshape shares storage.
-	r.Set(42, 0, 0)
-	if a.At(0, 0) != 42 {
-		t.Error("Reshape should share storage")
-	}
-	// Shape() returns a copy.
-	s := a.Shape()
-	s[0] = 99
-	if a.Shape()[0] != 2 {
-		t.Error("Shape aliases internal slice")
-	}
-}
-
-func TestMinMaxAndNormalize(t *testing.T) {
-	a := FromData([]float64{0, 5, 10, 2}, 4)
-	lo, hi := a.MinMax()
-	if lo != 0 || hi != 10 {
-		t.Errorf("MinMax = %g,%g", lo, hi)
-	}
-	n := a.Normalize(normalize.New(0.5))
-	// Min-max scaled 0 and 10 map to f(0)=0 and f(1)=0.
-	if n.At(0) != 0 || math.Abs(n.At(2)) > 1e-12 {
-		t.Errorf("normalized endpoints %g, %g", n.At(0), n.At(2))
-	}
-	for i := 0; i < 4; i++ {
-		if v := n.At(i); v < 0 || v > 1 {
-			t.Errorf("normalized value %g outside [0,1]", v)
-		}
-	}
-	// Original untouched.
-	if a.At(2) != 10 {
-		t.Error("Normalize mutated input")
-	}
-}
-
-func TestMatchesField(t *testing.T) {
-	a := New(32, 32, 3)
-	if !a.MatchesField([]int{32, 32, 3}) {
-		t.Error("exact shape rejected")
-	}
-	if a.MatchesField([]int{32, 32}) || a.MatchesField([]int{3, 32, 32}) {
-		t.Error("wrong shape accepted")
 	}
 }
 
@@ -121,17 +54,19 @@ func TestFromImageAndDecode(t *testing.T) {
 	img.Set(0, 0, color.RGBA{R: 255, A: 255})
 	img.Set(3, 1, color.RGBA{B: 255, A: 255})
 	tt := FromImage(img)
+	// Row-major layout: the channel index fastest, then x, then y.
+	at := func(y, x, c int) float64 { return tt.Data()[(y*4+x)*3+c] }
 	wantShape := []int{2, 4, 3} // H, W, 3
 	for i, d := range tt.Shape() {
 		if d != wantShape[i] {
 			t.Fatalf("shape %v, want %v", tt.Shape(), wantShape)
 		}
 	}
-	if math.Abs(tt.At(0, 0, 0)-1) > 1e-3 || tt.At(0, 0, 2) != 0 {
-		t.Errorf("red pixel decoded as (%g,%g,%g)", tt.At(0, 0, 0), tt.At(0, 0, 1), tt.At(0, 0, 2))
+	if math.Abs(at(0, 0, 0)-1) > 1e-3 || at(0, 0, 2) != 0 {
+		t.Errorf("red pixel decoded as (%g,%g,%g)", at(0, 0, 0), at(0, 0, 1), at(0, 0, 2))
 	}
-	if math.Abs(tt.At(1, 3, 2)-1) > 1e-3 {
-		t.Errorf("blue pixel channel = %g", tt.At(1, 3, 2))
+	if math.Abs(at(1, 3, 2)-1) > 1e-3 {
+		t.Errorf("blue pixel channel = %g", at(1, 3, 2))
 	}
 
 	// Round-trip through an encoded PNG stream (the default loader path).
@@ -143,66 +78,10 @@ func TestFromImageAndDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decoded.NumElements() != 2*4*3 {
-		t.Errorf("decoded %d elements", decoded.NumElements())
+	if len(decoded.Data()) != 2*4*3 {
+		t.Errorf("decoded %d elements", len(decoded.Data()))
 	}
 	if _, err := DecodeImage(strings.NewReader("not an image")); err == nil {
 		t.Error("garbage decoded")
-	}
-}
-
-// Property: Reshape preserves data under any valid factorization and At is
-// consistent with the flat layout.
-func TestQuickReshapeConsistency(t *testing.T) {
-	f := func(aRaw, bRaw uint8) bool {
-		a := int(aRaw%5) + 1
-		b := int(bRaw%5) + 1
-		data := make([]float64, a*b)
-		for i := range data {
-			data[i] = float64(i)
-		}
-		tt := FromData(data, a, b)
-		rr := tt.Reshape(b, a)
-		for i := 0; i < a; i++ {
-			for j := 0; j < b; j++ {
-				flat := i*b + j
-				if tt.At(i, j) != float64(flat) {
-					return false
-				}
-				if rr.At(flat/a, flat%a) != float64(flat) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: normalized tensors always land in [0,1].
-func TestQuickNormalizeRange(t *testing.T) {
-	f := func(vals []float64, kRaw uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-		}
-		k := 0.1 + float64(kRaw%80)/100
-		tt := FromData(append([]float64(nil), vals...), len(vals))
-		n := tt.Normalize(normalize.New(k))
-		for _, v := range n.Data() {
-			if v < 0 || v > 1+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }

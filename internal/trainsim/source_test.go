@@ -118,7 +118,7 @@ func resultDiff(got, want Result) string {
 // peak, one with no difficulty) and the diverging learning rates.
 func equivalenceSim(t testing.TB, seed int64, keepCurves bool) *Simulator {
 	t.Helper()
-	sim, err := DeepLearningSim([]TaskSpec{
+	sim, err := deepLearningSim([]TaskSpec{
 		{Name: "easy", Difficulty: 0, SizeFactor: 1},
 		{Name: "mid", Difficulty: 0.2, SizeFactor: 2.5},
 		{Name: "impossible", Difficulty: 0.9, SizeFactor: 0.3},
@@ -134,8 +134,8 @@ func TestTrainMatchesStdlibReference(t *testing.T) {
 	for _, keep := range []bool{false, true} {
 		for _, seed := range equivalenceSeeds(300) {
 			sim := equivalenceSim(t, seed, keep)
-			for task := 0; task < sim.NumTasks(); task++ {
-				for model := 0; model < sim.NumModels(); model++ {
+			for task := 0; task < len(sim.cfg.Tasks); task++ {
+				for model := 0; model < len(sim.cfg.Models); model++ {
 					if what := resultDiff(sim.Train(task, model), referenceTrain(sim, task, model)); what != "" {
 						t.Fatalf("KeepCurves %v, seed %d, task %d, model %d: %s differs from the rand.NewSource reference",
 							keep, seed, task, model, what)
@@ -153,7 +153,7 @@ func TestTrainConcurrent(t *testing.T) {
 	for _, seed := range equivalenceSeeds(16) {
 		sims = append(sims, equivalenceSim(t, seed, false))
 	}
-	nt, nm := sims[0].NumTasks(), sims[0].NumModels()
+	nt, nm := len(sims[0].cfg.Tasks), len(sims[0].cfg.Models)
 	serial := make([]Result, len(sims)*nt*nm)
 	for i := range serial {
 		serial[i] = sims[i/(nt*nm)].Train(i/nm%nt, i%nm)

@@ -6,9 +6,7 @@
 //
 // Runs are deterministic per (task, model) pair — replaying a pair returns
 // the same accuracy and cost, mirroring the paper's replay of its training
-// log — and the package adapts a Simulator to core.Env so the multi-tenant
-// scheduler can drive live (simulated) training instead of a recorded
-// matrix.
+// log. The service's SimTrainer drives one Simulator per job.
 //
 // A run draws from exactly the stream rand.NewSource(seed) would give, bit
 // for bit, so every recorded accuracy, test expectation and benchmark
@@ -122,18 +120,6 @@ func New(cfg Config) (*Simulator, error) {
 	return &Simulator{cfg: cfg}, nil
 }
 
-// NumModels returns the number of candidate models.
-func (s *Simulator) NumModels() int { return len(s.cfg.Models) }
-
-// NumTasks returns the number of tasks.
-func (s *Simulator) NumTasks() int { return len(s.cfg.Tasks) }
-
-// Model returns the spec of model j.
-func (s *Simulator) Model(j int) ModelSpec { return s.cfg.Models[j] }
-
-// Task returns the spec of task i.
-func (s *Simulator) Task(i int) TaskSpec { return s.cfg.Tasks[i] }
-
 // Cost returns the (deterministic) total cost of training model j on task i:
 // the full grid of learning rates for the full epoch budget.
 func (s *Simulator) Cost(task, model int) float64 {
@@ -239,75 +225,4 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-// Env adapts a Simulator to core.Env: Reward runs a (cached) simulated
-// training and returns its measured accuracy; Cost is the deterministic grid
-// cost; BestQuality is the noise-free ground truth.
-type Env struct {
-	sim   *Simulator
-	cache map[[2]int]Result
-}
-
-// NewEnv wraps a Simulator as a scheduler environment.
-func NewEnv(sim *Simulator) *Env {
-	return &Env{sim: sim, cache: make(map[[2]int]Result)}
-}
-
-// NumUsers implements core.Env.
-func (e *Env) NumUsers() int { return e.sim.NumTasks() }
-
-// NumModels implements core.Env.
-func (e *Env) NumModels(int) int { return e.sim.NumModels() }
-
-// Reward implements core.Env by running (or replaying) the simulated
-// training of (user, arm).
-func (e *Env) Reward(user, arm int) float64 {
-	key := [2]int{user, arm}
-	res, ok := e.cache[key]
-	if !ok {
-		res = e.sim.Train(user, arm)
-		e.cache[key] = res
-	}
-	return res.Accuracy
-}
-
-// Cost implements core.Env.
-func (e *Env) Cost(user, arm int) float64 { return e.sim.Cost(user, arm) }
-
-// BestQuality implements core.Env.
-func (e *Env) BestQuality(user int) float64 {
-	best := 0.0
-	for j := 0; j < e.sim.NumModels(); j++ {
-		if q := e.sim.TrueQuality(user, j); q > best {
-			best = q
-		}
-	}
-	return best
-}
-
-// Runs returns the completed training results in no particular order.
-func (e *Env) Runs() []Result {
-	out := make([]Result, 0, len(e.cache))
-	for _, r := range e.cache {
-		out = append(out, r)
-	}
-	return out
-}
-
-// DeepLearningSim builds a Simulator with the eight §5.1 CNN architectures
-// and the given synthetic tasks, for examples and the live-training
-// integration path.
-func DeepLearningSim(tasks []TaskSpec, seed int64) (*Simulator, error) {
-	models := []ModelSpec{
-		{Name: "NIN", Peak: 0.62, Tau: 22, CostPerEpoch: 1.1, BestLR: 0.01},
-		{Name: "GoogLeNet", Peak: 0.70, Tau: 30, CostPerEpoch: 1.6, BestLR: 0.01},
-		{Name: "ResNet-50", Peak: 0.75, Tau: 35, CostPerEpoch: 3.9, BestLR: 0.001},
-		{Name: "AlexNet", Peak: 0.57, Tau: 15, CostPerEpoch: 0.72, BestLR: 0.01},
-		{Name: "BN-AlexNet", Peak: 0.60, Tau: 14, CostPerEpoch: 0.75, BestLR: 0.01},
-		{Name: "ResNet-18", Peak: 0.70, Tau: 28, CostPerEpoch: 1.8, BestLR: 0.001},
-		{Name: "VGG-16", Peak: 0.71, Tau: 32, CostPerEpoch: 15.5, BestLR: 0.001},
-		{Name: "SqueezeNet", Peak: 0.58, Tau: 18, CostPerEpoch: 0.78, BestLR: 0.001},
-	}
-	return New(Config{Models: models, Tasks: tasks, Seed: seed})
 }

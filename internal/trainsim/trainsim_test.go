@@ -6,9 +6,25 @@ import (
 	"testing/quick"
 )
 
+// deepLearningSim builds a Simulator with the eight §5.1 CNN architectures
+// and the given synthetic tasks.
+func deepLearningSim(tasks []TaskSpec, seed int64) (*Simulator, error) {
+	models := []ModelSpec{
+		{Name: "NIN", Peak: 0.62, Tau: 22, CostPerEpoch: 1.1, BestLR: 0.01},
+		{Name: "GoogLeNet", Peak: 0.70, Tau: 30, CostPerEpoch: 1.6, BestLR: 0.01},
+		{Name: "ResNet-50", Peak: 0.75, Tau: 35, CostPerEpoch: 3.9, BestLR: 0.001},
+		{Name: "AlexNet", Peak: 0.57, Tau: 15, CostPerEpoch: 0.72, BestLR: 0.01},
+		{Name: "BN-AlexNet", Peak: 0.60, Tau: 14, CostPerEpoch: 0.75, BestLR: 0.01},
+		{Name: "ResNet-18", Peak: 0.70, Tau: 28, CostPerEpoch: 1.8, BestLR: 0.001},
+		{Name: "VGG-16", Peak: 0.71, Tau: 32, CostPerEpoch: 15.5, BestLR: 0.001},
+		{Name: "SqueezeNet", Peak: 0.58, Tau: 18, CostPerEpoch: 0.78, BestLR: 0.001},
+	}
+	return New(Config{Models: models, Tasks: tasks, Seed: seed})
+}
+
 func testSim(t testing.TB) *Simulator {
 	t.Helper()
-	sim, err := DeepLearningSim([]TaskSpec{
+	sim, err := deepLearningSim([]TaskSpec{
 		{Name: "easy", Difficulty: 0.0, SizeFactor: 1},
 		{Name: "hard", Difficulty: 0.3, SizeFactor: 2},
 	}, 7)
@@ -51,8 +67,8 @@ func TestTrainDeterministic(t *testing.T) {
 
 func TestTrainAccuracyNearTruth(t *testing.T) {
 	sim := testSim(t)
-	for task := 0; task < sim.NumTasks(); task++ {
-		for model := 0; model < sim.NumModels(); model++ {
+	for task := 0; task < len(sim.cfg.Tasks); task++ {
+		for model := 0; model < len(sim.cfg.Models); model++ {
 			res := sim.Train(task, model)
 			truth := sim.TrueQuality(task, model)
 			// 100 epochs ≥ ~3τ for every model, so the run should land
@@ -67,7 +83,7 @@ func TestTrainAccuracyNearTruth(t *testing.T) {
 
 func TestHarderTaskLowerAccuracy(t *testing.T) {
 	sim := testSim(t)
-	for model := 0; model < sim.NumModels(); model++ {
+	for model := 0; model < len(sim.cfg.Models); model++ {
 		easy := sim.TrueQuality(0, model)
 		hard := sim.TrueQuality(1, model)
 		if hard >= easy {
@@ -79,7 +95,7 @@ func TestHarderTaskLowerAccuracy(t *testing.T) {
 func TestCostModel(t *testing.T) {
 	sim := testSim(t)
 	// Cost = cost/epoch × size × epochs × grid size, deterministic.
-	m := sim.Model(6) // VGG-16
+	m := sim.cfg.Models[6] // VGG-16
 	if m.Name != "VGG-16" {
 		t.Fatalf("model order changed: %q", m.Name)
 	}
@@ -131,42 +147,17 @@ func TestKeepCurves(t *testing.T) {
 	}
 }
 
-func TestEnvImplementsSchedulerContract(t *testing.T) {
-	sim := testSim(t)
-	env := NewEnv(sim)
-	if env.NumUsers() != 2 || env.NumModels(0) != 8 {
-		t.Fatalf("env shape %d×%d", env.NumUsers(), env.NumModels(0))
-	}
-	r1 := env.Reward(0, 3)
-	r2 := env.Reward(0, 3) // cached replay
-	if r1 != r2 {
-		t.Error("Reward not stable across calls")
-	}
-	if got := len(env.Runs()); got != 1 {
-		t.Errorf("%d runs cached, want 1", got)
-	}
-	if env.Cost(0, 3) != sim.Cost(0, 3) {
-		t.Error("Cost mismatch")
-	}
-	best := env.BestQuality(0)
-	for j := 0; j < 8; j++ {
-		if q := sim.TrueQuality(0, j); q > best {
-			t.Errorf("BestQuality %g below model %d truth %g", best, j, q)
-		}
-	}
-}
-
 // Property: accuracies and ground truths always live in [0,1], and cost is
 // positive, for arbitrary task difficulty.
 func TestQuickTrainBounds(t *testing.T) {
 	f := func(seed int64, diffRaw, sizeRaw uint8) bool {
 		diff := float64(diffRaw) / 255 // [0,1]
 		size := 0.1 + float64(sizeRaw)/64
-		sim, err := DeepLearningSim([]TaskSpec{{Name: "t", Difficulty: diff, SizeFactor: size}}, seed)
+		sim, err := deepLearningSim([]TaskSpec{{Name: "t", Difficulty: diff, SizeFactor: size}}, seed)
 		if err != nil {
 			return false
 		}
-		for j := 0; j < sim.NumModels(); j++ {
+		for j := 0; j < len(sim.cfg.Models); j++ {
 			res := sim.Train(0, j)
 			if res.Accuracy < 0 || res.Accuracy > 1 || res.Cost <= 0 {
 				return false
@@ -184,13 +175,13 @@ func TestQuickTrainBounds(t *testing.T) {
 }
 
 func BenchmarkTrain(b *testing.B) {
-	sim, err := DeepLearningSim([]TaskSpec{{Name: "t", Difficulty: 0.1, SizeFactor: 1}}, 1)
+	sim, err := deepLearningSim([]TaskSpec{{Name: "t", Difficulty: 0.1, SizeFactor: 1}}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.Train(0, i%sim.NumModels())
+		sim.Train(0, i%len(sim.cfg.Models))
 	}
 }
