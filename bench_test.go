@@ -315,60 +315,6 @@ func BenchmarkBulkFeedHTTP(b *testing.B) {
 	b.ReportMetric(float64(b.N*perCall)/b.Elapsed().Seconds(), "examples/s")
 }
 
-// BenchmarkPickWorkManyJobs measures the scheduler's selection hot path at
-// scale — 256 jobs × 35 candidate arms, ~60% observed — through the
-// cross-job selection index (dirty-epoch score heap + O(1) prefix-sharing
-// hallucination shadows + rank-1 hallucination downdates). One benchmark
-// iteration is one steady-state engine exchange: lease a batch on top of a
-// standing in-flight set, then hand it back. (Its agreement with the
-// deep-clone reference picker is internal/server's
-// TestIndexedSelectionMatchesDeepCloneBaseline.)
-func BenchmarkPickWorkManyJobs(b *testing.B) {
-	const (
-		jobs    = 256
-		program = "{input: {[Tensor[16, 16, 3]], []}, output: {[Tensor[2]], []}}" // 35 candidates
-		hold    = 8                                                               // standing in-flight leases
-		batch   = 2                                                               // leases exchanged per iteration
-	)
-	// The pure greedy policy (§4.3) keeps concentrating picks on the
-	// max-gap job, so a standing in-flight set puts every measured pick on
-	// the hallucination-shadow path — the regime the index exists for.
-	// (HYBRID degrades to round-robin once frozen, which spreads picks
-	// across no-in-flight jobs and measures only the O(J) sweep.)
-	sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 21), &core.GreedyPicker{}, "http://bench:9000")
-	arms := 0
-	for i := 0; i < jobs; i++ {
-		job, err := sc.Submit(fmt.Sprintf("bench-%03d", i), program)
-		if err != nil {
-			b.Fatal(err)
-		}
-		arms = len(job.Candidates)
-	}
-	// Observe ~60% of every job's arms so the posteriors carry a realistic
-	// history (t ≈ 21).
-	if _, err := sc.RunRounds(jobs * arms * 6 / 10); err != nil {
-		b.Fatal(err)
-	}
-	// Standing in-flight set (never released): the picks under measurement
-	// land on jobs that already have arms in flight.
-	if held, err := sc.Grant(hold, 0); err != nil || len(held) != hold {
-		b.Fatalf("standing set: %d leases, want %d (%v)", len(held), hold, err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		leases, err := sc.Grant(batch, 0)
-		if err != nil || len(leases) == 0 {
-			b.Fatalf("exchange leased %d (%v)", len(leases), err)
-		}
-		for _, l := range leases {
-			if err := sc.Release(l); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkGrantScaling measures what the number of tenants costs one lease:
 // J jobs in three service classes by quota (35 candidates each, six observed
 // rounds per job, four leases standing), and one op is the steady state of
@@ -395,8 +341,7 @@ func BenchmarkGrantScaling(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 47), nil, "http://bench:9000")
-				sc.SetAdmission(ctrl)
+				sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 47), ctrl, "http://bench:9000")
 				for i := 0; i < jobs; i++ {
 					if _, err := sc.Submit(fmt.Sprintf("scale-%04d", i), program); err != nil {
 						b.Fatal(err)
@@ -452,7 +397,7 @@ func BenchmarkGrantScaling(b *testing.B) {
 // throughput: 256 jobs × 35 candidates, 8 registered workers driven
 // serially in-process in a steady-state grant/release cycle (completions
 // report a retryable failure, so candidates re-enter selection and the
-// posterior never drains — the same exchange trick as
+// posterior never drains — the same exchange trick as internal/server's
 // BenchmarkPickWorkManyJobs). Every batch takes the full Grant path. Only
 // the coordinator's Lease call is on the clock. It reports granted-leases/s.
 func BenchmarkFleetLeaseThroughput(b *testing.B) {

@@ -99,11 +99,10 @@ type Service struct {
 	pool    *cluster.Pool
 	trainer *server.SimTrainer
 	pprof   bool
-	engine  *engine.Engine        // nil unless Workers > 0
-	log     *storage.Log          // nil unless DataDir is set
-	coord   *fleet.Coordinator    // nil unless Fleet/FleetAddr enabled
-	adm     *admission.Controller // nil unless Quotas/DefaultClass set
-	fleetLn net.Listener          // nil unless FleetAddr is set
+	engine  *engine.Engine     // nil unless Workers > 0
+	log     *storage.Log       // nil unless DataDir is set
+	coord   *fleet.Coordinator // nil unless Fleet/FleetAddr enabled
+	fleetLn net.Listener       // nil unless FleetAddr is set
 	fleetHS *http.Server
 	closed  atomic.Bool // set by Close; flips /readyz to 503 for drain
 
@@ -316,11 +315,8 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 	pool := cluster.NewPool(cfg.GPUs, cfg.Alpha)
 	trainer := server.NewSimTrainer(pool, cfg.Seed)
 	trainer.Delay = cfg.TrainDelay
-	sched := server.NewScheduler(trainer, nil, cfg.Addr)
-	s := &Service{sched: sched, pool: pool, trainer: trainer, pprof: cfg.Pprof}
+	var ctrl *admission.Controller
 	if len(cfg.Quotas) > 0 || cfg.DefaultClass != "" {
-		// Admission is installed before recovery, so recovered jobs pick up
-		// their tenant's class and re-register with the controller.
 		admCfg := admission.Config{DefaultClass: admission.Class(cfg.DefaultClass)}
 		if len(cfg.Quotas) > 0 {
 			admCfg.Tenants = make(map[string]admission.Quota, len(cfg.Quotas))
@@ -334,13 +330,13 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 				}
 			}
 		}
-		ctrl, err := admission.NewController(admCfg)
-		if err != nil {
+		var err error
+		if ctrl, err = admission.NewController(admCfg); err != nil {
 			return nil, fmt.Errorf("easeml: quota configuration: %w", err)
 		}
-		sched.SetAdmission(ctrl)
-		s.adm = ctrl
 	}
+	sched := server.NewScheduler(trainer, ctrl, cfg.Addr)
+	s := &Service{sched: sched, pool: pool, trainer: trainer, pprof: cfg.Pprof}
 	if cfg.DataDir != "" {
 		log, tail, err := sched.Recover(cfg.DataDir, storage.LogOptions{SegmentBytes: cfg.WALSegmentBytes})
 		if err != nil {
@@ -500,9 +496,6 @@ func (s *Service) Handler() http.Handler {
 	api := server.NewAPI(s.sched).WithReadiness(s.Ready)
 	if s.engine != nil {
 		api.WithEngine(engineControl{s})
-	}
-	if s.adm != nil {
-		api.WithAdmission(s.adm)
 	}
 	if s.coord == nil && !s.pprof {
 		return api.Handler()

@@ -13,7 +13,6 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/bandit"
 	"repro/internal/core"
 	"repro/internal/gp"
 )
@@ -65,10 +64,8 @@ func main() {
 	run("greedy + window(4)", &core.GuaranteedServicePicker{Inner: &core.GreedyPicker{}, Window: 4})
 	run("weighted greedy (tenant 1)", &core.WeightedGreedyPicker{Weights: []float64{1, 5, 1}})
 
-	// The same guarantee machinery composes with any inner policy and any
-	// acquisition function.
-	run("window(3) over gp-ei", &core.GuaranteedServicePicker{Inner: &core.RoundRobinPicker{}, Window: 3})
-	_ = bandit.EIAcquisition{} // see core.AcquisitionModelPicker for EI/PI model picking
+	// The same guarantee machinery composes with any inner policy.
+	run("window(3) over round-robin", &core.GuaranteedServicePicker{Inner: &core.RoundRobinPicker{}, Window: 3})
 }
 
 func randomRow(rng *rand.Rand, k int, lo, hi float64) []float64 {

@@ -105,23 +105,14 @@ func classWeight(t *Tenant) float64 {
 // picker choose among the class's tenants.
 func (p *ClassWeightedPicker) Pick(tenants []*Tenant) int {
 	p.scan.partition(tenants)
-	return p.pick(&p.scan)
+	return p.PickClasses(&p.scan)
 }
 
-// PickWithOracle implements OraclePicker: identical to Pick. A ClassOracle
-// supplies the partition and each class's greedy oracle; any other oracle
-// is bound to the full tenant slice and cannot answer for a class's
-// sub-slice, so the classes are found by the linear scan and their inner
-// pickers scan too.
-func (p *ClassWeightedPicker) PickWithOracle(tenants []*Tenant, o SelectionOracle) int {
-	if co, ok := o.(ClassOracle); ok {
-		return p.pick(co)
-	}
-	return p.Pick(tenants)
-}
-
-// pick is the smooth-WRR body over a partition of the tenants.
-func (p *ClassWeightedPicker) pick(classes ClassOracle) int {
+// PickClasses is Pick over a tenant set the caller keeps partitioned by
+// class: the classes supply the partition and each class's greedy oracle,
+// and the returned index is a position in the full tenant slice they
+// partition.
+func (p *ClassWeightedPicker) PickClasses(classes ClassOracle) int {
 	p.undoCredit, p.undoInner = p.undoCredit[:0], nil
 	p.shares = classes.ActiveClasses(p.shares[:0])
 	if len(p.shares) == 0 {

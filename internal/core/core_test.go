@@ -339,6 +339,38 @@ func TestHybridFreezesToRoundRobin(t *testing.T) {
 	}
 }
 
+// A lease batch makes many picks with no observation in between. HYBRID's
+// freeze window counts rounds — a pick followed by an observed result — so
+// the picks of a batch must neither advance nor reset it, or a single batch
+// would latch the picker into round-robin before training starts.
+func TestPickWorkDoesNotFreezeHybrid(t *testing.T) {
+	freezeRound := func(batch int) int {
+		var tenants []*Tenant
+		for i := 0; i < 4; i++ {
+			tenants = append(tenants, newClassTenant(i, "standard", 2, 80))
+		}
+		h := NewHybridPicker()
+		for round := 0; round < 300; round++ {
+			idx := h.Pick(tenants)
+			for i := 0; i < batch; i++ {
+				h.Pick(tenants)
+			}
+			step(t, tenants[idx], 0.5)
+			if h.Frozen() {
+				return round
+			}
+		}
+		return -1
+	}
+	alone := freezeRound(0)
+	if alone < 0 {
+		t.Fatal("constant-reward rounds never froze HYBRID")
+	}
+	if batched := freezeRound(2 * NewHybridPicker().S); batched != alone {
+		t.Fatalf("with a lease batch per round HYBRID froze at round %d, without at round %d", batched, alone)
+	}
+}
+
 func TestHybridDefaultWindow(t *testing.T) {
 	if NewHybridPicker().S != 10 {
 		t.Errorf("default freeze window = %d, want the paper's s=10", NewHybridPicker().S)

@@ -40,6 +40,14 @@ func (s *scanOracle) ClassMembers(class string) ([]*Tenant, []int, SelectionOrac
 	return members, index, referenceOracle{}
 }
 
+// classOraclePicker runs ClassWeightedPicker.PickClasses in the
+// OraclePicker shape the equivalence loop below drives every picker in.
+type classOraclePicker struct{ *ClassWeightedPicker }
+
+func (p classOraclePicker) PickWithOracle(_ []*Tenant, o SelectionOracle) int {
+	return p.PickClasses(o.(ClassOracle))
+}
+
 func oracleTenants(t *testing.T, rng *rand.Rand, n int) []*Tenant {
 	t.Helper()
 	tenants := make([]*Tenant, n)
@@ -69,7 +77,7 @@ func TestPickWithOracleMatchesPick(t *testing.T) {
 		"greedy": func() (UserPicker, OraclePicker) { return &GreedyPicker{}, &GreedyPicker{} },
 		"hybrid": func() (UserPicker, OraclePicker) { return NewHybridPicker(), NewHybridPicker() },
 		"class-weighted(hybrid)": func() (UserPicker, OraclePicker) {
-			return NewClassWeightedPicker(nil), NewClassWeightedPicker(nil)
+			return NewClassWeightedPicker(nil), classOraclePicker{NewClassWeightedPicker(nil)}
 		},
 	}
 	for name, build := range builders {

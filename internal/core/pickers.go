@@ -338,9 +338,6 @@ func NewHybridPicker() *HybridPicker { return &HybridPicker{S: 10} }
 // Name implements UserPicker.
 func (*HybridPicker) Name() string { return "hybrid" }
 
-// Frozen reports whether the picker has switched to round-robin.
-func (p *HybridPicker) Frozen() bool { return p.frozen }
-
 // UndoPick implements PickUndoer.
 func (p *HybridPicker) UndoPick() { p.hybridState = p.undo }
 

@@ -554,7 +554,6 @@ func TestAgentSurvivesCoordinatorRestart(t *testing.T) {
 // explicit preemption signal, the late report bounces off 409
 // lease_conflict, and the fleet counters record the preemption.
 func TestPreemptionOverWire(t *testing.T) {
-	sc := newTestScheduler(t)
 	ctrl, err := admission.NewController(admission.Config{Tenants: map[string]admission.Quota{
 		"alice": {Class: admission.ClassGuaranteed},
 		"carol": {Class: admission.ClassBestEffort},
@@ -562,7 +561,7 @@ func TestPreemptionOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.SetAdmission(ctrl)
+	sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), fleetSeed), ctrl, "")
 	coord := NewCoordinator(sc, CoordinatorConfig{Seed: fleetSeed, MaxInFlight: 2})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/cluster"
 	"repro/internal/server"
 	"repro/internal/storage"
 )
@@ -67,7 +68,6 @@ func jobOutcomes(t *testing.T, sc *server.Scheduler, ids []string) map[string]jo
 // chaosScheduler builds a scheduler with the plan's two admission classes.
 func chaosScheduler(t *testing.T) *server.Scheduler {
 	t.Helper()
-	sc := newTestScheduler(t)
 	ctrl, err := admission.NewController(admission.Config{Tenants: map[string]admission.Quota{
 		"alice": {Class: admission.ClassGuaranteed},
 		"carol": {Class: admission.ClassBestEffort},
@@ -75,8 +75,7 @@ func chaosScheduler(t *testing.T) *server.Scheduler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.SetAdmission(ctrl)
-	return sc
+	return server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), fleetSeed), ctrl, "")
 }
 
 // chaosReference is the single-process run of a plan, built the way

@@ -2,35 +2,19 @@ package server
 
 import (
 	"repro/internal/admission"
-	"repro/internal/core"
 	"repro/internal/storage"
 )
 
 // Tenant admission control: the wiring between the scheduler and
-// internal/admission. A configured controller gates Submit (rate limit +
-// concurrent-job cap) and Feed (rate limit), assigns every job its
-// tenant's service class, wraps the user picker in weighted fair sharing
-// across classes, enforces GPU cost budgets against the bandits'
-// cumulative cost, and lets guaranteed-class work preempt outstanding
-// best-effort leases when the pool is saturated.
-
-// SetAdmission installs the admission controller and replaces the user
-// picker with core.ClassWeightedPicker, so tenants of different service
-// classes share the pool by weight (guaranteed > standard > best-effort)
-// without starving anyone. Within a class the paper's HYBRID picks, one
-// instance per class — the freeze window of §4.4 is a property of one
-// class's tenants, and a picker passed to NewScheduler is a single instance
-// that cannot be shared across classes. Call before serving traffic and
-// before Recover (recovered jobs re-register with the controller and pick
-// up their tenant's class).
-func (sc *Scheduler) SetAdmission(ctrl *admission.Controller) {
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	sc.adm = ctrl
-	if ctrl != nil {
-		sc.picker = core.NewClassWeightedPicker(func() core.UserPicker { return core.NewHybridPicker() })
-	}
-}
+// internal/admission. The controller passed to NewScheduler gates Submit
+// (rate limit + concurrent-job cap) and Feed (rate limit), assigns every
+// job its tenant's service class — the scheduler's class-weighted picker
+// shares the pool across classes by weight, guaranteed > standard >
+// best-effort, with HYBRID within each class — enforces GPU cost budgets
+// against the bandits' cumulative cost, and lets guaranteed-class work
+// preempt outstanding best-effort leases when the pool is saturated.
+// Recovery re-registers recovered jobs with it, so their tenants keep
+// their class and their concurrent-job slots.
 
 // TenantCost returns the total GPU cost paid so far by every job of a
 // tenant — the quantity budgets are enforced against.

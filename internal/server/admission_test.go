@@ -19,14 +19,13 @@ import (
 // a deterministic clock.
 func newAdmittedScheduler(t testing.TB, cfg admission.Config) (*server.Scheduler, *admission.Controller, *time.Time) {
 	t.Helper()
-	sc := newScheduler(t)
 	ctrl, err := admission.NewController(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	now := time.Unix(5000, 0)
 	ctrl.SetClock(func() time.Time { return now })
-	sc.SetAdmission(ctrl)
+	sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 42), ctrl, "http://test:9000")
 	return sc, ctrl, &now
 }
 
@@ -96,15 +95,13 @@ func TestFeedRateLimited(t *testing.T) {
 func TestBudgetExhaustionDrainsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *server.Scheduler {
-		pool := cluster.NewPool(8, 0.9)
-		sc := server.NewScheduler(server.NewSimTrainer(pool, 42), nil, "http://test:9000")
 		ctrl, err := admission.NewController(admission.Config{Tenants: map[string]admission.Quota{
 			"carol": {Class: admission.ClassBestEffort, Budget: 1e-9}, // exhausts on the first completed run
 		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc.SetAdmission(ctrl)
+		sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 42), ctrl, "http://test:9000")
 		if _, _, err := sc.Recover(dir, storage.LogOptions{}); err != nil {
 			t.Fatal(err)
 		}
@@ -191,8 +188,6 @@ func TestSubmitRejectedAfterBudgetExhaustion(t *testing.T) {
 // the preemption.
 func TestPreemptForPriority(t *testing.T) {
 	dir := t.TempDir()
-	pool := cluster.NewPool(8, 0.9)
-	sc := server.NewScheduler(server.NewSimTrainer(pool, 42), nil, "http://test:9000")
 	ctrl, err := admission.NewController(admission.Config{Tenants: map[string]admission.Quota{
 		"alice": {Class: admission.ClassGuaranteed},
 		"carol": {Class: admission.ClassBestEffort},
@@ -200,7 +195,7 @@ func TestPreemptForPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.SetAdmission(ctrl)
+	sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 42), ctrl, "http://test:9000")
 	log, _, err := sc.Recover(dir, storage.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +334,7 @@ func TestQuotaHTTPSurface(t *testing.T) {
 			"alice": {Class: admission.ClassGuaranteed, RatePerSec: 1, Burst: 1, MaxJobs: 1},
 		},
 	})
-	srv := httptest.NewServer(server.NewAPI(sc).WithAdmission(ctrl).Handler())
+	srv := httptest.NewServer(server.NewAPI(sc).Handler())
 	defer srv.Close()
 
 	post := func(path string, body any) *http.Response {

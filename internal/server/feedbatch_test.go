@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/cluster"
 	"repro/internal/rawf64"
 	"repro/internal/server"
 	"repro/internal/storage"
@@ -36,15 +37,15 @@ func newFeedFixture(t *testing.T, quota *admission.Quota) (*feedFixture, func() 
 	dir := t.TempDir()
 	now := time.Unix(5000, 0)
 	open := func() (*server.Scheduler, *storage.Log) {
-		sc := newScheduler(t)
+		var ctrl *admission.Controller
 		if quota != nil {
-			ctrl, err := admission.NewController(admission.Config{Tenants: map[string]admission.Quota{"alice": *quota}})
-			if err != nil {
+			var err error
+			if ctrl, err = admission.NewController(admission.Config{Tenants: map[string]admission.Quota{"alice": *quota}}); err != nil {
 				t.Fatal(err)
 			}
 			ctrl.SetClock(func() time.Time { return now })
-			sc.SetAdmission(ctrl)
 		}
+		sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 42), ctrl, "http://test:9000")
 		log, _, err := sc.Recover(dir, storage.LogOptions{})
 		if err != nil {
 			t.Fatal(err)

@@ -41,8 +41,8 @@ import (
 // WithEngine (the easeml facade does this when the service is configured
 // with workers). Without one, start/stop answer 409 Conflict and the scrape
 // carries no engine families. /admin/fleet likewise reports the optional
-// FleetControl wired in with WithFleet, and /admin/quotas the admission
-// controller wired in with WithAdmission.
+// FleetControl wired in with WithFleet, and /admin/quotas the scheduler's
+// admission controller (see NewScheduler).
 //
 // Errors are JSON envelopes {"error": "...", "code": "..."}; code
 // "lease_conflict" (HTTP 409) marks lease-lifecycle races — a worker
@@ -55,7 +55,6 @@ type API struct {
 	sched  *Scheduler
 	engine EngineControl
 	fleet  FleetControl
-	adm    *admission.Controller
 	// ready is the optional readiness probe behind GET /readyz (see
 	// WithReadiness in traces.go); nil reports ready.
 	ready func() bool
@@ -159,14 +158,6 @@ func (a *API) WithEngine(ctrl EngineControl) *API {
 // the API for chaining.
 func (a *API) WithFleet(ctrl FleetControl) *API {
 	a.fleet = ctrl
-	return a
-}
-
-// WithAdmission attaches an admission controller to the admin surface
-// (GET/POST /admin/quotas) and returns the API for chaining. The same
-// controller must be installed on the scheduler via SetAdmission.
-func (a *API) WithAdmission(ctrl *admission.Controller) *API {
-	a.adm = ctrl
 	return a
 }
 
@@ -410,7 +401,7 @@ func (a *API) quotaRows() []QuotaStatus {
 		}
 	}
 	var rows []QuotaStatus
-	for _, ts := range a.adm.Snapshot() {
+	for _, ts := range a.sched.adm.Snapshot() {
 		rows = append(rows, QuotaStatus{
 			TenantStatus:    ts,
 			CostUsed:        costs[ts.Tenant],
@@ -420,20 +411,23 @@ func (a *API) quotaRows() []QuotaStatus {
 	return rows
 }
 
+// handleQuotas serves GET/POST /admin/quotas over the admission controller
+// the scheduler was built with; a scheduler built without one answers 409.
 func (a *API) handleQuotas(w http.ResponseWriter, r *http.Request) {
-	if a.adm == nil {
+	adm := a.sched.adm
+	if adm == nil {
 		WriteError(w, http.StatusConflict, errors.New("no admission controller configured (run the server with -quota-config)"))
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
-		WriteJSON(w, http.StatusOK, QuotasResponse{DefaultClass: a.adm.DefaultClass(), Tenants: a.quotaRows()})
+		WriteJSON(w, http.StatusOK, QuotasResponse{DefaultClass: adm.DefaultClass(), Tenants: a.quotaRows()})
 	case http.MethodPost:
 		var req SetQuotaRequest
 		if !ReadJSON(w, r, &req) {
 			return
 		}
-		if err := a.adm.SetQuota(req.Tenant, req.Quota); err != nil {
+		if err := adm.SetQuota(req.Tenant, req.Quota); err != nil {
 			WriteError(w, http.StatusBadRequest, err)
 			return
 		}

@@ -229,12 +229,11 @@ func latePublish(sc *Scheduler, l *Lease, s core.Scalars) {
 // listed tenant, in that order.
 func quotaScheduler(t *testing.T, program string, tenants []string, quotas map[string]admission.Quota) *Scheduler {
 	t.Helper()
-	sc := NewScheduler(NewSimTrainer(cluster.NewPool(8, 0.9), 99), nil, "http://test:9000")
 	ctrl, err := admission.NewController(admission.Config{Tenants: quotas})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.SetAdmission(ctrl)
+	sc := NewScheduler(NewSimTrainer(cluster.NewPool(8, 0.9), 99), ctrl, "http://test:9000")
 	for _, tenant := range tenants {
 		if _, err := sc.Submit(tenant, program); err != nil {
 			t.Fatal(err)

@@ -103,12 +103,11 @@ func runInvariantSeed(t *testing.T, seed int64) {
 		"carol": {Class: admission.ClassBestEffort},
 	}}
 	open := func() (*server.Scheduler, *admission.Controller, *storage.Log) {
-		sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 42), nil, "")
 		ctrl, err := admission.NewController(quotas)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc.SetAdmission(ctrl)
+		sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 42), ctrl, "")
 		log, _, err := sc.Recover(dir, storage.LogOptions{})
 		if err != nil {
 			t.Fatal(err)

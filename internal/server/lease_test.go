@@ -4,31 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/storage"
 )
-
-// A lease batch makes many picker calls with no observation in between;
-// HYBRID's freeze detector must count rounds, not leases, or a single
-// PickWork would latch it into round-robin before training starts.
-func TestPickWorkDoesNotFreezeHybrid(t *testing.T) {
-	hybrid := core.NewHybridPicker()
-	sc := server.NewScheduler(server.NewSimTrainer(cluster.NewPool(8, 0.9), 42), hybrid, "")
-	if _, err := sc.Submit("a", imgProgram); err != nil {
-		t.Fatal(err)
-	}
-	work, err := sc.PickWork(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(work) != 16 {
-		t.Fatalf("leased %d, want 16", len(work))
-	}
-	if hybrid.Frozen() {
-		t.Error("one lease batch froze the HYBRID picker into round-robin")
-	}
-}
 
 func TestPickWorkLeasesDistinctArms(t *testing.T) {
 	sc := newScheduler(t)

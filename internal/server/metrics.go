@@ -119,7 +119,6 @@ func (a *API) writeDynamicMetrics(w io.Writer) {
 		v     uint64
 	}{
 		{"picks", sel.Picks}, {"speculative_grants", sel.SpeculativeGrants},
-		{"oracle_picks", sel.OraclePicks}, {"legacy_picks", sel.LegacyPicks},
 		{"jobs_rescored", sel.JobsRescored}, {"stale_picks", sel.StalePicks},
 		{"heap_pops", sel.HeapPops}, {"epoch_bumps", sel.EpochBumps},
 		{"shadows_built", sel.ShadowsBuilt}, {"shadows_reused", sel.ShadowsReused}, {"shadow_rollbacks", sel.ShadowRollbacks},
@@ -158,10 +157,10 @@ func (a *API) writeDynamicMetrics(w io.Writer) {
 		telemetry.WriteGauge(w, "easeml_fleet_remote_leases", "", float64(fs.RemoteLeases))
 	}
 
-	if a.adm != nil {
+	if adm := a.sched.adm; adm != nil {
 		// One loop per family: the text format wants every sample of a
 		// family in one group right after its own # TYPE.
-		tenants := a.adm.Snapshot()
+		tenants := adm.Snapshot()
 		telemetry.WriteMetricHeader(w, "easeml_tenant_active_jobs", "Unfinished jobs per tenant.", "gauge")
 		for _, ts := range tenants {
 			telemetry.WriteGauge(w, "easeml_tenant_active_jobs", tenantLabel(ts.Tenant), float64(ts.ActiveJobs))

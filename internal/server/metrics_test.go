@@ -232,14 +232,13 @@ func checkFamiliesGrouped(t *testing.T, exposition string) {
 // Two tenants' samples must not interleave the per-tenant families: each
 // family's samples follow its own # TYPE.
 func TestScrapeGroupsTenantFamilies(t *testing.T) {
-	sc := newTestScheduler(t)
 	ctrl, err := admission.NewController(admission.Config{Tenants: map[string]admission.Quota{
 		"alice": {Class: admission.ClassGuaranteed}, "bob": {Class: admission.ClassBestEffort},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.SetAdmission(ctrl)
+	sc := NewScheduler(NewSimTrainer(cluster.NewPool(8, 0.9), 42), ctrl, "")
 	for _, tenant := range []string{"alice", "bob"} {
 		if _, err := sc.Submit(tenant, recoveryTSProgram); err != nil {
 			t.Fatal(err)
@@ -248,7 +247,7 @@ func TestScrapeGroupsTenantFamilies(t *testing.T) {
 	if _, err := sc.RunRounds(4); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewAPI(sc).WithAdmission(ctrl).Handler())
+	srv := httptest.NewServer(NewAPI(sc).Handler())
 	defer srv.Close()
 	_, scrape := getBody(t, srv.URL+"/metrics")
 	for _, sample := range []string{
@@ -307,8 +306,7 @@ func TestMetricsFieldMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewScheduler(NewSimTrainer(cluster.NewPool(8, 0.9), 42), nil, "")
-	sc.SetAdmission(ctrl)
+	sc := NewScheduler(NewSimTrainer(cluster.NewPool(8, 0.9), 42), ctrl, "")
 	wal, _, err := sc.Recover(t.TempDir(), storage.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +341,7 @@ func TestMetricsFieldMapping(t *testing.T) {
 		VirtualMakespan: 10, VirtualSingleDevice: 25,
 	}
 	fleet := stubFleet{}.FleetStatus()
-	api := NewAPI(sc).WithEngine(stubEngine{eng}).WithFleet(stubFleet{}).WithAdmission(ctrl)
+	api := NewAPI(sc).WithEngine(stubEngine{eng}).WithFleet(stubFleet{})
 	srv := httptest.NewServer(api.Handler())
 	defer srv.Close()
 	_, scrape := getBody(t, srv.URL+"/metrics")
@@ -386,7 +384,6 @@ func TestMetricsFieldMapping(t *testing.T) {
 		v     uint64
 	}{
 		{"picks", sel.Picks}, {"speculative_grants", sel.SpeculativeGrants},
-		{"oracle_picks", sel.OraclePicks}, {"legacy_picks", sel.LegacyPicks},
 		{"jobs_rescored", sel.JobsRescored}, {"stale_picks", sel.StalePicks},
 		{"heap_pops", sel.HeapPops}, {"epoch_bumps", sel.EpochBumps},
 		{"shadows_built", sel.ShadowsBuilt}, {"shadows_reused", sel.ShadowsReused},

@@ -1,11 +1,14 @@
 // Package server implements the ease.ml service of §2 Figure 1: users submit
 // declarative jobs over HTTP, feed supervision examples, refine them, and
 // call infer against the best model found so far, while a multi-tenant
-// scheduler (internal/core's HYBRID policy) decides which job's next
-// candidate model to train on the shared (simulated) GPU pool.
+// scheduler decides which job's next candidate model to train on the
+// shared (simulated) GPU pool. The pick policy is fixed at construction:
+// internal/core's HYBRID within each admission class, with the classes
+// sharing the pool by weight (core.ClassWeightedPicker); the admission
+// controller, if any, is a NewScheduler argument.
 //
 // Scheduling is one lease lifecycle in two calls: Grant leases (job,
-// candidate) pairs — chosen by the user picker with in-flight arms
+// candidate) pairs — chosen by that picker with in-flight arms
 // hallucinated GP-BUCB style — and Settle takes a run's outcome back:
 // success is observed and recorded, a failure is released for retry or,
 // at the retry budget, abandoned. Three executors are loops over that
@@ -346,8 +349,18 @@ type Job struct {
 type Scheduler struct {
 	store   *storage.Store
 	trainer Trainer
-	picker  core.UserPicker
 	server  string // advertised server address for codegen
+
+	// picker is the user picker: core.ClassWeightedPicker with HYBRID per
+	// class, built by NewScheduler. It is an interface only so this
+	// package's tests can put another policy, or a contract-breaking
+	// picker, in its place. Guarded by coordMu.
+	picker classPicker
+
+	// adm is the admission controller, fixed at construction: quota,
+	// rate-limit and budget decisions for every tenant. nil admits
+	// everything at standard priority.
+	adm *admission.Controller
 
 	// jobsMu guards the job set. jobs is append-only.
 	jobsMu sync.RWMutex
@@ -382,11 +395,6 @@ type Scheduler struct {
 	failCounts  map[failKey]int
 	retryBudget int
 
-	// adm is the optional admission controller (SetAdmission): quota,
-	// rate-limit and budget decisions for every tenant. Set before serving
-	// traffic; nil means everything is admitted at standard priority.
-	adm *admission.Controller
-
 	log *storage.Log // nil: in-memory only
 
 	// plans holds what jobs of one program share (plan.go); it does its
@@ -398,19 +406,27 @@ type Scheduler struct {
 	decisions telemetry.DecisionRing
 }
 
-// NewScheduler creates a scheduler with the given trainer and user picker
-// (nil picker defaults to ease.ml's HYBRID policy).
-func NewScheduler(trainer Trainer, picker core.UserPicker, serverAddr string) *Scheduler {
-	if picker == nil {
-		picker = core.NewHybridPicker()
-	}
+// classPicker is what a pick calls: core.ClassWeightedPicker's surface.
+type classPicker interface {
+	core.UserPicker
+	core.PickUndoer
+	PickClasses(core.ClassOracle) int
+}
+
+// NewScheduler creates a scheduler with the given trainer and admission
+// controller (nil: none). Jobs are picked by weighted fair sharing across
+// the controller's service classes with ease.ml's HYBRID policy within each
+// class; without a controller every job is standard and the one class is
+// plain HYBRID.
+func NewScheduler(trainer Trainer, adm *admission.Controller, serverAddr string) *Scheduler {
 	if serverAddr == "" {
 		serverAddr = "http://localhost:9000"
 	}
 	return &Scheduler{
 		store:       storage.NewStore(),
 		trainer:     trainer,
-		picker:      picker,
+		picker:      core.NewClassWeightedPicker(nil),
+		adm:         adm,
 		byID:        make(map[string]*Job),
 		server:      serverAddr,
 		leases:      make(map[int]*Lease),
@@ -811,11 +827,11 @@ func (sc *Scheduler) InFlight() int {
 // outstanding in total (limit <= 0: no ceiling) or no more work is
 // available, and returns the newly created leases. Count and ceiling are
 // applied inside the pick's own critical section, so concurrent callers
-// never overshoot either. Jobs are chosen by the configured core.UserPicker
-// over the tenants that still have unleased untried candidates; within a
-// job the candidate is chosen by GP-BUCB with the job's in-flight arms
-// hallucinated (bandit.NewShadow and Hallucinate, applied incrementally), so
-// parallel picks diversify.
+// never overshoot either. Jobs are chosen by class-weighted HYBRID
+// (core.ClassWeightedPicker) over the tenants that still have unleased
+// untried candidates; within a job the candidate is chosen by GP-BUCB with
+// the job's in-flight arms hallucinated (bandit.NewShadow and Hallucinate,
+// applied incrementally), so parallel picks diversify.
 //
 // Every returned lease must eventually be handed back via Settle (or its
 // parts: Complete with the training result, Release, Abandon). An error
@@ -899,12 +915,13 @@ func (sc *Scheduler) SelectionStats() SelectionStats {
 // the chosen job's, for the arm pick on its bandit. jobWait accumulates the
 // time spent waiting for it.
 //
-// Oracle-capable pickers answer the greedy argmax from the chosen class's
-// gap heap, and hallucination shadows persist on the index across calls —
-// revived, checkpoint-rolled-back or extended to match the lease list,
-// rebuilt only after an observation (an O(1) prefix-sharing snapshot, never
-// a deep clone). The lock-everything, linear-scan, clone-per-batch picker
-// it must agree with bit for bit is referenceGrant in reference_test.go.
+// The picker reads the class partition off the index and answers the
+// greedy argmax from the chosen class's gap heap, and hallucination shadows
+// persist on the index across calls — revived, checkpoint-rolled-back or
+// extended to match the lease list, rebuilt only after an observation (an
+// O(1) prefix-sharing snapshot, never a deep clone). The lock-everything,
+// linear-scan, clone-per-batch picker it must agree with bit for bit is
+// referenceGrant in reference_test.go.
 func (sc *Scheduler) pickNextLocked(jobWait *time.Duration) (*Lease, error) {
 	ix := &sc.selIdx
 	if !ix.anyActive() {
@@ -912,18 +929,12 @@ func (sc *Scheduler) pickNextLocked(jobWait *time.Duration) (*Lease, error) {
 	}
 	selectT0 := time.Now()
 	defer pickStageSelect.ObserveSince(selectT0)
-	op, oracle := sc.picker.(core.OraclePicker)
 	for ix.anyActive() {
-		// The picker always sees every view — stateful pickers (HYBRID's
-		// freeze signature, round-robin's rotation) depend on stable
-		// indices. Jobs whose untried arms are all leased out, and failed or
-		// drained jobs (all arms retired), read as inactive.
-		var idx int
-		if oracle {
-			idx = op.PickWithOracle(ix.views, ix)
-		} else {
-			idx = sc.picker.Pick(ix.views)
-		}
+		// The picker always sees every job — HYBRID's freeze signature
+		// depends on stable indices. Jobs whose untried arms are all leased
+		// out, and failed or drained jobs (all arms retired), read as
+		// inactive.
+		idx := sc.picker.PickClasses(ix)
 		if idx < 0 || idx >= len(ix.views) {
 			return nil, fmt.Errorf("server: picker %s returned index %d with active tenants remaining", sc.picker.Name(), idx)
 		}
@@ -944,20 +955,11 @@ func (sc *Scheduler) pickNextLocked(jobWait *time.Duration) (*Lease, error) {
 			// the scalars just published.
 			job.mu.Unlock()
 			ix.stats.StalePicks++
-			if u, ok := sc.picker.(core.PickUndoer); ok {
-				u.UndoPick()
-			}
+			sc.picker.UndoPick()
 			continue
 		}
 		l, err := sc.leaseArmLocked(idx, selectT0)
 		job.mu.Unlock()
-		if err == nil {
-			if oracle {
-				ix.stats.OraclePicks++
-			} else {
-				ix.stats.LegacyPicks++
-			}
-		}
 		return l, err
 	}
 	return nil, nil

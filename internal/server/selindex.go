@@ -124,11 +124,6 @@ type SelectionStats struct {
 	// Scheduler.SpeculativeGrant (an epoch-validated proposal, no picker
 	// sweep); no service path calls it, so it stays 0 in a running service.
 	SpeculativeGrants uint64 `json:"speculative_grants"`
-	// OraclePicks counts picks answered through the selection index
-	// (heap-backed greedy); LegacyPicks counts picks by pickers without an
-	// oracle path (a linear scan over the tenants).
-	OraclePicks uint64 `json:"oracle_picks"`
-	LegacyPicks uint64 `json:"legacy_picks"`
 	// JobsRescored counts per-job score publications — one when a job
 	// arrives and one per bandit move, never one per job per pick.
 	JobsRescored uint64 `json:"jobs_rescored"`
@@ -262,27 +257,6 @@ func (ix *selectionIndex) ActiveClasses(dst []core.ClassShare) []core.ClassShare
 func (ix *selectionIndex) ClassMembers(class string) ([]*core.Tenant, []int, core.SelectionOracle) {
 	c := ix.byClass[class]
 	return c.views, c.members, c
-}
-
-// GreedyChoice implements core.SelectionOracle over all views, for an
-// oracle picker that is not class-aware. Without admission every job is
-// standard and the one class is the whole index; several classes only ever
-// meet the class-weighted picker, so that case is the plain linear rule.
-func (ix *selectionIndex) GreedyChoice(tenants []*core.Tenant) int {
-	if len(ix.classes) == 1 {
-		return ix.classes[0].GreedyChoice(tenants)
-	}
-	choice, _ := core.GreedyDecision(tenants, func(i int) float64 { return tenants[i].Gap() })
-	return choice
-}
-
-// GreedyCandidates implements core.SelectionOracle over all views.
-func (ix *selectionIndex) GreedyCandidates(tenants []*core.Tenant) []int {
-	if len(ix.classes) == 1 {
-		return ix.classes[0].GreedyCandidates(tenants)
-	}
-	_, candidates := core.GreedyDecision(tenants, func(i int) float64 { return tenants[i].Gap() })
-	return candidates
 }
 
 // firstActive returns the position of the class's lowest-indexed active

@@ -363,19 +363,20 @@ func TestGrantConcurrentRespectsCountAndCeiling(t *testing.T) {
 	checkIndexConsistent(t, sc)
 }
 
-// breakingPicker is HYBRID until its failAt-th pick (1-based), which
-// answers an out-of-range index — a picker-contract violation.
+// breakingPicker is the scheduler's class-weighted HYBRID until its
+// failAt-th pick (1-based), which answers no tenant while work remains — a
+// picker-contract violation.
 type breakingPicker struct {
-	core.UserPicker
+	*core.ClassWeightedPicker
 	picks, failAt int
 }
 
-func (p *breakingPicker) Pick(tenants []*core.Tenant) int {
+func (p *breakingPicker) PickClasses(classes core.ClassOracle) int {
 	p.picks++
 	if p.picks == p.failAt {
-		return len(tenants)
+		return -1
 	}
-	return p.UserPicker.Pick(tenants)
+	return p.ClassWeightedPicker.PickClasses(classes)
 }
 
 // A Grant that errors grants nothing: the lease its first pick made before
@@ -384,8 +385,11 @@ func (p *breakingPicker) Pick(tenants []*core.Tenant) int {
 // returned there stayed outstanding, its arm hallucinated into every later
 // pick of the job, until a TTL sweep (or forever, engine-only).
 func TestGrantErrorReleasesPartialBatch(t *testing.T) {
-	submit := func(picker core.UserPicker) *Scheduler {
-		sc := NewScheduler(NewSimTrainer(cluster.NewPool(8, 0.9), 42), picker, "http://test:9000")
+	submit := func(picker classPicker) *Scheduler {
+		sc := NewScheduler(NewSimTrainer(cluster.NewPool(8, 0.9), 42), nil, "http://test:9000")
+		if picker != nil {
+			sc.picker = picker
+		}
 		for _, name := range []string{"a", "b"} {
 			if _, err := sc.Submit(name, recoveryTSProgram); err != nil {
 				t.Fatal(err)
@@ -399,7 +403,7 @@ func TestGrantErrorReleasesPartialBatch(t *testing.T) {
 		t.Fatalf("twin Grant: %v %v", want, err)
 	}
 
-	picker := &breakingPicker{UserPicker: core.NewHybridPicker(), failAt: 2}
+	picker := &breakingPicker{ClassWeightedPicker: core.NewClassWeightedPicker(nil), failAt: 2}
 	sc := submit(picker)
 	ls, err := sc.Grant(2, 0)
 	if err == nil || len(ls) != 0 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/cluster"
 	"repro/internal/telemetry"
 )
 
@@ -71,7 +72,6 @@ func TestSpansPerLease(t *testing.T) {
 // that keeps a second path from ending the root again. A lease with no
 // trace records nothing.
 func TestLeaseRootEndsExactlyOnce(t *testing.T) {
-	sc := newTestScheduler(t)
 	ctrl, err := admission.NewController(admission.Config{Tenants: map[string]admission.Quota{
 		"alice": {Class: admission.ClassGuaranteed},
 		"carol": {Class: admission.ClassBestEffort},
@@ -79,7 +79,7 @@ func TestLeaseRootEndsExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.SetAdmission(ctrl)
+	sc := NewScheduler(NewSimTrainer(cluster.NewPool(8, 0.9), 42), ctrl, "")
 	var clock atomic.Int64
 	sc.SetClock(func() time.Time { return time.Unix(clock.Load(), 0) })
 	sc.SetLeaseTTL(time.Second)
