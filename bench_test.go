@@ -32,10 +32,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dsl"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/gp"
+	"repro/internal/lru"
 	"repro/internal/server"
 )
 
@@ -494,7 +494,8 @@ func BenchmarkFigure12Correlation(b *testing.B) {
 // is the seed-era serving story (one POST per prediction); batch and
 // stream answer the same inputs through POST /jobs/{id}/infer/batch and
 // the NDJSON streaming endpoint. The setup also replays a repeated-program
-// submit workload against a cold plan cache and records its hit rate; the
+// submit workload and records its program-cache hit rate (at least 49 of
+// 50 lookups: only the process's first parse of the program misses); the
 // acceptance gate is batch ≥ 3× per-request QPS and hit rate > 0.9.
 func BenchmarkInferQPS(b *testing.B) {
 	const (
@@ -502,11 +503,8 @@ func BenchmarkInferQPS(b *testing.B) {
 		tsProg    = "{input: {[Tensor[4]], [next]}, output: {[Tensor[2]], []}}"
 	)
 
-	// Repeated-program workload against a cold cache: 50 tenants, one
-	// program.
-	dsl.ResetPlanCache()
-	hits, misses := dsl.CacheEventCounter("program", "hit"), dsl.CacheEventCounter("program", "miss")
-	hits0, misses0 := hits.Value(), misses.Value()
+	// Repeated-program workload: 50 tenants, one program.
+	hits0, misses0 := lru.Lookups("program")
 	svc := easeml.NewService(easeml.ServiceConfig{GPUs: 4, Seed: 7})
 	var jobID string
 	for i := 0; i < 50; i++ {
@@ -518,7 +516,8 @@ func BenchmarkInferQPS(b *testing.B) {
 			jobID = job.Name
 		}
 	}
-	h, m := hits.Value()-hits0, misses.Value()-misses0
+	hits, misses := lru.Lookups("program")
+	h, m := hits-hits0, misses-misses0
 	hitRate := float64(h) / float64(h+m)
 	if _, err := svc.RunRounds(2); err != nil {
 		b.Fatal(err)

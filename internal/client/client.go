@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/telemetry"
 )
 
 // Client talks to one ease.ml server. Every request method takes a
@@ -73,7 +74,7 @@ func New(baseURL string, opts ...Option) *Client {
 // (job id, matched template, generated candidates and code).
 func (c *Client) Submit(ctx context.Context, name, program string) (server.SubmitResponse, error) {
 	var resp server.SubmitResponse
-	err := c.post(ctx, "/jobs", server.SubmitRequest{Name: name, Program: program}, &resp)
+	err := c.PostJSON(ctx, "/jobs", server.SubmitRequest{Name: name, Program: program}, &resp)
 	return resp, err
 }
 
@@ -82,7 +83,7 @@ func (c *Client) Jobs(ctx context.Context) ([]string, error) {
 	var resp struct {
 		Jobs []string `json:"jobs"`
 	}
-	err := c.get(ctx, "/jobs", &resp)
+	err := c.GetJSON(ctx, "/jobs", &resp)
 	return resp.Jobs, err
 }
 
@@ -106,7 +107,7 @@ func (c *Client) Feed(ctx context.Context, jobID string, inputs, outputs [][]flo
 // Refine enables or disables an example.
 func (c *Client) Refine(ctx context.Context, jobID string, exampleID int, enabled bool) error {
 	var resp map[string]bool
-	return c.post(ctx, "/jobs/"+jobID+"/refine", server.RefineRequest{Example: exampleID, Enabled: enabled}, &resp)
+	return c.PostJSON(ctx, "/jobs/"+jobID+"/refine", server.RefineRequest{Example: exampleID, Enabled: enabled}, &resp)
 }
 
 // Infer applies the best model so far to one input object.
@@ -169,18 +170,23 @@ func (c *Client) InferStream(ctx context.Context, jobID string, inputs [][]float
 // Status reports the job's trained models and current best.
 func (c *Client) Status(ctx context.Context, jobID string) (server.Status, error) {
 	var resp server.Status
-	err := c.get(ctx, "/jobs/"+jobID+"/status", &resp)
+	err := c.GetJSON(ctx, "/jobs/"+jobID+"/status", &resp)
 	return resp, err
 }
 
 // RunRounds asks the server to execute n scheduling rounds synchronously.
 func (c *Client) RunRounds(ctx context.Context, n int) (server.RoundsResponse, error) {
 	var resp server.RoundsResponse
-	err := c.post(ctx, "/admin/rounds", server.RoundsRequest{Count: n}, &resp)
+	err := c.PostJSON(ctx, "/admin/rounds", server.RoundsRequest{Count: n}, &resp)
 	return resp, err
 }
 
-func (c *Client) post(ctx context.Context, path string, body, dst any) error {
+// PostJSON POSTs body to path as JSON and decodes the JSON reply into dst.
+// A non-2xx reply is an *APIError. Like every request of the Client, it
+// carries ctx's trace ID (telemetry.WithTraceID) in the X-Easeml-Trace
+// header. The typed methods above and the fleet agent's protocol calls
+// are built on it and GetJSON.
+func (c *Client) PostJSON(ctx context.Context, path string, body, dst any) error {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return fmt.Errorf("client: encode %s: %w", path, err)
@@ -217,6 +223,7 @@ func (c *Client) send(ctx context.Context, path, contentType string, payload []b
 		return nil, fmt.Errorf("client: build POST %s: %w", path, err)
 	}
 	req.Header.Set("Content-Type", contentType)
+	telemetry.SetTraceHeader(req.Header, ctx)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("client: POST %s: %w", path, err)
@@ -224,11 +231,13 @@ func (c *Client) send(ctx context.Context, path, contentType string, payload []b
 	return resp, nil
 }
 
-func (c *Client) get(ctx context.Context, path string, dst any) error {
+// GetJSON GETs path and decodes the JSON reply into dst, as PostJSON.
+func (c *Client) GetJSON(ctx context.Context, path string, dst any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return fmt.Errorf("client: build GET %s: %w", path, err)
 	}
+	telemetry.SetTraceHeader(req.Header, ctx)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return fmt.Errorf("client: GET %s: %w", path, err)

@@ -13,6 +13,6 @@ import (
 // errors with HTTP 409 on servers running without a fleet coordinator.
 func (c *Client) FleetStatus(ctx context.Context) (server.FleetStatus, error) {
 	var resp server.FleetStatus
-	err := c.get(ctx, "/admin/fleet", &resp)
+	err := c.GetJSON(ctx, "/admin/fleet", &resp)
 	return resp, err
 }

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/dsl"
 	"repro/internal/telemetry"
 	"repro/internal/templates"
@@ -522,11 +523,11 @@ func (a *Agent) report(req CompleteRequest, trace string) (CompleteResponse, boo
 		if err == nil {
 			return resp, true
 		}
-		var pe *ProtocolError
-		if errors.As(err, &pe) {
-			if pe.Status == 409 {
+		var ae *client.APIError
+		if errors.As(err, &ae) {
+			if ae.Status == 409 {
 				a.logInfo("settle race lost; dropping report",
-					"lease", req.LeaseID, "code", pe.Code, "trace", trace)
+					"lease", req.LeaseID, "code", ae.Code, "trace", trace)
 			} else {
 				a.logWarn("report rejected", "lease", req.LeaseID, "trace", trace, "err", err)
 			}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/server"
 	"repro/internal/storage"
@@ -404,7 +405,7 @@ func TestDoubleCompleteIs409Conflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = pc.complete(ctx, first)
-	var pe *ProtocolError
+	var pe *client.APIError
 	if !errors.As(err, &pe) || pe.Status != 409 || pe.Code != server.CodeLeaseConflict {
 		t.Errorf("double complete: got %v, want 409 %s", err, server.CodeLeaseConflict)
 	}
@@ -621,7 +622,7 @@ func TestPreemptionOverWire(t *testing.T) {
 
 	// The late report for the preempted lease loses with 409.
 	_, err = pc.complete(ctx, CompleteRequest{WorkerID: reg.WorkerID, LeaseID: leases[1].LeaseID, Accuracy: 0.5, Cost: 1})
-	var pe *ProtocolError
+	var pe *client.APIError
 	if !errors.As(err, &pe) || pe.Status != 409 {
 		t.Fatalf("late complete after preemption: %v, want 409", err)
 	}

@@ -7,8 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dsl"
-	"repro/internal/templates"
+	"repro/internal/lru"
 )
 
 // Submit (coordinator side) and the agent's per-lease job fetch (worker
@@ -16,8 +15,6 @@ import (
 // under -race: many tenants submitting the same program while an agent
 // resolves candidate grids for the resulting jobs.
 func TestConcurrentSubmitAndAgentFetchSharePlanCache(t *testing.T) {
-	dsl.ResetPlanCache()
-	templates.ResetCandidateCache()
 	progBefore, candsBefore := cacheLookups("program"), cacheLookups("candidates")
 	sc := newTestScheduler(t)
 	if _, err := sc.Submit("seed", tsProgram); err != nil {
@@ -97,11 +94,12 @@ func TestConcurrentSubmitAndAgentFetchSharePlanCache(t *testing.T) {
 	stopAgent()
 	agentDone.Wait()
 
-	// One program everywhere: after the first parse, every Submit and
-	// every agent fetch should have hit.
+	// One program everywhere: after its first parse in this process (here,
+	// or in an earlier test), every Submit and every agent fetch should
+	// have hit.
 	prog := cacheLookups("program").since(progBefore)
-	if prog.misses != 1 {
-		t.Errorf("program cache misses = %d, want 1 (%+v)", prog.misses, prog)
+	if prog.misses > 1 {
+		t.Errorf("program cache misses = %d, want at most 1 (%+v)", prog.misses, prog)
 	}
 	if hr := prog.hitRate(); hr <= 0.9 {
 		t.Errorf("program cache hit rate %.2f, want > 0.90 (%+v)", hr, prog)
@@ -117,7 +115,8 @@ func TestConcurrentSubmitAndAgentFetchSharePlanCache(t *testing.T) {
 type lookups struct{ hits, misses uint64 }
 
 func cacheLookups(cache string) lookups {
-	return lookups{dsl.CacheEventCounter(cache, "hit").Value(), dsl.CacheEventCounter(cache, "miss").Value()}
+	hits, misses := lru.Lookups(cache)
+	return lookups{hits, misses}
 }
 
 func (l lookups) since(before lookups) lookups {

@@ -2,16 +2,16 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/server"
+	"repro/internal/client"
 	"repro/internal/storage"
 )
 
@@ -33,16 +33,15 @@ func TestLeaseMaxBadRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := fmt.Sprintf(`{"worker_id":%q,"max":0}`, reg.WorkerID)
-	resp, err := http.Post(srv.URL+"/fleet/lease", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	// Raw bodies go out as written, through the client's JSON plumbing.
+	raw := func(path, body string) error {
+		var reply json.RawMessage
+		return pc.c.PostJSON(ctx, path, json.RawMessage(fmt.Sprintf(body, reg.WorkerID)), &reply)
 	}
-	var envelope server.ErrorBody
-	if err := decodeReply("/fleet/lease", resp, &envelope); err == nil {
+	if err := raw("/fleet/lease", `{"worker_id":%q,"max":0}`); err == nil {
 		t.Fatal("max=0 lease accepted")
 	} else {
-		pe, ok := err.(*ProtocolError)
+		pe, ok := err.(*client.APIError)
 		if !ok || pe.Status != http.StatusBadRequest || pe.Code != CodeBadRequest {
 			t.Errorf("max=0 lease: got %v, want 400 %s", err, CodeBadRequest)
 		}
@@ -58,13 +57,9 @@ func TestLeaseMaxBadRequest(t *testing.T) {
 		{"/fleet/complete", `{"worker_id":%q,"lease_id":1,"accuracy":0.5,"cost":1,"posterior_version":7}`},
 		{"/fleet/complete", `{"worker_id":%q,"lease_id":1,"accuracy":0.5,"cost":1,"lease":{"max":1,"posterior_version":7}}`},
 	} {
-		resp, err := http.Post(srv.URL+old.path, "application/json", strings.NewReader(fmt.Sprintf(old.body, reg.WorkerID)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := decodeReply(old.path, resp, &envelope); err == nil {
+		if err := raw(old.path, old.body); err == nil {
 			t.Errorf("%s %s accepted", old.path, old.body)
-		} else if pe, ok := err.(*ProtocolError); !ok || pe.Status != http.StatusBadRequest {
+		} else if pe, ok := err.(*client.APIError); !ok || pe.Status != http.StatusBadRequest {
 			t.Errorf("%s %s: got %v, want 400", old.path, old.body, err)
 		}
 	}
@@ -140,7 +135,7 @@ func TestSettleAndLeaseOverWire(t *testing.T) {
 	// lease request grants nothing.
 	if _, err := pc.complete(ctx, chained); err == nil {
 		t.Fatal("replayed settle-and-lease accepted")
-	} else if pe, ok := err.(*ProtocolError); !ok || pe.Status != http.StatusConflict {
+	} else if pe, ok := err.(*client.APIError); !ok || pe.Status != http.StatusConflict {
 		t.Fatalf("replayed settle-and-lease: %v, want 409", err)
 	}
 	if got := sc.InFlight(); got != 1 {

@@ -129,12 +129,7 @@ func (c *Cholesky) Extend(row []float64) error {
 	// Solve L·y = row[:n]; the new factor row is [y..., sqrt(d)].
 	y := make([]float64, n+1)
 	for i := 0; i < n; i++ {
-		s := row[i]
-		li := c.rows[i]
-		for k := 0; k < i; k++ {
-			s -= float64(li[k] * y[k])
-		}
-		y[i] = s / li[i]
+		y[i] = substitute(c.rows[i], y[:i], row[i])
 	}
 	y[n] = row[n]
 	return c.appendRow(y)
@@ -220,12 +215,7 @@ func (c *Cholesky) ForwardSolve(b []float64) []float64 {
 	n := c.Size()
 	y := make([]float64, n)
 	for i := 0; i < n; i++ {
-		s := b[i]
-		row := c.rows[i]
-		for k := 0; k < i; k++ {
-			s -= float64(row[k] * y[k])
-		}
-		y[i] = s / row[i]
+		y[i] = substitute(c.rows[i], y[:i], b[i])
 	}
 	return y
 }
@@ -277,12 +267,19 @@ func (c *Cholesky) AppendSolved(w []float64, b float64) []float64 {
 	if i >= c.Size() {
 		panic(fmt.Sprintf("linalg: AppendSolved onto %d solved entries of a size-%d factor", i, c.Size()))
 	}
-	row := c.rows[i]
+	return append(w, substitute(c.rows[i], w, b))
+}
+
+// substitute is one forward-substitution step: entry i = len(y) of
+// L⁻¹·v, given its first i entries y, factor row i and b = v[i]. The
+// products are subtracted in index order, so ForwardSolve, Extend and
+// AppendSolved compute every entry with the same bits.
+func substitute(row, y []float64, b float64) float64 {
 	s := b
-	for k, v := range w {
+	for k, v := range y {
 		s -= float64(row[k] * v)
 	}
-	return append(w, s/row[i])
+	return s / row[len(y)]
 }
 
 // ForwardSolveBatch solves L·Z = B for many right-hand sides in one pass

@@ -10,6 +10,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -285,6 +286,8 @@ func jsonAt(t *testing.T, body string, path ...any) any {
 	return v
 }
 
+var fieldMappingRuns atomic.Int64
+
 // Every leaf field the removed GET /admin/metrics JSON served, with the
 // value it would have served (computed as its handler did) and where an
 // operator reads that value now: a GET /metrics sample, or a field of
@@ -292,9 +295,11 @@ func jsonAt(t *testing.T, body string, path ...any) any {
 // an engine, a fleet and an admission controller, so every section of the
 // old reply was present.
 func TestMetricsFieldMapping(t *testing.T) {
-	dsl.SetPlanCacheCapacity(1)
-	defer dsl.ResetPlanCache()
-	templates.ResetCandidateCache()
+	// Two programs no earlier lookup in this process has seen, so their
+	// first parse and grid are misses under -count=N too.
+	run := fieldMappingRuns.Add(1)
+	tsProg := fmt.Sprintf("{input: {[Tensor[4]], [next]}, output: {[Tensor[%d]], []}}", 100+run)
+	imgProg := fmt.Sprintf("{input: {[Tensor[8, 8, 3]], []}, output: {[Tensor[%d]], []}}", 100+run)
 	var before strings.Builder
 	telemetry.Default().WritePrometheus(&before)
 	m0 := ParseSamples(t, before.String())
@@ -313,13 +318,13 @@ func TestMetricsFieldMapping(t *testing.T) {
 	}
 	defer wal.Close()
 	for _, sub := range []struct{ tenant, program string }{
-		{"alice", recoveryTSProgram}, {"alice", recoveryTSProgram}, {"bob", recoveryImgProgram},
+		{"alice", tsProg}, {"alice", tsProg}, {"bob", imgProg},
 	} {
 		if _, err := sc.Submit(sub.tenant, sub.program); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := sc.Submit("alice", recoveryTSProgram); err == nil {
+	if _, err := sc.Submit("alice", tsProg); err == nil {
 		t.Fatal("alice's third job admitted under MaxJobs 2")
 	}
 	if _, err := sc.RunRounds(4); err != nil {
@@ -491,25 +496,27 @@ func TestMetricsFieldMapping(t *testing.T) {
 	add("wal.group_commits", float64(ws.GroupCommits), delta("easeml_wal_group_commit_batch_size_count"))
 	add("wal.bytes_written", float64(ws.BytesWritten), delta("easeml_wal_bytes_written_total"))
 
-	// The plan-cache section counted since the last reset. With a program
-	// cache of capacity 1, the submits above parse ts (miss), ts (hit) and
-	// img (miss, evicting ts); the scheduler's plan cache serves the second
-	// ts submit, so the grid cache sees only the two programs' misses.
+	// The plan-cache section. The submits above parse ts (miss), ts (hit)
+	// and img (miss); the scheduler's plan cache serves the second ts
+	// submit, so the grid cache sees only the two programs' misses. Each
+	// miss inserts, evicting one entry from a full cache.
 	for _, c := range []struct {
-		cache                            string
-		hits, misses, evictions, entries float64
+		cache                  string
+		capacity, hits, misses float64
 	}{
-		{"program", 1, 2, 1, 1},
-		{"candidates", 0, 2, 0, 2},
+		{"program", dsl.DefaultPlanCacheCapacity, 1, 2},
+		{"candidates", templates.DefaultCandidateCacheCapacity, 0, 2},
 	} {
+		entries := `easeml_plan_cache_entries{cache="` + c.cache + `"}`
+		resident := min(m0[entries]+c.misses, c.capacity)
 		for _, e := range []struct {
 			field, event string
 			want         float64
-		}{{"hits", "hit", c.hits}, {"misses", "miss", c.misses}, {"evictions", "eviction", c.evictions}} {
+		}{{"hits", "hit", c.hits}, {"misses", "miss", c.misses}, {"evictions", "eviction", m0[entries] + c.misses - resident}} {
 			add("plan_cache."+c.cache+"."+e.field, e.want,
 				delta(`easeml_plan_cache_events_total{cache="`+c.cache+`",event="`+e.event+`"}`))
 		}
-		add("plan_cache."+c.cache+".entries", c.entries, metric(`easeml_plan_cache_entries{cache="`+c.cache+`"}`))
+		add("plan_cache."+c.cache+".entries", resident, metric(entries))
 	}
 
 	for _, r := range rows {

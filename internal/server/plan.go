@@ -1,9 +1,6 @@
 package server
 
 import (
-	"container/list"
-	"sync"
-
 	"repro/internal/codegen"
 	"repro/internal/dsl"
 	"repro/internal/gp"
@@ -58,64 +55,10 @@ func newPlan(prog dsl.Program, key string) (*programPlan, error) {
 	return p, nil
 }
 
-// planCache is a scheduler's bounded LRU of program plans, keyed by the
-// program's canonical String() — the shape and bound of templates' grid
-// cache. An evicted plan lives on in the jobs that hold it; the next job
-// of its program builds a new one.
-type planCache struct {
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	lru     *list.List
-}
-
-// planCacheCapacity bounds a scheduler's plan cache: as many programs as
-// the candidate-grid cache holds grids.
+// planCacheCapacity bounds a scheduler's plan cache (cache="plan", keyed
+// by the program's canonical String()): as many programs as the
+// candidate-grid cache holds grids. An evicted plan lives on in the jobs
+// that hold it; the next job of its program builds a new one, whose build
+// is the one lookup its program makes in the grid cache
+// (cache="candidates").
 const planCacheCapacity = templates.DefaultCandidateCacheCapacity
-
-// The plan caches of every scheduler count into the shared
-// easeml_plan_cache_events_total family under cache="plan". A plan miss is
-// the one lookup its program makes in the grid cache (cache="candidates").
-var (
-	planHits      = dsl.CacheEventCounter("plan", "hit")
-	planMisses    = dsl.CacheEventCounter("plan", "miss")
-	planEvictions = dsl.CacheEventCounter("plan", "eviction")
-)
-
-// get returns the plan of prog, building it on a miss. Two racing misses
-// build twice, and the first to insert wins: both callers get the inserted
-// plan, so every job of a program resident in the cache shares one.
-func (c *planCache) get(prog dsl.Program) (*programPlan, error) {
-	key := prog.String()
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		c.mu.Unlock()
-		planHits.Inc()
-		return el.Value.(*programPlan), nil
-	}
-	c.mu.Unlock()
-	planMisses.Inc()
-
-	p, err := newPlan(prog, key)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[string]*list.Element)
-		c.lru = list.New()
-	}
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*programPlan), nil
-	}
-	c.entries[key] = c.lru.PushFront(p)
-	for c.lru.Len() > planCacheCapacity {
-		tail := c.lru.Back()
-		c.lru.Remove(tail)
-		delete(c.entries, tail.Value.(*programPlan).program)
-		planEvictions.Inc()
-	}
-	return p, nil
-}

@@ -109,6 +109,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dsl"
 	"repro/internal/gp"
+	"repro/internal/lru"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 	"repro/internal/templates"
@@ -399,7 +400,7 @@ type Scheduler struct {
 
 	// plans holds what jobs of one program share (plan.go); it does its
 	// own locking.
-	plans planCache
+	plans *lru.Cache[string, *programPlan]
 
 	// decisions is the decision-provenance ring (see provenance.go). The
 	// zero value is ready; it does its own leaf locking.
@@ -433,6 +434,7 @@ func NewScheduler(trainer Trainer, adm *admission.Controller, serverAddr string)
 		failCounts:  make(map[failKey]int),
 		retryBudget: 3,
 		now:         time.Now,
+		plans:       lru.New[string, *programPlan]("plan", planCacheCapacity),
 	}
 }
 
@@ -641,7 +643,8 @@ func (sc *Scheduler) submitAdmitted(name, programSrc string) (*Job, error) {
 // time) and the id-bearing Python library. It takes no scheduler locks;
 // the plan cache, trainer and store do their own locking.
 func (sc *Scheduler) buildJob(id, name string, prog dsl.Program) (*Job, error) {
-	plan, err := sc.plans.get(prog)
+	key := prog.String()
+	plan, err := sc.plans.Get(key, func() (*programPlan, error) { return newPlan(prog, key) })
 	if err != nil {
 		return nil, err
 	}

@@ -13,9 +13,8 @@ import (
 	"testing"
 
 	"repro/internal/client"
-	"repro/internal/dsl"
+	"repro/internal/lru"
 	"repro/internal/server"
-	"repro/internal/templates"
 )
 
 // newServingFixture boots an HTTP API with one trained job and returns the
@@ -269,22 +268,14 @@ func TestInferStreamContract(t *testing.T) {
 	}
 }
 
-// lookups reads one plan cache's hit and miss counters (process-global:
-// tests diff two reads).
-func lookups(cache string) (hits, misses uint64) {
-	return dsl.CacheEventCounter(cache, "hit").Value(), dsl.CacheEventCounter(cache, "miss").Value()
-}
-
 // Acceptance: repeated-program workloads hit the plan cache >90% of the
 // time across Submit, facade parses and candidate generation. The
 // scheduler's plan cache serves a repeated program's candidates, so the
 // grid is generated, and looked up, once.
 func TestPlanCacheHitsOnRepeatedPrograms(t *testing.T) {
-	dsl.ResetPlanCache()
-	templates.ResetCandidateCache()
-	progHits0, progMisses0 := lookups("program")
-	candHits0, candMisses0 := lookups("candidates")
-	planHits0, planMisses0 := lookups("plan")
+	progHits0, progMisses0 := lru.Lookups("program")
+	candHits0, candMisses0 := lru.Lookups("candidates")
+	planHits0, planMisses0 := lru.Lookups("plan")
 	sc := newScheduler(t)
 	const n = 40
 	for i := 0; i < n; i++ {
@@ -292,7 +283,7 @@ func TestPlanCacheHitsOnRepeatedPrograms(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	progHits, progMisses := lookups("program")
+	progHits, progMisses := lru.Lookups("program")
 	progHits, progMisses = progHits-progHits0, progMisses-progMisses0
 	if progHits+progMisses < n {
 		t.Fatalf("plan cache saw %d lookups, want ≥ %d", progHits+progMisses, n)
@@ -300,7 +291,7 @@ func TestPlanCacheHitsOnRepeatedPrograms(t *testing.T) {
 	if hr := float64(progHits) / float64(progHits+progMisses); hr <= 0.9 {
 		t.Fatalf("program cache hit rate %.2f, want > 0.90 (%d hits, %d misses)", hr, progHits, progMisses)
 	}
-	planHits, planMisses := lookups("plan")
+	planHits, planMisses := lru.Lookups("plan")
 	planHits, planMisses = planHits-planHits0, planMisses-planMisses0
 	if planHits+planMisses != n {
 		t.Fatalf("scheduler plan cache saw %d lookups, want %d", planHits+planMisses, n)
@@ -308,19 +299,17 @@ func TestPlanCacheHitsOnRepeatedPrograms(t *testing.T) {
 	if hr := float64(planHits) / float64(planHits+planMisses); hr <= 0.9 {
 		t.Fatalf("scheduler plan cache hit rate %.2f, want > 0.90 (%d hits, %d misses)", hr, planHits, planMisses)
 	}
-	candHits, candMisses := lookups("candidates")
-	if candHits, candMisses = candHits-candHits0, candMisses-candMisses0; candHits != 0 || candMisses != 1 {
-		t.Fatalf("candidate cache saw %d hits and %d misses, want the one miss of the plan's build", candHits, candMisses)
+	candHits, candMisses := lru.Lookups("candidates")
+	if candHits, candMisses = candHits-candHits0, candMisses-candMisses0; candHits+candMisses != 1 {
+		t.Fatalf("candidate cache saw %d hits and %d misses, want the one lookup of the plan's build", candHits, candMisses)
 	}
 }
 
 // The scrape carries both caches' lookups.
 func TestAdminMetricsReportsPlanCache(t *testing.T) {
-	dsl.ResetPlanCache()
-	templates.ResetCandidateCache()
 	before := map[string]uint64{}
 	for _, cache := range []string{"program", "candidates", "plan"} {
-		hits, misses := lookups(cache)
+		hits, misses := lru.Lookups(cache)
 		before[cache] = hits + misses
 	}
 	srv, _ := newServingFixture(t)

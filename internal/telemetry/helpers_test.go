@@ -7,7 +7,7 @@ import "time"
 
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
-	counts, _ := h.snapshot()
+	counts, _ := h.shards.snapshot()
 	var total uint64
 	for _, c := range counts {
 		total += c
@@ -17,7 +17,7 @@ func (h *Histogram) Count() uint64 {
 
 // Count returns the total number of observations.
 func (h *ValueHistogram) Count() uint64 {
-	counts, _ := h.snapshot()
+	counts, _ := h.shards.snapshot()
 	var total uint64
 	for _, c := range counts {
 		total += c
@@ -27,7 +27,7 @@ func (h *ValueHistogram) Count() uint64 {
 
 // Sum returns the sum of all observed values.
 func (h *ValueHistogram) Sum() uint64 {
-	_, sum := h.snapshot()
+	_, sum := h.shards.snapshot()
 	return sum
 }
 

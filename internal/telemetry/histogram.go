@@ -31,12 +31,96 @@ type histShard struct {
 	_      [64]byte
 }
 
+// shardSet is the sharded bucket array both histogram kinds are built
+// on; the kinds differ only in what a bucket's bound means. Bucket i's
+// inclusive upper bound is base<<i (base histBase nanoseconds for
+// Histogram, 1 for ValueHistogram); the overflow bucket reports the
+// largest finite bound.
+type shardSet [histShards]histShard
+
+// snapshot merges the shards into one bucket array and sum.
+func (hs *shardSet) snapshot() (counts [histBuckets + 1]uint64, sum uint64) {
+	for s := range hs {
+		for b := range hs[s].counts {
+			counts[b] += hs[s].counts[b].Load()
+		}
+		sum += hs[s].sum.Load()
+	}
+	return counts, sum
+}
+
+// quantileBucket returns the bucket holding the ceil(q·n)-th smallest of
+// the n observations (q clamped to [0, 1]), or -1 when n is 0.
+func (hs *shardSet) quantileBucket(q float64) int {
+	counts, _ := hs.snapshot()
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 {
+		return -1
+	}
+	if q < 0 {
+		q = 0
+	} else if q > 1 {
+		q = 1
+	}
+	rank := uint64(math.Ceil(q * float64(total)))
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > total {
+		rank = total
+	}
+	var cum uint64
+	for i, c := range counts {
+		cum += c
+		if cum >= rank {
+			return i
+		}
+	}
+	return histBuckets
+}
+
+// bucketUpper returns bucket i's inclusive upper bound in base units.
+func bucketUpper(base uint64, i int) uint64 {
+	if i >= histBuckets {
+		i = histBuckets - 1
+	}
+	return base << uint(i)
+}
+
+// writeBuckets emits the child's _bucket/_sum/_count series. fam/key
+// provide the label rendering context (le is appended to the child's own
+// labels). With seconds set, base is in nanoseconds and the bounds and the
+// sum are written in seconds; otherwise they are plain integers.
+func (hs *shardSet) writeBuckets(w io.Writer, name string, fam *family, key string, base uint64, seconds bool) {
+	counts, sum := hs.snapshot()
+	var cum uint64
+	for i := 0; i < histBuckets; i++ {
+		cum += counts[i]
+		le := float64(bucketUpper(base, i))
+		if seconds {
+			le /= 1e9
+		}
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, fam.renderLabels(key, `le="`+formatFloat(le)+`"`), cum)
+	}
+	cum += counts[histBuckets]
+	fmt.Fprintf(w, "%s_bucket%s %d\n", name, fam.renderLabels(key, `le="+Inf"`), cum)
+	if seconds {
+		fmt.Fprintf(w, "%s_sum%s %s\n", name, fam.renderLabels(key, ""), formatFloat(float64(sum)/1e9))
+	} else {
+		fmt.Fprintf(w, "%s_sum%s %d\n", name, fam.renderLabels(key, ""), sum)
+	}
+	fmt.Fprintf(w, "%s_count%s %d\n", name, fam.renderLabels(key, ""), cum)
+}
+
 // Histogram is a lock-free sharded latency histogram. Observe picks a
 // shard via the runtime's per-P cheap random source and does two atomic
 // adds; scrapes merge the shards. There is no mutex anywhere, so an
 // Observe under coordMu never waits on a concurrent exposition.
 type Histogram struct {
-	shards [histShards]histShard
+	shards shardSet
 }
 
 func newHistogram() *Histogram { return &Histogram{} }
@@ -54,17 +138,6 @@ func bucketIndex(d time.Duration) int {
 	return idx
 }
 
-// bucketUpperNS returns bucket i's inclusive upper bound in nanoseconds;
-// the overflow bucket reports the largest finite bound (quantiles that
-// land there are clamped, which the exposition's +Inf bucket makes
-// visible).
-func bucketUpperNS(i int) uint64 {
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	return histBase << uint(i)
-}
-
 // Observe records one latency sample. Negative durations count as zero.
 func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
@@ -78,49 +151,19 @@ func (h *Histogram) Observe(d time.Duration) {
 // ObserveSince records time.Since(t0).
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0)) }
 
-// snapshot merges the shards into one bucket array and sum.
-func (h *Histogram) snapshot() (counts [histBuckets + 1]uint64, sumNS uint64) {
-	for s := range h.shards {
-		for b := range h.shards[s].counts {
-			counts[b] += h.shards[s].counts[b].Load()
-		}
-		sumNS += h.shards[s].sum.Load()
-	}
-	return counts, sumNS
-}
-
 // Quantile returns the exact-bucket q-quantile: the inclusive upper
 // bound of the bucket containing the ceil(q·n)-th smallest observation.
 // It returns 0 on an empty histogram and clamps q to [0, 1].
 func (h *Histogram) Quantile(q float64) time.Duration {
-	counts, _ := h.snapshot()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
+	i := h.shards.quantileBucket(q)
+	if i < 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			return time.Duration(bucketUpperNS(i))
-		}
-	}
-	return time.Duration(bucketUpperNS(histBuckets))
+	return time.Duration(bucketUpper(histBase, i))
+}
+
+func (h *Histogram) writeBuckets(w io.Writer, name string, fam *family, key string) {
+	h.shards.writeBuckets(w, name, fam, key, histBase, true)
 }
 
 // ValueHistogram is the unit-valued sibling of Histogram: the same
@@ -129,7 +172,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // covers (2^(i-1), 2^i] with bucket 0 holding everything at or below 1,
 // so the exposition's le values are small integers, not seconds.
 type ValueHistogram struct {
-	shards [histShards]histShard
+	shards shardSet
 }
 
 func newValueHistogram() *ValueHistogram { return &ValueHistogram{} }
@@ -147,14 +190,6 @@ func valueBucketIndex(v uint64) int {
 	return idx
 }
 
-// valueBucketUpper returns bucket i's inclusive upper bound.
-func valueBucketUpper(i int) uint64 {
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	return 1 << uint(i)
-}
-
 // Observe records one value sample.
 func (h *ValueHistogram) Observe(v uint64) {
 	s := &h.shards[rand.Uint32()&(histShards-1)]
@@ -162,79 +197,17 @@ func (h *ValueHistogram) Observe(v uint64) {
 	s.sum.Add(v)
 }
 
-func (h *ValueHistogram) snapshot() (counts [histBuckets + 1]uint64, sum uint64) {
-	for s := range h.shards {
-		for b := range h.shards[s].counts {
-			counts[b] += h.shards[s].counts[b].Load()
-		}
-		sum += h.shards[s].sum.Load()
-	}
-	return counts, sum
-}
-
 // Quantile returns the exact-bucket q-quantile as a plain value (the
 // inclusive upper bound of the bucket containing the ceil(q·n)-th
 // smallest observation); 0 on an empty histogram.
 func (h *ValueHistogram) Quantile(q float64) float64 {
-	counts, _ := h.snapshot()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
+	i := h.shards.quantileBucket(q)
+	if i < 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			return float64(valueBucketUpper(i))
-		}
-	}
-	return float64(valueBucketUpper(histBuckets))
+	return float64(bucketUpper(1, i))
 }
 
-// writeBuckets emits the child's _bucket/_sum/_count series with plain
-// integer le bounds.
 func (h *ValueHistogram) writeBuckets(w io.Writer, name string, fam *family, key string) {
-	counts, sum := h.snapshot()
-	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		cum += counts[i]
-		le := formatFloat(float64(valueBucketUpper(i)))
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, fam.renderLabels(key, `le="`+le+`"`), cum)
-	}
-	cum += counts[histBuckets]
-	fmt.Fprintf(w, "%s_bucket%s %d\n", name, fam.renderLabels(key, `le="+Inf"`), cum)
-	fmt.Fprintf(w, "%s_sum%s %d\n", name, fam.renderLabels(key, ""), sum)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, fam.renderLabels(key, ""), cum)
-}
-
-// writeBuckets emits the child's _bucket/_sum/_count series. fam/key
-// provide the label rendering context (le is appended to the child's own
-// labels).
-func (h *Histogram) writeBuckets(w io.Writer, name string, fam *family, key string) {
-	counts, sumNS := h.snapshot()
-	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		cum += counts[i]
-		le := formatFloat(float64(bucketUpperNS(i)) / 1e9)
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, fam.renderLabels(key, `le="`+le+`"`), cum)
-	}
-	cum += counts[histBuckets]
-	fmt.Fprintf(w, "%s_bucket%s %d\n", name, fam.renderLabels(key, `le="+Inf"`), cum)
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, fam.renderLabels(key, ""), formatFloat(float64(sumNS)/1e9))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, fam.renderLabels(key, ""), cum)
+	h.shards.writeBuckets(w, name, fam, key, 1, false)
 }

@@ -73,7 +73,7 @@ func TestHistogramQuantileReference(t *testing.T) {
 			rank++
 		}
 		ref := samples[rank-1]
-		want := time.Duration(bucketUpperNS(bucketIndex(ref)))
+		want := time.Duration(bucketUpper(histBase, bucketIndex(ref)))
 		if got := h.Quantile(q); got != want {
 			t.Errorf("q=%g: got %v, want bucket upper %v (reference %v)", q, got, want, ref)
 		}

@@ -1,11 +1,10 @@
 package templates
 
 import (
-	"container/list"
-	"sync"
+	"slices"
 
 	"repro/internal/dsl"
-	"repro/internal/telemetry"
+	"repro/internal/lru"
 )
 
 // Candidate-grid cache: the second half of the plan cache. Parsing a
@@ -17,43 +16,19 @@ import (
 //
 // Only the nil-ks default sweep is cached: every production call site
 // passes ks=nil, and a custom sweep is an experiment knob, not a serving
-// path. Counters land in the shared easeml_plan_cache_* families under
-// cache="candidates" (registered once, in internal/dsl).
+// path. It counts under cache="candidates".
 
 // DefaultCandidateCacheCapacity bounds the grid cache. A grid is ~35
 // Candidate values; 256 grids cover far more distinct programs than any
 // deployment submits.
 const DefaultCandidateCacheCapacity = 256
 
-type gridEntry struct {
-	key   string
+type grid struct {
 	cands []Candidate
 	tpl   *Template
 }
 
-type gridCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	lru     *list.List
-
-	hitC, missC, evictC *telemetry.Counter
-	entriesG            *telemetry.Gauge
-}
-
-func newGridCache(capacity int) *gridCache {
-	return &gridCache{
-		cap:      capacity,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-		hitC:     dsl.CacheEventCounter("candidates", "hit"),
-		missC:    dsl.CacheEventCounter("candidates", "miss"),
-		evictC:   dsl.CacheEventCounter("candidates", "eviction"),
-		entriesG: dsl.CacheEntriesGauge("candidates"),
-	}
-}
-
-var candidateCache = newGridCache(DefaultCandidateCacheCapacity)
+var candidateCache = lru.New[string, grid]("candidates", DefaultCandidateCacheCapacity)
 
 // GenerateCached is Generate(prog, nil) behind the process-wide grid
 // cache. The returned slice is a fresh copy on every call — callers append
@@ -63,54 +38,12 @@ var candidateCache = newGridCache(DefaultCandidateCacheCapacity)
 // generation, and the copy keeps them bit-identical to an uncached
 // Generate.
 func GenerateCached(prog dsl.Program) ([]Candidate, *Template, error) {
-	key := prog.String()
-	c := candidateCache
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		ent := el.Value.(*gridEntry)
-		c.lru.MoveToFront(el)
-		c.hitC.Inc()
-		cands := make([]Candidate, len(ent.cands))
-		copy(cands, ent.cands)
-		tpl := ent.tpl
-		c.mu.Unlock()
-		return cands, tpl, nil
-	}
-	c.missC.Inc()
-	c.mu.Unlock()
-
-	cands, tpl, err := Generate(prog, nil)
+	g, err := candidateCache.Get(prog.String(), func() (grid, error) {
+		cands, tpl, err := Generate(prog, nil)
+		return grid{cands, tpl}, err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	stored := make([]Candidate, len(cands))
-	copy(stored, cands)
-
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		el.Value = &gridEntry{key: key, cands: stored, tpl: tpl}
-		c.lru.MoveToFront(el)
-	} else {
-		c.entries[key] = c.lru.PushFront(&gridEntry{key: key, cands: stored, tpl: tpl})
-		for c.lru.Len() > c.cap {
-			tail := c.lru.Back()
-			c.lru.Remove(tail)
-			delete(c.entries, tail.Value.(*gridEntry).key)
-			c.evictC.Inc()
-		}
-	}
-	c.entriesG.Set(float64(c.lru.Len()))
-	c.mu.Unlock()
-	return cands, tpl, nil
-}
-
-// ResetCandidateCache empties the grid cache — test hook for cold-state
-// hit-rate measurements.
-func ResetCandidateCache() {
-	c := candidateCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*list.Element)
-	c.lru = list.New()
-	c.entriesG.Set(0)
+	return slices.Clone(g.cands), g.tpl, nil
 }
