@@ -624,19 +624,11 @@ func (a *Agent) heartbeatLoop(ctx context.Context) {
 		for _, id := range resp.KnownLeases {
 			known[id] = true
 		}
-		preempted := make(map[int]bool, len(resp.Preempted))
-		for _, id := range resp.Preempted {
-			preempted[id] = true
-		}
 		a.mu.Lock()
 		for _, id := range ids {
 			if !known[id] {
 				if cancel, ok := a.running[id]; ok {
-					if preempted[id] {
-						a.logInfo("lease preempted for higher-priority work; aborting run", "lease", id)
-					} else {
-						a.logInfo("lease reclaimed; aborting run", "lease", id)
-					}
+					a.logInfo("lease reclaimed; aborting run", "lease", id)
 					cancel()
 				}
 			}

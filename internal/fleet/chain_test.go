@@ -117,10 +117,7 @@ func TestChainedLeaseOnKilledWorkerExpiresOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinator(sc, CoordinatorConfig{
-		LeaseTTL: 150 * time.Millisecond, HeartbeatInterval: 40 * time.Millisecond,
-		SweepInterval: 20 * time.Millisecond, PollInterval: 5 * time.Millisecond, Seed: fleetSeed,
-	})
+	coord := NewCoordinator(sc, CoordinatorConfig{LeaseTTL: 150 * time.Millisecond, Seed: fleetSeed})
 	coord.Start()
 	defer coord.Stop()
 	tap := &routeTap{next: coord.Handler()}
@@ -187,7 +184,8 @@ func TestReclaimedChainedLeaseAbortsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := &fakeClock{now: time.Unix(10_000, 0)}
-	coord := NewCoordinator(sc, CoordinatorConfig{LeaseTTL: time.Second, Seed: fleetSeed, Clock: clock.Now})
+	coord := NewCoordinator(sc, CoordinatorConfig{LeaseTTL: time.Second, Seed: fleetSeed})
+	coord.setClock(clock.Now)
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
@@ -233,7 +231,8 @@ func TestShutdownHandsBackChainedLeaseInReply(t *testing.T) {
 				t.Fatal(err)
 			}
 			clock := &fakeClock{now: time.Unix(10_000, 0)}
-			coord := NewCoordinator(sc, CoordinatorConfig{LeaseTTL: time.Second, Seed: fleetSeed, Clock: clock.Now})
+			coord := NewCoordinator(sc, CoordinatorConfig{LeaseTTL: time.Second, Seed: fleetSeed})
+			coord.setClock(clock.Now)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			// Shutdown begins while the first report is on the wire.

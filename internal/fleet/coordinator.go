@@ -46,25 +46,14 @@ var (
 )
 
 // CoordinatorConfig parameterizes a Coordinator. Zero values select the
-// defaults noted per field.
+// defaults noted per field. The rest of the cadence follows from LeaseTTL:
+// workers heartbeat every LeaseTTL/3 (two chances before a lease expires),
+// the sweeper runs on the same period, a worker silent for 2×LeaseTTL is
+// shown dead, and idle workers poll every 250ms.
 type CoordinatorConfig struct {
 	// LeaseTTL is how long a lease survives without a heartbeat before the
-	// sweeper reclaims it (default 10s). It is installed on the scheduler
-	// via SetLeaseTTL.
+	// sweeper reclaims it (default 10s).
 	LeaseTTL time.Duration
-	// HeartbeatInterval is the cadence advertised to workers (default
-	// LeaseTTL/3, so a worker gets two chances before its leases expire).
-	HeartbeatInterval time.Duration
-	// SweepInterval is the expiry sweeper's period (default
-	// HeartbeatInterval).
-	SweepInterval time.Duration
-	// DeadAfter is the silence after which a worker is shown as dead in the
-	// registry (default 2×LeaseTTL). Purely observational: lease reclaim is
-	// the TTL's job.
-	DeadAfter time.Duration
-	// PollInterval is the idle lease-poll period advertised to workers
-	// (default 250ms).
-	PollInterval time.Duration
 	// Seed is the simulated-training seed advertised at registration so
 	// SimExecutor workers reproduce the coordinator's surfaces (default 1;
 	// must match the service's ServiceConfig.Seed).
@@ -72,9 +61,6 @@ type CoordinatorConfig struct {
 	// MaxInFlight caps total outstanding leases across the fleet and the
 	// in-process engine (default 0: no cap beyond available work).
 	MaxInFlight int
-	// Clock overrides the time source (tests); it is installed on the
-	// scheduler too, so lease expiry and the registry agree on now.
-	Clock func() time.Time
 	// Logger, when set, receives structured coordinator diagnostics:
 	// worker transitions and the lease lifecycle (grant, settle, expiry,
 	// preemption), each lease event carrying its trace ID. Nil keeps the
@@ -82,51 +68,25 @@ type CoordinatorConfig struct {
 	Logger *slog.Logger
 }
 
-func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 10 * time.Second
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = c.LeaseTTL / 3
-	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = c.HeartbeatInterval
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 2 * c.LeaseTTL
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 250 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
-	return c
-}
+// pollInterval is the idle lease-poll period advertised to workers.
+const pollInterval = 250 * time.Millisecond
 
 // Coordinator exposes a scheduler's two-phase lease cycle to remote worker
 // agents over HTTP and owns the fleet bookkeeping around it: the worker
-// registry, per-worker lease assignment, heartbeat-driven TTL refresh and
-// the expiry sweeper that re-queues work whose worker went silent. It
-// implements server.FleetControl for the GET /admin/fleet surface.
+// registry, heartbeat-driven TTL refresh and the expiry sweeper that
+// re-queues work whose worker went silent. Which worker holds which lease
+// is the scheduler's lease table alone. It implements server.FleetControl
+// for the GET /admin/fleet surface.
 type Coordinator struct {
 	sched *server.Scheduler
 	cfg   CoordinatorConfig
 	reg   *registry
+	// now is the one clock of lease deadlines, expiry and the registry.
+	now func() time.Time
 
-	// mu guards the remote-lease table and the preemption queues, and
-	// serializes lease grants against each other.
-	mu     sync.Mutex
-	remote map[int]*remoteLease
-	// preempted queues lease ids reclaimed by priority preemption per
-	// worker, delivered (and cleared) on the worker's next heartbeat so the
-	// agent aborts the run immediately instead of discovering the loss via
-	// the missing KnownLeases entry. Guarded by mu; Sweep drops queues of
-	// workers that are no longer alive.
-	preempted map[string][]int
+	// mu serializes lease grants, and the preemption pass before each,
+	// against each other.
+	mu sync.Mutex
 
 	expiredTotal   atomic.Int64
 	preemptedTotal atomic.Int64
@@ -136,32 +96,20 @@ type Coordinator struct {
 	done  chan struct{}
 }
 
-// remoteLease pairs an outstanding scheduler lease with its holder.
-type remoteLease struct {
-	lease  *server.Lease
-	worker string
+// NewCoordinator wraps a scheduler.
+func NewCoordinator(sched *server.Scheduler, cfg CoordinatorConfig) *Coordinator {
+	if cfg.LeaseTTL <= 0 {
+		cfg.LeaseTTL = 10 * time.Second
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	return &Coordinator{sched: sched, cfg: cfg, reg: newRegistry(2 * cfg.LeaseTTL), now: time.Now}
 }
 
-// NewCoordinator wraps a scheduler. It installs the lease TTL (and the
-// test clock, when configured) on the scheduler, so construct the
-// coordinator before serving traffic.
-func NewCoordinator(sched *server.Scheduler, cfg CoordinatorConfig) *Coordinator {
-	// Only a caller-supplied clock is pushed onto the scheduler — the
-	// withDefaults fallback must not clobber a clock installed directly
-	// via sched.SetClock.
-	if cfg.Clock != nil {
-		sched.SetClock(cfg.Clock)
-	}
-	cfg = cfg.withDefaults()
-	sched.SetLeaseTTL(cfg.LeaseTTL)
-	return &Coordinator{
-		sched:     sched,
-		cfg:       cfg,
-		reg:       newRegistry(cfg.DeadAfter, cfg.Clock),
-		remote:    make(map[int]*remoteLease),
-		preempted: make(map[string][]int),
-	}
-}
+// heartbeatInterval is the heartbeat period advertised to workers and the
+// sweeper's period.
+func (c *Coordinator) heartbeatInterval() time.Duration { return c.cfg.LeaseTTL / 3 }
 
 // Start launches the background expiry sweeper; Stop halts it. Calling
 // Start twice is a no-op while the sweeper is running.
@@ -192,7 +140,7 @@ func (c *Coordinator) Stop() {
 
 func (c *Coordinator) sweepLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	ticker := time.NewTicker(c.cfg.SweepInterval)
+	ticker := time.NewTicker(c.heartbeatInterval())
 	defer ticker.Stop()
 	for {
 		select {
@@ -207,40 +155,21 @@ func (c *Coordinator) sweepLoop(stop <-chan struct{}, done chan<- struct{}) {
 // Sweep runs one expiry pass: leases whose TTL lapsed are reclaimed (their
 // candidates re-enter selection), attributed to their workers in the
 // registry, and silent workers are marked dead. It returns how many leases
-// expired. The background sweeper calls it on SweepInterval; tests call it
-// directly for deterministic expiry.
+// expired. The background sweeper calls it every heartbeat interval; tests
+// call it directly for deterministic expiry.
 func (c *Coordinator) Sweep() int {
-	expired, err := c.sched.ExpireLeases()
+	expired, err := c.sched.ExpireLeases(c.now())
 	if err != nil {
 		c.logWarn("logging lease expiry failed", "err", err)
 	}
 	for _, l := range expired {
-		c.mu.Lock()
-		delete(c.remote, l.ID)
-		c.mu.Unlock()
 		c.expiredTotal.Add(1)
 		fleetLeaseExpirations.Inc()
-		c.reg.leaseSettled(l.Worker, l.ID, "expired")
+		c.reg.tally(l.Worker, "expired")
 		c.logInfo("lease expired; candidate re-queued",
 			"lease", l.ID, "job", l.JobID, "candidate", l.Candidate.Name(), "worker", l.Worker, "trace", l.Trace)
 	}
-	c.reg.sweepDead()
-	// Drop queued preemption notices for workers that are no longer alive
-	// (dead, departed, or evicted): nobody will heartbeat them away, and a
-	// reclaimed lease is already conflict-guarded server-side.
-	alive := make(map[string]bool)
-	for _, w := range c.reg.snapshot() {
-		if w.State == WorkerAlive {
-			alive[w.ID] = true
-		}
-	}
-	c.mu.Lock()
-	for id := range c.preempted {
-		if !alive[id] {
-			delete(c.preempted, id)
-		}
-	}
-	c.mu.Unlock()
+	c.reg.sweepDead(c.now(), c.sched.HeldLeases())
 	return len(expired)
 }
 
@@ -250,14 +179,14 @@ func (c *Coordinator) Register(req RegisterRequest) RegisterResponse {
 	if devices <= 0 {
 		devices = 1
 	}
-	id := c.reg.register(req.Name, devices, req.Alpha)
+	id := c.reg.register(req.Name, devices, req.Alpha, c.now())
 	fleetRegistrations.Inc()
 	c.logInfo("worker joined", "worker", id, "name", req.Name, "devices", devices)
 	return RegisterResponse{
 		WorkerID:    id,
 		LeaseTTLMS:  float64(c.cfg.LeaseTTL) / float64(time.Millisecond),
-		HeartbeatMS: float64(c.cfg.HeartbeatInterval) / float64(time.Millisecond),
-		PollMS:      float64(c.cfg.PollInterval) / float64(time.Millisecond),
+		HeartbeatMS: float64(c.heartbeatInterval()) / float64(time.Millisecond),
+		PollMS:      float64(pollInterval) / float64(time.Millisecond),
 		Seed:        c.cfg.Seed,
 	}
 }
@@ -271,7 +200,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	if req.Max <= 0 {
 		return LeaseResponse{}, fmt.Errorf("fleet: lease max must be positive, got %d: %w", req.Max, ErrBadRequest)
 	}
-	if err := c.reg.heartbeat(req.WorkerID); err != nil {
+	if err := c.reg.heartbeat(req.WorkerID, c.now()); err != nil {
 		return LeaseResponse{}, err
 	}
 	fleetLeasePolls.Inc()
@@ -297,15 +226,16 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 }
 
 // grantLocked assigns a freshly picked lease to a worker and builds its
-// wire form. On bookkeeping failure the lease is handed back rather than
-// leaked. Callers hold c.mu.
+// wire form. A worker that left after the request's liveness check gets
+// nothing: Leave marks the worker left before it collects the worker's
+// leases, so the lease is handed back here or there, never kept by a
+// departed worker. Callers hold c.mu.
 func (c *Coordinator) grantLocked(l *server.Lease, workerID string) (WireLease, bool) {
 	grantT0 := time.Now()
-	if c.sched.AssignLease(l, workerID) != nil || c.reg.leaseAssigned(workerID, l.ID) != nil {
+	if c.sched.AssignLease(l, workerID, c.now().Add(c.cfg.LeaseTTL)) != nil || !c.reg.active(workerID) {
 		_ = c.sched.Release(l)
 		return WireLease{}, false
 	}
-	c.remote[l.ID] = &remoteLease{lease: l, worker: workerID}
 	fleetLeasesGranted.Inc()
 	grant := l.ChildSpan(opLeaseGrant, grantT0)
 	grant.SetAttr("worker", workerID)
@@ -323,8 +253,8 @@ func (c *Coordinator) grantLocked(l *server.Lease, workerID string) (WireLease, 
 // when a guaranteed tenant has selectable work, the newest outstanding
 // best-effort lease is reclaimed through the expiry mechanics (its
 // candidate re-enters selection exactly once; the holder's late report
-// bounces off 409). The preempted id is queued for the holder's next
-// heartbeat so its agent aborts the run immediately. Callers hold c.mu.
+// bounces off 409). The holder learns of it on its next heartbeat, whose
+// KnownLeases no longer lists the lease. Callers hold c.mu.
 func (c *Coordinator) preemptLocked() {
 	victim, err := c.sched.PreemptForPriority()
 	if err != nil {
@@ -335,42 +265,29 @@ func (c *Coordinator) preemptLocked() {
 	if victim == nil {
 		return
 	}
-	delete(c.remote, victim.ID)
-	c.preempted[victim.Worker] = append(c.preempted[victim.Worker], victim.ID)
 	c.preemptedTotal.Add(1)
 	fleetLeasePreemptions.Inc()
-	c.reg.leaseSettled(victim.Worker, victim.ID, "preempted")
+	c.reg.tally(victim.Worker, "preempted")
 	c.logInfo("lease preempted for guaranteed work; candidate re-queued",
 		"lease", victim.ID, "job", victim.JobID, "candidate", victim.Candidate.Name(),
 		"worker", victim.Worker, "trace", victim.Trace)
 }
 
 // Heartbeat refreshes a worker's liveness and the TTLs of the leases it
-// reports as still executing; it returns the subset still outstanding
-// (a missing id means the lease expired and the run should be aborted)
-// plus the ids preempted since the last heartbeat (abort immediately —
-// the capacity is already promised to higher-priority work).
+// reports as still executing; it returns the subset it still holds. A
+// missing id means the lease was reclaimed (expired or preempted) and the
+// run should be aborted.
 func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error) {
-	if err := c.reg.heartbeat(req.WorkerID); err != nil {
+	if err := c.reg.heartbeat(req.WorkerID, c.now()); err != nil {
 		return HeartbeatResponse{}, err
 	}
 	fleetHeartbeats.Inc()
 	var resp HeartbeatResponse
-	c.mu.Lock()
-	resp.Preempted = c.preempted[req.WorkerID]
-	delete(c.preempted, req.WorkerID)
-	c.mu.Unlock()
+	expires := c.now().Add(c.cfg.LeaseTTL)
 	for _, id := range req.LeaseIDs {
-		c.mu.Lock()
-		rl, ok := c.remote[id]
-		c.mu.Unlock()
-		if !ok || rl.worker != req.WorkerID {
-			continue
+		if c.sched.HeartbeatLease(id, req.WorkerID, expires) == nil {
+			resp.KnownLeases = append(resp.KnownLeases, id)
 		}
-		if err := c.sched.HeartbeatLease(id); err != nil {
-			continue // reclaimed between the map read and the refresh
-		}
-		resp.KnownLeases = append(resp.KnownLeases, id)
 	}
 	return resp, nil
 }
@@ -390,7 +307,7 @@ const maxCostFactor = 100
 // and nothing is granted. A successful report whose accuracy lies outside
 // [0, 1], or whose cost is negative or more than maxCostFactor times the
 // candidate's estimated cost, is refused with ErrBadRequest before
-// anything is claimed or settled: the lease stays outstanding and expires
+// anything settles: the lease stays outstanding and expires
 // on its TTL, so the candidate re-enters selection and trains once. A
 // report that embeds a lease request is then served by Lease, after the
 // settle: the pick sees the observation that just landed.
@@ -407,26 +324,20 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		return CompleteResponse{}, fmt.Errorf("fleet: lease %d: accuracy %g outside [0, 1] or cost %g negative: %w",
 			req.LeaseID, req.Accuracy, req.Cost, ErrBadRequest)
 	}
-	c.mu.Lock()
-	rl, ok := c.remote[req.LeaseID]
-	if !ok || rl.worker != req.WorkerID {
-		c.mu.Unlock()
+	l := c.sched.HeldLease(req.LeaseID, req.WorkerID)
+	if l == nil {
 		fleetCompletes.With("conflict").Inc()
 		return CompleteResponse{}, fmt.Errorf("fleet: lease %d is not held by %s: %w", req.LeaseID, req.WorkerID, server.ErrLeaseConflict)
 	}
 	if req.Error == "" {
-		est, err := c.sched.Trainer().EstimateCost(rl.lease.JobID, rl.lease.Candidate)
+		est, err := c.sched.Trainer().EstimateCost(l.JobID, l.Candidate)
 		if err == nil && req.Cost > maxCostFactor*est {
-			c.mu.Unlock()
 			c.logWarn("refusing a cost far beyond the estimate",
 				"lease", req.LeaseID, "worker", req.WorkerID, "cost", req.Cost, "estimate", est)
 			return CompleteResponse{}, fmt.Errorf("fleet: lease %d: cost %g is over %d× the estimated %g: %w",
 				req.LeaseID, req.Cost, maxCostFactor, est, ErrBadRequest)
 		}
 	}
-	delete(c.remote, req.LeaseID) // claim: at most one report settles a lease
-	l := rl.lease
-	c.mu.Unlock()
 
 	// Import the worker's spans into the coordinator's flight recorder, so
 	// one GET /admin/traces/{id} serves the whole cross-process tree. Import
@@ -452,7 +363,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 			// The lease is gone from the scheduler either way (e.g. the job
 			// failed mid-settle); count the run against the worker.
 			fleetCompletes.With("error").Inc()
-			c.reg.leaseSettled(req.WorkerID, req.LeaseID, "failed")
+			c.reg.tally(req.WorkerID, "failed")
 		}
 		return CompleteResponse{}, err
 	}
@@ -461,7 +372,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 			"job", l.JobID, "candidate", l.Candidate.Name(), "last_error", req.Error, "trace", l.Trace)
 	}
 	fleetCompletes.With(settled).Inc()
-	c.reg.leaseSettled(req.WorkerID, req.LeaseID, settled)
+	c.reg.tally(req.WorkerID, settled)
 	if c.cfg.Logger != nil {
 		c.logInfo("lease settled",
 			"lease", req.LeaseID, "outcome", settled, "job", l.JobID, "worker", req.WorkerID, "trace", l.Trace)
@@ -493,20 +404,15 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 // answers once every WAL record enqueued before it is durable, with the
 // durable horizon, so the worker can count its last settles.
 func (c *Coordinator) Leave(workerID string) (LeaveResponse, error) {
-	ids, err := c.reg.leave(workerID)
-	if err != nil {
+	// Marked left first: a grant racing this leave either sees the mark
+	// and hands its lease back, or assigned it before the mark and so
+	// before the collection below.
+	if err := c.reg.leave(workerID); err != nil {
 		return LeaveResponse{}, err
 	}
 	released := 0
-	for _, id := range ids {
-		c.mu.Lock()
-		rl, ok := c.remote[id]
-		delete(c.remote, id)
-		c.mu.Unlock()
-		if !ok {
-			continue
-		}
-		if err := c.sched.Release(rl.lease); err == nil {
+	for _, l := range c.sched.HeldLeases()[workerID] {
+		if c.sched.Release(l) == nil {
 			released++
 		}
 	}
@@ -530,18 +436,20 @@ func (c *Coordinator) JobInfo(jobID string) (JobInfo, error) {
 	return JobInfo{ID: job.ID, Name: job.Name, Program: job.ProgramString(), Candidates: job.CandidateNames()}, nil
 }
 
-// FleetStatus implements server.FleetControl for GET /admin/fleet.
+// FleetStatus implements server.FleetControl for GET /admin/fleet. The
+// lease counts are read from the scheduler's lease table.
 func (c *Coordinator) FleetStatus() server.FleetStatus {
+	held := c.sched.HeldLeases()
 	st := server.FleetStatus{
 		LeaseTTLMS:      float64(c.cfg.LeaseTTL) / float64(time.Millisecond),
-		HeartbeatMS:     float64(c.cfg.HeartbeatInterval) / float64(time.Millisecond),
+		HeartbeatMS:     float64(c.heartbeatInterval()) / float64(time.Millisecond),
 		ExpiredLeases:   c.expiredTotal.Load(),
 		PreemptedLeases: c.preemptedTotal.Load(),
-		Workers:         c.reg.snapshot(),
+		Workers:         c.reg.snapshot(c.now(), held),
 	}
-	c.mu.Lock()
-	st.RemoteLeases = len(c.remote)
-	c.mu.Unlock()
+	for _, ls := range held {
+		st.RemoteLeases += len(ls)
+	}
 	for _, w := range st.Workers {
 		switch w.State {
 		case WorkerAlive:

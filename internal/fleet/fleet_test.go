@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,14 +115,7 @@ func TestFleetKillWorkerMidLeaseConvergesLikeSingleProcess(t *testing.T) {
 		jobIDs = append(jobIDs, j.ID)
 	}
 
-	coord := NewCoordinator(sc, CoordinatorConfig{
-		LeaseTTL:          150 * time.Millisecond,
-		HeartbeatInterval: 40 * time.Millisecond,
-		SweepInterval:     20 * time.Millisecond,
-		DeadAfter:         250 * time.Millisecond,
-		PollInterval:      10 * time.Millisecond,
-		Seed:              fleetSeed,
-	})
+	coord := NewCoordinator(sc, CoordinatorConfig{LeaseTTL: 150 * time.Millisecond, Seed: fleetSeed})
 	coord.Start()
 	defer coord.Stop()
 	srv := httptest.NewServer(coord.Handler())
@@ -214,8 +208,8 @@ func TestFleetKillWorkerMidLeaseConvergesLikeSingleProcess(t *testing.T) {
 	if st.ExpiredLeases < 1 {
 		t.Errorf("no lease expired despite the killed worker (status %+v)", st)
 	}
-	// Convergence can beat the DeadAfter horizon; give the sweeper time to
-	// notice the silence.
+	// Convergence can beat the dead horizon (2×LeaseTTL); give the sweeper
+	// time to notice the silence.
 	foundDead := false
 	for deadline := time.Now().Add(5 * time.Second); !foundDead && time.Now().Before(deadline); {
 		for _, w := range coord.FleetStatus().Workers {
@@ -260,23 +254,15 @@ func TestLeaseExpiryWALSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
 	now := time.Unix(1000, 0)
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	sc.SetClock(clock)
-	sc.SetLeaseTTL(time.Second)
-
 	work, err := sc.PickWork(1)
 	if err != nil || len(work) != 1 {
 		t.Fatalf("PickWork: %v %v", work, err)
 	}
-	if err := sc.AssignLease(work[0], "worker-0001"); err != nil {
+	if err := sc.AssignLease(work[0], "worker-0001", now.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	now = now.Add(2 * time.Second)
-	mu.Unlock()
-	expired, err := sc.ExpireLeases()
+	expired, err := sc.ExpireLeases(now.Add(2 * time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,18 +316,14 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	if _, err := sc.Submit("a", tsProgram); err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
 	now := time.Unix(0, 0)
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	tick := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-	sc.SetClock(clock)
-	sc.SetLeaseTTL(time.Second)
+	const ttl = time.Second
 
 	work, err := sc.PickWork(1)
 	if err != nil || len(work) != 1 {
 		t.Fatalf("PickWork: %v %v", work, err)
 	}
-	if err := sc.AssignLease(work[0], "worker-0001"); err != nil {
+	if err := sc.AssignLease(work[0], "worker-0001", now.Add(ttl)); err != nil {
 		t.Fatal(err)
 	}
 	// Unassigned leases (the in-process engine's) never expire, no matter
@@ -354,23 +336,23 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 		t.Fatalf("PickWork for local lease: %v %v", local, err)
 	}
 	for i := 0; i < 5; i++ {
-		tick(800 * time.Millisecond) // below the TTL each step, past it in sum
-		if err := sc.HeartbeatLease(work[0].ID); err != nil {
+		now = now.Add(800 * time.Millisecond) // below the TTL each step, past it in sum
+		if err := sc.HeartbeatLease(work[0].ID, "worker-0001", now.Add(ttl)); err != nil {
 			t.Fatal(err)
 		}
-		if expired, _ := sc.ExpireLeases(); len(expired) != 0 {
+		if expired, _ := sc.ExpireLeases(now); len(expired) != 0 {
 			t.Fatalf("lease expired despite heartbeats at step %d", i)
 		}
 	}
-	tick(1200 * time.Millisecond) // now go silent past the TTL
-	expired, err := sc.ExpireLeases()
+	now = now.Add(1200 * time.Millisecond) // now go silent past the TTL
+	expired, err := sc.ExpireLeases(now)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(expired) != 1 {
 		t.Fatalf("silent lease did not expire (got %d)", len(expired))
 	}
-	if err := sc.HeartbeatLease(work[0].ID); err == nil {
+	if err := sc.HeartbeatLease(work[0].ID, "worker-0001", now.Add(ttl)); err == nil {
 		t.Error("heartbeat for an expired lease accepted")
 	}
 }
@@ -459,6 +441,78 @@ func TestGracefulLeaveRequeuesImmediately(t *testing.T) {
 	again, err := sc.PickWork(1)
 	if err != nil || len(again) != 1 {
 		t.Errorf("re-lease after leave: %v %v", again, err)
+	}
+}
+
+// A /fleet/leave racing a settle-and-lease from the same worker must not
+// leave the departed worker holding a lease: the leave marks the worker
+// left before it collects its leases, and a grant checks the worker is
+// still active after assigning, so the embedded grant is handed back on
+// one side or the other. Most rounds race freely over the wire; every
+// fourth forces the worst interleaving, holding the grant lock so the
+// whole leave runs after the embedded request's liveness check and before
+// its grant.
+func TestLeaveRacingSettleAndLeaseLeavesNoLeaseHeld(t *testing.T) {
+	sc := newTestScheduler(t)
+	for i := 0; i < 16; i++ {
+		if _, err := sc.Submit("a", tsProgram); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock := &fakeClock{now: time.Unix(10_000, 0)}
+	coord := NewCoordinator(sc, CoordinatorConfig{LeaseTTL: time.Hour, Seed: fleetSeed})
+	coord.setClock(clock.Now)
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	pc := newProtoClient(srv.URL, nil)
+	ctx := context.Background()
+	heartbeatAge := func(id string) float64 {
+		for _, w := range coord.FleetStatus().Workers {
+			if w.ID == id {
+				return w.HeartbeatAgeMS
+			}
+		}
+		return -1
+	}
+
+	const rounds = 24
+	for i := 0; i < rounds; i++ {
+		reg, err := pc.register(ctx, RegisterRequest{Name: "racer", Devices: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lr, err := pc.lease(ctx, LeaseRequest{WorkerID: reg.WorkerID, Max: 1})
+		if err != nil || len(lr.Leases) != 1 {
+			t.Fatalf("lease: %+v %v", lr, err)
+		}
+		report := CompleteRequest{WorkerID: reg.WorkerID, LeaseID: lr.Leases[0].LeaseID,
+			Accuracy: 0.5, Cost: 1, Lease: &LeaseRequest{Max: 1}}
+		forced := i%4 == 0
+		if forced {
+			coord.mu.Lock()
+			clock.tick(time.Second) // the report's liveness check zeroes the heartbeat age
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { defer wg.Done(); _, _ = pc.complete(ctx, report) }()
+		if forced {
+			eventually(t, "the embedded lease request to pass the liveness check", func() bool { return heartbeatAge(reg.WorkerID) == 0 })
+		}
+		_, err = pc.leave(ctx, reg.WorkerID)
+		if forced {
+			coord.mu.Unlock()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if held := sc.HeldLeases()[reg.WorkerID]; len(held) != 0 {
+			t.Fatalf("round %d: departed %s holds %d leases", i, reg.WorkerID, len(held))
+		}
+	}
+	st := coord.FleetStatus()
+	if st.Left != rounds || st.RemoteLeases != 0 || sc.InFlight() != 0 {
+		t.Errorf("after the races: %d left, %d remote leases, %d in flight; want %d, 0, 0", st.Left, st.RemoteLeases, sc.InFlight(), rounds)
 	}
 }
 
@@ -551,9 +605,9 @@ func TestAgentSurvivesCoordinatorRestart(t *testing.T) {
 
 // Priority preemption end-to-end over the wire: a best-effort tenant
 // saturates the in-flight cap, a guaranteed job arrives, and the next
-// lease poll reclaims one best-effort lease — the heartbeat carries the
-// explicit preemption signal, the late report bounces off 409
-// lease_conflict, and the fleet counters record the preemption.
+// lease poll reclaims one best-effort lease — the heartbeat no longer
+// lists it, the late report bounces off 409 lease_conflict, and the fleet
+// counters record the preemption.
 func TestPreemptionOverWire(t *testing.T) {
 	ctrl, err := admission.NewController(admission.Config{Tenants: map[string]admission.Quota{
 		"alice": {Class: admission.ClassGuaranteed},
@@ -596,8 +650,8 @@ func TestPreemptionOverWire(t *testing.T) {
 		t.Fatalf("post-preemption poll granted %d leases, want 1", len(regrant))
 	}
 
-	// Exactly one of the two original leases was preempted (the newest);
-	// the heartbeat names it.
+	// Exactly one of the two original leases was preempted (the newest):
+	// the heartbeat leaves it out of KnownLeases, the holder's abort signal.
 	hb, err := pc.heartbeat(ctx, HeartbeatRequest{
 		WorkerID: reg.WorkerID,
 		LeaseIDs: []int{leases[0].LeaseID, leases[1].LeaseID, regrant[0].LeaseID},
@@ -605,19 +659,11 @@ func TestPreemptionOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hb.Preempted) != 1 || hb.Preempted[0] != leases[1].LeaseID {
-		t.Fatalf("heartbeat preempted %v, want [%d]", hb.Preempted, leases[1].LeaseID)
+	if slices.Contains(hb.KnownLeases, leases[1].LeaseID) {
+		t.Fatalf("known leases %v still list the preempted lease %d", hb.KnownLeases, leases[1].LeaseID)
 	}
 	if len(hb.KnownLeases) != 2 {
 		t.Fatalf("known leases %v, want the surviving two", hb.KnownLeases)
-	}
-	// The signal is delivered once, then cleared.
-	hb2, err := pc.heartbeat(ctx, HeartbeatRequest{WorkerID: reg.WorkerID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hb2.Preempted) != 0 {
-		t.Errorf("preemption signal not cleared: %v", hb2.Preempted)
 	}
 
 	// The late report for the preempted lease loses with 409.
@@ -633,6 +679,11 @@ func TestPreemptionOverWire(t *testing.T) {
 	}
 	if len(st.Workers) != 1 || st.Workers[0].PreemptedLeases != 1 {
 		t.Errorf("worker preemption tally %+v", st.Workers)
+	}
+	// The in-flight counts are the lease table's: the surviving original
+	// and the regrant.
+	if st.RemoteLeases != 2 || len(st.Workers) != 1 || st.Workers[0].InFlight != 2 {
+		t.Errorf("in flight: %d fleet-wide, workers %+v; want 2 on the one worker", st.RemoteLeases, st.Workers)
 	}
 	// No preemption without starved guaranteed demand: drain every
 	// unleased arm (alice's and carol's) through the regular lease cycle;

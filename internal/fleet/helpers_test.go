@@ -1,5 +1,7 @@
 package fleet
 
+import "time"
+
 // What follows only this package's tests call: no command, example or
 // public API reaches it (go run ./tools/reachgate).
 
@@ -14,3 +16,8 @@ func (c *Coordinator) Preempt() bool {
 	c.preemptLocked()
 	return c.preemptedTotal.Load() > before
 }
+
+// setClock replaces the coordinator's clock — lease deadlines, expiry and
+// the registry — so tests drive expiry deterministically instead of
+// sleeping. Call it before serving traffic.
+func (c *Coordinator) setClock(now func() time.Time) { c.now = now }

@@ -116,13 +116,9 @@ func runFleetChaos(t *testing.T, plan chaosPlan) map[string]jobOutcome {
 		ids = append(ids, j.ID)
 	}
 	coord := NewCoordinator(sc, CoordinatorConfig{
-		LeaseTTL:          150 * time.Millisecond,
-		HeartbeatInterval: 40 * time.Millisecond,
-		SweepInterval:     20 * time.Millisecond,
-		DeadAfter:         250 * time.Millisecond,
-		PollInterval:      5 * time.Millisecond,
-		Seed:              fleetSeed,
-		MaxInFlight:       plan.maxInFlight,
+		LeaseTTL:    150 * time.Millisecond,
+		Seed:        fleetSeed,
+		MaxInFlight: plan.maxInFlight,
 	})
 	coord.Start()
 	defer coord.Stop()
@@ -201,6 +197,18 @@ func runFleetChaos(t *testing.T, plan chaosPlan) map[string]jobOutcome {
 	}
 	stopHealthy()
 	wg.Wait()
+	// One lease table: the fleet-wide count, the per-worker counts and the
+	// scheduler's own table agree.
+	st, held := coord.FleetStatus(), sc.HeldLeases()
+	perWorker, table := 0, 0
+	for _, w := range st.Workers {
+		perWorker += w.InFlight
+		table += len(held[w.ID])
+	}
+	if st.RemoteLeases != perWorker || perWorker != table || table != sc.InFlight() {
+		t.Errorf("lease counts disagree: remote %d, per-worker %d, held in the table %d, in flight %d",
+			st.RemoteLeases, perWorker, table, sc.InFlight())
+	}
 	return jobOutcomes(t, sc, ids)
 }
 

@@ -21,14 +21,7 @@ func TestConcurrentSubmitAndAgentFetchSharePlanCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord := NewCoordinator(sc, CoordinatorConfig{
-		LeaseTTL:          500 * time.Millisecond,
-		HeartbeatInterval: 40 * time.Millisecond,
-		SweepInterval:     20 * time.Millisecond,
-		DeadAfter:         2 * time.Second,
-		PollInterval:      5 * time.Millisecond,
-		Seed:              fleetSeed,
-	})
+	coord := NewCoordinator(sc, CoordinatorConfig{LeaseTTL: 500 * time.Millisecond, Seed: fleetSeed})
 	coord.Start()
 	defer coord.Stop()
 	srv := httptest.NewServer(coord.Handler())

@@ -1,5 +1,5 @@
 // Package fleet turns the scheduler's two-phase lease API into a real
-// distributed execution layer: a coordinator exposes PickWork/Complete over
+// distributed execution layer: a coordinator exposes Grant/Settle over
 // HTTP, and elastic worker agents (cmd/easeml-worker, or in-process Agents)
 // register with their capabilities, poll for leases, execute them through a
 // pluggable Executor, stream heartbeats and report results. Leases carry a
@@ -19,12 +19,21 @@
 //	  ▼                                     └──────────┘             (trainsim,
 //	coordinator ──lease──▶ agents … ──complete(+lease)──▶ coordinator  or yours)
 //	  │
-//	  ├── registry: join/leave/dead, per-worker in-flight + failures
+//	  ├── registry: join/leave/dead, per-worker outcome tallies
 //	  └── sweeper: lease TTL expiry ──▶ re-queue + WAL lease_expired
 //
-// The in-process execution engine (internal/engine) runs its local workers
-// through the same Executor interface, so "local" is just the degenerate
-// fleet member with zero network in between.
+// Which worker holds which lease is recorded once, in the scheduler's
+// lease table: heartbeat, complete and leave ask it (Scheduler.HeldLease,
+// HeldLeases), and the in-flight counts of GET /admin/fleet are read from
+// it. The coordinator owns the lease TTL and the clock, and hands the
+// table each deadline and the time. A reclaimed lease — expired, or
+// preempted for guaranteed work — drops out of the holder's next
+// heartbeat answer, and that is the agent's one abort signal.
+//
+// The in-process execution engine (internal/engine) is a separate loop
+// over the same Grant/Settle pair: its local workers call
+// server.Trainer.Train directly, with no Executor, agent or network in
+// between.
 package fleet
 
 import "repro/internal/telemetry"
@@ -123,16 +132,12 @@ type HeartbeatRequest struct {
 	LeaseIDs []int  `json:"lease_ids,omitempty"`
 }
 
-// HeartbeatResponse echoes the subset of LeaseIDs still outstanding; a
-// lease missing from KnownLeases was reclaimed (expired) and the worker
-// should abort its run — a late result would only bounce off 409.
-// Preempted lists leases reclaimed by priority preemption since the last
-// heartbeat: the explicit abort signal, so agents can distinguish "your
-// run was displaced by guaranteed work" from an expiry and kill the run
-// without waiting to notice the missing KnownLeases entry.
+// HeartbeatResponse echoes the subset of LeaseIDs the worker still holds;
+// a lease missing from KnownLeases was reclaimed (expired, or preempted
+// for guaranteed work) and the worker should abort its run — a late
+// result would only bounce off 409.
 type HeartbeatResponse struct {
 	KnownLeases []int `json:"known_leases,omitempty"`
-	Preempted   []int `json:"preempted,omitempty"`
 }
 
 // CompleteRequest reports the outcome of one leased run. A non-empty Error

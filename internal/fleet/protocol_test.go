@@ -198,8 +198,8 @@ func TestOutOfRangeResultIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	coord := NewCoordinator(sc, CoordinatorConfig{Seed: fleetSeed, LeaseTTL: time.Second,
-		PollInterval: 5 * time.Millisecond, Clock: clk.Now})
+	coord := NewCoordinator(sc, CoordinatorConfig{Seed: fleetSeed, LeaseTTL: time.Second})
+	coord.setClock(clk.Now)
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 	pc := newProtoClient(srv.URL, nil)

@@ -23,19 +23,14 @@ func TestLeaseSpanTreeAcrossProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord := NewCoordinator(sc, CoordinatorConfig{
-		LeaseTTL:          2 * time.Second,
-		HeartbeatInterval: 50 * time.Millisecond,
-		SweepInterval:     25 * time.Millisecond,
-		PollInterval:      10 * time.Millisecond,
-		Seed:              fleetSeed,
-	})
+	coord := NewCoordinator(sc, CoordinatorConfig{LeaseTTL: 2 * time.Second, Seed: fleetSeed})
 	coord.Start()
 	defer coord.Stop()
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
-	agent, err := NewAgent(AgentConfig{Coordinator: srv.URL, Name: "span-worker"})
+	agent, err := NewAgent(AgentConfig{Coordinator: srv.URL, Name: "span-worker",
+		PollInterval: 10 * time.Millisecond, HeartbeatInterval: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

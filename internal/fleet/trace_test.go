@@ -68,12 +68,9 @@ func TestLeaseTracePropagatesToCoordinatorAndWorkerLogs(t *testing.T) {
 
 	var coordBuf, workerBuf syncBuffer
 	coord := NewCoordinator(sc, CoordinatorConfig{
-		LeaseTTL:          2 * time.Second,
-		HeartbeatInterval: 50 * time.Millisecond,
-		SweepInterval:     25 * time.Millisecond,
-		PollInterval:      10 * time.Millisecond,
-		Seed:              fleetSeed,
-		Logger:            slog.New(slog.NewJSONHandler(&coordBuf, nil)),
+		LeaseTTL: 2 * time.Second,
+		Seed:     fleetSeed,
+		Logger:   slog.New(slog.NewJSONHandler(&coordBuf, nil)),
 	})
 	coord.Start()
 	defer coord.Stop()
@@ -81,9 +78,11 @@ func TestLeaseTracePropagatesToCoordinatorAndWorkerLogs(t *testing.T) {
 	defer srv.Close()
 
 	agent, err := NewAgent(AgentConfig{
-		Coordinator: srv.URL,
-		Name:        "tracer",
-		Logger:      slog.New(slog.NewJSONHandler(&workerBuf, nil)),
+		Coordinator:       srv.URL,
+		Name:              "tracer",
+		PollInterval:      10 * time.Millisecond,
+		HeartbeatInterval: 50 * time.Millisecond,
+		Logger:            slog.New(slog.NewJSONHandler(&workerBuf, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)

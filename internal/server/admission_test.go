@@ -214,7 +214,7 @@ func TestPreemptForPriority(t *testing.T) {
 		t.Fatalf("picked %d leases", len(leases))
 	}
 	for _, l := range leases {
-		if err := sc.AssignLease(l, "worker-0001"); err != nil {
+		if err := sc.AssignLease(l, "worker-0001", time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,7 +314,7 @@ func TestNoPreemptionWithoutGuaranteedDemand(t *testing.T) {
 	if err != nil || len(leases) != 1 {
 		t.Fatalf("pick: %v (%d leases)", err, len(leases))
 	}
-	if err := sc.AssignLease(leases[0], "worker-0001"); err != nil {
+	if err := sc.AssignLease(leases[0], "worker-0001", time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sc.Submit("bob", tsProgram); err != nil {

@@ -125,8 +125,6 @@ func runInvariantSeed(t *testing.T, seed int64) {
 		trained: make(map[string]int),
 		settled: make(map[int]bool),
 	}
-	sc.SetClock(h.clock)
-	sc.SetLeaseTTL(time.Second)
 
 	jobs := make(map[string]string) // tenant → job id
 	for _, tenant := range []string{"alice", "bob", "carol"} {
@@ -175,7 +173,7 @@ func runInvariantSeed(t *testing.T, seed int64) {
 			for _, l := range batch {
 				if h.rng.Intn(4) > 0 {
 					worker := fmt.Sprintf("worker-%d", 1+h.rng.Intn(3))
-					if err := h.sc.AssignLease(l, worker); err != nil {
+					if err := h.sc.AssignLease(l, worker, h.clock().Add(time.Second)); err != nil {
 						t.Fatalf("op %d assign: %v", op, err)
 					}
 				}
@@ -207,11 +205,11 @@ func runInvariantSeed(t *testing.T, seed int64) {
 		case 8: // worker kill: heartbeat a surviving subset, expire the rest
 			for _, l := range h.outstanding {
 				if l.Worker != "" && h.rng.Intn(2) == 0 {
-					_ = h.sc.HeartbeatLease(l.ID) // may already be gone; fine
+					_ = h.sc.HeartbeatLease(l.ID, l.Worker, h.clock().Add(time.Second)) // may already be gone; fine
 				}
 			}
 			h.advance(time.Duration(600+h.rng.Intn(900)) * time.Millisecond)
-			expired, err := h.sc.ExpireLeases()
+			expired, err := h.sc.ExpireLeases(h.clock())
 			if err != nil {
 				t.Fatalf("expire: %v", err)
 			}

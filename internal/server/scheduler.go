@@ -84,14 +84,18 @@
 //
 // # Lease TTL and expiry
 //
-// With SetLeaseTTL the scheduler supports remote workers that can die
-// mid-training: every lease carries an expiry deadline refreshed by
-// HeartbeatLease, and ExpireLeases (driven by the fleet coordinator's
-// sweeper) removes leases whose holder went silent, making their arms
-// selectable again — the candidate re-enters GP-BUCB selection exactly
-// once, because a late Complete/Release for an expired lease fails with
-// ErrLeaseConflict. A zero TTL (the default, and what the in-process
-// engine uses) means leases never expire.
+// The scheduler supports remote workers that can die mid-training. The
+// lease table records which worker holds each lease and until when:
+// AssignLease names the holder and sets the lease's deadline,
+// HeartbeatLease moves it, and ExpireLeases (driven by the fleet
+// coordinator's sweeper) removes leases whose deadline passed, making
+// their arms selectable again — the candidate re-enters GP-BUCB selection
+// exactly once, because a late Complete/Release for an expired lease fails
+// with ErrLeaseConflict. The coordinator keeps no copy of the table; it
+// asks HeldLease and HeldLeases who holds what. The TTL and the clock are
+// the coordinator's: the scheduler has neither, and is handed deadlines
+// and the time. A lease no worker holds (the in-process engine's,
+// RunRound's) has no deadline and never expires.
 package server
 
 import (
@@ -381,12 +385,6 @@ type Scheduler struct {
 	// persistent hallucination shadows. Guarded by coordMu.
 	selIdx selectionIndex
 
-	// leaseTTL makes leases expire when their holder goes silent (0 = never,
-	// the in-process engine's mode); now is the injectable clock expiry runs
-	// on. Both are set before serving traffic and read under coordMu.
-	leaseTTL time.Duration
-	now      func() time.Time
-
 	// failCounts tallies failed training runs per (job, arm) and retryBudget
 	// is how many of them Settle tolerates before it abandons the candidate.
 	// Both live here — not in an executor — so a candidate alternating
@@ -433,7 +431,6 @@ func NewScheduler(trainer Trainer, adm *admission.Controller, serverAddr string)
 		leases:      make(map[int]*Lease),
 		failCounts:  make(map[failKey]int),
 		retryBudget: 3,
-		now:         time.Now,
 		plans:       lru.New[string, *programPlan]("plan", planCacheCapacity),
 	}
 }
@@ -454,28 +451,12 @@ func (sc *Scheduler) SetRetryBudget(n int) {
 	sc.coordMu.Unlock()
 }
 
-// SetLeaseTTL makes every subsequently picked lease expire unless its
-// holder heartbeats within d (0 restores never-expiring leases). Set it
-// before serving remote workers; the in-process engine settles its leases
-// synchronously and runs without a TTL.
-func (sc *Scheduler) SetLeaseTTL(d time.Duration) {
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	sc.leaseTTL = d
-}
-
-// SetClock replaces the clock lease expiry runs on — tests drive expiry
-// deterministically instead of sleeping. Set before serving traffic.
-func (sc *Scheduler) SetClock(now func() time.Time) {
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	sc.now = now
-}
-
-// AssignLease records which worker holds an outstanding lease, so expiry
-// can attribute the reclaimed work. It errors (ErrLeaseConflict) on a lease
-// that is not outstanding or already settling.
-func (sc *Scheduler) AssignLease(l *Lease, worker string) error {
+// AssignLease records which worker holds an outstanding lease and the
+// deadline after which ExpireLeases reclaims it (zero: never), so a lease
+// has a deadline exactly when a worker holds it. It errors
+// (ErrLeaseConflict) on a lease that is not outstanding or already
+// settling.
+func (sc *Scheduler) AssignLease(l *Lease, worker string, expires time.Time) error {
 	if l == nil {
 		return fmt.Errorf("server: nil lease")
 	}
@@ -485,46 +466,73 @@ func (sc *Scheduler) AssignLease(l *Lease, worker string) error {
 	if !ok || stored != l || stored.settling {
 		return fmt.Errorf("server: assigning lease %d (%s/%s): %w", l.ID, l.JobID, l.Candidate.Name(), ErrLeaseConflict)
 	}
-	stored.Worker = worker
+	stored.Worker, stored.Expires = worker, expires
 	return nil
 }
 
-// HeartbeatLease refreshes an outstanding lease's expiry deadline. It
-// errors (ErrLeaseConflict) on an unknown lease id — the holder learns its
-// lease was reclaimed and should abort the run.
-func (sc *Scheduler) HeartbeatLease(id int) error {
+// HeldLease returns lease id if it is outstanding, held by worker and not
+// being settled; otherwise nil.
+func (sc *Scheduler) HeldLease(id int, worker string) *Lease {
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
-	stored, ok := sc.leases[id]
-	if !ok {
-		return fmt.Errorf("server: heartbeat for lease %d: %w", id, ErrLeaseConflict)
-	}
-	if sc.leaseTTL > 0 {
-		stored.Expires = sc.now().Add(sc.leaseTTL)
+	return sc.heldLocked(id, worker)
+}
+
+// heldLocked is HeldLease under coordMu. An empty worker holds nothing:
+// a report naming no worker must not reach the engine's leases.
+func (sc *Scheduler) heldLocked(id int, worker string) *Lease {
+	if l, ok := sc.leases[id]; ok && l.Worker == worker && worker != "" && !l.settling {
+		return l
 	}
 	return nil
 }
 
-// ExpireLeases reclaims every worker-assigned lease whose deadline has
-// passed: the lease leaves the table, so its arm re-enters GP-BUCB
-// selection — exactly once, because any late Complete/Release for it now
-// fails with ErrLeaseConflict. Leases mid-settlement are left alone (their
-// result is landing), as are unassigned leases — the in-process engine
-// settles its leases synchronously and has no heartbeat to keep them
-// alive, so expiry must never reclaim under a local worker mid-training.
-// With a WAL attached the sweep's expiries are logged as one batch (one
-// commit however many leases lapsed), so the operational history survives
-// a crash. It returns the expired leases for registry bookkeeping.
-func (sc *Scheduler) ExpireLeases() ([]*Lease, error) {
+// HeldLeases returns the outstanding leases by holding worker; a lease no
+// worker holds (the in-process engine's) is left out.
+func (sc *Scheduler) HeldLeases() map[string][]*Lease {
+	sc.coordMu.Lock()
+	defer sc.coordMu.Unlock()
+	held := make(map[string][]*Lease)
+	for _, l := range sc.leases {
+		if l.Worker != "" {
+			held[l.Worker] = append(held[l.Worker], l)
+		}
+	}
+	return held
+}
+
+// HeartbeatLease moves the deadline of a lease worker holds to expires. It
+// errors (ErrLeaseConflict) when HeldLease would answer nil — the holder
+// learns its lease was reclaimed and should abort the run.
+func (sc *Scheduler) HeartbeatLease(id int, worker string, expires time.Time) error {
+	sc.coordMu.Lock()
+	defer sc.coordMu.Unlock()
+	l := sc.heldLocked(id, worker)
+	if l == nil {
+		return fmt.Errorf("server: heartbeat for lease %d of %s: %w", id, worker, ErrLeaseConflict)
+	}
+	l.Expires = expires
+	return nil
+}
+
+// ExpireLeases reclaims every lease whose deadline is before now: the
+// lease leaves the table, so its arm re-enters GP-BUCB selection — exactly
+// once, because any late Complete/Release for it now fails with
+// ErrLeaseConflict. Leases mid-settlement are left alone (their result is
+// landing), as are leases no worker holds, which have no deadline — the
+// in-process engine settles its leases synchronously and has no heartbeat
+// to keep them alive, so expiry must never reclaim under a local worker
+// mid-training. With a WAL attached the sweep's expiries are logged as one
+// batch (one commit however many leases lapsed), so the operational
+// history survives a crash. It returns the expired leases for registry
+// bookkeeping.
+func (sc *Scheduler) ExpireLeases(now time.Time) ([]*Lease, error) {
 	sc.coordMu.Lock()
 	var expired []*Lease
-	if sc.leaseTTL > 0 {
-		now := sc.now()
-		for _, l := range sc.leases {
-			if !l.settling && l.Worker != "" && !l.Expires.IsZero() && l.Expires.Before(now) {
-				sc.dropLeaseLocked(l)
-				expired = append(expired, l)
-			}
+	for _, l := range sc.leases {
+		if !l.settling && !l.Expires.IsZero() && l.Expires.Before(now) {
+			sc.dropLeaseLocked(l)
+			expired = append(expired, l)
 		}
 	}
 	sc.coordMu.Unlock()
@@ -775,13 +783,15 @@ type Lease struct {
 	// selected at; Complete feeds it into the σ̃ recurrence.
 	UCB float64
 
-	// Worker is the fleet worker the lease is assigned to (empty for the
-	// in-process engine); AssignLease sets it. Guarded by coordMu while the
-	// lease is outstanding.
+	// Worker is the fleet worker holding the lease (empty for the
+	// in-process engine and RunRound); AssignLease sets it. The fleet
+	// coordinator keeps no copy: HeldLease and HeldLeases read it. Guarded
+	// by coordMu while the lease is outstanding.
 	Worker string
 	// Expires is the deadline after which ExpireLeases reclaims the lease;
-	// zero means the lease never expires. Stamped at pick time when a TTL
-	// is configured and refreshed by HeartbeatLease. Guarded by coordMu.
+	// zero means the lease never expires. AssignLease sets it, so only a
+	// worker-held lease has one, and HeartbeatLease moves it. Guarded by
+	// coordMu.
 	Expires time.Time
 
 	// Trace is the lease's lifecycle trace ID, minted at pick time. It
@@ -1023,18 +1033,14 @@ func (sc *Scheduler) leaseArmLocked(i int, selectT0 time.Time) (*Lease, error) {
 	return l, nil
 }
 
-// newLeaseLocked mints the lease for (job, arm) priced at ucb, stamped with
-// its expiry when a TTL is configured. The caller attaches the root span
-// and publishes it with addLeaseLocked. Callers hold coordMu.
+// newLeaseLocked mints the lease for (job, arm) priced at ucb. The caller
+// attaches the root span and publishes it with addLeaseLocked. Callers
+// hold coordMu.
 func (sc *Scheduler) newLeaseLocked(job *Job, arm int, ucb float64) *Lease {
 	sc.nextLease++
-	l := &Lease{ID: sc.nextLease, JobID: job.ID, Arm: arm, Candidate: job.Candidates[arm], UCB: ucb,
-		Trace: telemetry.NewTraceID(), entry: job.tenant.ID}
 	leaseTraces.Inc()
-	if sc.leaseTTL > 0 {
-		l.Expires = sc.now().Add(sc.leaseTTL)
-	}
-	return l
+	return &Lease{ID: sc.nextLease, JobID: job.ID, Arm: arm, Candidate: job.Candidates[arm], UCB: ucb,
+		Trace: telemetry.NewTraceID(), entry: job.tenant.ID}
 }
 
 // addLeaseLocked and dropLeaseLocked are the only writers of the lease

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/cluster"
@@ -558,10 +559,10 @@ func TestLeaseConflictsAreTyped(t *testing.T) {
 	if err := sc.Release(work[0]); !errors.Is(err, server.ErrLeaseConflict) {
 		t.Errorf("Release after Complete: %v, want ErrLeaseConflict", err)
 	}
-	if err := sc.AssignLease(work[0], "w"); !errors.Is(err, server.ErrLeaseConflict) {
+	if err := sc.AssignLease(work[0], "w", time.Time{}); !errors.Is(err, server.ErrLeaseConflict) {
 		t.Errorf("AssignLease after Complete: %v, want ErrLeaseConflict", err)
 	}
-	if err := sc.HeartbeatLease(work[0].ID); !errors.Is(err, server.ErrLeaseConflict) {
+	if err := sc.HeartbeatLease(work[0].ID, "w", time.Time{}); !errors.Is(err, server.ErrLeaseConflict) {
 		t.Errorf("HeartbeatLease after Complete: %v, want ErrLeaseConflict", err)
 	}
 }

@@ -81,8 +81,7 @@ func TestLeaseRootEndsExactlyOnce(t *testing.T) {
 	}
 	sc := NewScheduler(NewSimTrainer(cluster.NewPool(8, 0.9), 42), ctrl, "")
 	var clock atomic.Int64
-	sc.SetClock(func() time.Time { return time.Unix(clock.Load(), 0) })
-	sc.SetLeaseTTL(time.Second)
+	now := func() time.Time { return time.Unix(clock.Load(), 0) }
 	sc.SetRetryBudget(1) // a failed run's settle abandons; Release releases
 	for k := 0; k < 12; k++ {
 		for _, tenant := range []string{"carol", "carol", "alice"} {
@@ -108,7 +107,7 @@ func TestLeaseRootEndsExactlyOnce(t *testing.T) {
 			break
 		}
 		for _, l := range leases {
-			if err := sc.AssignLease(l, "worker-0001"); err != nil {
+			if err := sc.AssignLease(l, "worker-0001", now().Add(time.Second)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -137,7 +136,7 @@ func TestLeaseRootEndsExactlyOnce(t *testing.T) {
 			}
 		}
 		expire := func() {
-			expired, err := sc.ExpireLeases()
+			expired, err := sc.ExpireLeases(now())
 			if err != nil {
 				t.Error(err)
 			}
