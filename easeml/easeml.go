@@ -139,9 +139,10 @@ type ServiceConfig struct {
 	// regime where the async engine's multi-device strategy wins.
 	Alpha float64
 	// Workers, when positive, attaches the async execution engine: that
-	// many concurrent trainers, each accounted on its own device slice of
-	// the pool (§5.3.2's multi-device strategy). Zero keeps the serialized
-	// single-device strategy driven by RunRounds.
+	// many concurrent trainers, each holding at most one lease and
+	// accounted on its own device slice of the pool (§5.3.2's multi-device
+	// strategy). Zero keeps the serialized single-device strategy driven
+	// by RunRounds.
 	Workers int
 	// TrainDelay makes each simulated training take real wall time, so
 	// engine concurrency is observable in benchmarks (default instant).
@@ -365,7 +366,7 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 			devices = cfg.GPUs
 		}
 		trainer.Devices = devices
-		s.engine = engine.New(sched, trainer, engine.Config{Workers: cfg.Workers})
+		s.engine = engine.New(sched, trainer, cfg.Workers)
 	}
 	if cfg.Pprof {
 		// -pprof arms the contention profilers too: without these the mutex
@@ -495,7 +496,7 @@ func (s *Service) GPUTime() float64 { return s.pool.Now() }
 func (s *Service) Handler() http.Handler {
 	api := server.NewAPI(s.sched).WithReadiness(s.Ready)
 	if s.engine != nil {
-		api.WithEngine(engineControl{s})
+		api.WithEngine(engineControl{s.engine, s.pool})
 	}
 	if s.coord == nil && !s.pprof {
 		return api.Handler()
@@ -565,8 +566,8 @@ func (s *Service) StartEngine() error {
 	return s.engine.Start()
 }
 
-// StopEngine gracefully stops the engine: running trainings finish, queued
-// leases are handed back, and it returns once every lease is settled.
+// StopEngine gracefully stops the engine: each worker finishes and settles
+// the run it is on, and it returns once every lease is settled.
 func (s *Service) StopEngine() error {
 	if s.engine == nil {
 		return fmt.Errorf("easeml: service has no engine (set ServiceConfig.Workers)")
@@ -574,13 +575,14 @@ func (s *Service) StopEngine() error {
 	return s.engine.Stop()
 }
 
-// EngineMetrics snapshots the engine counters; ok is false when the service
-// has no engine.
-func (s *Service) EngineMetrics() (engine.Metrics, bool) {
+// EngineMetrics snapshots the engine counters, with the virtual times left
+// zero (read them with VirtualTimes); ok is false when the service has no
+// engine.
+func (s *Service) EngineMetrics() (server.EngineStatus, bool) {
 	if s.engine == nil {
-		return engine.Metrics{}, false
+		return server.EngineStatus{}, false
 	}
-	return s.engine.Metrics(), true
+	return s.engine.Status(), true
 }
 
 // VirtualTimes reports the pool's virtual-time accounting: the makespan of
@@ -610,7 +612,7 @@ func (s *Service) DrainEngine(ctx context.Context) (EngineRunSummary, error) {
 	if s.engine == nil {
 		return EngineRunSummary{}, fmt.Errorf("easeml: service has no engine (set ServiceConfig.Workers)")
 	}
-	before := s.engine.Metrics()
+	before := s.engine.Status()
 	start := time.Now()
 	// Drain errors (ErrInterrupted) on any exit before the work ran dry —
 	// caller cancellation or a concurrent StopEngine — so a partial drain
@@ -618,7 +620,7 @@ func (s *Service) DrainEngine(ctx context.Context) (EngineRunSummary, error) {
 	if err := s.engine.Drain(ctx); err != nil {
 		return EngineRunSummary{}, fmt.Errorf("easeml: engine drain aborted: %w", err)
 	}
-	m := s.engine.Metrics()
+	m := s.engine.Status()
 	makespan, single := s.VirtualTimes()
 	sum := EngineRunSummary{
 		Rounds:       m.Completed - before.Completed,
@@ -627,10 +629,11 @@ func (s *Service) DrainEngine(ctx context.Context) (EngineRunSummary, error) {
 		SingleDevice: single,
 	}
 	// Engine counters are cumulative across runs; the summary reports this
-	// drain alone, so utilization comes from the busy/elapsed deltas.
-	busyDelta := sumBusy(m.PerWorker) - sumBusy(before.PerWorker)
-	if elapsedDelta := m.Elapsed - before.Elapsed; elapsedDelta > 0 && m.Workers > 0 {
-		sum.Utilization = float64(busyDelta) / (float64(elapsedDelta) * float64(m.Workers))
+	// drain alone, so utilization comes from the busy/uptime deltas (busy
+	// is Utilization × Uptime per worker).
+	if elapsed := m.Uptime - before.Uptime; elapsed > 0 {
+		busy := m.Utilization*m.Uptime.Seconds() - before.Utilization*before.Uptime.Seconds()
+		sum.Utilization = busy / elapsed.Seconds()
 	}
 	if makespan > 0 {
 		sum.Speedup = single / makespan
@@ -638,39 +641,16 @@ func (s *Service) DrainEngine(ctx context.Context) (EngineRunSummary, error) {
 	return sum, nil
 }
 
-func sumBusy(ws []engine.WorkerStats) time.Duration {
-	var busy time.Duration
-	for _, w := range ws {
-		busy += w.Busy
-	}
-	return busy
+// engineControl is the service's engine on the server admin surface, its
+// status carrying the pool's virtual times.
+type engineControl struct {
+	*engine.Engine
+	pool *cluster.Pool
 }
 
-// engineControl adapts the service's engine to the server admin surface,
-// folding in the pool's virtual-time accounting.
-type engineControl struct{ s *Service }
-
-func (c engineControl) Start() error { return c.s.StartEngine() }
-func (c engineControl) Stop() error  { return c.s.StopEngine() }
-
 func (c engineControl) Status() server.EngineStatus {
-	m, _ := c.s.EngineMetrics()
-	st := server.EngineStatus{
-		Running:     m.Running,
-		Workers:     m.Workers,
-		Completed:   m.Completed,
-		Released:    m.Released,
-		Abandoned:   m.Abandoned,
-		Errors:      m.Errors,
-		InFlight:    m.InFlight,
-		QueueDepth:  m.QueueDepth,
-		Uptime:      m.Elapsed,
-		Utilization: m.Utilization,
-	}
-	for _, w := range m.PerWorker {
-		st.PerWorker = append(st.PerWorker, server.EngineWorkerStatus(w))
-	}
-	st.VirtualMakespan, st.VirtualSingleDevice = c.s.VirtualTimes()
+	st := c.Engine.Status()
+	st.VirtualMakespan, st.VirtualSingleDevice = c.pool.Makespan(), c.pool.SingleDeviceTime()
 	return st
 }
 

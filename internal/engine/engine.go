@@ -6,32 +6,31 @@
 // (server.Scheduler.Grant / Settle) under GP-BUCB hallucination so
 // concurrent picks diversify.
 //
-// The engine is a dispatcher plus N workers around a bounded work queue:
+// The engine is W workers, each on the one-lease cycle of
+// Scheduler.RunRound, so at most W leases are in flight:
 //
-//	dispatcher ──Grant──▶ [bounded queue] ──▶ worker 0 ──Train──▶ Settle
-//	     ▲                               └──▶ worker 1 ──Train──▶ Settle
-//	     └──────────── kick on settle ◀───────────┘
+//	worker 0 ──Grant(1)──▶ Train ──▶ Settle ──▶ Grant(1) …
+//	worker 1 ──Grant(1)──▶ Train ──▶ Settle ──▶ Grant(1) …
 //
-// The dispatcher was measured against its removal and stays. In the
-// alternative each worker loops Grant(1) → Train → Settle with no queue
-// (idleness sampled before a retry Grant; a worker that finds work or
-// exits kicks the next). Over ten alternated pairs of drain_engine (seed 1,
-// 10 s, 2 CPUs) no row was worse beyond its bound: ops_per_s 27,255 →
-// 29,588 (1.09×, not a gain), cpu_ms_per_op 0.84×, op_p50_ms 0.88×, but
-// op_p95_ms 0.0498 → 0.0598 ms (1.20×), every run above the dispatcher's
-// median. Traced, hallucination time fell 557 → 93 ms (in-flight leases
-// drop from 2×W to W) while coordMu wait rose 60 → 117 ms, and two
-// CPU-bound workers that never block stretched the harness sampler's poll
-// gaps (p95 3 → 6 ms, p99 4 → 11 ms). Not favoured on both ops_per_s and
-// op_p95_ms, so the dispatcher stays. What a failed run costs — retry or
-// abandon — is the scheduler's decision (Settle), shared with every other
-// executor.
+// A worker that finds no work waits for a kick, a poll tick or
+// cancellation; one that gets a lease kicks the next idle worker, so a
+// Submit's kick fans out to all of them. No dispatcher grants ahead of the
+// workers: against one that kept 2×W leases in a bounded queue, ten
+// alternated pairs of every workload (10 s, 2 CPUs) had no row worse than
+// its bound, and drain_engine cpu_ms_per_op read 0.0326 → 0.0260 ms
+// (0.80×), ops_per_s 1.02×, op_p95_ms 0.98×. The price: a worker with
+// work never parks, so while W ≥ GOMAXPROCS a goroutine queued on a P
+// whose thread the OS has descheduled waits out that stall (the Go
+// scheduler steals only into an idle P), where the dispatcher's hand-offs
+// idled a P often enough to rescue it. A run therefore starts its workers
+// only after the caller's P has run what it had queued.
 //
-// Leases flow exactly once: every lease the dispatcher obtains is settled
-// (result observed, or the failed run released/abandoned) or released
-// (drain), never both, never twice. Stopping is graceful: workers finish
-// the run they are on, queued-but-unstarted leases are released back to the
-// scheduler, and Stop and Drain return only when every lease is settled.
+// What a failed run costs — retry or abandon — is the scheduler's decision
+// (Settle), shared with every other executor.
+//
+// Every lease a worker is granted is trained and settled exactly once.
+// Stopping is graceful: each worker finishes and settles the run it is on,
+// and Stop and Drain return only when every worker has.
 package engine
 
 import (
@@ -39,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,40 +46,9 @@ import (
 	"repro/internal/server"
 )
 
-// Config parameterizes an Engine. The queue between dispatcher and workers
-// is Workers deep — enough to hide pick latency, small enough that stale
-// leases don't pile up — and at most 2×Workers leases (queued plus
-// training) are outstanding.
-type Config struct {
-	// Workers is the worker-pool size (default 4). Each worker trains one
-	// candidate at a time, so Workers bounds wall-clock concurrency.
-	Workers int
-}
-
-// idlePoll is the idle re-poll period in server mode; Kick wakes the
-// dispatcher sooner.
+// idlePoll is the idle re-poll period in server mode; Kick wakes an idle
+// worker sooner.
 const idlePoll = 50 * time.Millisecond
-
-// WorkerStats is the per-worker slice of Metrics.
-type WorkerStats struct {
-	Items int64         // completed training runs
-	Busy  time.Duration // wall time spent inside Train
-}
-
-// Metrics is a point-in-time snapshot of the engine counters.
-type Metrics struct {
-	Running     bool
-	Workers     int
-	Completed   int64 // scheduling rounds completed through this engine
-	Released    int64 // leases handed back untrained
-	Abandoned   int64 // candidates retired at the scheduler's retry budget
-	Errors      int64 // failed training runs or reports
-	InFlight    int   // leases currently queued or training
-	QueueDepth  int   // leases sitting in the bounded queue
-	Elapsed     time.Duration
-	PerWorker   []WorkerStats
-	Utilization float64 // mean busy fraction across workers over Elapsed
-}
 
 // ErrRunning is returned by Start/Drain when the engine is already running.
 var ErrRunning = errors.New("engine: already running")
@@ -90,12 +59,11 @@ var ErrInterrupted = errors.New("engine: drain interrupted before the work sourc
 
 // Engine keeps a device pool busy with leased scheduler work. Create with
 // New, then either Drain (blocking, until the scheduler runs dry) or
-// Start/Stop (server mode).
-// Counters are cumulative across runs.
+// Start/Stop (server mode). It is the server.EngineControl of the admin
+// endpoints. Counters are cumulative across runs.
 type Engine struct {
 	sched   *server.Scheduler
 	trainer server.Trainer
-	cfg     Config
 
 	kick chan struct{}
 
@@ -107,31 +75,37 @@ type Engine struct {
 
 	mu           sync.Mutex
 	running      bool
-	exitOnIdle   bool // effective mode of the current run
-	queue        chan *server.Lease
 	cancel       context.CancelFunc
 	done         chan struct{}
 	started      time.Time
 	elapsedTotal time.Duration // summed across finished runs
-	workers      []WorkerStats
+
+	workers []workerCounters
 }
 
-// New creates an engine that drains sched, training every lease on trainer
-// (usually sched.Trainer(); tests substitute failing ones).
-func New(sched *server.Scheduler, trainer server.Trainer, cfg Config) *Engine {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
+// workerCounters are one worker's cumulative counters, atomic so that a
+// worker takes no lock per run.
+type workerCounters struct {
+	items atomic.Int64 // completed training runs
+	busy  atomic.Int64 // nanoseconds spent inside Train
+}
+
+// New creates an engine of workers concurrent trainers (default 4) that
+// drains sched, training every lease on trainer (usually sched.Trainer();
+// tests substitute failing ones).
+func New(sched *server.Scheduler, trainer server.Trainer, workers int) *Engine {
+	if workers <= 0 {
+		workers = 4
 	}
 	return &Engine{
 		sched:   sched,
 		trainer: trainer,
-		cfg:     cfg,
 		kick:    make(chan struct{}, 1),
-		workers: make([]WorkerStats, cfg.Workers),
+		workers: make([]workerCounters, workers),
 	}
 }
 
-// Kick wakes an idle dispatcher immediately (e.g. after a job submission)
+// Kick wakes an idle worker immediately (e.g. after a job submission)
 // instead of waiting for the next poll tick. Safe to call at any time.
 func (e *Engine) Kick() {
 	select {
@@ -140,37 +114,36 @@ func (e *Engine) Kick() {
 	}
 }
 
-// Metrics snapshots the engine counters.
-func (e *Engine) Metrics() Metrics {
+// Status snapshots the engine counters. The virtual times are the pool's,
+// which the engine does not see; they are left zero.
+func (e *Engine) Status() server.EngineStatus {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	m := Metrics{
+	st := server.EngineStatus{
 		Running:   e.running,
-		Workers:   e.cfg.Workers,
+		Workers:   len(e.workers),
 		Completed: e.completed.Load(),
 		Released:  e.released.Load(),
 		Abandoned: e.abandoned.Load(),
 		Errors:    e.errs.Load(),
 		InFlight:  int(e.inFlight.Load()),
-		// Busy counters are cumulative across runs, so Elapsed must be too
+		// Busy counters are cumulative across runs, so Uptime must be too
 		// or Utilization would exceed 1 after a restart.
-		Elapsed:   e.elapsedTotal,
-		PerWorker: append([]WorkerStats(nil), e.workers...),
-	}
-	if e.queue != nil {
-		m.QueueDepth = len(e.queue)
+		Uptime: e.elapsedTotal,
 	}
 	if e.running {
-		m.Elapsed += time.Since(e.started)
+		st.Uptime += time.Since(e.started)
 	}
-	if m.Elapsed > 0 {
-		var busy time.Duration
-		for _, w := range m.PerWorker {
-			busy += w.Busy
-		}
-		m.Utilization = float64(busy) / (float64(m.Elapsed) * float64(len(m.PerWorker)))
+	var busy time.Duration
+	for i := range e.workers {
+		w := server.EngineWorkerStatus{Items: e.workers[i].items.Load(), Busy: time.Duration(e.workers[i].busy.Load())}
+		st.PerWorker = append(st.PerWorker, w)
+		busy += w.Busy
 	}
-	return m
+	if st.Uptime > 0 {
+		st.Utilization = float64(busy) / (float64(st.Uptime) * float64(len(st.PerWorker)))
+	}
+	return st
 }
 
 // Drain runs the engine until no work is available and nothing is in
@@ -178,15 +151,14 @@ func (e *Engine) Metrics() Metrics {
 // because it shares the engine's running guard, a Drain and a Start can
 // never race onto the same scheduler. A Drain cut short by its context or
 // by Stop returns ErrInterrupted: a partial drain must never look like a
-// completed one. On return every lease the engine obtained has been
-// completed or released.
+// completed one. On return every lease the engine obtained is settled.
 func (e *Engine) Drain(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if err := e.begin(cancel, true); err != nil {
+	if err := e.begin(cancel); err != nil {
 		return err
 	}
-	drained, err := e.execute(ctx)
+	drained, err := e.execute(ctx, cancel, true)
 	if err == nil && !drained {
 		return ErrInterrupted
 	}
@@ -198,39 +170,15 @@ func (e *Engine) Drain(ctx context.Context) error {
 // drain.
 func (e *Engine) Start() error {
 	ctx, cancel := context.WithCancel(context.Background())
-	if err := e.begin(cancel, false); err != nil {
+	if err := e.begin(cancel); err != nil {
 		cancel()
 		return err
 	}
 	go func() {
 		defer cancel()
-		_, _ = e.execute(ctx)
+		_, _ = e.execute(ctx, cancel, false)
 	}()
 	return nil
-}
-
-// execute runs the dispatcher and worker pool of an already-begun run; it
-// settles every lease before returning and always calls finish. drained
-// reports whether the run ended because the work source ran dry (as
-// opposed to cancellation).
-func (e *Engine) execute(ctx context.Context) (drained bool, err error) {
-	defer e.finish()
-	e.mu.Lock()
-	queue := e.queue
-	e.mu.Unlock()
-
-	var wg sync.WaitGroup
-	for w := 0; w < e.cfg.Workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			e.worker(ctx, id, queue)
-		}(w)
-	}
-	drained, err = e.dispatch(ctx, queue)
-	close(queue)
-	wg.Wait()
-	return drained, err
 }
 
 // Stop cancels the active run and blocks until every worker has settled its
@@ -248,130 +196,108 @@ func (e *Engine) Stop() error {
 	return nil
 }
 
-// begin transitions to running, allocating the per-run queue.
-func (e *Engine) begin(cancel context.CancelFunc, exitOnIdle bool) error {
+// begin transitions to running.
+func (e *Engine) begin(cancel context.CancelFunc) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.running {
 		return ErrRunning
 	}
 	e.running = true
-	e.exitOnIdle = exitOnIdle
 	e.started = time.Now()
-	e.queue = make(chan *server.Lease, e.cfg.Workers)
 	e.done = make(chan struct{})
 	e.cancel = cancel
 	return nil
 }
 
-// finish transitions out of running and closes the done latch.
-func (e *Engine) finish() {
+// execute runs the workers of an already-begun run until each has
+// returned, then transitions out of running. A worker whose grant fails
+// cancels the run. drained reports whether every worker stopped because
+// the scheduler ran dry (exitOnIdle), as opposed to cancellation.
+func (e *Engine) execute(ctx context.Context, cancel context.CancelFunc, exitOnIdle bool) (drained bool, err error) {
+	// Start the workers only once what this P already had queued has run (a
+	// poller the caller started just before, say): the goroutine that
+	// closes queued waits behind it, because the second go statement takes
+	// the P's next-run slot. Without this, a thread the OS deschedules at
+	// the start strands that queue for the whole run (see the package
+	// comment).
+	queued := make(chan struct{})
+	go close(queued)
+	go func() {}()
+	<-queued
+	dry := make([]bool, len(e.workers))
+	errs := make([]error, len(e.workers))
+	var wg sync.WaitGroup
+	for w := range e.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if dry[w], errs[w] = e.worker(ctx, w, exitOnIdle); errs[w] != nil {
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+
 	e.mu.Lock()
 	e.running = false
 	e.elapsedTotal += time.Since(e.started)
-	done := e.done
+	close(e.done)
 	e.mu.Unlock()
-	close(done)
+	return !slices.Contains(dry, false), errors.Join(errs...)
 }
 
-// dispatch leases work from the scheduler and feeds the bounded queue until
-// the context is cancelled or (exit-on-idle) the scheduler runs dry;
-// drained reports which of the two ended the run.
-func (e *Engine) dispatch(ctx context.Context, queue chan<- *server.Lease) (drained bool, err error) {
-	for {
-		if ctx.Err() != nil {
-			return false, nil
+// worker runs the one-lease cycle until the context is cancelled or
+// (exitOnIdle) the scheduler runs dry; dry reports which of the two.
+func (e *Engine) worker(ctx context.Context, id int, exitOnIdle bool) (dry bool, err error) {
+	for ctx.Err() == nil {
+		// Sample idleness BEFORE the grant: "no lease was outstanding and
+		// the grant still found nothing" proves the scheduler is dry. The
+		// scheduler-wide count folds in the other workers' leases and those
+		// held by remote fleet workers — a leased arm is invisible to Grant
+		// until it settles, and a failed run makes it selectable again. The
+		// reverse order would race with such a release landing between the
+		// grant and the sample, ending a drain with work left behind.
+		idleBefore := e.sched.InFlight() == 0
+		leases, err := e.sched.Grant(1, 0)
+		if err != nil {
+			e.errs.Add(1)
+			return false, fmt.Errorf("engine: picking work: %w", err)
 		}
-		// Sample idleness BEFORE polling: a worker settles its lease in the
-		// scheduler before decrementing inFlight, so "nothing was in flight
-		// and the poll still found nothing" proves the scheduler is dry. The
-		// scheduler-wide count folds in leases held by remote fleet workers
-		// — their untried arms are invisible to Grant, so a drain must not
-		// declare the scheduler dry while they are outstanding. The reverse
-		// order would race with a release landing between the poll and the
-		// in-flight check, ending a drain with work left behind.
-		local := int(e.inFlight.Load())
-		idleBefore := local == 0 && e.sched.InFlight() == 0
-		var work []*server.Lease
-		if want := 2*e.cfg.Workers - local; want > 0 {
-			if work, err = e.sched.Grant(want, 0); err != nil {
-				e.errs.Add(1)
-				return false, fmt.Errorf("engine: picking work: %w", err)
-			}
-		}
-		e.inFlight.Add(int64(len(work)))
-		for i, l := range work {
-			select {
-			case queue <- l:
-			case <-ctx.Done():
-				// Graceful stop while enqueueing: hand this lease and the
-				// rest of the batch straight back.
-				for _, rest := range work[i:] {
-					e.release(rest)
-				}
-				return false, nil
-			}
-		}
-		if len(work) > 0 {
+		if len(leases) > 0 {
+			e.Kick() // the next idle worker may find work too
+			e.train(id, leases[0])
 			continue
 		}
-		if idleBefore && e.exitOnIdle {
+		if idleBefore && exitOnIdle {
+			e.Kick() // pass the verdict on to the next idle worker
 			return true, nil
 		}
-		// Nothing to lease right now: wait for a settle or a new job (kick),
-		// a poll tick, or cancellation.
+		// Nothing to lease right now: wait for a kick (a grant elsewhere, a
+		// new job), a poll tick, or cancellation.
 		timer := time.NewTimer(idlePoll)
 		select {
 		case <-ctx.Done():
-			timer.Stop()
-			return false, nil
 		case <-e.kick:
-			timer.Stop()
 		case <-timer.C:
 		}
+		timer.Stop()
 	}
+	return false, nil
 }
 
-// worker trains leases from the queue until it closes. After cancellation it
-// keeps draining the queue but releases leases instead of training them.
-func (e *Engine) worker(ctx context.Context, id int, queue <-chan *server.Lease) {
-	for l := range queue {
-		if ctx.Err() != nil {
-			e.release(l)
-			continue
-		}
-		start := time.Now()
-		acc, cost, runErr := e.trainer.Train(l.JobID, l.Candidate)
-		busy := time.Since(start)
-
-		e.mu.Lock()
-		e.workers[id].Busy += busy
-		if runErr == nil {
-			e.workers[id].Items++
-		}
-		e.mu.Unlock()
-
-		if runErr != nil {
-			e.errs.Add(1)
-		}
-		outcome, err := e.sched.Settle(l, acc, cost, runErr)
-		e.settled(outcome, err)
-		// Woken goroutines inherit their waker's time slice, so without a
-		// yield the engine's hand-offs can keep the process's other
-		// goroutines (HTTP handlers, pollers) off every P for 10 ms.
-		runtime.Gosched()
+// train runs one lease and settles it, booking the outcome.
+func (e *Engine) train(id int, l *server.Lease) {
+	e.inFlight.Add(1)
+	start := time.Now()
+	acc, cost, runErr := e.trainer.Train(l.JobID, l.Candidate)
+	e.workers[id].busy.Add(int64(time.Since(start)))
+	if runErr == nil {
+		e.workers[id].items.Add(1)
+	} else {
+		e.errs.Add(1)
 	}
-}
-
-// release hands a lease back untrained (graceful stop).
-func (e *Engine) release(l *server.Lease) {
-	e.settled(server.SettledReleased, e.sched.Release(l))
-}
-
-// settled books one lease's terminal outcome and wakes the dispatcher. The
-// lease is settled in the scheduler before inFlight drops — dispatch's
-// idleness sample depends on that order.
-func (e *Engine) settled(outcome string, err error) {
+	outcome, err := e.sched.Settle(l, acc, cost, runErr)
 	switch {
 	case err != nil:
 		e.errs.Add(1)
@@ -383,5 +309,9 @@ func (e *Engine) settled(outcome string, err error) {
 		e.abandoned.Add(1)
 	}
 	e.inFlight.Add(-1)
-	e.Kick()
+	// A worker with work never blocks, and woken goroutines inherit their
+	// waker's time slice, so without a yield the workers can keep the
+	// process's other goroutines (HTTP handlers, pollers) off every P for
+	// 10 ms.
+	runtime.Gosched()
 }

@@ -2,8 +2,10 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,7 +46,7 @@ func newLoadedScheduler(t testing.TB, jobs int, delay time.Duration) (*server.Sc
 
 func TestEngineExhaustsAllCandidatesExactlyOnce(t *testing.T) {
 	sc, _, total := newLoadedScheduler(t, 4, 0)
-	eng := engine.New(sc, sc.Trainer(), engine.Config{Workers: 8})
+	eng := engine.New(sc, sc.Trainer(), 8)
 	if err := eng.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestEngineExhaustsAllCandidatesExactlyOnce(t *testing.T) {
 	if sc.InFlight() != 0 {
 		t.Errorf("%d leases still outstanding after drain", sc.InFlight())
 	}
-	m := eng.Metrics()
+	m := eng.Status()
 	if m.Completed != int64(total) || m.InFlight != 0 || m.Running {
 		t.Errorf("metrics %+v, want %d completed, idle", m, total)
 	}
@@ -86,7 +88,7 @@ func TestEngineExhaustsAllCandidatesExactlyOnce(t *testing.T) {
 
 func TestEngineRerunAfterDrain(t *testing.T) {
 	sc, _, total := newLoadedScheduler(t, 2, 0)
-	eng := engine.New(sc, sc.Trainer(), engine.Config{Workers: 4})
+	eng := engine.New(sc, sc.Trainer(), 4)
 	if err := eng.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestEngineMatchesSerialBestRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	parallel := mk(8)
-	eng := engine.New(parallel, parallel.Trainer(), engine.Config{Workers: 8})
+	eng := engine.New(parallel, parallel.Trainer(), 8)
 	if err := eng.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestEngineMatchesSerialBestRecords(t *testing.T) {
 
 func TestEngineDrainOnStop(t *testing.T) {
 	sc, _, total := newLoadedScheduler(t, 2, 2*time.Millisecond)
-	eng := engine.New(sc, sc.Trainer(), engine.Config{Workers: 4})
+	eng := engine.New(sc, sc.Trainer(), 4)
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +164,7 @@ func TestEngineDrainOnStop(t *testing.T) {
 	if sc.InFlight() != 0 {
 		t.Errorf("%d leases leaked by stop", sc.InFlight())
 	}
-	m := eng.Metrics()
+	m := eng.Status()
 	if int(m.Completed) != sc.Rounds() {
 		t.Errorf("engine completed %d vs scheduler rounds %d", m.Completed, sc.Rounds())
 	}
@@ -172,12 +174,98 @@ func TestEngineDrainOnStop(t *testing.T) {
 	// Resume and finish: released leases must be reschedulable, and nothing
 	// may be trained twice (Complete would error, Observe would panic).
 	sc.Trainer().(*server.SimTrainer).Delay = 0
-	eng2 := engine.New(sc, sc.Trainer(), engine.Config{Workers: 4})
+	eng2 := engine.New(sc, sc.Trainer(), 4)
 	if err := eng2.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if sc.Rounds() != total {
 		t.Errorf("resumed run finished at %d rounds, want %d", sc.Rounds(), total)
+	}
+}
+
+// countingTrainer counts Train calls per (job, candidate).
+type countingTrainer struct {
+	server.Trainer
+	mu     sync.Mutex
+	trains map[string]int
+}
+
+func (c *countingTrainer) Train(jobID string, cand templates.Candidate) (float64, float64, error) {
+	c.mu.Lock()
+	c.trains[jobID+"/"+cand.Name()]++
+	c.mu.Unlock()
+	return c.Trainer.Train(jobID, cand)
+}
+
+// Each worker holds at most one lease: a sampler polling the scheduler's
+// lease table through a drain with a slow trainer never sees more than W.
+func TestEngineHoldsAtMostWorkersLeases(t *testing.T) {
+	const workers = 4
+	sc, _, total := newLoadedScheduler(t, 2, time.Millisecond)
+	eng := engine.New(sc, sc.Trainer(), workers)
+	done := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		most := 0
+		for {
+			select {
+			case <-done:
+				peak <- most
+				return
+			default:
+			}
+			most = max(most, sc.InFlight())
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	err := eng.Drain(context.Background())
+	close(done)
+	most := <-peak
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Rounds() != total {
+		t.Errorf("drained %d rounds, want %d", sc.Rounds(), total)
+	}
+	if most == 0 || most > workers {
+		t.Errorf("sampler saw at most %d leases in flight, want 1..%d", most, workers)
+	}
+}
+
+// A Stop that lands during a Drain interrupts it with every lease settled:
+// nothing is left in the scheduler's table, every run was settled, and no
+// candidate trained twice.
+func TestEngineStopDuringDrain(t *testing.T) {
+	sc, _, total := newLoadedScheduler(t, 2, 2*time.Millisecond)
+	counting := &countingTrainer{Trainer: sc.Trainer(), trains: map[string]int{}}
+	eng := engine.New(sc, counting, 4)
+	drained := make(chan error, 1)
+	go func() { drained <- eng.Drain(context.Background()) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for sc.Rounds() < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if err := eng.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-drained; !errors.Is(err, engine.ErrInterrupted) {
+		t.Fatalf("stopped drain returned %v, want ErrInterrupted", err)
+	}
+	if sc.InFlight() != 0 {
+		t.Errorf("%d leases left in flight by the stop", sc.InFlight())
+	}
+	if sc.Rounds() >= total {
+		t.Fatalf("stop happened after all %d rounds; delay too short to test it", total)
+	}
+	runs := 0
+	for cand, n := range counting.trains {
+		runs += n
+		if n > 1 {
+			t.Errorf("%s trained %d times", cand, n)
+		}
+	}
+	if m := eng.Status(); runs != sc.Rounds() || m.Completed != int64(runs) || m.InFlight != 0 {
+		t.Errorf("%d runs, %d rounds, status %+v: every run must settle as one completion", runs, sc.Rounds(), m)
 	}
 }
 
@@ -212,15 +300,20 @@ func TestEngineSnapshotRestoreMidFlight(t *testing.T) {
 		}
 		total += len(job.Candidates)
 	}
-	eng := engine.New(sc, sc.Trainer(), engine.Config{Workers: 8})
+	eng := engine.New(sc, sc.Trainer(), 8)
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sc.Rounds() < 5 && time.Now().Before(deadline) {
+	// The workers' runs all take the same 1 ms, so they can settle in the
+	// same instant: compact right after a sample that saw leases out.
+	inFlight := 0
+	for deadline := time.Now().Add(5 * time.Second); inFlight == 0 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
+		if sc.Rounds() >= 5 {
+			inFlight = sc.InFlight()
+		}
 	}
-	if sc.InFlight() == 0 {
+	if inFlight == 0 {
 		t.Fatal("no leases in flight at the compaction")
 	}
 	if err := sc.Compact(); err != nil {
@@ -261,14 +354,14 @@ func TestEngineSnapshotRestoreMidFlight(t *testing.T) {
 			t.Errorf("recovered scalars of %s diverged:\nlive: %s\nrec:  %s", job.ID, w, g)
 		}
 	}
-	eng2 := engine.New(fresh, fresh.Trainer(), engine.Config{Workers: 8})
+	eng2 := engine.New(fresh, fresh.Trainer(), 8)
 	if err := eng2.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.Rounds() != total {
 		t.Errorf("recovered run finished at %d rounds, want %d", fresh.Rounds(), total)
 	}
-	if got := int(eng2.Metrics().Completed); got != total-settled {
+	if got := int(eng2.Status().Completed); got != total-settled {
 		t.Errorf("fresh engine trained %d, want %d (the unsettled remainder)", got, total-settled)
 	}
 }
@@ -295,11 +388,11 @@ func (f *flakyTrainer) EstimateCost(jobID string, c templates.Candidate) (float6
 func TestEngineSurvivesTrainerErrors(t *testing.T) {
 	sc, trainer, total := newLoadedScheduler(t, 2, 0)
 	flaky := &flakyTrainer{inner: trainer, budget: 5}
-	eng := engine.New(sc, flaky, engine.Config{Workers: 4})
+	eng := engine.New(sc, flaky, 4)
 	if err := eng.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	m := eng.Metrics()
+	m := eng.Status()
 	if m.Errors != 5 {
 		t.Errorf("expected 5 recorded errors, got %d", m.Errors)
 	}
@@ -336,8 +429,7 @@ func (b *brokenCandidateTrainer) EstimateCost(jobID string, c templates.Candidat
 func TestEngineGivesUpOnPermanentlyFailingCandidate(t *testing.T) {
 	sc, trainer, total := newLoadedScheduler(t, 1, 0)
 	broken := sc.Jobs()[0].Candidates[0].Name()
-	eng := engine.New(sc, &brokenCandidateTrainer{inner: trainer, broken: broken},
-		engine.Config{Workers: 4})
+	eng := engine.New(sc, &brokenCandidateTrainer{inner: trainer, broken: broken}, 4)
 	done := make(chan error, 1)
 	go func() { done <- eng.Drain(context.Background()) }()
 	select {
@@ -351,7 +443,7 @@ func TestEngineGivesUpOnPermanentlyFailingCandidate(t *testing.T) {
 	if sc.Rounds() != total-1 {
 		t.Fatalf("finished at %d rounds, want %d (all but the broken candidate)", sc.Rounds(), total-1)
 	}
-	m := eng.Metrics()
+	m := eng.Status()
 	if m.Errors != 3 {
 		t.Errorf("errors %d, want exactly the retry budget, 3", m.Errors)
 	}
@@ -385,21 +477,21 @@ func TestEngineMetricsAndVirtualTime(t *testing.T) {
 	if _, err := sc.Submit("a", imgProgram); err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(sc, trainer, engine.Config{Workers: 8})
+	eng := engine.New(sc, trainer, 8)
 	if err := eng.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// A clean drain: every candidate completed, nothing handed back, failed
 	// or left behind, and the workers' busy time adds up to a utilization.
 	total := int64(len(sc.Jobs()[0].Candidates))
-	m := eng.Metrics()
+	m := eng.Status()
 	if m.Completed != total || m.Released != 0 || m.Abandoned != 0 || m.Errors != 0 {
 		t.Errorf("metrics after a clean drain: %+v, want %d completed and nothing else", m, total)
 	}
-	if m.Running || m.InFlight != 0 || m.QueueDepth != 0 {
+	if m.Running || m.InFlight != 0 {
 		t.Errorf("engine not idle after the drain: %+v", m)
 	}
-	if m.Workers != 8 || len(m.PerWorker) != 8 || m.Elapsed <= 0 || m.Utilization <= 0 || m.Utilization > 1 {
+	if m.Workers != 8 || len(m.PerWorker) != 8 || m.Uptime <= 0 || m.Utilization <= 0 || m.Utilization > 1 {
 		t.Errorf("worker accounting: %+v", m)
 	}
 	// Multi-device accounting: 8 devices overlap, so the makespan must beat

@@ -51,15 +51,15 @@ func TestRetryBudgetIsSharedAcrossExecutors(t *testing.T) {
 	}
 
 	// Failure 1, engine path: one worker, so the top candidate is the first
-	// run; its failure stops the engine and everything queued is released.
+	// run; its failure stops the engine before a second one.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	tr := &stopOnFailTrainer{Trainer: sc.Trainer(), broken: broken, stop: cancel}
-	eng := engine.New(sc, tr, engine.Config{Workers: 1})
+	eng := engine.New(sc, tr, 1)
 	if err := eng.Drain(ctx); !errors.Is(err, engine.ErrInterrupted) {
 		t.Fatalf("Drain stopped by the failing run: %v, want ErrInterrupted", err)
 	}
-	if m := eng.Metrics(); tr.runs != 1 || m.Errors != 1 || m.Abandoned != 0 || m.Completed != 0 || sc.InFlight() != 0 {
+	if m := eng.Status(); tr.runs != 1 || m.Errors != 1 || m.Abandoned != 0 || m.Completed != 0 || sc.InFlight() != 0 {
 		t.Fatalf("engine path: %d runs of %s, metrics %+v, %d leases outstanding; want one failed run, all released",
 			tr.runs, broken, m, sc.InFlight())
 	}

@@ -62,8 +62,8 @@ type API struct {
 
 // EngineControl is the engine surface the admin endpoints drive. It is an
 // interface so the server layer stays independent of the engine package
-// (which imports this one for the lease API); the easeml facade adapts
-// engine.Engine to it.
+// (which imports this one for the lease API); engine.Engine implements it,
+// and the easeml facade adds the pool's virtual times to its Status.
 type EngineControl interface {
 	// Start launches the engine; it errors when already running.
 	Start() error
@@ -85,14 +85,13 @@ type EngineWorkerStatus struct {
 type EngineStatus struct {
 	Running     bool
 	Workers     int
-	Completed   int64
-	Released    int64
-	Abandoned   int64
-	Errors      int64
-	InFlight    int
-	QueueDepth  int
-	Uptime      time.Duration
-	Utilization float64
+	Completed   int64         // leases settled with a recorded result
+	Released    int64         // failed runs handed back for retry
+	Abandoned   int64         // candidates retired at the scheduler's retry budget
+	Errors      int64         // failed training runs, grants or settles
+	InFlight    int           // leases training now
+	Uptime      time.Duration // wall time run, summed over the engine's runs
+	Utilization float64       // mean busy fraction of the workers over Uptime
 	PerWorker   []EngineWorkerStatus
 	// Virtual-time accounting of the simulated pool: the multi-device
 	// makespan of everything trained so far versus what the serialized

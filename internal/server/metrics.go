@@ -204,8 +204,7 @@ func writeEngineMetrics(w io.Writer, st EngineStatus) {
 	}{
 		{"easeml_engine_running", "1 while the engine is started, 0 when stopped.", running},
 		{"easeml_engine_workers", "Engine worker goroutines (configured pool size).", float64(st.Workers)},
-		{"easeml_engine_queue_depth", "Leases sitting in the engine's bounded queue.", float64(st.QueueDepth)},
-		{"easeml_engine_in_flight", "Engine leases queued or training.", float64(st.InFlight)},
+		{"easeml_engine_in_flight", "Engine leases training.", float64(st.InFlight)},
 		{"easeml_engine_uptime_seconds", "Wall time the engine has run, summed over its runs.", st.Uptime.Seconds()},
 	} {
 		telemetry.WriteMetricHeader(w, g.name, g.help, "gauge")

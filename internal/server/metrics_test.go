@@ -339,7 +339,7 @@ func TestMetricsFieldMapping(t *testing.T) {
 
 	eng := EngineStatus{
 		Running: true, Workers: 2, Completed: 11, Released: 3, Abandoned: 1, Errors: 2,
-		InFlight: 4, QueueDepth: 5, Uptime: 1500 * time.Millisecond, Utilization: 0.75,
+		InFlight: 4, Uptime: 1500 * time.Millisecond, Utilization: 0.75,
 		PerWorker: []EngineWorkerStatus{
 			{Items: 6, Busy: 250 * time.Millisecond}, {Items: 5, Busy: 500 * time.Millisecond},
 		},
@@ -418,7 +418,6 @@ func TestMetricsFieldMapping(t *testing.T) {
 	add("engine.abandoned", float64(eng.Abandoned), metric(`easeml_engine_runs_total{outcome="abandoned"}`))
 	add("engine.errors", float64(eng.Errors), metric(`easeml_engine_runs_total{outcome="error"}`))
 	add("engine.in_flight", float64(eng.InFlight), metric("easeml_engine_in_flight"))
-	add("engine.queue_depth", float64(eng.QueueDepth), metric("easeml_engine_queue_depth"))
 	// The JSON served milliseconds; the scrape serves seconds.
 	r = metric("easeml_engine_uptime_seconds")
 	add("engine.uptime_ms", float64(eng.Uptime)/float64(time.Millisecond), row{home: r.home + " ×1000", got: r.got.(float64) * 1000})
