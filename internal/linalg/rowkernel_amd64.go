@@ -1,27 +1,10 @@
 package linalg
 
-import "fmt"
+import (
+	"fmt"
 
-// useAVX2 is decided once, at start-up: CPUID says the CPU has AVX2 and
-// XGETBV says the OS saves the YMM registers across context switches.
-var useAVX2 = detectAVX2()
-
-func detectAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	const xmmYmmState = 1<<1 | 1<<2
-	if xcr0, _ := xgetbv(); xcr0&xmmYmmState != xmmYmmState {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
-}
+	"repro/internal/cpufeat"
+)
 
 // solveRowKernel is solveRowGo, run by solveRowAVX2 when the CPU has AVX2.
 // The assembly performs solveRowGo's operations on the same operands in the
@@ -33,7 +16,7 @@ func detectAVX2() bool {
 // The assembly trusts n = len(dst): every row of z is checked here to hold
 // at least n floats, and row to hold the pivot.
 func solveRowKernel(dst []float64, z [][]float64, row []float64) {
-	if !useAVX2 {
+	if !cpufeat.AVX2 {
 		solveRowGo(dst, z, row)
 		return
 	}
@@ -53,7 +36,3 @@ func solveRowKernel(dst []float64, z [][]float64, row []float64) {
 //
 //go:noescape
 func solveRowAVX2(dst []float64, z [][]float64, row []float64)
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/cpufeat"
 )
 
 // rowKernelValues are the operands that tell an FMA, a reordered sum or a
@@ -22,7 +24,7 @@ var rowKernelValues = []float64{
 // holding a zero and the single-coefficient tail. Operands mix random
 // normals with the special values above at a rate the fuzzer chooses.
 func FuzzRowKernel(f *testing.F) {
-	if !useAVX2 {
+	if !cpufeat.AVX2 {
 		f.Skip("CPU has no AVX2: solveRowKernel is solveRowGo")
 	}
 	for _, seed := range [][4]int64{

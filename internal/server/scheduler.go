@@ -104,6 +104,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/admission"
@@ -182,7 +183,7 @@ func (st *SimTrainer) Register(jobID string, cands []templates.Candidate, arms m
 	}
 	jobHash := int64(fnv64a(jobID) & 0x7fffffffffff)
 
-	difficulty := 0.05 + 0.30*frac(jobHash, 11)
+	difficulty := 0.05 + float64(0.30*frac(jobHash, 11))
 	if arms == nil {
 		arms = make(map[string]int, len(cands))
 		for i, c := range cands {
@@ -193,18 +194,18 @@ func (st *SimTrainer) Register(jobID string, cands []templates.Candidate, arms m
 	models := make([]trainsim.ModelSpec, len(cands))
 	for i, c := range cands {
 		candHash := int64(fnv64a(c.Model) & 0x7fffffffffff)
-		peak := 0.55 + 0.40*frac(candHash, 3)
+		peak := 0.55 + float64(0.40*frac(candHash, 3))
 		if c.Normalizer != nil {
 			// Normalization variants perturb the base model's peak: helpful
 			// for some (job, k) pairs, harmful for others.
-			peak += 0.10 * (frac(jobHash^candHash, 5) - 0.5) * c.Normalizer.K
+			peak += float64(0.10 * (frac(jobHash^candHash, 5) - 0.5) * c.Normalizer.K)
 			peak = clamp(peak, 0.05, 0.99)
 		}
 		models[i] = trainsim.ModelSpec{
 			Name:         c.Name(),
 			Peak:         peak,
-			Tau:          10 + 30*frac(candHash, 7),
-			CostPerEpoch: 0.5 + 15*frac(candHash, 13)*frac(candHash, 17),
+			Tau:          10 + float64(30*frac(candHash, 7)),
+			CostPerEpoch: 0.5 + float64(15*frac(candHash, 13)*frac(candHash, 17)),
 			BestLR:       trainsim.DefaultLearningRates[int(candHash)%len(trainsim.DefaultLearningRates)],
 		}
 	}
@@ -376,6 +377,7 @@ type Scheduler struct {
 	// coordMu is the cross-job coordinator lock.
 	coordMu   sync.Mutex
 	leases    map[int]*Lease
+	inFlight  atomic.Int64 // len(leases), stored under coordMu, read by InFlight without it
 	nextLease int
 	rounds    int
 
@@ -828,11 +830,9 @@ func (l *Lease) ChildSpan(op string, start time.Time) telemetry.Span {
 	return l.span.Child(op, start)
 }
 
-// InFlight returns the number of outstanding leases.
+// InFlight returns the number of outstanding leases, without coordMu.
 func (sc *Scheduler) InFlight() int {
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	return len(sc.leases)
+	return int(sc.inFlight.Load())
 }
 
 // Grant is the first half of the lease lifecycle: it leases up to n more
@@ -1050,11 +1050,13 @@ func (sc *Scheduler) newLeaseLocked(job *Job, arm int, ucb float64) *Lease {
 // leased count of its view in step with it. Callers hold coordMu.
 func (sc *Scheduler) addLeaseLocked(l *Lease) {
 	sc.leases[l.ID] = l
+	sc.inFlight.Store(int64(len(sc.leases)))
 	sc.selIdx.setLeased(l.entry, append(sc.selIdx.entries[l.entry].leased, l.Arm))
 }
 
 func (sc *Scheduler) dropLeaseLocked(l *Lease) {
 	delete(sc.leases, l.ID)
+	sc.inFlight.Store(int64(len(sc.leases)))
 	arms := sc.selIdx.entries[l.entry].leased
 	if k := slices.Index(arms, l.Arm); k >= 0 {
 		sc.selIdx.setLeased(l.entry, slices.Delete(arms, k, k+1))

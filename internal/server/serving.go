@@ -94,7 +94,7 @@ func (s *InferSession) apply(input, out []float64) []float64 {
 		acc += v
 	}
 	for i := range out {
-		out[i] = math.Abs(math.Sin(acc*s.seed + float64(i)))
+		out[i] = math.Abs(math.Sin(float64(acc*s.seed) + float64(i)))
 	}
 	inferOutputs.Inc()
 	return out

@@ -14,9 +14,10 @@ import "math/rand"
 //
 // where x[n] is the Lehmer generator x ↦ 48271·x mod (2³¹−1) stepped n
 // times from the seed, i.e. x[n] = 48271ⁿ·seed. The stdlib walks that as
-// one serial chain of 1,841 divisions; here the three words of vec[i] are
-// three independent lanes, each stepping by 48271³, reduced by folding
-// (2³¹ ≡ 1), so their latencies overlap.
+// one serial chain of 1,841 divisions; here the register is filled four
+// words at a time by twelve independent lanes — the three Lehmer words of
+// each of the four — each stepping by 48271¹², reduced by folding
+// (2³¹ ≡ 1), so their latencies overlap (see fillLanes).
 type source struct {
 	tap, feed int
 	vec       [rngLen]uint64
@@ -27,28 +28,40 @@ const (
 	rngTap  = 273
 	lehmerM = 1<<31 - 1
 	lehmerA = 48271
+
+	// rngGroups is how many whole groups of four words fillLanes writes;
+	// the register's last rngLen − 4·rngGroups words come from the lanes
+	// it leaves behind.
+	rngGroups = rngLen / 4
 )
 
 var (
-	lehmerA3  = powmod(lehmerA, 3)
-	lehmerA21 = powmod(lehmerA, 21)
-	lehmerA22 = powmod(lehmerA, 22)
-	lehmerA23 = powmod(lehmerA, 23)
+	// lanePow[p][k] = 48271^(21+3k+p): lane (p, k) starts on part p (0 the
+	// <<40 word, 1 the <<20 word, 2 the plain one) of register word k.
+	lanePow   = lanePowers()
+	lehmerA12 = powmod(lehmerA, 12)
 
 	// rngCooked is math/rand's table of the same name, recovered once from
 	// the stdlib's own output (see recoverCooked) rather than copied.
 	rngCooked = recoverCooked()
 )
 
-// mulmod returns x·c mod (2³¹−1) for x, c < 2³¹.
+func lanePowers() (pow [3][4]uint64) {
+	for p := range pow {
+		for k := range pow[p] {
+			pow[p][k] = powmod(lehmerA, 21+3*k+p)
+		}
+	}
+	return pow
+}
+
+// mulmod returns x·c mod (2³¹−1) for x, c in [1, 2³¹−2]. The modulus is
+// prime, so x·c is never a multiple of it, and two folds land in
+// [1, 2³¹−2] with no final correction.
 func mulmod(x, c uint64) uint64 {
 	p := x * c            // < 2⁶²
 	p = p&lehmerM + p>>31 // < 2³²
-	p = p&lehmerM + p>>31 // ≤ 2³¹−1
-	if p == lehmerM {
-		p = 0
-	}
-	return p
+	return p&lehmerM + p>>31
 }
 
 func powmod(a uint64, n int) uint64 {
@@ -59,10 +72,19 @@ func powmod(a uint64, n int) uint64 {
 	return p
 }
 
-// fill writes the register for seed, normalised as rngSource.Seed does,
-// XOR-ed with cooked.
+// fill writes the register for seed, XOR-ed with cooked.
 func (s *source) fill(seed int64, cooked *[rngLen]uint64) {
 	s.tap, s.feed = 0, rngLen-rngTap
+	lanes := seedLanes(seed)
+	fillLanes(&s.vec, &lanes, cooked)
+	for k, i := 0, 4*rngGroups; i < rngLen; k, i = k+1, i+1 {
+		s.vec[i] = lanes[0][k]<<40 ^ lanes[1][k]<<20 ^ lanes[2][k] ^ cooked[i]
+	}
+}
+
+// seedLanes normalises seed as rngSource.Seed does and returns the twelve
+// lanes on register words 0 … 3.
+func seedLanes(seed int64) (lanes [3][4]uint64) {
 	seed %= lehmerM
 	if seed < 0 {
 		seed += lehmerM
@@ -70,11 +92,25 @@ func (s *source) fill(seed int64, cooked *[rngLen]uint64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := uint64(seed)
-	hi, mid, lo := mulmod(x, lehmerA21), mulmod(x, lehmerA22), mulmod(x, lehmerA23)
-	for i := range s.vec {
-		s.vec[i] = (hi<<40 ^ mid<<20 ^ lo) ^ cooked[i]
-		hi, mid, lo = mulmod(hi, lehmerA3), mulmod(mid, lehmerA3), mulmod(lo, lehmerA3)
+	for p := range lanes {
+		for k := range lanes[p] {
+			lanes[p][k] = mulmod(uint64(seed), lanePow[p][k])
+		}
+	}
+	return lanes
+}
+
+// fillLanesGo writes words 0 … 4·rngGroups−1 of vec from the twelve lanes,
+// four words per step, and leaves the lanes on the four words after them.
+// It is the portable path, and the reference the AVX2 kernel is checked
+// against.
+func fillLanesGo(vec *[rngLen]uint64, lanes *[3][4]uint64, cooked *[rngLen]uint64) {
+	for i := 0; i < 4*rngGroups; i += 4 {
+		for k := range 4 {
+			h, m, l := lanes[0][k], lanes[1][k], lanes[2][k]
+			vec[i+k] = h<<40 ^ m<<20 ^ l ^ cooked[i+k]
+			lanes[0][k], lanes[1][k], lanes[2][k] = mulmod(h, lehmerA12), mulmod(m, lehmerA12), mulmod(l, lehmerA12)
+		}
 	}
 }
 
@@ -92,6 +128,18 @@ func (s *source) Uint64() uint64 {
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return x
+}
+
+// unread takes back the last Uint64: the word it stored goes back to what
+// it was, and tap and feed step forward again.
+func (s *source) unread() {
+	s.vec[s.feed] -= s.vec[s.tap]
+	if s.tap++; s.tap == rngLen {
+		s.tap = 0
+	}
+	if s.feed++; s.feed == rngLen {
+		s.feed = 0
+	}
 }
 
 // Int63 implements rand.Source.

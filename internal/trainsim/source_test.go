@@ -181,3 +181,16 @@ func TestTrainConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// benchmarkSeed times seeding a register in place with the given lane
+// fill: the lanes' start, then the fill (the last three words, which fill
+// writes from the lanes fillLanes leaves, are left out).
+func benchmarkSeed(b *testing.B, fillLanes func(*[rngLen]uint64, *[3][4]uint64, *[rngLen]uint64)) {
+	var vec [rngLen]uint64
+	var lanes [3][4]uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		lanes = seedLanes(int64(i))
+		fillLanes(&vec, &lanes, &rngCooked)
+	}
+}
