@@ -26,12 +26,12 @@ type ClassWeightedPicker struct {
 	newInner func() UserPicker
 	name     string
 
-	// inner holds each class's picker, built on the class's first pick.
-	inner map[string]UserPicker
-	// credit is the smooth-WRR accumulator per class. Classes keep their
-	// credit while inactive (it is bounded by one round's worth), so a
-	// briefly-exhausted class rejoins where it left off.
-	credit map[string]float64
+	// classes holds each class's picker and smooth-WRR credit, in the
+	// order the classes were first seen active: a handful, so a scan finds
+	// one faster than a hash would. Classes keep their credit while
+	// inactive (it is bounded by one round's worth), so a briefly-exhausted
+	// class rejoins where it left off.
+	classes []classState
 
 	shares []ClassShare // scratch: the active classes of one pick
 	scan   classScan    // scratch: the linear partition of one pick
@@ -40,6 +40,25 @@ type ClassWeightedPicker struct {
 	// moved (Weight holds the credit before) and the inner picker it ran.
 	undoCredit []ClassShare
 	undoInner  UserPicker
+}
+
+// classState is one class's picker and credit.
+type classState struct {
+	key    string
+	inner  UserPicker
+	credit float64
+}
+
+// class returns key's state, adding it with a fresh picker on first use.
+// The pointer is valid until the next call.
+func (p *ClassWeightedPicker) class(key string) *classState {
+	for i := range p.classes {
+		if p.classes[i].key == key {
+			return &p.classes[i]
+		}
+	}
+	p.classes = append(p.classes, classState{key: key, inner: p.newInner()})
+	return &p.classes[len(p.classes)-1]
 }
 
 // ClassShare is a class with active tenants and the weight it shares the
@@ -76,8 +95,6 @@ func NewClassWeightedPicker(newInner func() UserPicker) *ClassWeightedPicker {
 	return &ClassWeightedPicker{
 		newInner: newInner,
 		name:     fmt.Sprintf("class-weighted(%s)", newInner().Name()),
-		inner:    make(map[string]UserPicker),
-		credit:   make(map[string]float64),
 	}
 }
 
@@ -124,22 +141,19 @@ func (p *ClassWeightedPicker) PickClasses(classes ClassOracle) int {
 	if len(p.shares) > 1 {
 		var total, best float64
 		for i, s := range p.shares {
-			p.undoCredit = append(p.undoCredit, ClassShare{Class: s.Class, Weight: p.credit[s.Class]})
+			c := p.class(s.Class)
+			p.undoCredit = append(p.undoCredit, ClassShare{Class: s.Class, Weight: c.credit})
 			total += s.Weight
-			p.credit[s.Class] += s.Weight
-			if c := p.credit[s.Class]; i == 0 || c > best {
-				chosen, best = s.Class, c
+			c.credit += s.Weight
+			if i == 0 || c.credit > best {
+				chosen, best = s.Class, c.credit
 			}
 		}
-		p.credit[chosen] -= total
+		p.class(chosen).credit -= total
 	}
 
 	members, index, o := classes.ClassMembers(chosen)
-	inner := p.inner[chosen]
-	if inner == nil {
-		inner = p.newInner()
-		p.inner[chosen] = inner
-	}
+	inner := p.class(chosen).inner
 	p.undoInner = inner
 	local := -1
 	if op, ok := inner.(OraclePicker); ok && o != nil {
@@ -165,7 +179,7 @@ func (p *ClassWeightedPicker) PickClasses(classes ClassOracle) int {
 // and so does the inner picker it ran.
 func (p *ClassWeightedPicker) UndoPick() {
 	for _, c := range p.undoCredit {
-		p.credit[c.Class] = c.Weight
+		p.class(c.Class).credit = c.Weight
 	}
 	p.undoCredit = p.undoCredit[:0]
 	if u, ok := p.undoInner.(PickUndoer); ok {

@@ -40,6 +40,19 @@ type SelectionOracle interface {
 	GreedyCandidates(tenants []*Tenant) []int
 }
 
+// FreezeOracle is the optional SelectionOracle extension that also keeps
+// HYBRID's freeze-detection inputs over the same tenant slice, so a pick
+// does not pass over every tenant for them. Both must equal HYBRID's own
+// passes bit for bit.
+type FreezeOracle interface {
+	SelectionOracle
+	// TriedTotal returns the tenants' NumTried summed.
+	TriedTotal() int
+	// BestObservedSum returns the tenants' BestObserved summed from 0 in
+	// index order.
+	BestObservedSum() float64
+}
+
 // OraclePicker is the optional UserPicker extension for pickers whose
 // greedy phase can be served by a SelectionOracle. PickWithOracle must
 // behave exactly like Pick, with the oracle standing in for the linear
@@ -366,7 +379,8 @@ func (p *HybridPicker) PickWithOracle(tenants []*Tenant, o SelectionOracle) int 
 // by the oracle (nil: by p.greedy). The candidate set is consulted lazily —
 // only when a new observation has landed since the previous pick — so
 // oracle-backed picks between observations never pay for it, and it is
-// copied, so the oracle may answer from scratch space.
+// copied, so the oracle may answer from scratch space. A FreezeOracle
+// serves the tried total and the best-observed sum too.
 func (p *HybridPicker) finishPick(tenants []*Tenant, choice int, o SelectionOracle) int {
 	if choice < 0 {
 		return choice
@@ -376,9 +390,14 @@ func (p *HybridPicker) finishPick(tenants []*Tenant, choice int, o SelectionOrac
 	// results, so picks that arrive before any new observation must not
 	// advance (or reset) the stability window, or a single lease batch
 	// would latch GREEDY into round-robin before training even starts.
+	fo, _ := o.(FreezeOracle)
 	totalObs := 0
-	for _, t := range tenants {
-		totalObs += t.NumTried()
+	if fo != nil {
+		totalObs = fo.TriedTotal()
+	} else {
+		for _, t := range tenants {
+			totalObs += t.NumTried()
+		}
 	}
 	if p.havePrev && totalObs == p.prevObs {
 		return choice
@@ -390,8 +409,12 @@ func (p *HybridPicker) finishPick(tenants []*Tenant, choice int, o SelectionOrac
 	cur := 1 - p.prev
 	p.cands[cur] = append(p.cands[cur][:0], candidates...)
 	total := 0.0
-	for _, t := range tenants {
-		total += t.BestObserved()
+	if fo != nil {
+		total = fo.BestObservedSum()
+	} else {
+		for _, t := range tenants {
+			total += t.BestObserved()
+		}
 	}
 	if p.havePrev && slices.Equal(p.cands[cur], p.cands[p.prev]) && total <= p.prevTotal+1e-12 {
 		p.stableCount++

@@ -75,7 +75,7 @@ func Classifier179() *Dataset {
 				Citations: 100 + rng.Intn(5000),
 				Year:      1990 + rng.Intn(24),
 			})
-			clfs = append(clfs, clf{family: fi, skill: f.strength + f.withinSD*rng.NormFloat64()})
+			clfs = append(clfs, clf{family: fi, skill: f.strength + float64(f.withinSD*rng.NormFloat64())})
 		}
 	}
 
@@ -87,7 +87,7 @@ func Classifier179() *Dataset {
 	for i := 0; i < numUsers; i++ {
 		// UCI task difficulty: the benchmark's accuracies span roughly
 		// [0.3, 0.99] across datasets.
-		base := 0.45 + 0.45*rng.Float64()
+		base := 0.45 + float64(0.45*rng.Float64())
 		// Per-task family affinity: some tasks favour particular families
 		// (e.g. linear methods on linearly separable data), which keeps the
 		// correlation imperfect as in the real benchmark.
@@ -98,7 +98,7 @@ func Classifier179() *Dataset {
 		qRow := make([]float64, total)
 		cRow := make([]float64, total)
 		for j, c := range clfs {
-			q := base + c.skill + affinity[c.family] + 0.035*rng.NormFloat64()
+			q := base + c.skill + affinity[c.family] + float64(0.035*rng.NormFloat64())
 			if q < 0.01 {
 				q = 0.01
 			}

@@ -63,23 +63,25 @@ func DeepLearning() *Dataset {
 		// Task difficulty: how far above/below the architecture prior this
 		// task sits. A few tasks are nearly solved (the 0.99-accuracy user of
 		// the paper's "Failed Experience 2"), some are hard.
-		difficulty := 0.05 + 0.30*rng.Float64() // subtracted from strength
+		difficulty := 0.05 + float64(0.30*rng.Float64()) // subtracted from strength
 		easyBoost := 0.0
 		if rng.Float64() < 0.2 {
 			easyBoost = 0.30 // near-saturated tasks
 		}
 		// Per-task sensitivity to model choice: some tasks barely
 		// distinguish architectures, others spread them widely.
-		spread := 0.5 + 1.2*rng.Float64()
+		spread := 0.5 + float64(1.2*rng.Float64())
 		// Dataset size factor scales training time for every model.
-		sizeFactor := 0.3 + 2.0*rng.Float64()
+		// The conversion rounds the product inside the inlined Float64,
+		// which arm64 would otherwise fuse into the x+x that 2.0*x becomes.
+		sizeFactor := 0.3 + 2.0*float64(rng.Float64())
 
 		qRow := make([]float64, len(deepLearningArchs))
 		cRow := make([]float64, len(deepLearningArchs))
 		for j, a := range deepLearningArchs {
-			q := a.strength*spread - (spread-1)*0.66 - difficulty + easyBoost + 0.02*rng.NormFloat64()
+			q := float64(a.strength*spread) - float64((spread-1)*0.66) - difficulty + easyBoost + float64(0.02*rng.NormFloat64())
 			if q < 0.02 {
-				q = 0.02 + 0.01*rng.Float64()
+				q = 0.02 + float64(0.01*rng.Float64())
 			}
 			if q > 0.995 {
 				q = 0.995
@@ -87,7 +89,7 @@ func DeepLearning() *Dataset {
 			qRow[j] = q
 			// Cost: GFLOPs × dataset size × (4 learning rates × 100 epochs,
 			// constant factor absorbed) with mild run-to-run jitter.
-			c := a.gflops * sizeFactor * (0.9 + 0.2*rng.Float64())
+			c := a.gflops * sizeFactor * (0.9 + float64(0.2*rng.Float64()))
 			cRow[j] = c
 		}
 		d.Quality[i] = qRow

@@ -19,11 +19,20 @@
 // alternated pairs of every workload (10 s, 2 CPUs) had no row worse than
 // its bound, and drain_engine cpu_ms_per_op read 0.0326 → 0.0260 ms
 // (0.80×), ops_per_s 1.02×, op_p95_ms 0.98×. The price: a worker with
-// work never parks, so while W ≥ GOMAXPROCS a goroutine queued on a P
+// work never idles, so while W ≥ GOMAXPROCS a goroutine queued on a P
 // whose thread the OS has descheduled waits out that stall (the Go
 // scheduler steals only into an idle P), where the dispatcher's hand-offs
 // idled a P often enough to rescue it. A run therefore starts its workers
 // only after the caller's P has run what it had queued.
+//
+// A worker with work parks only on a scheduler lock, and what that costs
+// is the wait: the unlocking worker readies a parked one into its own P's
+// next-run slot, so the parked worker waits out the unlocker's cycle
+// while its CPU idles. The scheduler keeps coordMu to the picks and one
+// section per settle (a settle claims its lease lock-free and a grant
+// records its pick after the lock): block profiles of drain_engine at
+// W = 2 on 2 CPUs count 0.030–0.037 parks on it per lease (0.069–0.077
+// with four sections), and 0.015–0.019 on the settled job's own locks.
 //
 // What a failed run costs — retry or abandon — is the scheduler's decision
 // (Settle), shared with every other executor.
@@ -286,18 +295,17 @@ func (e *Engine) worker(ctx context.Context, id int, exitOnIdle bool) (dry bool,
 	return false, nil
 }
 
-// train runs one lease and settles it, booking the outcome.
+// train runs one lease and settles it (Scheduler.Run), booking the
+// outcome.
 func (e *Engine) train(id int, l *server.Lease) {
 	e.inFlight.Add(1)
-	start := time.Now()
-	acc, cost, runErr := e.trainer.Train(l.JobID, l.Candidate)
-	e.workers[id].busy.Add(int64(time.Since(start)))
+	outcome, busy, runErr, err := e.sched.Run(l, e.trainer)
+	e.workers[id].busy.Add(int64(busy))
 	if runErr == nil {
 		e.workers[id].items.Add(1)
 	} else {
 		e.errs.Add(1)
 	}
-	outcome, err := e.sched.Settle(l, acc, cost, runErr)
 	switch {
 	case err != nil:
 		e.errs.Add(1)

@@ -160,7 +160,7 @@ func (r replayOutcome) regretTo(horizon float64) float64 {
 		if ev.at > horizon {
 			break
 		}
-		integral += totalLoss * (ev.at - prev)
+		integral += float64(totalLoss * (ev.at - prev))
 		prev = ev.at
 		if ev.reward > found[ev.user] {
 			totalLoss -= ev.reward - found[ev.user]
@@ -168,7 +168,7 @@ func (r replayOutcome) regretTo(horizon float64) float64 {
 		}
 	}
 	if horizon > prev {
-		integral += totalLoss * (horizon - prev)
+		integral += float64(totalLoss * (horizon - prev))
 	}
 	return integral
 }

@@ -97,7 +97,7 @@ func (sc *Scheduler) enforceBudget(tenant string) error {
 		job.mu.Unlock()
 		ev := storage.Event{Type: storage.EventBudgetExhausted, Job: job.ID, Tenant: tenant, Cost: cost}
 		if !done {
-			_ = sc.applyLive(ev) // the job is known: a drain cannot fail
+			_ = sc.applyLive(ev, nil) // the job is known: a drain cannot fail
 		}
 		job.settleMu.Unlock()
 		if done {
@@ -154,20 +154,25 @@ func (sc *Scheduler) PreemptForPriority() (*Lease, error) {
 		return nil, nil
 	}
 	var victim *Lease
-	for _, l := range sc.leases {
-		if l.settling || l.Worker == "" || !ix.entries[l.entry].job.Class.Preemptible() {
-			continue
+	for victim == nil {
+		var newest *Lease
+		for _, l := range sc.leases {
+			if l.state.Load() != leaseOutstanding || l.Worker == "" || !l.job.Class.Preemptible() {
+				continue
+			}
+			if newest == nil || l.ID > newest.ID {
+				newest = l // newest grant: least sunk work
+			}
 		}
-		if victim == nil || l.ID > victim.ID {
-			victim = l // newest grant: least sunk work
+		if newest == nil {
+			sc.coordMu.Unlock()
+			return nil, nil
+		}
+		if sc.dropLeaseLocked(newest, leaseOutstanding) { // else a settle claimed it meanwhile
+			victim = newest
 		}
 	}
-	if victim == nil {
-		sc.coordMu.Unlock()
-		return nil, nil
-	}
-	sc.dropLeaseLocked(victim)
-	victimJob := ix.entries[victim.entry].job
+	victimJob := victim.job
 	sc.coordMu.Unlock()
 
 	finishLeaseSpan(victim, "preempted", nil)

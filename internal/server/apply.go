@@ -42,7 +42,12 @@ import (
 // every bandit mutation of a live job holds. Callers hold jobsMu: the
 // write side for job_submitted, the read side otherwise (applyLive);
 // Recover holds the write side for the whole stream.
-func (sc *Scheduler) apply(ev storage.Event) error {
+func (sc *Scheduler) apply(ev storage.Event) error { return sc.applySettling(ev, nil) }
+
+// applySettling is apply for a settle of lease l (nil: none): a
+// model_recorded or candidate_abandoned event that moves the bandit drops
+// l in the coordMu section that publishes the move.
+func (sc *Scheduler) applySettling(ev storage.Event, l *Lease) error {
 	switch ev.Type {
 	case storage.EventJobSubmitted:
 		return sc.applySubmitted(ev)
@@ -60,7 +65,7 @@ func (sc *Scheduler) apply(ev storage.Event) error {
 	case storage.EventExampleRefined:
 		return job.store.Refine(ev.Example, ev.Enabled)
 	case storage.EventModelRecorded:
-		return sc.applyModel(job, ev.Model, *ev.UCB) // storage decodes none without either
+		return sc.applyModel(job, ev.Model, *ev.UCB, l) // storage decodes none without either
 	case storage.EventCandidateAbandoned:
 		arm := job.arm(ev.Candidate)
 		if arm < 0 {
@@ -71,7 +76,7 @@ func (sc *Scheduler) apply(ev storage.Event) error {
 			job.tenant.Bandit.Retire(arm)
 			job.abandoned = append(job.abandoned, ev.Candidate)
 		}
-		sc.finishApplyLocked(job, nil)
+		sc.finishApplyLocked(job, nil, l)
 		return nil
 	case storage.EventBudgetExhausted:
 		job.mu.Lock()
@@ -81,17 +86,17 @@ func (sc *Scheduler) apply(ev storage.Event) error {
 				job.tenant.Bandit.Retire(arm) // no-op for tried arms
 			}
 		}
-		sc.finishApplyLocked(job, nil)
+		sc.finishApplyLocked(job, nil, nil)
 		return nil
 	}
 	return fmt.Errorf("server: unknown event type %q", ev.Type)
 }
 
-// applyLive is apply for a live path holding no scheduler lock.
-func (sc *Scheduler) applyLive(ev storage.Event) error {
+// applyLive is applySettling for a live path holding no scheduler lock.
+func (sc *Scheduler) applyLive(ev storage.Event, l *Lease) error {
 	sc.jobsMu.RLock()
 	defer sc.jobsMu.RUnlock()
-	return sc.apply(ev)
+	return sc.applySettling(ev, l)
 }
 
 // applySubmitted builds the job a job_submitted event names from its
@@ -136,9 +141,10 @@ func (sc *Scheduler) publishLocked(job *Job) {
 
 // applyModel observes a recorded run, feeds the UCB its arm was leased
 // at into the σ̃ recurrence, claims or restores its round and stores the
-// record: the observation under the job's lock, the round and publish
-// under coordMu, then the store.
-func (sc *Scheduler) applyModel(job *Job, m *storage.ModelRecord, ucb float64) error {
+// record: the observation under the job's lock, the round, publish and
+// the drop of the settling lease l (if any) under coordMu, then the store.
+// A record it refuses leaves l to its caller.
+func (sc *Scheduler) applyModel(job *Job, m *storage.ModelRecord, ucb float64, l *Lease) error {
 	arm := job.arm(m.Name)
 	if arm < 0 {
 		return fmt.Errorf("server: recovered run %q does not match a candidate of %q", m.Name, job.ID)
@@ -168,7 +174,7 @@ func (sc *Scheduler) applyModel(job *Job, m *storage.ModelRecord, ucb float64) e
 		}
 		sc.failJobLocked(job, oerr)
 		if !logged {
-			sc.finishApplyLocked(job, nil)
+			sc.finishApplyLocked(job, nil, l)
 			return fmt.Errorf("server: job %s failed: %w", job.ID, oerr)
 		}
 	}
@@ -176,7 +182,7 @@ func (sc *Scheduler) applyModel(job *Job, m *storage.ModelRecord, ucb float64) e
 		job.mu.Unlock()
 		return err
 	}
-	sc.finishApplyLocked(job, m)
+	sc.finishApplyLocked(job, m, l)
 	job.store.RecordModel(*m, ucb)
 	return nil
 }
@@ -184,9 +190,11 @@ func (sc *Scheduler) applyModel(job *Job, m *storage.ModelRecord, ucb float64) e
 // finishApplyLocked ends an apply that moved job's bandit: a job with no
 // open arm left gives back its admission slot, an observed model m claims
 // the next round (Round 0, a live settle: rounds count in completion
-// order) or restores its logged one, and the job's scalars are
-// published. Callers hold job.mu, which it releases.
-func (sc *Scheduler) finishApplyLocked(job *Job, m *storage.ModelRecord) {
+// order) or restores its logged one, the job's scalars are published and
+// the settling lease l (nil: none) leaves the table — one coordMu section,
+// so no pick sees the arm both tried and leased. Callers hold job.mu,
+// which it releases.
+func (sc *Scheduler) finishApplyLocked(job *Job, m *storage.ModelRecord, l *Lease) {
 	if job.tenant.Bandit.Exhausted() {
 		sc.markJobDoneLocked(job)
 	}
@@ -202,6 +210,9 @@ func (sc *Scheduler) finishApplyLocked(job *Job, m *storage.ModelRecord) {
 		sc.rounds = max(sc.rounds, m.Round)
 	}
 	sc.selIdx.publish(job.tenant.ID, s)
+	if l != nil {
+		sc.settledLocked(l)
+	}
 }
 
 // arm returns the index of the candidate with the given name, or -1.

@@ -59,17 +59,21 @@ func (sc *Scheduler) CheckIndexConsistent() error {
 		if !slices.IsSorted(c.members) || len(c.views) != len(c.members) {
 			return fmt.Errorf("class %s: members %v with %d views", c.key, c.members, len(c.views))
 		}
-		active := 0
+		active, tried := 0, 0
 		for k, v := range c.views {
 			if v.Active() {
 				active++
 			}
+			tried += v.NumTried()
 			if k < c.drained && v.Open() != 0 {
 				return fmt.Errorf("class %s: member %d has open arms behind the drained cursor %d", c.key, k, c.drained)
 			}
+			if c.sig[k] != v.SigmaTilde() || c.gap[k] != v.Gap() || c.best[k] != v.BestObserved() || c.act[k] != v.Active() {
+				return fmt.Errorf("class %s: member %d's dense scalars (%v %v %v %v) are not its view's", c.key, k, c.sig[k], c.gap[k], c.best[k], c.act[k])
+			}
 		}
-		if active != c.active {
-			return fmt.Errorf("class %s: active count %d, recount %d", c.key, c.active, active)
+		if active != c.active || tried != c.tried {
+			return fmt.Errorf("class %s: active and tried counts %d, %d; recount %d, %d", c.key, c.active, c.tried, active, tried)
 		}
 		if len(c.heap) != len(c.views) {
 			return fmt.Errorf("class %s: heap holds %d of %d members", c.key, len(c.heap), len(c.views))

@@ -82,8 +82,8 @@ func RouteLabel(r *http.Request) string {
 
 // handlePrometheus serves GET /metrics: the process-global telemetry
 // registry (histograms, counters minted at observation sites) followed by
-// gauges computed from live scheduler/engine/fleet/admission state at
-// scrape time — scrape-time reads rather than registered GaugeFuncs, so
+// gauges computed from live scheduler/engine/fleet/admission state and the
+// Go runtime's scheduling, GC, heap and mutex-wait series at scrape time — scrape-time reads rather than registered GaugeFuncs, so
 // the exposition always reflects *this* API's scheduler even when tests
 // build several.
 func (a *API) handlePrometheus(w http.ResponseWriter, r *http.Request) {
@@ -94,6 +94,7 @@ func (a *API) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	telemetry.Default().WritePrometheus(w)
 	a.writeDynamicMetrics(w)
+	telemetry.WriteRuntimeMetrics(w)
 }
 
 func (a *API) writeDynamicMetrics(w io.Writer) {

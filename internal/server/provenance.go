@@ -82,29 +82,53 @@ var (
 
 // finishLeaseSpan closes a lease's root span with its terminal outcome.
 // It runs exactly once per lease, because every terminal path (expire,
-// release, abandon, complete, preempt) calls it only after winning
-// dropLeaseLocked or beginSettle under coordMu, and at most one path wins
+// release, abandon, complete, preempt) calls it only after winning the
+// lease's claim (beginSettle, dropLeaseLocked), and at most one path wins
 // each lease. A lease with no trace (a recovered one) records nothing.
 func finishLeaseSpan(l *Lease, outcome string, err error) {
-	l.span.SetAttr("outcome", outcome)
-	l.span.Fail(err)
-	l.span.End()
+	finishLeaseSpanAt(l, outcome, err, time.Now())
 }
 
-// emitGrantProvenance records one grant's spans and DecisionRecord, for
-// both grant paths: the lease root span, its selection-stage child
-// (opPickSelect, or opPickSpeculative with path=speculative on the root
-// and Detail "speculative" on the record), the hallucination stage when
-// there was one, and the pick decision. A pick-path record carries the
-// top-K table of the job's real-posterior UCB surface, read in place, and
-// the selectable arms not yet leased; the speculative path never touches
-// the surface. Called with coordMu and the job's lock held: it only reads
-// the grant's state and takes leaf locks (the decision ring, the flight
-// recorder's slots), and allocates nothing for its spans.
-func (sc *Scheduler) emitGrantProvenance(l *Lease, job *Job, speculative bool, leased int, t0, hallStart time.Time, hallDur time.Duration) {
+// finishLeaseSpanAt is finishLeaseSpan, ended at end.
+func finishLeaseSpanAt(l *Lease, outcome string, err error, end time.Time) {
+	l.span.SetAttr("outcome", outcome)
+	l.span.Fail(err)
+	l.span.EndAt(end)
+}
+
+// grantRecord is what one grant's provenance is built from: the lease, its
+// job, and what the pick saw of the index and the clock.
+type grantRecord struct {
+	l           *Lease
+	job         *Job
+	speculative bool // the deprecated SpeculativeGrant path
+	jobs        int  // entries in the selection index
+	leased      int  // the job's arms in flight before this lease
+	selectT0    time.Time
+	hallStart   time.Time
+	hallDur     time.Duration
+}
+
+// emitGrantProvenance mints one grant's trace and records its spans and
+// DecisionRecord, for both grant paths: the lease root span, its
+// selection-stage child (opPickSelect, or opPickSpeculative with
+// path=speculative on the root and Detail "speculative" on the record),
+// the hallucination stage when there was one, the pick decision and the
+// stage histograms. A pick-path record carries the top-K table of the
+// job's real-posterior UCB surface, read in place, and the selectable arms
+// not yet leased; the speculative path never touches the surface. Called
+// with the job's lock held (the surface is then the one the arm was picked
+// from), coordMu held or not: it reads only the grant's state and takes
+// leaf locks (the decision ring, the flight recorder's slots), and
+// allocates nothing for its spans. It returns the clock reading that ends
+// the select stage.
+func (sc *Scheduler) emitGrantProvenance(r *grantRecord) time.Time {
+	l, job := r.l, r.job
+	l.Trace = telemetry.NewTraceID()
+	leaseTraces.Inc()
 	name := l.Candidate.Name() // renders once: both grant paths are hot
 	root := &l.span
-	*root = telemetry.SpanAt(l.Trace, "", opLease, t0)
+	*root = telemetry.SpanAt(l.Trace, "", opLease, r.selectT0)
 	root.SetAttr("job", l.JobID)
 	root.SetAttr("tenant", job.Name)
 	root.SetAttr("candidate", name)
@@ -117,34 +141,40 @@ func (sc *Scheduler) emitGrantProvenance(l *Lease, job *Job, speculative bool, l
 		Candidate:    name,
 		Arm:          l.Arm,
 		UCB:          l.UCB,
-		Jobs:         len(sc.selIdx.entries),
+		Jobs:         r.jobs,
 		Class:        string(job.Class),
 		ClassWeights: classWeights,
 		BudgetUsed:   job.tenant.Bandit.CumulativeCost(),
 	}
 	var top [telemetry.InlineTopUCB]ArmScore
 	nTop, stage := 0, opPickSelect
-	if speculative {
+	if r.speculative {
 		root.SetAttr("path", "speculative")
 		stage, d.Detail = opPickSpeculative, "speculative"
 	} else {
 		var selectable int
 		nTop, selectable = topUCB(&top, job.tenant.Bandit.UCBView())
-		d.Candidates = selectable - leased
+		d.Candidates = selectable - r.leased
 	}
 
 	now := time.Now()
 	d.TimeNS = now.UnixNano()
-	sel := root.Child(stage, t0)
+	sel := root.Child(stage, r.selectT0)
 	sel.EndAt(now)
-	if hallDur > 0 {
-		h := root.Child(opPickHallucinate, hallStart)
-		h.EndAt(hallStart.Add(hallDur))
+	if r.hallDur > 0 {
+		h := root.Child(opPickHallucinate, r.hallStart)
+		h.EndAt(r.hallStart.Add(r.hallDur))
+		pickStageHallucinate.Observe(r.hallDur)
 	}
 	if sc.adm != nil {
 		d.BudgetLimit = sc.adm.Budget(job.Name)
 	}
 	sc.decisions.Add(&d, top[:nTop]...)
+	if !r.speculative {
+		pickStageSelect.Observe(now.Sub(r.selectT0))
+	}
+	l.granted = now
+	return now
 }
 
 // topUCB fills top with the highest entries of a UCB surface by partial

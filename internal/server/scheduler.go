@@ -30,7 +30,10 @@
 //     table, the round counter and the selection index (selindex.go) — the
 //     published copy of every job's scheduling scalars, its in-flight arm
 //     list and the per-class gap heaps. It is never held across training,
-//     store writes or WAL appends.
+//     store writes, WAL appends or a grant's provenance. Who ends a lease
+//     is decided by a CAS on the lease's own state: a settle claims it
+//     without coordMu, and the settle's publish, lease drop and round
+//     claim share one coordMu section.
 //   - each Job has its own mu guarding the tenant (bandit posterior, σ̃
 //     recurrence), its failure flag and its abandoned list. Complete's
 //     posterior update — and the refresh behind the gap it then publishes —
@@ -44,11 +47,12 @@
 // and never on the pick path.
 //
 // Lock order: jobsMu before coordMu before a job lock. Nothing holds two
-// job locks. A pick holds coordMu and the lock of the one job it chose; the
-// user picker never touches a bandit, because whoever moves one — a settle,
-// an abandon, a job failure, a budget drain, a replay — reads the job's
-// scalars under its lock and publishes them to the index in the coordMu
-// section that follows. Between those two sections the view is one move
+// job locks. A pick holds coordMu and the lock of the one job it chose, and
+// keeps the job lock past coordMu to record the pick; the user picker never
+// touches a bandit, because whoever moves one — a settle, an abandon, a job
+// failure, a budget drain, a replay — reads the job's scalars under its
+// lock and publishes them to the index in the coordMu section that
+// follows. Between those two sections the view is one move
 // behind, and two rules cover it: a publish that is not ahead of the view
 // (the tried count only grows) is dropped, since two movers of one job can
 // reach coordMu out of bandit order; and a pick that locks its chosen job
@@ -464,11 +468,10 @@ func (sc *Scheduler) AssignLease(l *Lease, worker string, expires time.Time) err
 	}
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
-	stored, ok := sc.leases[l.ID]
-	if !ok || stored != l || stored.settling {
-		return fmt.Errorf("server: assigning lease %d (%s/%s): %w", l.ID, l.JobID, l.Candidate.Name(), ErrLeaseConflict)
+	if l.state.Load() != leaseOutstanding {
+		return l.conflict("assigning")
 	}
-	stored.Worker, stored.Expires = worker, expires
+	l.Worker, l.Expires = worker, expires
 	return nil
 }
 
@@ -483,7 +486,7 @@ func (sc *Scheduler) HeldLease(id int, worker string) *Lease {
 // heldLocked is HeldLease under coordMu. An empty worker holds nothing:
 // a report naming no worker must not reach the engine's leases.
 func (sc *Scheduler) heldLocked(id int, worker string) *Lease {
-	if l, ok := sc.leases[id]; ok && l.Worker == worker && worker != "" && !l.settling {
+	if l, ok := sc.leases[id]; ok && l.Worker == worker && worker != "" && l.state.Load() == leaseOutstanding {
 		return l
 	}
 	return nil
@@ -532,8 +535,7 @@ func (sc *Scheduler) ExpireLeases(now time.Time) ([]*Lease, error) {
 	sc.coordMu.Lock()
 	var expired []*Lease
 	for _, l := range sc.leases {
-		if !l.settling && !l.Expires.IsZero() && l.Expires.Before(now) {
-			sc.dropLeaseLocked(l)
+		if !l.Expires.IsZero() && l.Expires.Before(now) && sc.dropLeaseLocked(l, leaseOutstanding) {
 			expired = append(expired, l)
 		}
 	}
@@ -796,10 +798,10 @@ type Lease struct {
 	// coordMu.
 	Expires time.Time
 
-	// Trace is the lease's lifecycle trace ID, minted at pick time. It
-	// travels with the lease through the fleet protocol (the wire lease
-	// and the X-Easeml-Trace header) so coordinator and worker logs for
-	// one lease correlate. Immutable after pick.
+	// Trace is the lease's lifecycle trace ID, minted with the pick's
+	// provenance. It travels with the lease through the fleet protocol (the
+	// wire lease and the X-Easeml-Trace header) so coordinator and worker
+	// logs for one lease correlate. Immutable once Grant returns.
 	Trace string
 
 	// span is the lease's root lifecycle span, opened at selection before
@@ -809,15 +811,41 @@ type Lease struct {
 	// children may open under it from any goroutine.
 	span telemetry.Span
 
-	// entry is the job's position in the selection index (and in sc.jobs).
+	// job is the lease's job and entry its position in the selection
+	// index (and in sc.jobs).
+	job   *Job
 	entry int
 
-	// settling marks a lease whose Complete/Abandon is in progress: the
-	// lease stays in the table — keeping its arm excluded from selection —
-	// until the bandit update lands, closing the window in which the arm
-	// would be neither leased nor tried and could be leased twice. Guarded
-	// by coordMu.
-	settling bool
+	// granted is the clock reading that ended the lease's pick: where Run
+	// starts timing the training run.
+	granted time.Time
+
+	// state is where the lease is in its lifecycle (leaseOutstanding …).
+	// A settling lease stays in the table — keeping its arm excluded from
+	// selection — until the bandit update lands, closing the window in
+	// which the arm would be neither leased nor tried and could be leased
+	// twice.
+	state atomic.Int32
+}
+
+// Lease lifecycle states. Grant puts a lease in the table outstanding, and
+// exactly one terminal path claims it: a settle moves it to settling by CAS
+// without coordMu (beginSettle), and every path that takes it out of the
+// table — release, expiry, preemption, a settle's end — moves it to gone by
+// CAS under coordMu (dropLeaseLocked). The zero state is a Lease no
+// scheduler granted.
+const (
+	leaseOutstanding int32 = iota + 1
+	leaseSettling
+	leaseGone
+)
+
+// conflict is the ErrLeaseConflict of a path that could not claim l.
+func (l *Lease) conflict(what string) error {
+	if l.state.Load() == leaseSettling {
+		return fmt.Errorf("server: %s lease %d (%s/%s): it is being settled: %w", what, l.ID, l.JobID, l.Candidate.Name(), ErrLeaseConflict)
+	}
+	return fmt.Errorf("server: %s lease %d (%s/%s): it is not outstanding: %w", what, l.ID, l.JobID, l.Candidate.Name(), ErrLeaseConflict)
 }
 
 // RootSpanID renders the ID of the lease's root lifecycle span ("" for a
@@ -846,47 +874,74 @@ func (sc *Scheduler) InFlight() int {
 // the job's in-flight arms hallucinated (bandit.NewShadow and Hallucinate,
 // applied incrementally), so parallel picks diversify.
 //
+// coordMu is held for the picks only: the last pick's provenance (spans,
+// decision record, stage histograms) is built after it, under the chosen
+// job's lock, so the record reads the posterior the arm was chosen from.
+// An earlier pick of a batch is recorded before the next pick, since
+// nothing holds two job locks. The clock is read once per stage boundary.
+//
 // Every returned lease must eventually be handed back via Settle (or its
 // parts: Complete with the training result, Release, Abandon). An error
 // comes with no leases: whatever the call had leased before a picker broke
 // its contract is released before it returns.
 func (sc *Scheduler) Grant(n, limit int) ([]*Lease, error) {
-	t0 := time.Now()
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
+	var t0 time.Time
+	if !sc.coordMu.TryLock() {
+		t0 = time.Now() // only a contended lock has a wait to time
+		sc.coordMu.Lock()
+	}
+	now := time.Now()
+	if t0.IsZero() {
+		t0 = now
+	}
 	// Lock wait is coordMu acquisition plus the wait for each chosen job's
 	// lock — the two places a Grant can stall behind other work.
-	lockWait := time.Since(t0)
+	lockWait := now.Sub(t0)
 	var picked []*Lease
+	var last grantRecord // the newest pick, its job's lock still held
 	var err error
-	for len(picked) < n && (limit <= 0 || len(sc.leases) < limit) {
-		var l *Lease
-		if l, err = sc.pickNextLocked(&lockWait); l == nil {
+	for len(picked) < n && (limit <= 0 || len(sc.leases) < limit) && sc.selIdx.anyActive() {
+		if last.l != nil {
+			now = sc.emitGrantProvenance(&last)
+			last.job.mu.Unlock()
+		}
+		if last, err = sc.pickNextLocked(&lockWait, now); last.l == nil {
 			break
 		}
-		picked = append(picked, l)
+		picked = append(picked, last.l)
 	}
-	pickStageLockWait.Observe(lockWait)
 	if err != nil {
 		// A picker-contract violation ends the Grant with nothing granted:
 		// a caller that sees an error has no leases to settle, so the ones
-		// this call already made go back here — a plain release, no failure
-		// tallied — before anyone else can see them.
+		// this call already made (each recorded before the next pick) go
+		// back here — a plain release, no failure tallied — before anyone
+		// else can see them.
 		for _, l := range picked {
 			if relErr := sc.releaseLocked(l); relErr != nil {
 				err = errors.Join(err, relErr)
 			}
 		}
+		sc.coordMu.Unlock()
 		return nil, err
 	}
+	sc.coordMu.Unlock()
+	if last.l != nil {
+		// No one reads the lease's trace or root span before they are set
+		// here: the paths that scan the table (expiry, preemption,
+		// HeldLeases) skip a lease no worker holds, and AssignLease needs
+		// the lease this call has not returned yet.
+		now = sc.emitGrantProvenance(&last)
+		last.job.mu.Unlock()
+	}
+	pickStageLockWait.Observe(lockWait)
 	if len(picked) > 0 {
 		// Attribute the Grant's lock wait to the first lease's tree (once
 		// per Grant, like the histogram).
 		lw := picked[0].span.Child(opPickLockWait, t0)
 		lw.EndAt(t0.Add(lockWait))
 	}
-	telemetry.SlowOp("pick_work", time.Since(t0), "leases", len(picked))
-	return picked, err
+	telemetry.SlowOp("pick_work", now.Sub(t0), "leases", len(picked))
+	return picked, nil
 }
 
 // PickWork leases until maxInFlight leases are outstanding: Grant with the
@@ -920,13 +975,15 @@ func (sc *Scheduler) SelectionStats() SelectionStats {
 	return stats
 }
 
-// pickNextLocked leases the next single work item. It returns (nil, nil)
-// when no job has an untried, unleased arm, and an error when the picker
-// violates its contract by choosing a blocked tenant. Callers hold coordMu
-// and no job lock: the user picker reads the selection index's views —
-// scalars the settle paths publish — so the only job lock a pick takes is
-// the chosen job's, for the arm pick on its bandit. jobWait accumulates the
-// time spent waiting for it.
+// pickNextLocked leases the next single work item, starting its select
+// stage at selectT0. It returns an empty record when no job has an
+// untried, unleased arm, and an error when the picker violates its
+// contract by choosing a blocked tenant. Callers hold coordMu and no job
+// lock: the user picker reads the selection index's views — scalars the
+// settle paths publish — so the only job lock a pick takes is the chosen
+// job's, for the arm pick on its bandit, and a lease comes back with it
+// still held, for its provenance. jobWait accumulates the time spent
+// waiting for it.
 //
 // The picker reads the class partition off the index and answers the
 // greedy argmax from the chosen class's gap heap, and hallucination shadows
@@ -935,13 +992,8 @@ func (sc *Scheduler) SelectionStats() SelectionStats {
 // O(1) prefix-sharing snapshot, never a deep clone). The lock-everything,
 // linear-scan, clone-per-batch picker it must agree with bit for bit is
 // referenceGrant in reference_test.go.
-func (sc *Scheduler) pickNextLocked(jobWait *time.Duration) (*Lease, error) {
+func (sc *Scheduler) pickNextLocked(jobWait *time.Duration, selectT0 time.Time) (grantRecord, error) {
 	ix := &sc.selIdx
-	if !ix.anyActive() {
-		return nil, nil
-	}
-	selectT0 := time.Now()
-	defer pickStageSelect.ObserveSince(selectT0)
 	for ix.anyActive() {
 		// The picker always sees every job — HYBRID's freeze signature
 		// depends on stable indices. Jobs whose untried arms are all leased
@@ -949,18 +1001,19 @@ func (sc *Scheduler) pickNextLocked(jobWait *time.Duration) (*Lease, error) {
 		// inactive.
 		idx := sc.picker.PickClasses(ix)
 		if idx < 0 || idx >= len(ix.views) {
-			return nil, fmt.Errorf("server: picker %s returned index %d with active tenants remaining", sc.picker.Name(), idx)
+			return grantRecord{}, fmt.Errorf("server: picker %s returned index %d with active tenants remaining", sc.picker.Name(), idx)
 		}
-		e := &ix.entries[idx]
-		job := e.job
+		job := ix.entries[idx].job
 		if !ix.views[idx].Active() {
 			// A silent nil here would let a faulty picker end scheduling with
 			// untried candidates looking like a clean drain.
-			return nil, fmt.Errorf("server: picker %s chose job %s, which has no selectable candidate", sc.picker.Name(), job.ID)
+			return grantRecord{}, fmt.Errorf("server: picker %s chose job %s, which has no selectable candidate", sc.picker.Name(), job.ID)
 		}
-		lockT0 := time.Now()
-		job.mu.Lock()
-		*jobWait += time.Since(lockT0)
+		if !job.mu.TryLock() {
+			lockT0 := time.Now()
+			job.mu.Lock()
+			*jobWait += time.Since(lockT0)
+		}
 		if sc.refreshLocked(idx) {
 			// The pick was made on a view the job's bandit had already left
 			// behind (possibly retired wholesale). Take back what it moved in
@@ -971,11 +1024,13 @@ func (sc *Scheduler) pickNextLocked(jobWait *time.Duration) (*Lease, error) {
 			sc.picker.UndoPick()
 			continue
 		}
-		l, err := sc.leaseArmLocked(idx, selectT0)
-		job.mu.Unlock()
-		return l, err
+		r, err := sc.leaseArmLocked(idx, selectT0)
+		if err != nil {
+			job.mu.Unlock()
+		}
+		return r, err
 	}
-	return nil, nil
+	return grantRecord{}, nil
 }
 
 // refreshLocked republishes job i's scalars when its bandit has moved past
@@ -1000,47 +1055,43 @@ func (sc *Scheduler) scoreLocked(job *Job) core.Scalars {
 
 // leaseArmLocked picks job i's next arm by GP-BUCB and leases it. Callers
 // hold coordMu and the job's lock, with the job's view current and active.
-func (sc *Scheduler) leaseArmLocked(i int, selectT0 time.Time) (*Lease, error) {
+func (sc *Scheduler) leaseArmLocked(i int, selectT0 time.Time) (grantRecord, error) {
 	e := &sc.selIdx.entries[i]
 	job := e.job
+	r := grantRecord{job: job, jobs: len(sc.selIdx.entries), leased: len(e.leased), selectT0: selectT0}
 	// With nothing in flight for the job, the hallucinated pick equals the
 	// real bandit's (cached) SelectArm — the serialized hot path builds no
 	// shadow at all. Otherwise the pick goes through a GP-BUCB shadow with
 	// the in-flight arms hallucinated.
 	var arm int
 	var ucb float64
-	var hallStart time.Time
-	var hallDur time.Duration
 	if len(e.leased) == 0 {
 		arm, ucb = job.tenant.Bandit.SelectArm()
 	} else {
-		hallStart = time.Now()
+		r.hallStart = time.Now()
 		shadow := sc.selIdx.shadowFor(e, job.tenant.Bandit, e.leased)
 		arm, ucb = shadow.SelectArm()
 		sc.selIdx.hallucinate(e, []int{arm})
-		hallDur = time.Since(hallStart)
-		pickStageHallucinate.Observe(hallDur)
+		r.hallDur = time.Since(r.hallStart)
 	}
 	if arm < 0 {
 		// Cannot happen for an active view that agrees with its bandit;
 		// surface it rather than loop.
-		return nil, fmt.Errorf("server: job %s reported active but selected no arm", job.ID)
+		return grantRecord{}, fmt.Errorf("server: job %s reported active but selected no arm", job.ID)
 	}
-	l := sc.newLeaseLocked(job, arm, ucb)
-	sc.emitGrantProvenance(l, job, false, len(e.leased), selectT0, hallStart, hallDur)
-	sc.addLeaseLocked(l)
+	r.l = sc.newLeaseLocked(job, arm, ucb)
+	sc.addLeaseLocked(r.l)
 	sc.selIdx.stats.Picks++
-	return l, nil
+	return r, nil
 }
 
 // newLeaseLocked mints the lease for (job, arm) priced at ucb. The caller
-// attaches the root span and publishes it with addLeaseLocked. Callers
-// hold coordMu.
+// publishes it with addLeaseLocked, and its provenance mints its trace and
+// root span. Callers hold coordMu.
 func (sc *Scheduler) newLeaseLocked(job *Job, arm int, ucb float64) *Lease {
 	sc.nextLease++
-	leaseTraces.Inc()
 	return &Lease{ID: sc.nextLease, JobID: job.ID, Arm: arm, Candidate: job.Candidates[arm], UCB: ucb,
-		Trace: telemetry.NewTraceID(), entry: job.tenant.ID}
+		job: job, entry: job.tenant.ID}
 }
 
 // addLeaseLocked and dropLeaseLocked are the only writers of the lease
@@ -1049,50 +1100,63 @@ func (sc *Scheduler) newLeaseLocked(job *Job, arm int, ucb float64) *Lease {
 // rebuilt from the list reproduces a revived one bit for bit) and the
 // leased count of its view in step with it. Callers hold coordMu.
 func (sc *Scheduler) addLeaseLocked(l *Lease) {
+	l.state.Store(leaseOutstanding)
 	sc.leases[l.ID] = l
 	sc.inFlight.Store(int64(len(sc.leases)))
 	sc.selIdx.setLeased(l.entry, append(sc.selIdx.entries[l.entry].leased, l.Arm))
 }
 
-func (sc *Scheduler) dropLeaseLocked(l *Lease) {
+// dropLeaseLocked claims l by moving it from the state from to gone, and
+// takes it out of the table; it reports false, changing nothing, when l
+// was not in that state — another path claimed it first.
+func (sc *Scheduler) dropLeaseLocked(l *Lease, from int32) bool {
+	if !l.state.CompareAndSwap(from, leaseGone) {
+		return false
+	}
 	delete(sc.leases, l.ID)
 	sc.inFlight.Store(int64(len(sc.leases)))
 	arms := sc.selIdx.entries[l.entry].leased
 	if k := slices.Index(arms, l.Arm); k >= 0 {
 		sc.selIdx.setLeased(l.entry, slices.Delete(arms, k, k+1))
 	}
+	return true
 }
 
-// beginSettle marks an outstanding lease as settling, erroring on a lease
-// that is not outstanding (double completion, or completion after Release)
-// or already settling. The lease stays in the table so its arm remains
-// excluded from Grant until endSettle. It returns the lease's job — a lease
-// in the table was minted from one (newLeaseLocked), and jobs are never
-// removed.
+// beginSettle claims an outstanding lease for a settle by CAS, without
+// coordMu, erroring on a lease that is not outstanding (double completion,
+// or completion after Release) or already settling. The lease stays in the
+// table so its arm remains excluded from Grant until the settle's publish
+// drops it (settledLocked). It returns the lease's job.
 func (sc *Scheduler) beginSettle(l *Lease) (*Job, error) {
 	if l == nil {
 		return nil, fmt.Errorf("server: nil lease")
 	}
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	stored, ok := sc.leases[l.ID]
-	if !ok || stored != l {
-		return nil, fmt.Errorf("server: lease %d (%s/%s) is not outstanding: %w", l.ID, l.JobID, l.Candidate.Name(), ErrLeaseConflict)
+	if !l.state.CompareAndSwap(leaseOutstanding, leaseSettling) {
+		return nil, l.conflict("settling")
 	}
-	if stored.settling {
-		return nil, fmt.Errorf("server: lease %d (%s/%s) is already being settled: %w", l.ID, l.JobID, l.Candidate.Name(), ErrLeaseConflict)
-	}
-	stored.settling = true
-	return sc.selIdx.entries[l.entry].job, nil
+	return l.job, nil
 }
 
-// endSettle drops a settling lease from the table once apply has left its
-// arm tried or retired (or the settle bounced), so its failure tally goes
-// too. apply has already published whatever the settle did to the bandit.
+// settledLocked drops a settling lease from the table once apply has left
+// its arm tried or retired (or the settle bounced), and its failure tally
+// with it. The apply that moved the bandit calls it in the coordMu section
+// that publishes the move; endSettle is it for a settle whose apply did
+// not. Callers hold coordMu.
+func (sc *Scheduler) settledLocked(l *Lease) {
+	if sc.dropLeaseLocked(l, leaseSettling) {
+		delete(sc.failCounts, failKey{l.JobID, l.Arm})
+	}
+}
+
+// endSettle is settledLocked for a settle whose lease no publish dropped;
+// only the settle moves its lease on from settling, so the check needs no
+// lock.
 func (sc *Scheduler) endSettle(l *Lease) {
+	if l.state.Load() != leaseSettling {
+		return
+	}
 	sc.coordMu.Lock()
-	sc.dropLeaseLocked(l)
-	delete(sc.failCounts, failKey{l.JobID, l.Arm})
+	sc.settledLocked(l)
 	sc.coordMu.Unlock()
 }
 
@@ -1104,7 +1168,7 @@ func (sc *Scheduler) endSettle(l *Lease) {
 // fails on an ill-conditioned covariance fails the job — retiring it from
 // scheduling — instead of killing the server.
 func (sc *Scheduler) Complete(l *Lease, accuracy, cost float64) error {
-	_, err := sc.complete(l, accuracy, cost, true)
+	_, err := sc.complete(l, accuracy, cost, true, time.Now())
 	return err
 }
 
@@ -1125,10 +1189,11 @@ func (c Commit) Wait() error {
 	return <-c.done
 }
 
-// complete is Complete. With wait it returns once the model record is
-// durable; without, right after the enqueue, with the record's Commit.
-func (sc *Scheduler) complete(l *Lease, accuracy, cost float64, wait bool) (Commit, error) {
-	settleT0 := time.Now()
+// complete is Complete, started at settleT0. With wait it returns once the
+// model record is durable; without, right after the enqueue, with the
+// record's Commit. The settle span and the lease's root end on one clock
+// reading.
+func (sc *Scheduler) complete(l *Lease, accuracy, cost float64, wait bool, settleT0 time.Time) (Commit, error) {
 	job, err := sc.beginSettle(l)
 	if err != nil {
 		// A conflicting settle still leaves evidence: a zero-length settle
@@ -1145,16 +1210,14 @@ func (sc *Scheduler) complete(l *Lease, accuracy, cost float64, wait bool) (Comm
 	settle := l.span.Child(opSettle, settleT0)
 	rec := storage.ModelRecord{Name: l.Candidate.Name(), Accuracy: accuracy, Cost: cost}
 	commit, outcome, err := sc.observeAndRecord(l, job, &rec, &settle, wait)
+	end := time.Now()
+	settle.SetAttr("outcome", outcome)
+	settle.Fail(err)
+	settle.EndAt(end)
+	finishLeaseSpanAt(l, outcome, err, end)
 	if err != nil {
-		settle.SetAttr("outcome", outcome)
-		settle.Fail(err)
-		settle.End()
-		finishLeaseSpan(l, outcome, err)
 		return Commit{}, err
 	}
-	settle.SetAttr("outcome", "completed")
-	settle.End()
-	finishLeaseSpan(l, "completed", nil)
 	// The observation paid its arm's cost into the bandit; check the
 	// tenant's budget after the result is logged, so a budget-drained job
 	// never loses an acknowledged model record: the drain's own events
@@ -1166,8 +1229,9 @@ func (sc *Scheduler) complete(l *Lease, accuracy, cost float64, wait bool) (Comm
 }
 
 // observeAndRecord is the ordered core of Complete: apply the model
-// record (observation, σ̃, round claim, model store), drop the lease, then
-// enqueue the WAL record, all under the job's settle lock, so two settles
+// record (observation, σ̃, then round claim, publish and lease drop in one
+// coordMu section, model store), then enqueue the WAL record, all under
+// the job's settle lock, so two settles
 // of one job land in the same order in the live model list, in the
 // observation sequence and in the WAL recovery replays. The wait for the
 // fsync (with wait) runs after the lock is released, so settles of one job
@@ -1183,8 +1247,8 @@ func (sc *Scheduler) observeAndRecord(l *Lease, job *Job, rec *storage.ModelReco
 	var walT0 time.Time
 	var walErr error
 	job.settleMu.Lock()
-	err := sc.applyLive(ev)
-	sc.endSettle(l) // the arm is tried now (or the settle bounced)
+	err := sc.applyLive(ev, l)
+	sc.endSettle(l) // the settle bounced before its publish
 	if err == nil && sc.log != nil {
 		walT0 = time.Now()
 		commit.Seq, commit.done, walErr = sc.log.Enqueue([]storage.Event{ev})
@@ -1257,9 +1321,9 @@ func (sc *Scheduler) Abandon(l *Lease) error {
 	job.mu.Unlock()
 	ev := storage.Event{Type: storage.EventCandidateAbandoned, Job: l.JobID, Candidate: l.Candidate.Name()}
 	if fresh {
-		err = sc.applyLive(ev)
+		err = sc.applyLive(ev, l) // its publish drops the lease: the arm is retired now
 	}
-	sc.endSettle(l) // the arm is retired (Tried) now, never re-selectable
+	sc.endSettle(l)
 	finishLeaseSpan(l, "abandoned", nil)
 	if err != nil || !fresh {
 		return err
@@ -1281,17 +1345,12 @@ func (sc *Scheduler) Release(l *Lease) error {
 
 // releaseLocked is Release under coordMu.
 func (sc *Scheduler) releaseLocked(l *Lease) error {
-	stored, ok := sc.leases[l.ID]
-	if !ok || stored != l {
-		return fmt.Errorf("server: lease %d (%s/%s) is not outstanding: %w", l.ID, l.JobID, l.Candidate.Name(), ErrLeaseConflict)
-	}
-	if stored.settling {
-		return fmt.Errorf("server: lease %d (%s/%s) is being settled: %w", l.ID, l.JobID, l.Candidate.Name(), ErrLeaseConflict)
-	}
 	// No epoch bump: a release changes only the lease list, which the next
 	// pick absorbs by rolling the job's shadow back to the matching
 	// checkpoint — the bandit (and so the published gap) is untouched.
-	sc.dropLeaseLocked(l)
+	if !sc.dropLeaseLocked(l, leaseOutstanding) {
+		return l.conflict("releasing")
+	}
 	finishLeaseSpan(l, "released", nil)
 	return nil
 }
@@ -1314,7 +1373,7 @@ const (
 // burns no budget. It returns how the lease settled (with an error: the
 // path that failed), once whatever it logged is durable.
 func (sc *Scheduler) Settle(l *Lease, accuracy, cost float64, runErr error) (string, error) {
-	settled, _, err := sc.settle(l, accuracy, cost, runErr, true)
+	settled, _, err := sc.settle(l, accuracy, cost, runErr, true, time.Now())
 	return settled, err
 }
 
@@ -1324,15 +1383,15 @@ func (sc *Scheduler) Settle(l *Lease, accuracy, cost float64, runErr error) (str
 // the log's durable horizon (DurableSeq) reaches Commit.Seq. A release or
 // an abandon is synchronous, as in Settle, and returns an empty Commit.
 func (sc *Scheduler) SettleEnqueued(l *Lease, accuracy, cost float64, runErr error) (string, Commit, error) {
-	return sc.settle(l, accuracy, cost, runErr, false)
+	return sc.settle(l, accuracy, cost, runErr, false, time.Now())
 }
 
-func (sc *Scheduler) settle(l *Lease, accuracy, cost float64, runErr error, wait bool) (string, Commit, error) {
+func (sc *Scheduler) settle(l *Lease, accuracy, cost float64, runErr error, wait bool, t0 time.Time) (string, Commit, error) {
 	if l == nil {
 		return "", Commit{}, fmt.Errorf("server: nil lease")
 	}
 	if runErr == nil {
-		commit, err := sc.complete(l, accuracy, cost, wait)
+		commit, err := sc.complete(l, accuracy, cost, wait, t0)
 		return SettledCompleted, commit, err
 	}
 	key := failKey{l.JobID, l.Arm}
@@ -1384,13 +1443,24 @@ func (sc *Scheduler) RunRound() (bool, error) {
 		return false, err
 	}
 	l := leases[0]
-	// Train outside all locks: this is the long-running part.
-	acc, cost, runErr := sc.trainer.Train(l.JobID, l.Candidate)
-	_, err = sc.Settle(l, acc, cost, runErr)
+	_, _, runErr, err := sc.Run(l, sc.trainer)
 	if runErr != nil {
 		return false, errors.Join(fmt.Errorf("server: training %s/%s: %w", l.JobID, l.Candidate.Name(), runErr), err)
 	}
 	return true, err
+}
+
+// Run trains a granted lease on tr, outside all locks, and settles the
+// outcome (Settle): the rest of the one-lease cycle that RunRound and each
+// engine worker run. It returns how the lease settled, the run's training
+// error, how long the run took and the settle's error. One clock reading
+// ends the run and starts the settle; the run starts at the reading that
+// ended the lease's pick.
+func (sc *Scheduler) Run(l *Lease, tr Trainer) (settled string, busy time.Duration, runErr, err error) {
+	acc, cost, runErr := tr.Train(l.JobID, l.Candidate)
+	end := time.Now()
+	settled, _, err = sc.settle(l, acc, cost, runErr, true, end)
+	return settled, end.Sub(l.granted), runErr, err
 }
 
 // RunRounds executes up to n rounds, stopping early when all jobs are
@@ -1489,7 +1559,7 @@ func (sc *Scheduler) admitExample(job *Job, input, output []float64) error {
 // attached).
 func (sc *Scheduler) Refine(jobID string, exampleID int, enabled bool) error {
 	ev := storage.Event{Type: storage.EventExampleRefined, Job: jobID, Example: exampleID, Enabled: enabled}
-	if err := sc.applyLive(ev); err != nil {
+	if err := sc.applyLive(ev, nil); err != nil {
 		return err
 	}
 	return sc.logEvents("refine", jobID, ev)

@@ -27,11 +27,12 @@ import (
 //     that touch the lease table. Nothing on the pick path scans that table.
 //
 //   - Class partition. A job's class is fixed at submission, so the index
-//     keeps per class the member views in index order, a max-heap over
-//     their gaps and a count of active members. The class-weighted picker
-//     gets its opening scan and its restriction in O(classes)
-//     (core.ClassOracle), and the greedy argmax folds σ̃ over, and pops the
-//     heap of, the chosen class only.
+//     keeps per class the member views in index order, a dense copy of the
+//     scalars a pick reads (σ̃, gap, best observed, active), a max-heap over
+//     the gaps, a count of active members and the total of their tried
+//     arms. The class-weighted picker gets its opening scan and its
+//     restriction in O(classes) (core.ClassOracle), and the greedy argmax
+//     folds σ̃ over, and pops the heap of, the chosen class only.
 //
 //   - Persistent hallucination shadows. The GP-BUCB shadow a job's picks
 //     are diversified through is kept on the job's entry and revived across
@@ -39,12 +40,16 @@ import (
 //     pays one O(1) shadow (bandit.NewShadow's prefix-sharing snapshot)
 //     instead of a deep posterior clone per call.
 //
-// What stays linear in one class's size, and why: the σ̃ mean is re-folded
-// over the class's views in index order rather than kept as a running sum,
-// because float addition order changes low bits and the selection must
-// stay bit-identical to core.GreedyDecision; and HYBRID's candidate set is
-// recomputed once per observed round. Both are scalar reads — no lock, no
-// hash, no allocation.
+// What stays linear in one class's size, and why: one pass per pick over
+// the dense columns yields the σ̃ sum and the unserved set in index order
+// (the active count is kept) and HYBRID's best-observed total, and
+// GreedyChoice, GreedyCandidates and the freeze check share it. The sums
+// are re-folded rather than kept running because float addition order
+// changes low bits and the selection must stay bit-identical to
+// core.GreedyDecision and HYBRID's own pass; the tried total is a counter
+// kept at publish (integers add exactly). Once per observed round, the
+// candidate set filters the σ̃ column against the mean. All are reads of
+// contiguous scalars — no lock, no hash, no allocation.
 //
 // Two rules keep a view honest without locking its job. A publish whose
 // Tried count is not ahead of the view's is dropped: Tried only grows, and a
@@ -94,7 +99,7 @@ type selEntry struct {
 }
 
 // selClass is one class's partition of the index, and the
-// core.SelectionOracle over exactly its members: every index it takes or
+// core.FreezeOracle over exactly its members: every index it takes or
 // returns is a position in views.
 type selClass struct {
 	key     string
@@ -104,12 +109,25 @@ type selClass struct {
 	heap    []int          // member positions, max-heap by (gap desc, position asc)
 	pos     []int          // pos[k] is member k's position in heap
 	active  int            // members whose view is Active
+	tried   int            // the members' tried arms in total
 	drained int            // members before this position have no open arm, for good
 	stats   *SelectionStats
 
-	walk     []int // scratch for GreedyChoice's heap walk
-	unserved []int // scratch for the unserved-tenant fold
-	cands    []int // scratch for GreedyCandidates
+	// The members' pick scalars, copied from their views by set: what a
+	// pick's passes read, contiguous.
+	sig  []float64 // σ̃
+	gap  []float64
+	best []float64 // best observed
+	act  []bool    // Active
+
+	// The pick's fold (see fold), valid until a member's scalars change.
+	folded   bool
+	sum      float64 // σ̃ over the served active members, in index order
+	bestSum  float64 // best observed over every member, in index order
+	unserved []int   // the unserved active members
+
+	walk  []int // scratch for GreedyChoice's heap walk
+	cands []int // scratch for GreedyCandidates
 }
 
 // SelectionStats are the pick-path counters exposed through
@@ -171,11 +189,11 @@ func (ix *selectionIndex) add(job *Job, s core.Scalars) {
 	ix.stats.JobsRescored++
 	c.members = append(c.members, i)
 	c.views = append(c.views, view)
+	c.sig, c.gap, c.best, c.act = append(c.sig, 0), append(c.gap, 0), append(c.best, 0), append(c.act, false)
+	c.tried += s.Tried
+	c.set(len(c.views) - 1)
 	c.pos = append(c.pos, 0)
 	c.heapPush(len(c.views) - 1)
-	if view.Active() {
-		c.active++
-	}
 }
 
 // publish stores job i's scalars as read under its lock, bumps its epoch
@@ -186,9 +204,9 @@ func (ix *selectionIndex) publish(i int, s core.Scalars) bool {
 		return false
 	}
 	e := &ix.entries[i]
-	was := ix.views[i].Active()
+	e.class.tried += s.Tried - ix.views[i].NumTried()
 	ix.views[i].Publish(s)
-	ix.recount(i, was)
+	e.class.set(e.local)
 	e.class.fix(e.local)
 	e.epoch++
 	// The shadow hallucinated over the old epoch's posterior and can never
@@ -204,23 +222,26 @@ func (ix *selectionIndex) publish(i int, s core.Scalars) bool {
 	return true
 }
 
-// recount keeps the active count of view i's class after the view's open
-// or leased count moved; was is the view's Active before the move.
-func (ix *selectionIndex) recount(i int, was bool) {
-	if now := ix.views[i].Active(); now && !was {
-		ix.entries[i].class.active++
-	} else if was && !now {
-		ix.entries[i].class.active--
+// set copies member k's scalars from its view after the view moved, and
+// keeps the class's active count.
+func (c *selClass) set(k int) {
+	v, was := c.views[k], c.act[k]
+	c.sig[k], c.gap[k], c.best[k], c.act[k] = v.SigmaTilde(), v.Gap(), v.BestObserved(), v.Active()
+	if c.act[k] && !was {
+		c.active++
+	} else if was && !c.act[k] {
+		c.active--
 	}
+	c.folded = false
 }
 
 // setLeased replaces entry i's in-flight arm list (grant order) and the
 // leased count its view reports; see Scheduler.addLeaseLocked.
 func (ix *selectionIndex) setLeased(i int, arms []int) {
-	was := ix.views[i].Active()
-	ix.entries[i].leased = arms
+	e := &ix.entries[i]
+	e.leased = arms
 	ix.views[i].SetLeased(len(arms))
-	ix.recount(i, was)
+	e.class.set(e.local)
 }
 
 // anyActive reports whether any job has an untried, unleased arm.
@@ -268,31 +289,36 @@ func (c *selClass) firstActive() int {
 		c.drained++
 	}
 	k := c.drained
-	for !c.views[k].Active() {
+	for !c.act[k] {
 		k++
 	}
 	return k
 }
 
-// fold is core.GreedyDecision's pass over the class's tenants, replicated
-// exactly (same iteration order, same float accumulation order): the active
-// count, the σ̃ sum of the served and the unserved-active set.
-func (c *selClass) fold() (nActive int, sum float64, unserved []int) {
-	unserved = c.unserved[:0]
-	for k, t := range c.views {
-		if !t.Active() {
-			continue
-		}
-		nActive++
-		st := t.SigmaTilde()
-		if math.IsInf(st, 1) {
-			unserved = append(unserved, k)
-			continue
-		}
-		sum += st
+// fold is core.GreedyDecision's pass over the class, replicated exactly
+// (index order, the same float accumulation): the σ̃ sum of the served
+// active members and the unserved active ones, and in the same pass
+// HYBRID's best-observed total over every member. The active count is kept
+// (set), so the pass reads three dense columns. GreedyChoice,
+// GreedyCandidates and BestObservedSum of one pick share it; a change to
+// any member's scalars voids it.
+func (c *selClass) fold() {
+	if c.folded {
+		return
 	}
-	c.unserved = unserved
-	return nActive, sum, unserved
+	c.sum, c.bestSum, c.unserved = 0, 0, c.unserved[:0]
+	for k, a := range c.act {
+		c.bestSum += c.best[k]
+		if !a {
+			continue
+		}
+		if st := c.sig[k]; math.IsInf(st, 1) {
+			c.unserved = append(c.unserved, k)
+		} else {
+			c.sum += st
+		}
+	}
+	c.folded = true
 }
 
 // argmax returns the member of ks with the largest gap, lowest position
@@ -300,18 +326,29 @@ func (c *selClass) fold() (nActive int, sum float64, unserved []int) {
 func (c *selClass) argmax(ks []int) int {
 	best, bestGap := -1, math.Inf(-1)
 	for _, k := range ks {
-		if g := c.views[k].Gap(); g > bestGap {
+		if g := c.gap[k]; g > bestGap {
 			best, bestGap = k, g
 		}
 	}
 	return best
 }
 
-// allActive lists the active members into the cands scratch.
-func (c *selClass) allActive() []int {
+// candidates lists the active members whose σ̃ reaches avg (all active
+// members when none does) into the cands scratch.
+func (c *selClass) candidates(avg float64) []int {
 	c.cands = c.cands[:0]
-	for k, t := range c.views {
-		if t.Active() {
+	for k, a := range c.act {
+		if a && c.sig[k] >= avg {
+			c.cands = append(c.cands, k)
+		}
+	}
+	if len(c.cands) > 0 {
+		return c.cands
+	}
+	// Numerical corner (no σ̃ reaches the mean): candidates fall back to
+	// the whole active set, exactly like core.GreedyDecision.
+	for k, a := range c.act {
+		if a {
 			c.cands = append(c.cands, k)
 		}
 	}
@@ -321,16 +358,16 @@ func (c *selClass) allActive() []int {
 // GreedyChoice implements core.SelectionOracle for the class's views: the
 // greedy argmax served from the heap.
 func (c *selClass) GreedyChoice([]*core.Tenant) int {
-	nActive, sum, unserved := c.fold()
-	if nActive == 0 {
+	if c.active == 0 {
 		return -1
 	}
-	if len(unserved) > 0 {
+	c.fold()
+	if len(c.unserved) > 0 {
 		// Initialization sweep: candidates are exactly the unserved-active
 		// tenants.
-		return c.argmax(unserved)
+		return c.argmax(c.unserved)
 	}
-	avg := sum / float64(nActive)
+	avg := c.sum / float64(c.active)
 
 	// Heap argmax with the candidate filter (σ̃ ≥ avg), without touching the
 	// heap: walk it from the root, never below a member that is eligible
@@ -350,7 +387,7 @@ func (c *selClass) GreedyChoice([]*core.Tenant) int {
 		if choice >= 0 && !c.less(k, choice) {
 			continue
 		}
-		if t := c.views[k]; t.Active() && t.SigmaTilde() >= avg {
+		if c.act[k] && c.sig[k] >= avg {
 			choice = k
 			continue
 		}
@@ -364,34 +401,32 @@ func (c *selClass) GreedyChoice([]*core.Tenant) int {
 	if choice >= 0 {
 		return choice
 	}
-	// Numerical corner (no σ̃ reaches the mean): candidates fall back to
-	// the whole active set, exactly like core.GreedyDecision.
-	return c.argmax(c.allActive())
+	return c.argmax(c.candidates(avg)) // every active member: none reaches avg
 }
 
 // GreedyCandidates implements core.SelectionOracle: the candidate set Vt of
 // the class as ascending positions, in scratch space (valid until the next
 // call). It is the hybrid freeze signature — asked once per observed round,
-// not per pick.
+// not per pick — and reuses the pick's fold.
 func (c *selClass) GreedyCandidates([]*core.Tenant) []int {
-	nActive, sum, unserved := c.fold()
-	if nActive == 0 {
+	if c.active == 0 {
 		return nil
 	}
-	if len(unserved) > 0 {
-		return unserved
+	c.fold()
+	if len(c.unserved) > 0 {
+		return c.unserved
 	}
-	avg := sum / float64(nActive)
-	c.cands = c.cands[:0]
-	for k, t := range c.views {
-		if t.Active() && t.SigmaTilde() >= avg {
-			c.cands = append(c.cands, k)
-		}
-	}
-	if len(c.cands) == 0 {
-		return c.allActive()
-	}
-	return c.cands
+	return c.candidates(c.sum / float64(c.active))
+}
+
+// TriedTotal implements core.FreezeOracle: the counter publish keeps.
+func (c *selClass) TriedTotal() int { return c.tried }
+
+// BestObservedSum implements core.FreezeOracle: the pick's fold sums it in
+// index order, like HYBRID's own pass.
+func (c *selClass) BestObservedSum() float64 {
+	c.fold()
+	return c.bestSum
 }
 
 // shadowFor returns the job's hallucination shadow conditioned on exactly
@@ -468,7 +503,7 @@ func intPrefix(p, s []int) bool {
 
 // less reports whether member a ranks above member b.
 func (c *selClass) less(a, b int) bool {
-	ga, gb := c.views[a].Gap(), c.views[b].Gap()
+	ga, gb := c.gap[a], c.gap[b]
 	if ga != gb {
 		return ga > gb
 	}

@@ -133,20 +133,19 @@ func (sc *Scheduler) SpeculativeGrant(jobID string, arm int, epoch uint64) (*Lea
 	// The lease's UCB (fed into the σ̃ recurrence at settle) prices the arm
 	// on the same hallucinated posterior the pick path would have used.
 	var ucb float64
-	var hallStart time.Time
-	var hallDur time.Duration
+	r := grantRecord{job: job, speculative: true, jobs: len(sc.selIdx.entries), selectT0: t0}
 	if len(cur) == 0 {
 		ucb = job.tenant.Bandit.UCB(arm)
 	} else {
-		hallStart = time.Now()
+		r.hallStart = time.Now()
 		shadow := sc.selIdx.shadowFor(entry, job.tenant.Bandit, cur)
 		ucb = shadow.UCB(arm)
 		sc.selIdx.hallucinate(entry, []int{arm})
-		hallDur = time.Since(hallStart)
-		pickStageHallucinate.Observe(hallDur)
+		r.hallDur = time.Since(r.hallStart)
 	}
 	l := sc.newLeaseLocked(job, arm, ucb)
-	sc.emitGrantProvenance(l, job, true, 0, t0, hallStart, hallDur)
+	r.l = l
+	sc.emitGrantProvenance(&r)
 	sc.addLeaseLocked(l)
 	sc.selIdx.stats.Picks++
 	sc.selIdx.stats.SpeculativeGrants++

@@ -113,7 +113,7 @@ func (g *Generator) Generate(rng *rand.Rand) (*Quality, error) {
 	// Appendix B.2's pU mapping with equal counts.
 	for i := 0; i < numUsers; i++ {
 		bg := g.Baselines[i%len(g.Baselines)]
-		q.Baselines[i] = bg.Mu + bg.Sigma*rng.NormFloat64()
+		q.Baselines[i] = bg.Mu + float64(bg.Sigma*rng.NormFloat64())
 	}
 
 	// Model hidden-similarity scores and per-group covariance Cholesky
@@ -178,7 +178,7 @@ func (g *Generator) Generate(rng *rand.Rand) (*Quality, error) {
 		}
 		row := make([]float64, numModels)
 		for j := 0; j < numModels; j++ {
-			v := q.Baselines[i] + g.Alpha*m[j] + g.UserAlpha*u[i] + g.SigmaW*rng.NormFloat64()
+			v := q.Baselines[i] + float64(g.Alpha*m[j]) + float64(g.UserAlpha*u[i]) + float64(g.SigmaW*rng.NormFloat64())
 			row[j] = clamp01(v)
 		}
 		q.X[i] = row
