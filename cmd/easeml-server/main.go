@@ -37,11 +37,11 @@
 // flight at the crash is re-queued. Concurrent mutations are group
 // committed with no timer involved: the log fsyncs as soon as it has work,
 // and the appends that arrive during one fsync share the next; a feed
-// request is one commit however many examples it carries.
-// (-wal-sync-interval, which used to size a commit linger, is deprecated:
-// accepted, ignored, and warned about once.) Segments roll at
-// -wal-segment-bytes. POST /admin/snapshot compacts the whole log into
-// the snapshot at runtime and retires every segment the snapshot covers.
+// request is one commit however many examples it carries, and there is
+// no commit window to size (the -wal-sync-interval flag that once sized
+// one is gone). Segments roll at -wal-segment-bytes. POST /admin/snapshot
+// compacts the whole log into the snapshot at runtime and retires every
+// segment the snapshot covers.
 //
 // With -quota-config the server enforces tenant admission control: the
 // JSON file declares per-tenant service classes (guaranteed / standard /
@@ -105,7 +105,6 @@ func main() {
 	workers := flag.Int("workers", 0, "async engine worker count (0 = serialized rounds via /admin/rounds)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshots; empty = in-memory)")
 	walSegmentBytes := flag.Int64("wal-segment-bytes", 4<<20, "WAL segment roll threshold in bytes (with -data-dir)")
-	flag.Duration("wal-sync-interval", 0, "deprecated and ignored: the WAL commits as soon as it has work, there is no commit window to size")
 	fleetAddr := flag.String("fleet-addr", "", "dedicated listen address for the fleet worker protocol (empty = no fleet)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "fleet lease TTL before silent workers' leases are re-queued (default 10s)")
 	quotaConfig := flag.String("quota-config", "", "JSON tenant quota file enabling admission control (classes, caps, rate limits, budgets)")
@@ -130,11 +129,6 @@ func main() {
 	}
 	slog.SetDefault(logger) // slow-op and library warnings inherit the process logger
 	telemetry.SetSlowOpThreshold(*slowOp)
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "wal-sync-interval" {
-			logger.Warn("-wal-sync-interval is deprecated and ignored: the WAL commits as soon as it has work", "value", f.Value)
-		}
-	})
 
 	if *alpha <= 0 || *alpha > 1 {
 		logger.Error("invalid flag", "flag", "-alpha", "value", *alpha, "want", "(0, 1]")

@@ -12,26 +12,26 @@ import (
 // easeml facade does — or serve it on a dedicated fleet address.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/fleet/register", c.handleRegister)
-	mux.HandleFunc("/fleet/lease", c.handleLease)
-	mux.HandleFunc("/fleet/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("/fleet/complete", c.handleComplete)
-	mux.HandleFunc("/fleet/leave", c.handleLeave)
-	mux.HandleFunc("/fleet/job", c.handleJob)
+	mux.Handle("/fleet/register", server.Route{Post: c.handleRegister})
+	mux.Handle("/fleet/lease", server.Route{Post: c.handleLease})
+	mux.Handle("/fleet/heartbeat", server.Route{Post: c.handleHeartbeat})
+	mux.Handle("/fleet/complete", server.Route{Post: c.handleComplete})
+	mux.Handle("/fleet/leave", server.Route{Post: c.handleLeave})
+	mux.Handle("/fleet/job", server.Route{Get: c.handleJob})
 	return mux
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if !readJSON(w, r, &req) {
+	if !server.ReadJSON(w, r, &req) {
 		return
 	}
-	writeJSON(w, http.StatusOK, c.Register(req))
+	server.WriteJSON(w, http.StatusOK, c.Register(req))
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if !readJSON(w, r, &req) {
+	if !server.ReadJSON(w, r, &req) {
 		return
 	}
 	resp, err := c.Lease(req)
@@ -39,12 +39,12 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeFleetError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !readJSON(w, r, &req) {
+	if !server.ReadJSON(w, r, &req) {
 		return
 	}
 	resp, err := c.Heartbeat(req)
@@ -52,12 +52,12 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeFleetError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if !readJSON(w, r, &req) {
+	if !server.ReadJSON(w, r, &req) {
 		return
 	}
 	resp, err := c.Complete(req)
@@ -65,12 +65,12 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeFleetError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req LeaveRequest
-	if !readJSON(w, r, &req) {
+	if !server.ReadJSON(w, r, &req) {
 		return
 	}
 	resp, err := c.Leave(req.WorkerID)
@@ -78,20 +78,16 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 		writeFleetError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		server.WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	info, err := c.JobInfo(r.URL.Query().Get("id"))
 	if err != nil {
 		server.WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	server.WriteJSON(w, http.StatusOK, info)
 }
 
 // writeFleetError maps coordinator errors onto the service's shared error
@@ -110,16 +106,4 @@ func writeFleetError(w http.ResponseWriter, err error) {
 	default:
 		server.WriteError(w, http.StatusInternalServerError, err)
 	}
-}
-
-func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		server.WriteError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return false
-	}
-	return server.ReadJSON(w, r, dst)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	server.WriteJSON(w, status, v)
 }

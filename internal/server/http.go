@@ -44,7 +44,8 @@ import (
 // FleetControl wired in with WithFleet, and /admin/quotas the scheduler's
 // admission controller (see NewScheduler).
 //
-// Errors are JSON envelopes {"error": "...", "code": "..."}; code
+// Errors are JSON envelopes {"error": "...", "code": "..."}, except the
+// router's plain-text 404 for a path no route serves; code
 // "lease_conflict" (HTTP 409) marks lease-lifecycle races — a worker
 // double-reporting a result, or reporting after its lease expired — which
 // retrying workers should drop, not escalate. Code "quota_exceeded"
@@ -163,24 +164,59 @@ func (a *API) WithFleet(ctrl FleetControl) *API {
 // Handler returns the HTTP handler for the service: the API routes plus
 // GET /metrics (Prometheus exposition), the whole surface wrapped in the
 // telemetry middleware — per-route latency histograms, status-code
-// counters and X-Easeml-Trace propagation.
+// counters and X-Easeml-Trace propagation. Each route is a ServeMux
+// pattern, and the pattern a request matched is its metric label, so the
+// label set is this list plus "other". A path no pattern serves answers
+// the mux's plain-text 404. No pattern may end in "/": for a path one
+// slash short of such a pattern the mux redirects and reports the
+// redirect target, the client's path plus "/", as the matched pattern.
 func (a *API) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/jobs", a.handleJobs)
-	mux.HandleFunc("/jobs/", a.handleJobOp)
-	mux.HandleFunc("/metrics", a.handlePrometheus)
-	mux.HandleFunc("/admin/rounds", a.handleRounds)
-	mux.HandleFunc("/admin/snapshot", a.handleSnapshot)
-	mux.HandleFunc("/admin/start", a.handleEngineStart)
-	mux.HandleFunc("/admin/stop", a.handleEngineStop)
-	mux.HandleFunc("/admin/fleet", a.handleFleet)
-	mux.HandleFunc("/admin/quotas", a.handleQuotas)
-	mux.HandleFunc("/admin/traces", a.handleTraces)
-	mux.HandleFunc("/admin/traces/", a.handleTraces)
-	mux.HandleFunc("/admin/decisions", a.handleDecisions)
-	mux.HandleFunc("/healthz", a.handleHealthz)
-	mux.HandleFunc("/readyz", a.handleReadyz)
-	return telemetry.InstrumentHTTP(telemetry.Default(), RouteLabel, mux)
+	mux.Handle("/jobs", Route{Get: a.handleListJobs, Post: a.handleSubmit})
+	mux.Handle("/jobs/{id}/status", Route{Get: a.handleStatus})
+	mux.Handle("/jobs/{id}/feed", Route{Post: a.handleFeed})
+	mux.Handle("/jobs/{id}/refine", Route{Post: a.handleRefine})
+	mux.Handle("/jobs/{id}/infer", Route{Post: a.handleInfer})
+	mux.Handle("/jobs/{id}/infer/batch", Route{Post: a.handleInferBatch})
+	mux.Handle("/jobs/{id}/infer/stream", Route{Post: a.handleInferStream})
+	mux.Handle("/metrics", Route{Get: a.handlePrometheus})
+	mux.Handle("/admin/rounds", Route{Post: a.handleRounds})
+	mux.Handle("/admin/snapshot", Route{Post: a.handleSnapshot})
+	mux.Handle("/admin/start", Route{Post: a.handleEngineStart})
+	mux.Handle("/admin/stop", Route{Post: a.handleEngineStop})
+	mux.Handle("/admin/fleet", Route{Get: a.handleFleet})
+	mux.Handle("/admin/quotas", Route{Get: a.handleQuotas, Post: a.handleSetQuota})
+	mux.Handle("/admin/traces", Route{Get: a.handleTraces})
+	mux.Handle("/admin/traces/{id}", Route{Get: a.handleTrace})
+	mux.Handle("/admin/decisions", Route{Get: a.handleDecisions})
+	mux.Handle("/healthz", Route{Get: a.handleHealthz})
+	mux.Handle("/readyz", Route{Get: a.handleReadyz})
+	return telemetry.InstrumentHTTP(telemetry.Default(), mux)
+}
+
+// Route is the one method dispatcher of the service's HTTP surfaces (the
+// API here and the fleet coordinator's): the handler for each method a
+// route serves. Any other method answers 405 with an Allow header and the
+// JSON envelope "use GET", "use POST" or "use GET or POST".
+type Route struct{ Get, Post http.HandlerFunc }
+
+func (rt Route) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch {
+	case r.Method == http.MethodGet && rt.Get != nil:
+		rt.Get(w, r)
+	case r.Method == http.MethodPost && rt.Post != nil:
+		rt.Post(w, r)
+	default:
+		allow := "GET, POST"
+		switch {
+		case rt.Post == nil:
+			allow = "GET"
+		case rt.Get == nil:
+			allow = "POST"
+		}
+		w.Header().Set("Allow", allow)
+		WriteError(w, http.StatusMethodNotAllowed, errors.New("use "+strings.Replace(allow, ", ", " or ", 1)))
+	}
 }
 
 // SubmitRequest is the POST /jobs payload.
@@ -244,105 +280,88 @@ type RoundsResponse struct {
 	Total int `json:"total"`
 }
 
-func (a *API) handleJobs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		var ids []string
-		for _, j := range a.sched.Jobs() {
-			ids = append(ids, j.ID)
-		}
-		WriteJSON(w, http.StatusOK, map[string][]string{"jobs": ids})
-	case http.MethodPost:
-		var req SubmitRequest
-		if !ReadJSON(w, r, &req) {
-			return
-		}
-		job, err := a.sched.Submit(req.Name, req.Program)
-		if err != nil {
-			WriteError(w, userErrStatus(err), err)
-			return
-		}
-		resp := SubmitResponse{ID: job.ID, Template: job.Template, Candidates: job.CandidateNames(), Julia: job.Julia, Python: job.Python}
-		WriteJSON(w, http.StatusCreated, resp)
-	default:
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
+func (a *API) handleListJobs(w http.ResponseWriter, r *http.Request) {
+	var ids []string
+	for _, j := range a.sched.Jobs() {
+		ids = append(ids, j.ID)
 	}
+	WriteJSON(w, http.StatusOK, map[string][]string{"jobs": ids})
 }
 
-func (a *API) handleJobOp(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/jobs/")
-	parts := strings.SplitN(rest, "/", 2)
-	if len(parts) != 2 || parts[0] == "" {
-		WriteError(w, http.StatusNotFound, errors.New("use /jobs/{id}/{op}"))
+func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req SubmitRequest
+	if !ReadJSON(w, r, &req) {
 		return
 	}
-	id, op := parts[0], parts[1]
-	switch op {
-	case "status":
-		if r.Method != http.MethodGet {
-			WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-			return
-		}
-		st, err := a.sched.Status(id)
-		if err != nil {
-			WriteError(w, http.StatusNotFound, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, st)
-	case "feed":
-		var req FeedRequest
-		if !requirePost(w, r) || !readFloatBody(w, r, &req) {
-			return
-		}
-		if len(req.Inputs) != len(req.Outputs) {
-			WriteError(w, http.StatusBadRequest,
-				fmt.Errorf("%d inputs vs %d outputs", len(req.Inputs), len(req.Outputs)))
-			return
-		}
-		ids, err := a.sched.FeedBatch(id, req.Inputs, req.Outputs)
-		if err != nil {
-			// The examples before the refused one are already durably
-			// committed; the error envelope carries their IDs so the client
-			// knows what committed and can resume from input len(ids).
-			body := errorBody(err)
-			body.IDs = ids
-			WriteJSON(w, userErrStatus(err), body)
-			return
-		}
-		WriteJSON(w, http.StatusOK, FeedResponse{IDs: ids})
-	case "refine":
-		var req RefineRequest
-		if !requirePost(w, r) || !ReadJSON(w, r, &req) {
-			return
-		}
-		if err := a.sched.Refine(id, req.Example, req.Enabled); err != nil {
-			WriteError(w, userErrStatus(err), err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	case "infer":
-		var req InferRequest
-		if !requirePost(w, r) || !readFloatBody(w, r, &req) {
-			return
-		}
-		out, model, err := a.sched.Infer(id, req.Input)
-		if err != nil {
-			WriteError(w, userErrStatus(err), err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, InferResponse{Output: out, Model: model})
-	case "infer/batch":
-		a.handleInferBatch(w, r, id)
-	case "infer/stream":
-		a.handleInferStream(w, r, id)
-	default:
-		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown operation %q", op))
+	job, err := a.sched.Submit(req.Name, req.Program)
+	if err != nil {
+		WriteError(w, userErrStatus(err), err)
+		return
 	}
+	resp := SubmitResponse{ID: job.ID, Template: job.Template, Candidates: job.CandidateNames(), Julia: job.Julia, Python: job.Python}
+	WriteJSON(w, http.StatusCreated, resp)
+}
+
+func (a *API) handleStatus(w http.ResponseWriter, r *http.Request) {
+	st, err := a.sched.Status(r.PathValue("id"))
+	if err != nil {
+		WriteError(w, http.StatusNotFound, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, st)
+}
+
+func (a *API) handleFeed(w http.ResponseWriter, r *http.Request) {
+	var req FeedRequest
+	if !readFloatBody(w, r, &req) {
+		return
+	}
+	if len(req.Inputs) != len(req.Outputs) {
+		WriteError(w, http.StatusBadRequest,
+			fmt.Errorf("%d inputs vs %d outputs", len(req.Inputs), len(req.Outputs)))
+		return
+	}
+	ids, err := a.sched.FeedBatch(r.PathValue("id"), req.Inputs, req.Outputs)
+	if err != nil {
+		// The examples before the refused one are already durably
+		// committed; the error envelope carries their IDs so the client
+		// knows what committed and can resume from input len(ids).
+		body := errorBody(err)
+		body.IDs = ids
+		WriteJSON(w, userErrStatus(err), body)
+		return
+	}
+	WriteJSON(w, http.StatusOK, FeedResponse{IDs: ids})
+}
+
+func (a *API) handleRefine(w http.ResponseWriter, r *http.Request) {
+	var req RefineRequest
+	if !ReadJSON(w, r, &req) {
+		return
+	}
+	if err := a.sched.Refine(r.PathValue("id"), req.Example, req.Enabled); err != nil {
+		WriteError(w, userErrStatus(err), err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
+}
+
+func (a *API) handleInfer(w http.ResponseWriter, r *http.Request) {
+	var req InferRequest
+	if !readFloatBody(w, r, &req) {
+		return
+	}
+	out, model, err := a.sched.Infer(r.PathValue("id"), req.Input)
+	if err != nil {
+		WriteError(w, userErrStatus(err), err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, InferResponse{Output: out, Model: model})
 }
 
 func (a *API) handleRounds(w http.ResponseWriter, r *http.Request) {
 	var req RoundsRequest
-	if !requirePost(w, r) || !ReadJSON(w, r, &req) {
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	if req.Count <= 0 {
@@ -410,37 +429,38 @@ func (a *API) quotaRows() []QuotaStatus {
 	return rows
 }
 
-// handleQuotas serves GET/POST /admin/quotas over the admission controller
-// the scheduler was built with; a scheduler built without one answers 409.
+// handleQuotas and handleSetQuota serve GET and POST /admin/quotas over
+// the admission controller the scheduler was built with; a scheduler
+// built without one answers 409.
 func (a *API) handleQuotas(w http.ResponseWriter, r *http.Request) {
-	adm := a.sched.adm
-	if adm == nil {
-		WriteError(w, http.StatusConflict, errors.New("no admission controller configured (run the server with -quota-config)"))
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
+	if adm := a.admission(w); adm != nil {
 		WriteJSON(w, http.StatusOK, QuotasResponse{DefaultClass: adm.DefaultClass(), Tenants: a.quotaRows()})
-	case http.MethodPost:
-		var req SetQuotaRequest
-		if !ReadJSON(w, r, &req) {
-			return
-		}
-		if err := adm.SetQuota(req.Tenant, req.Quota); err != nil {
-			WriteError(w, http.StatusBadRequest, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	default:
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
 	}
 }
 
-func (a *API) handleFleet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
+func (a *API) handleSetQuota(w http.ResponseWriter, r *http.Request) {
+	adm := a.admission(w)
+	var req SetQuotaRequest
+	if adm == nil || !ReadJSON(w, r, &req) {
 		return
 	}
+	if err := adm.SetQuota(req.Tenant, req.Quota); err != nil {
+		WriteError(w, http.StatusBadRequest, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
+}
+
+// admission returns the scheduler's admission controller, answering 409
+// when it has none.
+func (a *API) admission(w http.ResponseWriter) *admission.Controller {
+	if a.sched.adm == nil {
+		WriteError(w, http.StatusConflict, errors.New("no admission controller configured (run the server with -quota-config)"))
+	}
+	return a.sched.adm
+}
+
+func (a *API) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if a.fleet == nil {
 		WriteError(w, http.StatusConflict, errors.New("no fleet coordinator configured (run the server with a fleet address)"))
 		return
@@ -449,9 +469,6 @@ func (a *API) handleFleet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleEngineStart(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
 	if a.engine == nil {
 		WriteError(w, http.StatusConflict, errors.New("no engine configured (run the server with workers)"))
 		return
@@ -464,9 +481,6 @@ func (a *API) handleEngineStart(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleEngineStop(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
 	if a.engine == nil {
 		WriteError(w, http.StatusConflict, errors.New("no engine configured (run the server with workers)"))
 		return
@@ -482,9 +496,6 @@ func (a *API) handleEngineStop(w http.ResponseWriter, r *http.Request) {
 // into the data directory's snapshot and retires every segment the
 // snapshot covers. The query string is ignored.
 func (a *API) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
 	if !a.sched.Persistent() {
 		WriteError(w, http.StatusConflict, errors.New("no data dir configured (run the server with -data-dir)"))
 		return
@@ -494,14 +505,6 @@ func (a *API) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]bool{"compacted": true})
-}
-
-func requirePost(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return false
-	}
-	return true
 }
 
 // MaxRequestBytes bounds every request body: a feed's decoded events stay

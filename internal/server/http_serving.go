@@ -41,12 +41,12 @@ type InferStreamLine struct {
 	Output []float64 `json:"output"`
 }
 
-func (a *API) handleInferBatch(w http.ResponseWriter, r *http.Request, id string) {
+func (a *API) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 	var req InferBatchRequest
-	if !requirePost(w, r) || !readFloatBody(w, r, &req) {
+	if !readFloatBody(w, r, &req) {
 		return
 	}
-	outs, model, err := a.sched.InferBatch(id, req.Inputs)
+	outs, model, err := a.sched.InferBatch(r.PathValue("id"), req.Inputs)
 	if err != nil {
 		WriteError(w, userErrStatus(err), err)
 		return
@@ -63,12 +63,12 @@ func (a *API) handleInferBatch(w http.ResponseWriter, r *http.Request, id string
 // reason but the client going away. Lines are flushed individually: the
 // session holds no job lock, so a slow consumer stalls only its own
 // connection.
-func (a *API) handleInferStream(w http.ResponseWriter, r *http.Request, id string) {
+func (a *API) handleInferStream(w http.ResponseWriter, r *http.Request) {
 	var req InferBatchRequest
-	if !requirePost(w, r) || !readFloatBody(w, r, &req) {
+	if !readFloatBody(w, r, &req) {
 		return
 	}
-	sess, err := a.sched.NewInferSession(id)
+	sess, err := a.sched.NewInferSession(r.PathValue("id"))
 	if err != nil {
 		WriteError(w, userErrStatus(err), err)
 		return

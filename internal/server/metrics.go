@@ -1,12 +1,10 @@
 package server
 
 import (
-	"errors"
 	"io"
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 
 	"repro/internal/buildinfo"
 	"repro/internal/telemetry"
@@ -37,49 +35,6 @@ var (
 		"Trace IDs minted for leases at pick time.")
 )
 
-// adminRoutes is the closed set of admin paths RouteLabel passes through
-// verbatim. Anything else under /admin/ collapses (trace IDs to a {id}
-// placeholder, unknown paths to "other"), so the per-route counters stay
-// bounded no matter what IDs or junk a client requests.
-var adminRoutes = map[string]bool{
-	"/admin/rounds": true, "/admin/snapshot": true,
-	"/admin/start": true, "/admin/stop": true, "/admin/fleet": true,
-	"/admin/quotas": true, "/admin/traces": true, "/admin/decisions": true,
-}
-
-// fleetRoutes is the closed set of fleet-protocol paths (see
-// fleet.Handler); unknown /fleet/ paths collapse to "other" like any
-// other 404.
-var fleetRoutes = map[string]bool{
-	"/fleet/register": true, "/fleet/lease": true, "/fleet/heartbeat": true,
-	"/fleet/complete": true, "/fleet/leave": true, "/fleet/job": true,
-}
-
-// RouteLabel normalizes a request path to a bounded metric label: job IDs
-// and trace IDs collapse to {id}, unknown paths to "other". Used by the
-// HTTP middleware so per-route counters cannot explode on hostile paths.
-func RouteLabel(r *http.Request) string {
-	p := r.URL.Path
-	switch {
-	case p == "/jobs", p == "/metrics", p == "/healthz", p == "/readyz":
-		return p
-	case adminRoutes[p], fleetRoutes[p]:
-		return p
-	case strings.HasPrefix(p, "/admin/traces/"):
-		return "/admin/traces/{id}"
-	case strings.HasPrefix(p, "/debug/pprof"):
-		return "/debug/pprof"
-	case strings.HasPrefix(p, "/jobs/"):
-		rest := strings.TrimPrefix(p, "/jobs/")
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			return "/jobs/{id}/" + rest[i+1:]
-		}
-		return "/jobs/{id}"
-	default:
-		return "other"
-	}
-}
-
 // handlePrometheus serves GET /metrics: the process-global telemetry
 // registry (histograms, counters minted at observation sites) followed by
 // gauges computed from live scheduler/engine/fleet/admission state and the
@@ -87,10 +42,6 @@ func RouteLabel(r *http.Request) string {
 // the exposition always reflects *this* API's scheduler even when tests
 // build several.
 func (a *API) handlePrometheus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	telemetry.Default().WritePrometheus(w)
 	a.writeDynamicMetrics(w)

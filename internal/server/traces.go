@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/telemetry"
@@ -39,44 +38,40 @@ type DecisionsResponse struct {
 }
 
 func (a *API) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
+	q := r.URL.Query()
+	f := telemetry.TraceFilter{
+		Tenant:  q.Get("tenant"),
+		Job:     q.Get("job"),
+		Outcome: q.Get("outcome"),
+		Limit:   100,
+	}
+	if v := q.Get("min_duration"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, errors.New("min_duration: use a Go duration like 50ms"))
+			return
+		}
+		f.MinDuration = d
+	}
+	if v := q.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			WriteError(w, http.StatusBadRequest, errors.New("limit: use a positive integer"))
+			return
+		}
+		f.Limit = n
 	}
 	rec := telemetry.DefaultRecorder()
-	id := strings.Trim(strings.TrimPrefix(r.URL.Path, "/admin/traces"), "/")
-	if id == "" {
-		q := r.URL.Query()
-		f := telemetry.TraceFilter{
-			Tenant:  q.Get("tenant"),
-			Job:     q.Get("job"),
-			Outcome: q.Get("outcome"),
-			Limit:   100,
-		}
-		if v := q.Get("min_duration"); v != "" {
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				WriteError(w, http.StatusBadRequest, errors.New("min_duration: use a Go duration like 50ms"))
-				return
-			}
-			f.MinDuration = d
-		}
-		if v := q.Get("limit"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				WriteError(w, http.StatusBadRequest, errors.New("limit: use a positive integer"))
-				return
-			}
-			f.Limit = n
-		}
-		traces := rec.Traces(f)
-		if traces == nil {
-			traces = []telemetry.TraceSummary{}
-		}
-		WriteJSON(w, http.StatusOK, TracesResponse{Traces: traces, Capacity: rec.Capacity()})
-		return
+	traces := rec.Traces(f)
+	if traces == nil {
+		traces = []telemetry.TraceSummary{}
 	}
-	spans, ok := rec.Trace(id)
+	WriteJSON(w, http.StatusOK, TracesResponse{Traces: traces, Capacity: rec.Capacity()})
+}
+
+func (a *API) handleTrace(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	spans, ok := telemetry.DefaultRecorder().Trace(id)
 	if !ok {
 		WriteError(w, http.StatusNotFound, errors.New("trace not recorded (never seen, or overwritten in the ring)"))
 		return
@@ -85,10 +80,6 @@ func (a *API) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleDecisions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	q := r.URL.Query()
 	f := DecisionFilter{
 		Job:    q.Get("job"),
@@ -122,18 +113,10 @@ func (a *API) WithReadiness(ready func() bool) *API {
 }
 
 func (a *API) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	WriteJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 func (a *API) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	if a.ready != nil && !a.ready() {
 		WriteJSON(w, http.StatusServiceUnavailable, map[string]bool{"ready": false})
 		return

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"testing"
 
@@ -15,60 +14,6 @@ import (
 func newTestScheduler(t testing.TB) *Scheduler {
 	t.Helper()
 	return NewScheduler(NewSimTrainer(cluster.NewPool(8, 0.9), 42), nil, "")
-}
-
-// RouteLabel must map every conceivable path to a bounded label set: IDs
-// collapse to {id} placeholders and junk collapses to "other", so hostile
-// or buggy clients cannot mint unbounded per-route series.
-func TestRouteLabelCardinality(t *testing.T) {
-	cases := map[string]string{
-		"/jobs":    "/jobs",
-		"/metrics": "/metrics",
-		"/healthz": "/healthz",
-		"/readyz":  "/readyz",
-
-		"/admin/rounds":    "/admin/rounds",
-		"/admin/traces":    "/admin/traces",
-		"/admin/decisions": "/admin/decisions",
-		"/fleet/lease":     "/fleet/lease",
-		"/fleet/complete":  "/fleet/complete",
-
-		// IDs collapse.
-		"/jobs/job-17":              "/jobs/{id}",
-		"/jobs/job-17/feed":         "/jobs/{id}/feed",
-		"/admin/traces/cafe0123":    "/admin/traces/{id}",
-		"/admin/traces/anything/at": "/admin/traces/{id}",
-		"/debug/pprof/":             "/debug/pprof",
-		"/debug/pprof/profile":      "/debug/pprof",
-
-		// 404s and unknown subtrees collapse to one label.
-		"/":                  "other",
-		"/favicon.ico":       "other",
-		"/admin/unknown":     "other",
-		"/admin/metrics":     "other",
-		"/fleet/unknown":     "other",
-		"/jobs.txt":          "other",
-		"/..%2fadmin/quotas": "other",
-	}
-	for path, want := range cases {
-		r := &http.Request{URL: &url.URL{Path: path}}
-		if got := RouteLabel(r); got != want {
-			t.Errorf("RouteLabel(%q) = %q, want %q", path, got, want)
-		}
-	}
-
-	// Sweep: a flood of distinct hostile paths must land on a small fixed
-	// label set no matter what the attacker appends.
-	labels := map[string]bool{}
-	for _, prefix := range []string{"/jobs/", "/admin/traces/", "/admin/", "/fleet/", "/x/", "/debug/pprof/"} {
-		for _, suffix := range []string{"a", "b/c", "d?e=f", strings.Repeat("z", 200)} {
-			r := &http.Request{URL: &url.URL{Path: prefix + suffix}}
-			labels[RouteLabel(r)] = true
-		}
-	}
-	if len(labels) > 6 {
-		t.Errorf("hostile sweep minted %d labels, want a bounded handful: %v", len(labels), labels)
-	}
 }
 
 // An invalid inbound X-Easeml-Trace header must be re-minted, not echoed:

@@ -37,10 +37,12 @@ var opHTTPRequest = SpanOp("http_request")
 // spans the handler's work records (a lease's tree, a WAL group commit)
 // are not its children, even when they share its trace.
 //
-// route maps a request to its metric label; it must return a bounded set
-// of values (normalize path parameters), or the counter cardinality
-// explodes.
-func InstrumentHTTP(reg *Registry, route func(*http.Request) string, next http.Handler) http.Handler {
+// next must be a ServeMux: a request's route label is the pattern the mux
+// matched, or "other" when none did, so the label set is bounded by the
+// registered patterns whatever paths clients send. The mux records the
+// pattern on the request it is handed, which is the context copy made
+// here, so the label is read from that copy.
+func InstrumentHTTP(reg *Registry, next http.Handler) http.Handler {
 	requests := reg.CounterVec("easeml_http_requests_total",
 		"HTTP requests served, by route and status code.", "route", "code")
 	latency := reg.HistogramVec("easeml_http_request_seconds",
@@ -50,8 +52,12 @@ func InstrumentHTTP(reg *Registry, route func(*http.Request) string, next http.H
 		ctx, trace := TraceFromRequest(r)
 		w.Header().Set(TraceHeader, trace)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		rt := route(r)
+		r = r.WithContext(ctx)
+		next.ServeHTTP(sw, r)
+		rt := r.Pattern
+		if rt == "" {
+			rt = "other"
+		}
 		elapsed := time.Since(t0)
 		latency.With(rt).Observe(elapsed)
 		code := strconv.Itoa(sw.code)

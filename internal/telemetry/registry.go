@@ -286,7 +286,7 @@ func (f *family) renderLabels(key, extra string) string {
 			}
 			sb.WriteString(l)
 			sb.WriteString(`="`)
-			sb.WriteString(escapeLabel(values[i]))
+			sb.WriteString(EscapeLabelValue(values[i]))
 			sb.WriteByte('"')
 		}
 		if extra != "" {
@@ -298,11 +298,10 @@ func (f *family) renderLabels(key, extra string) string {
 	return sb.String()
 }
 
-// EscapeLabelValue escapes a label value for hand-rendered sample lines
-// (the server's scrape-time dynamic gauges use it for tenant names).
-func EscapeLabelValue(v string) string { return escapeLabel(v) }
-
-func escapeLabel(v string) string {
+// EscapeLabelValue escapes a label value for the exposition: the
+// registry's own label blocks and the server's hand-rendered scrape-time
+// gauges (tenant names, build identity).
+func EscapeLabelValue(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
 	v = strings.ReplaceAll(v, "\n", `\n`)
 	return strings.ReplaceAll(v, `"`, `\"`)

@@ -232,15 +232,15 @@ func TestTraceIDs(t *testing.T) {
 func TestInstrumentHTTP(t *testing.T) {
 	r := NewRegistry()
 	var gotCtxTrace string
-	h := InstrumentHTTP(r, func(*http.Request) string { return "/x" },
-		http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			gotCtxTrace = TraceIDFrom(req.Context())
-			w.WriteHeader(http.StatusTeapot)
-		}))
-	srv := httptest.NewServer(h)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/x/{id}", func(w http.ResponseWriter, req *http.Request) {
+		gotCtxTrace = TraceIDFrom(req.Context())
+		w.WriteHeader(http.StatusTeapot)
+	})
+	srv := httptest.NewServer(InstrumentHTTP(r, mux))
 	defer srv.Close()
 
-	req, _ := http.NewRequest(http.MethodGet, srv.URL, nil)
+	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/x/1", nil)
 	req.Header.Set(TraceHeader, "cafe0123cafe0123")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -253,11 +253,21 @@ func TestInstrumentHTTP(t *testing.T) {
 	if got := resp.Header.Get(TraceHeader); got != "cafe0123cafe0123" {
 		t.Fatalf("response trace header = %q", got)
 	}
-	if n := r.CounterVec("easeml_http_requests_total", "h", "route", "code").With("/x", "418").Value(); n != 1 {
-		t.Fatalf("requests_total{/x,418} = %d, want 1", n)
+	// A path no pattern serves is labelled "other", not by its path.
+	resp, err = http.Get(srv.URL + "/y/2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := r.HistogramVec("easeml_http_request_seconds", "h", "route").With("/x").Count(); n != 1 {
-		t.Fatalf("request_seconds{/x} count = %d, want 1", n)
+	resp.Body.Close()
+	requests := r.CounterVec("easeml_http_requests_total", "h", "route", "code")
+	if n := requests.With("/x/{id}", "418").Value(); n != 1 {
+		t.Fatalf("requests_total{/x/{id},418} = %d, want 1", n)
+	}
+	if n := requests.With("other", "404").Value(); n != 1 {
+		t.Fatalf("requests_total{other,404} = %d, want 1", n)
+	}
+	if n := r.HistogramVec("easeml_http_request_seconds", "h", "route").With("/x/{id}").Count(); n != 1 {
+		t.Fatalf("request_seconds{/x/{id}} count = %d, want 1", n)
 	}
 }
 
